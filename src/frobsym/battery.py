@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,13 +119,12 @@ class RunOptions:
     tol_scale: float = 1.0
     fd_step: float | None = None
     seed: int | None = None
-    threads: int | None = None
 
 
 @dataclass(frozen=True)
 class CheckRow:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     residual: float | None
     tolerance: float
     runtime_ms: float
@@ -142,7 +140,7 @@ class Report:
     rows: tuple
 
     def all_passed(self) -> bool:
-        return all(r.status == "pass" for r in self.rows if r.status != "skipped")
+        return all(r.status == "pass" for r in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +192,11 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     for key, value in tolerances.items():
         if key not in CHECKS:
             raise SchemaError(f"tolerance for unknown check {key!r}", field="tolerances")
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise SchemaError(f"tolerance for {key!r} must be positive",
+        if not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+            raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError("seed must be a nonnegative integer", field="seed")
     name = data.get("name", "")
     if not isinstance(name, str):
@@ -671,30 +669,18 @@ CHECKS = {
 
 
 def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Report:
-    """Execute the spec's checks and collect one row per check.
+    """Execute the spec's checks in spec order and collect one row per check.
 
-    Rows are produced in spec order regardless of scheduling; each check
-    draws randomness from a generator seeded by (seed, position), so the
-    report is deterministic for a given spec and seed.  FROBSYM_THREADS
-    (or options.threads) caps the worker count.
+    Each check draws randomness from a generator seeded by (seed, position),
+    so the report is deterministic for a given spec and seed.
     """
     seed = spec.seed if options.seed is None else options.seed
-    jobs = []
+    rows = []
     for index, name in enumerate(spec.checks):
         definition = CHECKS[name]
         tol = spec.tolerances.get(name, definition.default_tol) * options.tol_scale
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         ctx = CheckContext(spec, rng, options)
-        jobs.append((name, definition, tol, ctx))
-
-    workers = options.threads
-    if workers is None:
-        env = os.environ.get("FROBSYM_THREADS", "")
-        workers = int(env) if env.isdigit() and int(env) > 0 else 1
-    rows = [None] * len(jobs)
-
-    def execute(item):
-        name, definition, tol, ctx = item
         start = time.perf_counter()
         try:
             residual = float(definition.func(ctx))
@@ -705,15 +691,7 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
             residual = None
             status = "fail"
         elapsed = 1000.0 * (time.perf_counter() - start)
-        return CheckRow(name, status, residual, tol, elapsed, definition.anchor)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, row in enumerate(pool.map(execute, jobs)):
-                rows[i] = row
-    else:
-        for i, item in enumerate(jobs):
-            rows[i] = execute(item)
+        rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
     versions = {"frobsym": _pkg_version, "numpy": np.__version__, "scipy": scipy.__version__}
     return Report(spec.name, spec.digest(), seed, versions, tuple(rows))
@@ -721,11 +699,6 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
 
 # ---------------------------------------------------------------------------
 # report emission and parsing
-
-
-MACHINE_META_FIELDS = ("record", "entry", "spec_hash", "seed", "versions")
-MACHINE_CHECK_FIELDS = ("record", "name", "status", "residual", "tolerance",
-                        "runtime_ms", "paper_anchor")
 
 
 def emit_report(report: Report, fmt: str = "human") -> str:
@@ -756,8 +729,7 @@ def emit_report(report: Report, fmt: str = "human") -> str:
         )
     passed = sum(r.status == "pass" for r in report.rows)
     failed = sum(r.status == "fail" for r in report.rows)
-    skipped = sum(r.status == "skipped" for r in report.rows)
-    lines.append(f"{passed} passed, {failed} failed, {skipped} skipped")
+    lines.append(f"{passed} passed, {failed} failed")
     return "\n".join(lines) + "\n"
 
 

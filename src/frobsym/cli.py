@@ -6,10 +6,9 @@
     frobsym catalog <name> [...]    run one entry (same flags as check)
     frobsym catalog all   [...]     run every entry as a self-test
 
-Exit status: 0 iff all non-skipped checks pass.  ``catalog all`` instead
+Exit status: 0 iff all checks pass.  ``catalog all`` instead
 compares each row against the entry's documented outcome, so the
 deliberately-broken fixtures count as healthy when they fail as documented.
-FROBSYM_THREADS caps check concurrency inside one battery.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .battery import (
     load_manifold_spec,
     run_battery,
 )
-from .errors import FrobsymError
+from .errors import FrobsymError, SchemaError
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
@@ -39,6 +38,8 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 
 
 def _options(args) -> RunOptions:
+    if not 0 < args.tol_scale <= sys.float_info.max:
+        raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
     return RunOptions(tol_scale=args.tol_scale, fd_step=args.fd_step, seed=args.seed)
 
 

@@ -5,7 +5,7 @@ callable point -> symmetric matrix, a potential any callable point -> real.
 Analytic derivative callbacks are used when supplied; otherwise central
 finite differences with the step policy from :mod:`frobsym.numdiff`.
 User-supplied callables must be re-entrant (they are probed from property
-tests and, in the battery runner, possibly from several threads).
+tests and from the battery runner).
 """
 
 from __future__ import annotations

@@ -97,9 +97,6 @@ def derivative_tensor(f: Callable, x, order: int, h: float) -> np.ndarray:
             out[index] = out[key]
         else:
             out[index] = central_partial(f, x, index, h)
-    # distribute the computed canonical entries to all permutations
-    for index in product(range(n), repeat=order):
-        out[index] = out[tuple(sorted(index))]
     return out
 
 

@@ -33,12 +33,6 @@ def categorical_family(m: int = 3) -> ExponentialFamily:
     return ExponentialFamily(X)
 
 
-FAMILIES = {
-    "bernoulli": bernoulli_family,
-    "categorical3": lambda: categorical_family(3),
-}
-
-
 # ---------------------------------------------------------------------------
 # potentials
 

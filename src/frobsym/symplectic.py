@@ -312,13 +312,11 @@ class LorentzLagrangian:
     """L = (C/2)(xi^mu xi_mu - 1) + kappa2 xi^mu A_mu - U.
 
     ``signature`` holds the +-1 diagonal used to lower indices,
-    xi_mu = signature[mu] * xi^mu.  ``kappa1`` scales the bilinear form
-    as a global constant and does not enter the dynamics.
+    xi_mu = signature[mu] * xi^mu.
     """
 
     signature: np.ndarray
     mass_const: float = 1.0
-    kappa1: float = 1.0
     kappa2: float = 0.0
     gauge: Callable[[np.ndarray], np.ndarray] | None = None
     scalar: Callable[[np.ndarray], float] | None = None

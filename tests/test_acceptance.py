@@ -323,6 +323,15 @@ def test_c13_cli_contract(tmp_path, capsys):
     assert main(["catalog", "all", "--report", "machine",
                  "--out", str(tmp_path / "all.jsonl")]) == 0
     capsys.readouterr()
+
+    # every catalog report is strict JSON: no NaN or Infinity constants
+    def reject_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    lines = (tmp_path / "all.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=reject_constant) for line in lines]
+    assert sum(r["record"] == "meta" for r in records) == len(builtin_catalog())
+
     assert main(["catalog", "perturbed_wdvv3"]) == 1
     capsys.readouterr()
     note(13, "byte-stable reports; catalog healthy; broken fixture exits 1")
