@@ -81,6 +81,7 @@ from .symplectic import (
     LorentzLagrangian,
     Observable,
     PhasePoint,
+    SeparableHamiltonian,
     Trajectory,
     TwoForm,
     canonical_two_form,

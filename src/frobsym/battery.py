@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ from .symplectic import (
     LorentzLagrangian,
     Observable,
     PhasePoint,
+    SeparableHamiltonian,
     closedness_residual,
     dbar_split_residuals,
     integrate,
@@ -192,7 +194,8 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     for key, value in tolerances.items():
         if key not in CHECKS:
             raise SchemaError(f"tolerance for unknown check {key!r}", field="tolerances")
-        if not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value <= sys.float_info.max):
             raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
     seed = data.get("seed", 0)
@@ -252,10 +255,13 @@ def _validate_payload(kind: str, payload: dict):
 # scalar fields available to explicit_metric specs
 
 
+# (value, gradient) pairs; values reduce over the last axis, so they take
+# one point or a stack of points
 SCALAR_FIELDS = {
-    "half_square": (lambda z: 0.5 * float(np.sum(np.asarray(z) ** 2)),
+    "half_square": (lambda z: 0.5 * np.sum(np.square(z), axis=-1),
                     lambda z: np.asarray(z, dtype=float)),
-    "zero": (lambda z: 0.0, lambda z: np.zeros_like(np.asarray(z, dtype=float))),
+    "zero": (lambda z: np.zeros(np.shape(z)[:-1]),
+             lambda z: np.zeros_like(np.asarray(z, dtype=float))),
 }
 
 
@@ -473,18 +479,12 @@ def _check_dbar_splitting(ctx: CheckContext) -> float:
 def _hamiltonian_observable(ctx: CheckContext) -> Observable:
     metric = ctx.metric()
     scalar = ctx.scalar()
-    u_func, u_grad = scalar if scalar else (lambda z: 0.0, lambda z: np.zeros_like(z))
-    constant_euclidean = ctx.spec.payload.get("metric", "").startswith("euclidean")
-
-    if constant_euclidean:
-        # cached inverse keeps the 1e4+ step integrations cheap
-        def func(y: PhasePoint) -> float:
-            return 0.5 * float(y.p @ y.p) + u_func(y.z)
-
-        def grad(y: PhasePoint) -> np.ndarray:
-            return np.concatenate([u_grad(y.z), y.p, np.zeros_like(y.lam)])
-
-        return Observable(func, grad)
+    u_func, u_grad = scalar if scalar else SCALAR_FIELDS["zero"]
+    if ctx.spec.payload.get("metric", "").startswith("euclidean"):
+        # unit inverse metric: H = |p|^2 / 2 + U(z) separates, so the 1e4+
+        # step integrations run on flat arrays
+        return SeparableHamiltonian(lambda p: 0.5 * np.sum(np.square(p), axis=-1),
+                                    lambda p: p, u_func, u_grad)
     return Observable(lambda y: quadratic_energy(metric, y, u_func))
 
 
@@ -675,10 +675,15 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
     so the report is deterministic for a given spec and seed.
     """
     seed = spec.seed if options.seed is None else options.seed
+    tols = [spec.tolerances.get(name, CHECKS[name].default_tol) * options.tol_scale
+            for name in spec.checks]
+    for name, tol in zip(spec.checks, tols):
+        if not math.isfinite(tol):
+            raise SchemaError(f"tolerance for {name!r} times tol_scale is not finite",
+                              field=f"tolerances.{name}")
     rows = []
-    for index, name in enumerate(spec.checks):
+    for index, (name, tol) in enumerate(zip(spec.checks, tols)):
         definition = CHECKS[name]
-        tol = spec.tolerances.get(name, definition.default_tol) * options.tol_scale
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         ctx = CheckContext(spec, rng, options)
         start = time.perf_counter()

@@ -40,6 +40,8 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 def _options(args) -> RunOptions:
     if not 0 < args.tol_scale <= sys.float_info.max:
         raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
+    if args.fd_step is not None and not 0 < args.fd_step <= sys.float_info.max:
+        raise SchemaError("--fd-step must be positive and finite", field="fd_step")
     return RunOptions(tol_scale=args.tol_scale, fd_step=args.fd_step, seed=args.seed)
 
 

@@ -75,6 +75,13 @@ class TestSpecLoading:
             spec_from_dict(data)
         assert err.value.field == "seed"
 
+    def test_boolean_tolerance_rejected(self):
+        data = json.loads(BERNOULLI_TEXT)
+        data["tolerances"]["gibbs_normalization"] = True
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict(data)
+        assert err.value.field == "tolerances.gibbs_normalization"
+
     def test_unknown_check_rejected(self):
         data = json.loads(BERNOULLI_TEXT)
         data["checks"] = ["no_such_check"]
@@ -254,6 +261,23 @@ class TestCli:
         assert main(["check", str(path), f"--tol-scale={scale}"]) == 2
         assert main(["catalog", "bernoulli", f"--tol-scale={scale}"]) == 2
         assert "--tol-scale" in capsys.readouterr().err
+
+    def test_overflowing_tolerance_product_rejected(self, tmp_path, capsys):
+        # both factors are finite; their product is not
+        path = tmp_path / "spec.json"
+        path.write_text(BERNOULLI_TEXT.replace("1e-13", "1e300"))
+        assert main(["check", str(path), "--tol-scale=1e10", "--report=machine"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "gibbs_normalization" in out.err
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "0", "-1"])
+    def test_fd_step_must_be_positive_and_finite(self, step, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(BERNOULLI_TEXT)
+        assert main(["check", str(path), f"--fd-step={step}"]) == 2
+        assert main(["catalog", "bernoulli", f"--fd-step={step}"]) == 2
+        assert "--fd-step" in capsys.readouterr().err
 
     def test_catalog_unknown_entry(self, capsys):
         assert main(["catalog", "does_not_exist"]) == 2

@@ -19,6 +19,7 @@ from frobsym import (
     Observable,
     PhasePoint,
     PotentialField,
+    SeparableHamiltonian,
     TwoForm,
     canonical_two_form,
     closedness_residual,
@@ -220,6 +221,14 @@ class TestHamiltonianVectorField:
             hamiltonian_vector_field(oscillator(), broken, PhasePoint([1.0], [0.0]))
 
 
+def half_square(x):
+    return 0.5 * np.sum(np.square(x), axis=-1)
+
+
+def separable_oscillator():
+    return SeparableHamiltonian(half_square, lambda p: p, half_square, lambda z: z)
+
+
 class TestIntegrator:
     def test_oscillator_drift_budget(self):
         traj = integrate(oscillator(), PhasePoint([1.0], [0.0]), 1e-3, 10_000)
@@ -266,6 +275,60 @@ class TestIntegrator:
         assert set(records[0]) == {"s", "z", "p", "H"}
         assert records[0]["H"] == pytest.approx(0.5)
         assert records[1]["s"] == pytest.approx(1e-2)
+
+
+class TestSeparableHamiltonian:
+    @pytest.mark.parametrize("dof", [1, 3])
+    def test_matches_generic_path(self, dof):
+        fast = separable_oscillator()
+        generic = Observable(fast.func, fast.grad)
+        rng = np.random.default_rng(dof)
+        y0 = PhasePoint(rng.normal(size=dof), rng.normal(size=dof))
+        a = integrate(fast, y0, 1e-2, 300)
+        b = integrate(generic, y0, 1e-2, 300)
+        assert a.z.shape == a.p.shape == (301, dof)
+        assert np.array_equal(a.z, b.z)
+        assert np.array_equal(a.p, b.p)
+        assert np.array_equal(a.energies, b.energies)
+        assert a.records() == b.records()
+        assert np.array_equal(a.points[-1].z, b.points[-1].z)
+        assert np.array_equal(a.points[-1].p, b.points[-1].p)
+
+    def test_leapfrog_builds_no_phase_points(self, monkeypatch):
+        built = []
+        init = PhasePoint.__post_init__
+        monkeypatch.setattr(PhasePoint, "__post_init__",
+                            lambda self: built.append(1) or init(self))
+        traj = integrate(separable_oscillator(), PhasePoint([1.0], [0.0]), 1e-2, 50)
+        assert built == [1]  # y0 itself
+        assert len(traj.points) == 51
+        assert len(built) == 52
+
+    def test_zero_step_is_constant(self):
+        y0 = PhasePoint([1.0, -0.5], [0.5, 0.25])
+        traj = integrate(separable_oscillator(), y0, 0.0, 10)
+        assert np.array_equal(traj.z, np.tile(y0.z, (11, 1)))
+        assert np.array_equal(traj.p, np.tile(y0.p, (11, 1)))
+        assert traj.max_energy_drift == 0.0
+
+    def test_zero_steps_keeps_the_start(self):
+        y0 = PhasePoint([1.0, -0.5], [0.5, 0.25])
+        traj = integrate(separable_oscillator(), y0, 1e-2, 0)
+        assert traj.records() == [{"s": 0.0, "z": [1.0, -0.5], "p": [0.5, 0.25],
+                                   "H": 0.78125}]
+        assert np.array_equal(traj.points[0].z, y0.z)
+        assert traj.max_energy_drift == 0.0
+
+    def test_generic_consumers(self):
+        H = separable_oscillator()
+        y = PhasePoint([1.0], [0.0])
+        assert H(y) == 0.5
+        X = hamiltonian_vector_field(H, canonical_two_form(1), y)
+        assert np.allclose(X, [0.0, -1.0], atol=1e-12)
+        a = integrate(H, y, 1e-3, 200, method="midpoint")
+        b = integrate(oscillator(), y, 1e-3, 200, method="midpoint")
+        assert np.allclose(a.z, b.z, atol=1e-14)
+        assert np.allclose(a.energies, b.energies, atol=1e-14)
 
 
 class TestQuadraticEnergy:
