@@ -58,13 +58,19 @@ print(f"[1, sin] ~ cos: max gap to the stencil derivative = "
       f"{np.max(np.abs(out[0] - np.cos(x))):.2e} (pure stencil truncation)")
 
 print("\n== lattice operator g D + b (Du) and its Jacobi defect ==")
+print("(applied matrix-free, so the 4096-site grid costs O(N))")
 metric, metric_deriv, b = linear_diagonal_lattice(1)
-for sites in (16, 32, 64):
+previous = None
+for sites in (16, 64, 256, 1024, 4096):
     lb = LatticeBracket(sites, 1, metric, b, spacing=2 * np.pi / sites,
                         metric_deriv=metric_deriv)
     u = (2.0 + np.sin(lb.spacing * np.arange(sites)))[None, :]
     jac = lattice_jacobi_residual(lb, u, rng=np.random.default_rng(12))
-    print(f"  N = {sites:3d}: relative Jacobi defect = {jac:.4f}")
+    line = f"  N = {sites:4d}: relative Jacobi defect = {jac:.3e}"
+    if previous is not None:
+        line += f",  observed order log4(ratio) = {np.log(previous / jac) / np.log(4):.3f}"
+    print(line)
+    previous = jac
 
 const = LatticeBracket(16, 1, lambda u: np.array([[2.0]]), np.zeros((1, 1, 1)),
                        spacing=2 * np.pi / 16)

@@ -247,6 +247,9 @@ def _validate_payload(kind: str, payload: dict):
         sites = _require(payload, "sites", int, kind)
         if sites < 4:
             raise SchemaError("a lattice needs at least 4 sites", field="payload.sites")
+        field_dim = payload.get("field_dim", 1)
+        if not isinstance(field_dim, int) or isinstance(field_dim, bool) or field_dim < 1:
+            raise SchemaError("field_dim must be a positive integer", field="payload.field_dim")
         cid = _require(payload, "coefficients", str, kind)
         registry.lookup(registry.LATTICE_COEFFICIENTS, cid, "lattice coefficients")
 
@@ -315,9 +318,9 @@ class CheckContext:
     def lattice(self, sites: int | None = None) -> LatticeBracket:
         p = self.spec.payload
         n = int(sites if sites is not None else p["sites"])
-        r = int(p.get("field_dim", 1))
+        r = p.get("field_dim", 1)
         metric, metric_deriv, b = registry.lookup(
-            registry.LATTICE_COEFFICIENTS, p["coefficients"], "lattice coefficients")
+            registry.LATTICE_COEFFICIENTS, p["coefficients"], "lattice coefficients", r)
         return LatticeBracket(n, r, metric, b, spacing=2.0 * np.pi / n,
                               metric_deriv=metric_deriv)
 

@@ -314,10 +314,11 @@ LATTICE_COEFFICIENTS = {
 }
 
 
-def lookup(table: dict, key: str, what: str):
+def lookup(table: dict, key: str, what: str, *args):
+    """Build the entry ``key`` of ``table``; ``args`` go to its factory."""
     try:
         factory = table[key]
     except KeyError:
         known = ", ".join(sorted(table))
         raise SchemaError(f"unknown {what} id {key!r} (known: {known})", field=what)
-    return factory()
+    return factory(*args)

@@ -99,6 +99,17 @@ class TestSpecLoading:
             spec_from_dict({"kind": "cone_potential",
                             "payload": {"potential": "missing"}, "checks": []})
 
+    @pytest.mark.parametrize("field_dim", [0, -1, "2", 2.5, True])
+    def test_lattice_field_dim_must_be_positive_integer(self, field_dim):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({
+                "kind": "lattice",
+                "payload": {"sites": 16, "field_dim": field_dim,
+                            "coefficients": "linear_diagonal"},
+                "checks": ["lattice_constant_skew"],
+            })
+        assert err.value.field == "payload.field_dim"
+
     def test_wdvv_routing(self):
         spec = spec_from_dict({
             "kind": "cone_potential",
@@ -176,6 +187,29 @@ class TestRunBattery:
         assert report.rows[0].status == "fail"
         assert report.rows[0].residual is None
         assert parse_machine_report(emit_report(report, "machine")) == report
+
+    @pytest.mark.parametrize("coefficients", ["linear_diagonal", "constant"])
+    @pytest.mark.parametrize("field_dim", [2, 3])
+    def test_lattice_checks_honour_field_dim(self, coefficients, field_dim):
+        spec = spec_from_dict({
+            "kind": "lattice",
+            "payload": {"sites": 16, "field_dim": field_dim, "coefficients": coefficients},
+            "checks": ["lattice_constant_skew", "lattice_jacobi_refinement",
+                       "novikov_identities", "local_bracket_antisymmetry"],
+        })
+        report = run_battery(spec)
+        assert all(row.residual is not None for row in report.rows)
+        assert report.all_passed()
+
+    @pytest.mark.parametrize("field_dim", [1, 2])
+    def test_lattice_constant_skew_exact_on_fine_grid(self, field_dim):
+        spec = spec_from_dict({
+            "kind": "lattice",
+            "payload": {"sites": 1024, "field_dim": field_dim,
+                        "coefficients": "linear_diagonal"},
+            "checks": ["lattice_constant_skew"],
+        })
+        assert run_battery(spec).rows[0].residual == 0.0
 
 
 def strip_runtime(text):

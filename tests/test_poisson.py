@@ -7,6 +7,8 @@ Qdot = {H, Q} the flow is the usual one.  Spin brackets use
 makes {L_1, L_2} = -L_3.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ from frobsym import (
     paracomplex_bracket,
     so3_constants,
 )
-from frobsym.poisson import periodic_derivative_matrix
+from frobsym import numdiff
+from frobsym.poisson import periodic_derivative_matrix, smooth_test_profile
 from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
 
 
@@ -279,3 +282,87 @@ class TestLatticeBracket:
         assert np.allclose(B[:4, :4], 1.0 * D)
         assert np.allclose(B[4:, 4:], 3.0 * D)
         assert np.max(np.abs(B[:4, 4:])) == 0.0
+
+    def test_jacobi_residual_checks_state_shape(self):
+        lb = make_lattice(8)
+        with pytest.raises(DimensionMismatch):
+            lattice_jacobi_residual(lb, np.zeros((1, 9)))
+
+    def test_too_few_sites_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch) as err:
+            LatticeBracket(3, 1, lambda u: np.eye(1), np.zeros((1, 1, 1)))
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 1024])
+    @pytest.mark.parametrize("spacing", [1.0, 0.3, 2 * np.pi / 7])
+    def test_stencil_matches_loop_definition(self, n, spacing):
+        D = np.zeros((n, n))
+        for i in range(n):
+            D[i, (i + 1) % n] = 1.0
+            D[i, (i - 1) % n] = -1.0
+        assert np.array_equal(periodic_derivative_matrix(n, spacing), D / (2.0 * spacing))
+
+    def test_jacobi_residual_memory_is_linear_in_sites(self):
+        """A dense operator at 4096 sites alone takes 134 MB."""
+        lb = make_lattice(4096)
+        u = smooth_state(lb)
+        tracemalloc.start()
+        try:
+            lattice_jacobi_residual(lb, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def coupled_lattice(sites, r, with_deriv):
+    """u-dependent metric with off-diagonal couplings and generic flux."""
+    rng = np.random.default_rng(r)
+    a = rng.normal(size=(r, r, r))
+    a = a + np.swapaxes(a, 0, 1)
+    g0 = 3.0 * np.eye(r) + 0.2 * np.ones((r, r))
+    return LatticeBracket(sites, r, lambda u: g0 + a @ u, rng.normal(size=(r, r, r)),
+                          spacing=2 * np.pi / sites,
+                          metric_deriv=(lambda u: a) if with_deriv else None)
+
+
+def dense_jacobi_residual(lb, u, rng, triples=3):
+    """The cyclic Jacobi sum through the assembled operator and the stencil matrix."""
+    r, N = lb.field_dim, lb.sites
+    B = lattice_hydro_bracket(lb, u).operator
+    D = periodic_derivative_matrix(N, lb.spacing)
+    if lb.metric_deriv is not None:
+        dC = np.stack([lb.metric_deriv(u[:, n]) for n in range(N)])
+    else:
+        dC = np.stack([np.moveaxis(numdiff.jacobian(lambda w: np.asarray(lb.metric(w), float),
+                                                    u[:, n]), 0, -1) for n in range(N)])
+
+    def inner_gradient(phi, psi):
+        return (np.einsum("in,nijk,jm,nm->kn", phi, dC, psi, D)
+                + np.einsum("in,ijk,jn->kn", phi, lb.b, psi) @ D)
+
+    worst = 0.0
+    for _ in range(triples):
+        phis = [smooth_test_profile(r, N, lb.spacing, rng) for _ in range(3)]
+        terms = [float(phis[a].reshape(-1) @ B @ inner_gradient(phis[b], phis[c]).reshape(-1))
+                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+        worst = max(worst, abs(sum(terms)) / max(1.0, max(abs(t) for t in terms)))
+    return worst
+
+
+@pytest.mark.parametrize("with_deriv", [True, False])
+@pytest.mark.parametrize("sites", [16, 64])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("coefficients", ["linear_diagonal", "coupled"])
+def test_matrix_free_jacobi_matches_dense(coefficients, r, sites, with_deriv):
+    if coefficients == "coupled":
+        lb = coupled_lattice(sites, r, with_deriv)
+    else:
+        lb = make_lattice(sites, r)
+        if not with_deriv:
+            lb = LatticeBracket(sites, r, lb.metric, lb.b, spacing=lb.spacing)
+    u = smooth_state(lb)
+    dense = dense_jacobi_residual(lb, u, np.random.default_rng(7))
+    assert dense > 0.0
+    assert lattice_jacobi_residual(lb, u, rng=np.random.default_rng(7)) == pytest.approx(
+        dense, rel=1e-10)
