@@ -26,7 +26,9 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     FrobsymError,
+    InvalidFamily,
     NonConvergence,
+    NonFiniteValue,
     NonPositivePotential,
     ParseError,
     SchemaError,

@@ -194,8 +194,7 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     for key, value in tolerances.items():
         if key not in CHECKS:
             raise SchemaError(f"tolerance for unknown check {key!r}", field="tolerances")
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value <= sys.float_info.max):
+        if not (_real(value) and value > 0):
             raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
     seed = data.get("seed", 0)
@@ -217,16 +216,33 @@ def _require(payload: dict, key: str, kinds, what: str):
     return payload[key]
 
 
+def _real(value) -> bool:
+    """A JSON number (``true`` is not one) that is a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _validate_payload(kind: str, payload: dict):
     if kind == "exponential_family":
         stats = _require(payload, "statistics", list, kind)
+        # one flat row is a family with a single statistic
+        rows = stats if stats and all(isinstance(row, list) for row in stats) else [stats]
+        outcomes = len(rows[0])
+        if (outcomes == 0 or any(len(row) != outcomes for row in rows)
+                or not all(_real(v) for row in rows for v in row)):
+            raise SchemaError("statistics must be a nonempty rectangular table of "
+                              "finite numbers", field="payload.statistics")
         beta = _require(payload, "beta", list, kind)
-        fam = ExponentialFamily(np.asarray(stats, dtype=float),
-                                np.asarray(payload["base_weights"], dtype=float)
-                                if "base_weights" in payload else None)
-        if len(beta) != fam.n:
+        if len(beta) != len(rows):
             raise SchemaError("beta length must match the statistics count",
                               field="payload.beta")
+        if not all(_real(v) for v in beta):
+            raise SchemaError("beta entries must be finite numbers", field="payload.beta")
+        weights = payload.get("base_weights", [1.0] * outcomes)
+        if (not isinstance(weights, list) or len(weights) != outcomes
+                or not all(_real(v) and v > 0 for v in weights)):
+            raise SchemaError("base_weights must be one positive finite number per "
+                              "outcome", field="payload.base_weights")
     elif kind == "cone_potential":
         pot = _require(payload, "potential", str, kind)
         registry.lookup(registry.POTENTIALS, pot, "potential")
@@ -349,13 +365,14 @@ def _cumulant_match(ctx: CheckContext, orders) -> float:
     fam = ctx.family()
     beta = ctx.beta()
     step_override = ctx.options.fd_step
-    worst = 0.0
+    gaps = []
     for k in orders:
         analytic = cumulant_tensor(fam, beta, k).values
         fd = _fd_cumulant(fam, beta, k, step_override or _CUMULANT_STEPS[k])
         scale = max(1.0, float(np.max(np.abs(analytic))))
-        worst = max(worst, float(np.max(np.abs(analytic - fd))) / scale)
-    return worst
+        gaps.append(float(np.max(np.abs(analytic - fd))) / scale)
+    # np.max keeps a NaN gap (an overflowed stencil), which max() would drop
+    return float(np.max(gaps))
 
 
 def _check_cumulants_low_order(ctx: CheckContext) -> float:
@@ -692,13 +709,15 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
         start = time.perf_counter()
         try:
             residual = float(definition.func(ctx))
-            status = "pass" if residual <= tol else "fail"
         except FrobsymError:
-            # the input broke the construction; a null residual is always a
-            # failure, never a crash of the whole battery
-            residual = None
-            status = "fail"
+            residual = math.nan
         elapsed = 1000.0 * (time.perf_counter() - start)
+        if not math.isfinite(residual):
+            # the input broke the construction or the residual overflowed: a
+            # null residual is always a failure, never a crash of the whole
+            # battery, and never NaN/Infinity in a machine report
+            residual = None
+        status = "pass" if residual is not None and residual <= tol else "fail"
         rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
     versions = {"frobsym": _pkg_version, "numpy": np.__version__, "scipy": scipy.__version__}

@@ -14,6 +14,14 @@ class DimensionMismatch(FrobsymError, ValueError):
     """Operands with incompatible shapes or lengths."""
 
 
+class InvalidFamily(FrobsymError, ValueError):
+    """Statistics table or base weights that define no exponential family."""
+
+
+class NonFiniteValue(FrobsymError, ValueError):
+    """A parameter point or computed tensor with an infinite or NaN entry."""
+
+
 class ZeroDivisor(FrobsymError, ZeroDivisionError):
     """Inversion attempted on a split number with vanishing norm form."""
 

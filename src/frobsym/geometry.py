@@ -93,7 +93,9 @@ class PotentialField:
         x = _point(self.dim, x)
         if self.third is not None:
             return np.asarray(self.third(x), dtype=float)
-        return numdiff.third_derivative_tensor(self.value, x, h=h)
+        # value() takes one point; the stencil hands over a stack of them
+        return numdiff.third_derivative_tensor(
+            lambda stack: np.array([self.value(row) for row in stack]), x, h=h)
 
 
 def _point(dim: int, x) -> np.ndarray:

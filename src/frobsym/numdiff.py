@@ -10,6 +10,11 @@ Mixed and higher partials are built by composing one-dimensional central
 operators, so every routine here only ever needs the field itself. The
 fourth-order stencil (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h is used
 where third/fourth derivatives have to come out at ~1e-6 relative accuracy.
+
+:func:`central_partial` and :func:`derivative_tensor` hand their field all
+shifted points of one stencil at once: the field maps a ``(rows, n)`` stack
+of points to one value per row, reducing over the last axis. The other
+routines call their field on one point at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
+
+from .errors import DimensionMismatch
 
 FIRST_ORDER_STEP = 1e-5
 SECOND_ORDER_STEP = 6e-4
@@ -64,25 +71,37 @@ def hessian(f: Callable, x, h: float | None = None) -> np.ndarray:
 
 
 # Fourth-order central first-derivative stencil: offsets and weights (w / h).
-_STENCIL4 = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
 def central_partial(f: Callable, x, index: tuple[int, ...], h: float) -> float:
     """Mixed partial d^k f / dx_{i1}..dx_{ik} by composed 4th-order stencils.
 
     ``index`` lists one coordinate per differentiation (repeats allowed).
-    Cost is 4^k evaluations; intended for k <= 4 at desk scale.
+    The 4^k shifted points go to ``f`` as one ``(4^k, n)`` stack, which must
+    come back as 4^k values; intended for k <= 4 at desk scale. Shifts,
+    weights and the weighted sum accumulate in stencil order, so the result
+    does not depend on how ``f`` batches its rows.
     """
     x = np.asarray(x, dtype=float)
     hs = step_sizes(x, h)
+    k = len(index)
+    # row r shifts coordinate index[c] by _OFFSETS[picks[r, c]]; rows run in
+    # lexicographic order of the picks
+    picks = np.array(list(product(range(4), repeat=k)), dtype=int).reshape(4**k, k)
+    shifts = np.zeros((picks.shape[0], x.size))
+    weights = np.ones(picks.shape[0])
+    for column, coord in enumerate(index):
+        shifts[:, coord] += _OFFSETS[picks[:, column]] * hs[coord]
+        weights *= _WEIGHTS[picks[:, column]] / hs[coord]
+    values = np.asarray(f(x + shifts), dtype=float)
+    if values.shape != weights.shape:
+        raise DimensionMismatch(
+            f"field returned shape {values.shape} for {weights.size} stacked points")
     total = 0.0
-    for combo in product(_STENCIL4, repeat=len(index)):
-        shift = np.zeros_like(x)
-        weight = 1.0
-        for coord, (offset, w) in zip(index, combo):
-            shift[coord] += offset * hs[coord]
-            weight *= w / hs[coord]
-        total += weight * f(x + shift)
+    for weight, value in zip(weights.tolist(), values.tolist()):
+        total += weight * value
     return total
 
 

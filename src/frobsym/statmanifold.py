@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DegenerateMetric, DimensionMismatch, NonConvergence
+from .errors import (
+    DegenerateMetric,
+    DimensionMismatch,
+    InvalidFamily,
+    NonConvergence,
+    NonFiniteValue,
+)
 
 METRIC_CONDITION_LIMIT = 1e12
 
@@ -33,13 +39,13 @@ class ExponentialFamily:
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         if X.size == 0 or not np.all(np.isfinite(X)):
-            raise ValueError("statistics table must be nonempty and finite")
+            raise InvalidFamily("statistics table must be nonempty and finite")
         mu0 = self.mu0
         mu0 = np.ones(X.shape[1]) if mu0 is None else np.asarray(mu0, dtype=float)
         if mu0.shape != (X.shape[1],):
             raise DimensionMismatch("base weights must have one entry per outcome")
         if not np.all(mu0 > 0.0) or not np.all(np.isfinite(mu0)):
-            raise ValueError("base weights must be strictly positive and finite")
+            raise InvalidFamily("base weights must be strictly positive and finite")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "mu0", mu0)
 
@@ -66,19 +72,28 @@ class CumulantTensor:
         object.__setattr__(self, "values", v)
 
 
-def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
+def _as_beta(fam: ExponentialFamily, beta, stacked: bool = False) -> np.ndarray:
+    """One finite parameter point, or with ``stacked`` a ``(..., n)`` stack."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.shape != (fam.n,):
+    if beta.shape[-1:] != (fam.n,) or (beta.ndim != 1 and not stacked):
         raise DimensionMismatch(f"expected {fam.n} coordinates, got shape {beta.shape}")
     if not np.all(np.isfinite(beta)):
-        raise ValueError("parameter point must be finite")
+        raise NonFiniteValue("parameter point must be finite")
     return beta
 
 
-def potential_eval(fam: ExponentialFamily, beta) -> float:
-    """Log-partition value; computed with a max shift so |beta| ~ 50 is safe."""
-    beta = _as_beta(fam, beta)
-    return float(logsumexp(-(beta @ fam.X), b=fam.mu0))
+def potential_eval(fam: ExponentialFamily, beta):
+    """Log-partition value; computed with a max shift so |beta| ~ 50 is safe.
+
+    ``beta`` is one point (a ``float`` comes back) or a ``(..., n)`` stack of
+    points (an array of one value per point comes back).
+    """
+    beta = _as_beta(fam, beta, stacked=True)
+    # a stack of 1 x n products rounds each row exactly as the one-point
+    # product does; a plain (rows, n) @ (n, m) product may not
+    exponent = -(beta[..., None, :] @ fam.X)[..., 0, :]
+    value = logsumexp(exponent, axis=-1, b=fam.mu0)
+    return float(value) if beta.ndim == 1 else value
 
 
 def pairing(mu, f) -> float:
@@ -105,30 +120,35 @@ def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
     k=1 is minus the mean of X, k=2 the covariance, k=3 minus the third
     central moment and k=4 the fourth cumulant, all under the Gibbs weights
     at beta.  The result is symmetrized exactly over index permutations.
+    Moments that overflow raise :class:`NonFiniteValue`.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1..4")
     beta = _as_beta(fam, beta)
     p = gibbs_density(fam, beta)
     mean = fam.X @ p
-    if order == 1:
-        return CumulantTensor(1, -mean)
     xc = fam.X - mean[:, None]
-    if order == 2:
+    if order == 1:
+        values = -mean
+    elif order == 2:
         cov = np.einsum("iw,jw,w->ij", xc, xc, p)
-        return CumulantTensor(2, 0.5 * (cov + cov.T))
-    if order == 3:
+        values = 0.5 * (cov + cov.T)
+    elif order == 3:
         m3 = np.einsum("iw,jw,kw,w->ijk", xc, xc, xc, p)
-        return CumulantTensor(3, -_symmetrize(m3))
-    m4 = np.einsum("iw,jw,kw,lw,w->ijkl", xc, xc, xc, xc, p)
-    cov = np.einsum("iw,jw,w->ij", xc, xc, p)
-    k4 = (
-        m4
-        - np.einsum("ij,kl->ijkl", cov, cov)
-        - np.einsum("ik,jl->ijkl", cov, cov)
-        - np.einsum("il,jk->ijkl", cov, cov)
-    )
-    return CumulantTensor(4, _symmetrize(k4))
+        values = -_symmetrize(m3)
+    else:
+        m4 = np.einsum("iw,jw,kw,lw,w->ijkl", xc, xc, xc, xc, p)
+        cov = np.einsum("iw,jw,w->ij", xc, xc, p)
+        k4 = (
+            m4
+            - np.einsum("ij,kl->ijkl", cov, cov)
+            - np.einsum("ik,jl->ijkl", cov, cov)
+            - np.einsum("il,jk->ijkl", cov, cov)
+        )
+        values = _symmetrize(k4)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValue(f"order-{order} moments overflow at beta = {beta}")
+    return CumulantTensor(order, values)
 
 
 def _symmetrize(t: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Spec parsing, check routing, report formats and CLI exit codes."""
 
 import json
+import math
 
 import pytest
 
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
+    CheckDef,
+    ManifoldSpec,
     RunOptions,
     builtin_catalog,
     emit_report,
@@ -110,6 +113,26 @@ class TestSpecLoading:
             })
         assert err.value.field == "payload.field_dim"
 
+    # each escaped as a raw ValueError traceback with exit 1 before
+    @pytest.mark.parametrize("field, payload", [
+        ("statistics", '{"statistics": [[0.0, 1.0], [1.0]], "beta": [0.0, 0.0]}'),
+        ("base_weights", '{"statistics": [[0.0, 1.0]], "beta": [0.0], "base_weights": ["a", 1]}'),
+        ("base_weights", '{"statistics": [[0.0, 1.0]], "beta": [0.0], "base_weights": [-1, 1]}'),
+        ("base_weights", '{"statistics": [[0.0, 1.0]], "beta": [0.0], "base_weights": [1e400, 1]}'),
+        ("beta", '{"statistics": [[0.0, 1.0]], "beta": ["x"]}'),
+        ("beta", '{"statistics": [[0.0, 1.0]], "beta": [1e400]}'),
+    ], ids=["ragged_statistics", "text_weight", "negative_weight", "infinite_weight",
+            "text_beta", "infinite_beta"])
+    def test_malformed_family_payload_exits_two(self, field, payload, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "exponential_family", "payload": %s, '
+                        '"checks": ["gibbs_normalization"]}' % payload)
+        with pytest.raises(SchemaError) as err:
+            load_manifold_spec(str(path))
+        assert err.value.field == f"payload.{field}"
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_wdvv_routing(self):
         spec = spec_from_dict({
             "kind": "cone_potential",
@@ -187,6 +210,34 @@ class TestRunBattery:
         assert report.rows[0].status == "fail"
         assert report.rows[0].residual is None
         assert parse_machine_report(emit_report(report, "machine")) == report
+
+    def test_non_finite_point_gives_null_rows(self):
+        # built without validation, as a drawn point can reach the checks
+        spec = ManifoldSpec("exponential_family",
+                            {"statistics": [[0.0, 1.0]], "beta": [math.inf]},
+                            ("gibbs_normalization", "cumulants_low_order"), {})
+        report = run_battery(spec)
+        assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 2
+
+    def test_overflowing_moments_give_null_rows(self):
+        # the order-2 and order-4 moments overflow; their residuals were 0.0
+        spec = spec_from_dict({
+            "kind": "exponential_family",
+            "payload": {"statistics": [[1e160, -1e160, 0.5]], "beta": [0.0]},
+            "checks": ["cumulants_order4", "metric_positive_definite"],
+        })
+        report = run_battery(spec)
+        assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 2
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_residual_is_null_row(self, value, monkeypatch):
+        monkeypatch.setitem(CHECKS, "gibbs_normalization",
+                            CheckDef(lambda ctx: value, ("exponential_family",), "E:3", 1e-14))
+        report = run_battery(load_manifold_spec(BERNOULLI_TEXT))
+        assert (report.rows[0].status, report.rows[0].residual) == ("fail", None)
+        text = emit_report(report, "machine")
+        for line in text.splitlines():
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in report"))
 
     @pytest.mark.parametrize("coefficients", ["linear_diagonal", "constant"])
     @pytest.mark.parametrize("field_dim", [2, 3])

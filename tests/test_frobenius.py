@@ -101,6 +101,12 @@ class TestWDVV:
         r = wdvv_residual(bare, antidiagonal_pairing(), [0.7, -0.3, 1.2])
         assert r.residual < 1e-8
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 0.0], [0.7, -0.3, 1.2]])
+    def test_third_tensor_fd_fallback_matches_analytic(self, x):
+        bare = PotentialField(3, cubic_potential3().func)
+        fd = bare.third_tensor(x)
+        assert np.max(np.abs(fd - cubic_potential3().third_tensor(x))) <= 1e-8
+
     def test_perturbation_obstructs(self):
         r = wdvv_residual(perturbed_cubic_potential3(), antidiagonal_pairing(),
                           [0.0, 1.0, 1.0])

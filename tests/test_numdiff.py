@@ -1,0 +1,79 @@
+"""Composed fourth-order stencils on stacked fields.
+
+Oracle: the stencil written one point at a time, as the definition reads.
+Every shifted point is evaluated on its own and the weighted values are
+summed in stencil order; the stacked routines must reproduce it bit for bit.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from frobsym import DimensionMismatch, ExponentialFamily, potential_eval
+from frobsym.numdiff import central_partial, derivative_tensor
+
+STENCIL = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
+
+
+def loop_partial(f, x, index, h):
+    hs = h * np.maximum(1.0, np.abs(x))
+    total = 0.0
+    for combo in product(STENCIL, repeat=len(index)):
+        shift = np.zeros_like(x)
+        weight = 1.0
+        for coord, (offset, w) in zip(index, combo):
+            shift[coord] += offset * hs[coord]
+            weight *= w / hs[coord]
+        total += weight * f(x + shift)
+    return total
+
+
+def loop_tensor(f, x, order, h):
+    out = np.zeros((x.size,) * order)
+    for index in product(range(x.size), repeat=order):
+        out[index] = loop_partial(f, x, tuple(sorted(index)), h)
+    return out
+
+
+def point_field(z):
+    return float(np.log1p(np.exp(z @ np.linspace(0.5, -0.7, z.size)))
+                 + np.prod(np.sin(z + 0.3)))
+
+
+def stacked(f):
+    return lambda zs: np.array([f(z) for z in zs])
+
+
+@pytest.mark.parametrize("h", [5e-3, 1e-2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_tensor_matches_point_loop(order, n, h):
+    x = np.linspace(-0.8, 1.3, n)
+    assert np.array_equal(derivative_tensor(stacked(point_field), x, order, h),
+                          loop_tensor(point_field, x, order, h))
+
+
+@pytest.mark.parametrize("index", [(0,), (1, 0), (2, 0, 2), (1, 2, 1, 0), (3, 3, 3, 3)])
+def test_central_partial_matches_point_loop_on_any_index(index):
+    x = np.array([0.4, -1.7, 2.5, 0.1])
+    for h in (5e-3, 1e-2):
+        assert central_partial(stacked(point_field), x, index, h) == \
+            loop_partial(point_field, x, index, h)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_potential_stencils_match_point_loop(n):
+    rng = np.random.default_rng(40 + n)
+    fam = ExponentialFamily(rng.normal(size=(n, 24)), rng.uniform(0.5, 2.0, 24))
+    beta = rng.normal(0.0, 0.7, n)
+    for order, h in ((1, 1e-5), (2, 1e-4), (3, 5e-3), (4, 1e-2)):
+        assert np.array_equal(
+            derivative_tensor(lambda b: potential_eval(fam, b), beta, order, h),
+            loop_tensor(lambda b: potential_eval(fam, b), beta, order, h))
+
+
+def test_one_value_per_stacked_point_is_required():
+    # a one-point field reduces the whole stack to one number
+    with pytest.raises(DimensionMismatch):
+        central_partial(lambda z: float(np.sum(z)), np.zeros(2), (0, 1), 1e-3)

@@ -8,7 +8,7 @@ Hand-checked values used as oracles:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobsym import (
@@ -54,11 +54,17 @@ class TestMultiplication:
         assert E_PLUS + E_MINUS == ONE
 
     @given(numbers(), numbers(), numbers())
+    # near the null cone products of ~1e16 cancel to ~3e9, so the rounding
+    # error is set by the operands, not by the result
+    @example(ParaNumber(23643.24940051348, 23643.246319426336),
+             ParaNumber(900927.3926518706, -153347.10205484868),
+             ParaNumber(-711680.7745607325, 711680.8389931689))
     def test_commutative_associative(self, a, b, c):
         assert para_mul(a, b) == para_mul(b, a)
         left = para_mul(para_mul(a, b), c)
         right = para_mul(a, para_mul(b, c))
-        scale = max(1.0, abs(left.re), abs(left.im))
+        # forward-error bound of the chained two-term products
+        scale = max(1.0, np.prod([abs(v.re) + abs(v.im) for v in (a, b, c)]))
         assert abs(left.re - right.re) <= 1e-12 * scale
         assert abs(left.im - right.im) <= 1e-12 * scale
 

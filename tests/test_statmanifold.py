@@ -20,6 +20,9 @@ from frobsym import (
     DegenerateMetric,
     DimensionMismatch,
     ExponentialFamily,
+    FrobsymError,
+    InvalidFamily,
+    NonFiniteValue,
     cumulant_tensor,
     dual_coordinates,
     gibbs_density,
@@ -63,6 +66,35 @@ class TestPotential:
     @pytest.mark.parametrize("beta", [-50.0, 50.0])
     def test_extreme_parameters_stay_finite(self, beta):
         assert np.isfinite(potential_eval(bernoulli_family(), [beta]))
+
+    @pytest.mark.parametrize("m", [1, 7, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_matches_rows_exactly(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        fam = random_family(rng, m=m, n=n)
+        stack = rng.normal(0.0, 1.5, (2, 5, n))
+        values = potential_eval(fam, stack)
+        assert values.shape == (2, 5)
+        assert np.array_equal(values, [[potential_eval(fam, b) for b in row] for row in stack])
+        assert isinstance(potential_eval(fam, stack[0, 0]), float)
+
+    def test_stack_checks_the_last_axis(self):
+        with pytest.raises(DimensionMismatch):
+            potential_eval(categorical_family(3), np.zeros((4, 3)))
+
+    def test_undefined_inputs_are_frobsym_value_errors(self):
+        """Each is a null row in a battery, and still a ValueError."""
+        cases = [
+            (InvalidFamily, lambda: ExponentialFamily([[0.0, np.inf]])),
+            (InvalidFamily, lambda: ExponentialFamily([[0.0, 1.0]], [1.0, -1.0])),
+            (NonFiniteValue, lambda: potential_eval(bernoulli_family(), [np.nan])),
+            (NonFiniteValue, lambda: gibbs_density(bernoulli_family(), [np.inf])),
+        ]
+        for error, call in cases:
+            with pytest.raises(error) as err:
+                call()
+            assert isinstance(err.value, FrobsymError)
+            assert isinstance(err.value, ValueError)
 
 
 class TestPairing:
@@ -123,6 +155,12 @@ class TestCumulants:
         scale = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(analytic - fd)) <= rtol * scale
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_overflowing_moments_raise(self, order):
+        fam = ExponentialFamily([[1e160, -1e160, 0.5]])
+        with pytest.raises(NonFiniteValue):
+            cumulant_tensor(fam, [0.0], order)
+
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(7)
         fam = random_family(rng)
@@ -180,7 +218,8 @@ class TestDualCoordinates:
     def test_jacobian_of_eta_is_the_metric(self):
         fam = bernoulli_family()
         beta = np.array([1.0])
-        jac = derivative_tensor(lambda b: dual_coordinates(fam, b)[0][0], beta, 1, 1e-5)
+        jac = derivative_tensor(
+            lambda bs: np.array([dual_coordinates(fam, b)[0][0] for b in bs]), beta, 1, 1e-5)
         g = cumulant_tensor(fam, beta, 2).values
         assert jac == pytest.approx(g[0], rel=1e-6)
 
