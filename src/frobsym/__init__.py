@@ -20,6 +20,7 @@ cli           the ``frobsym`` command line entry point
 """
 
 from .errors import (
+    DegenerateAlgebra,
     DegenerateForm,
     DegenerateMetric,
     DegeneratePencil,

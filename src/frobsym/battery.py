@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__ as _pkg_version
 from . import registry
@@ -49,6 +48,7 @@ from .poisson import (
 )
 from .statmanifold import (
     ExponentialFamily,
+    checked_metric,
     cumulant_tensor,
     dual_coordinates,
     gibbs_density,
@@ -222,6 +222,10 @@ def _real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _is_point(value, dim: int) -> bool:
+    return isinstance(value, list) and len(value) == dim and all(_real(v) for v in value)
+
+
 def _validate_payload(kind: str, payload: dict):
     if kind == "exponential_family":
         stats = _require(payload, "statistics", list, kind)
@@ -232,12 +236,9 @@ def _validate_payload(kind: str, payload: dict):
                 or not all(_real(v) for row in rows for v in row)):
             raise SchemaError("statistics must be a nonempty rectangular table of "
                               "finite numbers", field="payload.statistics")
-        beta = _require(payload, "beta", list, kind)
-        if len(beta) != len(rows):
-            raise SchemaError("beta length must match the statistics count",
+        if not _is_point(_require(payload, "beta", list, kind), len(rows)):
+            raise SchemaError("beta must be one finite number per statistic",
                               field="payload.beta")
-        if not all(_real(v) for v in beta):
-            raise SchemaError("beta entries must be finite numbers", field="payload.beta")
         weights = payload.get("base_weights", [1.0] * outcomes)
         if (not isinstance(weights, list) or len(weights) != outcomes
                 or not all(_real(v) and v > 0 for v in weights)):
@@ -245,9 +246,15 @@ def _validate_payload(kind: str, payload: dict):
                               "outcome", field="payload.base_weights")
     elif kind == "cone_potential":
         pot = _require(payload, "potential", str, kind)
-        registry.lookup(registry.POTENTIALS, pot, "potential")
+        dim = registry.lookup(registry.POTENTIALS, pot, "potential").dim
         if "pairing" in payload:
             registry.lookup(registry.CONSTANT_MATRICES, payload["pairing"], "pairing")
+        if "point" in payload and not _is_point(payload["point"], dim):
+            raise SchemaError(f"point must be {dim} finite numbers", field="payload.point")
+        points = payload.get("points", [[0.0] * dim])  # absent: drawn at run time
+        if not (isinstance(points, list) and points and all(_is_point(p, dim) for p in points)):
+            raise SchemaError(f"points must be a nonempty list of points of {dim} finite "
+                              "numbers", field="payload.points")
     elif kind == "explicit_metric":
         mid = _require(payload, "metric", str, kind)
         registry.lookup(registry.METRICS, mid, "metric")
@@ -387,7 +394,7 @@ def _check_metric_positive_definite(ctx: CheckContext) -> float:
     fam = ctx.family()
     worst = 0.0
     for beta in [ctx.beta()] + [ctx.rng.normal(0.0, 0.7, fam.n) for _ in range(4)]:
-        eig = np.linalg.eigvalsh(cumulant_tensor(fam, beta, 2).values)
+        eig = np.linalg.eigvalsh(checked_metric(fam, beta))
         worst = max(worst, max(0.0, -float(eig[0])))
     return worst
 
@@ -720,7 +727,7 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
         status = "pass" if residual is not None and residual <= tol else "fail"
         rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
-    versions = {"frobsym": _pkg_version, "numpy": np.__version__, "scipy": scipy.__version__}
+    versions = {"frobsym": _pkg_version, "numpy": np.__version__}
     return Report(spec.name, spec.digest(), seed, versions, tuple(rows))
 
 

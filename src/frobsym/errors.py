@@ -30,6 +30,10 @@ class DegenerateMetric(FrobsymError):
     """Metric singular (or numerically singular) at the probed point."""
 
 
+class DegenerateAlgebra(FrobsymError, ValueError):
+    """Algebra whose idempotents form a continuum rather than finitely many points."""
+
+
 class DegenerateForm(FrobsymError):
     """Two-form singular at the probed point."""
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from .errors import DegenerateMetric, DimensionMismatch
+from .errors import DegenerateAlgebra, DegenerateMetric, DimensionMismatch
 from .geometry import MetricField, PotentialField
 
 PAIRING_CONDITION_LIMIT = 1e12
+IDEMPOTENT_TOL = 1e-10    # |a o a - a| bound a returned idempotent meets
+IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
 
 
 @dataclass(frozen=True)
@@ -179,35 +180,34 @@ def novikov_residuals(b, g_field: MetricField, u) -> NovikovReport:
     return NovikovReport(left_sym, right, sym)
 
 
-def find_idempotents_rank2(alg: FrobeniusAlgebra, box: float = 1.5,
-                           grid: int = 7, tol: float = 1e-10) -> list[np.ndarray]:
-    """All real solutions of a o a = a for a 2-dimensional algebra.
+def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
+    """All real solutions of a o a = a for a 2-dimensional algebra, sorted.
 
-    Multistart Newton over a deterministic grid; every returned root is
-    verified to residual <= tol and the list is deduplicated and sorted.
-    The zero vector is always a solution and is seeded exactly.
+    Each is a = v |v|^2 / (v . v o v) with v = (1, Re x) for a root x of the
+    cubic v_1 (v o v)_0 - v_0 (v o v)_1 = 0 (a double root may come back as a
+    complex pair), or v = (0, 1) when its leading term vanishes.  A zero cubic
+    means a o a = l(a) a: l = 0 leaves only 0, else DegenerateAlgebra (a line).
     """
     if alg.dim != 2:
         raise DimensionMismatch("idempotent search is implemented for dim 2")
     c = alg.c
-
-    def equations(a):
-        return np.einsum("kij,i,j->k", c, a, a) - a
-
-    def jac(a):
-        return np.einsum("kij,j->ki", c + np.swapaxes(c, 1, 2), a) - np.eye(2)
-
+    cubic = np.array([c[0, 1, 1], c[0, 0, 1] + c[0, 1, 0] - c[1, 1, 1],
+                      c[0, 0, 0] - c[1, 0, 1] - c[1, 1, 0], -c[1, 0, 0]])
+    if not np.any(cubic):
+        if np.any(c + np.swapaxes(c, 1, 2)):
+            raise DegenerateAlgebra("the idempotents fill a line")
+        return [np.zeros(2)]
+    lines = [np.array([1.0, x.real]) for x in np.roots(cubic)]
+    if cubic[0] == 0.0:
+        lines.append(np.array([0.0, 1.0]))
     found = [np.zeros(2)]
-    starts = [np.array([s, t]) for s in np.linspace(-box, box, grid)
-              for t in np.linspace(-box, box, grid)]
-    for start in starts:
-        sol = optimize.root(equations, start, jac=jac, method="hybr", tol=1e-13)
-        if not sol.success:
-            continue
-        a = sol.x
-        if np.max(np.abs(equations(a))) > tol:
-            continue
-        if all(np.max(np.abs(a - prev)) > 1e-7 for prev in found):
+    for v in lines:
+        along = v @ alg.multiply(v, v)
+        if along == 0.0:
+            continue  # v o v = 0: no idempotent on this line
+        a = (v @ v / along) * v
+        if (np.max(np.abs(alg.multiply(a, a) - a)) <= IDEMPOTENT_TOL
+                and all(np.max(np.abs(a - prev)) > IDEMPOTENT_DEDUP for prev in found)):
             found.append(a)
     found.sort(key=lambda v: (round(v[0], 9), round(v[1], 9)))
     return found

@@ -119,11 +119,6 @@ def derivative_tensor(f: Callable, x, order: int, h: float) -> np.ndarray:
     return out
 
 
-def third_derivative_tensor(f: Callable, x, h: float = 5e-3) -> np.ndarray:
-    """Third-partial tensor at 4th-order accuracy (fallback when no callback)."""
-    return derivative_tensor(f, x, 3, h)
-
-
 def jacobian(field: Callable, x, h: float | None = None) -> np.ndarray:
     """d(field)/dx for an array-valued field; leading axis indexes x-coords."""
     x = np.asarray(x, dtype=float)
@@ -135,7 +130,3 @@ def jacobian(field: Callable, x, h: float | None = None) -> np.ndarray:
         rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * hs[i]))
     return np.stack(rows, axis=0)
 
-
-def matrix_field_derivative(field: Callable, x, h: float | None = None) -> np.ndarray:
-    """d[k, i, j] = d(field_ij)/dx_k for a matrix-valued field."""
-    return jacobian(field, x, h=h)

@@ -155,12 +155,6 @@ class ParaVector:
     def __iter__(self):
         return iter(self.components)
 
-    def re_array(self) -> np.ndarray:
-        return np.array([c.re for c in self.components])
-
-    def im_array(self) -> np.ndarray:
-        return np.array([c.im for c in self.components])
-
 
 def para_hermitian_product(g, xi: ParaVector, eta: ParaVector) -> ParaNumber:
     """Hermitian pairing sum_jk g_jk xi^j conj(eta^k) for a real symmetric g.

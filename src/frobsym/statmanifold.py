@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateMetric,
@@ -92,8 +91,25 @@ def potential_eval(fam: ExponentialFamily, beta):
     # a stack of 1 x n products rounds each row exactly as the one-point
     # product does; a plain (rows, n) @ (n, m) product may not
     exponent = -(beta[..., None, :] @ fam.X)[..., 0, :]
-    value = logsumexp(exponent, axis=-1, b=fam.mu0)
+    value = _logsumexp(exponent, fam.mu0)
     return float(value) if beta.ndim == 1 else value
+
+
+def _logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log sum b exp(a) over the last axis, bit-identical to scipy's logsumexp.
+
+    As in scipy 1.17, the maxima (weight m) leave the pairwise sum, zeros in
+    their slots, and return as log(m) + a_max; a value that comes out
+    non-finite is redone as the plain log of the sum.
+    """
+    a_max = np.max(a, axis=-1)
+    at_max = a == a_max[..., None]
+    m = np.sum(np.where(at_max, b, 0.0), axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = np.sum(np.where(at_max, 0.0, b * np.exp(a - a_max[..., None])), axis=-1)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        return out if finite.all() else np.where(finite, out, np.log(np.sum(b * np.exp(a), axis=-1)))
 
 
 def pairing(mu, f) -> float:
@@ -167,7 +183,8 @@ def fisher_metric(fam: ExponentialFamily, beta) -> np.ndarray:
     return cumulant_tensor(fam, beta, 2).values
 
 
-def _checked_metric(fam: ExponentialFamily, beta) -> np.ndarray:
+def checked_metric(fam: ExponentialFamily, beta) -> np.ndarray:
+    """Fisher metric; DegenerateMetric when its condition number passes the limit."""
     g = fisher_metric(fam, beta)
     if np.linalg.cond(g) > METRIC_CONDITION_LIMIT:
         raise DegenerateMetric(
@@ -183,7 +200,7 @@ def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float]:
     psi = <beta, eta> - potential(beta).  Requires a nondegenerate metric.
     """
     beta = _as_beta(fam, beta)
-    _checked_metric(fam, beta)
+    checked_metric(fam, beta)
     p = gibbs_density(fam, beta)
     eta = -(fam.X @ p)
     psi = float(beta @ eta) - potential_eval(fam, beta)
@@ -200,7 +217,7 @@ def natural_from_dual(fam: ExponentialFamily, eta, initial=None,
         resid = current - eta
         if np.max(np.abs(resid)) < tol:
             return beta
-        g = _checked_metric(fam, beta)
+        g = checked_metric(fam, beta)
         step = np.linalg.solve(g, resid)
         # backtracking on the gradient-map residual
         t = 1.0

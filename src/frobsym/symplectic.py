@@ -222,7 +222,7 @@ def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
 def exterior_derivative(form: TwoForm, point, h: float | None = None) -> np.ndarray:
     """(dW)_ijk = d_i J_jk + d_j J_ki + d_k J_ij by central differences."""
     point = np.asarray(point, dtype=float)
-    dj = numdiff.matrix_field_derivative(form.matrix, point, h=h)  # dj[i, j, k]
+    dj = numdiff.jacobian(form.matrix, point, h=h)  # dj[i, j, k]
     return dj + np.transpose(dj, (1, 2, 0)) + np.transpose(dj, (2, 0, 1))
 
 
@@ -253,21 +253,10 @@ def _antisymmetrize(t: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(t)
     count = 0
     for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        acc += sign * np.transpose(t, perm)
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        acc += (-1.0) ** inversions * np.transpose(t, perm)
         count += 1
     return acc / count
-
-
-def _perm_sign(perm) -> float:
-    perm = list(perm)
-    sign = 1.0
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 def split_exterior_derivative(coeffs: Callable, degree: int, point,

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frobsym
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
@@ -133,6 +138,33 @@ class TestSpecLoading:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # "abc" escaped as a raw ValueError traceback with exit 1, and [] ran five
+    # checks over no points and passed them with residual 0.0
+    @pytest.mark.parametrize("field, payload", [
+        ("points", '{"potential": "orthant2", "points": "abc"}'),
+        ("points", '{"potential": "orthant2", "points": []}'),
+        ("points", '{"potential": "orthant2", "points": [1.0, 2.0]}'),
+        ("points", '{"potential": "orthant2", "points": [[1.0, 2.0], [1.0]]}'),
+        ("points", '{"potential": "orthant2", "points": [[1.0, 2.0, 3.0]]}'),
+        ("points", '{"potential": "orthant2", "points": [[1.0, true]]}'),
+        ("points", '{"potential": "orthant2", "points": [[1.0, 1e400]]}'),
+        ("point", '{"potential": "wdvv_cubic3", "point": "abc"}'),
+        ("point", '{"potential": "wdvv_cubic3", "point": [0.7, -0.3]}'),
+        ("point", '{"potential": "wdvv_cubic3", "point": [[0.7, -0.3, 1.2]]}'),
+        ("point", '{"potential": "wdvv_cubic3", "point": [0.7, "x", 1.2]}'),
+    ], ids=["text_points", "no_points", "flat_points", "short_point", "long_point",
+            "boolean_coordinate", "infinite_coordinate", "text_point", "short_wdvv_point",
+            "nested_wdvv_point", "text_coordinate"])
+    def test_malformed_cone_points_exit_two(self, field, payload, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"kind": "cone_potential", "payload": %s, '
+                        '"checks": ["hessian_metric_pd", "wdvv"]}' % payload)
+        with pytest.raises(SchemaError) as err:
+            load_manifold_spec(str(path))
+        assert err.value.field == f"payload.{field}"
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_wdvv_routing(self):
         spec = spec_from_dict({
             "kind": "cone_potential",
@@ -210,6 +242,17 @@ class TestRunBattery:
         assert report.rows[0].status == "fail"
         assert report.rows[0].residual is None
         assert parse_machine_report(emit_report(report, "machine")) == report
+
+    def test_singular_fisher_metric_is_a_null_row(self):
+        # the two statistics are equal, so the metric has rank 1; the row
+        # passed with residual 0.0 while dual_coordinates was null
+        spec = spec_from_dict({
+            "kind": "exponential_family",
+            "payload": {"statistics": [[0, 1], [0, 1]], "beta": [0.1, 0.2]},
+            "checks": ["metric_positive_definite", "dual_coordinates"],
+        })
+        rows = run_battery(spec).rows
+        assert [(r.status, r.residual) for r in rows] == [("fail", None), ("fail", None)]
 
     def test_non_finite_point_gives_null_rows(self):
         # built without validation, as a drawn point can reach the checks
@@ -317,6 +360,12 @@ class TestCatalog:
 
 
 class TestCli:
+    def test_import_leaves_scipy_unloaded(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows it
+        code = "import sys, frobsym.cli; sys.exit('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_check_passing_spec_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(BERNOULLI_TEXT)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from frobsym import (
+    DegenerateAlgebra,
     DegenerateMetric,
+    FrobsymError,
     FrobeniusAlgebra,
     MetricField,
     PotentialField,
@@ -223,3 +225,59 @@ class TestIdempotents:
         alg = FrobeniusAlgebra(*paracomplex_structure_constants())
         for a in find_idempotents_rank2(alg):
             assert np.max(np.abs(alg.multiply(a, a) - a)) <= 1e-10
+
+    def test_product_algebra_roots_are_exact(self):
+        # (0, 1) lies where the cubic's leading coefficient vanishes
+        found = find_idempotents_rank2(FrobeniusAlgebra(*diagonal_constants(2)))
+        assert np.array_equal(found, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+    def test_roots_far_from_the_origin(self):
+        c, pairing = diagonal_constants(2)
+        found = find_idempotents_rank2(FrobeniusAlgebra(0.25 * c, pairing))
+        assert np.array_equal(found, [[0.0, 0.0], [0.0, 4.0], [4.0, 0.0], [4.0, 4.0]])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("constants, count", [
+        (paracomplex_structure_constants, 4), (dual_numbers_constants, 2),
+    ], ids=["paracomplex", "dual_numbers"])
+    def test_change_of_basis_moves_the_roots(self, constants, count, seed):
+        """In the basis f_i = P e_i the idempotents are P^-1 a."""
+        c, pairing = constants()
+        P = np.random.default_rng(seed).normal(size=(2, 2))
+        Pinv = np.linalg.inv(P)
+        moved = np.einsum("km,mpq,pi,qj->kij", Pinv, c, P, P)
+        found = find_idempotents_rank2(FrobeniusAlgebra(moved, pairing))
+        expected = [Pinv @ a for a in find_idempotents_rank2(FrobeniusAlgebra(c, pairing))]
+        assert len(found) == len(expected) == count
+        for a in expected:
+            assert min(np.max(np.abs(a - b)) for b in found) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_double_root_of_the_cubic_is_found(self, seed):
+        """a o a = (a_0^2, a_0 a_1 + 0.7 a_1^2) has the idempotent (1, 0) on a
+        double root of the cubic; in a random basis np.roots may return that
+        root as a complex pair, and the root is fixed only to ~sqrt(eps)."""
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 0], c[1, 0, 1], c[1, 1, 0], c[1, 1, 1] = 1.0, 0.5, 0.5, 0.7
+        P = np.random.default_rng(seed).normal(size=(2, 2))
+        Pinv = np.linalg.inv(P)
+        moved = np.einsum("km,mpq,pi,qj->kij", Pinv, c, P, P)
+        found = find_idempotents_rank2(FrobeniusAlgebra(moved, np.eye(2)))
+        for a in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0 / 0.7]):
+            assert min(np.max(np.abs(Pinv @ a - b)) for b in found) < 1e-5
+
+    def test_antisymmetric_constants_keep_only_zero(self):
+        # a o a = 0 for every a although the constants are not zero
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 1], c[0, 1, 0] = 1.0, -1.0
+        found = find_idempotents_rank2(FrobeniusAlgebra(c, np.eye(2)))
+        assert len(found) == 1 and np.array_equal(found[0], np.zeros(2))
+
+    def test_line_of_idempotents_is_degenerate(self):
+        # a o a = a_0 a: every a with a_0 = 1 is idempotent
+        c = np.zeros((2, 2, 2))
+        c[0, 0, 0] = 1.0
+        c[1, 0, 1] = c[1, 1, 0] = 0.5
+        with pytest.raises(DegenerateAlgebra) as err:
+            find_idempotents_rank2(FrobeniusAlgebra(c, np.eye(2)))
+        assert isinstance(err.value, FrobsymError) and isinstance(err.value, ValueError)

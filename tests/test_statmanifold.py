@@ -31,6 +31,7 @@ from frobsym import (
     potential_eval,
 )
 from frobsym.numdiff import derivative_tensor
+from frobsym.statmanifold import _logsumexp
 from frobsym.registry import bernoulli_family, categorical_family
 
 FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-3, 4: 1e-2}
@@ -77,6 +78,39 @@ class TestPotential:
         assert values.shape == (2, 5)
         assert np.array_equal(values, [[potential_eval(fam, b) for b in row] for row in stack])
         assert isinstance(potential_eval(fam, stack[0, 0]), float)
+
+    @pytest.mark.parametrize("case", ["one_point", "stack", "tall_stack", "tied_maxima",
+                                      "all_tied", "overflowing_exponent", "infinite_exponent",
+                                      "overflowing_weight_sum"])
+    def test_logsumexp_is_bit_identical_to_scipy(self, case):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(3)
+        b = rng.uniform(0.5, 2.0, 9)
+        a = {
+            "one_point": lambda: rng.normal(size=9),
+            "stack": lambda: rng.normal(0.0, 3.0, (4, 5, 9)),
+            "tall_stack": lambda: rng.normal(0.0, 30.0, (300, 9)),
+            "tied_maxima": lambda: np.round(rng.normal(0.0, 1.0, (200, 9))),
+            "all_tied": lambda: np.full((3, 9), -2.5),
+            "overflowing_exponent": lambda: rng.normal(800.0, 1.0, (50, 9)),
+            "infinite_exponent": lambda: np.array([[np.inf] + [0.0] * 8, [-np.inf] * 9]),
+            # b exp(a - a_max) sums past the float range, the plain sum does not
+            "overflowing_weight_sum": lambda: -3.0 - 1e-4 * np.arange(9.0),
+        }[case]()
+        if case == "overflowing_weight_sum":
+            b = np.full(9, 1e308)
+        with np.errstate(all="ignore"):
+            expected = special.logsumexp(a, axis=-1, b=b)
+        assert np.array_equal(_logsumexp(a, b), expected)
+
+    def test_potential_matches_scipy_exactly(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(4)
+        fam = random_family(rng, m=16, n=3)
+        stack = rng.normal(0.0, 20.0, (300, 3))
+        reference = special.logsumexp(-(stack[:, None, :] @ fam.X)[:, 0, :], axis=-1, b=fam.mu0)
+        assert np.array_equal(potential_eval(fam, stack), reference)
+        assert potential_eval(fam, stack[0]) == reference[0]
 
     def test_stack_checks_the_last_axis(self):
         with pytest.raises(DimensionMismatch):
