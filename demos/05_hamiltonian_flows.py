@@ -1,6 +1,7 @@
 """Symplectic side: canonical and split-coordinate 2-forms, the
 Lorentz-signature Legendre transform, Hamiltonian vector fields, and the
-conservative leapfrog integrator with its dt^2 drift law.
+conservative integrator: leapfrog with its dt^2 drift law on a separable H,
+implicit midpoint on a generic one.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from frobsym import (
     Observable,
     PhasePoint,
     PotentialField,
+    SeparableHamiltonian,
     canonical_two_form,
     closedness_residual,
     dolbeault_form,
@@ -39,15 +41,21 @@ for xi in ([1.0, 0, 0, 0], [0.0, 0, 0, 1.0]):
     print(f"velocity {xi} -> momentum {p}, energy {h:+.1f}")
 
 print("\n== oscillator flow and energy conservation ==")
-H = Observable(lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z),
-               grad=lambda y: np.concatenate([y.z, y.p]))
+half_square = lambda x: 0.5 * np.sum(np.square(x), axis=-1)
+H = SeparableHamiltonian(half_square, lambda p: p, half_square, lambda z: z)
 y0 = PhasePoint([1.0], [0.0])
 print(f"flow vector at (1, 0) = {hamiltonian_vector_field(H, form, y0)}  (xdot=p, pdot=-x)")
 traj = integrate(H, y0, 1e-3, 10_000)
-print(f"energy drift over 10^4 steps at dt=1e-3: {traj.max_energy_drift:.2e}")
+print(f"leapfrog energy drift over 10^4 steps at dt=1e-3: {traj.max_energy_drift:.2e}")
 print(f"first dump record: {traj.records()[0]}")
 
-print("\ndrift scales as dt^2 (fixed total time):")
+print("\nleapfrog drift scales as dt^2 (fixed total time):")
 for dt in (1e-3, 5e-4, 2.5e-4):
     drift = integrate(H, y0, dt, int(round(10.0 / dt))).max_energy_drift
     print(f"  dt = {dt:.2e}  drift = {drift:.3e}")
+
+# the same energy as a plain Observable does not separate as far as the
+# integrator knows, so it takes the implicit midpoint rule
+generic = Observable(H.func, H.grad)
+drift = integrate(generic, y0, 1e-3, 1000).max_energy_drift
+print(f"implicit midpoint drift over 10^3 steps at dt=1e-3: {drift:.2e}")

@@ -512,7 +512,14 @@ def _hamiltonian_observable(ctx: CheckContext) -> Observable:
         # step integrations run on flat arrays
         return SeparableHamiltonian(lambda p: 0.5 * np.sum(np.square(p), axis=-1),
                                     lambda p: p, u_func, u_grad)
-    return Observable(lambda y: quadratic_energy(metric, y, u_func))
+
+    def grad(y):
+        # d/dp = v = g^-1 p; d/dz_k = -v^T (d_k g) v / 2 + dU/dz_k
+        v = metric.inverse(y.z) @ y.p
+        dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
+        return np.concatenate([dz + u_grad(y.z), v, np.zeros_like(y.lam)])
+
+    return Observable(lambda y: quadratic_energy(metric, y, u_func), grad)
 
 
 def _phase_points(ctx: CheckContext, dim: int, spins: int, count: int = 2) -> list:
@@ -621,7 +628,7 @@ def _check_idempotent_closure(ctx: CheckContext) -> float:
 def _check_lattice_constant_skew(ctx: CheckContext) -> float:
     lb = ctx.lattice()
     u = np.full((lb.field_dim, lb.sites), 1.5)
-    return lattice_hydro_bracket(lb, u, rng=ctx.rng).antisymmetry_residual
+    return lattice_hydro_bracket(lb, u).antisymmetry_residual
 
 
 def _check_lattice_jacobi_refinement(ctx: CheckContext) -> float:

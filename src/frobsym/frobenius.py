@@ -17,7 +17,7 @@ from .errors import DegenerateAlgebra, DegenerateMetric, DimensionMismatch
 from .geometry import MetricField, PotentialField
 
 PAIRING_CONDITION_LIMIT = 1e12
-IDEMPOTENT_TOL = 1e-10    # |a o a - a| bound a returned idempotent meets
+IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
 IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
 
 
@@ -187,6 +187,9 @@ def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
     cubic v_1 (v o v)_0 - v_0 (v o v)_1 = 0 (a double root may come back as a
     complex pair), or v = (0, 1) when its leading term vanishes.  A zero cubic
     means a o a = l(a) a: l = 0 leaves only 0, else DegenerateAlgebra (a line).
+    Roots are kept when |a o a - a| <= IDEMPOTENT_TOL max(1, |a|); a bound in
+    |a|^2 would also keep the spurious roots at |a| ~ 1/sqrt(eps) that a
+    double root next to a nilpotent direction leaves.
     """
     if alg.dim != 2:
         raise DimensionMismatch("idempotent search is implemented for dim 2")
@@ -206,7 +209,8 @@ def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
         if along == 0.0:
             continue  # v o v = 0: no idempotent on this line
         a = (v @ v / along) * v
-        if (np.max(np.abs(alg.multiply(a, a) - a)) <= IDEMPOTENT_TOL
+        residual = np.max(np.abs(alg.multiply(a, a) - a))
+        if (residual <= IDEMPOTENT_TOL * max(1.0, np.max(np.abs(a)))
                 and all(np.max(np.abs(a - prev)) > IDEMPOTENT_DEDUP for prev in found)):
             found.append(a)
     found.sort(key=lambda v: (round(v[0], 9), round(v[1], 9)))

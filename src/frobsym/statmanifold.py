@@ -130,6 +130,8 @@ def gibbs_density(fam: ExponentialFamily, beta) -> np.ndarray:
     return p / p.sum()
 
 
+# inf - inf from overflowing moments is reported below as NonFiniteValue
+@np.errstate(over="ignore", invalid="ignore")
 def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
     """Order-k derivative tensor of the potential, from exact moments.
 

@@ -425,67 +425,54 @@ class Trajectory:
         ]
 
 
-def integrate(H: Observable, y0: PhasePoint, dt: float, steps: int,
-              method: str = "leapfrog") -> Trajectory:
-    """Propagate y0 for ``steps`` steps of size dt.
+def integrate(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Trajectory:
+    """Propagate y0 for ``steps`` steps of size dt with a symplectic scheme.
 
-    ``leapfrog`` is the kick-drift-kick (Stormer-Verlet) scheme and assumes
-    H separates as T(p) + V(z); a :class:`SeparableHamiltonian` runs it on
-    its split derivatives without building any PhasePoint.  ``midpoint`` is
-    the implicit midpoint rule (fixed-point iteration, tolerance 1e-12, at
-    most 50 sweeps) for everything else.
+    A :class:`SeparableHamiltonian` is stepped by kick-drift-kick leapfrog
+    (Stormer-Verlet) on its split derivatives without building any
+    PhasePoint.  Any other Observable is stepped by the implicit midpoint
+    rule (fixed-point iteration, tolerance 1e-12, at most 50 sweeps), which
+    stays symplectic and second order when H does not separate.
     """
-    if method not in ("leapfrog", "midpoint"):
-        raise ValueError(f"unknown method {method!r}")
     if y0.lam.size:
         raise DimensionMismatch("time stepping expects a plain (z, p) point")
     zs = np.empty((steps + 1, y0.z.size))
     ps = np.empty((steps + 1, y0.p.size))
     zs[0], ps[0] = y0.z, y0.p
-    if method == "leapfrog":
-        _leapfrog(H, zs, ps, dt)
-    else:
-        y = y0
-        for i in range(1, steps + 1):
-            y = _midpoint_step(H, y, dt)
-            zs[i], ps[i] = y.z, y.p
     if isinstance(H, SeparableHamiltonian):
+        _leapfrog(H, zs, ps, dt)
         energies = np.asarray(H.T(ps) + H.V(zs), dtype=float)
     else:
+        for i in range(1, steps + 1):
+            zs[i], ps[i] = _midpoint_step(H, zs[i - 1], ps[i - 1], dt)
         energies = np.array([H(PhasePoint(z, p)) for z, p in zip(zs, ps)])
     return Trajectory(dt * np.arange(steps + 1), zs, ps, energies)
 
 
-def _leapfrog(H: Observable, zs: np.ndarray, ps: np.ndarray, dt: float):
+def _leapfrog(H: SeparableHamiltonian, zs: np.ndarray, ps: np.ndarray, dt: float):
     """Kick-drift-kick from row 0, writing each step into the next row."""
-    if isinstance(H, SeparableHamiltonian):
-        velocity = lambda z, p: H.dT(p)
-        force = lambda z, p: H.dV(z)
-    else:
-        nz = zs.shape[1]
-        velocity = lambda z, p: H.gradient(PhasePoint(z, p))[nz:]
-        force = lambda z, p: H.gradient(PhasePoint(z, p))[:nz]
     z, p = zs[0], ps[0]
-    # separable H: the end-of-step force is reused as the next kick
-    f = force(z, p)
+    # the end-of-step force is reused as the next kick
+    f = H.dV(z)
     for i in range(1, len(zs)):
         p_half = p - 0.5 * dt * f
-        z = z + dt * velocity(z, p_half)
-        f = force(z, p_half)
+        z = z + dt * H.dT(p_half)
+        f = H.dV(z)
         p = p_half - 0.5 * dt * f
         zs[i], ps[i] = z, p
 
 
-def _midpoint_step(H: Observable, y: PhasePoint, dt: float,
-                   tol: float = 1e-12, max_iter: int = 50) -> PhasePoint:
-    form = canonical_two_form(y.z.size)
-    current = y.flat()
-    guess = current.copy()
+def _midpoint_step(H: Observable, z: np.ndarray, p: np.ndarray, dt: float,
+                   tol: float = 1e-12, max_iter: int = 50):
+    """One implicit midpoint step of zdot = dH/dp, pdot = -dH/dz."""
+    n = z.size
+    current = np.concatenate([z, p])
+    guess = current
     for _ in range(max_iter):
-        mid = y.replace_flat(0.5 * (current + guess))
-        vector = hamiltonian_vector_field(H, form, mid)
-        updated = current + dt * vector
+        mid = 0.5 * (current + guess)
+        grad = H.gradient(PhasePoint(mid[:n], mid[n:]))
+        updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
         if np.max(np.abs(updated - guess)) < tol:
-            return y.replace_flat(updated)
+            return updated[:n], updated[n:]
         guess = updated
     raise NonConvergence("implicit midpoint iteration stalled")

@@ -20,6 +20,7 @@ from frobsym import (
     ParaVector,
     PhasePoint,
     PotentialField,
+    SeparableHamiltonian,
     algebra_from_potential,
     automorphism_invariance_residual,
     bracket_property_residuals,
@@ -212,8 +213,8 @@ def test_c07_legendre_energies():
 
 
 def test_c08_oscillator_drift_and_scaling():
-    H = Observable(lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z),
-                   grad=lambda y: np.concatenate([y.z, y.p]))
+    half_square = lambda x: 0.5 * np.sum(np.square(x), axis=-1)
+    H = SeparableHamiltonian(half_square, lambda p: p, half_square, lambda z: z)
     y0 = PhasePoint([1.0], [0.0])
     drift = integrate(H, y0, 1e-3, 10_000).max_energy_drift
     assert drift < 1e-6

@@ -7,12 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import frobsym
+from frobsym import PhasePoint, integrate, numdiff, quadratic_energy
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
+    SCALAR_FIELDS,
+    CheckContext,
     CheckDef,
     ManifoldSpec,
     RunOptions,
@@ -21,9 +25,11 @@ from frobsym.battery import (
     load_manifold_spec,
     parse_machine_report,
     run_battery,
+    _hamiltonian_observable,
     spec_from_dict,
 )
 from frobsym.cli import main
+from frobsym.registry import METRICS
 from frobsym.errors import ParseError, SchemaError
 
 BERNOULLI_TEXT = json.dumps({
@@ -304,6 +310,36 @@ class TestRunBattery:
             "checks": ["lattice_constant_skew"],
         })
         assert run_battery(spec).rows[0].residual == 0.0
+
+
+def metric_hamiltonian(metric):
+    spec = spec_from_dict({"kind": "explicit_metric",
+                           "payload": {"metric": metric, "scalar": "half_square"}})
+    return _hamiltonian_observable(CheckContext(spec, np.random.default_rng(0), RunOptions()))
+
+
+class TestMetricHamiltonian:
+    """H = p^T g^-1(z) p / 2 + U(z) on a non-euclidean metric does not separate."""
+
+    def test_sphere_energy_does_not_drift(self):
+        traj = integrate(metric_hamiltonian("round_sphere2"),
+                         PhasePoint([1.0, 1.0], [0.0, 0.0]), 1e-3, 2000)
+        drift = np.abs(traj.energies - traj.energies[0])
+        first, whole = np.max(drift[:1001]), np.max(drift)
+        assert whole <= 1e-6
+        assert whole <= 1.1 * first
+
+    @pytest.mark.parametrize("metric", ["round_sphere2", "offdiag_linear2"])
+    def test_gradient_matches_finite_differences(self, metric):
+        H = metric_hamiltonian(metric)
+        g = METRICS[metric]()
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            y = PhasePoint(rng.normal(0.8, 0.3, 2), rng.normal(0.0, 0.5, 2))
+            fd = numdiff.gradient(lambda v: quadratic_energy(
+                g, PhasePoint(v[:2], v[2:]), SCALAR_FIELDS["half_square"][0]), y.flat())
+            # the central differences carry their O(h^2) truncation error
+            assert np.max(np.abs(H.grad(y) - fd)) <= 1e-7
 
 
 def strip_runtime(text):

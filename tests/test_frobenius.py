@@ -236,6 +236,20 @@ class TestIdempotents:
         found = find_idempotents_rank2(FrobeniusAlgebra(0.25 * c, pairing))
         assert np.array_equal(found, [[0.0, 0.0], [0.0, 4.0], [4.0, 0.0], [4.0, 4.0]])
 
+    def test_idempotent_far_from_the_origin_is_kept(self):
+        # N(0, 0.05^2) constants with an idempotent at |a| ~ 3.9e3, where
+        # roundoff alone leaves |a o a - a| ~ 6e-10
+        c = np.array([[[0.021016503202121742, 0.05373210104760148],
+                       [0.06849313411371608, -0.06416618244710481]],
+                      [[0.06077630295371642, -0.08698925906222676],
+                       [0.0051353381573370546, 0.025704009655567364]]])
+        alg = FrobeniusAlgebra(c, np.eye(2))
+        found = find_idempotents_rank2(alg)
+        assert len(found) == 4  # zero and one per real root of the cubic
+        assert max(np.linalg.norm(a) for a in found) == pytest.approx(3864.568, rel=1e-6)
+        for a in found:
+            assert np.max(np.abs(alg.multiply(a, a) - a)) <= 1e-15 * max(1.0, a @ a)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("constants, count", [
         (paracomplex_structure_constants, 4), (dual_numbers_constants, 2),
