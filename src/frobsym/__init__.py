@@ -28,6 +28,7 @@ from .errors import (
     DomainViolation,
     FrobsymError,
     InvalidFamily,
+    InvalidStructure,
     NonConvergence,
     NonFiniteValue,
     NonPositivePotential,

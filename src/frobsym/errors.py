@@ -18,6 +18,10 @@ class InvalidFamily(FrobsymError, ValueError):
     """Statistics table or base weights that define no exponential family."""
 
 
+class InvalidStructure(FrobsymError, ValueError):
+    """Structure constants that break a symmetry their definition requires."""
+
+
 class NonFiniteValue(FrobsymError, ValueError):
     """A parameter point or computed tensor with an infinite or NaN entry."""
 

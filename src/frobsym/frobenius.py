@@ -19,6 +19,7 @@ from .geometry import MetricField, PotentialField
 PAIRING_CONDITION_LIMIT = 1e12
 IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
 IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
+DOUBLE_ROOT_RTOL = 1e-12  # bound on |cubic(r)| / roundoff scale at a double root r
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,12 @@ def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
     """All real solutions of a o a = a for a 2-dimensional algebra, sorted.
 
     Each is a = v |v|^2 / (v . v o v) with v = (1, Re x) for a root x of the
-    cubic v_1 (v o v)_0 - v_0 (v o v)_1 = 0 (a double root may come back as a
-    complex pair), or v = (0, 1) when its leading term vanishes.  A zero cubic
+    cubic v_1 (v o v)_0 - v_0 (v o v)_1 = 0, or v = (0, 1) when its leading
+    term vanishes.  A double root comes back from np.roots as two roots (or
+    a complex pair) fixed only to ~sqrt(eps); it is also a root r of the
+    derivative, fixed to ~eps, which replaces both copies.  r counts as a
+    double root when |cubic(r)| <= DOUBLE_ROOT_RTOL times the cubic built
+    from |c| at |r|, the scale of its roundoff.  A zero cubic
     means a o a = l(a) a: l = 0 leaves only 0, else DegenerateAlgebra (a line).
     Roots are kept when |a o a - a| <= IDEMPOTENT_TOL max(1, |a|); a bound in
     |a|^2 would also keep the spurious roots at |a| ~ 1/sqrt(eps) that a
@@ -200,7 +205,16 @@ def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
         if np.any(c + np.swapaxes(c, 1, 2)):
             raise DegenerateAlgebra("the idempotents fill a line")
         return [np.zeros(2)]
-    lines = [np.array([1.0, x.real]) for x in np.roots(cubic)]
+    m = np.abs(c)
+    scale = np.array([m[0, 1, 1], m[0, 0, 1] + m[0, 1, 0] + m[1, 1, 1],
+                      m[0, 0, 0] + m[1, 0, 1] + m[1, 1, 0], m[1, 0, 0]])
+    roots = np.roots(cubic)
+    for r in np.roots(np.polyder(cubic)):
+        if (r.imag == 0.0 and abs(np.polyval(cubic, r.real))
+                <= DOUBLE_ROOT_RTOL * np.polyval(scale, abs(r.real))):
+            nearest = np.argsort(np.abs(roots - r))[:2]
+            roots = np.append(np.delete(roots, nearest), r.real)
+    lines = [np.array([1.0, x.real]) for x in roots]
     if cubic[0] == 0.0:
         lines.append(np.array([0.0, 1.0]))
     found = [np.zeros(2)]

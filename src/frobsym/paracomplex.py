@@ -9,16 +9,19 @@ they span, which is what most structural checks here reduce to.
 Convention: Im(x + e*y) = y.  This is the choice that makes the half-Im
 Poisson bracket in :mod:`frobsym.poisson` come out consistent with the
 Hermitian product below.
+
+A :class:`ParaNumber` may also hold two equal-shape float arrays, one split
+number per element.  The arithmetic below is then elementwise and rounds
+exactly as it does on scalars.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroDivisor
+from .errors import DimensionMismatch, NonFiniteValue, ZeroDivisor
 
 # Scale-relative guard for the null cone |re^2 - im^2| = 0.
 ZERO_DIVISOR_RTOL = 1e-12
@@ -26,14 +29,20 @@ ZERO_DIVISOR_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ParaNumber:
-    """Split number re + e*im with e*e = +1."""
+    """Split number re + e*im with e*e = +1, or an array of them.
 
-    re: float = 0.0
-    im: float = 0.0
+    ``==`` and ``hash`` are defined for scalar components only; compare
+    array-valued instances component by component.
+    """
+
+    re: float | np.ndarray = 0.0
+    im: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("split number components must be finite")
+        if np.shape(self.re) != np.shape(self.im):
+            raise DimensionMismatch("split number components must have equal shapes")
+        if not (np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im))):
+            raise NonFiniteValue("split number components must be finite")
 
     def __add__(self, other):
         other = _coerce(other)
@@ -59,13 +68,14 @@ class ParaNumber:
     def conj(self) -> "ParaNumber":
         return para_conj(self)
 
-    def norm_form(self) -> float:
+    def norm_form(self) -> float | np.ndarray:
         """The real number z * conj(z) = re^2 - im^2."""
         return self.re * self.re - self.im * self.im
 
-    def is_zero_divisor(self) -> bool:
-        scale = max(1.0, self.re * self.re + self.im * self.im)
-        return abs(self.norm_form()) <= ZERO_DIVISOR_RTOL * scale
+    def is_zero_divisor(self) -> bool | np.ndarray:
+        """Whether |re^2 - im^2| <= 1e-12 * max(1, re^2 + im^2), elementwise."""
+        scale = np.maximum(1.0, self.re * self.re + self.im * self.im)
+        return np.abs(self.norm_form()) <= ZERO_DIVISOR_RTOL * scale
 
 
 def _coerce(value) -> ParaNumber:
@@ -84,8 +94,8 @@ E_MINUS = ParaNumber(0.5, -0.5)
 class IdempotentCoords:
     """Coordinates (plus, minus) in the idempotent basis {e_plus, e_minus}."""
 
-    plus: float
-    minus: float
+    plus: float | np.ndarray
+    minus: float | np.ndarray
 
 
 def para_mul(a: ParaNumber, b: ParaNumber) -> ParaNumber:
@@ -102,9 +112,10 @@ def para_inverse(a: ParaNumber) -> ParaNumber:
     """Inverse conj(a) / (re^2 - im^2).
 
     Raises :class:`ZeroDivisor` within the scale-relative threshold
-    ``|re^2 - im^2| <= 1e-12 * max(1, re^2 + im^2)`` of the null cone.
+    ``|re^2 - im^2| <= 1e-12 * max(1, re^2 + im^2)`` of the null cone; for
+    an array, when any element is.
     """
-    if a.is_zero_divisor():
+    if np.any(a.is_zero_divisor()):
         raise ZeroDivisor(f"{a} is on (or numerically near) the null cone")
     q = a.norm_form()
     return ParaNumber(a.re / q, -a.im / q)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidStructure
 from .paracomplex import ParaVector, para_hermitian_product
 from .symplectic import Observable, PhasePoint
 
@@ -38,7 +38,7 @@ class StructureConstants:
         if g.ndim != 3 or len(set(g.shape)) != 1:
             raise DimensionMismatch("constants must be a cube")
         if np.max(np.abs(g + np.swapaxes(g, 1, 2))) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("constants must be antisymmetric in the lower pair")
+            raise InvalidStructure("constants must be antisymmetric in the lower pair")
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -55,29 +55,31 @@ def so3_constants() -> StructureConstants:
     return StructureConstants(eps)
 
 
-def _partials(obs: Observable, y: PhasePoint, h: float | None = None):
-    nz, npp, nl = y.layout
-    grad = obs.gradient(y, h=h)
-    return grad[:nz], grad[nz:nz + npp], grad[nz + npp:]
-
-
 def canonical_bracket(A: Observable, B: Observable, y: PhasePoint,
                       h: float | None = None) -> float:
-    """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs."""
-    az, ap, _ = _partials(A, y, h=h)
-    bz, bp, _ = _partials(B, y, h=h)
-    if az.size != ap.size:
+    """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs.
+
+    Each operand is differentiated over the (z, p) block only.
+    """
+    nz, npp, _ = y.layout
+    if nz != npp:
         raise DimensionMismatch("point must carry matching z and p blocks")
-    return float(ap @ bz - bp @ az)
+    block = slice(0, nz + npp)
+    a, b = A.gradient(y, h=h, coords=block), B.gradient(y, h=h, coords=block)
+    return float(a[nz:] @ b[:nz] - b[nz:] @ a[:nz])
 
 
 def extended_bracket(A: Observable, B: Observable, y: PhasePoint,
                      constants: StructureConstants, h: float | None = None) -> float:
-    """Canonical part plus the spin term -lam_k gamma^k_ij dA/dlam_i dB/dlam_j."""
+    """Canonical part plus the spin term -lam_k gamma^k_ij dA/dlam_i dB/dlam_j.
+
+    Each operand is differentiated over the spin block here and over the
+    (z, p) block in :func:`canonical_bracket`, so every partial is taken once.
+    """
     if y.lam.size != constants.dim:
         raise DimensionMismatch("spin block does not match the structure constants")
-    _, _, al = _partials(A, y, h=h)
-    _, _, bl = _partials(B, y, h=h)
+    spins = slice(y.z.size + y.p.size, None)
+    al, bl = A.gradient(y, h=h, coords=spins), B.gradient(y, h=h, coords=spins)
     spin = -float(np.einsum("k,kij,i,j->", y.lam, constants.gamma, al, bl))
     return canonical_bracket(A, B, y, h=h) + spin
 

@@ -72,11 +72,24 @@ class Observable:
     def __call__(self, y: PhasePoint) -> float:
         return float(self.func(y))
 
-    def gradient(self, y: PhasePoint, h: float | None = None) -> np.ndarray:
+    def gradient(self, y: PhasePoint, h: float | None = None,
+                 coords: slice = slice(None)) -> np.ndarray:
+        """Partials over the flat coordinates ``coords`` of the layout.
+
+        Central differences shift only those coordinates, two field
+        evaluations each; every partial uses its own step, so it equals the
+        matching entry of the full gradient bit for bit.
+        """
         if self.grad is not None and h is None:
-            return np.asarray(self.grad(y), dtype=float)
+            return np.asarray(self.grad(y), dtype=float)[coords]
         flat = y.flat()
-        return numdiff.gradient(lambda v: self.func(y.replace_flat(v)), flat, h=h)
+
+        def shifted(v):
+            full = flat.copy()
+            full[coords] = v
+            return self.func(y.replace_flat(full))
+
+        return numdiff.gradient(shifted, flat[coords], h=h)
 
 
 @dataclass(frozen=True, init=False)

@@ -25,12 +25,15 @@ from frobsym.battery import (
     load_manifold_spec,
     parse_machine_report,
     run_battery,
+    _check_split_algebra_laws,
     _hamiltonian_observable,
     spec_from_dict,
 )
 from frobsym.cli import main
 from frobsym.registry import METRICS
 from frobsym.errors import ParseError, SchemaError
+from frobsym.paracomplex import (ParaNumber, idempotent_decompose, para_conj,
+                                 para_inverse, para_mul)
 
 BERNOULLI_TEXT = json.dumps({
     "name": "bernoulli-file",
@@ -310,6 +313,74 @@ class TestRunBattery:
             "checks": ["lattice_constant_skew"],
         })
         assert run_battery(spec).rows[0].residual == 0.0
+
+
+def split_laws_loop(vals) -> float:
+    """Scalar reference for ``_check_split_algebra_laws``: one case at a time."""
+    worst = 0.0
+    for x1, y1, x2, y2 in vals:
+        a, b = ParaNumber(x1, y1), ParaNumber(x2, y2)
+        prod = para_mul(a, b)
+        da, db, dp = (idempotent_decompose(v) for v in (a, b, prod))
+        worst = max(worst, abs(da.plus * db.plus - dp.plus),
+                    abs(da.minus * db.minus - dp.minus))
+        conj_gap = para_mul(para_conj(a), para_conj(b)) - para_conj(prod)
+        worst = max(worst, abs(conj_gap.re), abs(conj_gap.im))
+        if not a.is_zero_divisor():
+            back = para_mul(a, para_inverse(a))
+            worst = max(worst, abs(back.re - 1.0), abs(back.im))
+    return worst
+
+
+class DrawnCases:
+    """Stands in for the check's generator and hands it prepared cases."""
+
+    def __init__(self, vals):
+        self.vals = vals
+
+    def uniform(self, low, high, size):
+        assert size == self.vals.shape
+        return self.vals
+
+
+class TestSplitAlgebraLaws:
+    @pytest.mark.parametrize("seed", [0, 26, 37, 1234])
+    def test_matches_scalar_loop(self, seed):
+        ctx = CheckContext(None, np.random.default_rng(seed), RunOptions())
+        vals = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2000, 4))
+        assert _check_split_algebra_laws(ctx) == split_laws_loop(vals)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_scalar_loop_on_and_near_the_null_cone(self, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-3.0, 3.0, size=(400, 4))
+        sign = rng.choice([-1.0, 1.0], size=400)
+        # exactly on the cone, then 1e-15 to 1e-9 off it in relative terms
+        nudge = np.where(np.arange(400) < 100, 0.0, 10.0 ** rng.uniform(-15, -9, 400))
+        vals[:, 1] = sign * vals[:, 0] * (1.0 + nudge)
+        vals[:4, :2] = [[0.0, 0.0], [0.0, -0.0], [1e-8, 1e-8], [3.0, -3.0]]
+        ctx = CheckContext(None, DrawnCases(vals), RunOptions())
+        assert _check_split_algebra_laws(ctx, cases=400) == split_laws_loop(vals)
+
+
+class TestPinnedResiduals:
+    """Residuals recorded from the full-gradient brackets and the per-case
+    split-algebra loop; the faster paths must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("payload, check, seed, residual", [
+        ({"metric": "euclidean3", "spins": "so3"}, "bracket_suite", 5,
+         3.1504088227052307e-10),
+        ({"metric": "euclidean2", "spins": "cyclic_nonjacobi"}, "bracket_suite", 5,
+         4.621925064896004e-11),
+        ({"metric": "euclidean2"}, "bracket_suite", 5, 9.945066992145257e-10),
+        ({"constants": "dual_numbers2"}, "split_algebra_laws", 26, 3.637978807091713e-12),
+        ({"constants": "paracomplex2"}, "split_algebra_laws", 6, 2.842170943040401e-14),
+    ])
+    def test_residual_is_unchanged(self, payload, check, seed, residual):
+        kind = "algebra" if "constants" in payload else "explicit_metric"
+        spec = spec_from_dict({"kind": kind, "payload": payload,
+                               "checks": [check], "seed": seed})
+        assert run_battery(spec).rows[0].residual == residual
 
 
 def metric_hamiltonian(metric):

@@ -277,6 +277,7 @@ class TestIdempotents:
         Pinv = np.linalg.inv(P)
         moved = np.einsum("km,mpq,pi,qj->kij", Pinv, c, P, P)
         found = find_idempotents_rank2(FrobeniusAlgebra(moved, np.eye(2)))
+        assert len(found) == 3
         for a in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0 / 0.7]):
             assert min(np.max(np.abs(Pinv @ a - b)) for b in found) < 1e-5
 

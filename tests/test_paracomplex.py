@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from frobsym import (
     DimensionMismatch,
+    FrobsymError,
+    NonFiniteValue,
     ParaNumber,
     ParaStructure,
     ParaVector,
@@ -116,6 +118,47 @@ class TestInverse:
         scale = max(1.0, abs(a.re), abs(a.im))
         assert abs(back.re - a.re) <= 1e-10 * scale
         assert abs(back.im - a.im) <= 1e-10 * scale
+
+
+class TestArrays:
+    """A ParaNumber holding equal-shape arrays is one split number per element."""
+
+    def test_operations_match_the_scalar_ones_elementwise(self):
+        rng = np.random.default_rng(5)
+        re, im = rng.uniform(-3.0, 3.0, size=(2, 50))
+        a, b = ParaNumber(re, im), ParaNumber(im[::-1], re[::-1])
+        outs = (para_mul(a, b), para_conj(a), para_inverse(a), a - b,
+                idempotent_decompose(a))
+        for k in range(50):
+            x, y = ParaNumber(re[k], im[k]), ParaNumber(im[::-1][k], re[::-1][k])
+            scalar = (para_mul(x, y), para_conj(x), para_inverse(x), x - y,
+                      idempotent_decompose(x))
+            for arr, one in zip(outs, scalar):
+                assert tuple(v[k] for v in vars(arr).values()) == tuple(vars(one).values())
+
+    def test_zero_divisor_is_elementwise(self):
+        a = ParaNumber(np.array([2.0, 1.0, 3.0]), np.array([1.0, -1.0, 0.0]))
+        assert a.is_zero_divisor().tolist() == [False, True, False]
+
+    def test_one_null_cone_element_makes_the_inverse_raise(self):
+        a = ParaNumber(np.array([2.0, 1.5, 3.0]), np.array([1.0, 1.5, 0.0]))
+        with pytest.raises(ZeroDivisor):
+            para_inverse(a)
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            ParaNumber(np.zeros(3), np.zeros(2))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("re, im", [
+        (float("nan"), 0.0), (0.0, float("inf")),
+        (np.array([1.0, np.nan]), np.zeros(2)), (np.zeros(2), np.array([-np.inf, 0.0])),
+    ])
+    def test_non_finite_components_raise(self, re, im):
+        with pytest.raises(NonFiniteValue) as err:
+            ParaNumber(re, im)
+        assert isinstance(err.value, FrobsymError) and isinstance(err.value, ValueError)
 
 
 class TestIdempotentCoordinates:

@@ -14,6 +14,8 @@ import pytest
 
 from frobsym import (
     DimensionMismatch,
+    FrobsymError,
+    InvalidStructure,
     LatticeBracket,
     Observable,
     ParaNumber,
@@ -140,6 +142,92 @@ class TestExtendedBracket:
         res = bracket_property_residuals(bracket, (spin(0), spin(1), spin(2)), [y])
         assert res.jacobi == pytest.approx(abs(0.4 - 1.1 + 0.8), abs=1e-6)
         assert res.jacobi > 1e-3
+
+
+def mixed_observable(rng, n, spins, analytic):
+    """sin(z.wz) (p.wp) + (lam.wl)^2 + z_0 p_-1, with or without its gradient."""
+    wz, wp, wl = rng.normal(size=n), rng.normal(size=n), rng.normal(size=spins)
+
+    def func(y):
+        return float(np.sin(y.z @ wz) * (y.p @ wp) + (y.lam @ wl) ** 2 + y.z[0] * y.p[-1])
+
+    def grad(y):
+        dz = np.cos(y.z @ wz) * (y.p @ wp) * wz
+        dz[0] += y.p[-1]
+        dp = np.sin(y.z @ wz) * wp
+        dp[-1] += y.z[0]
+        return np.concatenate([dz, dp, 2.0 * (y.lam @ wl) * wl])
+
+    return Observable(func, grad if analytic else None)
+
+
+def full_gradient_bracket(A, B, y, constants=None, h=None):
+    """ap.bz - bp.az - lam_k gamma^k_ij a_i b_j from full gradients."""
+    n = y.z.size
+    a, b = A.gradient(y, h=h), B.gradient(y, h=h)
+    value = float(a[n:2 * n] @ b[:n] - b[n:2 * n] @ a[:n])
+    if constants is None:
+        return value
+    return value + -float(np.einsum("k,kij,i,j->", y.lam, constants.gamma,
+                                    a[2 * n:], b[2 * n:]))
+
+
+class TestBracketPartials:
+    """Each bracket differentiates each operand once, over the coordinates it
+    contracts, and equals the full-gradient formula bit for bit."""
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("h", [None, 3e-4])
+    @pytest.mark.parametrize("spins", [0, 3])
+    def test_brackets_equal_full_gradient_formula(self, analytic, h, spins):
+        rng = np.random.default_rng(8 + spins)
+        for n in (1, 2, 3):
+            A = mixed_observable(rng, n, spins, analytic)
+            B = mixed_observable(rng, n, spins, analytic)
+            for _ in range(4):
+                y = PhasePoint(rng.normal(0.5, 2.0, n), rng.normal(size=n),
+                               rng.normal(size=spins))
+                assert canonical_bracket(A, B, y, h=h) == full_gradient_bracket(A, B, y, h=h)
+                if spins:
+                    for gamma in (so3_constants(), cyclic_nonjacobi_constants()):
+                        assert (extended_bracket(A, B, y, gamma, h=h)
+                                == full_gradient_bracket(A, B, y, gamma, h=h))
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_gradient_block_is_the_full_gradient_slice(self, analytic):
+        rng = np.random.default_rng(2)
+        A = mixed_observable(rng, 2, 3, analytic)
+        y = PhasePoint(rng.normal(size=2), rng.normal(size=2), rng.normal(size=3))
+        full = A.gradient(y)
+        for block in (slice(0, 4), slice(4, None), slice(1, 3)):
+            assert np.array_equal(A.gradient(y, coords=block), full[block])
+
+    def test_each_operand_is_evaluated_two_times_per_coordinate(self):
+        calls = {"A": 0, "B": 0}
+
+        def counted(name, f):
+            def func(y):
+                calls[name] += 1
+                return f(y)
+            return Observable(func)
+
+        A = counted("A", lambda y: y.z[0] * y.lam[0] + y.p[1])
+        B = counted("B", lambda y: y.p[0] * y.lam[2] ** 2)
+        y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
+        extended_bracket(A, B, y, so3_constants())
+        assert calls == {"A": 2 * (2 + 2 + 3), "B": 2 * (2 + 2 + 3)}
+        calls.update(A=0, B=0)
+        canonical_bracket(A, B, y)
+        assert calls == {"A": 2 * (2 + 2), "B": 2 * (2 + 2)}
+
+
+class TestStructureConstants:
+    def test_not_antisymmetric_is_invalid_structure(self):
+        gamma = np.zeros((2, 2, 2))
+        gamma[0, 0, 1] = 1.0
+        with pytest.raises(InvalidStructure) as err:
+            StructureConstants(gamma)
+        assert isinstance(err.value, FrobsymError) and isinstance(err.value, ValueError)
 
 
 class TestParacomplexBracket:
