@@ -17,6 +17,7 @@ from frobsym import (
     dolbeault_form,
     hamiltonian_vector_field,
     integrate,
+    integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
     realified_dolbeault_two_form,
@@ -49,10 +50,10 @@ traj = integrate(H, y0, 1e-3, 10_000)
 print(f"leapfrog energy drift over 10^4 steps at dt=1e-3: {traj.max_energy_drift:.2e}")
 print(f"first dump record: {traj.records()[0]}")
 
-print("\nleapfrog drift scales as dt^2 (fixed total time):")
-for dt in (1e-3, 5e-4, 2.5e-4):
-    drift = integrate(H, y0, dt, int(round(10.0 / dt))).max_energy_drift
-    print(f"  dt = {dt:.2e}  drift = {drift:.3e}")
+print("\nleapfrog drift scales as dt^2 (fixed total time, one stacked run):")
+dts = (1e-3, 5e-4, 2.5e-4)
+for dt, traj in zip(dts, integrate_many(H, y0, dts, [int(round(10.0 / dt)) for dt in dts])):
+    print(f"  dt = {dt:.2e}  drift = {traj.max_energy_drift:.3e}")
 
 # the same energy as a plain Observable does not separate as far as the
 # integrator knows, so it takes the implicit midpoint rule

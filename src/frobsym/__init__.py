@@ -95,6 +95,7 @@ from .symplectic import (
     exterior_derivative,
     hamiltonian_vector_field,
     integrate,
+    integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
     quadratic_energy,

@@ -19,7 +19,9 @@ class InvalidFamily(FrobsymError, ValueError):
 
 
 class InvalidStructure(FrobsymError, ValueError):
-    """Structure constants that break a symmetry their definition requires."""
+    """Structure data that breaks a requirement of its definition: asymmetric
+    constants or form coefficients, a signature entry that is not +-1, an
+    unknown block of a splitting."""
 
 
 class NonFiniteValue(FrobsymError, ValueError):

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DegenerateForm, DimensionMismatch, NonConvergence
+from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonConvergence,
+                     NonFiniteValue)
 from .geometry import MetricField, PotentialField
 
 _EMPTY = np.zeros(0)
@@ -97,9 +98,12 @@ class SeparableHamiltonian(Observable):
     """H(z, p) = T(p) + V(z) given by its four parts on flat arrays.
 
     ``T`` and ``V`` reduce over the last axis, so each takes one point or a
-    stack of points; ``dT`` and ``dV`` return dT/dp and dV/dz.  ``func`` and
-    ``grad`` are derived from them, so the object works wherever an
-    Observable does; the leapfrog integrator calls the parts directly.
+    stack of points; ``dT`` and ``dV`` return dT/dp and dV/dz, and must map
+    a ``(rows, n)`` stack row by row, because the leapfrog integrator steps
+    every trajectory of an :func:`integrate_many` call as one row of such a
+    stack.  ``func`` and ``grad`` are derived from the parts, so the object
+    works wherever an Observable does; the integrator calls the parts
+    directly.
     """
 
     T: Callable[[np.ndarray], np.ndarray]
@@ -132,7 +136,7 @@ class TwoForm:
             raise DimensionMismatch(f"coefficients have shape {J.shape}")
         scale = max(1.0, float(np.max(np.abs(J))))
         if np.max(np.abs(J + J.T)) > self.ANTISYMMETRY_TOL * scale:
-            raise ValueError(f"form coefficients not antisymmetric at {point}")
+            raise InvalidStructure(f"form coefficients not antisymmetric at {point}")
         return J
 
     def inverse(self, point) -> np.ndarray:
@@ -149,7 +153,7 @@ class TwoForm:
 def canonical_two_form(n: int) -> TwoForm:
     """Constant J = [[0, I], [-I, 0]] on a 2n-dimensional (x, p) space."""
     if n < 1:
-        raise ValueError("need at least one degree of freedom")
+        raise DimensionMismatch("need at least one degree of freedom")
     i = np.eye(n)
     J = np.block([[0 * i, i], [-i, 0 * i]])
     return TwoForm(2 * n, lambda point: J)
@@ -299,7 +303,7 @@ def split_exterior_derivative(coeffs: Callable, degree: int, point,
     elif block == "minus":
         full[:m] = 0.0
     elif block != "both":
-        raise ValueError(f"unknown block {block!r}")
+        raise InvalidStructure(f"unknown block {block!r}")
     return (degree + 1) * _antisymmetrize(full)
 
 
@@ -350,7 +354,7 @@ class LorentzLagrangian:
     def __post_init__(self):
         sig = np.asarray(self.signature, dtype=float)
         if not np.all(np.isin(sig, (-1.0, 1.0))):
-            raise ValueError("signature entries must be +1 or -1")
+            raise InvalidStructure("signature entries must be +1 or -1")
         object.__setattr__(self, "signature", sig)
 
     def lagrangian(self, xi, z) -> float:
@@ -441,38 +445,107 @@ class Trajectory:
 def integrate(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Trajectory:
     """Propagate y0 for ``steps`` steps of size dt with a symplectic scheme.
 
+    The one-pair case of :func:`integrate_many`, with the same schemes and
+    the same input checks.
+    """
+    return integrate_many(H, y0, [dt], [steps])[0]
+
+
+def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory]:
+    """One trajectory from y0 per ``(dt, steps)`` pair, in the given order.
+
     A :class:`SeparableHamiltonian` is stepped by kick-drift-kick leapfrog
     (Stormer-Verlet) on its split derivatives without building any
-    PhasePoint.  Any other Observable is stepped by the implicit midpoint
-    rule (fixed-point iteration, tolerance 1e-12, at most 50 sweeps), which
-    stays symplectic and second order when H does not separate.
+    PhasePoint.  All pairs advance together as the rows of one stack, so
+    ``dT`` and ``dV`` see ``(rows, n)`` arrays; elementwise arithmetic
+    rounds each row exactly as a lone run would.  Any other Observable is
+    stepped by the implicit midpoint rule (fixed-point iteration, tolerance
+    1e-12, at most 50 sweeps), one pair at a time, which stays symplectic
+    and second order when H does not separate.
+
+    ``dts`` and ``steps`` are equal-length, non-empty sequences, else
+    DimensionMismatch; a step count that is not a non-negative integer is a
+    DimensionMismatch too, and a non-finite step size a NonFiniteValue.
     """
+    dts, counts = _schedule(dts, steps)
     if y0.lam.size:
         raise DimensionMismatch("time stepping expects a plain (z, p) point")
-    zs = np.empty((steps + 1, y0.z.size))
-    ps = np.empty((steps + 1, y0.p.size))
-    zs[0], ps[0] = y0.z, y0.p
     if isinstance(H, SeparableHamiltonian):
-        _leapfrog(H, zs, ps, dt)
-        energies = np.asarray(H.T(ps) + H.V(zs), dtype=float)
+        runs = _leapfrog(H, y0.z, y0.p, dts, counts)
+        energies = [np.asarray(H.T(ps) + H.V(zs), dtype=float) for zs, ps in runs]
     else:
-        for i in range(1, steps + 1):
-            zs[i], ps[i] = _midpoint_step(H, zs[i - 1], ps[i - 1], dt)
-        energies = np.array([H(PhasePoint(z, p)) for z, p in zip(zs, ps)])
-    return Trajectory(dt * np.arange(steps + 1), zs, ps, energies)
+        runs = [_midpoint(H, y0.z, y0.p, dt, n) for dt, n in zip(dts, counts)]
+        energies = [np.array([H(PhasePoint(z, p)) for z, p in zip(zs, ps)])
+                    for zs, ps in runs]
+    return [Trajectory(dt * np.arange(n + 1), zs, ps, e)
+            for dt, n, (zs, ps), e in zip(dts, counts, runs, energies)]
 
 
-def _leapfrog(H: SeparableHamiltonian, zs: np.ndarray, ps: np.ndarray, dt: float):
-    """Kick-drift-kick from row 0, writing each step into the next row."""
-    z, p = zs[0], ps[0]
+def _schedule(dts, steps) -> tuple[np.ndarray, list[int]]:
+    """Checked step sizes and step counts of an integrate_many call."""
+    dts = np.asarray(dts, dtype=float)
+    if dts.ndim != 1 or np.ndim(steps) != 1 or dts.size == 0 or len(steps) != dts.size:
+        raise DimensionMismatch("dts and steps must be equal-length, non-empty sequences")
+    if not np.all(np.isfinite(dts)):
+        raise NonFiniteValue(f"step sizes must be finite, got {dts.tolist()}")
+    for n in steps:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise DimensionMismatch(f"step counts must be non-negative integers, got {n!r}")
+    return dts, [int(n) for n in steps]
+
+
+def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
+              dts: np.ndarray, counts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kick-drift-kick for every pair at once; (zs, ps) per pair, in order.
+
+    The pairs are sorted by descending step count, so the rows still
+    running are always a prefix of the stack.  Between two retirements the
+    steps go into one segment buffer, copied at the segment's end into each
+    row's own ``(steps + 1, n)`` arrays.
+    """
+    order = sorted(range(len(counts)), key=lambda j: -counts[j])
+    zs = [np.empty((n + 1, z0.size)) for n in counts]
+    ps = [np.empty((n + 1, p0.size)) for n in counts]
+    for z_rows, p_rows in zip(zs, ps):
+        z_rows[0], p_rows[0] = z0, p0
+    dt = dts[order, None]
+    half = 0.5 * dt
+    z, p = np.tile(z0, (len(order), 1)), np.tile(p0, (len(order), 1))
     # the end-of-step force is reused as the next kick
     f = H.dV(z)
-    for i in range(1, len(zs)):
-        p_half = p - 0.5 * dt * f
-        z = z + dt * H.dT(p_half)
-        f = H.dV(z)
-        p = p_half - 0.5 * dt * f
-        zs[i], ps[i] = z, p
+    done = 0
+    for live in range(len(order), 0, -1):
+        end = counts[order[live - 1]]
+        if end == done:
+            continue
+        z, p, f, dt, half = z[:live], p[:live], f[:live], dt[:live], half[:live]
+        segment = slice(done + 1, end + 1)
+        if live == 1:
+            # the last row writes straight into its own arrays
+            z_buf, p_buf = zs[order[0]][segment, None], ps[order[0]][segment, None]
+        else:
+            z_buf = np.empty((end - done, live, z0.size))
+            p_buf = np.empty((end - done, live, p0.size))
+        for i in range(end - done):
+            p_half = p - half * f
+            z = np.add(z, dt * H.dT(p_half), out=z_buf[i])
+            f = H.dV(z)
+            p = np.subtract(p_half, half * f, out=p_buf[i])
+        if live > 1:
+            for row, j in enumerate(order[:live]):
+                zs[j][segment], ps[j][segment] = z_buf[:, row], p_buf[:, row]
+        done = end
+    return list(zip(zs, ps))
+
+
+def _midpoint(H: Observable, z0: np.ndarray, p0: np.ndarray, dt: float, steps: int):
+    """``steps`` implicit midpoint steps from (z0, p0); (zs, ps) arrays."""
+    zs = np.empty((steps + 1, z0.size))
+    ps = np.empty((steps + 1, p0.size))
+    zs[0], ps[0] = z0, p0
+    for i in range(1, steps + 1):
+        zs[i], ps[i] = _midpoint_step(H, zs[i - 1], ps[i - 1], dt)
+    return zs, ps
 
 
 def _midpoint_step(H: Observable, z: np.ndarray, p: np.ndarray, dt: float,

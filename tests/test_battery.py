@@ -375,12 +375,29 @@ class TestPinnedResiduals:
         ({"metric": "euclidean2"}, "bracket_suite", 5, 9.945066992145257e-10),
         ({"constants": "dual_numbers2"}, "split_algebra_laws", 26, 3.637978807091713e-12),
         ({"constants": "paracomplex2"}, "split_algebra_laws", 6, 2.842170943040401e-14),
+        ({"metric": "euclidean1", "scalar": "half_square"}, "drift_scaling", 0,
+         2.6114801094934137e-06),
     ])
     def test_residual_is_unchanged(self, payload, check, seed, residual):
         kind = "algebra" if "constants" in payload else "explicit_metric"
         spec = spec_from_dict({"kind": kind, "payload": payload,
                                "checks": [check], "seed": seed})
         assert run_battery(spec).rows[0].residual == residual
+
+
+class TestDriftScaling:
+    def test_steps_all_sizes_in_one_run(self, monkeypatch):
+        # four step sizes over the same time: 6.5k + 13k + 32.5k + 65k steps
+        # one at a time, but one force per step of the longest run stacked
+        value, grad = SCALAR_FIELDS["half_square"]
+        calls = []
+        monkeypatch.setitem(SCALAR_FIELDS, "half_square",
+                            (value, lambda z: calls.append(1) or grad(z)))
+        spec = spec_from_dict({"kind": "explicit_metric",
+                               "payload": {"metric": "euclidean1", "scalar": "half_square"},
+                               "checks": ["drift_scaling"]})
+        assert run_battery(spec).rows[0].status == "pass"
+        assert len(calls) == 65_001
 
 
 def metric_hamiltonian(metric):

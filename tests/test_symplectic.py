@@ -28,13 +28,16 @@ from frobsym import (
     exterior_derivative,
     hamiltonian_vector_field,
     integrate,
+    integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
     quadratic_energy,
     realified_dolbeault_two_form,
 )
-from frobsym.errors import NonConvergence
+from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
+                            NonConvergence, NonFiniteValue)
 from frobsym.registry import adapted_mixed2, adapted_quartic1
+from frobsym.symplectic import split_exterior_derivative
 
 
 def oscillator(dim=1):
@@ -64,6 +67,25 @@ class TestCanonicalForm:
         bad = TwoForm(2, lambda x: np.array([[0.0, 1.0], [-0.5, 0.0]]))
         with pytest.raises(ValueError):
             bad.matrix([0.0, 0.0])
+
+
+class TestErrorContract:
+    """Undefined constructions raise FrobsymError subclasses that are still
+    ValueErrors."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: TwoForm(2, lambda x: np.array([[0.0, 1.0], [-0.5, 0.0]])).matrix([0.0, 0.0]),
+         InvalidStructure),
+        (lambda: canonical_two_form(0), DimensionMismatch),
+        (lambda: split_exterior_derivative(lambda x: float(x[0]), 0, [0.1, 0.2], block="up"),
+         InvalidStructure),
+        (lambda: LorentzLagrangian(signature=[1.0, 0.5]), InvalidStructure),
+    ], ids=["antisymmetry", "degrees_of_freedom", "block", "signature"])
+    def test_symplectic_constructions(self, build, error):
+        with pytest.raises(error) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestRealifiedSplitForm:
@@ -330,6 +352,107 @@ class TestSeparableHamiltonian:
         b = integrate(oscillator(), y, 1e-3, 200)
         assert np.allclose(a.z, b.z, atol=1e-14)
         assert np.allclose(a.energies, b.energies, atol=1e-14)
+
+
+def quartic_well():
+    """H = |p|^2 / 2 + sum(z^4) / 4: separable and nonlinear in z."""
+    return SeparableHamiltonian(half_square, lambda p: p,
+                                lambda z: 0.25 * np.sum(z ** 4, axis=-1), lambda z: z ** 3)
+
+
+def assert_same_trajectory(a, b):
+    for name in ("times", "z", "p", "energies"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestIntegrateMany:
+    """Each stacked row equals the lone run of its pair, bit for bit."""
+
+    @pytest.mark.parametrize("dof", [1, 3])
+    @pytest.mark.parametrize("dts, steps", [
+        ([1e-2, 5e-3, 2e-2, 1e-3], [40, 200, 7, 120]),
+        ([1e-2, -1e-2, 3e-3], [50, 50, 50]),
+        ([1e-2, 0.0, 4e-3, -2e-3], [0, 30, 0, 90]),
+        ([0.0], [0]),
+    ], ids=["unsorted", "equal_counts", "zero_steps_and_dt", "one_empty_pair"])
+    def test_rows_match_lone_runs(self, dof, dts, steps):
+        rng = np.random.default_rng(dof)
+        y0 = PhasePoint(rng.normal(size=dof), rng.normal(size=dof))
+        for H in (separable_oscillator(), quartic_well()):
+            runs = integrate_many(H, y0, dts, steps)
+            assert len(runs) == len(dts)
+            for traj, dt, n in zip(runs, dts, steps):
+                assert traj.z.shape == traj.p.shape == (n + 1, dof)
+                assert_same_trajectory(traj, integrate(H, y0, dt, n))
+
+    def test_rows_match_a_scalar_kick_drift_kick_loop(self):
+        H = quartic_well()
+        y0 = PhasePoint([0.7, -0.2, 1.1], [0.1, 0.4, -0.3])
+        dts, steps = [3e-3, 1e-2, 5e-3], [60, 25, 60]
+        for traj, dt, n in zip(integrate_many(H, y0, dts, steps), dts, steps):
+            z, p = y0.z, y0.p
+            for i in range(1, n + 1):
+                p_half = p - 0.5 * dt * z ** 3
+                z = z + dt * p_half
+                p = p_half - 0.5 * dt * z ** 3
+                assert np.array_equal(traj.z[i], z)
+                assert np.array_equal(traj.p[i], p)
+
+    def test_midpoint_rows_match_lone_runs(self):
+        y0 = PhasePoint([1.0], [0.5])
+        dts, steps = [1e-2, -5e-3, 0.0, 2e-2], [30, 60, 5, 0]
+        for traj, dt, n in zip(integrate_many(oscillator(), y0, dts, steps), dts, steps):
+            assert_same_trajectory(traj, integrate(oscillator(), y0, dt, n))
+
+    def test_force_is_taken_once_per_step_of_the_longest_row(self):
+        calls = []
+
+        def dV(z):
+            calls.append(np.shape(z))
+            return z
+
+        H = SeparableHamiltonian(half_square, lambda p: p, half_square, dV)
+        integrate_many(H, PhasePoint([1.0], [0.0]), [1e-2, 2e-2, 5e-3], [30, 15, 60])
+        # one call for the start, then one per step of the longest row; the
+        # rows still running form the stack and retired rows drop out
+        assert calls == [(3, 1)] * 16 + [(2, 1)] * 15 + [(1, 1)] * 30
+
+    @pytest.mark.parametrize("dts, steps", [
+        ([1e-2, 1e-3], [10]),
+        ([], []),
+        (1e-2, 10),
+        ([[1e-2]], [10]),
+    ], ids=["mismatched", "empty", "scalars", "nested"])
+    def test_schedule_shape_is_checked(self, dts, steps):
+        with pytest.raises(DimensionMismatch):
+            integrate_many(separable_oscillator(), PhasePoint([1.0], [0.0]), dts, steps)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, True, "3", None])
+    @pytest.mark.parametrize("H", [separable_oscillator(), oscillator()],
+                             ids=["leapfrog", "midpoint"])
+    def test_step_count_must_be_a_non_negative_integer(self, H, steps):
+        with pytest.raises(DimensionMismatch) as info:
+            integrate(H, PhasePoint([1.0], [0.0]), 1e-2, steps)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("H", [separable_oscillator(), oscillator()],
+                             ids=["leapfrog", "midpoint"])
+    def test_step_size_must_be_finite(self, H, dt):
+        # a NaN step size would otherwise run to a NaN trajectory with
+        # RuntimeWarnings, which the test configuration turns into errors
+        with pytest.raises(NonFiniteValue) as info:
+            integrate(H, PhasePoint([1.0], [0.0]), dt, 3)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(NonFiniteValue):
+            integrate_many(H, PhasePoint([1.0], [0.0]), [1e-2, dt], [3, 3])
+
+    def test_step_counts_may_be_numpy_integers(self):
+        y0 = PhasePoint([1.0], [0.0])
+        a, b = integrate_many(separable_oscillator(), y0, np.array([1e-2, 2e-2]),
+                              np.array([20, 10]))
+        assert_same_trajectory(a, integrate(separable_oscillator(), y0, 1e-2, 20))
+        assert_same_trajectory(b, integrate(separable_oscillator(), y0, 2e-2, 10))
 
 
 class TestQuadraticEnergy:
