@@ -20,8 +20,10 @@ class InvalidFamily(FrobsymError, ValueError):
 
 class InvalidStructure(FrobsymError, ValueError):
     """Structure data that breaks a requirement of its definition: asymmetric
-    constants or form coefficients, a signature entry that is not +-1, an
-    unknown block of a splitting."""
+    constants or form coefficients, a metric or pairing that is not
+    symmetric, a product structure with K^2 != I or an unequal eigen-split,
+    a map that does not preserve orientation, a signature entry that is not
+    +-1, an unknown block of a splitting."""
 
 
 class NonFiniteValue(FrobsymError, ValueError):

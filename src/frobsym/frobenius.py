@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAlgebra, DegenerateMetric, DimensionMismatch
+from .errors import DegenerateAlgebra, DegenerateMetric, DimensionMismatch, InvalidStructure
 from .geometry import MetricField, PotentialField
 
 PAIRING_CONDITION_LIMIT = 1e12
@@ -37,7 +37,7 @@ class FrobeniusAlgebra:
         if p.shape != (n, n) or c.shape != (n, n, n):
             raise DimensionMismatch("constants and pairing sizes disagree")
         if np.max(np.abs(p - p.T)) > 1e-12 * max(1.0, np.max(np.abs(p))):
-            raise ValueError("pairing must be symmetric")
+            raise InvalidStructure("pairing must be symmetric")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "pairing", 0.5 * (p + p.T))
         if self.unit is not None:

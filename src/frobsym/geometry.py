@@ -21,6 +21,7 @@ from .errors import (
     DegeneratePencil,
     DimensionMismatch,
     DomainViolation,
+    InvalidStructure,
     NonPositivePotential,
 )
 from .statmanifold import ExponentialFamily, cumulant_tensor
@@ -48,7 +49,7 @@ class MetricField:
         if g.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"metric value has shape {g.shape}")
         if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-            raise ValueError(f"metric not symmetric at {x}")
+            raise InvalidStructure(f"metric not symmetric at {x}")
         return 0.5 * (g + g.T)
 
     def derivative(self, x, h: float | None = None) -> np.ndarray:
@@ -204,7 +205,7 @@ def automorphism_invariance_residual(phi: PotentialField, A, points) -> float:
     A = np.asarray(A, dtype=float)
     det = np.linalg.det(A)
     if det <= 0.0:
-        raise ValueError("expected an orientation-preserving invertible matrix")
+        raise InvalidStructure("expected an orientation-preserving invertible matrix")
     worst = 0.0
     for x in points:
         x = _point(phi.dim, x)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, ZeroDivisor
+from .errors import DimensionMismatch, InvalidStructure, NonFiniteValue, ZeroDivisor
 
 # Scale-relative guard for the null cone |re^2 - im^2| = 0.
 ZERO_DIVISOR_RTOL = 1e-12
@@ -181,7 +181,7 @@ def para_hermitian_product(g, xi: ParaVector, eta: ParaVector) -> ParaNumber:
             f"pairing needs matching sizes, got g{g.shape}, xi[{n}], eta[{len(eta)}]"
         )
     if not np.allclose(g, g.T, atol=1e-12):
-        raise ValueError("the pairing matrix must be symmetric")
+        raise InvalidStructure("the pairing matrix must be symmetric")
     total = ParaNumber()
     for j in range(n):
         total = total + g[j, j] * (xi[j] * para_conj(eta[j]))
@@ -207,14 +207,14 @@ class ParaStructure:
             raise DimensionMismatch("K must be square")
         d = K.shape[0]
         if d % 2 != 0:
-            raise ValueError("K acts on an even-dimensional space")
+            raise DimensionMismatch("K acts on an even-dimensional space")
         resid = np.max(np.abs(K @ K - np.eye(d)))
         if resid > self.SQUARE_TOL:
-            raise ValueError(f"K^2 differs from the identity by {resid:.3e}")
+            raise InvalidStructure(f"K^2 differs from the identity by {resid:.3e}")
         eigvals = np.linalg.eigvals(K)
         plus = int(np.sum(np.real(eigvals) > 0.0))
         if plus != d // 2:
-            raise ValueError(
+            raise InvalidStructure(
                 f"eigenvalue split is {plus}/{d - plus}, expected {d // 2}/{d // 2}"
             )
         self.matrix = K

@@ -117,18 +117,25 @@ def bracket_property_residuals(bracket: Callable, observables, points,
     is probed with f(t) = t^2 and g(t) = sin t; Jacobi nests the bracket as
     a new Observable, differentiated with the coarser ``nested_h`` step to
     keep finite-difference noise below the 1e-6 residual target.
+
+    Within one probe point, an operand without an analytic gradient has its
+    full gradient taken once at each point a bracket differentiates it at,
+    and every bracket there shares it (see :func:`_shared_gradient`).
     """
-    A, B, C = observables
+    A0, B0, C0 = observables
     anti = chain = leib = jac = 0.0
     for y in points:
+        A, B, C = (_shared_gradient(op) for op in (A0, B0, C0))
         ab = bracket(A, B, y)
         anti = max(anti, abs(ab + bracket(B, A, y)))
 
-        fa = Observable(lambda q: A(q) ** 2, _square_grad(A))
-        gb = Observable(lambda q: np.sin(B(q)), _sin_grad(B))
+        # the composite operands are built from the original operands, so an
+        # FD operand still makes an FD composite, differenced as a whole
+        fa = Observable(lambda q: A(q) ** 2, _square_grad(A0))
+        gb = Observable(lambda q: np.sin(B(q)), _sin_grad(B0))
         chain = max(chain, abs(bracket(fa, gb, y) - 2.0 * A(y) * np.cos(B(y)) * ab))
 
-        bc_prod = Observable(lambda q: B(q) * C(q), _product_grad(B, C))
+        bc_prod = Observable(lambda q: B(q) * C(q), _product_grad(B0, C0))
         leib = max(
             leib,
             abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab),
@@ -144,6 +151,33 @@ def bracket_property_residuals(bracket: Callable, observables, points,
         )
         jac = max(jac, abs(triple))
     return BracketResiduals(anti, chain, leib, jac)
+
+
+def _shared_gradient(operand: Observable) -> Observable:
+    """``operand`` with its full central-difference gradient as ``grad``,
+    memoised by the point's flat coordinates and returned read-only, so no
+    bracket can change what a later one reads.
+
+    Every partial a bracket takes equals the matching entry of the full
+    gradient bit for bit, so brackets at h=None give the same values while
+    each shifted point of the nested Jacobi terms differences the operand
+    once instead of once per bracket.  A difference at an explicit step h
+    still differences ``func``.  An analytic operand is returned as it is.
+    """
+    if operand.grad is not None:
+        return operand
+    memo = {}
+
+    def grad(y: PhasePoint) -> np.ndarray:
+        key = y.flat().tobytes()
+        g = memo.get(key)
+        if g is None:
+            g = operand.gradient(y)
+            g.flags.writeable = False
+            memo[key] = g
+        return g
+
+    return Observable(operand.func, grad)
 
 
 def _square_grad(A: Observable):

@@ -31,8 +31,9 @@ _EMPTY = np.zeros(0)
 class PhasePoint:
     """Positions z, momenta p, and an optional spin block lam.
 
-    Realified split coordinates enter through z as 2m reals (x, y).
-    Instances are treated as immutable; helpers return new points.
+    Realified split coordinates enter through z as 2m reals (x, y); z and p
+    are scalars or 1-D, the spin block is flattened.  Instances are treated
+    as immutable; helpers return new points.
     """
 
     z: np.ndarray
@@ -40,8 +41,12 @@ class PhasePoint:
     lam: np.ndarray = field(default_factory=lambda: _EMPTY)
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.atleast_1d(np.asarray(self.z, dtype=float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
+        z = np.atleast_1d(np.asarray(self.z, dtype=float))
+        p = np.atleast_1d(np.asarray(self.p, dtype=float))
+        if z.ndim != 1 or p.ndim != 1:
+            raise DimensionMismatch(f"z and p must be 1-D, got shapes {z.shape} and {p.shape}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float).reshape(-1))
 
     @property
@@ -52,11 +57,22 @@ class PhasePoint:
         return np.concatenate([self.z, self.p, self.lam])
 
     def replace_flat(self, values: np.ndarray) -> "PhasePoint":
+        """A point of the same layout whose blocks are views of ``values``.
+
+        ``values`` must be 1-D with the layout's length.  The blocks are
+        then already what ``__post_init__`` would make of them, so the point
+        is assembled without it, and shares memory with ``values``.
+        """
         nz, npp, nl = self.layout
         values = np.asarray(values, dtype=float)
-        if values.size != nz + npp + nl:
-            raise DimensionMismatch("flat vector does not match the layout")
-        return PhasePoint(values[:nz], values[nz:nz + npp], values[nz + npp:])
+        if values.shape != (nz + npp + nl,):
+            raise DimensionMismatch(
+                f"flat vector of shape {values.shape} does not match the layout {self.layout}")
+        point = object.__new__(PhasePoint)
+        object.__setattr__(point, "z", values[:nz])
+        object.__setattr__(point, "p", values[nz:nz + npp])
+        object.__setattr__(point, "lam", values[nz + npp:])
+        return point
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from frobsym import (
     DegenerateMetric,
     FrobsymError,
     FrobeniusAlgebra,
+    InvalidStructure,
     MetricField,
     PotentialField,
     algebra_from_potential,
@@ -296,3 +297,11 @@ class TestIdempotents:
         with pytest.raises(DegenerateAlgebra) as err:
             find_idempotents_rank2(FrobeniusAlgebra(c, np.eye(2)))
         assert isinstance(err.value, FrobsymError) and isinstance(err.value, ValueError)
+
+
+class TestErrorContract:
+    def test_pairing_not_symmetric_is_invalid_structure(self):
+        with pytest.raises(InvalidStructure) as info:
+            FrobeniusAlgebra(np.zeros((2, 2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)

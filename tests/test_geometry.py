@@ -17,6 +17,8 @@ from frobsym import (
     DegeneratePencil,
     DomainViolation,
     ExponentialFamily,
+    FrobsymError,
+    InvalidStructure,
     MetricField,
     NonPositivePotential,
     PotentialField,
@@ -195,6 +197,22 @@ class TestAutomorphismInvariance:
         push_out = np.array([[1.0, -2.0], [0.0, 1.0]])
         with pytest.raises(DomainViolation):
             automorphism_invariance_residual(orthant_potential(2), push_out, [[1.0, 1.0]])
+
+
+class TestErrorContract:
+    """Undefined constructions raise FrobsymError subclasses that are still
+    ValueErrors."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: MetricField(2, lambda x: np.array([[1.0, 0.5], [0.0, 1.0]])).value([0.0, 0.0]),
+        lambda: automorphism_invariance_residual(orthant_potential(2),
+                                                 np.array([[0.0, 1.0], [1.0, 0.0]]), [[1.0, 1.0]]),
+    ], ids=["metric_not_symmetric", "determinant_not_positive"])
+    def test_invalid_structure(self, build):
+        with pytest.raises(InvalidStructure) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestDualConnections:

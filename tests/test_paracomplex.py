@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from frobsym import (
     DimensionMismatch,
     FrobsymError,
+    InvalidStructure,
     NonFiniteValue,
     ParaNumber,
     ParaStructure,
@@ -244,6 +245,25 @@ class TestHermitianProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             para_hermitian_product(np.eye(2), ParaVector([ONE]), ParaVector([ONE]))
+
+
+class TestErrorContract:
+    """Undefined constructions raise FrobsymError subclasses that are still
+    ValueErrors."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: para_hermitian_product(np.array([[1.0, 0.5], [0.0, 1.0]]),
+                                        ParaVector([ONE, E]), ParaVector([E, ONE])),
+         InvalidStructure),
+        (lambda: ParaStructure(np.eye(3)), DimensionMismatch),
+        (lambda: ParaStructure(np.array([[0.0, 2.0], [0.5, 0.0]]) + 1e-3), InvalidStructure),
+        (lambda: ParaStructure(np.eye(2)), InvalidStructure),
+    ], ids=["pairing_not_symmetric", "odd_dimension", "square_not_identity", "unequal_split"])
+    def test_paracomplex_constructions(self, build, error):
+        with pytest.raises(error) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestParaStructure:

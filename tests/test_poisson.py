@@ -34,7 +34,8 @@ from frobsym import (
     so3_constants,
 )
 from frobsym import numdiff
-from frobsym.poisson import periodic_derivative_matrix, smooth_test_profile
+from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad, _sin_grad,
+                             _square_grad, periodic_derivative_matrix, smooth_test_profile)
 from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
 
 
@@ -219,6 +220,132 @@ class TestBracketPartials:
         calls.update(A=0, B=0)
         canonical_bracket(A, B, y)
         assert calls == {"A": 2 * (2 + 2), "B": 2 * (2 + 2)}
+
+
+def unshared_property_residuals(bracket, observables, points,
+                                nested_h=DEFAULT_NESTED_STEP):
+    """The property loop with every bracket differencing its operands afresh."""
+    A, B, C = observables
+    anti = chain = leib = jac = 0.0
+    for y in points:
+        ab = bracket(A, B, y)
+        anti = max(anti, abs(ab + bracket(B, A, y)))
+        fa = Observable(lambda q: A(q) ** 2, _square_grad(A))
+        gb = Observable(lambda q: np.sin(B(q)), _sin_grad(B))
+        chain = max(chain, abs(bracket(fa, gb, y) - 2.0 * A(y) * np.cos(B(y)) * ab))
+        bc_prod = Observable(lambda q: B(q) * C(q), _product_grad(B, C))
+        leib = max(leib, abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab))
+
+        def nested(first, second):
+            return Observable(lambda q: bracket(first, second, q))
+
+        triple = (bracket(A, nested(B, C), y, h=nested_h)
+                  + bracket(B, nested(C, A), y, h=nested_h)
+                  + bracket(C, nested(A, B), y, h=nested_h))
+        jac = max(jac, abs(triple))
+    return BracketResiduals(anti, chain, leib, jac)
+
+
+def spin_bracket(constants):
+    return lambda f, g, y, h=None: extended_bracket(f, g, y, constants, h=h)
+
+
+def lopsided_bracket(f, g, y, h=None):
+    """Not a Poisson bracket: full gradients contracted against a reversal."""
+    return float(f.gradient(y, h=h) @ g.gradient(y, h=h)[::-1])
+
+
+def counted_operands(calls):
+    """The three FD operands of the battery's bracket suite, counting calls."""
+    def counted(name, f):
+        def func(y):
+            calls[name] += 1
+            return f(y)
+        return Observable(func)
+
+    return (counted("A", lambda y: y.z[0] ** 2 + y.p[0] * y.z[1 % y.z.size]),
+            counted("B", lambda y: y.p[0] * y.z[0] + float(np.sum(y.lam ** 2))),
+            counted("C", lambda y: y.z[1 % y.z.size] * y.p[-1] + float(np.sum(y.lam))))
+
+
+class TestSharedGradients:
+    """Each operand's gradient is taken once per point and shared by every
+    bracket at one probe point; the residuals stay bit for bit those of
+    brackets that difference their operands afresh."""
+
+    BRACKETS = {"canonical": canonical_bracket, "so3": spin_bracket(so3_constants()),
+                "cyclic_nonjacobi": spin_bracket(cyclic_nonjacobi_constants()),
+                "lopsided": lopsided_bracket}
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("name, spins", [
+        ("canonical", 0), ("canonical", 3), ("so3", 3), ("cyclic_nonjacobi", 3),
+        ("lopsided", 0), ("lopsided", 3)])
+    def test_residuals_equal_unshared_loop(self, analytic, name, spins):
+        bracket = self.BRACKETS[name]
+        rng = np.random.default_rng(40 + spins)
+        for n in (1, 2, 3):
+            ops = tuple(mixed_observable(rng, n, spins, analytic) for _ in range(3))
+            pts = [PhasePoint(rng.normal(0.5, 1.0, n), rng.normal(size=n), rng.normal(size=spins))
+                   for _ in range(2)]
+            assert (bracket_property_residuals(bracket, ops, pts)
+                    == unshared_property_residuals(bracket, ops, pts))
+
+    def test_mixed_analytic_and_fd_operands(self):
+        rng = np.random.default_rng(5)
+        ops = (mixed_observable(rng, 2, 3, True), mixed_observable(rng, 2, 3, False),
+               mixed_observable(rng, 2, 3, True))
+        pts = [PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])]
+        bracket = spin_bracket(so3_constants())
+        assert (bracket_property_residuals(bracket, ops, pts)
+                == unshared_property_residuals(bracket, ops, pts))
+
+    def test_evaluations_per_operand_and_probe_point(self):
+        # so3 on a 2-dof point, n = 7 coordinates: 4n^2 + O(n) instead of ~8n^2
+        y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
+        bracket = spin_bracket(so3_constants())
+        calls = {"A": 0, "B": 0, "C": 0}
+        bracket_property_residuals(bracket, counted_operands(calls), [y])
+        assert calls == {"A": 239, "B": 254, "C": 239}
+        calls.update(A=0, B=0, C=0)
+        unshared_property_residuals(bracket, counted_operands(calls), [y])
+        assert calls == {"A": 477, "B": 464, "C": 435}
+
+    def test_memo_is_per_probe_point(self):
+        y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
+        bracket = spin_bracket(so3_constants())
+        calls = {"A": 0, "B": 0, "C": 0}
+        ops = counted_operands(calls)
+        twice = bracket_property_residuals(bracket, ops, [y, y])
+        assert calls == {"A": 2 * 239, "B": 2 * 254, "C": 2 * 239}
+        assert twice == bracket_property_residuals(bracket, ops, [y])
+
+    def test_two_points_equal_two_one_point_calls(self):
+        rng = np.random.default_rng(17)
+        ops = tuple(mixed_observable(rng, 2, 3, False) for _ in range(3))
+        pts = [PhasePoint(rng.normal(size=2), rng.normal(size=2), rng.normal(size=3))
+               for _ in range(2)]
+        bracket = spin_bracket(cyclic_nonjacobi_constants())
+        both = bracket_property_residuals(bracket, ops, pts)
+        each = [bracket_property_residuals(bracket, ops, [y]) for y in pts]
+        for field in ("antisymmetry", "chain_rule", "leibniz", "jacobi"):
+            assert getattr(both, field) == max(getattr(r, field) for r in each)
+
+    def test_shared_gradient_is_read_only(self):
+        seen = []
+
+        def recording(f, g, y, h=None):
+            seen.append(f.gradient(y, h=h))
+            return canonical_bracket(f, g, y, h=h)
+
+        rng = np.random.default_rng(3)
+        ops = tuple(mixed_observable(rng, 2, 0, False) for _ in range(3))
+        bracket_property_residuals(recording, ops, [PhasePoint([0.3, -0.2], [1.1, 0.4])])
+        first = seen[0]  # A's gradient at the probe point, from {A, B}
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        assert np.array_equal(first, ops[0].gradient(PhasePoint([0.3, -0.2], [1.1, 0.4])))
 
 
 class TestStructureConstants:

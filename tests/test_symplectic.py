@@ -88,6 +88,41 @@ class TestErrorContract:
         assert isinstance(info.value, ValueError)
 
 
+class TestPhasePoint:
+    def test_replace_flat_blocks_are_views_of_the_input(self):
+        y = PhasePoint([0.0, 1.0], [2.0, 3.0], [4.0])
+        values = np.arange(5.0) + 10.0
+        moved = y.replace_flat(values)
+        assert moved.layout == y.layout
+        built = PhasePoint(values[:2], values[2:4], values[4:])
+        for block, expected in zip((moved.z, moved.p, moved.lam), (built.z, built.p, built.lam)):
+            assert block.ndim == 1 and block.dtype == float
+            assert np.shares_memory(block, values)
+            assert np.array_equal(block, expected)
+        assert np.array_equal(moved.flat(), values)
+
+    def test_replace_flat_converts_a_list(self):
+        moved = PhasePoint([0.0], [1.0]).replace_flat([5, 6])
+        assert np.array_equal(moved.flat(), [5.0, 6.0]) and moved.z.dtype == float
+
+    @pytest.mark.parametrize("values", [np.arange(4.0).reshape(2, 2), np.arange(3.0),
+                                        np.float64(1.0)], ids=["2d", "short", "scalar"])
+    def test_replace_flat_needs_a_1d_vector_of_the_layout(self, values):
+        with pytest.raises(DimensionMismatch):
+            PhasePoint([0.0, 1.0], [2.0, 3.0]).replace_flat(values)
+
+    @pytest.mark.parametrize("z, p", [(np.zeros((2, 2)), np.zeros(2)),
+                                      (np.zeros(2), np.zeros((1, 2)))], ids=["z", "p"])
+    def test_blocks_beyond_1d_are_dimension_mismatch(self, z, p):
+        with pytest.raises(DimensionMismatch):
+            PhasePoint(z, p)
+
+    def test_scalar_blocks_become_length_one(self):
+        y = PhasePoint(1.0, 2.0)
+        assert y.layout == (1, 1, 0)
+        assert np.array_equal(y.flat(), [1.0, 2.0])
+
+
 class TestRealifiedSplitForm:
     def test_unit_metric_is_dx_wedge_dy(self):
         form = paracomplex_two_form(np.array([[1.0]]), 1)
