@@ -54,7 +54,6 @@ from .statmanifold import (
     ExponentialFamily,
     cumulant_tensor,
     dual_coordinates,
-    fisher_metric,
     gibbs_density,
     natural_from_dual,
     pairing,

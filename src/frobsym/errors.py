@@ -3,7 +3,19 @@
 Residual checks never raise on a failed identity: a large residual is data.
 Exceptions are reserved for inputs on which the requested construction is
 not defined at all (singular metrics, zero divisors, malformed specs).
+
+The guards every construction shares live here too, so each rule is
+decided once: a matrix is symmetric (or antisymmetric) when
+max|m -+ m^T| <= SYMMETRY_RTOL * max(1, max|m|) over its last two axes,
+and invertible when its condition number is at most CONDITION_LIMIT.
+Messages are formatted only on failure, so a passing guard costs no repr
+of the point.
 """
+
+import numpy as np
+
+SYMMETRY_RTOL = 1e-12
+CONDITION_LIMIT = 1e12
 
 
 class FrobsymError(Exception):
@@ -77,3 +89,34 @@ class SchemaError(FrobsymError, ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def _at(at) -> str:
+    return "" if at is None else f" at {np.asarray(at)}"
+
+
+def _require_small(defect: np.ndarray, m: np.ndarray, kind: str, what: str, at) -> None:
+    # array methods, not np.max/np.abs: this runs on every metric evaluation
+    if abs(defect).max() > SYMMETRY_RTOL * max(1.0, abs(m).max()):
+        raise InvalidStructure(f"{what} not {kind}{_at(at)}")
+
+
+def symmetric_part(m: np.ndarray, what: str, at=None) -> np.ndarray:
+    """(m + m^T) / 2 over the last two axes; InvalidStructure if m is not symmetric."""
+    mt = m.swapaxes(-1, -2)
+    _require_small(m - mt, m, "symmetric", what, at)
+    return 0.5 * (m + mt)
+
+
+def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:
+    """``m`` itself; InvalidStructure if it is not antisymmetric in its last two axes."""
+    _require_small(m + m.swapaxes(-1, -2), m, "antisymmetric", what, at)
+    return m
+
+
+def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.ndarray:
+    """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT."""
+    cond = np.linalg.cond(m)
+    if cond > CONDITION_LIMIT:
+        raise error(f"{what} singular{_at(at)} (condition number {cond:.1e})")
+    return m

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAlgebra, DegenerateMetric, DimensionMismatch, InvalidStructure
+from .errors import (DegenerateAlgebra, DegenerateMetric, DimensionMismatch, require_invertible,
+                     symmetric_part)
 from .geometry import MetricField, PotentialField
 
-PAIRING_CONDITION_LIMIT = 1e12
 IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
 IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
 DOUBLE_ROOT_RTOL = 1e-12  # bound on |cubic(r)| / roundoff scale at a double root r
@@ -36,10 +36,8 @@ class FrobeniusAlgebra:
         n = p.shape[0]
         if p.shape != (n, n) or c.shape != (n, n, n):
             raise DimensionMismatch("constants and pairing sizes disagree")
-        if np.max(np.abs(p - p.T)) > 1e-12 * max(1.0, np.max(np.abs(p))):
-            raise InvalidStructure("pairing must be symmetric")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "pairing", 0.5 * (p + p.T))
+        object.__setattr__(self, "pairing", symmetric_part(p, "pairing"))
         if self.unit is not None:
             object.__setattr__(self, "unit", np.asarray(self.unit, dtype=float))
 
@@ -60,8 +58,7 @@ def algebra_from_potential(third_tensor, g) -> FrobeniusAlgebra:
     """
     t = np.asarray(third_tensor, dtype=float)
     g = np.asarray(g, dtype=float)
-    if np.linalg.cond(g) > PAIRING_CONDITION_LIMIT:
-        raise DegenerateMetric("pairing is singular")
+    require_invertible(g, DegenerateMetric, "pairing")
     c = np.einsum("kf,fij->kij", np.linalg.inv(g), t)
     return FrobeniusAlgebra(c, g)
 
@@ -88,8 +85,7 @@ def wdvv_residual(potential: PotentialField, g, x, h: float = 5e-3) -> WDVVResid
     """
     x = np.asarray(x, dtype=float)
     gm = g.value(x) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
-    if np.linalg.cond(gm) > PAIRING_CONDITION_LIMIT:
-        raise DegenerateMetric("metric singular at the probed point")
+    require_invertible(gm, DegenerateMetric, "metric", x)
     ginv = np.linalg.inv(gm)
     t = potential.third_tensor(x, h=h)
     quad = np.einsum("abe,ef,fcd->abcd", t, ginv, t)

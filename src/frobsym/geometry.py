@@ -23,11 +23,11 @@ from .errors import (
     DomainViolation,
     InvalidStructure,
     NonPositivePotential,
+    require_invertible,
+    symmetric_part,
 )
 from .statmanifold import ExponentialFamily, cumulant_tensor
 
-CONDITION_LIMIT = 1e12
-SYMMETRY_TOL = 1e-12
 DEFAULT_CURVATURE_TOL = 1e-6
 
 
@@ -48,9 +48,7 @@ class MetricField:
         g = np.asarray(self.func(x), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"metric value has shape {g.shape}")
-        if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-            raise InvalidStructure(f"metric not symmetric at {x}")
-        return 0.5 * (g + g.T)
+        return symmetric_part(g, "metric", x)
 
     def derivative(self, x, h: float | None = None) -> np.ndarray:
         x = _point(self.dim, x)
@@ -60,8 +58,7 @@ class MetricField:
 
     def inverse(self, x) -> np.ndarray:
         g = self.value(x)
-        if np.linalg.cond(g) > CONDITION_LIMIT:
-            raise DegenerateMetric(f"metric singular at {np.asarray(x)}")
+        require_invertible(g, DegenerateMetric, "metric", x)
         return np.linalg.inv(g)
 
 
@@ -77,7 +74,6 @@ class PotentialField:
     dim: int
     func: Callable[[np.ndarray], float]
     domain: Callable[[np.ndarray], bool] | None = None
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
     hess: Callable[[np.ndarray], np.ndarray] | None = None
     third: Callable[[np.ndarray], np.ndarray] | None = None
     log_hess: Callable[[np.ndarray], np.ndarray] | None = None
@@ -231,13 +227,12 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
 
     Checks the defining compatibility d_k g_ij = G+_{ki,j} + G-_{kj,i}
     (indices lowered with g) by finite differences, and reports the
-    curvature residual of each connection.
+    curvature residual of each connection.  A singular metric at beta
+    raises DegenerateMetric from the Christoffel symbols.
     """
     beta = np.asarray(beta, dtype=float)
     metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
     g = metric.value(beta)
-    if np.linalg.cond(g) > CONDITION_LIMIT:
-        raise DegenerateMetric("metric singular at the requested point")
 
     def plus_minus(b):
         lc = christoffel(metric, b)
@@ -315,22 +310,3 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
         )
     return PencilReport(base, derived, combos, tol)
 
-
-def pullback_metric(metric: MetricField, diffeo: Callable, jac: Callable | None = None) -> MetricField:
-    """Metric in new coordinates: h(x) = J(x)^T g(diffeo(x)) J(x)."""
-
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        J = np.asarray(jac(x)) if jac is not None else numdiff.jacobian(diffeo, x).T
-        return J.T @ metric.value(np.asarray(diffeo(x), dtype=float)) @ J
-
-    return MetricField(metric.dim, value, name=f"pullback({metric.name})")
-
-
-def metric_compatibility_residual(metric: MetricField, x) -> float:
-    """Max |d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il| at x."""
-    g = metric.value(x)
-    dg = metric.derivative(x)
-    gamma = christoffel(metric, x)
-    nabla = dg - np.einsum("lki,lj->kij", gamma, g) - np.einsum("lkj,il->kij", gamma, g)
-    return float(np.max(np.abs(nabla)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidStructure, NonFiniteValue, ZeroDivisor
+from .errors import DimensionMismatch, InvalidStructure, NonFiniteValue, ZeroDivisor, symmetric_part
 
 # Scale-relative guard for the null cone |re^2 - im^2| = 0.
 ZERO_DIVISOR_RTOL = 1e-12
@@ -180,8 +180,7 @@ def para_hermitian_product(g, xi: ParaVector, eta: ParaVector) -> ParaNumber:
         raise DimensionMismatch(
             f"pairing needs matching sizes, got g{g.shape}, xi[{n}], eta[{len(eta)}]"
         )
-    if not np.allclose(g, g.T, atol=1e-12):
-        raise InvalidStructure("the pairing matrix must be symmetric")
+    g = symmetric_part(g, "pairing matrix")
     total = ParaNumber()
     for j in range(n):
         total = total + g[j, j] * (xi[j] * para_conj(eta[j]))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, InvalidStructure
+from .errors import DimensionMismatch, require_antisymmetric
 from .paracomplex import ParaVector, para_hermitian_product
 from .symplectic import Observable, PhasePoint
 
@@ -37,9 +37,7 @@ class StructureConstants:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 3 or len(set(g.shape)) != 1:
             raise DimensionMismatch("constants must be a cube")
-        if np.max(np.abs(g + np.swapaxes(g, 1, 2))) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise InvalidStructure("constants must be antisymmetric in the lower pair")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", require_antisymmetric(g, "constants"))
 
     @property
     def dim(self) -> int:

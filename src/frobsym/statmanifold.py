@@ -23,9 +23,8 @@ from .errors import (
     InvalidFamily,
     NonConvergence,
     NonFiniteValue,
+    require_invertible,
 )
-
-METRIC_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -180,19 +179,11 @@ def _symmetrize(t: np.ndarray) -> np.ndarray:
     return acc / len(perms)
 
 
-def fisher_metric(fam: ExponentialFamily, beta) -> np.ndarray:
-    """Covariance of the statistics at beta (the order-2 tensor)."""
-    return cumulant_tensor(fam, beta, 2).values
-
-
 def checked_metric(fam: ExponentialFamily, beta) -> np.ndarray:
-    """Fisher metric; DegenerateMetric when its condition number passes the limit."""
-    g = fisher_metric(fam, beta)
-    if np.linalg.cond(g) > METRIC_CONDITION_LIMIT:
-        raise DegenerateMetric(
-            f"metric condition number exceeds {METRIC_CONDITION_LIMIT:.0e}"
-        )
-    return g
+    """Fisher metric, the covariance of the statistics at beta (the order-2
+    tensor); DegenerateMetric when it is numerically singular."""
+    return require_invertible(cumulant_tensor(fam, beta, 2).values,
+                              DegenerateMetric, "Fisher metric", beta)
 
 
 def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonConvergence,
-                     NonFiniteValue)
+                     NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
 from .geometry import MetricField, PotentialField
 
 _EMPTY = np.zeros(0)
@@ -143,22 +143,16 @@ class TwoForm:
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
 
-    ANTISYMMETRY_TOL = 1e-12
-
     def matrix(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         J = np.asarray(self.func(point), dtype=float)
         if J.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"coefficients have shape {J.shape}")
-        scale = max(1.0, float(np.max(np.abs(J))))
-        if np.max(np.abs(J + J.T)) > self.ANTISYMMETRY_TOL * scale:
-            raise InvalidStructure(f"form coefficients not antisymmetric at {point}")
-        return J
+        return require_antisymmetric(J, "form coefficients", point)
 
     def inverse(self, point) -> np.ndarray:
         J = self.matrix(point)
-        if np.linalg.cond(J) > 1e12:
-            raise DegenerateForm(f"form singular at {np.asarray(point)}")
+        require_invertible(J, DegenerateForm, "form", point)
         return np.linalg.inv(J)
 
     def pair(self, point, xi, eta) -> float:
@@ -181,7 +175,8 @@ def paracomplex_two_form(g, m: int) -> TwoForm:
     ``g`` is the symmetric m x m metric block: a constant matrix or a
     callable of the full real point (x^1..x^m, y^1..y^m).  The block layout
     and overall sign follow the module convention above, so m=1 with G=1 is
-    exactly +dx^dy.  Symmetry of G makes the coefficients equal their own
+    exactly +dx^dy.  A G that is not symmetric raises InvalidStructure; its
+    symmetric part is used, so the coefficients equal their own
     antisymmetrization identically.
     """
     z = np.zeros((m, m))
@@ -193,7 +188,7 @@ def paracomplex_two_form(g, m: int) -> TwoForm:
         G = np.asarray(g(point) if callable(g) else g, dtype=float)
         if G.shape != (m, m):
             raise DimensionMismatch(f"metric block has shape {G.shape}")
-        G = 0.5 * (G + G.T)
+        G = symmetric_part(G, "metric block", point)
         return np.block([[z, G], [-G, z]])
 
     return TwoForm(2 * m, coeffs)
@@ -234,20 +229,11 @@ def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
         adapted = np.concatenate([x + y, x - y])
         w = dolbeault_form(phi, adapted)
         # dz+^a ^ dz-^b = (dx^a + dy^a) ^ (dx^b - dy^b); each wedge term
-        # c * du ^ dv contributes J[u, v] += c, J[v, u] -= c.
-        J = np.zeros((2 * m, 2 * m))
-        for a in range(m):
-            for b in range(m):
-                c = w[a, b]
-                J[a, b] += c            # dx^a ^ dx^b
-                J[b, a] -= c
-                J[m + a, m + b] -= c    # dy^a ^ dy^b
-                J[m + b, m + a] += c
-                J[a, m + b] -= c        # dx^a ^ dy^b
-                J[m + b, a] += c
-                J[m + a, b] += c        # dy^a ^ dx^b
-                J[b, m + a] -= c
-        return J
+        # c * du ^ dv contributes J[u, v] += c, J[v, u] -= c.  Summed over
+        # (a, b), w[a, b] dx^a ^ dx^b gives the dx-dx block w - w^T,
+        # -w[a, b] dy^a ^ dy^b the dy-dy block -(w - w^T), and the two
+        # cross terms the blocks -(w + w^T) and w + w^T.
+        return np.block([[w - w.T, -(w + w.T)], [w + w.T, -(w - w.T)]])
 
     return TwoForm(2 * m, coeffs)
 
@@ -414,9 +400,8 @@ def hamiltonian_vector_field(H: Observable, form: TwoForm, y: PhasePoint,
                              h: float | None = None) -> np.ndarray:
     """X with form(X, .) = dH at y, i.e. J_ij X^i = dH/dy^j."""
     grad = H.gradient(y, h=h)
-    J = form.matrix(y.flat())
-    if np.linalg.cond(J) > 1e12:
-        raise DegenerateForm("form singular at the probed point")
+    point = y.flat()
+    J = require_invertible(form.matrix(point), DegenerateForm, "form", point)
     return np.linalg.solve(J.T, grad)
 
 

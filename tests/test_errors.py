@@ -1,0 +1,119 @@
+"""The shared symmetry, skew and conditioning guards of frobsym.errors.
+
+Oracles:
+
+  g = [[1, 1], [1.000005, 1]]    max|g - g^T| = 5e-6 > 1e-12 * max(1, max|g|):
+                                 not symmetric, at every site that needs it
+  [[0, 1], [-1.000005, 0]]       the skew analogue, not antisymmetric
+  diag(1, 1e-13)                 condition number 1e13 > 1e12: singular, with
+                                 each site's own error type
+"""
+
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import frobsym
+from frobsym import (
+    DegenerateForm,
+    DegenerateMetric,
+    ExponentialFamily,
+    FrobeniusAlgebra,
+    FrobsymError,
+    InvalidStructure,
+    MetricField,
+    Observable,
+    ParaVector,
+    PhasePoint,
+    PotentialField,
+    StructureConstants,
+    TwoForm,
+    algebra_from_potential,
+    dual_connections,
+    hamiltonian_vector_field,
+    para_hermitian_product,
+    paracomplex_two_form,
+    wdvv_residual,
+)
+from frobsym.errors import require_invertible, symmetric_part
+from frobsym.paracomplex import E, ONE
+from frobsym.statmanifold import checked_metric
+
+ASYMMETRIC = np.array([[1.0, 1.0], [1.000005, 1.0]])
+NOT_SKEW = np.array([[0.0, 1.0], [-1.000005, 0.0]])
+SINGULAR = np.diag([1.0, 1e-13])
+
+
+def singular_fisher_family():
+    """Two independent bits, the second scaled by sqrt(1e-13): at beta = 0
+    the Fisher metric is 0.25 * diag(1, 1e-13)."""
+    s = np.sqrt(1e-13)
+    return ExponentialFamily(np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, s, s]]))
+
+
+class TestSymmetrySites:
+    @pytest.mark.parametrize("build", [
+        lambda: MetricField(2, lambda x: ASYMMETRIC).value([0.0, 0.0]),
+        lambda: FrobeniusAlgebra(np.zeros((2, 2, 2)), ASYMMETRIC),
+        lambda: para_hermitian_product(ASYMMETRIC, ParaVector([ONE, E]), ParaVector([E, ONE])),
+        lambda: paracomplex_two_form(ASYMMETRIC, 2).matrix(np.zeros(4)),
+    ], ids=["metric_value", "frobenius_pairing", "para_hermitian_pairing", "paracomplex_form"])
+    def test_asymmetric_matrix_is_invalid_structure(self, build):
+        with pytest.raises(InvalidStructure) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("build", [
+        lambda: TwoForm(2, lambda x: NOT_SKEW).matrix([0.0, 0.0]),
+        lambda: StructureConstants(np.array([NOT_SKEW, NOT_SKEW])),
+    ], ids=["form_coefficients", "spin_constants"])
+    def test_non_skew_matrix_is_invalid_structure(self, build):
+        with pytest.raises(InvalidStructure) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+        assert isinstance(info.value, ValueError)
+
+    def test_symmetric_part_is_exactly_symmetric_within_the_bound(self):
+        g = np.array([[1.0, 0.3], [0.3 + 1e-14, 2.0]])
+        sym = symmetric_part(g, "metric")
+        assert np.array_equal(sym, sym.T)
+        assert np.max(np.abs(sym - g)) <= 1e-14
+
+
+class TestConditioningSites:
+    @pytest.mark.parametrize("build, error", [
+        (lambda: MetricField(2, lambda x: SINGULAR).inverse([0.0, 0.0]), DegenerateMetric),
+        (lambda: checked_metric(singular_fisher_family(), [0.0, 0.0]), DegenerateMetric),
+        (lambda: dual_connections(singular_fisher_family(), [0.0, 0.0]), DegenerateMetric),
+        (lambda: algebra_from_potential(np.zeros((2, 2, 2)), SINGULAR), DegenerateMetric),
+        (lambda: wdvv_residual(PotentialField(2, lambda x: 0.0, third=lambda x: np.zeros((2, 2, 2))),
+                               SINGULAR, [0.0, 0.0]), DegenerateMetric),
+        (lambda: paracomplex_two_form(SINGULAR, 2).inverse(np.zeros(4)), DegenerateForm),
+        (lambda: hamiltonian_vector_field(Observable(lambda y: 0.0, grad=lambda y: np.zeros(4)),
+                                          paracomplex_two_form(SINGULAR, 2),
+                                          PhasePoint(np.zeros(2), np.zeros(2))), DegenerateForm),
+    ], ids=["metric_inverse", "fisher_metric", "dual_connections", "algebra_pairing",
+            "wdvv_metric", "form_inverse", "hamiltonian_vector_field"])
+    def test_singular_matrix_raises_the_sites_error(self, build, error):
+        with pytest.raises(error) as info:
+            build()
+        assert isinstance(info.value, FrobsymError)
+
+    def test_condition_number_at_most_the_limit_passes(self):
+        g = np.diag([1.0, 1e-11])
+        assert require_invertible(g, DegenerateMetric, "metric") is g
+
+
+def test_only_the_errors_module_decides_symmetry_and_conditioning():
+    """Every site calls the guards above instead of its own cond/allclose."""
+    package = pathlib.Path(frobsym.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"linalg\.cond\b|\bcond\(|allclose", line)
+    ]
+    assert offenders == []

@@ -163,6 +163,35 @@ class TestDolbeault:
             pts = [rng.normal(0.0, 0.6, phi.dim) for _ in range(3)]
             assert closedness_residual(form, pts) < 1e-5
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_realified_blocks_equal_the_wedge_expansion(self, m):
+        """The block coefficients equal, bit for bit, the term-by-term
+        expansion of sum w[a, b] (dx^a + dy^a) ^ (dx^b - dy^b)."""
+
+        def wedge_expansion(w):
+            J = np.zeros((2 * m, 2 * m))
+            for a in range(m):
+                for b in range(m):
+                    c = w[a, b]
+                    J[a, b] += c            # dx^a ^ dx^b
+                    J[b, a] -= c
+                    J[m + a, m + b] -= c    # dy^a ^ dy^b
+                    J[m + b, m + a] += c
+                    J[a, m + b] -= c        # dx^a ^ dy^b
+                    J[m + b, a] += c
+                    J[m + a, b] += c        # dy^a ^ dx^b
+                    J[b, m + a] -= c
+            return J
+
+        rng = np.random.default_rng(40 + m)
+        for scale in (1e-8, 1.0, 1e8):
+            w = scale * rng.normal(size=(m, m))
+            full = np.zeros((2 * m, 2 * m))
+            full[:m, m:] = w  # dolbeault_form reads only this block
+            phi = PotentialField(2 * m, lambda x: 0.0, hess=lambda x, full=full: full)
+            J = realified_dolbeault_two_form(phi).matrix(rng.normal(size=2 * m))
+            assert np.array_equal(J, wedge_expansion(w))
+
     def test_block_form_with_potential_derived_metric_closed(self):
         """Feeding the mixed-partial matrix of a pairwise potential into the
         [[0, G], [-G, 0]] block form keeps it closed: each diagonal entry
