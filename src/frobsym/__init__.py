@@ -61,6 +61,7 @@ from .statmanifold import (
 )
 from .geometry import (
     CurvatureReport,
+    HessianStructure,
     MetricField,
     PotentialField,
     automorphism_invariance_residual,
@@ -70,6 +71,7 @@ from .geometry import (
     dual_connections,
     flat_pencil_check,
     hessian_log_metric,
+    hessian_structure,
 )
 from .frobenius import (
     FrobeniusAlgebra,

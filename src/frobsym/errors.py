@@ -115,8 +115,15 @@ def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:
 
 
 def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.ndarray:
-    """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT."""
+    """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT.
+
+    ``m`` may be a stack of matrices over leading axes; ``at`` is then the
+    matching stack of points, and the message names the worst one.
+    """
     cond = np.linalg.cond(m)
-    if cond > CONDITION_LIMIT:
-        raise error(f"{what} singular{_at(at)} (condition number {cond:.1e})")
+    over = cond > CONDITION_LIMIT
+    if over.any():
+        worst = np.unravel_index(np.argmax(np.where(over, cond, 0.0)), cond.shape)
+        point = None if at is None else np.asarray(at)[worst]
+        raise error(f"{what} singular{_at(point)} (condition number {cond[worst]:.1e})")
     return m

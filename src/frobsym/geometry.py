@@ -102,6 +102,14 @@ def _point(dim: int, x) -> np.ndarray:
     return x
 
 
+def _points(dim: int, x) -> np.ndarray:
+    """One point of ``dim`` coordinates, or a (P, dim) stack of them."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise DimensionMismatch(f"expected a point or a stack of points with {dim} coordinates")
+    return x
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     max_riemann: float
@@ -113,14 +121,17 @@ class CurvatureReport:
         return self.max_riemann <= self.tolerance
 
 
+def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma[..., i, j, k] from g^-1 and dg[..., k, i, j] = d_k g_ij, over any leading axes."""
+    # 1/2 g^{il} (d_j g_lk + d_k g_jl - d_l g_jk)
+    bracket = np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg
+    gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, bracket)
+    return 0.5 * (gamma + np.swapaxes(gamma, -2, -1))
+
+
 def christoffel(metric: MetricField, x, h: float | None = None) -> np.ndarray:
     """Levi-Civita symbols G[i, j, k] = Gamma^i_jk, symmetric in (j, k)."""
-    ginv = metric.inverse(x)
-    dg = metric.derivative(x, h=h)  # dg[k, i, j] = d_k g_ij
-    # 1/2 g^{il} (d_j g_lk + d_k g_jl - d_l g_jk)
-    bracket = np.einsum("jlk->ljk", dg) + np.einsum("kjl->ljk", dg) - dg
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, bracket)
-    return 0.5 * (gamma + np.swapaxes(gamma, 1, 2))
+    return _levi_civita(metric.inverse(x), metric.derivative(x, h=h))
 
 
 def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x,
@@ -156,6 +167,62 @@ def curvature_flatness(metric: MetricField, points, tol: float = DEFAULT_CURVATU
     return CurvatureReport(max_r, max_t, tol)
 
 
+@dataclass(frozen=True)
+class HessianStructure:
+    """A Hessian metric and its Levi-Civita geometry, stacked over P points.
+
+    ``metric[p, i, j]`` is g_ij, ``gamma[p, i, j, k]`` is Gamma^i_jk and
+    ``riemann[p, i, j, k, l]`` is R^i_jkl, in the index conventions of
+    :func:`christoffel` and :func:`riemann_tensor`.
+    """
+
+    metric: np.ndarray
+    gamma: np.ndarray
+    riemann: np.ndarray
+
+    def curvature(self, tol: float = DEFAULT_CURVATURE_TOL) -> CurvatureReport:
+        """Max Riemann residual scaled by max(1, |g|) per point, and torsion."""
+        count = self.metric.shape[0]
+        riem = abs(self.riemann).reshape(count, -1).max(axis=1)
+        scale = np.maximum(1.0, abs(self.metric).reshape(count, -1).max(axis=1))
+        torsion = abs(self.gamma - self.gamma.swapaxes(-2, -1)).max()
+        return CurvatureReport(float((riem / scale).max()), float(torsion), tol)
+
+    def multiply(self, a, b) -> np.ndarray:
+        """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
+
+        ``a`` and ``b`` are one vector each or one per point; the result
+        has one vector per point.
+        """
+        return -np.einsum("...ijk,...j,...k->...i", self.gamma, a, b)
+
+
+def hessian_structure(metric: MetricField, points, h: float | None = None) -> HessianStructure:
+    """Metric, Christoffel symbols and curvature of a Hessian metric at P points.
+
+    g = d^2 psi in the affine coordinates, so d_k g_ij = T_ijk is totally
+    symmetric and Gamma^i_jk = 1/2 g^il T_ljk.  The fourth derivatives of
+    psi then cancel from R, which is the commutator of the tangent algebra
+    operators (Totaro 2004; Shima 2007, ch. 2):
+
+        R^i_jkl = Gamma^i_lm Gamma^m_kj - Gamma^i_km Gamma^m_lj.
+
+    So the metric is flat iff its tangent algebra a o b = -Gamma(a, b) is
+    associative, and no second difference level is needed.  Each point
+    costs one ``metric.value`` and one ``metric.derivative(x, h)``; Gamma
+    is bit-identical to :func:`christoffel` at each point.  Raises
+    DegenerateMetric, naming the worst point, if any g is singular.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    g = np.stack([metric.value(x) for x in points])
+    dg = np.stack([metric.derivative(x, h=h) for x in points])
+    require_invertible(g, DegenerateMetric, "metric", points)
+    gamma = _levi_civita(np.linalg.inv(g), dg)
+    riemann = (np.einsum("pilm,pmkj->pijkl", gamma, gamma)
+               - np.einsum("pikm,pmlj->pijkl", gamma, gamma))
+    return HessianStructure(g, gamma, riemann)
+
+
 def hessian_log_metric(phi: PotentialField, h: float | None = None) -> MetricField:
     """Metric g_ij = Hessian of log(phi); requires phi > 0 at probed points."""
 
@@ -184,12 +251,15 @@ def hessian_log_metric(phi: PotentialField, h: float | None = None) -> MetricFie
 
 
 def cone_multiply(phi: PotentialField, x, a, b, h: float | None = None) -> np.ndarray:
-    """Tangent multiplication (a o b)^i = -Gamma^i_jk a^j b^k of the log-Hessian metric."""
-    metric = hessian_log_metric(phi, h=h)
-    gamma = christoffel(metric, x)
-    a = _point(phi.dim, a)
-    b = _point(phi.dim, b)
-    return -np.einsum("ijk,j,k->i", gamma, a, b)
+    """Tangent multiplication (a o b)^i = -Gamma^i_jk a^j b^k of the log-Hessian metric.
+
+    Broadcasts over a leading point axis: each of x, a and b is one vector
+    of ``phi.dim`` coordinates or a (P, dim) stack, and the structure is
+    built once for all the points of x.
+    """
+    x, a, b = (_points(phi.dim, v) for v in (x, a, b))
+    product = hessian_structure(hessian_log_metric(phi, h=h), x).multiply(a, b)
+    return product.reshape(np.broadcast_shapes(x.shape, a.shape, b.shape))
 
 
 def automorphism_invariance_residual(phi: PotentialField, A, points) -> float:
@@ -289,12 +359,8 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
         d = metric_contravariant.derivative(x)
         return d[direction]
 
-    for x in points:
-        g2 = derived_upper(x)
-        if abs(np.linalg.det(g2)) < 1e-12:
-            raise DegeneratePencil(
-                f"derivative metric has near-zero determinant at {x}"
-            )
+    require_invertible(np.stack([derived_upper(x) for x in points]), DegeneratePencil,
+                       "derivative metric", points)
 
     def flatness_of_upper(fn) -> float:
         lower = MetricField(metric_contravariant.dim,

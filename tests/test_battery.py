@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,10 @@ from frobsym.battery import (
     spec_from_dict,
 )
 from frobsym.cli import main
+from frobsym import registry
+from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms
+from frobsym.geometry import (MetricField, christoffel, hessian_log_metric,
+                              hessian_structure)
 from frobsym.registry import METRICS
 from frobsym.errors import ParseError, SchemaError
 from frobsym.paracomplex import (ParaNumber, idempotent_decompose, para_conj,
@@ -304,6 +309,23 @@ class TestRunBattery:
         assert all(row.residual is not None for row in report.rows)
         assert report.all_passed()
 
+    def test_lattice_constant_skew_never_forms_the_dense_operator(self):
+        """At r = 3 and 1024 sites the dense 3072 x 3072 operator alone
+        takes 75 MB, and B + B^T as much again."""
+        spec = spec_from_dict({
+            "kind": "lattice",
+            "payload": {"sites": 1024, "field_dim": 3, "coefficients": "linear_diagonal"},
+            "checks": ["lattice_constant_skew"],
+        })
+        tracemalloc.start()
+        try:
+            report = run_battery(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.rows[0].residual == 0.0
+        assert peak < 16e6
+
     @pytest.mark.parametrize("field_dim", [1, 2])
     def test_lattice_constant_skew_exact_on_fine_grid(self, field_dim):
         spec = spec_from_dict({
@@ -383,6 +405,140 @@ class TestPinnedResiduals:
         spec = spec_from_dict({"kind": kind, "payload": payload,
                                "checks": [check], "seed": seed})
         assert run_battery(spec).rows[0].residual == residual
+
+
+def reference_cone_points(ctx, count=3):
+    """Cone probe points drawn one at a time, as a list."""
+    if "points" in ctx.spec.payload:
+        return [np.asarray(p, dtype=float) for p in ctx.spec.payload["points"]]
+    dim = ctx.potential().dim
+    return [np.exp(ctx.rng.normal(0.0, 0.3, size=dim)) + 0.2 for _ in range(count)]
+
+
+def reference_product(phi, x, a, b):
+    return -np.einsum("ijk,j,k->i", christoffel(hessian_log_metric(phi), x), a, b)
+
+
+def reference_cone_unit(ctx):
+    """Per-point loop: metric and Christoffel symbols rebuilt for each product."""
+    phi = ctx.potential()
+    worst = 0.0
+    for x in reference_cone_points(ctx):
+        a = ctx.rng.normal(0.0, 1.0, phi.dim)
+        worst = max(worst, float(np.max(np.abs(reference_product(phi, x, x, a) - a))))
+    return worst
+
+
+def reference_cone_algebra(ctx):
+    phi = ctx.potential()
+    worst = 0.0
+    for x in reference_cone_points(ctx):
+        a, b, c = (ctx.rng.normal(0.0, 1.0, phi.dim) for _ in range(3))
+        ab = reference_product(phi, x, a, b)
+        worst = max(worst, float(np.max(np.abs(ab - reference_product(phi, x, b, a)))))
+        assoc = (reference_product(phi, x, ab, c)
+                 - reference_product(phi, x, a, reference_product(phi, x, b, c)))
+        worst = max(worst, float(np.max(np.abs(assoc))))
+    return worst
+
+
+def reference_cone_frobenius(ctx):
+    phi = ctx.potential()
+    x0 = reference_cone_points(ctx, 1)[0]
+    metric = hessian_log_metric(phi)
+    alg = FrobeniusAlgebra(-christoffel(metric, x0), metric.value(x0), unit=x0)
+    return frobenius_axioms(alg).worst_identity_residual()
+
+
+REFERENCE_CONE_ROWS = {"cone_unit": reference_cone_unit, "cone_algebra": reference_cone_algebra,
+                       "frobenius_axioms": reference_cone_frobenius}
+
+
+@pytest.fixture
+def lorentz3(monkeypatch):
+    from test_geometry import lorentz_potential
+
+    monkeypatch.setitem(registry.POTENTIALS, "lorentz3", lorentz_potential)
+    return "lorentz3"
+
+
+LORENTZ_POINTS = [[1.5, 0.2, -0.4], [2.0, 0.5, 0.7], [1.1, -0.3, 0.1]]
+
+
+def cone_spec(potential, checks, points=None, seed=0):
+    payload = {"potential": potential}
+    if points is not None:
+        payload["points"] = points
+    return spec_from_dict({"kind": "cone_potential", "payload": payload,
+                           "checks": checks, "seed": seed})
+
+
+class TestConeRows:
+    """The cone rows build one stacked Hessian structure per row."""
+
+    @pytest.mark.parametrize("potential", ["orthant2", "orthant3"])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("check", sorted(REFERENCE_CONE_ROWS))
+    def test_rows_match_the_per_point_loop(self, potential, seed, check):
+        for points in (None, np.exp(np.random.default_rng(seed).normal(
+                0.0, 0.3, size=(7, int(potential[-1])))).tolist()):
+            spec = cone_spec(potential, [check], points, seed)
+            ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])),
+                               RunOptions())
+            assert run_battery(spec).rows[0].residual == REFERENCE_CONE_ROWS[check](ctx)
+
+    @pytest.mark.parametrize("check", sorted(REFERENCE_CONE_ROWS))
+    def test_lorentz_rows_match_the_per_point_loop(self, lorentz3, check):
+        spec = cone_spec(lorentz3, [check], LORENTZ_POINTS)
+        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([0, 0])),
+                           RunOptions())
+        assert run_battery(spec).rows[0].residual == REFERENCE_CONE_ROWS[check](ctx)
+
+    @pytest.mark.parametrize("check, pinned", [
+        ("cone_unit", {"orthant2": 4.440892098500626e-16, "orthant3": 2.220446049250313e-16}),
+        ("cone_algebra", {"orthant2": 2.7755575615628914e-17,
+                          "orthant3": 8.881784197001252e-16}),
+        ("flatness", {"orthant2": 0.0, "orthant3": 0.0}),
+        ("frobenius_axioms", {"orthant2": 0.0, "orthant3": 0.0}),
+    ])
+    def test_catalog_residuals_are_unchanged(self, check, pinned):
+        for potential, residual in pinned.items():
+            report = run_battery(builtin_catalog()[f"orthant_cone{potential[-1]}"].spec)
+            assert {row.name: row.residual for row in report.rows}[check] == residual
+
+    @pytest.mark.parametrize("check, calls", [
+        ("flatness", 5), ("cone_unit", 5), ("cone_algebra", 5), ("frobenius_axioms", 1),
+        ("hessian_metric_pd", 5)])
+    def test_each_row_evaluates_the_metric_once_per_point(self, check, calls, monkeypatch):
+        """P = 5 payload points; the Frobenius row probes the first one only."""
+        value = MetricField.value
+        seen = []
+        monkeypatch.setattr(MetricField, "value",
+                            lambda self, x: seen.append(1) or value(self, x))
+        points = np.exp(np.random.default_rng(3).normal(0.0, 0.3, size=(5, 3))).tolist()
+        report = run_battery(cone_spec("orthant3", [check], points))
+        assert report.rows[0].status == "pass"
+        assert len(seen) == calls
+
+    def test_lorentz_cone_is_not_flat_and_its_algebra_not_associative(self, lorentz3):
+        """Negative control: a homogeneous cone keeps its unit, but its
+        log-Hessian metric is curved, so the tangent algebra is not associative."""
+        report = run_battery(cone_spec(lorentz3, ["flatness", "cone_unit", "cone_algebra"],
+                                       LORENTZ_POINTS))
+        flatness, unit, algebra = report.rows
+        assert flatness.status == "fail" and flatness.residual > 1e-2
+        assert unit.status == "pass"
+        assert algebra.status == "fail" and algebra.residual > 1e-2
+
+    def test_fd_step_reaches_cone_flatness_through_the_metric_derivative(self, lorentz3):
+        from test_geometry import lorentz_potential
+
+        spec = cone_spec(lorentz3, ["flatness"], LORENTZ_POINTS)
+        stepped = run_battery(spec, RunOptions(fd_step=1e-3)).rows[0].residual
+        metric = hessian_log_metric(lorentz_potential())
+        expected = hessian_structure(metric, LORENTZ_POINTS, h=1e-3).curvature()
+        assert stepped == max(expected.max_riemann, expected.max_torsion)
+        assert stepped != run_battery(spec).rows[0].residual
 
 
 class TestDriftScaling:

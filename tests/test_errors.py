@@ -106,6 +106,16 @@ class TestConditioningSites:
         g = np.diag([1.0, 1e-11])
         assert require_invertible(g, DegenerateMetric, "metric") is g
 
+    def test_stack_passes_when_every_matrix_does(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1e-11])])
+        assert require_invertible(stack, DegenerateMetric, "metric", np.zeros((2, 2))) is stack
+
+    def test_stack_names_its_worst_point(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1e-13]), SINGULAR, np.diag([1.0, 1e-14])])
+        points = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(DegenerateMetric, match=r"at \[6\. 7\.\] \(condition number 1\.0e\+14\)"):
+            require_invertible(stack, DegenerateMetric, "metric", points)
+
 
 def test_only_the_errors_module_decides_symmetry_and_conditioning():
     """Every site calls the guards above instead of its own cond/allclose."""

@@ -7,6 +7,10 @@ Closed forms used as oracles:
   round sphere    diag(1, sin^2 u): Gamma^1_22 = -sin u cos u,
                                   Gamma^2_12 = cot u, curvature ~ 1
   shear on the orthant potential at (1,1): |log phi(Ax) - log phi(x)| = log 2
+  Lorentz cone    phi = q^(-3/2), q = x0^2 - x1^2 - x2^2, y = Jx:
+                  d^2 log phi = -3J/q + 6 y y^T/q^2,
+                  d^3 log phi = 6 (J_ij y_k + J_ik y_j + J_jk y_i)/q^2 - 24 y_i y_j y_k/q^3;
+                  not flat, so its tangent algebra is not associative
 """
 
 import numpy as np
@@ -15,6 +19,7 @@ import pytest
 from frobsym import (
     DegenerateMetric,
     DegeneratePencil,
+    DimensionMismatch,
     DomainViolation,
     ExponentialFamily,
     FrobsymError,
@@ -29,7 +34,9 @@ from frobsym import (
     dual_connections,
     flat_pencil_check,
     hessian_log_metric,
+    hessian_structure,
 )
+from frobsym.geometry import riemann_tensor
 from frobsym.registry import (
     bernoulli_family,
     euclidean_metric,
@@ -41,6 +48,43 @@ from frobsym.registry import (
 
 def orthant_metric_closed_form(n):
     return MetricField(n, lambda x: np.diag(1.0 / np.asarray(x) ** 2))
+
+
+LORENTZ_J = np.diag([1.0, -1.0, -1.0])
+
+
+def lorentz_potential():
+    """phi = (x0^2 - x1^2 - x2^2)^(-3/2) on the future light cone, analytic."""
+
+    def q(x):
+        return x @ LORENTZ_J @ x
+
+    def log_hess(x):
+        y = LORENTZ_J @ x
+        return -3.0 * LORENTZ_J / q(x) + 6.0 * np.outer(y, y) / q(x) ** 2
+
+    def log_third(x):
+        y = LORENTZ_J @ x
+        sym = (np.einsum("ij,k->ijk", LORENTZ_J, y) + np.einsum("ik,j->ijk", LORENTZ_J, y)
+               + np.einsum("jk,i->ijk", LORENTZ_J, y))
+        return 6.0 * sym / q(x) ** 2 - 24.0 * np.einsum("i,j,k->ijk", y, y, y) / q(x) ** 3
+
+    return PotentialField(3, lambda x: q(x) ** -1.5,
+                          domain=lambda x: bool(x[0] > np.hypot(x[1], x[2])),
+                          log_hess=log_hess, log_third=log_third, name="lorentz3")
+
+
+def lorentz_points(rng, count):
+    """Points well inside the light cone."""
+    x = rng.normal(0.0, 0.3, size=(count, 3))
+    x[:, 0] = 1.0 + np.abs(x[:, 0]) + np.hypot(x[:, 1], x[:, 2])
+    return x
+
+
+def fd_orthant_potential(n):
+    """The orthant potential with no analytic derivatives."""
+    base = orthant_potential(n)
+    return PotentialField(n, base.func, domain=base.domain)
 
 
 def metric_compatibility_residual(metric, x):
@@ -174,6 +218,30 @@ class TestConeMultiplication:
         out = cone_multiply(orthant_potential(2), x, x, a)
         assert np.allclose(out, a, atol=1e-10)
 
+    def test_broadcasts_over_points(self):
+        rng = np.random.default_rng(2)
+        phi = orthant_potential(3)
+        x = np.exp(rng.normal(0.0, 0.3, size=(4, 3))) + 0.2
+        a, b = rng.normal(size=(2, 4, 3))
+        stacked = cone_multiply(phi, x, a, b)
+        assert stacked.shape == (4, 3)
+        for p in range(4):
+            assert np.array_equal(stacked[p], cone_multiply(phi, x[p], a[p], b[p]))
+        # one vector is shared by every point
+        shared = cone_multiply(phi, x, a[0], b)
+        assert np.array_equal(shared[2], cone_multiply(phi, x[2], a[0], b[2]))
+        # one base point, several vector pairs
+        at_one = cone_multiply(phi, x[1], a, b)
+        assert at_one.shape == (4, 3)
+        assert np.array_equal(at_one[3], cone_multiply(phi, x[1], a[3], b[3]))
+
+    def test_rejects_wrong_shapes(self):
+        phi = orthant_potential(2)
+        with pytest.raises(DimensionMismatch):
+            cone_multiply(phi, [1.0, 2.0, 3.0], [1.0, 0.0], [1.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            cone_multiply(phi, np.ones((2, 2, 2)), [1.0, 0.0], [1.0, 0.0])
+
     def test_bilinear_and_commutative(self):
         rng = np.random.default_rng(6)
         phi = orthant_potential(3)
@@ -184,6 +252,81 @@ class TestConeMultiplication:
             assert np.allclose(two_a, 2.0 * cone_multiply(phi, x, a, b), atol=1e-12)
             assert np.allclose(cone_multiply(phi, x, a, b),
                                cone_multiply(phi, x, b, a), atol=1e-12)
+
+
+class TestHessianStructure:
+    @pytest.mark.parametrize("phi", [orthant_potential(2), orthant_potential(3),
+                                     fd_orthant_potential(2), lorentz_potential()],
+                             ids=["orthant2", "orthant3", "fd_orthant2", "lorentz3"])
+    def test_stacked_gamma_is_christoffel_at_each_point(self, phi):
+        rng = np.random.default_rng(4)
+        points = (lorentz_points(rng, 6) if phi.name == "lorentz3"
+                  else np.exp(rng.normal(0.0, 0.3, size=(6, phi.dim))) + 0.2)
+        metric = hessian_log_metric(phi)
+        structure = hessian_structure(metric, points)
+        assert structure.gamma.shape == (6,) + (phi.dim,) * 3
+        assert structure.riemann.shape == (6,) + (phi.dim,) * 4
+        for x, g, gamma in zip(points, structure.metric, structure.gamma):
+            assert np.array_equal(g, metric.value(x))
+            assert np.array_equal(gamma, christoffel(metric, x))
+
+    def test_step_reaches_the_metric_derivative(self):
+        metric = hessian_log_metric(orthant_potential(2))
+        x = np.array([1.3, 0.6])
+        structure = hessian_structure(metric, [x], h=1e-4)
+        assert np.array_equal(structure.gamma[0], christoffel(metric, x, h=1e-4))
+        assert not np.array_equal(structure.gamma[0], christoffel(metric, x))
+
+    def test_one_point_is_a_stack_of_one(self):
+        metric = hessian_log_metric(orthant_potential(2))
+        one = hessian_structure(metric, [1.0, 2.0])
+        assert one.gamma.shape == (1, 2, 2, 2)
+        assert np.array_equal(one.gamma, hessian_structure(metric, [[1.0, 2.0]]).gamma)
+
+    def test_lorentz_closed_form_curvature_matches_differenced_connection(self):
+        metric = hessian_log_metric(lorentz_potential())
+        points = lorentz_points(np.random.default_rng(7), 4)
+        structure = hessian_structure(metric, points)
+        for x, riem in zip(points, structure.riemann):
+            fd = riemann_tensor(lambda y: christoffel(metric, y), x)
+            assert np.max(np.abs(riem - fd)) <= 1e-5
+            assert np.max(np.abs(riem)) > 1e-2  # not flat
+
+    def test_curvature_is_the_associator_of_the_tangent_algebra(self):
+        """R(c, a, b) = b o (a o c) - a o (b o c) with a o b = -Gamma(a, b)."""
+        phi = lorentz_potential()
+        rng = np.random.default_rng(8)
+        points = lorentz_points(rng, 5)
+        a, b, c = rng.normal(size=(3, 5, 3))
+        structure = hessian_structure(hessian_log_metric(phi), points)
+        curvature = np.einsum("pijkl,pj,pk,pl->pi", structure.riemann, c, a, b)
+        assoc = (cone_multiply(phi, points, b, cone_multiply(phi, points, a, c))
+                 - cone_multiply(phi, points, a, cone_multiply(phi, points, b, c)))
+        assert np.max(np.abs(curvature - assoc)) <= 1e-12 * max(1.0, np.max(np.abs(assoc)))
+        assert np.max(np.abs(assoc)) > 1e-2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orthant_curvature_is_exactly_zero(self, n):
+        points = np.exp(np.random.default_rng(n).normal(0.0, 0.3, size=(8, n))) + 0.2
+        structure = hessian_structure(hessian_log_metric(orthant_potential(n)), points)
+        assert np.max(np.abs(structure.riemann)) == 0.0
+        report = structure.curvature()
+        assert report.max_riemann == 0.0 and report.max_torsion == 0.0 and report.flat
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fd_orthant_is_flat_within_one_difference_level(self, n):
+        """Without analytic derivatives, g and dg are differenced once each;
+        R no longer differences Gamma on top of that (4.5e-2 and 6.9e-2
+        through riemann_tensor at n = 2 and 3)."""
+        points = np.exp(np.random.default_rng(0).normal(0.0, 0.3, size=(3, n))) + 0.2
+        metric = hessian_log_metric(fd_orthant_potential(n))
+        assert hessian_structure(metric, points).curvature().max_riemann <= 1e-3
+
+    def test_singular_metric_names_the_worst_point(self):
+        metric = MetricField(2, lambda x: np.diag([1.0, x[1]]),
+                             deriv=lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(DegenerateMetric, match=r"at \[1\. 0\.\]"):
+            hessian_structure(metric, [[1.0, 1.0], [1.0, 0.0], [1.0, 1e-13]])
 
 
 class TestAutomorphismInvariance:
@@ -282,6 +425,19 @@ class TestFlatPencil:
         assert report.residual_derived < 1e-6
         assert max(report.residual_combinations.values()) < 1e-6
         assert report.passed
+
+    def test_small_but_well_conditioned_derivative_has_a_pencil(self):
+        """g^ij = (1 + 1e-7 x0) I: g2 = 1e-7 I has determinant 1e-14 but
+        condition number 1."""
+        metric = MetricField(2, lambda x: (1.0 + 1e-7 * x[0]) * np.eye(2))
+        report = flat_pencil_check(metric)
+        assert report.residual_base <= report.tolerance
+
+    def test_ill_conditioned_derivative_of_unit_determinant_has_no_pencil(self):
+        """g2 = diag(1e7, 1e-7): determinant 1, condition number 1e14."""
+        metric = MetricField(2, lambda x: np.eye(2) + x[0] * np.diag([1e7, 1e-7]))
+        with pytest.raises(DegeneratePencil, match="condition number"):
+            flat_pencil_check(metric)
 
     def test_constant_metric_has_no_pencil(self):
         with pytest.raises(DegeneratePencil):

@@ -452,6 +452,30 @@ class TestLatticeBracket:
         assert lattice_hydro_bracket(lb, u).antisymmetry_residual == 0.0
         assert lattice_jacobi_residual(lb, u) == 0.0
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("sites", [4, 5, 16, 64])
+    def test_banded_skew_residual_equals_the_dense_one(self, r, sites):
+        """max|B + B^T| from the band equals the assembled operator's, bit for bit."""
+        rng = np.random.default_rng(10 * r + sites)
+        a = rng.normal(size=(r, r, r))
+        g0 = rng.normal(size=(r, r))
+        lb = LatticeBracket(sites, r, lambda u: g0 + a @ u, rng.normal(size=(r, r, r)),
+                            spacing=2 * np.pi / sites)
+        for u in (rng.normal(size=(r, sites)), np.full((r, sites), 1.5)):
+            rep = lattice_hydro_bracket(lb, u)
+            B = rep.operator
+            assert rep.antisymmetry_residual == float(np.max(np.abs(B + B.T)))
+
+    def test_operator_is_assembled_on_first_read(self):
+        lb = make_lattice(8)
+        u = smooth_state(lb)
+        rep = lattice_hydro_bracket(lb, u)
+        assert "operator" not in vars(rep)
+        u[0, 0] = 100.0  # the report keeps its own copy of the state
+        first = rep.operator
+        assert rep.operator is first
+        assert np.array_equal(first, lattice_hydro_bracket(lb, smooth_state(lb)).operator)
+
     def test_stencil_is_skew(self):
         D = periodic_derivative_matrix(12, 0.7)
         assert np.array_equal(D, -D.T)
