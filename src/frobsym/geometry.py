@@ -103,9 +103,9 @@ def _point(dim: int, x) -> np.ndarray:
 
 
 def _points(dim: int, x) -> np.ndarray:
-    """One point of ``dim`` coordinates, or a (P, dim) stack of them."""
+    """One point of ``dim`` coordinates, or a non-empty (P, dim) stack of them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != dim or x.size == 0:
         raise DimensionMismatch(f"expected a point or a stack of points with {dim} coordinates")
     return x
 
@@ -180,13 +180,14 @@ class HessianStructure:
     gamma: np.ndarray
     riemann: np.ndarray
 
-    def curvature(self, tol: float = DEFAULT_CURVATURE_TOL) -> CurvatureReport:
+    def curvature(self) -> CurvatureReport:
         """Max Riemann residual scaled by max(1, |g|) per point, and torsion."""
         count = self.metric.shape[0]
         riem = abs(self.riemann).reshape(count, -1).max(axis=1)
         scale = np.maximum(1.0, abs(self.metric).reshape(count, -1).max(axis=1))
         torsion = abs(self.gamma - self.gamma.swapaxes(-2, -1)).max()
-        return CurvatureReport(float((riem / scale).max()), float(torsion), tol)
+        return CurvatureReport(float((riem / scale).max()), float(torsion),
+                               DEFAULT_CURVATURE_TOL)
 
     def multiply(self, a, b) -> np.ndarray:
         """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
@@ -211,9 +212,10 @@ def hessian_structure(metric: MetricField, points, h: float | None = None) -> He
     associative, and no second difference level is needed.  Each point
     costs one ``metric.value`` and one ``metric.derivative(x, h)``; Gamma
     is bit-identical to :func:`christoffel` at each point.  Raises
-    DegenerateMetric, naming the worst point, if any g is singular.
+    DimensionMismatch unless ``points`` is one point or a non-empty stack,
+    and DegenerateMetric, naming the worst point, if any g is singular.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(_points(metric.dim, points))
     g = np.stack([metric.value(x) for x in points])
     dg = np.stack([metric.derivative(x, h=h) for x in points])
     require_invertible(g, DegenerateMetric, "metric", points)
@@ -255,11 +257,15 @@ def cone_multiply(phi: PotentialField, x, a, b, h: float | None = None) -> np.nd
 
     Broadcasts over a leading point axis: each of x, a and b is one vector
     of ``phi.dim`` coordinates or a (P, dim) stack, and the structure is
-    built once for all the points of x.
+    built once for all the points of x.  Stacks whose point counts do not
+    broadcast raise DimensionMismatch.
     """
     x, a, b = (_points(phi.dim, v) for v in (x, a, b))
-    product = hessian_structure(hessian_log_metric(phi, h=h), x).multiply(a, b)
-    return product.reshape(np.broadcast_shapes(x.shape, a.shape, b.shape))
+    try:
+        shape = np.broadcast_shapes(x.shape, a.shape, b.shape)
+    except ValueError:
+        raise DimensionMismatch("x, a and b hold point counts that do not broadcast") from None
+    return hessian_structure(hessian_log_metric(phi, h=h), x).multiply(a, b).reshape(shape)
 
 
 def automorphism_invariance_residual(phi: PotentialField, A, points) -> float:
@@ -347,8 +353,8 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
     for metrics that vary along another axis.  Raises DegeneratePencil when
     g2 is singular at a sample point.
     """
+    n = metric_contravariant.dim
     if points is None:
-        n = metric_contravariant.dim
         points = [np.ones(n) + 0.1 * np.arange(n), 1.5 * np.ones(n)]
     points = [np.asarray(p, dtype=float) for p in points]
 
@@ -359,8 +365,8 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
         d = metric_contravariant.derivative(x)
         return d[direction]
 
-    require_invertible(np.stack([derived_upper(x) for x in points]), DegeneratePencil,
-                       "derivative metric", points)
+    require_invertible(np.reshape([derived_upper(x) for x in points], (len(points), n, n)),
+                       DegeneratePencil, "derivative metric", points)
 
     def flatness_of_upper(fn) -> float:
         lower = MetricField(metric_contravariant.dim,

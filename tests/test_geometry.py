@@ -36,8 +36,10 @@ from frobsym import (
     hessian_log_metric,
     hessian_structure,
 )
+from frobsym import numdiff
 from frobsym.geometry import riemann_tensor
 from frobsym.registry import (
+    POTENTIALS,
     bernoulli_family,
     euclidean_metric,
     offdiagonal_linear_metric,
@@ -201,6 +203,17 @@ class TestHessianLogMetric:
         fd_scaled = hessian_log_metric(PotentialField(2, scaled.func, domain=base.domain))
         assert np.allclose(fd_base.value(x), fd_scaled.value(x), atol=1e-9)
 
+    @pytest.mark.parametrize("name", [k for k, make in POTENTIALS.items()
+                                      if make().log_third is not None])
+    def test_registry_log_third_is_the_derivative_of_log_hess(self, name):
+        """The cone rows take R from Gamma alone, so they trust d_k g_ij to
+        be the derivative of g; a registry entry must keep the two in step."""
+        phi = POTENTIALS[name]()
+        for x in np.random.default_rng(4).uniform(0.3, 3.0, size=(4, phi.dim)):
+            exact = phi.log_third(x)
+            fd = numdiff.jacobian(phi.log_hess, x)
+            assert np.max(np.abs(fd - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+
     def test_nonpositive_potential_rejected(self):
         phi = PotentialField(1, lambda x: float(x[0]))
         with pytest.raises(NonPositivePotential):
@@ -241,6 +254,15 @@ class TestConeMultiplication:
             cone_multiply(phi, [1.0, 2.0, 3.0], [1.0, 0.0], [1.0, 0.0])
         with pytest.raises(DimensionMismatch):
             cone_multiply(phi, np.ones((2, 2, 2)), [1.0, 0.0], [1.0, 0.0])
+        # point counts that do not broadcast
+        with pytest.raises(DimensionMismatch, match="broadcast"):
+            cone_multiply(phi, np.ones((4, 2)), np.ones((3, 2)), [1.0, 0.0])
+        # an empty stack, in any operand
+        for empty in range(3):
+            args = [[1.0, 2.0], [1.0, 0.0], [1.0, 0.0]]
+            args[empty] = np.ones((0, 2))
+            with pytest.raises(DimensionMismatch):
+                cone_multiply(phi, *args)
 
     def test_bilinear_and_commutative(self):
         rng = np.random.default_rng(6)
@@ -282,6 +304,12 @@ class TestHessianStructure:
         one = hessian_structure(metric, [1.0, 2.0])
         assert one.gamma.shape == (1, 2, 2, 2)
         assert np.array_equal(one.gamma, hessian_structure(metric, [[1.0, 2.0]]).gamma)
+
+    @pytest.mark.parametrize("points", [[], np.ones((0, 2)), [[1.0, 2.0, 3.0]]],
+                             ids=["empty_list", "empty_stack", "wrong_dim"])
+    def test_rejects_empty_or_misshapen_stacks(self, points):
+        with pytest.raises(DimensionMismatch):
+            hessian_structure(hessian_log_metric(orthant_potential(2)), points)
 
     def test_lorentz_closed_form_curvature_matches_differenced_connection(self):
         metric = hessian_log_metric(lorentz_potential())
@@ -438,6 +466,11 @@ class TestFlatPencil:
         metric = MetricField(2, lambda x: np.eye(2) + x[0] * np.diag([1e7, 1e-7]))
         with pytest.raises(DegeneratePencil, match="condition number"):
             flat_pencil_check(metric)
+
+    def test_no_points_gives_an_empty_report(self):
+        report = flat_pencil_check(offdiagonal_linear_metric(), points=[])
+        assert report.residual_base == report.residual_derived == 0.0
+        assert report.passed
 
     def test_constant_metric_has_no_pencil(self):
         with pytest.raises(DegeneratePencil):
