@@ -22,16 +22,17 @@ from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
 
 print("== canonical bracket, source sign convention {z, p} = -1 ==")
 y = PhasePoint([0.3], [0.2])
-z_obs = Observable(lambda y: y.z[0])
-p_obs = Observable(lambda y: y.p[0])
+# an observable maps a point, or a stack of points, to one value per point
+z_obs = Observable(lambda y: y.z[..., 0])
+p_obs = Observable(lambda y: y.p[..., 0])
 print(f"{{z, p}} = {canonical_bracket(z_obs, p_obs, y):+.3f}")
-H = Observable(lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z))
+H = Observable(lambda y: 0.5 * np.sum(y.p ** 2 + y.z ** 2, axis=-1))
 print(f"{{H, z}} at (1,0) = {canonical_bracket(H, z_obs, PhasePoint([1.0],[0.0])):+.3f}"
       "   (equals zdot = p)")
 
 print("\n== spin-extended bracket with angular-momentum constants ==")
 ys = PhasePoint([0.0], [0.0], [0.4, -1.1, 0.8])
-spins = [Observable(lambda y, i=i: y.lam[i]) for i in range(3)]
+spins = [Observable(lambda y, i=i: y.lam[..., i]) for i in range(3)]
 print(f"{{L1, L2}} = {extended_bracket(spins[0], spins[1], ys, so3_constants()):+.3f}"
       f"   (-L3 = {-ys.lam[2]:+.3f})")
 res = bracket_property_residuals(

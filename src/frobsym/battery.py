@@ -67,6 +67,7 @@ from .symplectic import (
     legendre_hamiltonian,
     quadratic_energy,
     realified_dolbeault_two_form,
+    rowwise,
 )
 from . import numdiff
 
@@ -520,7 +521,7 @@ def _hamiltonian_observable(ctx: CheckContext) -> Observable:
         dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
         return np.concatenate([dz + u_grad(y.z), v, np.zeros_like(y.lam)])
 
-    return Observable(lambda y: quadratic_energy(metric, y, u_func), grad)
+    return Observable(rowwise(lambda y: quadratic_energy(metric, y, u_func)), grad)
 
 
 def _phase_points(ctx: CheckContext, dim: int, spins: int, count: int = 2) -> list:
@@ -538,11 +539,11 @@ def _check_bracket_suite(ctx: CheckContext) -> float:
     spins = constants.dim if constants else 0
 
     def zpick(y, i=0):
-        return y.z[i % y.z.size]
+        return y.z[..., i % y.z.shape[-1]]
 
-    A = Observable(lambda y: zpick(y) ** 2 + y.p[0] * zpick(y, 1))
-    B = Observable(lambda y: y.p[0] * zpick(y) + float(np.sum(y.lam ** 2)))
-    C = Observable(lambda y: zpick(y, 1) * y.p[-1] + float(np.sum(y.lam)))
+    A = Observable(lambda y: zpick(y) ** 2 + y.p[..., 0] * zpick(y, 1))
+    B = Observable(lambda y: y.p[..., 0] * zpick(y) + np.sum(y.lam ** 2, axis=-1))
+    C = Observable(lambda y: zpick(y, 1) * y.p[..., -1] + np.sum(y.lam, axis=-1))
 
     if constants is not None:
         bracket = lambda f, g, y, h=None: extended_bracket(f, g, y, constants, h=h)
@@ -556,7 +557,7 @@ def _check_evolution_consistency(ctx: CheckContext) -> float:
     H = _hamiltonian_observable(ctx)
     dim = ctx.metric().dim
     y0 = PhasePoint(ctx.rng.normal(0.8, 0.3, dim), ctx.rng.normal(0.0, 0.5, dim))
-    Q = Observable(lambda y: y.z[0])
+    Q = Observable(lambda y: y.z[..., 0])
     alg = evolution_derivative(H, Q, y0)
     dt = 1e-4
     forward = integrate(H, y0, dt, 1).points[-1]

@@ -115,15 +115,30 @@ def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:
 
 
 def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.ndarray:
-    """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT.
+    """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT,
+    NonFiniteValue if it has an infinite or NaN entry.
 
     ``m`` may be a stack of matrices over leading axes; ``at`` is then the
-    matching stack of points, and the message names the worst one.
+    matching stack of points, and the message names the worst one.  The
+    entries are only inspected once the condition number has failed, so a
+    finite matrix costs nothing beyond it.
     """
-    cond = np.linalg.cond(m)
+    try:
+        cond = np.linalg.cond(m)
+    except np.linalg.LinAlgError:
+        # the SVD behind cond does not converge on a NaN entry
+        cond = np.full(np.shape(m)[:-2], np.inf)
     over = cond > CONDITION_LIMIT
     if over.any():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        if not finite.all():
+            worst = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NonFiniteValue(f"{what} has a non-finite entry{_at_worst(at, worst)}")
         worst = np.unravel_index(np.argmax(np.where(over, cond, 0.0)), cond.shape)
-        point = None if at is None else np.asarray(at)[worst]
-        raise error(f"{what} singular{_at(point)} (condition number {cond[worst]:.1e})")
+        raise error(f"{what} singular{_at_worst(at, worst)} "
+                    f"(condition number {cond[worst]:.1e})")
     return m
+
+
+def _at_worst(at, worst) -> str:
+    return _at(None if at is None else np.asarray(at)[worst])

@@ -11,10 +11,11 @@ operators, so every routine here only ever needs the field itself. The
 fourth-order stencil (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h is used
 where third/fourth derivatives have to come out at ~1e-6 relative accuracy.
 
-:func:`central_partial` and :func:`derivative_tensor` hand their field all
-shifted points of one stencil at once: the field maps a ``(rows, n)`` stack
-of points to one value per row, reducing over the last axis. The other
-routines call their field on one point at a time.
+:func:`gradient`, :func:`central_partial` and :func:`derivative_tensor`
+hand their field all shifted points of one stencil at once: the field maps
+a ``(rows, n)`` stack of points to one value per row, reducing over the
+last axis. :func:`hessian` and :func:`jacobian` call their field on one
+point at a time.
 """
 
 from __future__ import annotations
@@ -37,15 +38,21 @@ def step_sizes(x: np.ndarray, scale: float) -> np.ndarray:
 
 
 def gradient(f: Callable, x, h: float | None = None) -> np.ndarray:
-    """Central first-difference gradient of a scalar field."""
+    """Central first-difference gradient of a scalar field.
+
+    The rows x + h_i e_i for every i, then x - h_i e_i, go to ``f`` as one
+    ``(2n, n)`` stack, which must come back as 2n values.  Each row is the
+    sum x + (+-h_i e_i), so it holds the same doubles a one-point loop would
+    build, and the gradient equals that loop's bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     hs = step_sizes(x, FIRST_ORDER_STEP if h is None else h)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = hs[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * hs[i])
-    return g
+    shifts = np.diag(hs)
+    values = np.asarray(f(np.concatenate([x + shifts, x - shifts])), dtype=float)
+    if values.shape != (2 * x.size,):
+        raise DimensionMismatch(
+            f"field returned shape {values.shape} for {2 * x.size} stacked points")
+    return (values[:x.size] - values[x.size:]) / (2.0 * hs)
 
 
 def hessian(f: Callable, x, h: float | None = None) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import numdiff
 from .errors import DimensionMismatch, require_antisymmetric
 from .paracomplex import ParaVector, para_hermitian_product
-from .symplectic import Observable, PhasePoint
+from .symplectic import Observable, PhasePoint, rowwise
 
 DEFAULT_NESTED_STEP = 6e-4
 
@@ -112,10 +112,13 @@ def bracket_property_residuals(bracket: Callable, observables, points,
                                nested_h: float = DEFAULT_NESTED_STEP) -> BracketResiduals:
     """Antisymmetry, chain rule, Leibniz and Jacobi residuals of a bracket.
 
-    ``bracket(A, B, y)`` must accept Observable arguments.  The chain rule
-    is probed with f(t) = t^2 and g(t) = sin t; Jacobi nests the bracket as
-    a new Observable, differentiated with the coarser ``nested_h`` step to
-    keep finite-difference noise below the 1e-6 residual target.
+    ``bracket(A, B, y)`` must accept Observable arguments at one point;
+    the operands' ``func`` must take stacked points (see
+    :class:`~frobsym.symplectic.Observable`).  The chain rule is probed
+    with f(t) = t^2 and g(t) = sin t; Jacobi nests the bracket as a new
+    Observable, mapped over stacked points row by row and differentiated
+    with the coarser ``nested_h`` step to keep finite-difference noise
+    below the 1e-6 residual target.
 
     Within one probe point, an operand without an analytic gradient has its
     full gradient taken once at each point a bracket differentiates it at,
@@ -130,18 +133,19 @@ def bracket_property_residuals(bracket: Callable, observables, points,
 
         # the composite operands are built from the original operands, so an
         # FD operand still makes an FD composite, differenced as a whole
-        fa = Observable(lambda q: A(q) ** 2, _square_grad(A0))
-        gb = Observable(lambda q: np.sin(B(q)), _sin_grad(B0))
+        fa = Observable(lambda q: A.func(q) ** 2, _square_grad(A0))
+        gb = Observable(lambda q: np.sin(B.func(q)), _sin_grad(B0))
         chain = max(chain, abs(bracket(fa, gb, y) - 2.0 * A(y) * np.cos(B(y)) * ab))
 
-        bc_prod = Observable(lambda q: B(q) * C(q), _product_grad(B0, C0))
+        bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B0, C0))
         leib = max(
             leib,
             abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab),
         )
 
         def nested(first, second):
-            return Observable(lambda q: bracket(first, second, q))
+            # the bracket takes one point; a stacked point goes row by row
+            return Observable(rowwise(lambda q: bracket(first, second, q)))
 
         triple = (
             bracket(A, nested(B, C), y, h=nested_h)

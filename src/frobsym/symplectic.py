@@ -33,7 +33,9 @@ class PhasePoint:
 
     Realified split coordinates enter through z as 2m reals (x, y); z and p
     are scalars or 1-D, the spin block is flattened.  Instances are treated
-    as immutable; helpers return new points.
+    as immutable; helpers return new points.  :meth:`replace_flat` also
+    builds stacked points, whose blocks hold one row per point; ``layout``
+    and ``flat`` work on the last axis.
     """
 
     z: np.ndarray
@@ -51,35 +53,57 @@ class PhasePoint:
 
     @property
     def layout(self) -> tuple[int, int, int]:
-        return self.z.size, self.p.size, self.lam.size
+        return self.z.shape[-1], self.p.shape[-1], self.lam.shape[-1]
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.z, self.p, self.lam])
+        return np.concatenate([self.z, self.p, self.lam], axis=-1)
 
     def replace_flat(self, values: np.ndarray) -> "PhasePoint":
         """A point of the same layout whose blocks are views of ``values``.
 
-        ``values`` must be 1-D with the layout's length.  The blocks are
-        then already what ``__post_init__`` would make of them, so the point
-        is assembled without it, and shares memory with ``values``.
+        ``values`` is one flat vector of the layout's length, or a
+        ``(rows, length)`` stack of them; a stack gives a stacked point
+        whose blocks are ``(rows, .)`` views, one row per point.  The blocks
+        are then already what ``__post_init__`` would make of a 1-D vector,
+        so the point is assembled without it, and shares memory with
+        ``values``.
         """
         nz, npp, nl = self.layout
         values = np.asarray(values, dtype=float)
-        if values.shape != (nz + npp + nl,):
+        if values.ndim not in (1, 2) or values.shape[-1] != nz + npp + nl:
             raise DimensionMismatch(
-                f"flat vector of shape {values.shape} does not match the layout {self.layout}")
+                f"flat values of shape {values.shape} do not match the layout {self.layout}")
         point = object.__new__(PhasePoint)
-        object.__setattr__(point, "z", values[:nz])
-        object.__setattr__(point, "p", values[nz:nz + npp])
-        object.__setattr__(point, "lam", values[nz + npp:])
+        object.__setattr__(point, "z", values[..., :nz])
+        object.__setattr__(point, "p", values[..., nz:nz + npp])
+        object.__setattr__(point, "lam", values[..., nz + npp:])
         return point
+
+
+def rowwise(func: Callable[[PhasePoint], float]) -> Callable[[PhasePoint], np.ndarray]:
+    """``func`` of one point, extended to stacked points row by row.
+
+    For an Observable whose value is only defined one point at a time: a
+    stacked point is split into its rows, each a plain point of views, and
+    the values come back as one array.
+    """
+    def mapped(y: PhasePoint):
+        if y.z.ndim == 1:
+            return func(y)
+        return np.array([func(y.replace_flat(row)) for row in y.flat()], dtype=float)
+
+    return mapped
 
 
 @dataclass(frozen=True)
 class Observable:
     """Scalar function on phase space, with an optional analytic gradient.
 
-    The gradient callback must return the concatenated layout
+    ``func`` maps a point to a float, and a stacked point (see
+    :meth:`PhasePoint.replace_flat`) to one value per row, so it indexes
+    blocks as ``y.z[..., i]`` and reduces over the last axis; a func defined
+    one point at a time goes through :func:`rowwise`.  The gradient callback
+    takes one point and must return the concatenated layout
     (d/dz, d/dp, d/dlam).  Without it, central differences are used.
     """
 
@@ -94,16 +118,17 @@ class Observable:
         """Partials over the flat coordinates ``coords`` of the layout.
 
         Central differences shift only those coordinates, two field
-        evaluations each; every partial uses its own step, so it equals the
-        matching entry of the full gradient bit for bit.
+        evaluations each, all handed to ``func`` as one stacked point;
+        every partial uses its own step, so it equals the matching entry of
+        the full gradient bit for bit.
         """
         if self.grad is not None and h is None:
             return np.asarray(self.grad(y), dtype=float)[coords]
         flat = y.flat()
 
-        def shifted(v):
-            full = flat.copy()
-            full[coords] = v
+        def shifted(stack):
+            full = np.repeat(flat[None], len(stack), axis=0)
+            full[:, coords] = stack
             return self.func(y.replace_flat(full))
 
         return numdiff.gradient(shifted, flat[coords], h=h)

@@ -229,24 +229,24 @@ def test_c08_oscillator_drift_and_scaling():
 def test_c09_bracket_suite():
     pts = [PhasePoint([0.3, 0.7], [0.2, -0.4]),
            PhasePoint([1.1, -0.5], [0.6, 0.9])]
-    A = Observable(lambda y: y.z[0] ** 2 + y.p[1] * y.z[1],
+    A = Observable(lambda y: y.z[..., 0] ** 2 + y.p[..., 1] * y.z[..., 1],
                    grad=lambda y: np.array([2 * y.z[0], y.p[1], 0.0, y.z[1]]))
-    B = Observable(lambda y: y.p[0] * y.z[0] + y.p[1] ** 2,
+    B = Observable(lambda y: y.p[..., 0] * y.z[..., 0] + y.p[..., 1] ** 2,
                    grad=lambda y: np.array([y.p[0], 0.0, y.z[0], 2 * y.p[1]]))
-    C = Observable(lambda y: y.z[1] * y.p[0],
+    C = Observable(lambda y: y.z[..., 1] * y.p[..., 0],
                    grad=lambda y: np.array([0.0, y.p[0], y.z[1], 0.0]))
     assert bracket_property_residuals(canonical_bracket, (A, B, C), pts).worst() < 1e-6
 
     spin_pts = [PhasePoint([0.3], [0.2], [0.4, -1.1, 0.8]),
                 PhasePoint([-0.7], [1.0], [0.3, 0.5, -0.2])]
-    SA = Observable(lambda y: y.lam[0] * y.lam[1] + y.z[0] * y.p[0])
-    SB = Observable(lambda y: y.lam[1] ** 2 + y.p[0])
-    SC = Observable(lambda y: y.lam[2] * y.z[0])
+    SA = Observable(lambda y: y.lam[..., 0] * y.lam[..., 1] + y.z[..., 0] * y.p[..., 0])
+    SB = Observable(lambda y: y.lam[..., 1] ** 2 + y.p[..., 0])
+    SC = Observable(lambda y: y.lam[..., 2] * y.z[..., 0])
     so3 = lambda f, g, y, h=None: extended_bracket(f, g, y, so3_constants(), h=h)
     assert bracket_property_residuals(so3, (SA, SB, SC), spin_pts).worst() < 1e-6
 
     broken = cyclic_nonjacobi_constants()
-    spins = [Observable(lambda y, i=i: y.lam[i]) for i in range(3)]
+    spins = [Observable(lambda y, i=i: y.lam[..., i]) for i in range(3)]
     bad = lambda f, g, y, h=None: extended_bracket(f, g, y, broken, h=h)
     jac = bracket_property_residuals(bad, tuple(spins), spin_pts[:1]).jacobi
     assert jac > 1e-3

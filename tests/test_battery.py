@@ -580,8 +580,9 @@ class TestMetricHamiltonian:
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = PhasePoint(rng.normal(0.8, 0.3, 2), rng.normal(0.0, 0.5, 2))
-            fd = numdiff.gradient(lambda v: quadratic_energy(
-                g, PhasePoint(v[:2], v[2:]), SCALAR_FIELDS["half_square"][0]), y.flat())
+            fd = numdiff.gradient(lambda vs: np.array([quadratic_energy(
+                g, PhasePoint(v[:2], v[2:]), SCALAR_FIELDS["half_square"][0]) for v in vs]),
+                y.flat())
             # the central differences carry their O(h^2) truncation error
             assert np.max(np.abs(H.grad(y) - fd)) <= 1e-7
 

@@ -7,10 +7,13 @@ Oracles:
   [[0, 1], [-1.000005, 0]]       the skew analogue, not antisymmetric
   diag(1, 1e-13)                 condition number 1e13 > 1e12: singular, with
                                  each site's own error type
+  [[nan, 0], [0, 1]]             no condition number (the SVD does not
+                                 converge): NonFiniteValue at every site
 """
 
 import pathlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from frobsym import (
     FrobsymError,
     InvalidStructure,
     MetricField,
+    NonFiniteValue,
     Observable,
     ParaVector,
     PhasePoint,
@@ -39,11 +43,14 @@ from frobsym import (
 )
 from frobsym.errors import require_invertible, symmetric_part
 from frobsym.paracomplex import E, ONE
+from frobsym import statmanifold
 from frobsym.statmanifold import checked_metric
 
 ASYMMETRIC = np.array([[1.0, 1.0], [1.000005, 1.0]])
 NOT_SKEW = np.array([[0.0, 1.0], [-1.000005, 0.0]])
 SINGULAR = np.diag([1.0, 1e-13])
+NAN_METRIC = np.array([[np.nan, 0.0], [0.0, 1.0]])
+NAN_FORM = np.array([[0.0, np.nan], [np.nan, 0.0]])
 
 
 def singular_fisher_family():
@@ -92,7 +99,8 @@ class TestConditioningSites:
         (lambda: wdvv_residual(PotentialField(2, lambda x: 0.0, third=lambda x: np.zeros((2, 2, 2))),
                                SINGULAR, [0.0, 0.0]), DegenerateMetric),
         (lambda: paracomplex_two_form(SINGULAR, 2).inverse(np.zeros(4)), DegenerateForm),
-        (lambda: hamiltonian_vector_field(Observable(lambda y: 0.0, grad=lambda y: np.zeros(4)),
+        (lambda: hamiltonian_vector_field(Observable(lambda y: np.zeros(y.z.shape[:-1]),
+                                                     grad=lambda y: np.zeros(4)),
                                           paracomplex_two_form(SINGULAR, 2),
                                           PhasePoint(np.zeros(2), np.zeros(2))), DegenerateForm),
     ], ids=["metric_inverse", "fisher_metric", "dual_connections", "algebra_pairing",
@@ -101,6 +109,29 @@ class TestConditioningSites:
         with pytest.raises(error) as info:
             build()
         assert isinstance(info.value, FrobsymError)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MetricField(2, lambda x: NAN_METRIC).inverse([0.0, 0.0]),
+        lambda: TwoForm(2, lambda x: NAN_FORM).inverse([0.0, 0.0]),
+    ], ids=["metric_inverse", "form_inverse"])
+    def test_nan_entry_is_non_finite_value(self, build):
+        with pytest.raises(NonFiniteValue, match=r"non-finite entry at \[0\. 0\.\]"):
+            build()
+
+    def test_nan_fisher_metric_is_non_finite_value(self, monkeypatch):
+        # the family's own guards keep NaN out of its cumulants, so one is
+        # handed straight to the conditioning guard
+        monkeypatch.setattr(statmanifold, "cumulant_tensor",
+                            lambda fam, beta, order: SimpleNamespace(values=NAN_METRIC))
+        with pytest.raises(NonFiniteValue, match="Fisher metric has a non-finite entry"):
+            checked_metric(singular_fisher_family(), [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stack_names_its_first_non_finite_point(self, bad):
+        stack = np.stack([np.eye(2), SINGULAR, np.diag([1.0, bad]), np.diag([bad, 1.0])])
+        points = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(NonFiniteValue, match=r"metric has a non-finite entry at \[4\. 5\.\]"):
+            require_invertible(stack, DegenerateMetric, "metric", points)
 
     def test_condition_number_at_most_the_limit_passes(self):
         g = np.diag([1.0, 1e-11])

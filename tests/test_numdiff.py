@@ -1,6 +1,7 @@
-"""Composed fourth-order stencils on stacked fields.
+"""The central first difference and composed fourth-order stencils on
+stacked fields.
 
-Oracle: the stencil written one point at a time, as the definition reads.
+Oracle: each stencil written one point at a time, as the definition reads.
 Every shifted point is evaluated on its own and the weighted values are
 summed in stencil order; the stacked routines must reproduce it bit for bit.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from frobsym import DimensionMismatch, ExponentialFamily, potential_eval
-from frobsym.numdiff import central_partial, derivative_tensor
+from frobsym.numdiff import central_partial, derivative_tensor, gradient
 
 STENCIL = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
 
@@ -27,6 +28,17 @@ def loop_partial(f, x, index, h):
             weight *= w / hs[coord]
         total += weight * f(x + shift)
     return total
+
+
+def loop_gradient(f, x, h=None):
+    """The central first difference one coordinate and one point at a time."""
+    hs = (1e-5 if h is None else h) * np.maximum(1.0, np.abs(x))
+    g = np.empty(x.size)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = hs[i]
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * hs[i])
+    return g
 
 
 def loop_tensor(f, x, order, h):
@@ -77,3 +89,31 @@ def test_one_value_per_stacked_point_is_required():
     # a one-point field reduces the whole stack to one number
     with pytest.raises(DimensionMismatch):
         central_partial(lambda z: float(np.sum(z)), np.zeros(2), (0, 1), 1e-3)
+
+
+def recording(f, seen):
+    """``f`` on one point, appending the bytes of every point it is handed."""
+    def field(z):
+        seen.append(z.tobytes())
+        return f(z)
+    return field
+
+
+@pytest.mark.parametrize("h", [None, 6e-4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gradient_matches_point_loop(n, h):
+    # a signed zero and a large coordinate, whose steps scale with |x_i|
+    x = np.linspace(-0.8, 1.3, n)
+    x[0], x[-1] = -0.0, 40.0 * x[-1]
+    rows, points = [], []
+    got = gradient(stacked(recording(point_field, rows)), x, h)
+    assert np.array_equal(got, loop_gradient(recording(point_field, points), x, h))
+    # the stack holds the loop's points, in the order x + h_i e_i, x - h_i e_i
+    assert rows == points[0::2] + points[1::2]
+
+
+def test_gradient_needs_one_value_per_stacked_point():
+    with pytest.raises(DimensionMismatch, match=r"shape \(\) for 4 stacked points"):
+        gradient(lambda z: float(np.sum(z)), np.zeros(2))
+    with pytest.raises(DimensionMismatch, match=r"shape \(4, 1\) for 4 stacked points"):
+        gradient(lambda z: z[:, :1], np.zeros(2))

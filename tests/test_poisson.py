@@ -37,26 +37,32 @@ from frobsym import numdiff
 from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad, _sin_grad,
                              _square_grad, periodic_derivative_matrix, smooth_test_profile)
 from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
+from frobsym.symplectic import rowwise
 
 
 def coordinate(i):
-    return Observable(lambda y, i=i: y.z[i])
+    return Observable(lambda y, i=i: y.z[..., i])
 
 
 def momentum(i):
-    return Observable(lambda y, i=i: y.p[i])
+    return Observable(lambda y, i=i: y.p[..., i])
 
 
 def spin(i):
-    return Observable(lambda y, i=i: y.lam[i])
+    return Observable(lambda y, i=i: y.lam[..., i])
+
+
+def point_count(y):
+    """How many points ``y`` carries: one, or the rows of a stacked point."""
+    return len(np.atleast_2d(y.z))
 
 
 def polynomial_observables():
-    A = Observable(lambda y: y.z[0] ** 2 + y.p[1] * y.z[1],
+    A = Observable(lambda y: y.z[..., 0] ** 2 + y.p[..., 1] * y.z[..., 1],
                    grad=lambda y: np.array([2 * y.z[0], y.p[1], 0.0, y.z[1]]))
-    B = Observable(lambda y: y.p[0] * y.z[0] + y.p[1] ** 2,
+    B = Observable(lambda y: y.p[..., 0] * y.z[..., 0] + y.p[..., 1] ** 2,
                    grad=lambda y: np.array([y.p[0], 0.0, y.z[0], 2 * y.p[1]]))
-    C = Observable(lambda y: y.z[1] * y.p[0],
+    C = Observable(lambda y: y.z[..., 1] * y.p[..., 0],
                    grad=lambda y: np.array([0.0, y.p[0], y.z[1], 0.0]))
     return A, B, C
 
@@ -67,7 +73,7 @@ class TestCanonicalBracket:
         assert canonical_bracket(coordinate(0), momentum(0), y) == pytest.approx(-1.0, abs=1e-9)
 
     def test_self_bracket_vanishes(self):
-        A = Observable(lambda y: y.z[0] * y.p[0])
+        A = Observable(lambda y: y.z[..., 0] * y.p[..., 0])
         y = PhasePoint([1.2], [0.8])
         assert canonical_bracket(A, A, y) == pytest.approx(0.0, abs=1e-12)
 
@@ -88,7 +94,7 @@ class TestCanonicalBracket:
         for _ in range(20):
             y = PhasePoint(rng.normal(size=2), rng.normal(size=2))
             a, b = rng.normal(size=2)
-            combo = Observable(lambda yy, a=a, b=b: a * A(yy) + b * B(yy),
+            combo = Observable(lambda yy, a=a, b=b: a * A.func(yy) + b * B.func(yy),
                                grad=lambda yy, a=a, b=b: a * A.gradient(yy) + b * B.gradient(yy))
             lhs = canonical_bracket(combo, C, y)
             rhs = a * canonical_bracket(A, C, y) + b * canonical_bracket(B, C, y)
@@ -107,14 +113,14 @@ class TestExtendedBracket:
     def test_zero_constants_reduce_to_canonical(self):
         gamma = StructureConstants(np.zeros((1, 1, 1)))
         y = PhasePoint([0.5], [0.3], [2.0])
-        A = Observable(lambda y: y.z[0] * y.lam[0])
-        B = Observable(lambda y: y.p[0] + y.lam[0] ** 2)
+        A = Observable(lambda y: y.z[..., 0] * y.lam[..., 0])
+        B = Observable(lambda y: y.p[..., 0] + y.lam[..., 0] ** 2)
         assert extended_bracket(A, B, y, gamma) == pytest.approx(
             canonical_bracket(A, B, y), abs=1e-12)
 
     def test_squared_length_is_central(self):
         y = PhasePoint([0.0], [0.0], [0.4, -1.1, 0.8])
-        casimir = Observable(lambda y: float(np.sum(y.lam ** 2)))
+        casimir = Observable(lambda y: np.sum(y.lam ** 2, axis=-1))
         for j in range(3):
             got = extended_bracket(casimir, spin(j), y, so3_constants())
             assert got == pytest.approx(0.0, abs=1e-9)
@@ -127,9 +133,9 @@ class TestExtendedBracket:
     def test_jacobi_clean_for_angular_momentum(self):
         pts = [PhasePoint([0.3], [0.2], [0.4, -1.1, 0.8]),
                PhasePoint([-0.7], [1.0], [0.3, 0.5, -0.2])]
-        A = Observable(lambda y: y.lam[0] * y.lam[1] + y.z[0] * y.p[0])
-        B = Observable(lambda y: y.lam[1] ** 2 + y.p[0])
-        C = Observable(lambda y: y.lam[2] * y.z[0])
+        A = Observable(lambda y: y.lam[..., 0] * y.lam[..., 1] + y.z[..., 0] * y.p[..., 0])
+        B = Observable(lambda y: y.lam[..., 1] ** 2 + y.p[..., 0])
+        C = Observable(lambda y: y.lam[..., 2] * y.z[..., 0])
         bracket = lambda f, g, y, h=None: extended_bracket(f, g, y, so3_constants(), h=h)
         res = bracket_property_residuals(bracket, (A, B, C), pts)
         assert res.worst() < 1e-6
@@ -150,7 +156,7 @@ def mixed_observable(rng, n, spins, analytic):
     wz, wp, wl = rng.normal(size=n), rng.normal(size=n), rng.normal(size=spins)
 
     def func(y):
-        return float(np.sin(y.z @ wz) * (y.p @ wp) + (y.lam @ wl) ** 2 + y.z[0] * y.p[-1])
+        return np.sin(y.z @ wz) * (y.p @ wp) + (y.lam @ wl) ** 2 + y.z[..., 0] * y.p[..., -1]
 
     def grad(y):
         dz = np.cos(y.z @ wz) * (y.p @ wp) * wz
@@ -208,12 +214,12 @@ class TestBracketPartials:
 
         def counted(name, f):
             def func(y):
-                calls[name] += 1
+                calls[name] += point_count(y)
                 return f(y)
             return Observable(func)
 
-        A = counted("A", lambda y: y.z[0] * y.lam[0] + y.p[1])
-        B = counted("B", lambda y: y.p[0] * y.lam[2] ** 2)
+        A = counted("A", lambda y: y.z[..., 0] * y.lam[..., 0] + y.p[..., 1])
+        B = counted("B", lambda y: y.p[..., 0] * y.lam[..., 2] ** 2)
         y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
         extended_bracket(A, B, y, so3_constants())
         assert calls == {"A": 2 * (2 + 2 + 3), "B": 2 * (2 + 2 + 3)}
@@ -230,14 +236,14 @@ def unshared_property_residuals(bracket, observables, points,
     for y in points:
         ab = bracket(A, B, y)
         anti = max(anti, abs(ab + bracket(B, A, y)))
-        fa = Observable(lambda q: A(q) ** 2, _square_grad(A))
-        gb = Observable(lambda q: np.sin(B(q)), _sin_grad(B))
+        fa = Observable(lambda q: A.func(q) ** 2, _square_grad(A))
+        gb = Observable(lambda q: np.sin(B.func(q)), _sin_grad(B))
         chain = max(chain, abs(bracket(fa, gb, y) - 2.0 * A(y) * np.cos(B(y)) * ab))
-        bc_prod = Observable(lambda q: B(q) * C(q), _product_grad(B, C))
+        bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B, C))
         leib = max(leib, abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab))
 
         def nested(first, second):
-            return Observable(lambda q: bracket(first, second, q))
+            return Observable(rowwise(lambda q: bracket(first, second, q)))
 
         triple = (bracket(A, nested(B, C), y, h=nested_h)
                   + bracket(B, nested(C, A), y, h=nested_h)
@@ -259,13 +265,13 @@ def counted_operands(calls):
     """The three FD operands of the battery's bracket suite, counting calls."""
     def counted(name, f):
         def func(y):
-            calls[name] += 1
+            calls[name] += point_count(y)
             return f(y)
         return Observable(func)
 
-    return (counted("A", lambda y: y.z[0] ** 2 + y.p[0] * y.z[1 % y.z.size]),
-            counted("B", lambda y: y.p[0] * y.z[0] + float(np.sum(y.lam ** 2))),
-            counted("C", lambda y: y.z[1 % y.z.size] * y.p[-1] + float(np.sum(y.lam))))
+    return (counted("A", lambda y: y.z[..., 0] ** 2 + y.p[..., 0] * y.z[..., 1 % y.z.shape[-1]]),
+            counted("B", lambda y: y.p[..., 0] * y.z[..., 0] + np.sum(y.lam ** 2, axis=-1)),
+            counted("C", lambda y: y.z[..., 1 % y.z.shape[-1]] * y.p[..., -1] + np.sum(y.lam, axis=-1)))
 
 
 class TestSharedGradients:
@@ -387,7 +393,7 @@ class TestParacomplexBracket:
 
 class TestEvolutionDerivative:
     def test_matches_integrated_trajectory(self):
-        H = Observable(lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z),
+        H = Observable(lambda y: 0.5 * np.sum(y.p ** 2 + y.z ** 2, axis=-1),
                        grad=lambda y: np.concatenate([y.z, y.p]))
         y0 = PhasePoint([1.0], [0.0])
         rate = evolution_derivative(H, coordinate(0), y0)
@@ -398,12 +404,12 @@ class TestEvolutionDerivative:
         assert rate == pytest.approx(fd, abs=1e-6)
 
     def test_energy_is_conserved_pointwise(self):
-        H = Observable(lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z))
+        H = Observable(lambda y: 0.5 * np.sum(y.p ** 2 + y.z ** 2, axis=-1))
         assert evolution_derivative(H, H, PhasePoint([1.3], [-0.4])) == pytest.approx(0.0, abs=1e-10)
 
     def test_constants_do_not_move(self):
-        H = Observable(lambda y: 0.5 * float(y.p @ y.p))
-        Q = Observable(lambda y: 42.0)
+        H = Observable(lambda y: 0.5 * np.sum(y.p ** 2, axis=-1))
+        Q = Observable(lambda y: np.full(y.z.shape[:-1], 42.0))
         assert evolution_derivative(H, Q, PhasePoint([0.1], [2.0])) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -37,12 +37,12 @@ from frobsym import (
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
 from frobsym.registry import adapted_mixed2, adapted_quartic1
-from frobsym.symplectic import split_exterior_derivative
+from frobsym.symplectic import rowwise, split_exterior_derivative
 
 
 def oscillator(dim=1):
     return Observable(
-        lambda y: 0.5 * float(y.p @ y.p + y.z @ y.z),
+        lambda y: 0.5 * np.sum(y.p ** 2 + y.z ** 2, axis=-1),
         grad=lambda y: np.concatenate([y.z, y.p]),
     )
 
@@ -105,11 +105,31 @@ class TestPhasePoint:
         moved = PhasePoint([0.0], [1.0]).replace_flat([5, 6])
         assert np.array_equal(moved.flat(), [5.0, 6.0]) and moved.z.dtype == float
 
+    # the "2d" case is a stack whose rows are too short for the layout
     @pytest.mark.parametrize("values", [np.arange(4.0).reshape(2, 2), np.arange(3.0),
                                         np.float64(1.0)], ids=["2d", "short", "scalar"])
     def test_replace_flat_needs_a_1d_vector_of_the_layout(self, values):
         with pytest.raises(DimensionMismatch):
             PhasePoint([0.0, 1.0], [2.0, 3.0]).replace_flat(values)
+
+    def test_replace_flat_of_a_stack_gives_stacked_view_blocks(self):
+        y = PhasePoint([0.0, 1.0], [2.0, 3.0], [4.0])
+        values = np.arange(15.0).reshape(3, 5)
+        moved = y.replace_flat(values)
+        assert moved.layout == y.layout
+        for block, cols in ((moved.z, slice(0, 2)), (moved.p, slice(2, 4)),
+                            (moved.lam, slice(4, 5))):
+            assert np.shares_memory(block, values)
+            assert np.array_equal(block, values[:, cols])
+        assert np.array_equal(moved.flat(), values)
+        row = moved.replace_flat(values[1])
+        assert row.z.ndim == 1 and np.array_equal(row.flat(), values[1])
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 3, 5)), np.zeros((3, 6))],
+                             ids=["3d", "long_rows"])
+    def test_replace_flat_stack_needs_rows_of_the_layout(self, values):
+        with pytest.raises(DimensionMismatch):
+            PhasePoint([0.0, 1.0], [2.0, 3.0], [4.0]).replace_flat(values)
 
     @pytest.mark.parametrize("z, p", [(np.zeros((2, 2)), np.zeros(2)),
                                       (np.zeros(2), np.zeros((1, 2)))], ids=["z", "p"])
@@ -121,6 +141,72 @@ class TestPhasePoint:
         y = PhasePoint(1.0, 2.0)
         assert y.layout == (1, 1, 0)
         assert np.array_equal(y.flat(), [1.0, 2.0])
+
+
+def loop_observable_gradient(A, y, h, coords):
+    """Observable.gradient's central differences, one shifted point at a time."""
+    flat = y.flat()
+
+    def shifted(v):
+        full = flat.copy()
+        full[coords] = v
+        return A.func(y.replace_flat(full))
+
+    x = flat[coords]
+    hs = (1e-5 if h is None else h) * np.maximum(1.0, np.abs(x))
+    g = np.empty(x.size)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = hs[i]
+        g[i] = (shifted(x + e) - shifted(x - e)) / (2.0 * hs[i])
+    return g
+
+
+class TestStackedObservable:
+    """``func`` takes a point or a stacked point; the central differences of
+    ``gradient`` hand it all shifted points at once."""
+
+    @staticmethod
+    def observable():
+        return Observable(lambda y: (np.sin(y.z[..., 0] * y.p[..., -1])
+                                     + y.lam[..., 1] * np.sum(y.z ** 2, axis=-1)))
+
+    @pytest.mark.parametrize("h", [None, 3e-4])
+    @pytest.mark.parametrize("coords", [slice(None), slice(0, 4), slice(4, None), slice(1, 3)],
+                             ids=["all", "zp", "spins", "middle"])
+    def test_gradient_matches_point_loop(self, coords, h):
+        A = self.observable()
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            y = PhasePoint(rng.normal(0.0, 3.0, 2), rng.normal(size=2), rng.normal(size=3))
+            assert np.array_equal(A.gradient(y, h=h, coords=coords),
+                                  loop_observable_gradient(A, y, h, coords))
+
+    def test_func_gets_one_stack_per_gradient(self):
+        shapes = []
+
+        def func(y):
+            shapes.append(y.z.shape)
+            return y.z[..., 0] * y.p[..., 0]
+
+        Observable(func).gradient(PhasePoint([0.3, 0.1], [0.2, 0.4]), coords=slice(1, 4))
+        assert shapes == [(6, 2)]
+
+    def test_call_returns_a_float(self):
+        value = self.observable()(PhasePoint([0.3, 0.1], [0.2, 0.4], [0.5, 0.6]))
+        assert type(value) is float
+
+    def test_rowwise_maps_a_stack_row_by_row(self):
+        def one_point(y):
+            assert y.z.ndim == 1
+            return float(y.p @ y.p + y.z @ y.z)
+
+        y = PhasePoint([0.3, 0.1], [0.2, 0.4])
+        stack = np.arange(12.0).reshape(3, 4)
+        mapped = rowwise(one_point)
+        assert mapped(y) == one_point(y)
+        assert np.array_equal(mapped(y.replace_flat(stack)),
+                              [one_point(y.replace_flat(row)) for row in stack])
 
 
 class TestRealifiedSplitForm:
@@ -292,12 +378,12 @@ class TestHamiltonianVectorField:
         assert np.allclose(X, [0.0, -1.0], atol=1e-12)
 
     def test_constant_energy_is_stationary(self):
-        H = Observable(lambda y: 3.0, grad=lambda y: np.zeros(2))
+        H = Observable(lambda y: np.full(y.z.shape[:-1], 3.0), grad=lambda y: np.zeros(2))
         X = hamiltonian_vector_field(H, canonical_two_form(1), PhasePoint([1.0], [2.0]))
         assert np.max(np.abs(X)) == 0.0
 
     def test_momentum_generates_translation(self):
-        H = Observable(lambda y: y.p[0])
+        H = Observable(lambda y: y.p[..., 0])
         X = hamiltonian_vector_field(H, canonical_two_form(1), PhasePoint([0.3], [0.7]))
         assert np.allclose(X, [1.0, 0.0], atol=1e-10)
 
@@ -331,7 +417,7 @@ class TestIntegrator:
             assert first / second == pytest.approx(4.0, rel=0.2)
 
     def test_free_particle_is_exact(self):
-        H = Observable(lambda y: 0.5 * float(y.p @ y.p),
+        H = Observable(lambda y: 0.5 * np.sum(y.p ** 2, axis=-1),
                        grad=lambda y: np.concatenate([np.zeros_like(y.z), y.p]))
         traj = integrate(H, PhasePoint([0.0, 1.0], [0.5, -0.25]), 1e-2, 100)
         end = traj.points[-1]
@@ -350,7 +436,7 @@ class TestIntegrator:
         assert np.allclose(a.points[-1].z, b.points[-1].z, atol=1e-5)
 
     def test_midpoint_nonconvergence_reported(self):
-        steep = Observable(lambda y: float(np.exp(40.0 * y.z[0]) + y.p[0] ** 2))
+        steep = Observable(lambda y: np.exp(40.0 * y.z[..., 0]) + y.p[..., 0] ** 2)
         with pytest.raises(NonConvergence):
             integrate(steep, PhasePoint([1.0], [0.0]), 0.5, 3)
 
