@@ -121,7 +121,6 @@ class ManifoldSpec:
 @dataclass(frozen=True)
 class RunOptions:
     tol_scale: float = 1.0
-    fd_step: float | None = None
     seed: int | None = None
 
 
@@ -374,11 +373,10 @@ _CUMULANT_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-3, 4: 1e-2}
 def _cumulant_match(ctx: CheckContext, orders) -> float:
     fam = ctx.family()
     beta = ctx.beta()
-    step_override = ctx.options.fd_step
     gaps = []
     for k in orders:
         analytic = cumulant_tensor(fam, beta, k).values
-        fd = _fd_cumulant(fam, beta, k, step_override or _CUMULANT_STEPS[k])
+        fd = _fd_cumulant(fam, beta, k, _CUMULANT_STEPS[k])
         scale = max(1.0, float(np.max(np.abs(analytic))))
         gaps.append(float(np.max(np.abs(analytic - fd))) / scale)
     # np.max keeps a NaN gap (an overflowed stencil), which max() would drop
@@ -432,13 +430,12 @@ def _check_hessian_metric_pd(ctx: CheckContext) -> float:
 def _check_flatness(ctx: CheckContext) -> float:
     if ctx.spec.kind == "cone_potential":
         # a log-Hessian metric: R in closed form from Gamma, no second difference level
-        structure = hessian_structure(hessian_log_metric(ctx.potential()), ctx.cone_points(),
-                                      h=ctx.options.fd_step)
+        structure = hessian_structure(hessian_log_metric(ctx.potential()), ctx.cone_points())
         report = structure.curvature()
     else:
         metric = ctx.metric()
         points = [ctx.rng.normal(0.5, 0.4, metric.dim) for _ in range(3)]
-        report = curvature_flatness(metric, points, h=ctx.options.fd_step)
+        report = curvature_flatness(metric, points)
     return max(report.max_riemann, report.max_torsion)
 
 

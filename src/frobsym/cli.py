@@ -1,6 +1,6 @@
 """Command line front end.
 
-    frobsym check <spec-file> [--tol-scale F] [--fd-step H] [--seed N]
+    frobsym check <spec-file> [--tol-scale F] [--seed N]
                               [--report human|machine] [--out PATH]
     frobsym catalog                 list the built-in entries
     frobsym catalog <name> [...]    run one entry (same flags as check)
@@ -29,8 +29,6 @@ from .errors import FrobsymError, SchemaError
 def _add_run_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
-    parser.add_argument("--fd-step", type=float, default=None,
-                        help="override the finite-difference step scale")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the spec seed")
     parser.add_argument("--report", choices=("human", "machine"), default="human")
@@ -40,9 +38,7 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 def _options(args) -> RunOptions:
     if not 0 < args.tol_scale <= sys.float_info.max:
         raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
-    if args.fd_step is not None and not 0 < args.fd_step <= sys.float_info.max:
-        raise SchemaError("--fd-step must be positive and finite", field="fd_step")
-    return RunOptions(tol_scale=args.tol_scale, fd_step=args.fd_step, seed=args.seed)
+    return RunOptions(tol_scale=args.tol_scale, seed=args.seed)
 
 
 def _deliver(text: str, args) -> None:

@@ -5,12 +5,14 @@ Exceptions are reserved for inputs on which the requested construction is
 not defined at all (singular metrics, zero divisors, malformed specs).
 
 The guards every construction shares live here too, so each rule is
-decided once: a matrix is symmetric (or antisymmetric) when
-max|m -+ m^T| <= SYMMETRY_RTOL * max(1, max|m|) over its last two axes,
-and invertible when its condition number is at most CONDITION_LIMIT.
-Messages are formatted only on failure, so a passing guard costs no repr
-of the point.
+decided once: a matrix is symmetric (or antisymmetric) when its entries
+are finite and max|m -+ m^T| <= SYMMETRY_RTOL * max(1, max|m|) over its
+last two axes, and invertible when its condition number is at most
+CONDITION_LIMIT.  Messages are formatted only on failure, so a passing
+guard costs no repr of the point.
 """
+
+import math
 
 import numpy as np
 
@@ -95,22 +97,29 @@ def _at(at) -> str:
     return "" if at is None else f" at {np.asarray(at)}"
 
 
-def _require_small(defect: np.ndarray, m: np.ndarray, kind: str, what: str, at) -> None:
+def _require_small(combine, m: np.ndarray, mt: np.ndarray, kind: str, what: str, at) -> None:
     # array methods, not np.max/np.abs: this runs on every metric evaluation
-    if abs(defect).max() > SYMMETRY_RTOL * max(1.0, abs(m).max()):
+    scale = abs(m).max()
+    # an inf or NaN entry (max() propagates a NaN) is caught before
+    # combine(m, m^T) can compute inf - inf, which would warn
+    if not math.isfinite(scale):
+        raise NonFiniteValue(f"{what} has a non-finite entry{_at(at)}")
+    if abs(combine(m, mt)).max() > SYMMETRY_RTOL * max(1.0, scale):
         raise InvalidStructure(f"{what} not {kind}{_at(at)}")
 
 
 def symmetric_part(m: np.ndarray, what: str, at=None) -> np.ndarray:
-    """(m + m^T) / 2 over the last two axes; InvalidStructure if m is not symmetric."""
+    """(m + m^T) / 2 over the last two axes; NonFiniteValue if m has an
+    infinite or NaN entry, InvalidStructure if it is not symmetric."""
     mt = m.swapaxes(-1, -2)
-    _require_small(m - mt, m, "symmetric", what, at)
+    _require_small(np.subtract, m, mt, "symmetric", what, at)
     return 0.5 * (m + mt)
 
 
 def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:
-    """``m`` itself; InvalidStructure if it is not antisymmetric in its last two axes."""
-    _require_small(m + m.swapaxes(-1, -2), m, "antisymmetric", what, at)
+    """``m`` itself; NonFiniteValue if it has an infinite or NaN entry,
+    InvalidStructure if it is not antisymmetric in its last two axes."""
+    _require_small(np.add, m, m.swapaxes(-1, -2), "antisymmetric", what, at)
     return m
 
 

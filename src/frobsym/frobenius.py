@@ -76,7 +76,7 @@ class WDVVResidual:
         return self.residual / max(self.scale, 1e-300)
 
 
-def wdvv_residual(potential: PotentialField, g, x, h: float = 5e-3) -> WDVVResidual:
+def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     """Max |sum_ef T_abe g^ef T_fcd - sum_ef T_bce g^ef T_fad| over (a,b,c,d).
 
     ``g`` may be a constant matrix or a MetricField; the even (commutative)
@@ -87,7 +87,7 @@ def wdvv_residual(potential: PotentialField, g, x, h: float = 5e-3) -> WDVVResid
     gm = g.value(x) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
     require_invertible(gm, DegenerateMetric, "metric", x)
     ginv = np.linalg.inv(gm)
-    t = potential.third_tensor(x, h=h)
+    t = potential.third_tensor(x)
     quad = np.einsum("abe,ef,fcd->abcd", t, ginv, t)
     resid = float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3)))))
     scale = float(np.max(np.abs(t)) ** 2 * np.max(np.abs(ginv)))

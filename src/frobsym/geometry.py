@@ -3,7 +3,7 @@
 Everything is a residual computation on evaluable fields: a metric is any
 callable point -> symmetric matrix, a potential any callable point -> real.
 Analytic derivative callbacks are used when supplied; otherwise central
-finite differences with the step policy from :mod:`frobsym.numdiff`.
+finite differences at the step fixed for that use (see :mod:`frobsym.numdiff`).
 User-supplied callables must be re-entrant (they are probed from property
 tests and from the battery runner).
 """
@@ -50,11 +50,11 @@ class MetricField:
             raise DimensionMismatch(f"metric value has shape {g.shape}")
         return symmetric_part(g, "metric", x)
 
-    def derivative(self, x, h: float | None = None) -> np.ndarray:
+    def derivative(self, x) -> np.ndarray:
         x = _point(self.dim, x)
-        if self.deriv is not None and h is None:
+        if self.deriv is not None:
             return np.asarray(self.deriv(x), dtype=float)
-        return numdiff.jacobian(self.value, x, h=h)
+        return numdiff.jacobian(self.value, x)
 
     def inverse(self, x) -> np.ndarray:
         g = self.value(x)
@@ -86,13 +86,13 @@ class PotentialField:
             raise DomainViolation(f"{x} outside the declared domain")
         return float(self.func(x))
 
-    def third_tensor(self, x, h: float = 5e-3) -> np.ndarray:
+    def third_tensor(self, x) -> np.ndarray:
         x = _point(self.dim, x)
         if self.third is not None:
             return np.asarray(self.third(x), dtype=float)
         # value() takes one point; the stencil hands over a stack of them
         return numdiff.derivative_tensor(
-            lambda stack: np.array([self.value(row) for row in stack]), x, 3, h)
+            lambda stack: np.array([self.value(row) for row in stack]), x, 3, 5e-3)
 
 
 def _point(dim: int, x) -> np.ndarray:
@@ -129,42 +129,41 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (gamma + np.swapaxes(gamma, -2, -1))
 
 
-def christoffel(metric: MetricField, x, h: float | None = None) -> np.ndarray:
+def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita symbols G[i, j, k] = Gamma^i_jk, symmetric in (j, k)."""
-    return _levi_civita(metric.inverse(x), metric.derivative(x, h=h))
+    return _levi_civita(metric.inverse(x), metric.derivative(x))
 
 
-def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x,
-                   h: float | None = None) -> np.ndarray:
-    """R[i, j, k, l] = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
+def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """R[..., i, j, k, l] = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
 
-    ``connection`` maps a point to Gamma[i, j, k]; its derivative is taken
-    by central differences with the second-order step.
+    ``connection`` maps a point to Gamma[..., i, j, k], so one call can
+    carry several connections over leading axes; its derivative is taken by
+    central differences with the second-order step.
     """
     x = np.asarray(x, dtype=float)
-    step = numdiff.SECOND_ORDER_STEP if h is None else h
-    dgamma = numdiff.jacobian(connection, x, h=step)  # dgamma[a, i, j, k] = d_a G^i_jk
+    # dgamma[..., a, i, j, k] = d_a G^i_jk
+    dgamma = np.moveaxis(numdiff.jacobian(connection, x, h=numdiff.SECOND_ORDER_STEP), 0, -4)
     gamma = connection(x)
-    term1 = np.einsum("kilj->ijkl", dgamma)
-    term2 = np.einsum("likj->ijkl", dgamma)
-    term3 = np.einsum("ikm,mlj->ijkl", gamma, gamma)
-    term4 = np.einsum("ilm,mkj->ijkl", gamma, gamma)
+    term1 = np.einsum("...kilj->...ijkl", dgamma)
+    term2 = np.einsum("...likj->...ijkl", dgamma)
+    term3 = np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+    term4 = np.einsum("...ilm,...mkj->...ijkl", gamma, gamma)
     return term1 - term2 + term3 - term4
 
 
-def curvature_flatness(metric: MetricField, points, tol: float = DEFAULT_CURVATURE_TOL,
-                       h: float | None = None) -> CurvatureReport:
+def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
     """Max Riemann and torsion residuals over sample points, scaled by |g|."""
     max_r = 0.0
     max_t = 0.0
     for x in points:
-        gamma_at = lambda y: christoffel(metric, y, h=h)
-        riem = riemann_tensor(gamma_at, x, h=h)
+        gamma_at = lambda y: christoffel(metric, y)
+        riem = riemann_tensor(gamma_at, x)
         scale = max(1.0, float(np.max(np.abs(metric.value(x)))))
         max_r = max(max_r, float(np.max(np.abs(riem))) / scale)
         gamma = gamma_at(x)
         max_t = max(max_t, float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))))
-    return CurvatureReport(max_r, max_t, tol)
+    return CurvatureReport(max_r, max_t, DEFAULT_CURVATURE_TOL)
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ class HessianStructure:
         return -np.einsum("...ijk,...j,...k->...i", self.gamma, a, b)
 
 
-def hessian_structure(metric: MetricField, points, h: float | None = None) -> HessianStructure:
+def hessian_structure(metric: MetricField, points) -> HessianStructure:
     """Metric, Christoffel symbols and curvature of a Hessian metric at P points.
 
     g = d^2 psi in the affine coordinates, so d_k g_ij = T_ijk is totally
@@ -210,22 +209,22 @@ def hessian_structure(metric: MetricField, points, h: float | None = None) -> He
 
     So the metric is flat iff its tangent algebra a o b = -Gamma(a, b) is
     associative, and no second difference level is needed.  Each point
-    costs one ``metric.value`` and one ``metric.derivative(x, h)``; Gamma
+    costs one ``metric.value`` and one ``metric.derivative``; Gamma
     is bit-identical to :func:`christoffel` at each point.  Raises
     DimensionMismatch unless ``points`` is one point or a non-empty stack,
     and DegenerateMetric, naming the worst point, if any g is singular.
     """
     points = np.atleast_2d(_points(metric.dim, points))
-    g = np.stack([metric.value(x) for x in points])
-    dg = np.stack([metric.derivative(x, h=h) for x in points])
-    require_invertible(g, DegenerateMetric, "metric", points)
+    g = require_invertible(np.stack([metric.value(x) for x in points]),
+                           DegenerateMetric, "metric", points)
+    dg = np.stack([metric.derivative(x) for x in points])
     gamma = _levi_civita(np.linalg.inv(g), dg)
     riemann = (np.einsum("pilm,pmkj->pijkl", gamma, gamma)
                - np.einsum("pikm,pmlj->pijkl", gamma, gamma))
     return HessianStructure(g, gamma, riemann)
 
 
-def hessian_log_metric(phi: PotentialField, h: float | None = None) -> MetricField:
+def hessian_log_metric(phi: PotentialField) -> MetricField:
     """Metric g_ij = Hessian of log(phi); requires phi > 0 at probed points."""
 
     def log_phi(x):
@@ -234,25 +233,21 @@ def hessian_log_metric(phi: PotentialField, h: float | None = None) -> MetricFie
             raise NonPositivePotential(f"potential is {v} at {x}")
         return np.log(v)
 
-    if phi.log_hess is not None and h is None:
-        value = lambda x: np.asarray(phi.log_hess(_point(phi.dim, x)), dtype=float)
-    else:
-        step = numdiff.SECOND_ORDER_STEP if h is None else h
-        value = lambda x: numdiff.hessian(log_phi, _point(phi.dim, x), h=step)
+    # MetricField hands both callbacks a validated point and converts what
+    # they return
+    value = phi.log_hess or (lambda x: numdiff.hessian(log_phi, x))
+
     # keep a probe so the positivity contract is enforced in analytic mode too
     def guarded(x):
-        log_phi(np.asarray(x, dtype=float))
+        log_phi(x)
         return value(x)
 
-    deriv = None
-    if phi.log_third is not None and h is None:
-        # d_k g_ij is the fully symmetric third-derivative tensor of log(phi)
-        deriv = lambda x: np.asarray(phi.log_third(_point(phi.dim, x)), dtype=float)
-    return MetricField(phi.dim, guarded, deriv=deriv,
+    # d_k g_ij is the fully symmetric third-derivative tensor of log(phi)
+    return MetricField(phi.dim, guarded, deriv=phi.log_third,
                        name=f"hesslog({phi.name})" if phi.name else "")
 
 
-def cone_multiply(phi: PotentialField, x, a, b, h: float | None = None) -> np.ndarray:
+def cone_multiply(phi: PotentialField, x, a, b) -> np.ndarray:
     """Tangent multiplication (a o b)^i = -Gamma^i_jk a^j b^k of the log-Hessian metric.
 
     Broadcasts over a leading point axis: each of x, a and b is one vector
@@ -265,7 +260,7 @@ def cone_multiply(phi: PotentialField, x, a, b, h: float | None = None) -> np.nd
         shape = np.broadcast_shapes(x.shape, a.shape, b.shape)
     except ValueError:
         raise DimensionMismatch("x, a and b hold point counts that do not broadcast") from None
-    return hessian_structure(hessian_log_metric(phi, h=h), x).multiply(a, b).reshape(shape)
+    return hessian_structure(hessian_log_metric(phi), x).multiply(a, b).reshape(shape)
 
 
 def automorphism_invariance_residual(phi: PotentialField, A, points) -> float:
@@ -303,8 +298,9 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
 
     Checks the defining compatibility d_k g_ij = G+_{ki,j} + G-_{kj,i}
     (indices lowered with g) by finite differences, and reports the
-    curvature residual of each connection.  A singular metric at beta
-    raises DegenerateMetric from the Christoffel symbols.
+    curvature residual of each connection; both curvatures come from one
+    difference of the stacked pair.  A singular metric at beta raises
+    DegenerateMetric from the Christoffel symbols.
     """
     beta = np.asarray(beta, dtype=float)
     metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
@@ -314,7 +310,7 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
         lc = christoffel(metric, b)
         t = cumulant_tensor(fam, b, 3).values
         half = 0.5 * np.einsum("il,ljk->ijk", np.linalg.inv(metric.value(b)), t)
-        return lc - half, lc + half
+        return np.stack([lc - half, lc + half])
 
     gp, gm = plus_minus(beta)
 
@@ -323,8 +319,7 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
     lowered_m = np.einsum("il,lkj->kij", g, gm)  # G-_{kj,i}
     duality = float(np.max(np.abs(dg - lowered_p - lowered_m)))
 
-    curv_p = float(np.max(np.abs(riemann_tensor(lambda b: plus_minus(b)[0], beta))))
-    curv_m = float(np.max(np.abs(riemann_tensor(lambda b: plus_minus(b)[1], beta))))
+    curv_p, curv_m = abs(riemann_tensor(plus_minus, beta)).reshape(2, -1).max(axis=1).tolist()
     return DualConnectionReport(gp, gm, duality, curv_p, curv_m)
 
 
@@ -343,8 +338,7 @@ class PencilReport:
 
 
 def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
-                      lambdas=(0.5, -0.3, 1.2, 2.0, -1.1), points=None,
-                      tol: float = DEFAULT_CURVATURE_TOL) -> PencilReport:
+                      lambdas=(0.5, -0.3, 1.2, 2.0, -1.1), points=None) -> PencilReport:
     """Flatness of g, of g2 = d(g)/dx^direction, and of g + lambda*g2.
 
     ``metric_contravariant`` evaluates the upper-index matrix g^ij; each
@@ -371,7 +365,7 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
     def flatness_of_upper(fn) -> float:
         lower = MetricField(metric_contravariant.dim,
                             lambda x: np.linalg.inv(fn(x)))
-        return curvature_flatness(lower, points, tol=tol).max_riemann
+        return curvature_flatness(lower, points).max_riemann
 
     base = flatness_of_upper(upper)
     derived = flatness_of_upper(derived_upper)
@@ -380,5 +374,5 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
         combos[float(lam)] = flatness_of_upper(
             lambda x, lam=lam: upper(x) + lam * derived_upper(x)
         )
-    return PencilReport(base, derived, combos, tol)
+    return PencilReport(base, derived, combos, DEFAULT_CURVATURE_TOL)
 

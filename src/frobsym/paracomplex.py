@@ -25,6 +25,8 @@ from .errors import DimensionMismatch, InvalidStructure, NonFiniteValue, ZeroDiv
 
 # Scale-relative guard for the null cone |re^2 - im^2| = 0.
 ZERO_DIVISOR_RTOL = 1e-12
+# Largest max|K^2 - I| a product structure may have.
+SQUARE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,6 @@ class ParaStructure:
     validate both conditions at construction.
     """
 
-    SQUARE_TOL = 1e-12
-
     def __init__(self, matrix):
         K = np.asarray(matrix, dtype=float)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -208,7 +208,7 @@ class ParaStructure:
         if d % 2 != 0:
             raise DimensionMismatch("K acts on an even-dimensional space")
         resid = np.max(np.abs(K @ K - np.eye(d)))
-        if resid > self.SQUARE_TOL:
+        if resid > SQUARE_TOL:
             raise InvalidStructure(f"K^2 differs from the identity by {resid:.3e}")
         eigvals = np.linalg.eigvals(K)
         plus = int(np.sum(np.real(eigvals) > 0.0))

@@ -89,12 +89,11 @@ def paracomplex_bracket(g, xi: ParaVector, eta: ParaVector) -> float:
 
 
 def evolution_derivative(H: Observable, Q: Observable, y: PhasePoint,
-                         constants: StructureConstants | None = None,
-                         h: float | None = None) -> float:
+                         constants: StructureConstants | None = None) -> float:
     """Qdot = {H, Q} at y, optionally with a spin block."""
     if constants is not None:
-        return extended_bracket(H, Q, y, constants, h=h)
-    return canonical_bracket(H, Q, y, h=h)
+        return extended_bracket(H, Q, y, constants)
+    return canonical_bracket(H, Q, y)
 
 
 @dataclass(frozen=True)
@@ -108,16 +107,15 @@ class BracketResiduals:
         return max(self.antisymmetry, self.chain_rule, self.leibniz, self.jacobi)
 
 
-def bracket_property_residuals(bracket: Callable, observables, points,
-                               nested_h: float = DEFAULT_NESTED_STEP) -> BracketResiduals:
+def bracket_property_residuals(bracket: Callable, observables, points) -> BracketResiduals:
     """Antisymmetry, chain rule, Leibniz and Jacobi residuals of a bracket.
 
-    ``bracket(A, B, y)`` must accept Observable arguments at one point;
+    ``bracket(A, B, y, h=None)`` must accept Observable arguments at one point;
     the operands' ``func`` must take stacked points (see
     :class:`~frobsym.symplectic.Observable`).  The chain rule is probed
     with f(t) = t^2 and g(t) = sin t; Jacobi nests the bracket as a new
     Observable, mapped over stacked points row by row and differentiated
-    with the coarser ``nested_h`` step to keep finite-difference noise
+    with the coarser DEFAULT_NESTED_STEP to keep finite-difference noise
     below the 1e-6 residual target.
 
     Within one probe point, an operand without an analytic gradient has its
@@ -148,9 +146,9 @@ def bracket_property_residuals(bracket: Callable, observables, points,
             return Observable(rowwise(lambda q: bracket(first, second, q)))
 
         triple = (
-            bracket(A, nested(B, C), y, h=nested_h)
-            + bracket(B, nested(C, A), y, h=nested_h)
-            + bracket(C, nested(A, B), y, h=nested_h)
+            bracket(A, nested(B, C), y, h=DEFAULT_NESTED_STEP)
+            + bracket(B, nested(C, A), y, h=DEFAULT_NESTED_STEP)
+            + bracket(C, nested(A, B), y, h=DEFAULT_NESTED_STEP)
         )
         jac = max(jac, abs(triple))
     return BracketResiduals(anti, chain, leib, jac)
@@ -304,19 +302,18 @@ def lattice_hydro_bracket(lb: LatticeBracket, u) -> LatticeOperatorReport:
     return LatticeOperatorReport(lb, u, float(residual))
 
 
-def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng,
-                        modes: int = 2) -> np.ndarray:
-    """Low-order Fourier profile sampled on the grid.
+def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng) -> np.ndarray:
+    """Fourier profile of the two lowest modes, sampled on the grid.
 
     The number of random draws is independent of the grid size, so the same
     rng state produces samples of one fixed continuum function at every
     resolution; grid-refinement studies rely on this.
     """
-    coeffs = rng.normal(size=(field_dim, modes, 2))
+    coeffs = rng.normal(size=(field_dim, 2, 2))
     x = spacing * np.arange(sites)
     length = spacing * sites
     out = np.zeros((field_dim, sites))
-    for k in range(modes):
+    for k in range(2):
         angle = 2.0 * np.pi * (k + 1) * x / length
         out += coeffs[:, k, 0][:, None] * np.cos(angle)
         out += coeffs[:, k, 1][:, None] * np.sin(angle)
@@ -341,7 +338,7 @@ def _assemble_operator(lb: LatticeBracket, u: np.ndarray) -> np.ndarray:
     return B.reshape(r * N, r * N)
 
 
-def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None, triples: int = 3) -> float:
+def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None) -> float:
     """Relative Jacobi defect on smooth linear functionals F = sum phi_i(n) u^i_n.
 
     For linear F the inner bracket is phi^T B(u) psi, so the outer bracket
@@ -364,7 +361,7 @@ def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None, triples: int = 3) -
     # phi_a with the inner bracket {phi_b, phi_c} for (a, b, c) in
     # (0, 1, 2), (1, 2, 0), (2, 0, 1)
     phi = np.array([[smooth_test_profile(r, N, h, rng) for _ in range(3)]
-                   for _ in range(triples)]).reshape(triples, 3, r, N)
+                   for _ in range(3)])
     first, second = phi[:, [1, 2, 0]], phi[:, [2, 0, 1]]
     # d/du^k_s of phi^T B(u) psi; the flux part uses D^T = -D
     inner = (np.einsum("tcin,nijk,tcjn->tckn", first, dC, _ddx(second, h))

@@ -2,8 +2,7 @@
 
 Spec files refer to these by id instead of carrying an expression language;
 every entry ships its closed-form derivatives so that residual targets in
-the 1e-6..1e-12 range are meaningful.  An expression parser would slot in
-here as an alternative source of ids.
+the 1e-6..1e-12 range are meaningful.
 """
 
 from __future__ import annotations
@@ -41,9 +40,12 @@ def orthant_potential(n: int) -> PotentialField:
     """Characteristic function 1 / prod(x_i) of the positive orthant.
 
     log phi = -sum log x_i, so the log-Hessian is diag(1/x_i^2) and its
-    derivative tensor has -2/x_i^3 on the triple diagonal.
+    derivative tensor has -2/x_i^3 on the triple diagonal.  Near a face the
+    log-Hessian overflows to inf without a warning, which the metric guard
+    rejects before the derivative is taken.
     """
 
+    @np.errstate(divide="ignore", over="ignore")
     def log_hess(x):
         return np.diag(1.0 / x**2)
 
@@ -140,7 +142,7 @@ POTENTIALS = {
 
 
 # ---------------------------------------------------------------------------
-# metric fields (the contravariant flag matters for pencil checks)
+# metric fields
 
 
 def euclidean_metric(n: int) -> MetricField:

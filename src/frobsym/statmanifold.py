@@ -200,15 +200,14 @@ def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float]:
     return eta, psi
 
 
-def natural_from_dual(fam: ExponentialFamily, eta, initial=None,
-                      tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+def natural_from_dual(fam: ExponentialFamily, eta, initial=None) -> np.ndarray:
     """Invert eta = grad(potential) by damped Newton on the gradient map."""
     eta = np.asarray(eta, dtype=float)
     beta = np.zeros(fam.n) if initial is None else np.array(initial, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(100):
         current, _ = dual_coordinates(fam, beta)
         resid = current - eta
-        if np.max(np.abs(resid)) < tol:
+        if np.max(np.abs(resid)) < 1e-12:
             return beta
         g = checked_metric(fam, beta)
         step = np.linalg.solve(g, resid)

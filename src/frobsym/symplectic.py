@@ -219,7 +219,7 @@ def paracomplex_two_form(g, m: int) -> TwoForm:
     return TwoForm(2 * m, coeffs)
 
 
-def dolbeault_form(phi: PotentialField, point, h: float | None = None) -> np.ndarray:
+def dolbeault_form(phi: PotentialField, point) -> np.ndarray:
     """Mixed-partial coefficients w[a, b] = d2 phi / dz+^a dz-^b.
 
     ``phi`` lives on adapted coordinates ordered (z+^1..z+^m, z-^1..z-^m).
@@ -228,11 +228,10 @@ def dolbeault_form(phi: PotentialField, point, h: float | None = None) -> np.nda
         raise DimensionMismatch("adapted coordinates come in (plus, minus) pairs")
     m = phi.dim // 2
     point = np.asarray(point, dtype=float)
-    if phi.hess is not None and h is None:
+    if phi.hess is not None:
         full = np.asarray(phi.hess(point), dtype=float)
     else:
-        step = numdiff.SECOND_ORDER_STEP if h is None else h
-        full = numdiff.hessian(phi.value, point, h=step)
+        full = numdiff.hessian(phi.value, point)
     return full[:m, m:]
 
 
@@ -263,18 +262,18 @@ def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
     return TwoForm(2 * m, coeffs)
 
 
-def exterior_derivative(form: TwoForm, point, h: float | None = None) -> np.ndarray:
+def exterior_derivative(form: TwoForm, point) -> np.ndarray:
     """(dW)_ijk = d_i J_jk + d_j J_ki + d_k J_ij by central differences."""
     point = np.asarray(point, dtype=float)
-    dj = numdiff.jacobian(form.matrix, point, h=h)  # dj[i, j, k]
+    dj = numdiff.jacobian(form.matrix, point)  # dj[i, j, k]
     return dj + np.transpose(dj, (1, 2, 0)) + np.transpose(dj, (2, 0, 1))
 
 
-def closedness_residual(form: TwoForm, points, h: float | None = None) -> float:
+def closedness_residual(form: TwoForm, points) -> float:
     """Max |(dW)_ijk| over the sample points."""
     worst = 0.0
     for x in points:
-        worst = max(worst, float(np.max(np.abs(exterior_derivative(form, x, h=h)))))
+        worst = max(worst, float(np.max(np.abs(exterior_derivative(form, x)))))
     return worst
 
 
@@ -304,7 +303,7 @@ def _antisymmetrize(t: np.ndarray) -> np.ndarray:
 
 
 def split_exterior_derivative(coeffs: Callable, degree: int, point,
-                              block: str = "both", h: float = 1e-4) -> np.ndarray:
+                              block: str = "both") -> np.ndarray:
     """d, d' or d'' of a degree-``degree`` form at ``point``.
 
     ``block`` selects which derivative directions survive: "plus" gives d',
@@ -324,7 +323,7 @@ def split_exterior_derivative(coeffs: Callable, degree: int, point,
             raise DimensionMismatch(f"expected a degree-{degree} coefficient array")
         return arr
 
-    full = numdiff.jacobian(wrapped, point, h=h)  # [direction, (form indices)]
+    full = numdiff.jacobian(wrapped, point, h=1e-4)  # [direction, (form indices)]
     if block == "plus":
         full[m:] = 0.0
     elif block == "minus":
@@ -334,12 +333,12 @@ def split_exterior_derivative(coeffs: Callable, degree: int, point,
     return (degree + 1) * _antisymmetrize(full)
 
 
-def dbar_split_residuals(zero_forms, points, one_forms=(), h: float = 1e-4) -> dict:
+def dbar_split_residuals(zero_forms, points, one_forms=()) -> dict:
     """Max residuals of (d')^2 = 0, (d'')^2 = 0 and d'd'' = -d''d'.
 
     Applied to the supplied 0-forms (callables of the adapted point) and
     optional 1-forms (callables returning a length-2m coefficient vector),
-    at each sample point, with nested central differences of step ``h``.
+    at each sample point, with nested :func:`split_exterior_derivative`.
     """
     worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
     suite = [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]
@@ -348,12 +347,12 @@ def dbar_split_residuals(zero_forms, points, one_forms=(), h: float = 1e-4) -> d
             point = np.asarray(raw, dtype=float)
 
             def once(block):
-                return lambda x: split_exterior_derivative(f, degree, x, block=block, h=h)
+                return lambda x: split_exterior_derivative(f, degree, x, block=block)
 
-            pp = split_exterior_derivative(once("plus"), degree + 1, point, "plus", h=h)
-            mm = split_exterior_derivative(once("minus"), degree + 1, point, "minus", h=h)
-            pm = split_exterior_derivative(once("minus"), degree + 1, point, "plus", h=h)
-            mp = split_exterior_derivative(once("plus"), degree + 1, point, "minus", h=h)
+            pp = split_exterior_derivative(once("plus"), degree + 1, point, "plus")
+            mm = split_exterior_derivative(once("minus"), degree + 1, point, "minus")
+            pm = split_exterior_derivative(once("minus"), degree + 1, point, "plus")
+            mp = split_exterior_derivative(once("plus"), degree + 1, point, "minus")
             worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
             worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
             worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
@@ -421,10 +420,9 @@ def legendre_hamiltonian(lag: LorentzLagrangian, xi, z) -> tuple[np.ndarray, np.
 # Hamiltonian vector fields and time stepping
 
 
-def hamiltonian_vector_field(H: Observable, form: TwoForm, y: PhasePoint,
-                             h: float | None = None) -> np.ndarray:
+def hamiltonian_vector_field(H: Observable, form: TwoForm, y: PhasePoint) -> np.ndarray:
     """X with form(X, .) = dH at y, i.e. J_ij X^i = dH/dy^j."""
-    grad = H.gradient(y, h=h)
+    grad = H.gradient(y)
     point = y.flat()
     J = require_invertible(form.matrix(point), DegenerateForm, "form", point)
     return np.linalg.solve(J.T, grad)

@@ -9,10 +9,14 @@ Oracles:
                                  each site's own error type
   [[nan, 0], [0, 1]]             no condition number (the SVD does not
                                  converge): NonFiniteValue at every site
+  [[inf, 0], [0, 1]]             inf - inf in the symmetry defect:
+                                 NonFiniteValue before it is formed, with
+                                 no floating-point warning
 """
 
 import pathlib
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +55,8 @@ NOT_SKEW = np.array([[0.0, 1.0], [-1.000005, 0.0]])
 SINGULAR = np.diag([1.0, 1e-13])
 NAN_METRIC = np.array([[np.nan, 0.0], [0.0, 1.0]])
 NAN_FORM = np.array([[0.0, np.nan], [np.nan, 0.0]])
+INF_METRIC = np.array([[np.inf, 0.0], [0.0, 1.0]])
+INF_FORM = np.array([[0.0, np.inf], [-np.inf, 0.0]])
 
 
 def singular_fisher_family():
@@ -117,6 +123,16 @@ class TestConditioningSites:
     def test_nan_entry_is_non_finite_value(self, build):
         with pytest.raises(NonFiniteValue, match=r"non-finite entry at \[0\. 0\.\]"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: MetricField(2, lambda x: INF_METRIC).inverse([0.0, 0.0]),
+        lambda: TwoForm(2, lambda x: INF_FORM).inverse([0.0, 0.0]),
+    ], ids=["metric_inverse", "form_inverse"])
+    def test_infinite_entry_is_non_finite_value_without_a_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"non-finite entry at \[0\. 0\.\]"):
+                build()
 
     def test_nan_fisher_metric_is_non_finite_value(self, monkeypatch):
         # the family's own guards keep NaN out of its cumulants, so one is

@@ -6,11 +6,15 @@ Every shifted point is evaluated on its own and the weighted values are
 summed in stencil order; the stacked routines must reproduce it bit for bit.
 """
 
+import importlib
+import inspect
+import pkgutil
 from itertools import product
 
 import numpy as np
 import pytest
 
+import frobsym
 from frobsym import DimensionMismatch, ExponentialFamily, potential_eval
 from frobsym.numdiff import central_partial, derivative_tensor, gradient
 
@@ -117,3 +121,38 @@ def test_gradient_needs_one_value_per_stacked_point():
         gradient(lambda z: float(np.sum(z)), np.zeros(2))
     with pytest.raises(DimensionMismatch, match=r"shape \(4, 1\) for 4 stacked points"):
         gradient(lambda z: z[:, :1], np.zeros(2))
+
+
+STEP_PARAMETERS = {"h", "tol", "nested_h", "max_iter", "triples", "modes"}
+# the bracket protocol: the nested Jacobi level differences its operands at
+# DEFAULT_NESTED_STEP through the bracket's own step
+BRACKET_PROTOCOL = {"frobsym.symplectic.Observable.gradient",
+                    "frobsym.poisson.canonical_bracket", "frobsym.poisson.extended_bracket"}
+
+
+def public_functions():
+    """Every public function, method and constructor defined in frobsym."""
+    for info in pkgutil.iter_modules(frobsym.__path__):
+        module = importlib.import_module(f"frobsym.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    function = getattr(member, "__func__", member)
+                    if (attr == "__init__" or not attr.startswith("_")) and inspect.isfunction(function):
+                        yield function
+
+
+def test_only_numdiff_and_the_bracket_protocol_take_a_step():
+    """Each step and tolerance is fixed where it is used, so no caller can
+    swap a closed form for a difference or one difference for another."""
+    offenders = sorted(
+        f"{fn.__module__}.{fn.__qualname__}({name})"
+        for fn in public_functions()
+        if fn.__module__ != "frobsym.numdiff"
+        and f"{fn.__module__}.{fn.__qualname__}" not in BRACKET_PROTOCOL
+        for name in inspect.signature(fn).parameters if name in STEP_PARAMETERS)
+    assert offenders == []
