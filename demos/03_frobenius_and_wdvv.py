@@ -49,7 +49,7 @@ for v in find_idempotents_rank2(alg_split):
 print("\n== first-order bracket identities on upper-index constants ==")
 b = np.zeros((2, 2, 2))
 b[0, 0, 0] = b[1, 1, 1] = 0.5
-metric = MetricField(2, lambda u: np.diag(u))
+metric = MetricField(2, lambda u: u[..., None] * np.eye(2))
 nov = novikov_residuals(b, metric, [1.3, 0.7])
 print(f"left symmetry {nov.left_symmetry:.1e}, right identity {nov.right_identity:.1e}, "
       f"flux symmetrization {nov.symmetrization:.1e}")

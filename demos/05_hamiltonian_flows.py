@@ -30,7 +30,7 @@ print(f"J = {form.matrix([0, 0]).tolist()}, pairing((1,0),(0,1)) = {form.pair([0
 print("\n== realified split form: [[0, G], [-G, 0]] ==")
 split = paracomplex_two_form(np.array([[1.0]]), 1)
 print(f"m=1, g=1: {split.matrix([0.0, 0.0]).tolist()}  (+dx^dy)")
-phi = PotentialField(2, lambda w: (w[0] * w[1]) ** 2)
+phi = PotentialField(2, lambda w: (w[..., 0] * w[..., 1]) ** 2)
 print(f"mixed second partial of (z+ z-)^2 at (3, 5) = {dolbeault_form(phi, [3.0, 5.0]).item():.3f}")
 closed = closedness_residual(realified_dolbeault_two_form(phi), [[0.3, 0.2]])
 print(f"potential-derived form closedness residual  = {closed:.1e}")

@@ -78,7 +78,7 @@ ANCHORS = {
     "Asso": "triple-product / pairing-invariance identity",
     "Pot": "third derivatives of the potential as the structure tensor",
     "WDVV": "associativity PDE system on the potential",
-    "S2.1": "flatness and torsionlessness hypotheses",
+    "S2.1": "flatness hypothesis of a connection torsion-free by construction",
     "S2.2": "Hamiltonian and split-coordinate recollections",
     "S2.3": "Lorentz-signature Lagrangian and Legendre transform",
     "S3": "bracket definitions and their derivation laws",
@@ -405,7 +405,9 @@ def _check_dual_coordinates(ctx: CheckContext) -> float:
     beta = ctx.beta()
     eta, psi = dual_coordinates(fam, beta)
     legendre = abs(psi + potential_eval(fam, beta) - float(beta @ eta))
-    jac = numdiff.jacobian(lambda b: dual_coordinates(fam, b)[0], beta)
+    # dual_coordinates takes one parameter point: a stack is mapped row by row
+    jac = numdiff.jacobian(lambda b: np.reshape(
+        [dual_coordinates(fam, row)[0] for row in b.reshape(-1, fam.n)], b.shape), beta)
     metric = cumulant_tensor(fam, beta, 2).values
     jacobian_gap = float(np.max(np.abs(jac - metric)))
     back = natural_from_dual(fam, eta, initial=beta + 0.3)
@@ -419,12 +421,8 @@ def _check_dual_connections(ctx: CheckContext) -> float:
 
 
 def _check_hessian_metric_pd(ctx: CheckContext) -> float:
-    metric = hessian_log_metric(ctx.potential())
-    worst = 0.0
-    for x in ctx.cone_points(5):
-        eig = np.linalg.eigvalsh(metric.value(x))
-        worst = max(worst, max(0.0, -float(eig[0])))
-    return worst
+    lowest = np.linalg.eigvalsh(hessian_log_metric(ctx.potential()).value(ctx.cone_points(5)))
+    return max(0.0, -float(lowest[:, 0].min()))
 
 
 def _check_flatness(ctx: CheckContext) -> float:
@@ -436,7 +434,7 @@ def _check_flatness(ctx: CheckContext) -> float:
         metric = ctx.metric()
         points = [ctx.rng.normal(0.5, 0.4, metric.dim) for _ in range(3)]
         report = curvature_flatness(metric, points)
-    return max(report.max_riemann, report.max_torsion)
+    return report.max_riemann
 
 
 def _check_cone_unit(ctx: CheckContext) -> float:
@@ -495,7 +493,7 @@ def _check_form_closedness(ctx: CheckContext) -> float:
 def _check_dbar_splitting(ctx: CheckContext) -> float:
     phi = ctx.potential()
     zero_forms = [phi.value,
-                  lambda w: float(np.sin(w[0]) * np.cos(w[-1]))]
+                  lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
     one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
     points = [ctx.rng.normal(0.0, 0.5, phi.dim) for _ in range(2)]
     res = dbar_split_residuals(zero_forms, points, one_forms=one_forms)
@@ -518,6 +516,7 @@ def _hamiltonian_observable(ctx: CheckContext) -> Observable:
         dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
         return np.concatenate([dz + u_grad(y.z), v, np.zeros_like(y.lam)])
 
+    # quadratic_energy takes one point: rowwise maps a stacked point row by row
     return Observable(rowwise(lambda y: quadratic_energy(metric, y, u_func)), grad)
 
 

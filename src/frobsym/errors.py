@@ -9,10 +9,9 @@ decided once: a matrix is symmetric (or antisymmetric) when its entries
 are finite and max|m -+ m^T| <= SYMMETRY_RTOL * max(1, max|m|) over its
 last two axes, and invertible when its condition number is at most
 CONDITION_LIMIT.  Messages are formatted only on failure, so a passing
-guard costs no repr of the point.
+guard costs no repr of the point.  A guard takes a stack of matrices too,
+decides each on its own, and names the offending point of the stack ``at``.
 """
-
-import math
 
 import numpy as np
 
@@ -99,26 +98,27 @@ def _at(at) -> str:
 
 def _require_small(combine, m: np.ndarray, mt: np.ndarray, kind: str, what: str, at) -> None:
     # array methods, not np.max/np.abs: this runs on every metric evaluation
-    scale = abs(m).max()
+    scale = abs(m).max(axis=(-2, -1))
     # an inf or NaN entry (max() propagates a NaN) is caught before
     # combine(m, m^T) can compute inf - inf, which would warn
-    if not math.isfinite(scale):
-        raise NonFiniteValue(f"{what} has a non-finite entry{_at(at)}")
-    if abs(combine(m, mt)).max() > SYMMETRY_RTOL * max(1.0, scale):
-        raise InvalidStructure(f"{what} not {kind}{_at(at)}")
+    require_finite(scale, what, at)
+    over = abs(combine(m, mt)).max(axis=(-2, -1)) > SYMMETRY_RTOL * np.maximum(1.0, scale)
+    if over.any():
+        worst = np.unravel_index(np.argmax(over), over.shape)
+        raise InvalidStructure(f"{what} not {kind}{_at_worst(at, worst)}")
 
 
 def symmetric_part(m: np.ndarray, what: str, at=None) -> np.ndarray:
-    """(m + m^T) / 2 over the last two axes; NonFiniteValue if m has an
-    infinite or NaN entry, InvalidStructure if it is not symmetric."""
+    """(m + m^T) / 2 over the last two axes; NonFiniteValue if a matrix has
+    an infinite or NaN entry, InvalidStructure if one is not symmetric."""
     mt = m.swapaxes(-1, -2)
     _require_small(np.subtract, m, mt, "symmetric", what, at)
     return 0.5 * (m + mt)
 
 
 def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:
-    """``m`` itself; NonFiniteValue if it has an infinite or NaN entry,
-    InvalidStructure if it is not antisymmetric in its last two axes."""
+    """``m`` itself; NonFiniteValue if a matrix has an infinite or NaN entry,
+    InvalidStructure if one is not antisymmetric in its last two axes."""
     _require_small(np.add, m, m.swapaxes(-1, -2), "antisymmetric", what, at)
     return m
 
@@ -127,10 +127,9 @@ def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.nda
     """``m`` itself; ``error`` if its condition number exceeds CONDITION_LIMIT,
     NonFiniteValue if it has an infinite or NaN entry.
 
-    ``m`` may be a stack of matrices over leading axes; ``at`` is then the
-    matching stack of points, and the message names the worst one.  The
-    entries are only inspected once the condition number has failed, so a
-    finite matrix costs nothing beyond it.
+    The message names the worst matrix of a stack.  The entries are only
+    inspected once the condition number has failed, so a finite matrix
+    costs nothing beyond it.
     """
     try:
         cond = np.linalg.cond(m)
@@ -139,13 +138,21 @@ def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.nda
         cond = np.full(np.shape(m)[:-2], np.inf)
     over = cond > CONDITION_LIMIT
     if over.any():
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        if not finite.all():
-            worst = np.unravel_index(np.argmin(finite), finite.shape)
-            raise NonFiniteValue(f"{what} has a non-finite entry{_at_worst(at, worst)}")
+        require_finite(m, what, at)
         worst = np.unravel_index(np.argmax(np.where(over, cond, 0.0)), cond.shape)
         raise error(f"{what} singular{_at_worst(at, worst)} "
                     f"(condition number {cond[worst]:.1e})")
+    return m
+
+
+def require_finite(m: np.ndarray, what: str, at=None) -> np.ndarray:
+    """``m`` itself, one block per point of ``at``; NonFiniteValue naming
+    the first point whose block has an infinite or NaN entry."""
+    lead = 0 if at is None else np.ndim(at) - 1
+    finite = np.isfinite(m).reshape(np.shape(m)[:lead] + (-1,)).all(axis=-1)
+    if not finite.all():
+        worst = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NonFiniteValue(f"{what} has a non-finite entry{_at_worst(at, worst)}")
     return m
 
 

@@ -1,9 +1,10 @@
 """Metric fields, curvature residuals, and Hessian (cone) geometry.
 
-Everything is a residual computation on evaluable fields: a metric is any
-callable point -> symmetric matrix, a potential any callable point -> real.
-Analytic derivative callbacks are used when supplied; otherwise central
-finite differences at the step fixed for that use (see :mod:`frobsym.numdiff`).
+Everything is a residual computation on evaluable fields: every callback
+maps a ``(..., n)`` stack of points to one value per point, and each
+consumer calls it once per stack.  Analytic derivative callbacks are used
+when supplied; otherwise central finite differences at the step fixed for
+that use (see :mod:`frobsym.numdiff`).
 User-supplied callables must be re-entrant (they are probed from property
 tests and from the battery runner).
 """
@@ -23,6 +24,7 @@ from .errors import (
     DomainViolation,
     InvalidStructure,
     NonPositivePotential,
+    require_finite,
     require_invertible,
     symmetric_part,
 )
@@ -33,9 +35,10 @@ DEFAULT_CURVATURE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MetricField:
-    """Evaluable metric: ``func(x)`` returns an n x n symmetric matrix.
+    """Evaluable metric: ``func`` maps a ``(..., dim)`` stack of points to
+    ``(..., dim, dim)`` symmetric matrices.
 
-    ``deriv``, when given, must return d[k, i, j] = d(g_ij)/dx_k.
+    ``deriv``, when given, must return d[..., k, i, j] = d(g_ij)/dx_k.
     """
 
     dim: int
@@ -44,17 +47,17 @@ class MetricField:
     name: str = ""
 
     def value(self, x) -> np.ndarray:
-        x = _point(self.dim, x)
+        x = _points(self.dim, x)
         g = np.asarray(self.func(x), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"metric value has shape {g.shape}")
+        if g.shape != x.shape + (self.dim,):
+            raise DimensionMismatch(f"metric value has shape {g.shape} for points {x.shape}")
         return symmetric_part(g, "metric", x)
 
     def derivative(self, x) -> np.ndarray:
-        x = _point(self.dim, x)
-        if self.deriv is not None:
-            return np.asarray(self.deriv(x), dtype=float)
-        return numdiff.jacobian(self.value, x)
+        x = _points(self.dim, x)
+        if self.deriv is None:
+            return numdiff.jacobian(self.value, x)
+        return require_finite(np.asarray(self.deriv(x), dtype=float), "metric derivative", x)
 
     def inverse(self, x) -> np.ndarray:
         g = self.value(x)
@@ -66,46 +69,41 @@ class MetricField:
 class PotentialField:
     """Evaluable scalar field with an optional positivity domain.
 
-    Positivity is only enforced where a log is actually taken
+    ``func`` and ``domain`` map a ``(..., dim)`` stack of points to one value
+    per point, the derivative callbacks to one tensor per point.  Positivity is only enforced where a log is actually taken
     (:func:`hessian_log_metric`), so the same type carries both cone
     characteristics and third-derivative potentials for algebra checks.
     """
 
     dim: int
-    func: Callable[[np.ndarray], float]
-    domain: Callable[[np.ndarray], bool] | None = None
+    func: Callable[[np.ndarray], np.ndarray]
+    domain: Callable[[np.ndarray], np.ndarray] | None = None
     hess: Callable[[np.ndarray], np.ndarray] | None = None
     third: Callable[[np.ndarray], np.ndarray] | None = None
     log_hess: Callable[[np.ndarray], np.ndarray] | None = None
     log_third: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
-    def value(self, x) -> float:
-        x = _point(self.dim, x)
-        if self.domain is not None and not self.domain(x):
+    def value(self, x) -> np.ndarray:
+        x = _points(self.dim, x)
+        if self.domain is not None and not np.all(self.domain(x)):
             raise DomainViolation(f"{x} outside the declared domain")
-        return float(self.func(x))
+        v = np.asarray(self.func(x), dtype=float)
+        if v.shape != x.shape[:-1]:
+            raise DimensionMismatch(f"potential value has shape {v.shape} for points {x.shape}")
+        return require_finite(v, "potential", x)
 
     def third_tensor(self, x) -> np.ndarray:
-        x = _point(self.dim, x)
+        x = _points(self.dim, x)
         if self.third is not None:
             return np.asarray(self.third(x), dtype=float)
-        # value() takes one point; the stencil hands over a stack of them
-        return numdiff.derivative_tensor(
-            lambda stack: np.array([self.value(row) for row in stack]), x, 3, 5e-3)
-
-
-def _point(dim: int, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (dim,):
-        raise DimensionMismatch(f"expected a point with {dim} coordinates")
-    return x
+        return numdiff.derivative_tensor(self.value, x, 3, 5e-3)
 
 
 def _points(dim: int, x) -> np.ndarray:
-    """One point of ``dim`` coordinates, or a non-empty (P, dim) stack of them."""
+    """One point of ``dim`` coordinates, or a non-empty ``(..., dim)`` stack of them."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim not in (1, 2) or x.shape[-1] != dim or x.size == 0:
+    if x.shape[-1] != dim or x.size == 0:
         raise DimensionMismatch(f"expected a point or a stack of points with {dim} coordinates")
     return x
 
@@ -113,7 +111,6 @@ def _points(dim: int, x) -> np.ndarray:
 @dataclass(frozen=True)
 class CurvatureReport:
     max_riemann: float
-    max_torsion: float
     tolerance: float
 
     @property
@@ -122,7 +119,8 @@ class CurvatureReport:
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[..., i, j, k] from g^-1 and dg[..., k, i, j] = d_k g_ij, over any leading axes."""
+    """Gamma[..., i, j, k] from g^-1 and dg[..., k, i, j] = d_k g_ij, over any
+    leading axes; symmetric in (j, k) by construction, so torsion-free."""
     # 1/2 g^{il} (d_j g_lk + d_k g_jl - d_l g_jk)
     bracket = np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg
     gamma = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, bracket)
@@ -130,20 +128,21 @@ def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
 
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Levi-Civita symbols G[i, j, k] = Gamma^i_jk, symmetric in (j, k)."""
+    """Levi-Civita symbols G[..., i, j, k] = Gamma^i_jk, symmetric in (j, k)."""
     return _levi_civita(metric.inverse(x), metric.derivative(x))
 
 
 def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """R[..., i, j, k, l] = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
 
-    ``connection`` maps a point to Gamma[..., i, j, k], so one call can
-    carry several connections over leading axes; its derivative is taken by
-    central differences with the second-order step.
+    ``connection`` maps a stack of points to Gamma[..., i, j, k], so one
+    call can carry several connections on axes after the point axes; its
+    derivative is taken by central differences with the second-order step.
     """
     x = np.asarray(x, dtype=float)
     # dgamma[..., a, i, j, k] = d_a G^i_jk
-    dgamma = np.moveaxis(numdiff.jacobian(connection, x, h=numdiff.SECOND_ORDER_STEP), 0, -4)
+    dgamma = np.moveaxis(numdiff.jacobian(connection, x, h=numdiff.SECOND_ORDER_STEP),
+                         x.ndim - 1, -4)
     gamma = connection(x)
     term1 = np.einsum("...kilj->...ijkl", dgamma)
     term2 = np.einsum("...likj->...ijkl", dgamma)
@@ -153,17 +152,18 @@ def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x) -> np.ndar
 
 
 def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
-    """Max Riemann and torsion residuals over sample points, scaled by |g|."""
-    max_r = 0.0
-    max_t = 0.0
-    for x in points:
-        gamma_at = lambda y: christoffel(metric, y)
-        riem = riemann_tensor(gamma_at, x)
-        scale = max(1.0, float(np.max(np.abs(metric.value(x)))))
-        max_r = max(max_r, float(np.max(np.abs(riem))) / scale)
-        gamma = gamma_at(x)
-        max_t = max(max_t, float(np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2)))))
-    return CurvatureReport(max_r, max_t, DEFAULT_CURVATURE_TOL)
+    """Max Riemann residual over a stack of sample points, scaled by
+    max(1, |g|) at each point; the connection is torsion-free by construction."""
+    points = np.atleast_2d(_points(metric.dim, points))
+    riem = riemann_tensor(lambda y: christoffel(metric, y), points)
+    return CurvatureReport(_scaled_max(riem, metric.value(points)), DEFAULT_CURVATURE_TOL)
+
+
+def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
+    """max over points p of max|R_p| / max(1, max|g_p|)."""
+    riem = abs(riemann).max(axis=(-4, -3, -2, -1))
+    scale = np.maximum(1.0, abs(metric).max(axis=(-2, -1)))
+    return float((riem / scale).max())
 
 
 @dataclass(frozen=True)
@@ -180,13 +180,8 @@ class HessianStructure:
     riemann: np.ndarray
 
     def curvature(self) -> CurvatureReport:
-        """Max Riemann residual scaled by max(1, |g|) per point, and torsion."""
-        count = self.metric.shape[0]
-        riem = abs(self.riemann).reshape(count, -1).max(axis=1)
-        scale = np.maximum(1.0, abs(self.metric).reshape(count, -1).max(axis=1))
-        torsion = abs(self.gamma - self.gamma.swapaxes(-2, -1)).max()
-        return CurvatureReport(float((riem / scale).max()), float(torsion),
-                               DEFAULT_CURVATURE_TOL)
+        """Max Riemann residual scaled by max(1, |g|) per point."""
+        return CurvatureReport(_scaled_max(self.riemann, self.metric), DEFAULT_CURVATURE_TOL)
 
     def multiply(self, a, b) -> np.ndarray:
         """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
@@ -208,16 +203,17 @@ def hessian_structure(metric: MetricField, points) -> HessianStructure:
         R^i_jkl = Gamma^i_lm Gamma^m_kj - Gamma^i_km Gamma^m_lj.
 
     So the metric is flat iff its tangent algebra a o b = -Gamma(a, b) is
-    associative, and no second difference level is needed.  Each point
-    costs one ``metric.value`` and one ``metric.derivative``; Gamma
+    associative, and no second difference level is needed.  The stack
+    costs one ``metric.value`` and one ``metric.derivative`` call; Gamma
     is bit-identical to :func:`christoffel` at each point.  Raises
-    DimensionMismatch unless ``points`` is one point or a non-empty stack,
-    and DegenerateMetric, naming the worst point, if any g is singular.
+    DimensionMismatch unless ``points`` is one point or a non-empty (P, dim)
+    stack, and DegenerateMetric, naming the worst point, if any g is singular.
     """
     points = np.atleast_2d(_points(metric.dim, points))
-    g = require_invertible(np.stack([metric.value(x) for x in points]),
-                           DegenerateMetric, "metric", points)
-    dg = np.stack([metric.derivative(x) for x in points])
+    if points.ndim != 2:
+        raise DimensionMismatch(f"expected a point or a (P, {metric.dim}) stack of points")
+    g = require_invertible(metric.value(points), DegenerateMetric, "metric", points)
+    dg = metric.derivative(points)
     gamma = _levi_civita(np.linalg.inv(g), dg)
     riemann = (np.einsum("pilm,pmkj->pijkl", gamma, gamma)
                - np.einsum("pikm,pmlj->pijkl", gamma, gamma))
@@ -229,11 +225,11 @@ def hessian_log_metric(phi: PotentialField) -> MetricField:
 
     def log_phi(x):
         v = phi.value(x)
-        if v <= 0.0:
-            raise NonPositivePotential(f"potential is {v} at {x}")
+        if not (v > 0.0).all():
+            raise NonPositivePotential(f"potential is not positive at {x}")
         return np.log(v)
 
-    # MetricField hands both callbacks a validated point and converts what
+    # MetricField hands both callbacks a validated stack and converts what
     # they return
     value = phi.log_hess or (lambda x: numdiff.hessian(log_phi, x))
 
@@ -273,15 +269,13 @@ def automorphism_invariance_residual(phi: PotentialField, A, points) -> float:
     det = np.linalg.det(A)
     if det <= 0.0:
         raise InvalidStructure("expected an orientation-preserving invertible matrix")
-    worst = 0.0
-    for x in points:
-        x = _point(phi.dim, x)
-        vx = phi.value(x)
-        vax = phi.value(A @ x)
-        if vx <= 0.0 or vax <= 0.0:
-            raise DomainViolation("potential not positive along the orbit")
-        worst = max(worst, abs(np.log(vax) - np.log(vx) + np.log(det)))
-    return worst
+    points = _points(phi.dim, points)
+    vx = phi.value(points)
+    # A x for each point, rounded as the one-point product A @ x is
+    vax = phi.value(np.matmul(A, points[..., None])[..., 0])
+    if not ((vx > 0.0).all() and (vax > 0.0).all()):
+        raise DomainViolation("potential not positive along the orbit")
+    return float(abs(np.log(vax) - np.log(vx) + np.log(det)).max())
 
 
 @dataclass(frozen=True)
@@ -303,14 +297,19 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
     DegenerateMetric from the Christoffel symbols.
     """
     beta = np.asarray(beta, dtype=float)
-    metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
+
+    def kappa(b, order):
+        # cumulant_tensor takes one parameter point: a stack is mapped row by row
+        rows = [cumulant_tensor(fam, row, order).values for row in b.reshape(-1, fam.n)]
+        return np.reshape(rows, b.shape[:-1] + (fam.n,) * order)
+
+    metric = MetricField(fam.n, lambda b: kappa(b, 2))
     g = metric.value(beta)
 
     def plus_minus(b):
         lc = christoffel(metric, b)
-        t = cumulant_tensor(fam, b, 3).values
-        half = 0.5 * np.einsum("il,ljk->ijk", np.linalg.inv(metric.value(b)), t)
-        return np.stack([lc - half, lc + half])
+        half = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(metric.value(b)), kappa(b, 3))
+        return np.stack([lc - half, lc + half], axis=-4)
 
     gp, gm = plus_minus(beta)
 
@@ -350,21 +349,19 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
     n = metric_contravariant.dim
     if points is None:
         points = [np.ones(n) + 0.1 * np.arange(n), 1.5 * np.ones(n)]
-    points = [np.asarray(p, dtype=float) for p in points]
-
-    def upper(x):
-        return metric_contravariant.value(x)
+    if len(points) == 0:
+        return PencilReport(0.0, 0.0, {float(lam): 0.0 for lam in lambdas},
+                            DEFAULT_CURVATURE_TOL)
+    points = np.atleast_2d(_points(n, points))
+    upper = metric_contravariant.value
 
     def derived_upper(x):
-        d = metric_contravariant.derivative(x)
-        return d[direction]
+        return metric_contravariant.derivative(x)[..., direction, :, :]
 
-    require_invertible(np.reshape([derived_upper(x) for x in points], (len(points), n, n)),
-                       DegeneratePencil, "derivative metric", points)
+    require_invertible(derived_upper(points), DegeneratePencil, "derivative metric", points)
 
     def flatness_of_upper(fn) -> float:
-        lower = MetricField(metric_contravariant.dim,
-                            lambda x: np.linalg.inv(fn(x)))
+        lower = MetricField(n, lambda x: np.linalg.inv(fn(x)))
         return curvature_flatness(lower, points).max_riemann
 
     base = flatness_of_upper(upper)
@@ -375,4 +372,3 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
             lambda x, lam=lam: upper(x) + lam * derived_upper(x)
         )
     return PencilReport(base, derived, combos, DEFAULT_CURVATURE_TOL)
-

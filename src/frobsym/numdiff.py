@@ -11,11 +11,10 @@ operators, so every routine here only ever needs the field itself. The
 fourth-order stencil (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h is used
 where third/fourth derivatives have to come out at ~1e-6 relative accuracy.
 
-:func:`gradient`, :func:`central_partial` and :func:`derivative_tensor`
-hand their field all shifted points of one stencil at once: the field maps
-a ``(rows, n)`` stack of points to one value per row, reducing over the
-last axis. :func:`hessian` and :func:`jacobian` call their field on one
-point at a time.
+Every routine hands its field all shifted points of one stencil as one
+stack: a field maps a ``(..., n)`` stack of points to ``(..., *out)``, one
+value per point.  :func:`jacobian` and :func:`hessian` take a stack of base
+points too.  Every result equals the one-point loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -56,25 +55,40 @@ def gradient(f: Callable, x, h: float | None = None) -> np.ndarray:
 
 
 def hessian(f: Callable, x, h: float | None = None) -> np.ndarray:
-    """Symmetric central-difference Hessian of a scalar field."""
+    """Symmetric central-difference Hessian of a scalar field, ``(..., n, n)``;
+    all 1 + 2n^2 shifted points of each base point go to ``f`` in one stack."""
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     hs = step_sizes(x, SECOND_ORDER_STEP if h is None else h)
-    n = x.size
-    out = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = hs[i]
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / hs[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = hs[j]
-            mixed = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * hs[i] * hs[j])
-            out[i, j] = mixed
-            out[j, i] = mixed
+    e = _scaled_units(hs)
+    i, j = np.triu_indices(n, 1)
+    ei, ej = e[..., i, :], e[..., j, :]
+    x0 = x[..., None, :]
+    values = _values(f, np.concatenate([x0, x0 + e, x0 - e, x0 + (ei + ej), x0 + (ei - ej),
+                                        x0 + (ej - ei), x0 - (ei + ej)], axis=-2))
+    f0, plus, minus, pp, pm, mp, mm = np.split(values, np.cumsum([1, n, n] + [i.size] * 3),
+                                               axis=-1)
+    out = np.empty(x.shape + (n,))
+    # hs_i ** 2 rounded as a one-point loop's scalar power rounds it
+    out[..., range(n), range(n)] = (plus - 2.0 * f0 + minus) / np.float_power(hs, 2)
+    out[..., i, j] = out[..., j, i] = (pp - pm - mp + mm) / (4.0 * hs[..., i] * hs[..., j])
     return out
+
+
+def _scaled_units(hs: np.ndarray) -> np.ndarray:
+    """[..., i, :] = h_i e_i, with exact zeros off the diagonal."""
+    units = np.zeros(hs.shape + hs.shape[-1:])
+    units[..., range(hs.shape[-1]), range(hs.shape[-1])] = hs
+    return units
+
+
+def _values(field: Callable, stack: np.ndarray) -> np.ndarray:
+    """``field`` on a stack; DimensionMismatch unless it keeps the point axes."""
+    values = np.asarray(field(stack), dtype=float)
+    if values.shape[:stack.ndim - 1] != stack.shape[:-1]:
+        raise DimensionMismatch(f"field returned shape {values.shape} for a stack of points "
+                                f"of shape {stack.shape}")
+    return values
 
 
 # Fourth-order central first-derivative stencil: offsets and weights (w / h).
@@ -127,13 +141,13 @@ def derivative_tensor(f: Callable, x, order: int, h: float) -> np.ndarray:
 
 
 def jacobian(field: Callable, x, h: float | None = None) -> np.ndarray:
-    """d(field)/dx for an array-valued field; leading axis indexes x-coords."""
+    """d(field)/dx, ``(..., n, *out)`` for ``x`` of shape ``(..., n)``: the
+    axis after the point axes indexes the coordinate differentiated.  The
+    ``(..., 2, n, n)`` stack of the points x +- h_i e_i goes to ``field`` in
+    one call and must come back as ``(..., 2, n, *out)``."""
     x = np.asarray(x, dtype=float)
     hs = step_sizes(x, FIRST_ORDER_STEP if h is None else h)
-    rows = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = hs[i]
-        rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * hs[i]))
-    return np.stack(rows, axis=0)
-
+    e = _scaled_units(hs)
+    values = _values(field, np.stack([x[..., None, :] + e, x[..., None, :] - e], axis=-3))
+    plus, minus = np.moveaxis(values, x.ndim - 1, 0)
+    return (plus - minus) / (2.0 * hs).reshape(hs.shape + (1,) * (plus.ndim - hs.ndim))

@@ -15,7 +15,6 @@ convention, and they cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -241,9 +240,10 @@ def local_lie_bracket(b, p, q, spacing: float) -> np.ndarray:
 class LatticeBracket:
     """Periodic lattice data for the bracket g^ij(u) d' + b^ij_k u^k_x d.
 
-    ``metric(u_point)`` returns the r x r coefficient matrix at one site;
-    ``metric_deriv`` optionally returns dC[i, j, k] = d(g^ij)/du^k.  The
-    flux constants are stored as b[i, j, k] = b^{ij}_k.
+    ``metric`` maps a ``(..., r)`` stack of field values to the
+    ``(..., r, r)`` coefficient matrices, so all sites of a state go in one
+    call; ``metric_deriv`` optionally maps it to dC[..., i, j, k] =
+    d(g^ij)/du^k.  The flux constants are stored as b[i, j, k] = b^{ij}_k.
     """
 
     sites: int
@@ -262,25 +262,12 @@ class LatticeBracket:
             raise DimensionMismatch("flux constants must be r x r x r")
         object.__setattr__(self, "b", b)
 
-    def stencil(self) -> np.ndarray:
-        return periodic_derivative_matrix(self.sites, self.spacing)
-
 
 @dataclass(frozen=True)
 class LatticeOperatorReport:
-    """The operator of :func:`lattice_hydro_bracket` at one field state.
+    """The skew residual of :func:`lattice_hydro_bracket` at one field state."""
 
-    ``operator`` is the dense rN x rN matrix, assembled when it is first
-    read; the antisymmetry residual never needs it.
-    """
-
-    lattice: LatticeBracket
-    state: np.ndarray
     antisymmetry_residual: float
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        return _assemble_operator(self.lattice, self.state)
 
 
 def lattice_hydro_bracket(lb: LatticeBracket, u) -> LatticeOperatorReport:
@@ -299,7 +286,7 @@ def lattice_hydro_bracket(lb: LatticeBracket, u) -> LatticeOperatorReport:
     pair = g_site * ahead + np.roll(g_site, -1, axis=0).swapaxes(1, 2) * behind
     diagonal = flux + flux.swapaxes(1, 2)
     residual = np.maximum(abs(pair).max(), abs(diagonal).max())
-    return LatticeOperatorReport(lb, u, float(residual))
+    return LatticeOperatorReport(float(residual))
 
 
 def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng) -> np.ndarray:
@@ -321,21 +308,16 @@ def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng) -> np.n
 
 
 def _site_coefficients(lb: LatticeBracket, u: np.ndarray):
-    """Per-site metric g[n, i, j] and diagonal flux b^ij_k (Du^k)_n as [n, i, j]."""
-    if u.shape != (lb.field_dim, lb.sites):
-        raise DimensionMismatch(f"field state must have shape {(lb.field_dim, lb.sites)}")
-    g_site = np.stack([np.asarray(lb.metric(u[:, n]), dtype=float) for n in range(lb.sites)])
+    """Per-site metric g[n, i, j], from one call on the (N, r) stack of
+    sites, and diagonal flux b^ij_k (Du^k)_n as [n, i, j]."""
+    r, N = lb.field_dim, lb.sites
+    if u.shape != (r, N):
+        raise DimensionMismatch(f"field state must have shape {(r, N)}")
+    g_site = np.asarray(lb.metric(u.T), dtype=float)
+    if g_site.shape != (N, r, r):
+        raise DimensionMismatch(f"lattice metric has shape {g_site.shape} for {N} sites")
     flux = np.einsum("ijk,kn->nij", lb.b, _ddx(u, lb.spacing))
     return g_site, flux
-
-
-def _assemble_operator(lb: LatticeBracket, u: np.ndarray) -> np.ndarray:
-    r, N = lb.field_dim, lb.sites
-    g_site, flux = _site_coefficients(lb, u)
-    B = np.einsum("nij,nm->injm", g_site, lb.stencil())
-    sites = np.arange(N)
-    B[:, sites, :, sites] += flux
-    return B.reshape(r * N, r * N)
 
 
 def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None) -> float:
@@ -353,9 +335,8 @@ def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None) -> float:
     u = np.asarray(u, dtype=float)
     rng = np.random.default_rng(0) if rng is None else rng
     g_site, flux = _site_coefficients(lb, u)
-    deriv = lb.metric_deriv or (lambda w: np.moveaxis(numdiff.jacobian(
-        lambda v: np.asarray(lb.metric(v), float), w), 0, -1))
-    dC = np.stack([np.asarray(deriv(u[:, n]), dtype=float) for n in range(N)])  # [n, i, j, k]
+    deriv = lb.metric_deriv or (lambda w: np.moveaxis(numdiff.jacobian(lb.metric, w), -3, -1))
+    dC = np.asarray(deriv(u.T), dtype=float)  # [n, i, j, k]
 
     # phi[t, c] is the c-th profile of triple t; the cyclic terms pair
     # phi_a with the inner bracket {phi_b, phi_c} for (a, b, c) in

@@ -3,6 +3,11 @@
 Spec files refer to these by id instead of carrying an expression language;
 every entry ships its closed-form derivatives so that residual targets in
 the 1e-6..1e-12 range are meaningful.
+
+Every field callback maps a ``(..., n)`` stack of points to one value per
+point, as array expressions over the last axis.  Where a power of one
+coordinate is taken, ``np.float_power`` rounds it as the scalar ``**`` of
+a one-point evaluation does; the array ``**`` can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -26,39 +31,51 @@ def bernoulli_family() -> ExponentialFamily:
 
 def categorical_family(m: int = 3) -> ExponentialFamily:
     """m outcomes with the m-1 indicator statistics."""
-    X = np.zeros((m - 1, m))
-    for j in range(m - 1):
-        X[j, j] = 1.0
-    return ExponentialFamily(X)
+    return ExponentialFamily(np.eye(m - 1, m))
 
 
 # ---------------------------------------------------------------------------
 # potentials
 
 
+def _diagonal(v: np.ndarray, order: int = 2) -> np.ndarray:
+    """The stack of order-``order`` tensors with v[..., i] at [i, ..., i]."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape + (n,) * (order - 1))
+    out[(...,) + (np.arange(n),) * order] = v
+    return out
+
+
+def _constant(value: np.ndarray):
+    """A field that is ``value`` at every point of a stack (a read-only view)."""
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
 def orthant_potential(n: int) -> PotentialField:
     """Characteristic function 1 / prod(x_i) of the positive orthant.
 
     log phi = -sum log x_i, so the log-Hessian is diag(1/x_i^2) and its
-    derivative tensor has -2/x_i^3 on the triple diagonal.  Near a face the
-    log-Hessian overflows to inf without a warning, which the metric guard
-    rejects before the derivative is taken.
+    derivative tensor has -2/x_i^3 on the triple diagonal.  Near a face or
+    far out, phi and these forms overflow to inf or underflow to 0 without
+    a warning; the potential, metric and derivative guards reject them.
     """
 
     @np.errstate(divide="ignore", over="ignore")
-    def log_hess(x):
-        return np.diag(1.0 / x**2)
+    def func(x):
+        return 1.0 / np.prod(x, axis=-1)
 
+    @np.errstate(divide="ignore", over="ignore")
+    def log_hess(x):
+        return _diagonal(1.0 / x**2)
+
+    @np.errstate(divide="ignore", over="ignore")
     def log_third(x):
-        t = np.zeros((n, n, n))
-        for i in range(n):
-            t[i, i, i] = -2.0 / x[i] ** 3
-        return t
+        return _diagonal(-2.0 / np.float_power(x, 3), 3)
 
     return PotentialField(
         n,
-        lambda x: 1.0 / np.prod(x),
-        domain=lambda x: bool(np.all(x > 0.0)),
+        func,
+        domain=lambda x: np.all(x > 0.0, axis=-1),
         log_hess=log_hess,
         log_third=log_third,
         name=f"orthant{n}",
@@ -66,13 +83,14 @@ def orthant_potential(n: int) -> PotentialField:
 
 
 def _cubic3(x):
-    return 0.5 * x[0] ** 2 * x[2] + 0.5 * x[0] * x[1] ** 2
+    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    return 0.5 * np.float_power(x1, 2) * x3 + 0.5 * x1 * np.float_power(x2, 2)
 
 
 def _cubic3_third(x):
-    t = np.zeros((3, 3, 3))
-    for p in ((0, 0, 2), (0, 2, 0), (2, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)):
-        t[p] = 1.0
+    t = np.zeros(np.shape(x)[:-1] + (3, 3, 3))
+    # 1 at the permutations of (0, 0, 2) and of (0, 1, 1)
+    t[..., [0, 0, 2, 0, 1, 1], [0, 2, 0, 1, 0, 1], [2, 0, 0, 1, 1, 0]] = 1.0
     return t
 
 
@@ -85,27 +103,32 @@ def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
     """The cubic plus strength * x2^2 x3^2, which obstructs associativity."""
 
     def func(x):
-        return _cubic3(x) + strength * x[1] ** 2 * x[2] ** 2
+        return (_cubic3(x)
+                + strength * np.float_power(x[..., 1], 2) * np.float_power(x[..., 2], 2))
 
     def third(x):
         t = _cubic3_third(x)
-        for p in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
-            t[p] += 4.0 * strength * x[2]
-        for p in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
-            t[p] += 4.0 * strength * x[1]
+        # d^3 of x2^2 x3^2: 4 x3 at the permutations of (1, 1, 2), 4 x2 at those of (1, 2, 2)
+        t[..., [1, 1, 2], [1, 2, 1], [2, 1, 1]] += (4.0 * strength * x[..., 2])[..., None]
+        t[..., [1, 2, 2], [2, 1, 2], [2, 2, 1]] += (4.0 * strength * x[..., 1])[..., None]
         return t
 
     return PotentialField(3, func, third=third, name="wdvv_cubic3_perturbed")
+
+
+def _symmetric2(a, b, c):
+    """The stack of symmetric 2 x 2 matrices [[a, b], [b, c]]."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
 
 
 def adapted_quartic1() -> PotentialField:
     """phi(z+, z-) = (z+ z-)^2 on one adapted pair."""
 
     def hess(w):
-        x, y = w
-        return np.array([[2.0 * y * y, 4.0 * x * y], [4.0 * x * y, 2.0 * x * x]])
+        x, y = w[..., 0], w[..., 1]
+        return _symmetric2(2.0 * y * y, 4.0 * x * y, 2.0 * x * x)
 
-    return PotentialField(2, lambda w: (w[0] * w[1]) ** 2, hess=hess,
+    return PotentialField(2, lambda w: np.float_power(w[..., 0] * w[..., 1], 2), hess=hess,
                           name="adapted_quartic1")
 
 
@@ -113,19 +136,19 @@ def adapted_mixed2() -> PotentialField:
     """Two adapted pairs, one polynomial and one trigonometric block."""
 
     def hess(w):
-        a, b, c, d = w
-        out = np.zeros((4, 4))
-        out[0, 0] = 2.0 * c * c
-        out[0, 2] = out[2, 0] = 4.0 * a * c
-        out[2, 2] = 2.0 * a * a
-        out[1, 1] = -d * d * np.sin(b * d)
-        out[1, 3] = out[3, 1] = np.cos(b * d) - b * d * np.sin(b * d)
-        out[3, 3] = -b * b * np.sin(b * d)
+        a, b, c, d = np.moveaxis(w, -1, 0)
+        out = np.zeros(np.shape(w)[:-1] + (4, 4))
+        out[..., 0, 0] = 2.0 * c * c
+        out[..., 0, 2] = out[..., 2, 0] = 4.0 * a * c
+        out[..., 2, 2] = 2.0 * a * a
+        out[..., 1, 1] = -d * d * np.sin(b * d)
+        out[..., 1, 3] = out[..., 3, 1] = np.cos(b * d) - b * d * np.sin(b * d)
+        out[..., 3, 3] = -b * b * np.sin(b * d)
         return out
 
     return PotentialField(
         4,
-        lambda w: (w[0] * w[2]) ** 2 + np.sin(w[1] * w[3]),
+        lambda w: np.float_power(w[..., 0] * w[..., 2], 2) + np.sin(w[..., 1] * w[..., 3]),
         hess=hess,
         name="adapted_mixed2",
     )
@@ -146,18 +169,18 @@ POTENTIALS = {
 
 
 def euclidean_metric(n: int) -> MetricField:
-    eye = np.eye(n)
-    zero = np.zeros((n, n, n))
-    return MetricField(n, lambda x: eye, deriv=lambda x: zero, name=f"euclidean{n}")
+    return MetricField(n, _constant(np.eye(n)), deriv=_constant(np.zeros((n, n, n))),
+                       name=f"euclidean{n}")
 
 
 def round_sphere_metric() -> MetricField:
     def value(u):
-        return np.diag([1.0, np.sin(u[0]) ** 2])
+        return _diagonal(np.stack([np.ones(np.shape(u)[:-1]),
+                                   np.float_power(np.sin(u[..., 0]), 2)], axis=-1))
 
     def deriv(u):
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = 2.0 * np.sin(u[0]) * np.cos(u[0])
+        d = np.zeros(np.shape(u)[:-1] + (2, 2, 2))
+        d[..., 0, 1, 1] = 2.0 * np.sin(u[..., 0]) * np.cos(u[..., 0])
         return d
 
     return MetricField(2, value, deriv=deriv, name="round_sphere2")
@@ -165,17 +188,14 @@ def round_sphere_metric() -> MetricField:
 
 def offdiagonal_linear_metric() -> MetricField:
     """Contravariant g^ij with u^1 on the off-diagonal; a pencil seed."""
+    d = np.zeros((2, 2, 2))
+    d[0, 0, 1] = d[0, 1, 0] = 1.0
 
     def value(u):
-        return np.array([[0.0, u[0]], [u[0], 0.0]])
+        zero = np.zeros(np.shape(u)[:-1])
+        return _symmetric2(zero, u[..., 0], zero)
 
-    def deriv(u):
-        d = np.zeros((2, 2, 2))
-        d[0, 0, 1] = 1.0
-        d[0, 1, 0] = 1.0
-        return d
-
-    return MetricField(2, value, deriv=deriv, name="offdiag_linear2")
+    return MetricField(2, value, deriv=_constant(d), name="offdiag_linear2")
 
 
 def antidiagonal_pairing(n: int = 3) -> np.ndarray:
@@ -223,10 +243,7 @@ def dual_numbers_constants() -> tuple[np.ndarray, np.ndarray]:
 
 def diagonal_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
     """e_i o e_j = delta_ij e_i with the identity pairing."""
-    c = np.zeros((n, n, n))
-    for i in range(n):
-        c[i, i, i] = 1.0
-    return c, np.eye(n)
+    return _diagonal(np.ones(n), 3), np.eye(n)
 
 
 ALGEBRAS = {
@@ -256,9 +273,9 @@ def cyclic_nonjacobi_constants() -> StructureConstants:
     term vanishes on its own.)
     """
     g = np.zeros((3, 3, 3))
-    for k, i, j in ((0, 0, 1), (1, 1, 2), (2, 2, 0)):
-        g[k, i, j] = 1.0
-        g[k, j, i] = -1.0
+    k, i, j = np.transpose([(0, 0, 1), (1, 1, 2), (2, 2, 0)])
+    g[k, i, j] = 1.0
+    g[k, j, i] = -1.0
     return StructureConstants(g)
 
 
@@ -280,34 +297,14 @@ def linear_diagonal_lattice(r: int = 1):
     the induced bracket a Poisson bracket, so the discrete Jacobi defect is
     pure discretization error.
     """
-
-    def metric(u):
-        return np.diag(u)
-
-    def metric_deriv(u):
-        d = np.zeros((r, r, r))
-        for i in range(r):
-            d[i, i, i] = 1.0
-        return d
-
-    b = np.zeros((r, r, r))
-    for i in range(r):
-        b[i, i, i] = 0.5
-    return metric, metric_deriv, b
+    unit = _diagonal(np.ones(r), 3)
+    return _diagonal, _constant(unit), 0.5 * unit
 
 
 def constant_lattice(r: int = 1):
     """Constant coefficient matrix with zero flux; exactly skew operator."""
-
-    g0 = np.eye(r) + 0.5 * np.ones((r, r))
-
-    def metric(u):
-        return g0
-
-    def metric_deriv(u):
-        return np.zeros((r, r, r))
-
-    return metric, metric_deriv, np.zeros((r, r, r))
+    zero = np.zeros((r, r, r))
+    return _constant(np.eye(r) + 0.5 * np.ones((r, r))), _constant(zero), zero
 
 
 LATTICE_COEFFICIENTS = {

@@ -163,7 +163,8 @@ class SeparableHamiltonian(Observable):
 
 @dataclass(frozen=True)
 class TwoForm:
-    """Evaluable 2-form: ``func(point)`` returns antisymmetric coefficients."""
+    """Evaluable 2-form: ``func`` maps a ``(..., dim)`` stack of points to
+    ``(..., dim, dim)`` antisymmetric coefficients."""
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
@@ -171,8 +172,8 @@ class TwoForm:
     def matrix(self, point) -> np.ndarray:
         point = np.asarray(point, dtype=float)
         J = np.asarray(self.func(point), dtype=float)
-        if J.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"coefficients have shape {J.shape}")
+        if J.shape != point.shape[:-1] + (self.dim, self.dim):
+            raise DimensionMismatch(f"coefficients have shape {J.shape} for points {point.shape}")
         return require_antisymmetric(J, "form coefficients", point)
 
     def inverse(self, point) -> np.ndarray:
@@ -191,29 +192,30 @@ def canonical_two_form(n: int) -> TwoForm:
         raise DimensionMismatch("need at least one degree of freedom")
     i = np.eye(n)
     J = np.block([[0 * i, i], [-i, 0 * i]])
-    return TwoForm(2 * n, lambda point: J)
+    return TwoForm(2 * n, lambda point: np.broadcast_to(J, np.shape(point)[:-1] + J.shape))
 
 
 def paracomplex_two_form(g, m: int) -> TwoForm:
     """Realified split-signature form with block coefficients [[0, G], [-G, 0]].
 
     ``g`` is the symmetric m x m metric block: a constant matrix or a
-    callable of the full real point (x^1..x^m, y^1..y^m).  The block layout
+    callable mapping a stack of full real points (x^1..x^m, y^1..y^m) to
+    the stack of blocks.  The block layout
     and overall sign follow the module convention above, so m=1 with G=1 is
     exactly +dx^dy.  A G that is not symmetric raises InvalidStructure; its
     symmetric part is used, so the coefficients equal their own
     antisymmetrization identically.
     """
-    z = np.zeros((m, m))
-
     def coeffs(point):
         point = np.asarray(point, dtype=float)
-        if point.size != 2 * m:
+        if point.shape[-1:] != (2 * m,):
             raise DimensionMismatch(f"expected {2 * m} realified coordinates")
         G = np.asarray(g(point) if callable(g) else g, dtype=float)
-        if G.shape != (m, m):
+        G = np.broadcast_to(G, point.shape[:-1] + G.shape[-2:])
+        if G.shape[-2:] != (m, m):
             raise DimensionMismatch(f"metric block has shape {G.shape}")
         G = symmetric_part(G, "metric block", point)
+        z = np.zeros_like(G)
         return np.block([[z, G], [-G, z]])
 
     return TwoForm(2 * m, coeffs)
@@ -232,7 +234,7 @@ def dolbeault_form(phi: PotentialField, point) -> np.ndarray:
         full = np.asarray(phi.hess(point), dtype=float)
     else:
         full = numdiff.hessian(phi.value, point)
-    return full[:m, m:]
+    return full[..., :m, m:]
 
 
 def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
@@ -249,15 +251,16 @@ def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
 
     def coeffs(point):
         point = np.asarray(point, dtype=float)
-        x, y = point[:m], point[m:]
-        adapted = np.concatenate([x + y, x - y])
+        x, y = point[..., :m], point[..., m:]
+        adapted = np.concatenate([x + y, x - y], axis=-1)
         w = dolbeault_form(phi, adapted)
+        wt = w.swapaxes(-1, -2)
         # dz+^a ^ dz-^b = (dx^a + dy^a) ^ (dx^b - dy^b); each wedge term
         # c * du ^ dv contributes J[u, v] += c, J[v, u] -= c.  Summed over
         # (a, b), w[a, b] dx^a ^ dx^b gives the dx-dx block w - w^T,
         # -w[a, b] dy^a ^ dy^b the dy-dy block -(w - w^T), and the two
         # cross terms the blocks -(w + w^T) and w + w^T.
-        return np.block([[w - w.T, -(w + w.T)], [w + w.T, -(w - w.T)]])
+        return np.block([[w - wt, -(w + wt)], [w + wt, -(w - wt)]])
 
     return TwoForm(2 * m, coeffs)
 
@@ -265,16 +268,13 @@ def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
 def exterior_derivative(form: TwoForm, point) -> np.ndarray:
     """(dW)_ijk = d_i J_jk + d_j J_ki + d_k J_ij by central differences."""
     point = np.asarray(point, dtype=float)
-    dj = numdiff.jacobian(form.matrix, point)  # dj[i, j, k]
-    return dj + np.transpose(dj, (1, 2, 0)) + np.transpose(dj, (2, 0, 1))
+    dj = numdiff.jacobian(form.matrix, point)  # dj[..., i, j, k]
+    return dj + np.einsum("...kij->...ijk", dj) + np.einsum("...jki->...ijk", dj)
 
 
 def closedness_residual(form: TwoForm, points) -> float:
-    """Max |(dW)_ijk| over the sample points."""
-    worst = 0.0
-    for x in points:
-        worst = max(worst, float(np.max(np.abs(exterior_derivative(form, x)))))
-    return worst
+    """Max |(dW)_ijk| over a stack of sample points, differenced in one call."""
+    return float(np.max(np.abs(exterior_derivative(form, points))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,79 +283,79 @@ def closedness_residual(form: TwoForm, points) -> float:
 # On adapted coordinates (z+^1..z+^m, z-^1..z-^m) the differential splits as
 # d = d' + d'' with d' collecting the plus-direction derivative components
 # and d'' the minus-direction ones.  Forms of degree k are represented by a
-# callable returning fully antisymmetric coefficients with k axes over the
-# 2m coordinates (a scalar for k = 0).
+# callable mapping a stack of points to fully antisymmetric coefficients,
+# with k axes over the 2m coordinates after the point axes (none for k = 0).
 
 
-def _antisymmetrize(t: np.ndarray) -> np.ndarray:
+def _antisymmetrize(t: np.ndarray, k: int) -> np.ndarray:
+    """The antisymmetric part of ``t`` in its last ``k`` axes."""
     from itertools import permutations
 
-    k = t.ndim
     if k <= 1:
         return t
+    lead = tuple(range(t.ndim - k))
     acc = np.zeros_like(t)
     count = 0
     for perm in permutations(range(k)):
         inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-        acc += (-1.0) ** inversions * np.transpose(t, perm)
+        acc += (-1.0) ** inversions * np.transpose(t, lead + tuple(len(lead) + p for p in perm))
         count += 1
     return acc / count
 
 
 def split_exterior_derivative(coeffs: Callable, degree: int, point,
                               block: str = "both") -> np.ndarray:
-    """d, d' or d'' of a degree-``degree`` form at ``point``.
+    """d, d' or d'' of a degree-``degree`` form at one point or a stack of them.
 
     ``block`` selects which derivative directions survive: "plus" gives d',
     "minus" gives d'', "both" the full differential.  The result carries
-    degree+1 antisymmetric axes; for a 0-form and block "plus" it is the
-    plus-part of the gradient (padded with zeros on the minus slots).
+    degree+1 antisymmetric axes after the point axes; for a 0-form and block
+    "plus" it is the plus-part of the gradient (zeros on the minus slots).
     """
     point = np.asarray(point, dtype=float)
-    if point.size % 2 != 0:
+    if point.shape[-1] % 2 != 0:
         raise DimensionMismatch("adapted points come in (plus, minus) pairs")
-    m = point.size // 2
+    m = point.shape[-1] // 2
 
     def wrapped(x):
-        value = coeffs(x)
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim != degree:
+        arr = np.asarray(coeffs(x), dtype=float)
+        if arr.ndim != x.ndim - 1 + degree:
             raise DimensionMismatch(f"expected a degree-{degree} coefficient array")
         return arr
 
-    full = numdiff.jacobian(wrapped, point, h=1e-4)  # [direction, (form indices)]
+    # full[..., direction, (form indices)]
+    full = np.moveaxis(numdiff.jacobian(wrapped, point, h=1e-4), point.ndim - 1, 0)
     if block == "plus":
         full[m:] = 0.0
     elif block == "minus":
         full[:m] = 0.0
     elif block != "both":
         raise InvalidStructure(f"unknown block {block!r}")
-    return (degree + 1) * _antisymmetrize(full)
+    return (degree + 1) * _antisymmetrize(np.moveaxis(full, 0, point.ndim - 1), degree + 1)
 
 
 def dbar_split_residuals(zero_forms, points, one_forms=()) -> dict:
     """Max residuals of (d')^2 = 0, (d'')^2 = 0 and d'd'' = -d''d'.
 
-    Applied to the supplied 0-forms (callables of the adapted point) and
-    optional 1-forms (callables returning a length-2m coefficient vector),
-    at each sample point, with nested :func:`split_exterior_derivative`.
+    Applied to the supplied 0-forms and optional 1-forms (callables giving
+    one value or one length-2m coefficient vector per adapted point) over the
+    stack of sample points at once, with nested :func:`split_exterior_derivative`.
     """
+    points = np.asarray(points, dtype=float)
     worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
     suite = [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]
     for f, degree in suite:
-        for raw in points:
-            point = np.asarray(raw, dtype=float)
 
-            def once(block):
-                return lambda x: split_exterior_derivative(f, degree, x, block=block)
+        def once(block):
+            return lambda x: split_exterior_derivative(f, degree, x, block=block)
 
-            pp = split_exterior_derivative(once("plus"), degree + 1, point, "plus")
-            mm = split_exterior_derivative(once("minus"), degree + 1, point, "minus")
-            pm = split_exterior_derivative(once("minus"), degree + 1, point, "plus")
-            mp = split_exterior_derivative(once("plus"), degree + 1, point, "minus")
-            worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
-            worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
-            worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
+        pp = split_exterior_derivative(once("plus"), degree + 1, points, "plus")
+        mm = split_exterior_derivative(once("minus"), degree + 1, points, "minus")
+        pm = split_exterior_derivative(once("minus"), degree + 1, points, "plus")
+        mp = split_exterior_derivative(once("plus"), degree + 1, points, "minus")
+        worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
+        worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
+        worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
     return worst
 
 
@@ -368,7 +368,8 @@ class LorentzLagrangian:
     """L = (C/2)(xi^mu xi_mu - 1) + kappa2 xi^mu A_mu - U.
 
     ``signature`` holds the +-1 diagonal used to lower indices,
-    xi_mu = signature[mu] * xi^mu.
+    xi_mu = signature[mu] * xi^mu.  ``gauge`` maps a ``(..., n)`` stack of
+    base points to the potentials A_mu, and ``scalar`` to the values of U.
     """
 
     signature: np.ndarray
@@ -408,7 +409,7 @@ def legendre_hamiltonian(lag: LorentzLagrangian, xi, z) -> tuple[np.ndarray, np.
     p = lag.mass_const * lowered
     if lag.kappa2 != 0.0 and lag.gauge is not None:
         p = p + lag.kappa2 * np.asarray(lag.gauge(z), dtype=float)
-        dA = numdiff.jacobian(lambda w: np.asarray(lag.gauge(w), float), z)  # dA[mu, nu]
+        dA = numdiff.jacobian(lag.gauge, z)  # dA[mu, nu]
         force = lag.kappa2 * dA @ xi
     else:
         force = np.zeros_like(xi)

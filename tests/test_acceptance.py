@@ -132,7 +132,8 @@ def test_c03_wdvv_residuals():
                 [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]) / 6
         if abs(np.linalg.det(t[0])) < 1e-2:
             continue
-        pot = PotentialField(2, lambda x: 0.0, third=lambda x, t=t: t)
+        pot = PotentialField(2, lambda x: np.zeros(x.shape[:-1]),
+                             third=lambda x, t=t: np.broadcast_to(t, x.shape[:-1] + t.shape))
         assert wdvv_residual(pot, t[0], [0.0, 0.0]).residual < 1e-12
         checked += 1
     note(3, f"trivial {trivial:.1e} < 1e-8, perturbed {perturbed:.2f} > 1e-2, 2-d flat")
@@ -178,7 +179,7 @@ def test_c05_pairing_invariance_and_novikov():
     c = np.zeros((2, 2, 2))
     c[0, 0, 0] = c[1, 1, 1] = 1.0
     b = np.einsum("kij->ijk", c)
-    lin = MetricField(2, lambda u: np.diag(u))
+    lin = MetricField(2, lambda u: u[..., None] * np.eye(2))
     rep = novikov_residuals(b, lin, [1.0, 2.0])
     assert rep.left_symmetry == 0.0 and rep.right_identity == 0.0
     # the half-derivative flux saturates the symmetrization condition
@@ -195,7 +196,7 @@ def test_c06_split_form_closedness_and_splitting():
     closed = closedness_residual(realified_dolbeault_two_form(phi), points)
     assert closed < 1e-5
     res = dbar_split_residuals(
-        [phi.value, lambda w: np.sin(w[0]) * np.cos(w[-1])],
+        [phi.value, lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])],
         points,
         one_forms=[lambda w: np.asarray(w, dtype=float) ** 2],
     )
@@ -261,8 +262,8 @@ def test_c09_bracket_suite():
 
 def test_c10_lattice_bracket():
     metric, metric_deriv, b = linear_diagonal_lattice(1)
-    const = LatticeBracket(16, 1, lambda u: np.array([[2.0]]), np.zeros((1, 1, 1)),
-                           spacing=2 * np.pi / 16)
+    const = LatticeBracket(16, 1, lambda u: np.full(u.shape[:-1] + (1, 1), 2.0),
+                           np.zeros((1, 1, 1)), spacing=2 * np.pi / 16)
     rep = lattice_hydro_bracket(const, np.full((1, 16), 1.0))
     assert rep.antisymmetry_residual == 0.0
 

@@ -465,6 +465,10 @@ def lorentz3(monkeypatch):
 LORENTZ_POINTS = [[1.5, 0.2, -0.4], [2.0, 0.5, 0.7], [1.1, -0.3, 0.1]]
 
 
+CONE_EDGE_CHECKS = ["hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
+                    "frobenius_axioms", "automorphism_invariance"]
+
+
 def cone_spec(potential, checks, points=None, seed=0):
     payload = {"potential": potential}
     if points is not None:
@@ -510,15 +514,17 @@ class TestConeRows:
         ("flatness", 5), ("cone_unit", 5), ("cone_algebra", 5), ("frobenius_axioms", 1),
         ("hessian_metric_pd", 5)])
     def test_each_row_evaluates_the_metric_once_per_point(self, check, calls, monkeypatch):
-        """P = 5 payload points; the Frobenius row probes the first one only."""
+        """P = 5 payload points; the Frobenius row probes the first one only.
+        Each row makes one call, on the stack of the points it probes."""
         value = MetricField.value
         seen = []
         monkeypatch.setattr(MetricField, "value",
-                            lambda self, x: seen.append(1) or value(self, x))
+                            lambda self, x: seen.append(np.shape(x)) or value(self, x))
         points = np.exp(np.random.default_rng(3).normal(0.0, 0.3, size=(5, 3))).tolist()
         report = run_battery(cone_spec("orthant3", [check], points))
         assert report.rows[0].status == "pass"
-        assert len(seen) == calls
+        assert len(seen) == 1
+        assert np.prod(seen[0][:-1], dtype=int) == calls
 
     def test_point_at_a_face_gives_null_rows_without_a_warning(self):
         """At x0 = 1e-200 the orthant's log-Hessian diag(1/x^2) overflows:
@@ -533,6 +539,40 @@ class TestConeRows:
         *needs_metric, invariance = report.rows
         assert [row.residual for row in needs_metric] == [None] * 5
         assert invariance.status == "pass"
+
+    # rows whose construction is undefined there; the others are defined:
+    # at 1e-120 phi, g and R stay finite, at 1e-310 phi overflows
+    EDGE_NULL_ROWS = {
+        "tiny_pair": ([[1e-120, 1e-120]], ["flatness", "cone_unit", "cone_algebra",
+                                           "frobenius_axioms"]),
+        "huge_pair": ([[1e200, 1e200]], CONE_EDGE_CHECKS),
+        "subnormal_coordinate": ([[1e-310, 1.0]], CONE_EDGE_CHECKS),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDGE_NULL_ROWS))
+    def test_closed_forms_at_the_edge_give_null_rows_without_a_warning(self, case, tmp_path):
+        """-2/x^3 underflows its divisor to 0 at 1e-120, prod(x) overflows at
+        1e200 and 1/x overflows at 1e-310: each undefined row is null and no
+        floating-point warning escapes, even when warnings are errors."""
+        points, null_rows = self.EDGE_NULL_ROWS[case]
+        spec = cone_spec("orthant2", CONE_EDGE_CHECKS, points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_battery(spec)
+        for row in report.rows:
+            assert (row.residual is None) == (row.name in null_rows), row
+            assert row.status == ("fail" if row.name in null_rows else "pass"), row
+        path = tmp_path / "spec.json"
+        path.write_text(spec.canonical_text())
+        env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "frobsym.cli", "check", str(path), "--report", "machine"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == (1 if null_rows else 0)
+        assert done.stderr == ""
+        statuses = [json.loads(line) for line in done.stdout.splitlines()][1:]
+        assert [row["residual"] is None for row in statuses] == \
+            [row.residual is None for row in report.rows]
 
     def test_lorentz_cone_is_not_flat_and_its_algebra_not_associative(self, lorentz3):
         """Negative control: a homogeneous cone keeps its unit, but its

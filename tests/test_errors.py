@@ -59,6 +59,11 @@ INF_METRIC = np.array([[np.inf, 0.0], [0.0, 1.0]])
 INF_FORM = np.array([[0.0, np.inf], [-np.inf, 0.0]])
 
 
+def constant(m):
+    """The field that is ``m`` at every point of a stack."""
+    return lambda x: np.broadcast_to(m, np.shape(x)[:-1] + np.shape(m))
+
+
 def singular_fisher_family():
     """Two independent bits, the second scaled by sqrt(1e-13): at beta = 0
     the Fisher metric is 0.25 * diag(1, 1e-13)."""
@@ -68,7 +73,7 @@ def singular_fisher_family():
 
 class TestSymmetrySites:
     @pytest.mark.parametrize("build", [
-        lambda: MetricField(2, lambda x: ASYMMETRIC).value([0.0, 0.0]),
+        lambda: MetricField(2, constant(ASYMMETRIC)).value([0.0, 0.0]),
         lambda: FrobeniusAlgebra(np.zeros((2, 2, 2)), ASYMMETRIC),
         lambda: para_hermitian_product(ASYMMETRIC, ParaVector([ONE, E]), ParaVector([E, ONE])),
         lambda: paracomplex_two_form(ASYMMETRIC, 2).matrix(np.zeros(4)),
@@ -80,7 +85,7 @@ class TestSymmetrySites:
         assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("build", [
-        lambda: TwoForm(2, lambda x: NOT_SKEW).matrix([0.0, 0.0]),
+        lambda: TwoForm(2, constant(NOT_SKEW)).matrix([0.0, 0.0]),
         lambda: StructureConstants(np.array([NOT_SKEW, NOT_SKEW])),
     ], ids=["form_coefficients", "spin_constants"])
     def test_non_skew_matrix_is_invalid_structure(self, build):
@@ -88,6 +93,26 @@ class TestSymmetrySites:
             build()
         assert isinstance(info.value, FrobsymError)
         assert isinstance(info.value, ValueError)
+
+    # each matrix of a stack is held to its own scale: the 1e-7 defect of
+    # the second matrix is within 1e-12 of the first one's largest entry
+    BIG_AND_ASYMMETRIC = np.stack([1e6 * np.eye(2), [[1.0, 1e-7], [0.0, 1.0]]])
+    BIG_AND_NOT_SKEW = np.stack([1e6 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                 [[0.0, 1.0], [-1.0 + 1e-7, 0.0]]])
+
+    @pytest.mark.parametrize("build, stack", [
+        (lambda m, x: symmetric_part(m, "metric", x), BIG_AND_ASYMMETRIC),
+        (lambda m, x: MetricField(2, lambda _: m).value(x), BIG_AND_ASYMMETRIC),
+        (lambda m, x: TwoForm(2, lambda _: m).matrix(x), BIG_AND_NOT_SKEW),
+    ], ids=["symmetric_part", "metric_value", "form_matrix"])
+    def test_each_matrix_of_a_stack_is_held_to_its_own_scale(self, build, stack):
+        points = np.array([[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(InvalidStructure, match=r"at \[2\. 3\.\]"):
+            build(stack, points)
+        # the second matrix is rejected on its own too, and the first passes
+        with pytest.raises(InvalidStructure):
+            build(stack[1], points[1])
+        build(stack[:1], points[:1])
 
     def test_symmetric_part_is_exactly_symmetric_within_the_bound(self):
         g = np.array([[1.0, 0.3], [0.3 + 1e-14, 2.0]])
@@ -98,11 +123,11 @@ class TestSymmetrySites:
 
 class TestConditioningSites:
     @pytest.mark.parametrize("build, error", [
-        (lambda: MetricField(2, lambda x: SINGULAR).inverse([0.0, 0.0]), DegenerateMetric),
+        (lambda: MetricField(2, constant(SINGULAR)).inverse([0.0, 0.0]), DegenerateMetric),
         (lambda: checked_metric(singular_fisher_family(), [0.0, 0.0]), DegenerateMetric),
         (lambda: dual_connections(singular_fisher_family(), [0.0, 0.0]), DegenerateMetric),
         (lambda: algebra_from_potential(np.zeros((2, 2, 2)), SINGULAR), DegenerateMetric),
-        (lambda: wdvv_residual(PotentialField(2, lambda x: 0.0, third=lambda x: np.zeros((2, 2, 2))),
+        (lambda: wdvv_residual(PotentialField(2, constant(0.0), third=constant(np.zeros((2, 2, 2)))),
                                SINGULAR, [0.0, 0.0]), DegenerateMetric),
         (lambda: paracomplex_two_form(SINGULAR, 2).inverse(np.zeros(4)), DegenerateForm),
         (lambda: hamiltonian_vector_field(Observable(lambda y: np.zeros(y.z.shape[:-1]),
@@ -117,16 +142,16 @@ class TestConditioningSites:
         assert isinstance(info.value, FrobsymError)
 
     @pytest.mark.parametrize("build", [
-        lambda: MetricField(2, lambda x: NAN_METRIC).inverse([0.0, 0.0]),
-        lambda: TwoForm(2, lambda x: NAN_FORM).inverse([0.0, 0.0]),
+        lambda: MetricField(2, constant(NAN_METRIC)).inverse([0.0, 0.0]),
+        lambda: TwoForm(2, constant(NAN_FORM)).inverse([0.0, 0.0]),
     ], ids=["metric_inverse", "form_inverse"])
     def test_nan_entry_is_non_finite_value(self, build):
         with pytest.raises(NonFiniteValue, match=r"non-finite entry at \[0\. 0\.\]"):
             build()
 
     @pytest.mark.parametrize("build", [
-        lambda: MetricField(2, lambda x: INF_METRIC).inverse([0.0, 0.0]),
-        lambda: TwoForm(2, lambda x: INF_FORM).inverse([0.0, 0.0]),
+        lambda: MetricField(2, constant(INF_METRIC)).inverse([0.0, 0.0]),
+        lambda: TwoForm(2, constant(INF_FORM)).inverse([0.0, 0.0]),
     ], ids=["metric_inverse", "form_inverse"])
     def test_infinite_entry_is_non_finite_value_without_a_warning(self, build):
         with warnings.catch_warnings():

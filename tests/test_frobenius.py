@@ -91,7 +91,8 @@ class TestWDVV:
             g = t[0]
             if abs(np.linalg.det(g)) < 1e-2:
                 continue
-            pot = PotentialField(2, lambda x: 0.0, third=lambda x, t=t: t)
+            pot = PotentialField(2, lambda x: np.zeros(x.shape[:-1]),
+                                 third=lambda x, t=t: np.broadcast_to(t, x.shape[:-1] + t.shape))
             assert wdvv_residual(pot, g, [0.0, 0.0]).residual < 1e-12
             done += 1
 
@@ -124,7 +125,8 @@ class TestWDVV:
         base = perturbed_cubic_potential3()
         shifted = PotentialField(
             3,
-            lambda x: base.func(x) + x @ q @ x + 0.7 * x[0] - 2.0,
+            lambda x: (base.func(x) + np.einsum("...i,ij,...j->...", x, q, x)
+                       + 0.7 * x[..., 0] - 2.0),
             third=base.third,
         )
         x = rng.normal(size=3)
@@ -172,7 +174,7 @@ class TestNovikov:
     def test_commutative_associative_satisfies_identities(self):
         c, _ = diagonal_constants(2)
         b = np.einsum("kij->ijk", c)
-        metric = MetricField(2, lambda u: np.diag(u))
+        metric = MetricField(2, lambda u: u[..., None] * np.eye(2))
         report = novikov_residuals(b, metric, [1.0, 2.0])
         assert report.left_symmetry == 0.0
         assert report.right_identity == 0.0
@@ -181,14 +183,14 @@ class TestNovikov:
         b = np.zeros((2, 2, 2))
         b[0, 0, 0] = 0.5
         b[1, 1, 1] = 0.5
-        metric = MetricField(2, lambda u: np.diag(u))
+        metric = MetricField(2, lambda u: u[..., None] * np.eye(2))
         report = novikov_residuals(b, metric, [1.3, 0.7])
         assert report.symmetrization < 1e-8
 
     def test_asymmetric_flux_detected(self):
         rng = np.random.default_rng(17)
         b = rng.normal(size=(2, 2, 2))
-        metric = MetricField(2, lambda u: np.diag(u))
+        metric = MetricField(2, lambda u: u[..., None] * np.eye(2))
         report = novikov_residuals(b, metric, [1.0, 1.0])
         assert report.symmetrization > 0.1
 

@@ -39,6 +39,7 @@ from frobsym import (
 from frobsym import numdiff
 from frobsym.geometry import riemann_tensor
 from frobsym.registry import (
+    METRICS,
     POTENTIALS,
     bernoulli_family,
     euclidean_metric,
@@ -48,8 +49,13 @@ from frobsym.registry import (
 )
 
 
+def diagonal(v):
+    """The stack of diagonal matrices with v[..., i] on the diagonal."""
+    return v[..., None] * np.eye(v.shape[-1])
+
+
 def orthant_metric_closed_form(n):
-    return MetricField(n, lambda x: np.diag(1.0 / np.asarray(x) ** 2))
+    return MetricField(n, lambda x: diagonal(1.0 / x ** 2))
 
 
 LORENTZ_J = np.diag([1.0, -1.0, -1.0])
@@ -59,20 +65,24 @@ def lorentz_potential():
     """phi = (x0^2 - x1^2 - x2^2)^(-3/2) on the future light cone, analytic."""
 
     def q(x):
-        return x @ LORENTZ_J @ x
+        return np.einsum("...i,ij,...j->...", x, LORENTZ_J, x)
 
     def log_hess(x):
-        y = LORENTZ_J @ x
-        return -3.0 * LORENTZ_J / q(x) + 6.0 * np.outer(y, y) / q(x) ** 2
+        y = x @ LORENTZ_J
+        return (-3.0 * LORENTZ_J / q(x)[..., None, None]
+                + 6.0 * np.einsum("...i,...j->...ij", y, y) / (q(x) ** 2)[..., None, None])
 
     def log_third(x):
-        y = LORENTZ_J @ x
-        sym = (np.einsum("ij,k->ijk", LORENTZ_J, y) + np.einsum("ik,j->ijk", LORENTZ_J, y)
-               + np.einsum("jk,i->ijk", LORENTZ_J, y))
-        return 6.0 * sym / q(x) ** 2 - 24.0 * np.einsum("i,j,k->ijk", y, y, y) / q(x) ** 3
+        y = x @ LORENTZ_J
+        sym = (np.einsum("ij,...k->...ijk", LORENTZ_J, y)
+               + np.einsum("ik,...j->...ijk", LORENTZ_J, y)
+               + np.einsum("jk,...i->...ijk", LORENTZ_J, y))
+        return (6.0 * sym / (q(x) ** 2)[..., None, None, None]
+                - 24.0 * np.einsum("...i,...j,...k->...ijk", y, y, y)
+                / (q(x) ** 3)[..., None, None, None])
 
     return PotentialField(3, lambda x: q(x) ** -1.5,
-                          domain=lambda x: bool(x[0] > np.hypot(x[1], x[2])),
+                          domain=lambda x: x[..., 0] > np.hypot(x[..., 1], x[..., 2]),
                           log_hess=log_hess, log_third=log_third, name="lorentz3")
 
 
@@ -120,7 +130,8 @@ class TestChristoffel:
 
     def test_lower_symmetry_exact(self):
         rng = np.random.default_rng(3)
-        metric = MetricField(2, lambda x: np.diag([1.0 + x[0] ** 2, 2.0 + np.sin(x[1]) ** 2]))
+        metric = MetricField(2, lambda x: diagonal(np.stack(
+            [1.0 + x[..., 0] ** 2, 2.0 + np.sin(x[..., 1]) ** 2], axis=-1)))
         for _ in range(4):
             gamma = christoffel(metric, rng.normal(size=2))
             assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
@@ -130,16 +141,83 @@ class TestChristoffel:
         assert resid < 1e-6
 
     def test_degenerate_metric_raises(self):
-        metric = MetricField(2, lambda x: np.diag([1.0, 0.0]))
+        metric = MetricField(2, lambda x: diagonal(np.stack(
+            [np.ones(x.shape[:-1]), np.zeros(x.shape[:-1])], axis=-1)))
         with pytest.raises(DegenerateMetric):
             christoffel(metric, [0.0, 0.0])
+
+
+class TestTorsionFree:
+    """Gamma is symmetrized as it is built, so torsion is zero by construction."""
+
+    @pytest.mark.parametrize("name", sorted(METRICS))
+    def test_registry_christoffel_is_exactly_symmetric(self, name):
+        metric = METRICS[name]()
+        points = np.random.default_rng(1).normal(0.5, 0.4, size=(4, metric.dim))
+        gamma = christoffel(metric, points)
+        assert np.array_equal(gamma, gamma.swapaxes(-2, -1))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orthant_hessian_structure_is_exactly_symmetric(self, n):
+        points = np.exp(np.random.default_rng(n).normal(0.0, 0.3, size=(8, n))) + 0.2
+        for phi in (orthant_potential(n), fd_orthant_potential(n)):
+            gamma = hessian_structure(hessian_log_metric(phi), points).gamma
+            assert np.array_equal(gamma, gamma.swapaxes(-2, -1))
+
+
+class TestStackedCalls:
+    """Each consumer calls its field once per stack and reproduces the
+    per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("name", ["round_sphere2", "offdiag_linear2", "orthant2", "pullback"])
+    def test_curvature_flatness_equals_the_per_point_loop(self, name):
+        if name == "orthant2":
+            metric = hessian_log_metric(fd_orthant_potential(2))
+        elif name == "pullback":
+            metric = MetricField(2, lambda x: diagonal(np.exp(x) + x[..., ::-1] ** 2))
+        else:
+            metric = METRICS[name]()
+        points = np.random.default_rng(5).uniform(0.3, 1.4, size=(4, 2))
+        calls = []
+        counted = MetricField(2, lambda x: calls.append(x.shape) or metric.value(x),
+                              deriv=metric.deriv)
+        stacked = curvature_flatness(counted, points).max_riemann
+        # g on the stack and on its shifted points for Gamma, once more for
+        # the scale, and twice more where dg is differenced from g
+        assert len(calls) == (3 if metric.deriv is not None else 5)
+        loop = 0.0
+        for x in points:
+            riem = riemann_tensor(lambda y: christoffel(metric, y), x)
+            scale = max(1.0, float(np.max(np.abs(metric.value(x)))))
+            loop = max(loop, float(np.max(np.abs(riem))) / scale)
+        assert stacked == loop
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_automorphism_residual_equals_the_per_point_loop(self, n):
+        rng = np.random.default_rng(30 + n)
+        phi = orthant_potential(n)
+        points = np.exp(rng.normal(0.0, 0.5, size=(6, n)))
+        shear = np.eye(n) + 0.1 * np.abs(rng.normal(size=(n, n)))
+        for A in (np.diag(np.exp(rng.normal(size=n))), shear):
+            loop = 0.0
+            for x in points:
+                vx, vax = phi.value(x), phi.value(A @ x)
+                loop = max(loop, abs(np.log(vax) - np.log(vx) + np.log(np.linalg.det(A))))
+            assert automorphism_invariance_residual(phi, A, points) == loop
+
+    def test_a_metric_of_the_wrong_shape_is_dimension_mismatch(self):
+        one_point = MetricField(2, lambda x: np.eye(2))
+        assert np.array_equal(one_point.value([0.0, 1.0]), np.eye(2))
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
+            one_point.value(np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            christoffel(one_point, [0.0, 1.0])
 
 
 class TestCurvature:
     def test_euclidean_flat(self):
         report = curvature_flatness(euclidean_metric(2), [[0.1, 0.2], [1.5, -0.7]])
         assert report.max_riemann == 0.0
-        assert report.max_torsion == 0.0
         assert report.flat
 
     def test_orthant_flat(self):
@@ -156,12 +234,18 @@ class TestCurvature:
     def test_classification_survives_coordinate_change(self):
         """Flat stays flat and curved stays curved under x -> (exp, affine)
         reparametrizations; only the residual magnitude moves."""
-        diffeo = lambda x: np.array([np.exp(x[0]), x[1] + 0.3 * x[0]])
-        jac = lambda x: np.array([[np.exp(x[0]), 0.0], [0.3, 1.0]])
+        diffeo = lambda x: np.stack([np.exp(x[..., 0]), x[..., 1] + 0.3 * x[..., 0]], axis=-1)
+
+        def jac(x):
+            out = np.zeros(x.shape[:-1] + (2, 2))
+            out[..., 0, 0] = np.exp(x[..., 0])
+            out[..., 1, 0], out[..., 1, 1] = 0.3, 1.0
+            return out
 
         def pullback(metric):
             # h(x) = J(x)^T g(diffeo(x)) J(x)
-            return MetricField(2, lambda x: jac(x).T @ metric.value(diffeo(x)) @ jac(x))
+            return MetricField(2, lambda x: jac(x).swapaxes(-1, -2)
+                               @ metric.value(diffeo(x)) @ jac(x))
 
         flat = pullback(orthant_metric_closed_form(2))
         assert curvature_flatness(flat, [[0.1, 1.0]]).max_riemann <= 1e-5
@@ -172,14 +256,14 @@ class TestCurvature:
 
 class TestHessianLogMetric:
     def test_orthant_value_by_finite_differences(self):
-        plain = PotentialField(2, lambda x: 1.0 / (x[0] * x[1]),
-                               domain=lambda x: bool(np.all(x > 0)))
+        plain = PotentialField(2, lambda x: 1.0 / (x[..., 0] * x[..., 1]),
+                               domain=lambda x: np.all(x > 0, axis=-1))
         g = hessian_log_metric(plain).value([1.0, 2.0])
         assert np.allclose(g, np.diag([1.0, 0.25]), atol=1e-6)
 
     def test_exp_quadratic_gives_constant_hessian(self):
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
-        phi = PotentialField(2, lambda x: float(np.exp(x @ q @ x)))
+        phi = PotentialField(2, lambda x: np.exp(np.einsum("...i,ij,...j->...", x, q, x)))
         g = hessian_log_metric(phi).value([0.3, -0.2])
         assert np.allclose(g, q + q.T, atol=1e-5)
 
@@ -215,7 +299,7 @@ class TestHessianLogMetric:
             assert np.max(np.abs(fd - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
 
     def test_nonpositive_potential_rejected(self):
-        phi = PotentialField(1, lambda x: float(x[0]))
+        phi = PotentialField(1, lambda x: x[..., 0])
         with pytest.raises(NonPositivePotential):
             hessian_log_metric(phi).value([-2.0])
 
@@ -332,7 +416,7 @@ class TestHessianStructure:
         structure = hessian_structure(hessian_log_metric(orthant_potential(n)), points)
         assert np.max(np.abs(structure.riemann)) == 0.0
         report = structure.curvature()
-        assert report.max_riemann == 0.0 and report.max_torsion == 0.0 and report.flat
+        assert report.max_riemann == 0.0 and report.flat
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fd_orthant_is_flat_within_one_difference_level(self, n):
@@ -344,8 +428,9 @@ class TestHessianStructure:
         assert hessian_structure(metric, points).curvature().max_riemann <= 1e-3
 
     def test_singular_metric_names_the_worst_point(self):
-        metric = MetricField(2, lambda x: np.diag([1.0, x[1]]),
-                             deriv=lambda x: np.zeros((2, 2, 2)))
+        metric = MetricField(2, lambda x: diagonal(np.stack([np.ones(x.shape[:-1]), x[..., 1]],
+                                                            axis=-1)),
+                             deriv=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)))
         with pytest.raises(DegenerateMetric, match=r"at \[1\. 0\.\]"):
             hessian_structure(metric, [[1.0, 1.0], [1.0, 0.0], [1.0, 1e-13]])
 
@@ -404,7 +489,7 @@ class TestDualConnections:
         # two additions
         beta = np.array([0.5])
         rep = dual_connections(bernoulli_family(), beta)
-        lc = christoffel(MetricField(1, _binary_metric), beta)
+        lc = christoffel(MetricField(1, _binary_metrics), beta)
         assert np.allclose(0.5 * (rep.gamma_growth + rep.gamma_mixture), lc,
                            rtol=0.0, atol=1e-14)
 
@@ -447,16 +532,23 @@ def one_curvature_per_connection(fam, beta):
     its own, by the one-connection Riemann formula: the stacked pair's reference."""
     from frobsym import cumulant_tensor
 
-    metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
+    def kappa(b, order):
+        return cumulant_tensor(fam, b, order).values
+
+    def point_loop(f):
+        """``f`` of one point, mapped over a stack row by row."""
+        return lambda bs: np.array([f(b) for b in bs.reshape(-1, fam.n)]).reshape(
+            bs.shape[:-1] + np.shape(f(bs.reshape(-1, fam.n)[0])))
+
+    metric = MetricField(fam.n, point_loop(lambda b: kappa(b, 2)))
 
     def plus_minus(b):
         lc = christoffel(metric, b)
-        t = cumulant_tensor(fam, b, 3).values
-        half = 0.5 * np.einsum("il,ljk->ijk", np.linalg.inv(metric.value(b)), t)
+        half = 0.5 * np.einsum("il,ljk->ijk", np.linalg.inv(metric.value(b)), kappa(b, 3))
         return lc - half, lc + half
 
     def riemann(connection):
-        dgamma = numdiff.jacobian(connection, beta, h=numdiff.SECOND_ORDER_STEP)
+        dgamma = numdiff.jacobian(point_loop(connection), beta, h=numdiff.SECOND_ORDER_STEP)
         gamma = connection(beta)
         return (np.einsum("kilj->ijkl", dgamma) - np.einsum("likj->ijkl", dgamma)
                 + np.einsum("ikm,mlj->ijkl", gamma, gamma)
@@ -471,15 +563,16 @@ def one_curvature_per_connection(fam, beta):
             float(np.max(np.abs(riemann(lambda b: plus_minus(b)[1])))))
 
 
-def _binary_metric(beta):
+def _binary_metrics(betas):
     from frobsym import cumulant_tensor
 
-    return cumulant_tensor(bernoulli_family(), beta, 2).values
+    return np.array([cumulant_tensor(bernoulli_family(), b, 2).values
+                     for b in betas.reshape(-1, 1)]).reshape(betas.shape[:-1] + (1, 1))
 
 
 class TestFlatPencil:
     def test_one_dimensional_always_passes(self):
-        metric = MetricField(1, lambda u: np.array([[u[0]]]))
+        metric = MetricField(1, lambda u: u[..., None])
         report = flat_pencil_check(metric, 0, [0.5, 1.5], [[1.0], [2.0]])
         assert report.passed
 
@@ -495,13 +588,13 @@ class TestFlatPencil:
     def test_small_but_well_conditioned_derivative_has_a_pencil(self):
         """g^ij = (1 + 1e-7 x0) I: g2 = 1e-7 I has determinant 1e-14 but
         condition number 1."""
-        metric = MetricField(2, lambda x: (1.0 + 1e-7 * x[0]) * np.eye(2))
+        metric = MetricField(2, lambda x: (1.0 + 1e-7 * x[..., 0, None, None]) * np.eye(2))
         report = flat_pencil_check(metric)
         assert report.residual_base <= report.tolerance
 
     def test_ill_conditioned_derivative_of_unit_determinant_has_no_pencil(self):
         """g2 = diag(1e7, 1e-7): determinant 1, condition number 1e14."""
-        metric = MetricField(2, lambda x: np.eye(2) + x[0] * np.diag([1e7, 1e-7]))
+        metric = MetricField(2, lambda x: np.eye(2) + x[..., 0, None, None] * np.diag([1e7, 1e-7]))
         with pytest.raises(DegeneratePencil, match="condition number"):
             flat_pencil_check(metric)
 

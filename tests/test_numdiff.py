@@ -16,7 +16,7 @@ import pytest
 
 import frobsym
 from frobsym import DimensionMismatch, ExponentialFamily, potential_eval
-from frobsym.numdiff import central_partial, derivative_tensor, gradient
+from frobsym.numdiff import central_partial, derivative_tensor, gradient, hessian, jacobian
 
 STENCIL = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
 
@@ -45,11 +45,45 @@ def loop_gradient(f, x, h=None):
     return g
 
 
+def loop_hessian(f, x, h=None):
+    """The central second difference one entry and one point at a time."""
+    hs = (6e-4 if h is None else h) * np.maximum(1.0, np.abs(x))
+    n = x.size
+    out = np.empty((n, n))
+    f0 = f(x)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = hs[i]
+        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / hs[i] ** 2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = hs[j]
+            out[i, j] = out[j, i] = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej)
+                                     + f(x - ei - ej)) / (4.0 * hs[i] * hs[j])
+    return out
+
+
+def loop_jacobian(field, x, h=None):
+    """The central first difference of an array-valued field, one point at a time."""
+    hs = (1e-5 if h is None else h) * np.maximum(1.0, np.abs(x))
+    rows = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = hs[i]
+        rows.append((np.asarray(field(x + e)) - np.asarray(field(x - e))) / (2.0 * hs[i]))
+    return np.stack(rows)
+
+
 def loop_tensor(f, x, order, h):
     out = np.zeros((x.size,) * order)
     for index in product(range(x.size), repeat=order):
         out[index] = loop_partial(f, x, tuple(sorted(index)), h)
     return out
+
+
+def vector_field(z):
+    """A 2 x 2 matrix per point, from one point."""
+    return np.array([[np.sin(z[0]) * z[-1], np.exp(z).sum()], [z[0] * z[-1] ** 3, 1.0 / (2.0 + z[-1])]])
 
 
 def point_field(z):
@@ -59,6 +93,15 @@ def point_field(z):
 
 def stacked(f):
     return lambda zs: np.array([f(z) for z in zs])
+
+
+def any_stack(f):
+    """``f`` of one point, mapped over a ``(..., n)`` stack of any shape."""
+    def mapped(zs):
+        rows = zs.reshape(-1, zs.shape[-1])
+        values = np.array([f(z) for z in rows])
+        return values.reshape(zs.shape[:-1] + values.shape[1:])
+    return mapped
 
 
 @pytest.mark.parametrize("h", [5e-3, 1e-2])
@@ -156,3 +199,52 @@ def test_only_numdiff_and_the_bracket_protocol_take_a_step():
         and f"{fn.__module__}.{fn.__qualname__}" not in BRACKET_PROTOCOL
         for name in inspect.signature(fn).parameters if name in STEP_PARAMETERS)
     assert offenders == []
+
+
+def base_points(n):
+    """Three points, one with a signed zero and one with a large coordinate."""
+    x = np.linspace(-0.8, 1.3, n) + np.zeros((3, n))
+    x[1] *= 3.0
+    x[2, 0], x[0, -1] = -0.0, 40.0
+    return x
+
+
+@pytest.mark.parametrize("h", [None, 6e-4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jacobian_matches_point_loop(n, h):
+    points = base_points(n)
+    for x in points:
+        assert np.array_equal(jacobian(any_stack(vector_field), x, h),
+                              loop_jacobian(vector_field, x, h))
+    # a stack of base points: one call, each point's loop result
+    calls = []
+    field = any_stack(vector_field)
+    got = jacobian(lambda zs: calls.append(zs.shape) or field(zs), points, h)
+    assert calls == [(3, 2, n, n)]
+    assert got.shape == (3, n, 2, 2)
+    assert np.array_equal(got, np.stack([loop_jacobian(vector_field, x, h) for x in points]))
+
+
+@pytest.mark.parametrize("h", [None, 5e-3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hessian_matches_point_loop(n, h):
+    points = base_points(n)
+    for x in points:
+        rows, seen = [], []
+        got = hessian(any_stack(recording(point_field, rows)), x, h)
+        assert np.array_equal(got, loop_hessian(recording(point_field, seen), x, h))
+        # the same shifted points, each evaluated once
+        assert sorted(rows) == sorted(set(seen))
+    calls = []
+    field = any_stack(point_field)
+    got = hessian(lambda zs: calls.append(zs.shape) or field(zs), points.reshape(3, 1, n), h)
+    assert calls == [(3, 1, 1 + 2 * n * n, n)]
+    assert np.array_equal(got[:, 0], np.stack([loop_hessian(point_field, x, h) for x in points]))
+
+
+@pytest.mark.parametrize("routine", [jacobian, hessian])
+def test_a_field_that_drops_the_stack_axes_is_dimension_mismatch(routine):
+    with pytest.raises(DimensionMismatch, match="for a stack of points of shape"):
+        routine(lambda z: float(np.sum(z)), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        routine(lambda z: vector_field(z[(0,) * (z.ndim - 1)]), np.zeros((3, 2)))

@@ -34,9 +34,11 @@ from frobsym import (
     so3_constants,
 )
 from frobsym import numdiff
-from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad, _sin_grad,
-                             _square_grad, periodic_derivative_matrix, smooth_test_profile)
-from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
+from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad,
+                             _site_coefficients, _sin_grad, _square_grad,
+                             periodic_derivative_matrix, smooth_test_profile)
+from frobsym.registry import (LATTICE_COEFFICIENTS, constant_lattice, cyclic_nonjacobi_constants,
+                              linear_diagonal_lattice)
 from frobsym.symplectic import rowwise
 
 
@@ -450,9 +452,41 @@ def smooth_state(lb):
     return np.stack([2.0 + np.sin(x + 0.5 * k) for k in range(lb.field_dim)])
 
 
+def site_metrics(lb, u):
+    """g[n, i, j] with the metric called at one site at a time."""
+    return np.stack([np.asarray(lb.metric(u[:, n]), dtype=float) for n in range(lb.sites)])
+
+
+def assemble_operator(lb, u):
+    """The dense rN x rN operator B[(i,n),(j,m)] = g^ij(u_n) D_nm + b^ij_k (Du^k)_n delta_nm,
+    assembled site by site; the flat index is i * N + n (field-major)."""
+    r, N = lb.field_dim, lb.sites
+    D = periodic_derivative_matrix(N, lb.spacing)
+    B = np.einsum("nij,nm->injm", site_metrics(lb, u), D)
+    flux = np.einsum("ijk,kn->nij", lb.b, (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1))
+                     / (2.0 * lb.spacing))
+    sites = np.arange(N)
+    B[:, sites, :, sites] += flux
+    return B.reshape(r * N, r * N)
+
+
+def linear_metric(g0, a):
+    """g(u) = g0 + a u, with (a u)[i, j] = a[i, j, k] u^k, over a stack of field values."""
+    return lambda u: g0 + (a @ u[..., None, :, None])[..., 0]
+
+
+def row_by_row(lb):
+    """``lb`` with its metric callbacks evaluated one site at a time."""
+    def rows(f):
+        return lambda us: np.stack([np.asarray(f(v), dtype=float) for v in us])
+
+    return LatticeBracket(lb.sites, lb.field_dim, rows(lb.metric), lb.b, spacing=lb.spacing,
+                          metric_deriv=lb.metric_deriv and rows(lb.metric_deriv))
+
+
 class TestLatticeBracket:
     def test_constant_coefficients_exactly_skew(self):
-        lb = LatticeBracket(16, 1, lambda u: np.array([[2.0]]),
+        lb = LatticeBracket(16, 1, lambda u: np.full(u.shape[:-1] + (1, 1), 2.0),
                             np.zeros((1, 1, 1)), spacing=0.4)
         u = np.full((1, 16), 3.0)
         assert lattice_hydro_bracket(lb, u).antisymmetry_residual == 0.0
@@ -465,22 +499,12 @@ class TestLatticeBracket:
         rng = np.random.default_rng(10 * r + sites)
         a = rng.normal(size=(r, r, r))
         g0 = rng.normal(size=(r, r))
-        lb = LatticeBracket(sites, r, lambda u: g0 + a @ u, rng.normal(size=(r, r, r)),
+        lb = LatticeBracket(sites, r, linear_metric(g0, a), rng.normal(size=(r, r, r)),
                             spacing=2 * np.pi / sites)
         for u in (rng.normal(size=(r, sites)), np.full((r, sites), 1.5)):
             rep = lattice_hydro_bracket(lb, u)
-            B = rep.operator
+            B = assemble_operator(lb, u)
             assert rep.antisymmetry_residual == float(np.max(np.abs(B + B.T)))
-
-    def test_operator_is_assembled_on_first_read(self):
-        lb = make_lattice(8)
-        u = smooth_state(lb)
-        rep = lattice_hydro_bracket(lb, u)
-        assert "operator" not in vars(rep)
-        u[0, 0] = 100.0  # the report keeps its own copy of the state
-        first = rep.operator
-        assert rep.operator is first
-        assert np.array_equal(first, lattice_hydro_bracket(lb, smooth_state(lb)).operator)
 
     def test_stencil_is_skew(self):
         D = periodic_derivative_matrix(12, 0.7)
@@ -489,7 +513,7 @@ class TestLatticeBracket:
     def test_flux_violating_symmetrization_breaks_antisymmetry(self):
         """With b = 0 but u-dependent g, B + B^T picks up the unbalanced
         derivative of the metric at nonconstant u."""
-        lb = LatticeBracket(16, 1, lambda u: np.diag(u), np.zeros((1, 1, 1)),
+        lb = LatticeBracket(16, 1, lambda u: u[..., None], np.zeros((1, 1, 1)),
                             spacing=2 * np.pi / 16)
         rep = lattice_hydro_bracket(lb, smooth_state(lb))
         assert rep.antisymmetry_residual > 0.1
@@ -521,7 +545,7 @@ class TestLatticeBracket:
         lb = LatticeBracket(4, 2, metric, b, spacing=1.0, metric_deriv=metric_deriv)
         u = np.ones((2, 4))
         u[1] *= 3.0
-        B = lattice_hydro_bracket(lb, u).operator
+        B = assemble_operator(lb, u)
         # constant state: B = g(u) x D blockwise, diagonal metric
         D = periodic_derivative_matrix(4, 1.0)
         assert np.allclose(B[:4, :4], 1.0 * D)
@@ -566,21 +590,22 @@ def coupled_lattice(sites, r, with_deriv):
     a = rng.normal(size=(r, r, r))
     a = a + np.swapaxes(a, 0, 1)
     g0 = 3.0 * np.eye(r) + 0.2 * np.ones((r, r))
-    return LatticeBracket(sites, r, lambda u: g0 + a @ u, rng.normal(size=(r, r, r)),
+    return LatticeBracket(sites, r, linear_metric(g0, a), rng.normal(size=(r, r, r)),
                           spacing=2 * np.pi / sites,
-                          metric_deriv=(lambda u: a) if with_deriv else None)
+                          metric_deriv=((lambda u: np.broadcast_to(a, u.shape[:-1] + a.shape))
+                                        if with_deriv else None))
 
 
 def dense_jacobi_residual(lb, u, rng, triples=3):
     """The cyclic Jacobi sum through the assembled operator and the stencil matrix."""
     r, N = lb.field_dim, lb.sites
-    B = lattice_hydro_bracket(lb, u).operator
+    B = assemble_operator(lb, u)
     D = periodic_derivative_matrix(N, lb.spacing)
     if lb.metric_deriv is not None:
         dC = np.stack([lb.metric_deriv(u[:, n]) for n in range(N)])
     else:
-        dC = np.stack([np.moveaxis(numdiff.jacobian(lambda w: np.asarray(lb.metric(w), float),
-                                                    u[:, n]), 0, -1) for n in range(N)])
+        dC = np.stack([np.moveaxis(numdiff.jacobian(lb.metric, u[:, n]), 0, -1)
+                       for n in range(N)])
 
     def inner_gradient(phi, psi):
         return (np.einsum("in,nijk,jm,nm->kn", phi, dC, psi, D)
@@ -611,3 +636,36 @@ def test_matrix_free_jacobi_matches_dense(coefficients, r, sites, with_deriv):
     assert dense > 0.0
     assert lattice_jacobi_residual(lb, u, rng=np.random.default_rng(7)) == pytest.approx(
         dense, rel=1e-10)
+
+
+def registry_lattices():
+    for name, make in LATTICE_COEFFICIENTS.items():
+        for r in (1, 2, 3):
+            metric, metric_deriv, b = make(r)
+            yield f"{name}{r}", LatticeBracket(16, r, metric, b, spacing=2 * np.pi / 16,
+                                               metric_deriv=metric_deriv)
+    for r in (1, 2, 3):
+        yield f"coupled{r}", coupled_lattice(16, r, True)
+        yield f"coupled{r}_fd", coupled_lattice(16, r, False)
+
+
+@pytest.mark.parametrize("name", dict(registry_lattices()))
+def test_site_coefficients_match_the_per_site_loop(name):
+    """One metric call on the (N, r) stack of sites gives the per-site
+    loop's doubles, and so do both lattice residuals."""
+    lb = dict(registry_lattices())[name]
+    u = smooth_state(lb)
+    u[0, 3] = -0.0
+    assert np.array_equal(_site_coefficients(lb, u)[0], site_metrics(lb, u))
+    loop = row_by_row(lb)
+    assert (lattice_hydro_bracket(lb, u).antisymmetry_residual
+            == lattice_hydro_bracket(loop, u).antisymmetry_residual)
+    assert (lattice_jacobi_residual(lb, u, rng=np.random.default_rng(3))
+            == lattice_jacobi_residual(loop, u, rng=np.random.default_rng(3)))
+
+
+def test_lattice_metric_of_the_wrong_shape_is_dimension_mismatch():
+    metric, metric_deriv, b = constant_lattice(2)
+    lb = LatticeBracket(8, 2, lambda u: metric(u)[0], b, metric_deriv=metric_deriv)
+    with pytest.raises(DimensionMismatch, match="for 8 sites"):
+        lattice_hydro_bracket(lb, np.ones((2, 8)))

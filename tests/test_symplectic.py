@@ -40,6 +40,11 @@ from frobsym.registry import adapted_mixed2, adapted_quartic1
 from frobsym.symplectic import rowwise, split_exterior_derivative
 
 
+def constant(m):
+    """The field that is ``m`` at every point of a stack."""
+    return lambda x: np.broadcast_to(m, np.shape(x)[:-1] + np.shape(m))
+
+
 def oscillator(dim=1):
     return Observable(
         lambda y: 0.5 * np.sum(y.p ** 2 + y.z ** 2, axis=-1),
@@ -64,7 +69,7 @@ class TestCanonicalForm:
         assert form.pair([0, 0], eta, xi) == -1.0
 
     def test_nonantisymmetric_coefficients_rejected(self):
-        bad = TwoForm(2, lambda x: np.array([[0.0, 1.0], [-0.5, 0.0]]))
+        bad = TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]])))
         with pytest.raises(ValueError):
             bad.matrix([0.0, 0.0])
 
@@ -74,10 +79,10 @@ class TestErrorContract:
     ValueErrors."""
 
     @pytest.mark.parametrize("build, error", [
-        (lambda: TwoForm(2, lambda x: np.array([[0.0, 1.0], [-0.5, 0.0]])).matrix([0.0, 0.0]),
+        (lambda: TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]]))).matrix([0.0, 0.0]),
          InvalidStructure),
         (lambda: canonical_two_form(0), DimensionMismatch),
-        (lambda: split_exterior_derivative(lambda x: float(x[0]), 0, [0.1, 0.2], block="up"),
+        (lambda: split_exterior_derivative(lambda x: x[..., 0], 0, [0.1, 0.2], block="up"),
          InvalidStructure),
         (lambda: LorentzLagrangian(signature=[1.0, 0.5]), InvalidStructure),
     ], ids=["antisymmetry", "degrees_of_freedom", "block", "signature"])
@@ -231,15 +236,15 @@ class TestRealifiedSplitForm:
 
 class TestDolbeault:
     def test_bilinear_potential(self):
-        phi = PotentialField(2, lambda w: w[0] * w[1])
+        phi = PotentialField(2, lambda w: w[..., 0] * w[..., 1])
         assert dolbeault_form(phi, [0.4, -1.2]).item() == pytest.approx(1.0, abs=1e-9)
 
     def test_plus_only_potential_vanishes(self):
-        phi = PotentialField(2, lambda w: w[0] ** 2)
+        phi = PotentialField(2, lambda w: w[..., 0] ** 2)
         assert dolbeault_form(phi, [3.0, 1.0]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_mixed_cubic(self):
-        phi = PotentialField(2, lambda w: w[0] ** 2 * w[1])
+        phi = PotentialField(2, lambda w: w[..., 0] ** 2 * w[..., 1])
         assert dolbeault_form(phi, [3.0, 5.0]).item() == pytest.approx(6.0, rel=1e-7)
 
     def test_realified_form_closed_for_any_potential(self):
@@ -274,7 +279,7 @@ class TestDolbeault:
             w = scale * rng.normal(size=(m, m))
             full = np.zeros((2 * m, 2 * m))
             full[:m, m:] = w  # dolbeault_form reads only this block
-            phi = PotentialField(2 * m, lambda x: 0.0, hess=lambda x, full=full: full)
+            phi = PotentialField(2 * m, lambda x: np.zeros(x.shape[:-1]), hess=constant(full))
             J = realified_dolbeault_two_form(phi).matrix(rng.normal(size=2 * m))
             assert np.array_equal(J, wedge_expansion(w))
 
@@ -282,11 +287,12 @@ class TestDolbeault:
         """Feeding the mixed-partial matrix of a pairwise potential into the
         [[0, G], [-G, 0]] block form keeps it closed: each diagonal entry
         only depends on its own (x^a, y^a) pair."""
-        phi = PotentialField(4, lambda w: (w[0] * w[2]) ** 2 + (w[1] * w[3]) ** 4)
+        phi = PotentialField(4, lambda w: (w[..., 0] * w[..., 2]) ** 2
+                             + (w[..., 1] * w[..., 3]) ** 4)
 
         def g(point):
-            x, y = point[:2], point[2:]
-            adapted = np.concatenate([x + y, x - y])
+            x, y = point[..., :2], point[..., 2:]
+            adapted = np.concatenate([x + y, x - y], axis=-1)
             return dolbeault_form(phi, adapted)
 
         form = paracomplex_two_form(g, 2)
@@ -302,9 +308,9 @@ class TestExteriorDerivative:
 
     def test_varying_non_closed_block_detected(self):
         def coeffs(pt):
-            J = np.zeros((4, 4))
-            J[0, 1], J[1, 0] = pt[0], -pt[0]
-            J[2, 3], J[3, 2] = pt[2] * pt[1], -pt[2] * pt[1]
+            J = np.zeros(pt.shape[:-1] + (4, 4))
+            J[..., 0, 1], J[..., 1, 0] = pt[..., 0], -pt[..., 0]
+            J[..., 2, 3], J[..., 3, 2] = pt[..., 2] * pt[..., 1], -pt[..., 2] * pt[..., 1]
             return J
 
         resid = closedness_residual(TwoForm(4, coeffs), [[1.0, 0.5, 2.0, 0.3]])
@@ -313,25 +319,60 @@ class TestExteriorDerivative:
 
 class TestSplittingLaws:
     def test_polynomial_zero_form(self):
-        res = dbar_split_residuals([lambda w: w[0] * w[1]], [[0.3, 0.7]])
+        res = dbar_split_residuals([lambda w: w[..., 0] * w[..., 1]], [[0.3, 0.7]])
         assert max(res.values()) < 1e-6
 
     def test_constant_function_exact(self):
-        res = dbar_split_residuals([lambda w: 4.0], [[0.3, 0.7]])
+        res = dbar_split_residuals([lambda w: np.full(w.shape[:-1], 4.0)], [[0.3, 0.7]])
         assert max(res.values()) == 0.0
 
     def test_trigonometric_zero_form(self):
-        res = dbar_split_residuals([lambda w: np.sin(w[0]) * np.cos(w[1])],
+        res = dbar_split_residuals([lambda w: np.sin(w[..., 0]) * np.cos(w[..., 1])],
                                    [[0.5, -0.2], [1.1, 0.8]])
         assert max(res.values()) < 1e-5
 
     def test_two_pair_functions_and_one_forms(self):
-        zero_forms = [lambda w: w[0] * w[2] + np.sin(w[1] * w[3])]
+        zero_forms = [lambda w: w[..., 0] * w[..., 2] + np.sin(w[..., 1] * w[..., 3])]
         one_forms = [lambda w: np.asarray(w, dtype=float) ** 2,
-                     lambda w: np.array([w[1], w[0] * w[2], w[3], np.cos(w[0])])]
+                     lambda w: np.stack([w[..., 1], w[..., 0] * w[..., 2], w[..., 3],
+                                         np.cos(w[..., 0])], axis=-1)]
         res = dbar_split_residuals(zero_forms, [[0.3, -0.5, 0.9, 0.1]],
                                    one_forms=one_forms)
         assert max(res.values()) < 1e-5
+
+
+class TestStackedForms:
+    """A stack of sample points is differenced in one call and gives the
+    per-point loop's doubles."""
+
+    def test_closedness_equals_the_per_point_loop(self):
+        rng = np.random.default_rng(9)
+        for phi in (adapted_quartic1(), adapted_mixed2(),
+                    PotentialField(2, lambda w: np.exp(w[..., 0]) * np.sin(w[..., 1]))):
+            form = realified_dolbeault_two_form(phi)
+            pts = rng.normal(0.0, 0.6, size=(3, phi.dim))
+            loop = max(float(np.max(np.abs(exterior_derivative(form, x)))) for x in pts)
+            assert closedness_residual(form, pts) == loop
+            assert np.array_equal(form.matrix(pts), [form.matrix(x) for x in pts])
+
+    def test_splitting_residuals_equal_the_per_point_loop(self):
+        zero_forms = [adapted_mixed2().value, lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
+        one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
+        pts = np.random.default_rng(2).normal(0.0, 0.5, size=(2, 4))
+        stacked = dbar_split_residuals(zero_forms, pts, one_forms=one_forms)
+        loop = {key: 0.0 for key in stacked}
+        for x in pts:
+            for key, value in dbar_split_residuals(zero_forms, [x], one_forms=one_forms).items():
+                loop[key] = max(loop[key], value)
+        assert stacked == loop
+        for block in ("plus", "minus", "both"):
+            d = split_exterior_derivative(one_forms[0], 1, pts, block)
+            assert np.array_equal(d, [split_exterior_derivative(one_forms[0], 1, x, block)
+                                      for x in pts])
+
+    def test_form_of_the_wrong_shape_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
+            TwoForm(2, lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])).matrix(np.zeros((3, 2)))
 
 
 class TestLegendreTransform:
@@ -350,7 +391,7 @@ class TestLegendreTransform:
 
     def test_gauge_field_force(self):
         lag = LorentzLagrangian(signature=[1, -1], kappa2=0.5,
-                                gauge=lambda z: np.array([z[1], z[0] ** 2]))
+                                gauge=lambda z: np.stack([z[..., 1], z[..., 0] ** 2], axis=-1))
         xi = np.array([1.0, 2.0])
         z = np.array([0.5, 1.0])
         p, f, _ = legendre_hamiltonian(lag, xi, z)
@@ -388,7 +429,7 @@ class TestHamiltonianVectorField:
         assert np.allclose(X, [1.0, 0.0], atol=1e-10)
 
     def test_degenerate_form_rejected(self):
-        broken = TwoForm(2, lambda x: np.zeros((2, 2)))
+        broken = TwoForm(2, constant(np.zeros((2, 2))))
         with pytest.raises(DegenerateForm):
             hamiltonian_vector_field(oscillator(), broken, PhasePoint([1.0], [0.0]))
 
@@ -607,16 +648,16 @@ class TestIntegrateMany:
 
 class TestQuadraticEnergy:
     def test_euclidean(self):
-        metric = MetricField(2, lambda x: np.eye(2))
+        metric = MetricField(2, constant(np.eye(2)))
         y = PhasePoint([0.0, 0.0], [3.0, 4.0])
         assert quadratic_energy(metric, y) == pytest.approx(12.5)
 
     def test_inverse_metric_weighting(self):
-        metric = MetricField(1, lambda x: np.diag(1.0 / np.asarray(x) ** 2))
+        metric = MetricField(1, lambda x: (1.0 / x ** 2)[..., None])
         y = PhasePoint([2.0], [1.0])
         assert quadratic_energy(metric, y) == pytest.approx(2.0)
 
     def test_rest_point_reads_scalar(self):
-        metric = MetricField(1, lambda x: np.eye(1))
+        metric = MetricField(1, constant(np.eye(1)))
         y = PhasePoint([1.5], [0.0])
-        assert quadratic_energy(metric, y, lambda z: float(z[0] ** 2)) == pytest.approx(2.25)
+        assert quadratic_energy(metric, y, lambda z: z[..., 0] ** 2) == pytest.approx(2.25)
