@@ -204,7 +204,7 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("name must be a string", field="name")
-    _validate_payload(kind, payload)
+    _validate_payload(kind, payload, checks)
     return ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
 
 
@@ -227,7 +227,7 @@ def _is_point(value, dim: int) -> bool:
     return isinstance(value, list) and len(value) == dim and all(_real(v) for v in value)
 
 
-def _validate_payload(kind: str, payload: dict):
+def _validate_payload(kind: str, payload: dict, checks: list):
     if kind == "exponential_family":
         stats = _require(payload, "statistics", list, kind)
         # one flat row is a family with a single statistic
@@ -248,14 +248,17 @@ def _validate_payload(kind: str, payload: dict):
     elif kind == "cone_potential":
         pot = _require(payload, "potential", str, kind)
         dim = registry.lookup(registry.POTENTIALS, pot, "potential").dim
-        if "pairing" in payload:
-            registry.lookup(registry.CONSTANT_MATRICES, payload["pairing"], "pairing")
         if "point" in payload and not _is_point(payload["point"], dim):
             raise SchemaError(f"point must be {dim} finite numbers", field="payload.point")
         points = payload.get("points", [[0.0] * dim])  # absent: drawn at run time
         if not (isinstance(points, list) and points and all(_is_point(p, dim) for p in points)):
             raise SchemaError(f"points must be a nonempty list of points of {dim} finite "
                               "numbers", field="payload.points")
+        # the pairing pairs tangent vectors, so wdvv needs it dim x dim
+        pid = _require(payload, "pairing", str, kind) if "pairing" in payload else "identity3"
+        pairing = registry.lookup(registry.CONSTANT_MATRICES, pid, "pairing")
+        if pairing.shape != (dim, dim) and ("pairing" in payload or "wdvv" in checks):
+            raise SchemaError(f"pairing {pid!r} is not {dim} x {dim}", field="payload.pairing")
     elif kind == "explicit_metric":
         mid = _require(payload, "metric", str, kind)
         registry.lookup(registry.METRICS, mid, "metric")
@@ -511,7 +514,9 @@ def _hamiltonian_observable(ctx: CheckContext) -> Observable:
                                     lambda p: p, u_func, u_grad)
 
     def grad(y):
-        # d/dp = v = g^-1 p; d/dz_k = -v^T (d_k g) v / 2 + dU/dz_k
+        # d/dp = v = g^-1 p; d/dz_k = -v^T (d_k g) v / 2 + dU/dz_k.  One point
+        # only: the midpoint rule and evolution_consistency never stack, and
+        # a stacked g^-1 p or einsum is not proven to round as this one does
         v = metric.inverse(y.z) @ y.p
         dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
         return np.concatenate([dz + u_grad(y.z), v, np.zeros_like(y.lam)])

@@ -85,6 +85,8 @@ def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     """
     x = np.asarray(x, dtype=float)
     gm = g.value(x) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
+    if gm.shape != (potential.dim, potential.dim):
+        raise DimensionMismatch(f"pairing of shape {gm.shape} for a {potential.dim}-d potential")
     require_invertible(gm, DegenerateMetric, "metric", x)
     ginv = np.linalg.inv(gm)
     t = potential.third_tensor(x)

@@ -13,8 +13,10 @@ where third/fourth derivatives have to come out at ~1e-6 relative accuracy.
 
 Every routine hands its field all shifted points of one stencil as one
 stack: a field maps a ``(..., n)`` stack of points to ``(..., *out)``, one
-value per point.  :func:`jacobian` and :func:`hessian` take a stack of base
-points too.  Every result equals the one-point loop's bit for bit.
+value per point.  :func:`gradient`, :func:`jacobian` and :func:`hessian`
+take a stack of base points too.  Each shifted row is the sum x + (+-h_i e_i)
+with exact zeros off the diagonal, so it holds the same doubles a one-point
+loop would build, and every result equals that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -37,21 +39,23 @@ def step_sizes(x: np.ndarray, scale: float) -> np.ndarray:
 
 
 def gradient(f: Callable, x, h: float | None = None) -> np.ndarray:
-    """Central first-difference gradient of a scalar field.
+    """Central first-difference gradient of a scalar field, ``(..., n)`` for
+    ``x`` of shape ``(..., n)``.
 
-    The rows x + h_i e_i for every i, then x - h_i e_i, go to ``f`` as one
-    ``(2n, n)`` stack, which must come back as 2n values.  Each row is the
-    sum x + (+-h_i e_i), so it holds the same doubles a one-point loop would
-    build, and the gradient equals that loop's bit for bit.
+    The rows x + h_i e_i for every i, then x - h_i e_i, of every base point
+    go to ``f`` as one ``(..., 2n, n)`` stack, which must come back as
+    ``(..., 2n)`` values.
     """
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     hs = step_sizes(x, FIRST_ORDER_STEP if h is None else h)
-    shifts = np.diag(hs)
-    values = np.asarray(f(np.concatenate([x + shifts, x - shifts])), dtype=float)
-    if values.shape != (2 * x.size,):
-        raise DimensionMismatch(
-            f"field returned shape {values.shape} for {2 * x.size} stacked points")
-    return (values[:x.size] - values[x.size:]) / (2.0 * hs)
+    e, x0 = _scaled_units(hs), x[..., None, :]
+    stack = np.concatenate([x0 + e, x0 - e], axis=-2)
+    values = np.asarray(f(stack), dtype=float)
+    if values.shape != stack.shape[:-1]:
+        raise DimensionMismatch(f"field returned shape {values.shape} for "
+                                f"{int(np.prod(stack.shape[:-1]))} stacked points")
+    return (values[..., :n] - values[..., n:]) / (2.0 * hs)
 
 
 def hessian(f: Callable, x, h: float | None = None) -> np.ndarray:

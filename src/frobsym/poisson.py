@@ -10,6 +10,10 @@ with exactly this sign, so {z, p} = -1.  Combined with the evolution rule
 Qdot = {H, Q} this reproduces the textbook flow zdot = dH/dp,
 pdot = -dH/dz; only the two intermediate signs differ from the common
 convention, and they cancel.
+
+The brackets take a point or a stacked point and give a float or one value
+per row, each equal to the one-point bracket bit for bit, and
+:func:`bracket_property_residuals` checks all its probe points as one stack.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from . import numdiff
 from .errors import DimensionMismatch, require_antisymmetric
 from .paracomplex import ParaVector, para_hermitian_product
-from .symplectic import Observable, PhasePoint, rowwise
+from .symplectic import Observable, PhasePoint
 
 DEFAULT_NESTED_STEP = 6e-4
 
@@ -54,32 +58,45 @@ def so3_constants() -> StructureConstants:
 
 
 def canonical_bracket(A: Observable, B: Observable, y: PhasePoint,
-                      h: float | None = None) -> float:
-    """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs.
+                      h: float | None = None):
+    """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs,
+    a float at one point and one value per row at a stacked point.
 
-    Each operand is differentiated over the (z, p) block only.
+    Each operand is differentiated once, over the (z, p) block only.
     """
     nz, npp, _ = y.layout
     if nz != npp:
         raise DimensionMismatch("point must carry matching z and p blocks")
     block = slice(0, nz + npp)
     a, b = A.gradient(y, h=h, coords=block), B.gradient(y, h=h, coords=block)
-    return float(a[nz:] @ b[:nz] - b[nz:] @ a[:nz])
+    # vecdot rounds each row as the one-point a @ b does
+    values = np.vecdot(a[..., nz:], b[..., :nz]) - np.vecdot(b[..., nz:], a[..., :nz])
+    return _per_point(y, values)
 
 
 def extended_bracket(A: Observable, B: Observable, y: PhasePoint,
-                     constants: StructureConstants, h: float | None = None) -> float:
-    """Canonical part plus the spin term -lam_k gamma^k_ij dA/dlam_i dB/dlam_j.
+                     constants: StructureConstants, h: float | None = None):
+    """Canonical part plus the spin term -lam_k gamma^k_ij dA/dlam_i dB/dlam_j,
+    a float at one point and one value per row at a stacked point.
 
-    Each operand is differentiated over the spin block here and over the
-    (z, p) block in :func:`canonical_bracket`, so every partial is taken once.
+    Each operand is differentiated once, over all coordinates, and
+    :func:`canonical_bracket` reads its (z, p) block of that gradient.
     """
-    if y.lam.size != constants.dim:
+    nz, npp, nl = y.layout
+    if nl != constants.dim:
         raise DimensionMismatch("spin block does not match the structure constants")
-    spins = slice(y.z.size + y.p.size, None)
-    al, bl = A.gradient(y, h=h, coords=spins), B.gradient(y, h=h, coords=spins)
-    spin = -float(np.einsum("k,kij,i,j->", y.lam, constants.gamma, al, bl))
-    return canonical_bracket(A, B, y, h=h) + spin
+    a, b = A.gradient(y, h=h), B.gradient(y, h=h)
+    spins = slice(nz + npp, None)
+    spin = -np.einsum("...k,kij,...i,...j->...", y.lam, constants.gamma, a[..., spins],
+                      b[..., spins])
+    canonical = canonical_bracket(Observable(A.func, lambda _: a),
+                                  Observable(B.func, lambda _: b), y)
+    return _per_point(y, canonical + spin)
+
+
+def _per_point(y: PhasePoint, values):
+    """``values`` at a stacked point, the float at one point."""
+    return values if y.z.ndim > 1 else float(values)
 
 
 def paracomplex_bracket(g, xi: ParaVector, eta: ParaVector) -> float:
@@ -107,95 +124,62 @@ class BracketResiduals:
 
 
 def bracket_property_residuals(bracket: Callable, observables, points) -> BracketResiduals:
-    """Antisymmetry, chain rule, Leibniz and Jacobi residuals of a bracket.
+    """Antisymmetry, chain rule, Leibniz and Jacobi residuals of a bracket,
+    the worst over all probe points.
 
-    ``bracket(A, B, y, h=None)`` must accept Observable arguments at one point;
-    the operands' ``func`` must take stacked points (see
-    :class:`~frobsym.symplectic.Observable`).  The chain rule is probed
-    with f(t) = t^2 and g(t) = sin t; Jacobi nests the bracket as a new
-    Observable, mapped over stacked points row by row and differentiated
-    with the coarser DEFAULT_NESTED_STEP to keep finite-difference noise
-    below the 1e-6 residual target.
-
-    Within one probe point, an operand without an analytic gradient has its
-    full gradient taken once at each point a bracket differentiates it at,
-    and every bracket there shares it (see :func:`_shared_gradient`).
+    ``bracket(A, B, y, h=None)`` must accept Observable arguments at a
+    stacked point and return one value per row; the operands' ``func`` and
+    ``grad`` must take stacked points (see
+    :class:`~frobsym.symplectic.Observable`).  The probe points, which share
+    one layout, run as one stacked point, so each bracket differentiates each
+    operand in a fixed number of calls however many points there are.  The
+    chain rule is probed with f(t) = t^2 and g(t) = sin t; Jacobi nests the
+    bracket as a new Observable, differentiated with the coarser
+    DEFAULT_NESTED_STEP to keep finite-difference noise below the 1e-6
+    residual target.
     """
-    A0, B0, C0 = observables
-    anti = chain = leib = jac = 0.0
-    for y in points:
-        A, B, C = (_shared_gradient(op) for op in (A0, B0, C0))
-        ab = bracket(A, B, y)
-        anti = max(anti, abs(ab + bracket(B, A, y)))
+    A, B, C = observables
+    if len({y.layout for y in points}) != 1:
+        raise DimensionMismatch("probe points must share one layout")
+    y = points[0].replace_flat(np.stack([q.flat() for q in points]))
+    a, b, c = A.func(y), B.func(y), C.func(y)
+    ab = bracket(A, B, y)
+    anti = ab + bracket(B, A, y)
 
-        # the composite operands are built from the original operands, so an
-        # FD operand still makes an FD composite, differenced as a whole
-        fa = Observable(lambda q: A.func(q) ** 2, _square_grad(A0))
-        gb = Observable(lambda q: np.sin(B.func(q)), _sin_grad(B0))
-        chain = max(chain, abs(bracket(fa, gb, y) - 2.0 * A(y) * np.cos(B(y)) * ab))
+    # the composite operands are built from the original operands, so an
+    # FD operand still makes an FD composite, differenced as a whole
+    fa = Observable(lambda q: A.func(q) ** 2, _square_grad(A))
+    gb = Observable(lambda q: np.sin(B.func(q)), _sin_grad(B))
+    chain = bracket(fa, gb, y) - 2.0 * a * np.cos(b) * ab
 
-        bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B0, C0))
-        leib = max(
-            leib,
-            abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab),
-        )
+    bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B, C))
+    leib = bracket(A, bc_prod, y) - b * bracket(A, C, y) - c * ab
 
-        def nested(first, second):
-            # the bracket takes one point; a stacked point goes row by row
-            return Observable(rowwise(lambda q: bracket(first, second, q)))
+    def nested(first, second):
+        return Observable(lambda q: bracket(first, second, q))
 
-        triple = (
-            bracket(A, nested(B, C), y, h=DEFAULT_NESTED_STEP)
-            + bracket(B, nested(C, A), y, h=DEFAULT_NESTED_STEP)
-            + bracket(C, nested(A, B), y, h=DEFAULT_NESTED_STEP)
-        )
-        jac = max(jac, abs(triple))
-    return BracketResiduals(anti, chain, leib, jac)
-
-
-def _shared_gradient(operand: Observable) -> Observable:
-    """``operand`` with its full central-difference gradient as ``grad``,
-    memoised by the point's flat coordinates and returned read-only, so no
-    bracket can change what a later one reads.
-
-    Every partial a bracket takes equals the matching entry of the full
-    gradient bit for bit, so brackets at h=None give the same values while
-    each shifted point of the nested Jacobi terms differences the operand
-    once instead of once per bracket.  A difference at an explicit step h
-    still differences ``func``.  An analytic operand is returned as it is.
-    """
-    if operand.grad is not None:
-        return operand
-    memo = {}
-
-    def grad(y: PhasePoint) -> np.ndarray:
-        key = y.flat().tobytes()
-        g = memo.get(key)
-        if g is None:
-            g = operand.gradient(y)
-            g.flags.writeable = False
-            memo[key] = g
-        return g
-
-    return Observable(operand.func, grad)
+    jac = (bracket(A, nested(B, C), y, h=DEFAULT_NESTED_STEP)
+           + bracket(B, nested(C, A), y, h=DEFAULT_NESTED_STEP)
+           + bracket(C, nested(A, B), y, h=DEFAULT_NESTED_STEP))
+    return BracketResiduals(*(float(np.max(np.abs(r))) for r in (anti, chain, leib, jac)))
 
 
 def _square_grad(A: Observable):
     if A.grad is None:
         return None
-    return lambda y: 2.0 * A(y) * A.gradient(y)
+    return lambda y: 2.0 * A.func(y)[..., None] * A.gradient(y)
 
 
 def _sin_grad(B: Observable):
     if B.grad is None:
         return None
-    return lambda y: np.cos(B(y)) * B.gradient(y)
+    return lambda y: np.cos(B.func(y))[..., None] * B.gradient(y)
 
 
 def _product_grad(B: Observable, C: Observable):
     if B.grad is None or C.grad is None:
         return None
-    return lambda y: B(y) * C.gradient(y) + C(y) * B.gradient(y)
+    return lambda y: B.func(y)[..., None] * C.gradient(y) + C.func(y)[..., None] * B.gradient(y)
 
 
 # ---------------------------------------------------------------------------

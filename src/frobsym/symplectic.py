@@ -62,15 +62,15 @@ class PhasePoint:
         """A point of the same layout whose blocks are views of ``values``.
 
         ``values`` is one flat vector of the layout's length, or a
-        ``(rows, length)`` stack of them; a stack gives a stacked point
-        whose blocks are ``(rows, .)`` views, one row per point.  The blocks
+        ``(..., length)`` stack of them; a stack gives a stacked point
+        whose blocks are ``(..., .)`` views, one row per point.  The blocks
         are then already what ``__post_init__`` would make of a 1-D vector,
         so the point is assembled without it, and shares memory with
         ``values``.
         """
         nz, npp, nl = self.layout
         values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[-1] != nz + npp + nl:
+        if values.ndim == 0 or values.shape[-1] != nz + npp + nl:
             raise DimensionMismatch(
                 f"flat values of shape {values.shape} do not match the layout {self.layout}")
         point = object.__new__(PhasePoint)
@@ -100,11 +100,12 @@ class Observable:
     """Scalar function on phase space, with an optional analytic gradient.
 
     ``func`` maps a point to a float, and a stacked point (see
-    :meth:`PhasePoint.replace_flat`) to one value per row, so it indexes
-    blocks as ``y.z[..., i]`` and reduces over the last axis; a func defined
-    one point at a time goes through :func:`rowwise`.  The gradient callback
-    takes one point and must return the concatenated layout
-    (d/dz, d/dp, d/dlam).  Without it, central differences are used.
+    :meth:`PhasePoint.replace_flat`) to one value per row, each the value
+    it gives that row alone, so it indexes blocks as ``y.z[..., i]`` and
+    reduces over the last axis; a func defined one point at a time goes
+    through :func:`rowwise`.  The gradient callback maps a point or a
+    stacked point to the concatenated layout (d/dz, d/dp, d/dlam) on the
+    last axis.  Without it, central differences are used.
     """
 
     func: Callable[[PhasePoint], float]
@@ -115,23 +116,24 @@ class Observable:
 
     def gradient(self, y: PhasePoint, h: float | None = None,
                  coords: slice = slice(None)) -> np.ndarray:
-        """Partials over the flat coordinates ``coords`` of the layout.
+        """Partials over the flat coordinates ``coords`` of the layout, on
+        the last axis, at one point or at every row of a stacked point.
 
         Central differences shift only those coordinates, two field
-        evaluations each, all handed to ``func`` as one stacked point;
-        every partial uses its own step, so it equals the matching entry of
-        the full gradient bit for bit.
+        evaluations each, and hand every shifted point of every row to
+        ``func`` as one stacked point; every partial uses its own step, so
+        it equals the matching entry of the full gradient bit for bit.
         """
         if self.grad is not None and h is None:
-            return np.asarray(self.grad(y), dtype=float)[coords]
+            return np.asarray(self.grad(y), dtype=float)[..., coords]
         flat = y.flat()
 
         def shifted(stack):
-            full = np.repeat(flat[None], len(stack), axis=0)
-            full[:, coords] = stack
+            full = np.repeat(flat[..., None, :], stack.shape[-2], axis=-2)
+            full[..., coords] = stack
             return self.func(y.replace_flat(full))
 
-        return numdiff.gradient(shifted, flat[coords], h=h)
+        return numdiff.gradient(shifted, flat[..., coords], h=h)
 
 
 @dataclass(frozen=True, init=False)
@@ -157,7 +159,7 @@ class SeparableHamiltonian(Observable):
             object.__setattr__(self, name, part)
         super().__init__(
             lambda y: T(y.p) + V(y.z),
-            lambda y: np.concatenate([dV(y.z), dT(y.p), np.zeros_like(y.lam)]),
+            lambda y: np.concatenate([dV(y.z), dT(y.p), np.zeros_like(y.lam)], axis=-1),
         )
 
 
@@ -536,14 +538,16 @@ def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
     dt = dts[order, None]
     half = 0.5 * dt
     z, p = np.tile(z0, (len(order), 1)), np.tile(p0, (len(order), 1))
-    # the end-of-step force is reused as the next kick
-    f = H.dV(z)
+    # the end-of-step kick half * dV(z) also starts the next step; the
+    # temporaries live in buffers of their own, never in what dT or dV return
+    kick, p_half, drift = np.multiply(half, H.dV(z)), np.empty_like(p), np.empty_like(z)
     done = 0
     for live in range(len(order), 0, -1):
         end = counts[order[live - 1]]
         if end == done:
             continue
-        z, p, f, dt, half = z[:live], p[:live], f[:live], dt[:live], half[:live]
+        z, p, dt, half = z[:live], p[:live], dt[:live], half[:live]
+        kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
         segment = slice(done + 1, end + 1)
         if live == 1:
             # the last row writes straight into its own arrays
@@ -552,10 +556,10 @@ def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
             z_buf = np.empty((end - done, live, z0.size))
             p_buf = np.empty((end - done, live, p0.size))
         for i in range(end - done):
-            p_half = p - half * f
-            z = np.add(z, dt * H.dT(p_half), out=z_buf[i])
-            f = H.dV(z)
-            p = np.subtract(p_half, half * f, out=p_buf[i])
+            np.subtract(p, kick, out=p_half)
+            z = np.add(z, np.multiply(dt, H.dT(p_half), out=drift), out=z_buf[i])
+            np.multiply(half, H.dV(z), out=kick)
+            p = np.subtract(p_half, kick, out=p_buf[i])
         if live > 1:
             for row, j in enumerate(order[:live]):
                 zs[j][segment], ps[j][segment] = z_buf[:, row], p_buf[:, row]

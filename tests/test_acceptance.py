@@ -230,12 +230,15 @@ def test_c08_oscillator_drift_and_scaling():
 def test_c09_bracket_suite():
     pts = [PhasePoint([0.3, 0.7], [0.2, -0.4]),
            PhasePoint([1.1, -0.5], [0.6, 0.9])]
+    zero = lambda y: np.zeros_like(y.z[..., 0])
     A = Observable(lambda y: y.z[..., 0] ** 2 + y.p[..., 1] * y.z[..., 1],
-                   grad=lambda y: np.array([2 * y.z[0], y.p[1], 0.0, y.z[1]]))
+                   grad=lambda y: np.stack([2 * y.z[..., 0], y.p[..., 1], zero(y), y.z[..., 1]],
+                                           axis=-1))
     B = Observable(lambda y: y.p[..., 0] * y.z[..., 0] + y.p[..., 1] ** 2,
-                   grad=lambda y: np.array([y.p[0], 0.0, y.z[0], 2 * y.p[1]]))
+                   grad=lambda y: np.stack([y.p[..., 0], zero(y), y.z[..., 0], 2 * y.p[..., 1]],
+                                           axis=-1))
     C = Observable(lambda y: y.z[..., 1] * y.p[..., 0],
-                   grad=lambda y: np.array([0.0, y.p[0], y.z[1], 0.0]))
+                   grad=lambda y: np.stack([zero(y), y.p[..., 0], y.z[..., 1], zero(y)], axis=-1))
     assert bracket_property_residuals(canonical_bracket, (A, B, C), pts).worst() < 1e-6
 
     spin_pts = [PhasePoint([0.3], [0.2], [0.4, -1.1, 0.8]),

@@ -742,6 +742,32 @@ class TestCli:
         assert "unrecognized arguments: --fd-step 1e-3" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("payload, checks", [
+        ({"potential": "orthant2", "point": [1.0, 2.0]}, ["wdvv"]),
+        ({"potential": "adapted_quartic1"}, ["wdvv"]),
+        ({"potential": "adapted_mixed2", "point": [0.1, 0.2, 0.3, 0.4]}, ["wdvv"]),
+        ({"potential": "orthant2", "pairing": "identity3"}, ["flatness"]),
+        ({"potential": "wdvv_cubic3", "pairing": "identity2"}, ["wdvv"]),
+    ], ids=["orthant2", "adapted_quartic1", "adapted_mixed2", "explicit_3x3", "explicit_2x2"])
+    def test_pairing_of_the_wrong_size_is_a_schema_error(self, payload, checks, tmp_path,
+                                                          capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"name": "x", "kind": "cone_potential",
+                                    "payload": payload, "checks": checks}))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "pairing" in err and "Traceback" not in err
+        with pytest.raises(SchemaError) as info:
+            load_manifold_spec(path.read_text())
+        assert info.value.field == "payload.pairing"
+
+    def test_default_pairing_is_checked_only_for_wdvv(self):
+        spec = load_manifold_spec(json.dumps({
+            "name": "x", "kind": "cone_potential", "payload": {"potential": "orthant2"},
+            "checks": ["hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
+                       "frobenius_axioms", "automorphism_invariance"]}))
+        assert "pairing" not in spec.payload
+
     def test_catalog_unknown_entry(self, capsys):
         assert main(["catalog", "does_not_exist"]) == 2
         capsys.readouterr()

@@ -14,6 +14,7 @@ import pytest
 from frobsym import (
     DegenerateAlgebra,
     DegenerateMetric,
+    DimensionMismatch,
     FrobsymError,
     FrobeniusAlgebra,
     InvalidStructure,
@@ -116,6 +117,11 @@ class TestWDVV:
                           [0.0, 1.0, 1.0])
         assert r.residual > 1e-2
         assert r.residual == pytest.approx(16 * 0.1**2, rel=1e-10)
+
+    @pytest.mark.parametrize("g", [np.eye(2), np.eye(4)], ids=["2x2", "4x4"])
+    def test_pairing_of_the_wrong_size_is_dimension_mismatch(self, g):
+        with pytest.raises(DimensionMismatch, match="pairing of shape"):
+            wdvv_residual(cubic_potential3(), g, [0.7, -0.3, 1.2])
 
     def test_quadratic_shift_invariance(self):
         """Adding a quadratic polynomial leaves third derivatives, hence the

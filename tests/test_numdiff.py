@@ -225,6 +225,22 @@ def test_jacobian_matches_point_loop(n, h):
     assert np.array_equal(got, np.stack([loop_jacobian(vector_field, x, h) for x in points]))
 
 
+@pytest.mark.parametrize("h", [None, 6e-4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)], ids=["1", "5", "2x3"])
+def test_gradient_on_a_stack_of_base_points_matches_point_loop(shape, n, h):
+    rng = np.random.default_rng(n)
+    points = rng.normal(0.0, 2.0, shape + (n,))
+    points[(0,) * len(shape)][0], points[(-1,) * len(shape)][-1] = -0.0, 40.0
+    calls = []
+    field = any_stack(point_field)
+    got = gradient(lambda zs: calls.append(zs.shape) or field(zs), points, h)
+    # one call on the (..., 2n, n) stack, each base point's loop result
+    assert calls == [shape + (2 * n, n)]
+    assert np.array_equal(got, np.reshape([loop_gradient(point_field, x, h)
+                                           for x in points.reshape(-1, n)], shape + (n,)))
+
+
 @pytest.mark.parametrize("h", [None, 5e-3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hessian_matches_point_loop(n, h):

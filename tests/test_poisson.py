@@ -37,8 +37,8 @@ from frobsym import numdiff
 from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad,
                              _site_coefficients, _sin_grad, _square_grad,
                              periodic_derivative_matrix, smooth_test_profile)
-from frobsym.registry import (LATTICE_COEFFICIENTS, constant_lattice, cyclic_nonjacobi_constants,
-                              linear_diagonal_lattice)
+from frobsym.registry import (LATTICE_COEFFICIENTS, SPIN_CONSTANTS, constant_lattice,
+                              cyclic_nonjacobi_constants, linear_diagonal_lattice)
 from frobsym.symplectic import rowwise
 
 
@@ -60,12 +60,15 @@ def point_count(y):
 
 
 def polynomial_observables():
+    zero = lambda y: np.zeros_like(y.z[..., 0])
     A = Observable(lambda y: y.z[..., 0] ** 2 + y.p[..., 1] * y.z[..., 1],
-                   grad=lambda y: np.array([2 * y.z[0], y.p[1], 0.0, y.z[1]]))
+                   grad=lambda y: np.stack([2 * y.z[..., 0], y.p[..., 1], zero(y), y.z[..., 1]],
+                                           axis=-1))
     B = Observable(lambda y: y.p[..., 0] * y.z[..., 0] + y.p[..., 1] ** 2,
-                   grad=lambda y: np.array([y.p[0], 0.0, y.z[0], 2 * y.p[1]]))
+                   grad=lambda y: np.stack([y.p[..., 0], zero(y), y.z[..., 0], 2 * y.p[..., 1]],
+                                           axis=-1))
     C = Observable(lambda y: y.z[..., 1] * y.p[..., 0],
-                   grad=lambda y: np.array([0.0, y.p[0], y.z[1], 0.0]))
+                   grad=lambda y: np.stack([zero(y), y.p[..., 0], y.z[..., 1], zero(y)], axis=-1))
     return A, B, C
 
 
@@ -154,18 +157,25 @@ class TestExtendedBracket:
 
 
 def mixed_observable(rng, n, spins, analytic):
-    """sin(z.wz) (p.wp) + (lam.wl)^2 + z_0 p_-1, with or without its gradient."""
+    """sin(z.wz) (p.wp) + (lam.wl)^2 + z_0 p_-1, with or without its gradient.
+
+    Both map stacked points, and give each row the doubles they give that
+    point alone: vecdot rounds as the one-point dot, and np.square as the
+    array power, where the scalar ``**`` can differ by an ulp.
+    """
     wz, wp, wl = rng.normal(size=n), rng.normal(size=n), rng.normal(size=spins)
 
     def func(y):
-        return np.sin(y.z @ wz) * (y.p @ wp) + (y.lam @ wl) ** 2 + y.z[..., 0] * y.p[..., -1]
+        return (np.sin(np.vecdot(y.z, wz)) * np.vecdot(y.p, wp) + np.square(np.vecdot(y.lam, wl))
+                + y.z[..., 0] * y.p[..., -1])
 
     def grad(y):
-        dz = np.cos(y.z @ wz) * (y.p @ wp) * wz
-        dz[0] += y.p[-1]
-        dp = np.sin(y.z @ wz) * wp
-        dp[-1] += y.z[0]
-        return np.concatenate([dz, dp, 2.0 * (y.lam @ wl) * wl])
+        zw, pw = np.vecdot(y.z, wz)[..., None], np.vecdot(y.p, wp)[..., None]
+        dz = np.cos(zw) * pw * wz
+        dz[..., 0] += y.p[..., -1]
+        dp = np.sin(zw) * wp
+        dp[..., -1] += y.z[..., 0]
+        return np.concatenate([dz, dp, 2.0 * np.vecdot(y.lam, wl)[..., None] * wl], axis=-1)
 
     return Observable(func, grad if analytic else None)
 
@@ -203,6 +213,28 @@ class TestBracketPartials:
                                 == full_gradient_bracket(A, B, y, gamma, h=h))
 
     @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("h", [None, 3e-4])
+    @pytest.mark.parametrize("spins", [None, "spin_zero1", "so3", "cyclic_nonjacobi"])
+    def test_stacked_brackets_equal_the_point_loop(self, spins, h, analytic):
+        constants = None if spins is None else SPIN_CONSTANTS[spins]()
+        s = 0 if constants is None else constants.dim
+        rng = np.random.default_rng(30 + s)
+        for n in (1, 2, 3):
+            A, B = (mixed_observable(rng, n, s, analytic) for _ in range(2))
+            y = PhasePoint(np.zeros(n), np.zeros(n), np.zeros(s))
+            brackets = [lambda f, g, q: canonical_bracket(f, g, q, h=h)]
+            if constants is not None:
+                brackets.append(lambda f, g, q: extended_bracket(f, g, q, constants, h=h))
+            for shape in ((1,), (5,), (2, 3)):
+                flat = rng.normal(0.3, 1.5, shape + (2 * n + s,))
+                for bracket in brackets:
+                    rows = [bracket(A, B, y.replace_flat(row))
+                            for row in flat.reshape(-1, 2 * n + s)]
+                    assert all(type(value) is float for value in rows)
+                    assert np.array_equal(bracket(A, B, y.replace_flat(flat)),
+                                          np.reshape(rows, shape))
+
+    @pytest.mark.parametrize("analytic", [False, True])
     def test_gradient_block_is_the_full_gradient_slice(self, analytic):
         rng = np.random.default_rng(2)
         A = mixed_observable(rng, 2, 3, analytic)
@@ -232,7 +264,8 @@ class TestBracketPartials:
 
 def unshared_property_residuals(bracket, observables, points,
                                 nested_h=DEFAULT_NESTED_STEP):
-    """The property loop with every bracket differencing its operands afresh."""
+    """The property loop, one probe point at a time: the oracle of the
+    stacked suite."""
     A, B, C = observables
     anti = chain = leib = jac = 0.0
     for y in points:
@@ -260,14 +293,14 @@ def spin_bracket(constants):
 
 def lopsided_bracket(f, g, y, h=None):
     """Not a Poisson bracket: full gradients contracted against a reversal."""
-    return float(f.gradient(y, h=h) @ g.gradient(y, h=h)[::-1])
+    return np.vecdot(f.gradient(y, h=h), g.gradient(y, h=h)[..., ::-1])
 
 
 def counted_operands(calls):
     """The three FD operands of the battery's bracket suite, counting calls."""
     def counted(name, f):
         def func(y):
-            calls[name] += point_count(y)
+            calls[name] += 1
             return f(y)
         return Observable(func)
 
@@ -277,9 +310,9 @@ def counted_operands(calls):
 
 
 class TestSharedGradients:
-    """Each operand's gradient is taken once per point and shared by every
-    bracket at one probe point; the residuals stay bit for bit those of
-    brackets that difference their operands afresh."""
+    """The suite runs all probe points as one stacked point, and each bracket
+    shares one full gradient per operand between its canonical and spin
+    parts; the residuals stay bit for bit those of the per-point loop."""
 
     BRACKETS = {"canonical": canonical_bracket, "so3": spin_bracket(so3_constants()),
                 "cyclic_nonjacobi": spin_bracket(cyclic_nonjacobi_constants()),
@@ -308,25 +341,24 @@ class TestSharedGradients:
         assert (bracket_property_residuals(bracket, ops, pts)
                 == unshared_property_residuals(bracket, ops, pts))
 
-    def test_evaluations_per_operand_and_probe_point(self):
-        # so3 on a 2-dof point, n = 7 coordinates: 4n^2 + O(n) instead of ~8n^2
-        y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
-        bracket = spin_bracket(so3_constants())
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_each_operand_is_called_a_fixed_number_of_times(self, count):
+        # one call for the values, and one per bracket that takes the operand
+        # or a composite of it, at the top or at the nested level: A enters
+        # {A,B}, {B,A}, {fa,gb}, {A,BC}, {A,C} and the three Jacobi terms
+        rng = np.random.default_rng(count)
+        pts = [PhasePoint(rng.normal(size=2), rng.normal(size=2), rng.normal(size=3))
+               for _ in range(count)]
         calls = {"A": 0, "B": 0, "C": 0}
-        bracket_property_residuals(bracket, counted_operands(calls), [y])
-        assert calls == {"A": 239, "B": 254, "C": 239}
-        calls.update(A=0, B=0, C=0)
-        unshared_property_residuals(bracket, counted_operands(calls), [y])
-        assert calls == {"A": 477, "B": 464, "C": 435}
+        bracket_property_residuals(spin_bracket(so3_constants()), counted_operands(calls), pts)
+        assert calls == {"A": 9, "B": 8, "C": 6}
 
-    def test_memo_is_per_probe_point(self):
-        y = PhasePoint([0.3, -0.2], [1.1, 0.4], [0.4, -1.1, 0.8])
-        bracket = spin_bracket(so3_constants())
-        calls = {"A": 0, "B": 0, "C": 0}
-        ops = counted_operands(calls)
-        twice = bracket_property_residuals(bracket, ops, [y, y])
-        assert calls == {"A": 2 * 239, "B": 2 * 254, "C": 2 * 239}
-        assert twice == bracket_property_residuals(bracket, ops, [y])
+    @pytest.mark.parametrize("points", [[], [PhasePoint([0.1, 0.2], [0.3, 0.4]),
+                                             PhasePoint([0.1], [0.2], [0.3, 0.4])]],
+                             ids=["none", "two_layouts"])
+    def test_points_must_share_one_layout(self, points):
+        with pytest.raises(DimensionMismatch, match="one layout"):
+            bracket_property_residuals(canonical_bracket, polynomial_observables(), points)
 
     def test_two_points_equal_two_one_point_calls(self):
         rng = np.random.default_rng(17)
@@ -338,22 +370,6 @@ class TestSharedGradients:
         each = [bracket_property_residuals(bracket, ops, [y]) for y in pts]
         for field in ("antisymmetry", "chain_rule", "leibniz", "jacobi"):
             assert getattr(both, field) == max(getattr(r, field) for r in each)
-
-    def test_shared_gradient_is_read_only(self):
-        seen = []
-
-        def recording(f, g, y, h=None):
-            seen.append(f.gradient(y, h=h))
-            return canonical_bracket(f, g, y, h=h)
-
-        rng = np.random.default_rng(3)
-        ops = tuple(mixed_observable(rng, 2, 0, False) for _ in range(3))
-        bracket_property_residuals(recording, ops, [PhasePoint([0.3, -0.2], [1.1, 0.4])])
-        first = seen[0]  # A's gradient at the probe point, from {A, B}
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 1.0
-        assert np.array_equal(first, ops[0].gradient(PhasePoint([0.3, -0.2], [1.1, 0.4])))
 
 
 class TestStructureConstants:

@@ -130,7 +130,16 @@ class TestPhasePoint:
         row = moved.replace_flat(values[1])
         assert row.z.ndim == 1 and np.array_equal(row.flat(), values[1])
 
-    @pytest.mark.parametrize("values", [np.zeros((2, 3, 5)), np.zeros((3, 6))],
+    def test_replace_flat_of_a_deeper_stack_keeps_its_leading_axes(self):
+        y = PhasePoint([0.0, 1.0], [2.0, 3.0], [4.0])
+        values = np.arange(30.0).reshape(2, 3, 5)
+        moved = y.replace_flat(values)
+        assert moved.layout == y.layout
+        assert moved.z.shape == (2, 3, 2) and moved.lam.shape == (2, 3, 1)
+        assert np.shares_memory(moved.p, values)
+        assert np.array_equal(moved.flat(), values)
+
+    @pytest.mark.parametrize("values", [np.zeros((2, 3, 6)), np.zeros((3, 6))],
                              ids=["3d", "long_rows"])
     def test_replace_flat_stack_needs_rows_of_the_layout(self, values):
         with pytest.raises(DimensionMismatch):
@@ -187,6 +196,35 @@ class TestStackedObservable:
             assert np.array_equal(A.gradient(y, h=h, coords=coords),
                                   loop_observable_gradient(A, y, h, coords))
 
+    @staticmethod
+    def analytic():
+        def grad(y):
+            zp = y.z[..., 0] * y.p[..., -1]
+            dz = 2.0 * y.lam[..., 1, None] * y.z
+            dz[..., 0] += np.cos(zp) * y.p[..., -1]
+            dp = np.zeros_like(y.p)
+            dp[..., -1] = np.cos(zp) * y.z[..., 0]
+            dl = np.zeros_like(y.lam)
+            dl[..., 1] = np.sum(y.z ** 2, axis=-1)
+            return np.concatenate([dz, dp, dl], axis=-1)
+
+        return Observable(TestStackedObservable.observable().func, grad)
+
+    @pytest.mark.parametrize("analytic", [False, True])
+    @pytest.mark.parametrize("h", [None, 3e-4])
+    @pytest.mark.parametrize("coords", [slice(None), slice(0, 4), slice(4, None), slice(1, 3)],
+                             ids=["all", "zp", "spins", "middle"])
+    def test_stacked_gradient_matches_point_loop(self, coords, h, analytic):
+        A = self.analytic() if analytic else self.observable()
+        rng = np.random.default_rng(19)
+        y = PhasePoint(np.zeros(2), np.zeros(2), np.zeros(3))
+        for shape in ((1,), (4,), (2, 3)):
+            flat = rng.normal(0.0, 2.0, shape + (7,))
+            rows = [A.gradient(y.replace_flat(row), h=h, coords=coords)
+                    for row in flat.reshape(-1, 7)]
+            got = A.gradient(y.replace_flat(flat), h=h, coords=coords)
+            assert np.array_equal(got, np.reshape(rows, shape + (-1,)))
+
     def test_func_gets_one_stack_per_gradient(self):
         shapes = []
 
@@ -194,8 +232,10 @@ class TestStackedObservable:
             shapes.append(y.z.shape)
             return y.z[..., 0] * y.p[..., 0]
 
-        Observable(func).gradient(PhasePoint([0.3, 0.1], [0.2, 0.4]), coords=slice(1, 4))
-        assert shapes == [(6, 2)]
+        y = PhasePoint([0.3, 0.1], [0.2, 0.4])
+        Observable(func).gradient(y, coords=slice(1, 4))
+        Observable(func).gradient(y.replace_flat(np.ones((5, 4))), coords=slice(1, 4))
+        assert shapes == [(6, 2), (5, 6, 2)]
 
     def test_call_returns_a_float(self):
         value = self.observable()(PhasePoint([0.3, 0.1], [0.2, 0.4], [0.5, 0.6]))
