@@ -148,9 +148,10 @@ def require_invertible(m: np.ndarray, error: type, what: str, at=None) -> np.nda
 def require_finite(m: np.ndarray, what: str, at=None) -> np.ndarray:
     """``m`` itself, one block per point of ``at``; NonFiniteValue naming
     the first point whose block has an infinite or NaN entry."""
-    lead = 0 if at is None else np.ndim(at) - 1
-    finite = np.isfinite(m).reshape(np.shape(m)[:lead] + (-1,)).all(axis=-1)
+    finite = np.isfinite(m)
     if not finite.all():
+        lead = 0 if at is None else np.ndim(at) - 1
+        finite = finite.reshape(np.shape(m)[:lead] + (-1,)).all(axis=-1)
         worst = np.unravel_index(np.argmin(finite), finite.shape)
         raise NonFiniteValue(f"{what} has a non-finite entry{_at_worst(at, worst)}")
     return m

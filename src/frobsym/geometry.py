@@ -60,9 +60,7 @@ class MetricField:
         return require_finite(np.asarray(self.deriv(x), dtype=float), "metric derivative", x)
 
     def inverse(self, x) -> np.ndarray:
-        g = self.value(x)
-        require_invertible(g, DegenerateMetric, "metric", x)
-        return np.linalg.inv(g)
+        return np.linalg.inv(require_invertible(self.value(x), DegenerateMetric, "metric", x))
 
 
 @dataclass(frozen=True)
@@ -155,8 +153,17 @@ def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
     """Max Riemann residual over a stack of sample points, scaled by
     max(1, |g|) at each point; the connection is torsion-free by construction."""
     points = np.atleast_2d(_points(metric.dim, points))
-    riem = riemann_tensor(lambda y: christoffel(metric, y), points)
-    return CurvatureReport(_scaled_max(riem, metric.value(points)), DEFAULT_CURVATURE_TOL)
+    g = metric.value(points)
+
+    def connection(y):
+        # the shifted stacks take christoffel; the base stack reuses g
+        if y is not points:
+            return christoffel(metric, y)
+        ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", y))
+        return _levi_civita(ginv, metric.derivative(y))
+
+    return CurvatureReport(_scaled_max(riemann_tensor(connection, points), g),
+                           DEFAULT_CURVATURE_TOL)
 
 
 def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
@@ -297,18 +304,13 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
     DegenerateMetric from the Christoffel symbols.
     """
     beta = np.asarray(beta, dtype=float)
-
-    def kappa(b, order):
-        # cumulant_tensor takes one parameter point: a stack is mapped row by row
-        rows = [cumulant_tensor(fam, row, order).values for row in b.reshape(-1, fam.n)]
-        return np.reshape(rows, b.shape[:-1] + (fam.n,) * order)
-
-    metric = MetricField(fam.n, lambda b: kappa(b, 2))
+    metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
     g = metric.value(beta)
 
     def plus_minus(b):
         lc = christoffel(metric, b)
-        half = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(metric.value(b)), kappa(b, 3))
+        half = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(metric.value(b)),
+                               cumulant_tensor(fam, b, 3).values)
         return np.stack([lc - half, lc + half], axis=-4)
 
     gp, gm = plus_minus(beta)

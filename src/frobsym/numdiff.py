@@ -21,6 +21,7 @@ loop would build, and every result equals that loop's bit for bit.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -100,6 +101,12 @@ _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
+@cache
+def _picks(k: int) -> np.ndarray:
+    """[r, c]: the stencil entry of row r for differentiation c; rows run lexicographically."""
+    return np.array(list(product(range(4), repeat=k)), dtype=int).reshape(4**k, k)
+
+
 def central_partial(f: Callable, x, index: tuple[int, ...], h: float) -> float:
     """Mixed partial d^k f / dx_{i1}..dx_{ik} by composed 4th-order stencils.
 
@@ -111,10 +118,7 @@ def central_partial(f: Callable, x, index: tuple[int, ...], h: float) -> float:
     """
     x = np.asarray(x, dtype=float)
     hs = step_sizes(x, h)
-    k = len(index)
-    # row r shifts coordinate index[c] by _OFFSETS[picks[r, c]]; rows run in
-    # lexicographic order of the picks
-    picks = np.array(list(product(range(4), repeat=k)), dtype=int).reshape(4**k, k)
+    picks = _picks(len(index))
     shifts = np.zeros((picks.shape[0], x.size))
     weights = np.ones(picks.shape[0])
     for column, coord in enumerate(index):
@@ -124,10 +128,9 @@ def central_partial(f: Callable, x, index: tuple[int, ...], h: float) -> float:
     if values.shape != weights.shape:
         raise DimensionMismatch(
             f"field returned shape {values.shape} for {weights.size} stacked points")
-    total = 0.0
-    for weight, value in zip(weights.tolist(), values.tolist()):
-        total += weight * value
-    return total
+    # 0.0 + w0 v0 + w1 v1 + ... in stencil order, as a Python loop adds it (-0.0 terms give 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.add.accumulate(np.concatenate(([0.0], weights * values)))[-1])
 
 
 def derivative_tensor(f: Callable, x, order: int, h: float) -> np.ndarray:

@@ -9,11 +9,17 @@ is the generating function of everything else: its gradient gives the dual
 coordinates, its Hessian the metric, and its third/fourth derivatives the
 skewness tensor and the order-4 invariants.  All moments are exact sums
 over the sample space, so every quantity here is deterministic.
+
+Every function of beta but :func:`natural_from_dual` takes one parameter
+point or a ``(..., n)`` stack of them, puts the point axes first in what it
+returns (a scalar of one point is a ``float``) and gives each point of a
+stack the doubles it gives that point alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import (
     InvalidFamily,
     NonConvergence,
     NonFiniteValue,
+    require_finite,
     require_invertible,
 )
 
@@ -58,35 +65,31 @@ class ExponentialFamily:
 
 @dataclass(frozen=True)
 class CumulantTensor:
-    """Fully symmetric order-k derivative tensor of the potential."""
+    """Fully symmetric order-k derivative tensor of the potential, point axes first."""
 
     order: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != self.order:
-            raise DimensionMismatch("tensor rank must equal the stated order")
+        if v.ndim < self.order:
+            raise DimensionMismatch("tensor rank must be at least the stated order")
         object.__setattr__(self, "values", v)
 
 
-def _as_beta(fam: ExponentialFamily, beta, stacked: bool = False) -> np.ndarray:
-    """One finite parameter point, or with ``stacked`` a ``(..., n)`` stack."""
+def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
+    """One finite parameter point or a ``(..., n)`` stack of them."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if beta.shape[-1:] != (fam.n,) or (beta.ndim != 1 and not stacked):
+    if beta.shape[-1:] != (fam.n,):
         raise DimensionMismatch(f"expected {fam.n} coordinates, got shape {beta.shape}")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise NonFiniteValue("parameter point must be finite")
     return beta
 
 
 def potential_eval(fam: ExponentialFamily, beta):
-    """Log-partition value; computed with a max shift so |beta| ~ 50 is safe.
-
-    ``beta`` is one point (a ``float`` comes back) or a ``(..., n)`` stack of
-    points (an array of one value per point comes back).
-    """
-    beta = _as_beta(fam, beta, stacked=True)
+    """Log-partition value; computed with a max shift so |beta| ~ 50 is safe."""
+    beta = _as_beta(fam, beta)
     # a stack of 1 x n products rounds each row exactly as the one-point
     # product does; a plain (rows, n) @ (n, m) product may not
     exponent = -(beta[..., None, :] @ fam.X)[..., 0, :]
@@ -121,12 +124,12 @@ def pairing(mu, f) -> float:
 
 
 def gibbs_density(fam: ExponentialFamily, beta) -> np.ndarray:
-    """Normalized weights p_w = mu0_w exp(-<beta, X(w)>) / Z; sums to 1."""
+    """Normalized weights p_w = mu0_w exp(-<beta, X(w)>) / Z; sums to 1 per point."""
     beta = _as_beta(fam, beta)
-    t = -(beta @ fam.X) + np.log(fam.mu0)
-    t -= np.max(t)
+    t = -(beta[..., None, :] @ fam.X)[..., 0, :] + np.log(fam.mu0)
+    t -= t.max(axis=-1, keepdims=True)
     p = np.exp(t)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 # inf - inf from overflowing moments is reported below as NonFiniteValue
@@ -137,56 +140,51 @@ def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
     k=1 is minus the mean of X, k=2 the covariance, k=3 minus the third
     central moment and k=4 the fourth cumulant, all under the Gibbs weights
     at beta.  The result is symmetrized exactly over index permutations.
-    Moments that overflow raise :class:`NonFiniteValue`.
+    Moments that overflow raise :class:`NonFiniteValue`, naming the first
+    such point of a stack.
     """
     if order not in (1, 2, 3, 4):
         raise ValueError("order must be 1..4")
     beta = _as_beta(fam, beta)
     p = gibbs_density(fam, beta)
-    mean = fam.X @ p
-    xc = fam.X - mean[:, None]
+    mean = (fam.X @ p[..., None])[..., 0]
+    xc = fam.X - mean[..., None]
     if order == 1:
         values = -mean
     elif order == 2:
-        cov = np.einsum("iw,jw,w->ij", xc, xc, p)
-        values = 0.5 * (cov + cov.T)
+        cov = np.einsum("...iw,...jw,...w->...ij", xc, xc, p)
+        values = 0.5 * (cov + cov.swapaxes(-1, -2))
     elif order == 3:
-        m3 = np.einsum("iw,jw,kw,w->ijk", xc, xc, xc, p)
-        values = -_symmetrize(m3)
+        m3 = np.einsum("...iw,...jw,...kw,...w->...ijk", xc, xc, xc, p)
+        values = -_symmetrize(m3, 3)
     else:
-        m4 = np.einsum("iw,jw,kw,lw,w->ijkl", xc, xc, xc, xc, p)
-        cov = np.einsum("iw,jw,w->ij", xc, xc, p)
+        m4 = np.einsum("...iw,...jw,...kw,...lw,...w->...ijkl", xc, xc, xc, xc, p)
+        cov = np.einsum("...iw,...jw,...w->...ij", xc, xc, p)
         k4 = (
             m4
-            - np.einsum("ij,kl->ijkl", cov, cov)
-            - np.einsum("ik,jl->ijkl", cov, cov)
-            - np.einsum("il,jk->ijkl", cov, cov)
+            - np.einsum("...ij,...kl->...ijkl", cov, cov)
+            - np.einsum("...ik,...jl->...ijkl", cov, cov)
+            - np.einsum("...il,...jk->...ijkl", cov, cov)
         )
-        values = _symmetrize(k4)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"order-{order} moments overflow at beta = {beta}")
-    return CumulantTensor(order, values)
+        values = _symmetrize(k4, 4)
+    return CumulantTensor(order, require_finite(values, f"order-{order} moments", beta))
 
 
-def _symmetrize(t: np.ndarray) -> np.ndarray:
-    from itertools import permutations
-
-    k = t.ndim
-    acc = np.zeros_like(t)
-    perms = list(permutations(range(k)))
-    for perm in perms:
-        acc += np.transpose(t, perm)
-    return acc / len(perms)
+def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
+    """Mean of ``t`` over the permutations of its last ``k`` axes."""
+    lead = tuple(range(t.ndim - k))
+    perms = [lead + perm for perm in permutations(range(t.ndim - k, t.ndim))]
+    return sum(np.transpose(t, perm) for perm in perms) / len(perms)
 
 
 def checked_metric(fam: ExponentialFamily, beta) -> np.ndarray:
     """Fisher metric, the covariance of the statistics at beta (the order-2
-    tensor); DegenerateMetric when it is numerically singular."""
+    tensor); DegenerateMetric, naming the worst point, when one is singular."""
     return require_invertible(cumulant_tensor(fam, beta, 2).values,
                               DegenerateMetric, "Fisher metric", beta)
 
 
-def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float]:
+def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float | np.ndarray]:
     """Gradient coordinates eta = grad(potential) and the dual potential.
 
     eta_j = -E[X_j] under the Gibbs weights, and the Legendre conjugate is
@@ -194,26 +192,29 @@ def dual_coordinates(fam: ExponentialFamily, beta) -> tuple[np.ndarray, float]:
     """
     beta = _as_beta(fam, beta)
     checked_metric(fam, beta)
-    p = gibbs_density(fam, beta)
-    eta = -(fam.X @ p)
-    psi = float(beta @ eta) - potential_eval(fam, beta)
-    return eta, psi
+    eta = -(fam.X @ gibbs_density(fam, beta)[..., None])[..., 0]
+    psi = np.vecdot(beta, eta) - potential_eval(fam, beta)
+    return eta, float(psi) if beta.ndim == 1 else psi
 
 
 def natural_from_dual(fam: ExponentialFamily, eta, initial=None) -> np.ndarray:
-    """Invert eta = grad(potential) by damped Newton on the gradient map."""
-    eta = np.asarray(eta, dtype=float)
-    beta = np.zeros(fam.n) if initial is None else np.array(initial, dtype=float)
+    """Invert eta = grad(potential) by damped Newton on the gradient map, from
+    one point eta of n finite coordinates; each step evaluates the Fisher
+    metric and kappa_1 once, at its beta."""
+    eta = np.array(eta, dtype=float, ndmin=1)
+    beta = np.array(np.zeros(fam.n) if initial is None else initial, dtype=float, ndmin=1)
+    if eta.shape != (fam.n,) or beta.shape != (fam.n,):
+        raise DimensionMismatch(f"eta and the initial point need {fam.n} coordinates each")
+    require_finite(eta, "dual point eta")
     for _ in range(100):
-        current, _ = dual_coordinates(fam, beta)
-        resid = current - eta
-        if np.max(np.abs(resid)) < 1e-12:
-            return beta
         g = checked_metric(fam, beta)
+        resid = cumulant_tensor(fam, beta, 1).values - eta
+        base = np.max(np.abs(resid))
+        if base < 1e-12:
+            return beta
         step = np.linalg.solve(g, resid)
         # backtracking on the gradient-map residual
         t = 1.0
-        base = np.max(np.abs(resid))
         while t > 1e-6:
             trial = beta - t * step
             trial_eta = -(fam.X @ gibbs_density(fam, trial))

@@ -36,6 +36,7 @@ from frobsym import registry
 from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms
 from frobsym.geometry import MetricField, christoffel, hessian_log_metric
 from frobsym.registry import METRICS
+from frobsym.statmanifold import checked_metric
 from frobsym.errors import ParseError, SchemaError
 from frobsym.paracomplex import (ParaNumber, idempotent_decompose, para_conj,
                                  para_inverse, para_mul)
@@ -583,6 +584,57 @@ class TestConeRows:
         assert flatness.status == "fail" and flatness.residual > 1e-2
         assert unit.status == "pass"
         assert algebra.status == "fail" and algebra.residual > 1e-2
+
+
+def reference_gibbs_normalization(ctx):
+    fam, worst = ctx.family(), 0.0
+    for beta in [ctx.beta()] + [ctx.rng.normal(0.0, 1.0, fam.n) for _ in range(8)]:
+        worst = max(worst, abs(float(np.sum(frobsym.gibbs_density(fam, beta))) - 1.0))
+    return worst
+
+
+def reference_metric_positive_definite(ctx):
+    fam, worst = ctx.family(), 0.0
+    for beta in [ctx.beta()] + [ctx.rng.normal(0.0, 0.7, fam.n) for _ in range(4)]:
+        eig = np.linalg.eigvalsh(checked_metric(fam, beta))
+        worst = max(worst, max(0.0, -float(eig[0])))
+    return worst
+
+
+def reference_dual_coordinates(ctx):
+    fam, beta = ctx.family(), ctx.beta()
+    eta, psi = frobsym.dual_coordinates(fam, beta)
+    legendre = abs(psi + frobsym.potential_eval(fam, beta) - float(beta @ eta))
+    jac = numdiff.jacobian(lambda b: np.reshape(
+        [frobsym.dual_coordinates(fam, row)[0] for row in b.reshape(-1, fam.n)], b.shape), beta)
+    gap = float(np.max(np.abs(jac - frobsym.cumulant_tensor(fam, beta, 2).values)))
+    back = frobsym.natural_from_dual(fam, eta, initial=beta + 0.3)
+    return max(legendre, gap, float(np.max(np.abs(back - beta))))
+
+
+REFERENCE_FAMILY_ROWS = {
+    "gibbs_normalization": reference_gibbs_normalization,
+    "metric_positive_definite": reference_metric_positive_definite,
+    "dual_coordinates": reference_dual_coordinates,
+}
+
+
+class TestFamilyRows:
+    """The family rows evaluate their parameter points as one stack and
+    reproduce the per-point loop, which draws one point at a time."""
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (2, 7), (3, 12), (4, 30)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("check", sorted(REFERENCE_FAMILY_ROWS))
+    def test_rows_match_the_per_point_loop(self, n, m, seed, check):
+        rng = np.random.default_rng(seed + 10 * n)
+        spec = spec_from_dict({"kind": "exponential_family", "seed": seed, "checks": [check],
+                               "payload": {"statistics": rng.normal(size=(n, m)).tolist(),
+                                           "base_weights": rng.uniform(0.5, 2.0, m).tolist(),
+                                           "beta": rng.normal(0.0, 0.7, n).tolist()}})
+        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])),
+                           RunOptions())
+        assert run_battery(spec).rows[0].residual == REFERENCE_FAMILY_ROWS[check](ctx)
 
 
 class TestDriftScaling:

@@ -182,9 +182,9 @@ class TestStackedCalls:
         counted = MetricField(2, lambda x: calls.append(x.shape) or metric.value(x),
                               deriv=metric.deriv)
         stacked = curvature_flatness(counted, points).max_riemann
-        # g on the stack and on its shifted points for Gamma, once more for
-        # the scale, and twice more where dg is differenced from g
-        assert len(calls) == (3 if metric.deriv is not None else 5)
+        # g once on the stack, for Gamma there and for the scale, once on its
+        # shifted points, and twice more where dg is differenced from g
+        assert len(calls) == (2 if metric.deriv is not None else 4)
         loop = 0.0
         for x in points:
             riem = riemann_tensor(lambda y: christoffel(metric, y), x)
@@ -525,6 +525,22 @@ class TestDualConnections:
             rep = dual_connections(fam, beta)
             assert ((rep.duality_residual, rep.curvature_growth, rep.curvature_mixture)
                     == one_curvature_per_connection(fam, beta))
+
+    def test_cumulant_calls_do_not_grow_with_the_dimension(self, monkeypatch):
+        import frobsym.geometry as geometry
+
+        real = geometry.cumulant_tensor
+        counts = {}
+        for n in (1, 4):
+            rng = np.random.default_rng(40 + n)
+            fam = ExponentialFamily(rng.normal(size=(n, 3 * n)), rng.uniform(0.5, 2.0, 3 * n))
+            calls = []
+            monkeypatch.setattr(geometry, "cumulant_tensor",
+                                lambda f, b, order: calls.append(order) or real(f, b, order))
+            dual_connections(fam, rng.normal(0.0, 0.7, n))
+            counts[n] = calls
+        # one call per stack of points, whatever the number of coordinates
+        assert counts[1] == counts[4]
 
 
 def one_curvature_per_connection(fam, beta):

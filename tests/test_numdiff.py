@@ -121,6 +121,55 @@ def test_central_partial_matches_point_loop_on_any_index(index):
             loop_partial(point_field, x, index, h)
 
 
+def negative_zero_terms(x, h):
+    """A field whose every weighted stencil term w * f is -0.0, for an index
+    of distinct coordinates: f is -0.0 where the weight is positive and
+    +0.0 where it is negative.  The weight of offset -2, -1, 1, 2 has sign
+    +, -, +, -."""
+    hs = h * np.maximum(1.0, np.abs(x))
+
+    def f(z):
+        offsets = np.rint((z - x) / hs)
+        sign = np.prod(np.where(offsets == 0.0, 1.0, np.where(np.abs(offsets) == 2.0, -1.0, 1.0)
+                                * np.sign(offsets)))
+        return -0.0 if sign > 0.0 else 0.0
+    return f
+
+
+@pytest.mark.parametrize("index", [(0,), (1, 0), (2, 0, 3), (1, 2, 3, 0)])
+def test_central_partial_adds_negative_zero_terms_as_the_loop_does(index):
+    x = np.array([0.4, -1.7, 2.5, 0.1])
+    f = negative_zero_terms(x, 1e-2)
+    got, want = central_partial(stacked(f), x, index, 1e-2), loop_partial(f, x, index, 1e-2)
+    # 0.0 + -0.0 + ... is +0.0, where a plain sum of the -0.0 terms is -0.0
+    assert got == want == 0.0
+    assert not np.signbit(got) and not np.signbit(want)
+
+
+@pytest.mark.parametrize("bad", ["inf_at_one_point", "inf_on_both_sides", "nan_at_one_point",
+                                 "overflowing_terms"])
+@pytest.mark.parametrize("index", [(0,), (1, 0), (2, 0, 2)])
+def test_central_partial_propagates_non_finite_terms_as_the_loop_does(index, bad):
+    x = np.array([0.4, -1.7, 2.5, 0.1])
+    h = 1e-2
+
+    def f(z):
+        shifted = z[0] - x[0]
+        if bad == "inf_at_one_point":
+            return np.inf if shifted > 1.5 * h else point_field(z)
+        if bad == "inf_on_both_sides":
+            return np.inf if abs(shifted) > 1.5 * h else point_field(z)
+        if bad == "nan_at_one_point":
+            return np.nan if shifted < -1.5 * h else point_field(z)
+        return 1e308 if shifted > 0.0 else -1e308
+
+    got = central_partial(stacked(f), x, index, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle's numpy scalars warn
+        want = loop_partial(f, x, index, h)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.isfinite(got)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_potential_stencils_match_point_loop(n):
     rng = np.random.default_rng(40 + n)

@@ -11,6 +11,9 @@ Frozen oracles (exact two-outcome sums for the binary family X = (0, 1)):
     eta(0)         = -E[X] = -1/2
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,9 @@ from frobsym import (
     pairing,
     potential_eval,
 )
+import frobsym.statmanifold as statmanifold
 from frobsym.numdiff import derivative_tensor
-from frobsym.statmanifold import _logsumexp
+from frobsym.statmanifold import _logsumexp, checked_metric
 from frobsym.registry import bernoulli_family, categorical_family
 
 FD_STEPS = {1: 1e-5, 2: 1e-4, 3: 5e-3, 4: 1e-2}
@@ -269,3 +273,105 @@ class TestDualCoordinates:
         fam = ExponentialFamily(np.array([[1.0, 1.0]]))  # constant statistic
         with pytest.raises(DegenerateMetric):
             dual_coordinates(fam, [0.0])
+
+    @pytest.mark.parametrize("eta", [[0.1, 0.2, 0.3], [0.1], [[0.1, 0.2]]])
+    def test_dual_point_of_the_wrong_shape_is_dimension_mismatch(self, eta):
+        fam = ExponentialFamily([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(DimensionMismatch, match="eta"):
+            natural_from_dual(fam, eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dual_point_names_eta(self, bad):
+        fam = ExponentialFamily([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(NonFiniteValue, match="eta"):
+            natural_from_dual(fam, [bad, 0.1])
+
+    def test_each_newton_step_evaluates_one_metric(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        fam = random_family(rng)
+        beta = rng.normal(0.0, 0.8, fam.n)
+        eta, _ = dual_coordinates(fam, beta)
+        orders = []
+        real = statmanifold.cumulant_tensor
+
+        def counted(f, b, order):
+            orders.append(order)
+            return real(f, b, order)
+
+        monkeypatch.setattr(statmanifold, "cumulant_tensor", counted)
+        back = natural_from_dual(fam, eta, initial=beta + 0.5)
+        assert np.max(np.abs(back - beta)) <= 1e-8
+        # each iteration takes g (order 2) and then eta (order 1) at its beta
+        assert orders.count(1) >= 3
+        assert orders == [2, 1] * orders.count(1)
+
+
+def one_point_loop(f, stack):
+    """``f`` of one point over every point of a ``(..., n)`` stack."""
+    rows = [np.asarray(f(b)) for b in stack.reshape(-1, stack.shape[-1])]
+    return np.reshape(rows, stack.shape[:-1] + rows[0].shape)
+
+
+class TestStackedPoints:
+    """Each function takes a ``(..., n)`` stack of parameter points and
+    gives every point the doubles it gives that point alone."""
+
+    @pytest.mark.parametrize("m", [2, 17, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_matches_the_one_point_loop(self, n, m):
+        rng = np.random.default_rng(100 * n + m)
+        fam = random_family(rng, m=m, n=n)
+        calls = {f"cumulant_{k}": lambda b, k=k: cumulant_tensor(fam, b, k).values
+                 for k in (1, 2, 3, 4)}
+        calls["gibbs_density"] = lambda b: gibbs_density(fam, b)
+        metric = {"checked_metric": lambda b: checked_metric(fam, b),
+                  "eta": lambda b: dual_coordinates(fam, b)[0],
+                  "psi": lambda b: dual_coordinates(fam, b)[1]}
+        if n < m:
+            calls.update(metric)
+        for shape in [(n,), (1, n), (5, n), (2, 3, n)]:
+            stack = rng.normal(0.0, 1.0, shape)
+            for name, call in calls.items():
+                stacked = call(stack)
+                assert np.array_equal(stacked, one_point_loop(call, stack)), (name, shape)
+            if n >= m:
+                # n statistics on m <= n outcomes: the covariance is singular
+                for call in metric.values():
+                    with pytest.raises(DegenerateMetric):
+                        call(stack)
+        if n < m:
+            assert isinstance(dual_coordinates(fam, stack[0, 0])[1], float)
+
+    def test_cumulant_values_put_the_point_axes_first(self):
+        fam = random_family(np.random.default_rng(2), m=5, n=3)
+        for order in (1, 2, 3, 4):
+            assert cumulant_tensor(fam, np.zeros((2, 4, 3)), order).values.shape == \
+                (2, 4) + (3,) * order
+
+    def test_singular_point_of_a_stack_is_named(self):
+        # exp(-800) underflows, so at 800 one outcome has weight exactly 0
+        stack = np.array([[0.0], [0.3], [800.0], [-0.4]])
+        with pytest.raises(DegenerateMetric, match=r"at \[800\.\]"):
+            checked_metric(bernoulli_family(), stack)
+        with pytest.raises(DegenerateMetric, match=r"at \[800\.\]"):
+            dual_coordinates(bernoulli_family(), stack)
+
+    @pytest.mark.parametrize("order, statistics, weights, tilt", [
+        (2, [-7e153, 7e153], None, 1e-152),
+        (3, [-4e102, 4e102], None, 1.25e-101),
+        # weights 1:4:1 put the order-4 cumulant at 0 for beta = 0
+        (4, [-1e77, 0.0, 1e77], [1.0, 4.0, 1.0], 5e-76),
+    ])
+    def test_overflowing_point_of_a_stack_raises_without_a_warning(self, order, statistics,
+                                                                   weights, tilt):
+        # at beta = 0 the centred statistic stays below the largest value
+        # whose order-th power is finite; at the tilt the weight piles up
+        # at one end, the centred value at the other end doubles and its
+        # order-th power overflows
+        fam = ExponentialFamily([statistics], weights)
+        stack = np.array([[0.0], [tilt], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(cumulant_tensor(fam, [0.0], order).values.item())
+            with pytest.raises(NonFiniteValue, match=re.escape(f"at {np.array([tilt])}")):
+                cumulant_tensor(fam, stack, order)
