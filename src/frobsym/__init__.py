@@ -89,17 +89,14 @@ from .symplectic import (
     SeparableHamiltonian,
     Trajectory,
     TwoForm,
-    canonical_two_form,
     closedness_residual,
     dbar_split_residuals,
     dolbeault_form,
     exterior_derivative,
-    hamiltonian_vector_field,
     integrate,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
-    quadratic_energy,
     realified_dolbeault_two_form,
 )
 from .poisson import (

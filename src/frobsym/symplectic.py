@@ -1,12 +1,13 @@
-"""Phase-space forms, the Lorentz-signature Legendre transform, Hamiltonian
-vector fields and a conservative integrator.
+"""Phase-space forms, the Lorentz-signature Legendre transform and two
+conservative integrators.
 
 Sign conventions (fixed once, used everywhere):
 
-* canonical coefficients J = [[0, I], [-I, 0]] in (x, p) ordering, so the
-  pairing of (1,0) with (0,1) on a 1-dof phase space is +1;
-* the Hamiltonian vector field solves form(X, .) = dH, which for the
-  canonical J gives xdot = dH/dp, pdot = -dH/dx;
+* canonical coefficients J = [[0, I], [-I, 0]] in (x, p) ordering, which is
+  ``paracomplex_two_form(np.eye(n), n)``, so the pairing of (1,0) with
+  (0,1) on a 1-dof phase space is +1;
+* the Hamiltonian flow X solves J(X, .) = dH, so the integrators step
+  xdot = dH/dp, pdot = -dH/dx;
 * realified split-coordinate forms are ordered (x^1..x^m, y^1..y^m) and the
   overall sign is normalized so that m=1, g=1 yields +dx^dy, i.e. the
   coefficient block is J = [[0, G], [-G, 0]] with G the symmetric metric.
@@ -22,7 +23,7 @@ import numpy as np
 from . import numdiff
 from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonConvergence,
                      NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
-from .geometry import MetricField, PotentialField
+from .geometry import PotentialField
 
 _EMPTY = np.zeros(0)
 
@@ -80,21 +81,6 @@ class PhasePoint:
         return point
 
 
-def rowwise(func: Callable[[PhasePoint], float]) -> Callable[[PhasePoint], np.ndarray]:
-    """``func`` of one point, extended to stacked points row by row.
-
-    For an Observable whose value is only defined one point at a time: a
-    stacked point is split into its rows, each a plain point of views, and
-    the values come back as one array.
-    """
-    def mapped(y: PhasePoint):
-        if y.z.ndim == 1:
-            return func(y)
-        return np.array([func(y.replace_flat(row)) for row in y.flat()], dtype=float)
-
-    return mapped
-
-
 @dataclass(frozen=True)
 class Observable:
     """Scalar function on phase space, with an optional analytic gradient.
@@ -102,8 +88,7 @@ class Observable:
     ``func`` maps a point to a float, and a stacked point (see
     :meth:`PhasePoint.replace_flat`) to one value per row, each the value
     it gives that row alone, so it indexes blocks as ``y.z[..., i]`` and
-    reduces over the last axis; a func defined one point at a time goes
-    through :func:`rowwise`.  The gradient callback maps a point or a
+    reduces over the last axis.  The gradient callback maps a point or a
     stacked point to the concatenated layout (d/dz, d/dp, d/dlam) on the
     last axis.  Without it, central differences are used.
     """
@@ -186,15 +171,6 @@ class TwoForm:
     def pair(self, point, xi, eta) -> float:
         J = self.matrix(point)
         return float(np.asarray(xi, float) @ J @ np.asarray(eta, float))
-
-
-def canonical_two_form(n: int) -> TwoForm:
-    """Constant J = [[0, I], [-I, 0]] on a 2n-dimensional (x, p) space."""
-    if n < 1:
-        raise DimensionMismatch("need at least one degree of freedom")
-    i = np.eye(n)
-    J = np.block([[0 * i, i], [-i, 0 * i]])
-    return TwoForm(2 * n, lambda point: np.broadcast_to(J, np.shape(point)[:-1] + J.shape))
 
 
 def paracomplex_two_form(g, m: int) -> TwoForm:
@@ -420,25 +396,7 @@ def legendre_hamiltonian(lag: LorentzLagrangian, xi, z) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian vector fields and time stepping
-
-
-def hamiltonian_vector_field(H: Observable, form: TwoForm, y: PhasePoint) -> np.ndarray:
-    """X with form(X, .) = dH at y, i.e. J_ij X^i = dH/dy^j."""
-    grad = H.gradient(y)
-    point = y.flat()
-    J = require_invertible(form.matrix(point), DegenerateForm, "form", point)
-    return np.linalg.solve(J.T, grad)
-
-
-def quadratic_energy(metric: MetricField, y: PhasePoint,
-                     scalar: Callable[[np.ndarray], float] | None = None) -> float:
-    """Kinetic energy (1/2) g^{ij}(z) p_i p_j plus an optional scalar term."""
-    ginv = metric.inverse(y.z)
-    value = 0.5 * float(y.p @ ginv @ y.p)
-    if scalar is not None:
-        value += float(scalar(y.z))
-    return value
+# time stepping
 
 
 @dataclass(frozen=True)
@@ -450,11 +408,6 @@ class Trajectory:
     z: np.ndarray
     p: np.ndarray
     energies: np.ndarray
-
-    @property
-    def points(self) -> list:
-        """The states as PhasePoints, built on each read."""
-        return [PhasePoint(z, p) for z, p in zip(self.z, self.p)]
 
     @property
     def max_energy_drift(self) -> float:
@@ -488,7 +441,9 @@ def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory
     rounds each row exactly as a lone run would.  Any other Observable is
     stepped by the implicit midpoint rule (fixed-point iteration, tolerance
     1e-12, at most 50 sweeps), one pair at a time, which stays symplectic
-    and second order when H does not separate.
+    and second order when H does not separate.  Either way a pair's states
+    fill one ``(steps + 1, 2n)`` array, ``z`` and ``p`` are views of it, and
+    its energies are one ``H.func`` call on it as a stacked point.
 
     ``dts`` and ``steps`` are equal-length, non-empty sequences, else
     DimensionMismatch; a step count that is not a non-negative integer is a
@@ -498,14 +453,13 @@ def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory
     if y0.lam.size:
         raise DimensionMismatch("time stepping expects a plain (z, p) point")
     if isinstance(H, SeparableHamiltonian):
-        runs = _leapfrog(H, y0.z, y0.p, dts, counts)
-        energies = [np.asarray(H.T(ps) + H.V(zs), dtype=float) for zs, ps in runs]
+        runs = _leapfrog(H, y0, dts, counts)
     else:
-        runs = [_midpoint(H, y0.z, y0.p, dt, n) for dt, n in zip(dts, counts)]
-        energies = [np.array([H(PhasePoint(z, p)) for z, p in zip(zs, ps)])
-                    for zs, ps in runs]
-    return [Trajectory(dt * np.arange(n + 1), zs, ps, e)
-            for dt, n, (zs, ps), e in zip(dts, counts, runs, energies)]
+        runs = [_midpoint(H, y0, dt, n) for dt, n in zip(dts, counts)]
+    n = y0.z.size
+    return [Trajectory(dt * np.arange(k + 1), states[:, :n], states[:, n:],
+                       np.asarray(H.func(y0.replace_flat(states)), dtype=float))
+            for dt, k, states in zip(dts, counts, runs)]
 
 
 def _schedule(dts, steps) -> tuple[np.ndarray, list[int]]:
@@ -521,23 +475,24 @@ def _schedule(dts, steps) -> tuple[np.ndarray, list[int]]:
     return dts, [int(n) for n in steps]
 
 
-def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
-              dts: np.ndarray, counts: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kick-drift-kick for every pair at once; (zs, ps) per pair, in order.
+def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
+              counts: list[int]) -> list[np.ndarray]:
+    """Kick-drift-kick for every pair at once from y0; one ``(steps + 1,
+    2n)`` state array per pair, in order.
 
     The pairs are sorted by descending step count, so the rows still
     running are always a prefix of the stack.  Between two retirements the
     steps go into one segment buffer, copied at the segment's end into each
-    row's own ``(steps + 1, n)`` arrays.
+    row's own state array.
     """
+    n = y0.z.size
     order = sorted(range(len(counts)), key=lambda j: -counts[j])
-    zs = [np.empty((n + 1, z0.size)) for n in counts]
-    ps = [np.empty((n + 1, p0.size)) for n in counts]
-    for z_rows, p_rows in zip(zs, ps):
-        z_rows[0], p_rows[0] = z0, p0
+    states = [np.empty((k + 1, n + y0.p.size)) for k in counts]
+    for rows in states:
+        rows[0] = y0.flat()
     dt = dts[order, None]
     half = 0.5 * dt
-    z, p = np.tile(z0, (len(order), 1)), np.tile(p0, (len(order), 1))
+    z, p = np.tile(y0.z, (len(order), 1)), np.tile(y0.p, (len(order), 1))
     # the end-of-step kick half * dV(z) also starts the next step; the
     # temporaries live in buffers of their own, never in what dT or dV return
     kick, p_half, drift = np.multiply(half, H.dV(z)), np.empty_like(p), np.empty_like(z)
@@ -550,11 +505,12 @@ def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
         kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
         segment = slice(done + 1, end + 1)
         if live == 1:
-            # the last row writes straight into its own arrays
-            z_buf, p_buf = zs[order[0]][segment, None], ps[order[0]][segment, None]
+            # the last row writes straight into its own state array
+            z_buf = states[order[0]][segment, None, :n]
+            p_buf = states[order[0]][segment, None, n:]
         else:
-            z_buf = np.empty((end - done, live, z0.size))
-            p_buf = np.empty((end - done, live, p0.size))
+            z_buf = np.empty((end - done, live, n))
+            p_buf = np.empty((end - done, live, y0.p.size))
         for i in range(end - done):
             np.subtract(p, kick, out=p_half)
             z = np.add(z, np.multiply(dt, H.dT(p_half), out=drift), out=z_buf[i])
@@ -562,32 +518,31 @@ def _leapfrog(H: SeparableHamiltonian, z0: np.ndarray, p0: np.ndarray,
             p = np.subtract(p_half, kick, out=p_buf[i])
         if live > 1:
             for row, j in enumerate(order[:live]):
-                zs[j][segment], ps[j][segment] = z_buf[:, row], p_buf[:, row]
+                states[j][segment, :n], states[j][segment, n:] = z_buf[:, row], p_buf[:, row]
         done = end
-    return list(zip(zs, ps))
+    return states
 
 
-def _midpoint(H: Observable, z0: np.ndarray, p0: np.ndarray, dt: float, steps: int):
-    """``steps`` implicit midpoint steps from (z0, p0); (zs, ps) arrays."""
-    zs = np.empty((steps + 1, z0.size))
-    ps = np.empty((steps + 1, p0.size))
-    zs[0], ps[0] = z0, p0
+def _midpoint(H: Observable, y0: PhasePoint, dt: float, steps: int) -> np.ndarray:
+    """``steps`` implicit midpoint steps of zdot = dH/dp, pdot = -dH/dz from
+    y0; the ``(steps + 1, 2n)`` state array.
+
+    Each step iterates to 1e-12 in at most 50 sweeps, else NonConvergence.
+    Each sweep takes the gradient at its midpoint as a point of views
+    (:meth:`PhasePoint.replace_flat`), so H's own checks run on every sweep.
+    """
+    n = y0.z.size
+    states = np.empty((steps + 1, n + y0.p.size))
+    states[0] = y0.flat()
     for i in range(1, steps + 1):
-        zs[i], ps[i] = _midpoint_step(H, zs[i - 1], ps[i - 1], dt)
-    return zs, ps
-
-
-def _midpoint_step(H: Observable, z: np.ndarray, p: np.ndarray, dt: float,
-                   tol: float = 1e-12, max_iter: int = 50):
-    """One implicit midpoint step of zdot = dH/dp, pdot = -dH/dz."""
-    n = z.size
-    current = np.concatenate([z, p])
-    guess = current
-    for _ in range(max_iter):
-        mid = 0.5 * (current + guess)
-        grad = H.gradient(PhasePoint(mid[:n], mid[n:]))
-        updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
-        if np.max(np.abs(updated - guess)) < tol:
-            return updated[:n], updated[n:]
-        guess = updated
-    raise NonConvergence("implicit midpoint iteration stalled")
+        current = guess = states[i - 1]
+        for _ in range(50):
+            grad = H.gradient(y0.replace_flat(0.5 * (current + guess)))
+            updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
+            if np.max(np.abs(updated - guess)) < 1e-12:
+                break
+            guess = updated
+        else:
+            raise NonConvergence("implicit midpoint iteration stalled")
+        states[i] = updated
+    return states

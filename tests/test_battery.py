@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import frobsym
-from frobsym import PhasePoint, integrate, numdiff, quadratic_energy
+from frobsym import PhasePoint, integrate, numdiff
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
@@ -37,7 +37,7 @@ from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms
 from frobsym.geometry import MetricField, christoffel, hessian_log_metric
 from frobsym.registry import METRICS
 from frobsym.statmanifold import checked_metric
-from frobsym.errors import ParseError, SchemaError
+from frobsym.errors import NonConvergence, ParseError, SchemaError
 from frobsym.paracomplex import (ParaNumber, idempotent_decompose, para_conj,
                                  para_inverse, para_mul)
 
@@ -651,11 +651,69 @@ class TestDriftScaling:
         assert run_battery(spec).rows[0].status == "pass"
         assert len(calls) == 65_001
 
+    @pytest.mark.parametrize("scalar", [None, "zero"])
+    @pytest.mark.parametrize("metric", ["euclidean1", "euclidean2", "euclidean3"])
+    def test_free_particle_is_a_null_row_without_a_warning(self, metric, scalar):
+        """p = 0 and U = 0 keep every state, so every drift is 0.0 and has no
+        log: the slope is undefined, a null row, and no warning escapes."""
+        payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
+        spec = spec_from_dict({"kind": "explicit_metric", "payload": payload,
+                               "checks": ["drift_scaling"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = run_battery(spec).rows
+        assert (row.status, row.residual) == ("fail", None)
 
-def metric_hamiltonian(metric):
-    spec = spec_from_dict({"kind": "explicit_metric",
-                           "payload": {"metric": metric, "scalar": "half_square"}})
+    def test_free_particle_exits_one_without_a_traceback(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "explicit_metric",
+                                    "payload": {"metric": "euclidean2"},
+                                    "checks": ["drift_scaling"]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "frobsym.cli", "check", str(path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+
+
+def metric_hamiltonian(metric, scalar="half_square"):
+    payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
+    spec = spec_from_dict({"kind": "explicit_metric", "payload": payload})
     return _hamiltonian_observable(CheckContext(spec, np.random.default_rng(0), RunOptions()))
+
+
+def one_point_energy(metric, y):
+    """p^T g^-1 p / 2 + U at one point, with 1-D products: the oracle of the
+    stacked energy."""
+    ginv = metric.inverse(y.z)
+    return 0.5 * float(y.p @ ginv @ y.p) + float(SCALAR_FIELDS["half_square"][0](y.z))
+
+
+def one_point_gradient(metric, y):
+    """The analytic gradient at one point, with 1-D products."""
+    v = metric.inverse(y.z) @ y.p
+    dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
+    return np.concatenate([dz + SCALAR_FIELDS["half_square"][1](y.z), v])
+
+
+def reference_midpoint_step(H, z, p, dt, tol=1e-12, max_iter=50):
+    """One implicit midpoint step with a validated PhasePoint per sweep."""
+    n = z.size
+    current = np.concatenate([z, p])
+    guess = current
+    for _ in range(max_iter):
+        mid = 0.5 * (current + guess)
+        grad = H.gradient(PhasePoint(mid[:n], mid[n:]))
+        updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
+        if np.max(np.abs(updated - guess)) < tol:
+            return updated[:n], updated[n:]
+        guess = updated
+    raise NonConvergence("implicit midpoint iteration stalled")
+
+
+def unit_metric(n):
+    return lambda: MetricField(n, lambda x: np.broadcast_to(np.eye(n), x.shape + (n,)))
 
 
 class TestMetricHamiltonian:
@@ -676,11 +734,52 @@ class TestMetricHamiltonian:
         rng = np.random.default_rng(4)
         for _ in range(3):
             y = PhasePoint(rng.normal(0.8, 0.3, 2), rng.normal(0.0, 0.5, 2))
-            fd = numdiff.gradient(lambda vs: np.array([quadratic_energy(
-                g, PhasePoint(v[:2], v[2:]), SCALAR_FIELDS["half_square"][0]) for v in vs]),
-                y.flat())
+            fd = numdiff.gradient(lambda vs: H.func(y.replace_flat(vs)), y.flat())
             # the central differences carry their O(h^2) truncation error
             assert np.max(np.abs(H.grad(y) - fd)) <= 1e-7
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["point", "5", "2x3"])
+    @pytest.mark.parametrize("metric", ["round_sphere2", "offdiag_linear2"])
+    def test_stacked_func_and_grad_equal_the_point_loop(self, metric, shape):
+        H, g = metric_hamiltonian(metric), METRICS[metric]()
+        rng = np.random.default_rng(len(shape))
+        flat = np.concatenate([rng.normal(0.8, 0.3, shape + (2,)),
+                               rng.normal(0.0, 0.5, shape + (2,))], axis=-1)
+        y = PhasePoint([0.0, 0.0], [0.0, 0.0]).replace_flat(flat)
+        rows = [PhasePoint(v[:2], v[2:]) for v in flat.reshape(-1, 4)]
+        energy = np.array([one_point_energy(g, row) for row in rows]).reshape(shape)
+        gradient = np.array([one_point_gradient(g, row) for row in rows]).reshape(flat.shape)
+        assert np.array_equal(H.func(y), energy)
+        assert np.array_equal(H.grad(y), gradient)
+
+    @pytest.mark.parametrize("metric, scalar, y, energy", [
+        (unit_metric(2), None, PhasePoint([0.0, 0.0], [3.0, 4.0]), 12.5),
+        (lambda: MetricField(1, lambda x: (1.0 / x ** 2)[..., None]), None,
+         PhasePoint([2.0], [1.0]), 2.0),
+        (unit_metric(2), "half_square", PhasePoint([1.5, 1.5], [0.0, 0.0]), 2.25),
+    ], ids=["unit_metric", "inverse_metric_weighting", "rest_point_reads_scalar"])
+    def test_hand_values(self, metric, scalar, y, energy, monkeypatch):
+        monkeypatch.setitem(METRICS, "hand", metric)
+        H = metric_hamiltonian("hand", scalar)
+        assert H(y) == pytest.approx(energy)
+        assert np.array_equal(H.func(y.replace_flat(np.stack([y.flat()] * 3))),
+                              np.full(3, H(y)))
+
+    @pytest.mark.parametrize("dt", [5e-3, -5e-3])
+    @pytest.mark.parametrize("metric", ["round_sphere2", "offdiag_linear2"])
+    def test_midpoint_equals_the_validated_sweep_loop(self, metric, dt):
+        H, g = metric_hamiltonian(metric), METRICS[metric]()
+        y0 = PhasePoint([1.0, 0.5], [0.2, 0.1])
+        traj = integrate(H, y0, dt, 300)
+        z, p = [y0.z], [y0.p]
+        for _ in range(300):
+            step = reference_midpoint_step(H, z[-1], p[-1], dt)
+            z.append(step[0])
+            p.append(step[1])
+        assert np.array_equal(traj.z, z)
+        assert np.array_equal(traj.p, p)
+        assert np.array_equal(traj.energies,
+                              [one_point_energy(g, PhasePoint(a, b)) for a, b in zip(z, p)])
 
 
 def strip_runtime(text):

@@ -32,15 +32,12 @@ from frobsym import (
     InvalidStructure,
     MetricField,
     NonFiniteValue,
-    Observable,
     ParaVector,
-    PhasePoint,
     PotentialField,
     StructureConstants,
     TwoForm,
     algebra_from_potential,
     dual_connections,
-    hamiltonian_vector_field,
     para_hermitian_product,
     paracomplex_two_form,
     wdvv_residual,
@@ -130,12 +127,8 @@ class TestConditioningSites:
         (lambda: wdvv_residual(PotentialField(2, constant(0.0), third=constant(np.zeros((2, 2, 2)))),
                                SINGULAR, [0.0, 0.0]), DegenerateMetric),
         (lambda: paracomplex_two_form(SINGULAR, 2).inverse(np.zeros(4)), DegenerateForm),
-        (lambda: hamiltonian_vector_field(Observable(lambda y: np.zeros(y.z.shape[:-1]),
-                                                     grad=lambda y: np.zeros(4)),
-                                          paracomplex_two_form(SINGULAR, 2),
-                                          PhasePoint(np.zeros(2), np.zeros(2))), DegenerateForm),
     ], ids=["metric_inverse", "fisher_metric", "dual_connections", "algebra_pairing",
-            "wdvv_metric", "form_inverse", "hamiltonian_vector_field"])
+            "wdvv_metric", "form_inverse"])
     def test_singular_matrix_raises_the_sites_error(self, build, error):
         with pytest.raises(error) as info:
             build()

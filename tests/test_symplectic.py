@@ -4,7 +4,7 @@ Sign oracles, worked by hand:
 
   canonical n=1:      J = [[0, 1], [-1, 0]], pairing((1,0),(0,1)) = +1
   realified split form, m=1, g=1:  +dx^dy after orientation normalization
-  H = (p^2 + x^2)/2 at (x,p) = (1,0):  flow vector (0, -1)
+  H = x and H = p:    one step of dt moves (x, p) by (0, -dt) and (+dt, 0)
   velocity (1,0,0,0), diag(1,1,1,-1):  L = 0, p = (1,0,0,0), H = 1
   velocity (0,0,0,1):                  L = -1, p = (0,0,0,-1), H = 0
 """
@@ -13,31 +13,26 @@ import numpy as np
 import pytest
 
 from frobsym import (
-    DegenerateForm,
     LorentzLagrangian,
-    MetricField,
     Observable,
     PhasePoint,
     PotentialField,
     SeparableHamiltonian,
     TwoForm,
-    canonical_two_form,
     closedness_residual,
     dbar_split_residuals,
     dolbeault_form,
     exterior_derivative,
-    hamiltonian_vector_field,
     integrate,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
-    quadratic_energy,
     realified_dolbeault_two_form,
 )
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
 from frobsym.registry import adapted_mixed2, adapted_quartic1
-from frobsym.symplectic import rowwise, split_exterior_derivative
+from frobsym.symplectic import split_exterior_derivative
 
 
 def constant(m):
@@ -52,18 +47,31 @@ def oscillator(dim=1):
     )
 
 
+def canonical(n):
+    """The canonical form on n degrees of freedom: the identity split form."""
+    return paracomplex_two_form(np.eye(n), n)
+
+
 class TestCanonicalForm:
     def test_one_dof_matrix(self):
-        J = canonical_two_form(1).matrix([0.0, 0.0])
+        J = canonical(1).matrix([0.0, 0.0])
         assert np.array_equal(J, [[0.0, 1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_split_form_is_the_canonical_block(self, n):
+        i, zero = np.eye(n), np.zeros((n, n))
+        points = np.random.default_rng(n).normal(size=(4, 2 * n))
+        J = canonical(n).matrix(points)
+        assert np.array_equal(J, np.broadcast_to(np.block([[zero, i], [-i, zero]]),
+                                                 (4, 2 * n, 2 * n)))
+
     def test_inverse_identity(self):
-        form = canonical_two_form(3)
+        form = canonical(3)
         J = form.matrix(np.zeros(6))
         assert np.allclose(J @ form.inverse(np.zeros(6)), np.eye(6), atol=1e-12)
 
     def test_pairing_antisymmetric(self):
-        form = canonical_two_form(1)
+        form = canonical(1)
         xi, eta = [1.0, 0.0], [0.0, 1.0]
         assert form.pair([0, 0], xi, eta) == 1.0
         assert form.pair([0, 0], eta, xi) == -1.0
@@ -81,11 +89,10 @@ class TestErrorContract:
     @pytest.mark.parametrize("build, error", [
         (lambda: TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]]))).matrix([0.0, 0.0]),
          InvalidStructure),
-        (lambda: canonical_two_form(0), DimensionMismatch),
         (lambda: split_exterior_derivative(lambda x: x[..., 0], 0, [0.1, 0.2], block="up"),
          InvalidStructure),
         (lambda: LorentzLagrangian(signature=[1.0, 0.5]), InvalidStructure),
-    ], ids=["antisymmetry", "degrees_of_freedom", "block", "signature"])
+    ], ids=["antisymmetry", "block", "signature"])
     def test_symplectic_constructions(self, build, error):
         with pytest.raises(error) as info:
             build()
@@ -241,18 +248,6 @@ class TestStackedObservable:
         value = self.observable()(PhasePoint([0.3, 0.1], [0.2, 0.4], [0.5, 0.6]))
         assert type(value) is float
 
-    def test_rowwise_maps_a_stack_row_by_row(self):
-        def one_point(y):
-            assert y.z.ndim == 1
-            return float(y.p @ y.p + y.z @ y.z)
-
-        y = PhasePoint([0.3, 0.1], [0.2, 0.4])
-        stack = np.arange(12.0).reshape(3, 4)
-        mapped = rowwise(one_point)
-        assert mapped(y) == one_point(y)
-        assert np.array_equal(mapped(y.replace_flat(stack)),
-                              [one_point(y.replace_flat(row)) for row in stack])
-
 
 class TestRealifiedSplitForm:
     def test_unit_metric_is_dx_wedge_dy(self):
@@ -343,7 +338,7 @@ class TestDolbeault:
 
 class TestExteriorDerivative:
     def test_constant_form_closed(self):
-        form = canonical_two_form(2)
+        form = canonical(2)
         assert np.max(np.abs(exterior_derivative(form, np.zeros(4)))) == 0.0
 
     def test_varying_non_closed_block_detected(self):
@@ -452,28 +447,6 @@ class TestLegendreTransform:
         assert np.allclose(p, [3.0, -3.0])
 
 
-class TestHamiltonianVectorField:
-    def test_oscillator_flow(self):
-        X = hamiltonian_vector_field(oscillator(), canonical_two_form(1),
-                                     PhasePoint([1.0], [0.0]))
-        assert np.allclose(X, [0.0, -1.0], atol=1e-12)
-
-    def test_constant_energy_is_stationary(self):
-        H = Observable(lambda y: np.full(y.z.shape[:-1], 3.0), grad=lambda y: np.zeros(2))
-        X = hamiltonian_vector_field(H, canonical_two_form(1), PhasePoint([1.0], [2.0]))
-        assert np.max(np.abs(X)) == 0.0
-
-    def test_momentum_generates_translation(self):
-        H = Observable(lambda y: y.p[..., 0])
-        X = hamiltonian_vector_field(H, canonical_two_form(1), PhasePoint([0.3], [0.7]))
-        assert np.allclose(X, [1.0, 0.0], atol=1e-10)
-
-    def test_degenerate_form_rejected(self):
-        broken = TwoForm(2, constant(np.zeros((2, 2))))
-        with pytest.raises(DegenerateForm):
-            hamiltonian_vector_field(oscillator(), broken, PhasePoint([1.0], [0.0]))
-
-
 def half_square(x):
     return 0.5 * np.sum(np.square(x), axis=-1)
 
@@ -501,20 +474,38 @@ class TestIntegrator:
         H = Observable(lambda y: 0.5 * np.sum(y.p ** 2, axis=-1),
                        grad=lambda y: np.concatenate([np.zeros_like(y.z), y.p]))
         traj = integrate(H, PhasePoint([0.0, 1.0], [0.5, -0.25]), 1e-2, 100)
-        end = traj.points[-1]
-        assert np.allclose(end.z, [0.5, 0.75], atol=1e-12)
+        assert np.allclose(traj.z[-1], [0.5, 0.75], atol=1e-12)
         assert traj.max_energy_drift <= 1e-15
 
     def test_zero_step_is_constant(self):
         traj = integrate(oscillator(), PhasePoint([1.0], [0.5]), 0.0, 10)
-        assert all(np.array_equal(pt.z, [1.0]) and np.array_equal(pt.p, [0.5])
-                   for pt in traj.points)
+        assert np.array_equal(traj.z, np.full((11, 1), 1.0))
+        assert np.array_equal(traj.p, np.full((11, 1), 0.5))
 
     def test_midpoint_matches_leapfrog_on_oscillator(self):
         y0 = PhasePoint([1.0], [0.0])
         a = integrate(oscillator(), y0, 1e-3, 200)
         b = integrate(separable_oscillator(), y0, 1e-3, 200)
-        assert np.allclose(a.points[-1].z, b.points[-1].z, atol=1e-5)
+        assert np.allclose(a.z[-1], b.z[-1], atol=1e-5)
+
+    @pytest.mark.parametrize("H, moved", [
+        (Observable(lambda y: y.p[..., 0], grad=lambda y: np.concatenate(
+            [np.zeros_like(y.z), np.ones_like(y.p)], axis=-1)), ([0.31], [0.7])),
+        (Observable(lambda y: y.z[..., 0], grad=lambda y: np.concatenate(
+            [np.ones_like(y.z), np.zeros_like(y.p)], axis=-1)), ([0.3], [0.69])),
+        (SeparableHamiltonian(lambda p: p[..., 0], np.ones_like,
+                              lambda z: np.zeros_like(z[..., 0]), np.zeros_like),
+         ([0.31], [0.7])),
+        (SeparableHamiltonian(lambda p: np.zeros_like(p[..., 0]), np.zeros_like,
+                              lambda z: z[..., 0], np.ones_like), ([0.3], [0.69])),
+    ], ids=["midpoint_momentum", "midpoint_position", "leapfrog_momentum",
+            "leapfrog_position"])
+    def test_flow_signs(self, H, moved):
+        """xdot = dH/dp and pdot = -dH/dx: H = p moves x forward, H = x
+        moves p backward, in both integrators."""
+        traj = integrate(H, PhasePoint([0.3], [0.7]), 1e-2, 1)
+        assert np.allclose(traj.z[-1], moved[0], rtol=0.0, atol=1e-15)
+        assert np.allclose(traj.p[-1], moved[1], rtol=0.0, atol=1e-15)
 
     def test_midpoint_nonconvergence_reported(self):
         steep = Observable(lambda y: np.exp(40.0 * y.z[..., 0]) + y.p[..., 0] ** 2)
@@ -545,8 +536,6 @@ class TestSeparableHamiltonian:
             assert np.array_equal(traj.z[i], z)
             assert np.array_equal(traj.p[i], p)
         assert np.array_equal(traj.energies, half_square(traj.p) + half_square(traj.z))
-        assert np.array_equal(traj.points[-1].z, z)
-        assert np.array_equal(traj.points[-1].p, p)
 
     def test_leapfrog_builds_no_phase_points(self, monkeypatch):
         built = []
@@ -555,8 +544,7 @@ class TestSeparableHamiltonian:
                             lambda self: built.append(1) or init(self))
         traj = integrate(separable_oscillator(), PhasePoint([1.0], [0.0]), 1e-2, 50)
         assert built == [1]  # y0 itself
-        assert len(traj.points) == 51
-        assert len(built) == 52
+        assert traj.z.shape == (51, 1)
 
     def test_zero_step_is_constant(self):
         y0 = PhasePoint([1.0, -0.5], [0.5, 0.25])
@@ -570,15 +558,14 @@ class TestSeparableHamiltonian:
         traj = integrate(separable_oscillator(), y0, 1e-2, 0)
         assert traj.records() == [{"s": 0.0, "z": [1.0, -0.5], "p": [0.5, 0.25],
                                    "H": 0.78125}]
-        assert np.array_equal(traj.points[0].z, y0.z)
+        assert np.array_equal(traj.z[0], y0.z)
         assert traj.max_energy_drift == 0.0
 
     def test_generic_consumers(self):
         H = separable_oscillator()
         y = PhasePoint([1.0], [0.0])
         assert H(y) == 0.5
-        X = hamiltonian_vector_field(H, canonical_two_form(1), y)
-        assert np.allclose(X, [0.0, -1.0], atol=1e-12)
+        assert np.array_equal(H.gradient(y), [1.0, 0.0])
         a = integrate(Observable(H.func, H.grad), y, 1e-3, 200)
         b = integrate(oscillator(), y, 1e-3, 200)
         assert np.allclose(a.z, b.z, atol=1e-14)
@@ -684,20 +671,3 @@ class TestIntegrateMany:
                               np.array([20, 10]))
         assert_same_trajectory(a, integrate(separable_oscillator(), y0, 1e-2, 20))
         assert_same_trajectory(b, integrate(separable_oscillator(), y0, 2e-2, 10))
-
-
-class TestQuadraticEnergy:
-    def test_euclidean(self):
-        metric = MetricField(2, constant(np.eye(2)))
-        y = PhasePoint([0.0, 0.0], [3.0, 4.0])
-        assert quadratic_energy(metric, y) == pytest.approx(12.5)
-
-    def test_inverse_metric_weighting(self):
-        metric = MetricField(1, lambda x: (1.0 / x ** 2)[..., None])
-        y = PhasePoint([2.0], [1.0])
-        assert quadratic_energy(metric, y) == pytest.approx(2.0)
-
-    def test_rest_point_reads_scalar(self):
-        metric = MetricField(1, constant(np.eye(1)))
-        y = PhasePoint([1.5], [0.0])
-        assert quadratic_energy(metric, y, lambda z: z[..., 0] ** 2) == pytest.approx(2.25)
