@@ -36,11 +36,11 @@ spins = [Observable(lambda y, i=i: y.lam[..., i]) for i in range(3)]
 print(f"{{L1, L2}} = {extended_bracket(spins[0], spins[1], ys, so3_constants()):+.3f}"
       f"   (-L3 = {-ys.lam[2]:+.3f})")
 res = bracket_property_residuals(
-    lambda a, b, yy, h=None: extended_bracket(a, b, yy, so3_constants(), h=h),
+    lambda a, b, yy: extended_bracket(a, b, yy, so3_constants()),
     tuple(spins), [ys])
 print(f"antisymmetry/chain/Leibniz/Jacobi residuals: {res}")
 broken = bracket_property_residuals(
-    lambda a, b, yy, h=None: extended_bracket(a, b, yy, cyclic_nonjacobi_constants(), h=h),
+    lambda a, b, yy: extended_bracket(a, b, yy, cyclic_nonjacobi_constants()),
     tuple(spins), [ys])
 print(f"non-Lie constants are caught: Jacobi residual = {broken.jacobi:.3f}")
 

@@ -426,8 +426,7 @@ def _check_flatness(ctx: CheckContext) -> float:
         report = structure.curvature()
     else:
         metric = ctx.metric()
-        points = [ctx.rng.normal(0.5, 0.4, metric.dim) for _ in range(3)]
-        report = curvature_flatness(metric, points)
+        report = curvature_flatness(metric, ctx.rng.normal(0.5, 0.4, (3, metric.dim)))
     return report.max_riemann
 
 
@@ -480,8 +479,7 @@ def _check_wdvv(ctx: CheckContext) -> float:
 def _check_form_closedness(ctx: CheckContext) -> float:
     phi = ctx.potential()
     form = realified_dolbeault_two_form(phi)
-    points = [ctx.rng.normal(0.0, 0.6, phi.dim) for _ in range(3)]
-    return closedness_residual(form, points)
+    return closedness_residual(form, ctx.rng.normal(0.0, 0.6, (3, phi.dim)))
 
 
 def _check_dbar_splitting(ctx: CheckContext) -> float:
@@ -489,8 +487,7 @@ def _check_dbar_splitting(ctx: CheckContext) -> float:
     zero_forms = [phi.value,
                   lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
     one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
-    points = [ctx.rng.normal(0.0, 0.5, phi.dim) for _ in range(2)]
-    res = dbar_split_residuals(zero_forms, points, one_forms=one_forms)
+    res = dbar_split_residuals(zero_forms, ctx.rng.normal(0.0, 0.5, (2, phi.dim)), one_forms)
     return max(res.values())
 
 
@@ -541,7 +538,7 @@ def _check_bracket_suite(ctx: CheckContext) -> float:
     C = Observable(lambda y: zpick(y, 1) * y.p[..., -1] + np.sum(y.lam, axis=-1))
 
     if constants is not None:
-        bracket = lambda f, g, y, h=None: extended_bracket(f, g, y, constants, h=h)
+        bracket = lambda f, g, y: extended_bracket(f, g, y, constants)
     else:
         bracket = canonical_bracket
     res = bracket_property_residuals(bracket, (A, B, C), _phase_points(ctx, dim, spins))

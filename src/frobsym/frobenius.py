@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateAlgebra, DegenerateMetric, DimensionMismatch, require_invertible,
-                     symmetric_part)
+from .errors import (DegenerateAlgebra, DegenerateMetric, DimensionMismatch, require_finite,
+                     require_invertible, symmetric_part)
 from .geometry import MetricField, PotentialField
 
 IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
@@ -90,7 +90,8 @@ def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     require_invertible(gm, DegenerateMetric, "metric", x)
     ginv = np.linalg.inv(gm)
     t = potential.third_tensor(x)
-    quad = np.einsum("abe,ef,fcd->abcd", t, ginv, t)
+    # a huge T overflows quad to inf, where quad - quad^T would be inf - inf
+    quad = require_finite(np.einsum("abe,ef,fcd->abcd", t, ginv, t), "WDVV products", x)
     resid = float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3)))))
     scale = float(np.max(np.abs(t)) ** 2 * np.max(np.abs(ginv)))
     return WDVVResidual(resid, x, scale)

@@ -86,7 +86,9 @@ class PotentialField:
         x = _points(self.dim, x)
         if self.domain is not None and not np.all(self.domain(x)):
             raise DomainViolation(f"{x} outside the declared domain")
-        v = np.asarray(self.func(x), dtype=float)
+        # far out or near a face a closed form overflows; the guard below rejects it
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = np.asarray(self.func(x), dtype=float)
         if v.shape != x.shape[:-1]:
             raise DimensionMismatch(f"potential value has shape {v.shape} for points {x.shape}")
         return require_finite(v, "potential", x)
@@ -130,18 +132,17 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     return _levi_civita(metric.inverse(x), metric.derivative(x))
 
 
-def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x, gamma) -> np.ndarray:
     """R[..., i, j, k, l] = d_k G^i_lj - d_l G^i_kj + G^i_km G^m_lj - G^i_lm G^m_kj.
 
-    ``connection`` maps a stack of points to Gamma[..., i, j, k], so one
-    call can carry several connections on axes after the point axes; its
-    derivative is taken by central differences with the second-order step.
+    ``gamma`` is Gamma[..., i, j, k] at ``x``.  ``connection`` maps a stack of
+    points to Gamma, so one call can carry several connections on axes after
+    the point axes; it is called once, on the second-order difference stack.
     """
     x = np.asarray(x, dtype=float)
     # dgamma[..., a, i, j, k] = d_a G^i_jk
     dgamma = np.moveaxis(numdiff.jacobian(connection, x, h=numdiff.SECOND_ORDER_STEP),
                          x.ndim - 1, -4)
-    gamma = connection(x)
     term1 = np.einsum("...kilj->...ijkl", dgamma)
     term2 = np.einsum("...likj->...ijkl", dgamma)
     term3 = np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
@@ -154,16 +155,10 @@ def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
     max(1, |g|) at each point; the connection is torsion-free by construction."""
     points = np.atleast_2d(_points(metric.dim, points))
     g = metric.value(points)
-
-    def connection(y):
-        # the shifted stacks take christoffel; the base stack reuses g
-        if y is not points:
-            return christoffel(metric, y)
-        ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", y))
-        return _levi_civita(ginv, metric.derivative(y))
-
-    return CurvatureReport(_scaled_max(riemann_tensor(connection, points), g),
-                           DEFAULT_CURVATURE_TOL)
+    ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", points))
+    gamma = _levi_civita(ginv, metric.derivative(points))
+    riemann = riemann_tensor(lambda y: christoffel(metric, y), points, gamma)
+    return CurvatureReport(_scaled_max(riemann, g), DEFAULT_CURVATURE_TOL)
 
 
 def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
@@ -300,27 +295,28 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
     Checks the defining compatibility d_k g_ij = G+_{ki,j} + G-_{kj,i}
     (indices lowered with g) by finite differences, and reports the
     curvature residual of each connection; both curvatures come from one
-    difference of the stacked pair.  A singular metric at beta raises
-    DegenerateMetric from the Christoffel symbols.
+    difference of the stacked pair, and both checks share g, dg and the
+    skewness tensor at beta.  A singular metric there raises DegenerateMetric.
     """
     beta = np.asarray(beta, dtype=float)
     metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
-    g = metric.value(beta)
 
-    def plus_minus(b):
-        lc = christoffel(metric, b)
-        half = 0.5 * np.einsum("...il,...ljk->...ijk", np.linalg.inv(metric.value(b)),
-                               cumulant_tensor(fam, b, 3).values)
+    def plus_minus(b, lc, ginv):
+        half = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, cumulant_tensor(fam, b, 3).values)
         return np.stack([lc - half, lc + half], axis=-4)
 
-    gp, gm = plus_minus(beta)
-
+    g = metric.value(beta)
+    ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", beta))
     dg = metric.derivative(beta)  # dg[k, i, j]
+    gp, gm = gamma = plus_minus(beta, _levi_civita(ginv, dg), ginv)
     lowered_p = np.einsum("jl,lki->kij", g, gp)  # G+_{ki,j}
     lowered_m = np.einsum("il,lkj->kij", g, gm)  # G-_{kj,i}
     duality = float(np.max(np.abs(dg - lowered_p - lowered_m)))
 
-    curv_p, curv_m = abs(riemann_tensor(plus_minus, beta)).reshape(2, -1).max(axis=1).tolist()
+    riemann = riemann_tensor(
+        lambda b: plus_minus(b, christoffel(metric, b), np.linalg.inv(metric.value(b))),
+        beta, gamma)
+    curv_p, curv_m = abs(riemann).reshape(2, -1).max(axis=1).tolist()
     return DualConnectionReport(gp, gm, duality, curv_p, curv_m)
 
 

@@ -57,8 +57,7 @@ def so3_constants() -> StructureConstants:
     return StructureConstants(eps)
 
 
-def canonical_bracket(A: Observable, B: Observable, y: PhasePoint,
-                      h: float | None = None):
+def canonical_bracket(A: Observable, B: Observable, y: PhasePoint):
     """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs,
     a float at one point and one value per row at a stacked point.
 
@@ -68,14 +67,14 @@ def canonical_bracket(A: Observable, B: Observable, y: PhasePoint,
     if nz != npp:
         raise DimensionMismatch("point must carry matching z and p blocks")
     block = slice(0, nz + npp)
-    a, b = A.gradient(y, h=h, coords=block), B.gradient(y, h=h, coords=block)
+    a, b = A.gradient(y, coords=block), B.gradient(y, coords=block)
     # vecdot rounds each row as the one-point a @ b does
     values = np.vecdot(a[..., nz:], b[..., :nz]) - np.vecdot(b[..., nz:], a[..., :nz])
     return _per_point(y, values)
 
 
 def extended_bracket(A: Observable, B: Observable, y: PhasePoint,
-                     constants: StructureConstants, h: float | None = None):
+                     constants: StructureConstants):
     """Canonical part plus the spin term -lam_k gamma^k_ij dA/dlam_i dB/dlam_j,
     a float at one point and one value per row at a stacked point.
 
@@ -85,7 +84,7 @@ def extended_bracket(A: Observable, B: Observable, y: PhasePoint,
     nz, npp, nl = y.layout
     if nl != constants.dim:
         raise DimensionMismatch("spin block does not match the structure constants")
-    a, b = A.gradient(y, h=h), B.gradient(y, h=h)
+    a, b = A.gradient(y), B.gradient(y)
     spins = slice(nz + npp, None)
     spin = -np.einsum("...k,kij,...i,...j->...", y.lam, constants.gamma, a[..., spins],
                       b[..., spins])
@@ -127,16 +126,16 @@ def bracket_property_residuals(bracket: Callable, observables, points) -> Bracke
     """Antisymmetry, chain rule, Leibniz and Jacobi residuals of a bracket,
     the worst over all probe points.
 
-    ``bracket(A, B, y, h=None)`` must accept Observable arguments at a
-    stacked point and return one value per row; the operands' ``func`` and
-    ``grad`` must take stacked points (see
-    :class:`~frobsym.symplectic.Observable`).  The probe points, which share
-    one layout, run as one stacked point, so each bracket differentiates each
-    operand in a fixed number of calls however many points there are.  The
-    chain rule is probed with f(t) = t^2 and g(t) = sin t; Jacobi nests the
-    bracket as a new Observable, differentiated with the coarser
-    DEFAULT_NESTED_STEP to keep finite-difference noise below the 1e-6
-    residual target.
+    ``bracket(A, B, y)`` must accept Observable arguments at a stacked point
+    and return one value per row; the operands' ``func`` and ``grad`` must
+    take stacked points (see :class:`~frobsym.symplectic.Observable`).  The
+    probe points, which share one layout, run as one stacked point, so each
+    bracket differentiates each operand in a fixed number of calls however
+    many points there are.  The chain rule is probed with f(t) = t^2 and
+    g(t) = sin t; Jacobi nests the bracket as a new Observable, and both
+    operands of each outer bracket are differenced with the coarser
+    DEFAULT_NESTED_STEP, whatever their ``grad``, to keep finite-difference
+    noise below the 1e-6 residual target.
     """
     A, B, C = observables
     if len({y.layout for y in points}) != 1:
@@ -155,13 +154,18 @@ def bracket_property_residuals(bracket: Callable, observables, points) -> Bracke
     bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B, C))
     leib = bracket(A, bc_prod, y) - b * bracket(A, C, y) - c * ab
 
-    def nested(first, second):
-        return Observable(lambda q: bracket(first, second, q))
+    def jacobi_term(first, second, third):
+        return bracket(_coarse(first.func), _coarse(lambda q: bracket(second, third, q)), y)
 
-    jac = (bracket(A, nested(B, C), y, h=DEFAULT_NESTED_STEP)
-           + bracket(B, nested(C, A), y, h=DEFAULT_NESTED_STEP)
-           + bracket(C, nested(A, B), y, h=DEFAULT_NESTED_STEP))
+    jac = jacobi_term(A, B, C) + jacobi_term(B, C, A) + jacobi_term(C, A, B)
     return BracketResiduals(*(float(np.max(np.abs(r))) for r in (anti, chain, leib, jac)))
+
+
+def _coarse(func) -> Observable:
+    """``func`` as a nested Jacobi operand: its gradient is one central
+    difference at DEFAULT_NESTED_STEP over every coordinate."""
+    return Observable(func, lambda y: numdiff.gradient(lambda s: func(y.replace_flat(s)),
+                                                       y.flat(), h=DEFAULT_NESTED_STEP))
 
 
 def _square_grad(A: Observable):

@@ -60,7 +60,6 @@ def orthant_potential(n: int) -> PotentialField:
     a warning; the potential, metric and derivative guards reject them.
     """
 
-    @np.errstate(divide="ignore", over="ignore")
     def func(x):
         return 1.0 / np.prod(x, axis=-1)
 

@@ -87,6 +87,8 @@ def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
     return beta
 
 
+# an overflowing -beta.X gives a non-finite value here and NaN weights below, silently
+@np.errstate(over="ignore", invalid="ignore")
 def potential_eval(fam: ExponentialFamily, beta):
     """Log-partition value; computed with a max shift so |beta| ~ 50 is safe."""
     beta = _as_beta(fam, beta)
@@ -123,6 +125,7 @@ def pairing(mu, f) -> float:
     return float(mu @ f)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gibbs_density(fam: ExponentialFamily, beta) -> np.ndarray:
     """Normalized weights p_w = mu0_w exp(-<beta, X(w)>) / Z; sums to 1 per point."""
     beta = _as_beta(fam, beta)

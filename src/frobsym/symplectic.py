@@ -99,17 +99,17 @@ class Observable:
     def __call__(self, y: PhasePoint) -> float:
         return float(self.func(y))
 
-    def gradient(self, y: PhasePoint, h: float | None = None,
-                 coords: slice = slice(None)) -> np.ndarray:
+    def gradient(self, y: PhasePoint, coords: slice = slice(None)) -> np.ndarray:
         """Partials over the flat coordinates ``coords`` of the layout, on
         the last axis, at one point or at every row of a stacked point.
 
-        Central differences shift only those coordinates, two field
-        evaluations each, and hand every shifted point of every row to
-        ``func`` as one stacked point; every partial uses its own step, so
-        it equals the matching entry of the full gradient bit for bit.
+        Without ``grad``, central differences at the first-order step shift
+        only those coordinates, two field evaluations each, and hand every
+        shifted point of every row to ``func`` as one stacked point; every
+        partial uses its own step, so it equals the matching entry of the
+        full gradient bit for bit.
         """
-        if self.grad is not None and h is None:
+        if self.grad is not None:
             return np.asarray(self.grad(y), dtype=float)[..., coords]
         flat = y.flat()
 
@@ -118,7 +118,7 @@ class Observable:
             full[..., coords] = stack
             return self.func(y.replace_flat(full))
 
-        return numdiff.gradient(shifted, flat[..., coords], h=h)
+        return numdiff.gradient(shifted, flat[..., coords])
 
 
 @dataclass(frozen=True, init=False)

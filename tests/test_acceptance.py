@@ -246,12 +246,12 @@ def test_c09_bracket_suite():
     SA = Observable(lambda y: y.lam[..., 0] * y.lam[..., 1] + y.z[..., 0] * y.p[..., 0])
     SB = Observable(lambda y: y.lam[..., 1] ** 2 + y.p[..., 0])
     SC = Observable(lambda y: y.lam[..., 2] * y.z[..., 0])
-    so3 = lambda f, g, y, h=None: extended_bracket(f, g, y, so3_constants(), h=h)
+    so3 = lambda f, g, y: extended_bracket(f, g, y, so3_constants())
     assert bracket_property_residuals(so3, (SA, SB, SC), spin_pts).worst() < 1e-6
 
     broken = cyclic_nonjacobi_constants()
     spins = [Observable(lambda y, i=i: y.lam[..., i]) for i in range(3)]
-    bad = lambda f, g, y, h=None: extended_bracket(f, g, y, broken, h=h)
+    bad = lambda f, g, y: extended_bracket(f, g, y, broken)
     jac = bracket_property_residuals(bad, tuple(spins), spin_pts[:1]).jacobi
     assert jac > 1e-3
 

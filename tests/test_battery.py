@@ -287,6 +287,15 @@ class TestRunBattery:
         report = run_battery(spec)
         assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 2
 
+    def test_overflowing_exponent_gives_null_rows(self):
+        # -beta.X overflows to -inf and +inf, so the Gibbs weights are NaN;
+        # no floating-point warning escapes, although warnings are errors
+        checks = [name for name, check in CHECKS.items() if "exponential_family" in check.kinds]
+        spec = spec_from_dict({"kind": "exponential_family", "checks": checks,
+                               "payload": {"statistics": [[1e308, -1e308]], "beta": [10.0]}})
+        report = run_battery(spec)
+        assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 6
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_residual_is_null_row(self, value, monkeypatch):
         monkeypatch.setitem(CHECKS, "gibbs_normalization",
@@ -575,6 +584,27 @@ class TestConeRows:
         assert [row["residual"] is None for row in statuses] == \
             [row.residual is None for row in report.rows]
 
+    @pytest.mark.parametrize("check", CONE_EDGE_CHECKS)
+    @pytest.mark.parametrize("potential", ["adapted_quartic1", "adapted_mixed2", "wdvv_cubic3",
+                                           "wdvv_cubic3_perturbed"])
+    def test_huge_points_of_the_polynomial_potentials_give_null_rows(self, potential, check):
+        """phi overflows at 1e103 and beyond: its closed forms give inf or
+        NaN without a warning, and the potential guard makes the row null."""
+        dim = registry.POTENTIALS[potential]().dim
+        for magnitude in (1e103, 1e200, 1e300):
+            row = run_battery(cone_spec(potential, [check], [[magnitude] * dim])).rows[0]
+            assert (row.status, row.residual) == ("fail", None)
+
+    @pytest.mark.parametrize("pairing", ["antidiag3", "identity3"])
+    def test_overflowing_wdvv_products_give_a_null_row(self, pairing):
+        """At 1e200 the perturbed cubic's T is finite but T g^-1 T overflows,
+        where quad - quad^T would take inf - inf."""
+        spec = spec_from_dict({"kind": "cone_potential", "checks": ["wdvv"],
+                               "payload": {"potential": "wdvv_cubic3_perturbed",
+                                           "pairing": pairing, "point": [1e200] * 3}})
+        row = run_battery(spec).rows[0]
+        assert (row.status, row.residual) == ("fail", None)
+
     def test_lorentz_cone_is_not_flat_and_its_algebra_not_associative(self, lorentz3):
         """Negative control: a homogeneous cone keeps its unit, but its
         log-Hessian metric is curved, so the tangent algebra is not associative."""
@@ -847,6 +877,22 @@ class TestCli:
         path.write_text(BERNOULLI_TEXT)
         assert main(["check", str(path)]) == 0
         assert "gibbs_normalization" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "exponential_family", "checks": ["gibbs_normalization"],
+         "payload": {"statistics": [[1e308, -1e308]], "beta": [10]}},
+        {"kind": "cone_potential", "checks": ["hessian_metric_pd"],
+         "payload": {"potential": "wdvv_cubic3", "points": [[1e200, 1e200, 1e200]]}},
+    ], ids=["exponent", "potential"])
+    def test_overflow_is_a_null_row_with_warnings_as_errors(self, spec, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "frobsym.cli", "check", str(path), "--report", "machine"],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert json.loads(done.stdout.splitlines()[1])["residual"] is None
 
     def test_check_failing_fixture_exits_one(self, tmp_path, capsys):
         entry = builtin_catalog()["perturbed_wdvv3"]

@@ -187,7 +187,7 @@ class TestStackedCalls:
         assert len(calls) == (2 if metric.deriv is not None else 4)
         loop = 0.0
         for x in points:
-            riem = riemann_tensor(lambda y: christoffel(metric, y), x)
+            riem = riemann_tensor(lambda y: christoffel(metric, y), x, christoffel(metric, x))
             scale = max(1.0, float(np.max(np.abs(metric.value(x)))))
             loop = max(loop, float(np.max(np.abs(riem))) / scale)
         assert stacked == loop
@@ -393,7 +393,7 @@ class TestHessianStructure:
         points = lorentz_points(np.random.default_rng(7), 4)
         structure = hessian_structure(metric, points)
         for x, riem in zip(points, structure.riemann):
-            fd = riemann_tensor(lambda y: christoffel(metric, y), x)
+            fd = riemann_tensor(lambda y: christoffel(metric, y), x, christoffel(metric, x))
             assert np.max(np.abs(riem - fd)) <= 1e-5
             assert np.max(np.abs(riem)) > 1e-2  # not flat
 
@@ -539,8 +539,10 @@ class TestDualConnections:
                                 lambda f, b, order: calls.append(order) or real(f, b, order))
             dual_connections(fam, rng.normal(0.0, 0.7, n))
             counts[n] = calls
-        # one call per stack of points, whatever the number of coordinates
-        assert counts[1] == counts[4]
+        # one call per stack of points, whatever the number of coordinates:
+        # g, dg and the skewness at beta, then g, dg, g and the skewness on
+        # the shifted stack of the curvature difference
+        assert counts[1] == counts[4] == [2, 2, 3, 2, 2, 2, 3]
 
 
 def one_curvature_per_connection(fam, beta):

@@ -140,7 +140,7 @@ class TestExtendedBracket:
         A = Observable(lambda y: y.lam[..., 0] * y.lam[..., 1] + y.z[..., 0] * y.p[..., 0])
         B = Observable(lambda y: y.lam[..., 1] ** 2 + y.p[..., 0])
         C = Observable(lambda y: y.lam[..., 2] * y.z[..., 0])
-        bracket = lambda f, g, y, h=None: extended_bracket(f, g, y, so3_constants(), h=h)
+        bracket = lambda f, g, y: extended_bracket(f, g, y, so3_constants())
         res = bracket_property_residuals(bracket, (A, B, C), pts)
         assert res.worst() < 1e-6
 
@@ -149,7 +149,7 @@ class TestExtendedBracket:
         with defect L_1 + L_2 + L_3 on the basis spins."""
         gamma = cyclic_nonjacobi_constants()
         y = PhasePoint([0.0], [0.0], [0.4, -1.1, 0.8])
-        bracket = lambda f, g, yy, h=None: extended_bracket(f, g, yy, gamma, h=h)
+        bracket = lambda f, g, yy: extended_bracket(f, g, yy, gamma)
         res = bracket_property_residuals(bracket, (spin(0), spin(1), spin(2)), [y])
         assert res.jacobi == pytest.approx(abs(0.4 - 1.1 + 0.8), abs=1e-6)
         assert res.jacobi > 1e-3
@@ -179,10 +179,10 @@ def mixed_observable(rng, n, spins, analytic):
     return Observable(func, grad if analytic else None)
 
 
-def full_gradient_bracket(A, B, y, constants=None, h=None):
+def full_gradient_bracket(A, B, y, constants=None):
     """ap.bz - bp.az - lam_k gamma^k_ij a_i b_j from full gradients."""
     n = y.z.size
-    a, b = A.gradient(y, h=h), B.gradient(y, h=h)
+    a, b = A.gradient(y), B.gradient(y)
     value = float(a[n:2 * n] @ b[:n] - b[n:2 * n] @ a[:n])
     if constants is None:
         return value
@@ -195,9 +195,8 @@ class TestBracketPartials:
     contracts, and equals the full-gradient formula bit for bit."""
 
     @pytest.mark.parametrize("analytic", [False, True])
-    @pytest.mark.parametrize("h", [None, 3e-4])
     @pytest.mark.parametrize("spins", [0, 3])
-    def test_brackets_equal_full_gradient_formula(self, analytic, h, spins):
+    def test_brackets_equal_full_gradient_formula(self, analytic, spins):
         rng = np.random.default_rng(8 + spins)
         for n in (1, 2, 3):
             A = mixed_observable(rng, n, spins, analytic)
@@ -205,25 +204,24 @@ class TestBracketPartials:
             for _ in range(4):
                 y = PhasePoint(rng.normal(0.5, 2.0, n), rng.normal(size=n),
                                rng.normal(size=spins))
-                assert canonical_bracket(A, B, y, h=h) == full_gradient_bracket(A, B, y, h=h)
+                assert canonical_bracket(A, B, y) == full_gradient_bracket(A, B, y)
                 if spins:
                     for gamma in (so3_constants(), cyclic_nonjacobi_constants()):
-                        assert (extended_bracket(A, B, y, gamma, h=h)
-                                == full_gradient_bracket(A, B, y, gamma, h=h))
+                        assert (extended_bracket(A, B, y, gamma)
+                                == full_gradient_bracket(A, B, y, gamma))
 
     @pytest.mark.parametrize("analytic", [False, True])
-    @pytest.mark.parametrize("h", [None, 3e-4])
     @pytest.mark.parametrize("spins", [None, "spin_zero1", "so3", "cyclic_nonjacobi"])
-    def test_stacked_brackets_equal_the_point_loop(self, spins, h, analytic):
+    def test_stacked_brackets_equal_the_point_loop(self, spins, analytic):
         constants = None if spins is None else SPIN_CONSTANTS[spins]()
         s = 0 if constants is None else constants.dim
         rng = np.random.default_rng(30 + s)
         for n in (1, 2, 3):
             A, B = (mixed_observable(rng, n, s, analytic) for _ in range(2))
             y = PhasePoint(np.zeros(n), np.zeros(n), np.zeros(s))
-            brackets = [lambda f, g, q: canonical_bracket(f, g, q, h=h)]
+            brackets = [canonical_bracket]
             if constants is not None:
-                brackets.append(lambda f, g, q: extended_bracket(f, g, q, constants, h=h))
+                brackets.append(lambda f, g, q: extended_bracket(f, g, q, constants))
             for shape in ((1,), (5,), (2, 3)):
                 flat = rng.normal(0.3, 1.5, shape + (2 * n + s,))
                 for bracket in brackets:
@@ -261,10 +259,11 @@ class TestBracketPartials:
         assert calls == {"A": 2 * (2 + 2), "B": 2 * (2 + 2)}
 
 
-def unshared_property_residuals(bracket, observables, points,
-                                nested_h=DEFAULT_NESTED_STEP):
+def unshared_property_residuals(bracket, observables, points):
     """The property loop, one probe point at a time: the oracle of the
-    stacked suite."""
+    stacked suite.  Both operands of each outer Jacobi bracket are
+    differenced at DEFAULT_NESTED_STEP, whatever their ``grad``, one
+    shifted point at a time."""
     A, B, C = observables
     anti = chain = leib = jac = 0.0
     for y in points:
@@ -276,30 +275,30 @@ def unshared_property_residuals(bracket, observables, points,
         bc_prod = Observable(lambda q: B.func(q) * C.func(q), _product_grad(B, C))
         leib = max(leib, abs(bracket(A, bc_prod, y) - B(y) * bracket(A, C, y) - C(y) * ab))
 
+        def coarse(func):
+            def grad(q):
+                return numdiff.gradient(lambda s: np.array([func(q.replace_flat(row)) for row in s]),
+                                        q.flat(), h=DEFAULT_NESTED_STEP)
+
+            return Observable(func, grad)
+
         def nested(first, second):
-            # the bracket at each row of a stacked point, one point at a time
-            def func(q):
-                if q.z.ndim == 1:
-                    return bracket(first, second, q)
-                return np.array([bracket(first, second, q.replace_flat(row))
-                                 for row in q.flat()])
+            return coarse(lambda q: bracket(first, second, q))
 
-            return Observable(func)
-
-        triple = (bracket(A, nested(B, C), y, h=nested_h)
-                  + bracket(B, nested(C, A), y, h=nested_h)
-                  + bracket(C, nested(A, B), y, h=nested_h))
+        triple = (bracket(coarse(A.func), nested(B, C), y)
+                  + bracket(coarse(B.func), nested(C, A), y)
+                  + bracket(coarse(C.func), nested(A, B), y))
         jac = max(jac, abs(triple))
     return BracketResiduals(anti, chain, leib, jac)
 
 
 def spin_bracket(constants):
-    return lambda f, g, y, h=None: extended_bracket(f, g, y, constants, h=h)
+    return lambda f, g, y: extended_bracket(f, g, y, constants)
 
 
-def lopsided_bracket(f, g, y, h=None):
+def lopsided_bracket(f, g, y):
     """Not a Poisson bracket: full gradients contracted against a reversal."""
-    return np.vecdot(f.gradient(y, h=h), g.gradient(y, h=h)[..., ::-1])
+    return np.vecdot(f.gradient(y), g.gradient(y)[..., ::-1])
 
 
 def counted_operands(calls):

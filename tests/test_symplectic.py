@@ -164,7 +164,7 @@ class TestPhasePoint:
         assert np.array_equal(y.flat(), [1.0, 2.0])
 
 
-def loop_observable_gradient(A, y, h, coords):
+def loop_observable_gradient(A, y, coords):
     """Observable.gradient's central differences, one shifted point at a time."""
     flat = y.flat()
 
@@ -174,7 +174,7 @@ def loop_observable_gradient(A, y, h, coords):
         return A.func(y.replace_flat(full))
 
     x = flat[coords]
-    hs = (1e-5 if h is None else h) * np.maximum(1.0, np.abs(x))
+    hs = 1e-5 * np.maximum(1.0, np.abs(x))
     g = np.empty(x.size)
     for i in range(x.size):
         e = np.zeros_like(x)
@@ -192,16 +192,15 @@ class TestStackedObservable:
         return Observable(lambda y: (np.sin(y.z[..., 0] * y.p[..., -1])
                                      + y.lam[..., 1] * np.sum(y.z ** 2, axis=-1)))
 
-    @pytest.mark.parametrize("h", [None, 3e-4])
     @pytest.mark.parametrize("coords", [slice(None), slice(0, 4), slice(4, None), slice(1, 3)],
                              ids=["all", "zp", "spins", "middle"])
-    def test_gradient_matches_point_loop(self, coords, h):
+    def test_gradient_matches_point_loop(self, coords):
         A = self.observable()
         rng = np.random.default_rng(9)
         for _ in range(3):
             y = PhasePoint(rng.normal(0.0, 3.0, 2), rng.normal(size=2), rng.normal(size=3))
-            assert np.array_equal(A.gradient(y, h=h, coords=coords),
-                                  loop_observable_gradient(A, y, h, coords))
+            assert np.array_equal(A.gradient(y, coords=coords),
+                                  loop_observable_gradient(A, y, coords))
 
     @staticmethod
     def analytic():
@@ -218,18 +217,17 @@ class TestStackedObservable:
         return Observable(TestStackedObservable.observable().func, grad)
 
     @pytest.mark.parametrize("analytic", [False, True])
-    @pytest.mark.parametrize("h", [None, 3e-4])
     @pytest.mark.parametrize("coords", [slice(None), slice(0, 4), slice(4, None), slice(1, 3)],
                              ids=["all", "zp", "spins", "middle"])
-    def test_stacked_gradient_matches_point_loop(self, coords, h, analytic):
+    def test_stacked_gradient_matches_point_loop(self, coords, analytic):
         A = self.analytic() if analytic else self.observable()
         rng = np.random.default_rng(19)
         y = PhasePoint(np.zeros(2), np.zeros(2), np.zeros(3))
         for shape in ((1,), (4,), (2, 3)):
             flat = rng.normal(0.0, 2.0, shape + (7,))
-            rows = [A.gradient(y.replace_flat(row), h=h, coords=coords)
+            rows = [A.gradient(y.replace_flat(row), coords=coords)
                     for row in flat.reshape(-1, 7)]
-            got = A.gradient(y.replace_flat(flat), h=h, coords=coords)
+            got = A.gradient(y.replace_flat(flat), coords=coords)
             assert np.array_equal(got, np.reshape(rows, shape + (-1,)))
 
     def test_func_gets_one_stack_per_gradient(self):
