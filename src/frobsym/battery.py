@@ -152,13 +152,18 @@ def load_manifold_spec(source) -> ManifoldSpec:
     """Parse a spec from JSON text, a path string, or a path-like object.
 
     A string that starts (after whitespace) with '{' is treated as JSON
-    text, anything else as a file path.
+    text, anything else as a file path.  A file that is not UTF-8 text
+    raises ParseError; one that cannot be read raises its OSError.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"spec file is not UTF-8 text: {exc.reason} at byte "
+                                 f"{exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -296,15 +301,14 @@ SCALAR_FIELDS = {
 # ---------------------------------------------------------------------------
 # check implementations
 #
-# Each check receives a context with the realized payload, a seeded rng and
-# the run options, and returns a single residual (smaller is better).
+# Each check receives a context with the realized payload and a seeded rng,
+# and returns a single residual (smaller is better).
 
 
 @dataclass
 class CheckContext:
     spec: ManifoldSpec
     rng: np.random.Generator
-    options: RunOptions
 
     def family(self) -> ExponentialFamily:
         p = self.spec.payload
@@ -715,7 +719,7 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
     for index, (name, tol) in enumerate(zip(spec.checks, tols)):
         definition = CHECKS[name]
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        ctx = CheckContext(spec, rng, options)
+        ctx = CheckContext(spec, rng)
         start = time.perf_counter()
         try:
             residual = float(definition.func(ctx))
@@ -800,7 +804,6 @@ def parse_machine_report(text: str) -> Report:
 class CatalogEntry:
     spec: ManifoldSpec
     expect_fail: frozenset = frozenset()
-    note: str = ""
 
     def matches_expectation(self, report: Report) -> bool:
         for row in report.rows:
@@ -831,11 +834,12 @@ def builtin_catalog() -> dict:
         ["gibbs_normalization", "cumulants_low_order", "cumulants_order4",
          "metric_positive_definite", "dual_coordinates"],
     ))
+    # one spin function; the extended bracket degenerates to canonical
     entries["ising1d"] = CatalogEntry(_spec(
         "ising1d", "explicit_metric",
         {"metric": "euclidean1", "scalar": "half_square", "spins": "spin_zero1"},
         ["bracket_suite", "evolution_consistency"],
-    ), note="one spin function; the extended bracket degenerates to canonical")
+    ))
     entries["orthant_cone2"] = CatalogEntry(_spec(
         "orthant_cone2", "cone_potential", {"potential": "orthant2"},
         ["hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
@@ -851,13 +855,13 @@ def builtin_catalog() -> dict:
         {"potential": "wdvv_cubic3", "pairing": "antidiag3", "point": [0.7, -0.3, 1.2]},
         ["wdvv"],
     ))
+    # deliberately broken potential; the wdvv row must fail
     entries["perturbed_wdvv3"] = CatalogEntry(_spec(
         "perturbed_wdvv3", "cone_potential",
         {"potential": "wdvv_cubic3_perturbed", "pairing": "antidiag3",
          "point": [0.0, 1.0, 1.0]},
         ["wdvv"],
-    ), expect_fail=frozenset({"wdvv"}),
-        note="deliberately broken potential; the wdvv row must fail")
+    ), expect_fail=frozenset({"wdvv"}))
     entries["harmonic_oscillator"] = CatalogEntry(_spec(
         "harmonic_oscillator", "explicit_metric",
         {"metric": "euclidean1", "scalar": "half_square"},

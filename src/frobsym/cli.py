@@ -6,9 +6,11 @@
     frobsym catalog <name> [...]    run one entry (same flags as check)
     frobsym catalog all   [...]     run every entry as a self-test
 
-Exit status: 0 iff all checks pass.  ``catalog all`` instead
-compares each row against the entry's documented outcome, so the
-deliberately-broken fixtures count as healthy when they fail as documented.
+Exit status: 0 iff all checks pass, 1 if one fails, and 2 for a malformed
+or unreadable spec or an ``--out`` path that cannot be written.  ``catalog
+all`` instead compares each row against the entry's documented outcome, so
+the deliberately-broken fixtures count as healthy when they fail as
+documented.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FrobsymError as exc:
+    except (FrobsymError, OSError) as exc:
+        # a spec file or --out path that cannot be opened is bad input, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,20 +68,13 @@ class WDVVResidual:
     """Associativity obstruction of a potential at a point."""
 
     residual: float
-    point: np.ndarray
-    scale: float
-
-    @property
-    def relative(self) -> float:
-        return self.residual / max(self.scale, 1e-300)
 
 
 def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     """Max |sum_ef T_abe g^ef T_fcd - sum_ef T_bce g^ef T_fad| over (a,b,c,d).
 
     ``g`` may be a constant matrix or a MetricField; the even (commutative)
-    sign convention is used throughout.  The scale stored for relative
-    reporting is max|T|^2 * max|g^-1|.
+    sign convention is used throughout.
     """
     x = np.asarray(x, dtype=float)
     gm = g.value(x) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
@@ -92,9 +85,7 @@ def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     t = potential.third_tensor(x)
     # a huge T overflows quad to inf, where quad - quad^T would be inf - inf
     quad = require_finite(np.einsum("abe,ef,fcd->abcd", t, ginv, t), "WDVV products", x)
-    resid = float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3)))))
-    scale = float(np.max(np.abs(t)) ** 2 * np.max(np.abs(ginv)))
-    return WDVVResidual(resid, x, scale)
+    return WDVVResidual(float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3))))))
 
 
 @dataclass(frozen=True)

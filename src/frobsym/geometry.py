@@ -111,11 +111,6 @@ def _points(dim: int, x) -> np.ndarray:
 @dataclass(frozen=True)
 class CurvatureReport:
     max_riemann: float
-    tolerance: float
-
-    @property
-    def flat(self) -> bool:
-        return self.max_riemann <= self.tolerance
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -158,7 +153,7 @@ def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
     ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", points))
     gamma = _levi_civita(ginv, metric.derivative(points))
     riemann = riemann_tensor(lambda y: christoffel(metric, y), points, gamma)
-    return CurvatureReport(_scaled_max(riemann, g), DEFAULT_CURVATURE_TOL)
+    return CurvatureReport(_scaled_max(riemann, g))
 
 
 def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
@@ -172,18 +167,32 @@ def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
 class HessianStructure:
     """A Hessian metric and its Levi-Civita geometry, stacked over P points.
 
-    ``metric[p, i, j]`` is g_ij, ``gamma[p, i, j, k]`` is Gamma^i_jk and
-    ``riemann[p, i, j, k, l]`` is R^i_jkl, in the index conventions of
-    :func:`christoffel` and :func:`riemann_tensor`.
+    ``metric[p, i, j]`` is g_ij and ``gamma[p, i, j, k]`` is Gamma^i_jk, in
+    the index conventions of :func:`christoffel`.
     """
 
     metric: np.ndarray
     gamma: np.ndarray
-    riemann: np.ndarray
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R[p, i, j, k, l] = R^i_jkl as :func:`riemann_tensor` orders it,
+        computed from Gamma on each access.
+
+        The fourth derivatives of psi cancel from R, which is the commutator
+        of the tangent algebra operators (Totaro 2004; Shima 2007, ch. 2):
+
+            R^i_jkl = Gamma^i_lm Gamma^m_kj - Gamma^i_km Gamma^m_lj.
+
+        So the metric is flat iff its tangent algebra a o b = -Gamma(a, b)
+        is associative, and no second difference level is needed.
+        """
+        return (np.einsum("pilm,pmkj->pijkl", self.gamma, self.gamma)
+                - np.einsum("pikm,pmlj->pijkl", self.gamma, self.gamma))
 
     def curvature(self) -> CurvatureReport:
         """Max Riemann residual scaled by max(1, |g|) per point."""
-        return CurvatureReport(_scaled_max(self.riemann, self.metric), DEFAULT_CURVATURE_TOL)
+        return CurvatureReport(_scaled_max(self.riemann, self.metric))
 
     def multiply(self, a, b) -> np.ndarray:
         """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
@@ -195,19 +204,13 @@ class HessianStructure:
 
 
 def hessian_structure(metric: MetricField, points) -> HessianStructure:
-    """Metric, Christoffel symbols and curvature of a Hessian metric at P points.
+    """Metric and Christoffel symbols of a Hessian metric at P points.
 
     g = d^2 psi in the affine coordinates, so d_k g_ij = T_ijk is totally
-    symmetric and Gamma^i_jk = 1/2 g^il T_ljk.  The fourth derivatives of
-    psi then cancel from R, which is the commutator of the tangent algebra
-    operators (Totaro 2004; Shima 2007, ch. 2):
-
-        R^i_jkl = Gamma^i_lm Gamma^m_kj - Gamma^i_km Gamma^m_lj.
-
-    So the metric is flat iff its tangent algebra a o b = -Gamma(a, b) is
-    associative, and no second difference level is needed.  The stack
-    costs one ``metric.value`` and one ``metric.derivative`` call; Gamma
-    is bit-identical to :func:`christoffel` at each point.  Raises
+    symmetric and Gamma^i_jk = 1/2 g^il T_ljk.  The stack costs one
+    ``metric.value`` and one ``metric.derivative`` call; Gamma is
+    bit-identical to :func:`christoffel` at each point, and the curvature
+    follows from it (see :attr:`HessianStructure.riemann`).  Raises
     DimensionMismatch unless ``points`` is one point or a non-empty (P, dim)
     stack, and DegenerateMetric, naming the worst point, if any g is singular.
     """
@@ -216,10 +219,7 @@ def hessian_structure(metric: MetricField, points) -> HessianStructure:
         raise DimensionMismatch(f"expected a point or a (P, {metric.dim}) stack of points")
     g = require_invertible(metric.value(points), DegenerateMetric, "metric", points)
     dg = metric.derivative(points)
-    gamma = _levi_civita(np.linalg.inv(g), dg)
-    riemann = (np.einsum("pilm,pmkj->pijkl", gamma, gamma)
-               - np.einsum("pikm,pmlj->pijkl", gamma, gamma))
-    return HessianStructure(g, gamma, riemann)
+    return HessianStructure(g, _levi_civita(np.linalg.inv(g), dg))
 
 
 def hessian_log_metric(phi: PotentialField) -> MetricField:

@@ -67,9 +67,6 @@ class ParaNumber:
     def __neg__(self):
         return ParaNumber(-self.re, -self.im)
 
-    def conj(self) -> "ParaNumber":
-        return para_conj(self)
-
     def norm_form(self) -> float | np.ndarray:
         """The real number z * conj(z) = re^2 - im^2."""
         return self.re * self.re - self.im * self.im

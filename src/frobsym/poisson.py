@@ -61,13 +61,13 @@ def canonical_bracket(A: Observable, B: Observable, y: PhasePoint):
     """{A, B} = dA/dp dB/dz - dB/dp dA/dz contracted over the (z, p) pairs,
     a float at one point and one value per row at a stacked point.
 
-    Each operand is differentiated once, over the (z, p) block only.
+    Each operand is differentiated once, and only the (z, p) block of its
+    gradient is read.
     """
     nz, npp, _ = y.layout
     if nz != npp:
         raise DimensionMismatch("point must carry matching z and p blocks")
-    block = slice(0, nz + npp)
-    a, b = A.gradient(y, coords=block), B.gradient(y, coords=block)
+    a, b = A.gradient(y)[..., :nz + npp], B.gradient(y)[..., :nz + npp]
     # vecdot rounds each row as the one-point a @ b does
     values = np.vecdot(a[..., nz:], b[..., :nz]) - np.vecdot(b[..., nz:], a[..., :nz])
     return _per_point(y, values)
@@ -103,11 +103,8 @@ def paracomplex_bracket(g, xi: ParaVector, eta: ParaVector) -> float:
     return 0.5 * para_hermitian_product(g, xi, eta).im
 
 
-def evolution_derivative(H: Observable, Q: Observable, y: PhasePoint,
-                         constants: StructureConstants | None = None) -> float:
-    """Qdot = {H, Q} at y, optionally with a spin block."""
-    if constants is not None:
-        return extended_bracket(H, Q, y, constants)
+def evolution_derivative(H: Observable, Q: Observable, y: PhasePoint) -> float:
+    """Qdot = {H, Q} at y."""
     return canonical_bracket(H, Q, y)
 
 

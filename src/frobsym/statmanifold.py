@@ -58,23 +58,12 @@ class ExponentialFamily:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass(frozen=True)
 class CumulantTensor:
     """Fully symmetric order-k derivative tensor of the potential, point axes first."""
 
-    order: int
     values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim < self.order:
-            raise DimensionMismatch("tensor rank must be at least the stated order")
-        object.__setattr__(self, "values", v)
 
 
 def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
@@ -170,7 +159,7 @@ def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
             - np.einsum("...il,...jk->...ijkl", cov, cov)
         )
         values = _symmetrize(k4, 4)
-    return CumulantTensor(order, require_finite(values, f"order-{order} moments", beta))
+    return CumulantTensor(require_finite(values, f"order-{order} moments", beta))
 
 
 def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:

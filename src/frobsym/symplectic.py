@@ -22,7 +22,8 @@ import numpy as np
 
 from . import numdiff
 from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonConvergence,
-                     NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
+                     NonFiniteValue, require_antisymmetric, require_finite, require_invertible,
+                     symmetric_part)
 from .geometry import PotentialField
 
 _EMPTY = np.zeros(0)
@@ -99,26 +100,18 @@ class Observable:
     def __call__(self, y: PhasePoint) -> float:
         return float(self.func(y))
 
-    def gradient(self, y: PhasePoint, coords: slice = slice(None)) -> np.ndarray:
-        """Partials over the flat coordinates ``coords`` of the layout, on
-        the last axis, at one point or at every row of a stacked point.
+    def gradient(self, y: PhasePoint) -> np.ndarray:
+        """Partials over every flat coordinate of the layout, on the last
+        axis, at one point or at every row of a stacked point.
 
-        Without ``grad``, central differences at the first-order step shift
-        only those coordinates, two field evaluations each, and hand every
-        shifted point of every row to ``func`` as one stacked point; every
-        partial uses its own step, so it equals the matching entry of the
-        full gradient bit for bit.
+        Without ``grad``, central differences at the first-order step hand
+        every shifted point of every row to ``func`` as one stacked point;
+        every partial uses its own step, so a slice of the result is bit
+        for bit what differencing only those coordinates would give.
         """
         if self.grad is not None:
-            return np.asarray(self.grad(y), dtype=float)[..., coords]
-        flat = y.flat()
-
-        def shifted(stack):
-            full = np.repeat(flat[..., None, :], stack.shape[-2], axis=-2)
-            full[..., coords] = stack
-            return self.func(y.replace_flat(full))
-
-        return numdiff.gradient(shifted, flat[..., coords])
+            return np.asarray(self.grad(y), dtype=float)
+        return numdiff.gradient(lambda stack: self.func(y.replace_flat(stack)), y.flat())
 
 
 @dataclass(frozen=True, init=False)
@@ -203,13 +196,18 @@ def dolbeault_form(phi: PotentialField, point) -> np.ndarray:
     """Mixed-partial coefficients w[a, b] = d2 phi / dz+^a dz-^b.
 
     ``phi`` lives on adapted coordinates ordered (z+^1..z+^m, z-^1..z-^m).
+    An analytic ``hess`` is called with floating-point warnings off, as
+    :meth:`PotentialField.value` calls ``func``, and one that is not finite
+    raises NonFiniteValue.
     """
     if phi.dim % 2 != 0:
         raise DimensionMismatch("adapted coordinates come in (plus, minus) pairs")
     m = phi.dim // 2
     point = np.asarray(point, dtype=float)
     if phi.hess is not None:
-        full = np.asarray(phi.hess(point), dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            full = np.asarray(phi.hess(point), dtype=float)
+        require_finite(full, "potential Hessian", point)
     else:
         full = numdiff.hessian(phi.value, point)
     return full[..., :m, m:]

@@ -64,6 +64,12 @@ class TestSpecLoading:
         path.write_text(BERNOULLI_TEXT)
         assert load_manifold_spec(str(path)) == load_manifold_spec(BERNOULLI_TEXT)
 
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_manifold_spec(str(path))
+
     def test_builtin_fixture_round_trips(self):
         entry = builtin_catalog()["bernoulli"]
         again = load_manifold_spec(entry.spec.canonical_text())
@@ -378,7 +384,7 @@ class DrawnCases:
 class TestSplitAlgebraLaws:
     @pytest.mark.parametrize("seed", [0, 26, 37, 1234])
     def test_matches_scalar_loop(self, seed):
-        ctx = CheckContext(None, np.random.default_rng(seed), RunOptions())
+        ctx = CheckContext(None, np.random.default_rng(seed))
         vals = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(2000, 4))
         assert _check_split_algebra_laws(ctx) == split_laws_loop(vals)
 
@@ -391,7 +397,7 @@ class TestSplitAlgebraLaws:
         nudge = np.where(np.arange(400) < 100, 0.0, 10.0 ** rng.uniform(-15, -9, 400))
         vals[:, 1] = sign * vals[:, 0] * (1.0 + nudge)
         vals[:4, :2] = [[0.0, 0.0], [0.0, -0.0], [1e-8, 1e-8], [3.0, -3.0]]
-        ctx = CheckContext(None, DrawnCases(vals), RunOptions())
+        ctx = CheckContext(None, DrawnCases(vals))
         assert _check_split_algebra_laws(ctx, cases=400) == split_laws_loop(vals)
 
 
@@ -497,15 +503,13 @@ class TestConeRows:
         for points in (None, np.exp(np.random.default_rng(seed).normal(
                 0.0, 0.3, size=(7, int(potential[-1])))).tolist()):
             spec = cone_spec(potential, [check], points, seed)
-            ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])),
-                               RunOptions())
+            ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])))
             assert run_battery(spec).rows[0].residual == REFERENCE_CONE_ROWS[check](ctx)
 
     @pytest.mark.parametrize("check", sorted(REFERENCE_CONE_ROWS))
     def test_lorentz_rows_match_the_per_point_loop(self, lorentz3, check):
         spec = cone_spec(lorentz3, [check], LORENTZ_POINTS)
-        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([0, 0])),
-                           RunOptions())
+        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([0, 0])))
         assert run_battery(spec).rows[0].residual == REFERENCE_CONE_ROWS[check](ctx)
 
     @pytest.mark.parametrize("check, pinned", [
@@ -662,8 +666,7 @@ class TestFamilyRows:
                                "payload": {"statistics": rng.normal(size=(n, m)).tolist(),
                                            "base_weights": rng.uniform(0.5, 2.0, m).tolist(),
                                            "beta": rng.normal(0.0, 0.7, n).tolist()}})
-        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])),
-                           RunOptions())
+        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([seed, 0])))
         assert run_battery(spec).rows[0].residual == REFERENCE_FAMILY_ROWS[check](ctx)
 
 
@@ -710,7 +713,7 @@ class TestDriftScaling:
 def metric_hamiltonian(metric, scalar="half_square"):
     payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
     spec = spec_from_dict({"kind": "explicit_metric", "payload": payload})
-    return _hamiltonian_observable(CheckContext(spec, np.random.default_rng(0), RunOptions()))
+    return _hamiltonian_observable(CheckContext(spec, np.random.default_rng(0)))
 
 
 def one_point_energy(metric, y):
@@ -893,6 +896,25 @@ class TestCli:
                               env=env, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (1, "")
         assert json.loads(done.stdout.splitlines()[1])["residual"] is None
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_spec_file_exits_two(self, case, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(BERNOULLI_TEXT.encode("utf-16"))
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ")
+
+    def test_out_path_that_cannot_be_opened_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(BERNOULLI_TEXT)
+        assert main(["check", str(path), "--out", str(tmp_path)]) == 2
+        assert main(["catalog", "bernoulli", "--out", str(tmp_path / "no" / "report")]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("error: ") == 2
 
     def test_check_failing_fixture_exits_one(self, tmp_path, capsys):
         entry = builtin_catalog()["perturbed_wdvv3"]

@@ -118,6 +118,11 @@ class TestWDVV:
         assert r.residual > 1e-2
         assert r.residual == pytest.approx(16 * 0.1**2, rel=1e-10)
 
+    def test_huge_tensor_with_finite_products_gives_a_finite_residual(self):
+        # |T| ~ 1e155 squares past the float range, but g^-1 = 1e-10 I keeps T g^-1 T finite
+        r = wdvv_residual(perturbed_cubic_potential3(), 1e10 * np.eye(3), [1.0, 1e155, 1e155])
+        assert np.isfinite(r.residual) and r.residual > 1e299
+
     @pytest.mark.parametrize("g", [np.eye(2), np.eye(4)], ids=["2x2", "4x4"])
     def test_pairing_of_the_wrong_size_is_dimension_mismatch(self, g):
         with pytest.raises(DimensionMismatch, match="pairing of shape"):

@@ -218,18 +218,15 @@ class TestCurvature:
     def test_euclidean_flat(self):
         report = curvature_flatness(euclidean_metric(2), [[0.1, 0.2], [1.5, -0.7]])
         assert report.max_riemann == 0.0
-        assert report.flat
 
     def test_orthant_flat(self):
         report = curvature_flatness(orthant_metric_closed_form(2),
                                     [[1.0, 2.0], [0.4, 1.7]])
         assert report.max_riemann < 1e-6
-        assert report.flat
 
     def test_sphere_not_flat(self):
         report = curvature_flatness(round_sphere_metric(), [[1.0, 0.5]])
         assert report.max_riemann > 0.5
-        assert not report.flat
 
     def test_classification_survives_coordinate_change(self):
         """Flat stays flat and curved stays curved under x -> (exp, affine)
@@ -416,7 +413,7 @@ class TestHessianStructure:
         structure = hessian_structure(hessian_log_metric(orthant_potential(n)), points)
         assert np.max(np.abs(structure.riemann)) == 0.0
         report = structure.curvature()
-        assert report.max_riemann == 0.0 and report.flat
+        assert report.max_riemann == 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fd_orthant_is_flat_within_one_difference_level(self, n):
