@@ -25,14 +25,14 @@ print(f"weights at beta=50  = {gibbs_density(fam, [50.0])}   (saturated, still n
 
 print("\n== cumulant tensors are exact moment sums ==")
 for order in (1, 2, 3, 4):
-    value = cumulant_tensor(fam, [0.0], order).values.ravel()
+    value = cumulant_tensor(fam, [0.0], order).ravel()
     print(f"order {order} at beta=0  = {value}")
 print("(variance 1/4, zero skew, fourth cumulant -1/8 for the fair coin)")
 
 print("\n== they agree with central differences of the potential ==")
 beta = np.array([0.4])
 for order, step in ((2, 1e-4), (3, 5e-3), (4, 1e-2)):
-    analytic = cumulant_tensor(fam, beta, order).values.ravel()[0]
+    analytic = cumulant_tensor(fam, beta, order).ravel()[0]
     fd = derivative_tensor(lambda b: potential_eval(fam, b), beta, order, step).ravel()[0]
     print(f"order {order}: analytic {analytic:+.10f}  fd {fd:+.10f}")
 
@@ -56,4 +56,4 @@ print(f"mixture-side curvature  = {rep.curvature_mixture:.2e}")
 print("\n== a three-outcome family works the same way ==")
 cat = categorical_family(3)
 print(f"weights at 0        = {gibbs_density(cat, [0.0, 0.0])}")
-print(f"metric at (0.3,-0.2) =\n{cumulant_tensor(cat, [0.3, -0.2], 2).values}")
+print(f"metric at (0.3,-0.2) =\n{cumulant_tensor(cat, [0.3, -0.2], 2)}")

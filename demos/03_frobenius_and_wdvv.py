@@ -28,12 +28,12 @@ report = frobenius_axioms(alg)
 print(f"unit vector          = {report.unit}  (the first coordinate field)")
 print(f"axiom residuals      = comm {report.commutativity:.1e}, "
       f"assoc {report.associativity:.1e}, invariance {report.pairing_invariance:.1e}")
-print(f"residual at generic point = {wdvv_residual(pot, g, [0.7, -0.3, 1.2]).residual:.1e}")
+print(f"residual at generic point = {wdvv_residual(pot, g, [0.7, -0.3, 1.2]):.1e}")
 
 print("\n== a quartic perturbation obstructs associativity ==")
 bad = perturbed_cubic_potential3()
 r = wdvv_residual(bad, g, [0.0, 1.0, 1.0])
-print(f"residual at (0,1,1)  = {r.residual:.4f}   (= 16 c^2 x3^2 with c = 0.1)")
+print(f"residual at (0,1,1)  = {r:.4f}   (= 16 c^2 x3^2 with c = 0.1)")
 alg_bad = algebra_from_potential(bad.third_tensor(np.array([0.0, 1.0, 1.0])), g)
 print(f"associativity residual of the induced algebra = "
       f"{frobenius_axioms(alg_bad).associativity:.4f}")

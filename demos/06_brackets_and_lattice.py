@@ -75,5 +75,5 @@ for sites in (16, 64, 256, 1024, 4096):
 
 const = LatticeBracket(16, 1, lambda u: np.full(u.shape[:-1] + (1, 1), 2.0),
                        np.zeros((1, 1, 1)), spacing=2 * np.pi / 16)
-rep = lattice_hydro_bracket(const, np.full((1, 16), 1.0))
-print(f"constant coefficients: ||B + B^T||_max = {rep.antisymmetry_residual} (exactly skew)")
+skew = lattice_hydro_bracket(const, np.full((1, 16), 1.0))
+print(f"constant coefficients: ||B + B^T||_max = {skew} (exactly skew)")

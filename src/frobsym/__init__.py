@@ -50,7 +50,6 @@ from .paracomplex import (
     peirce_reflect,
 )
 from .statmanifold import (
-    CumulantTensor,
     ExponentialFamily,
     cumulant_tensor,
     dual_coordinates,
@@ -60,7 +59,6 @@ from .statmanifold import (
     potential_eval,
 )
 from .geometry import (
-    CurvatureReport,
     HessianStructure,
     MetricField,
     PotentialField,
@@ -75,7 +73,6 @@ from .geometry import (
 )
 from .frobenius import (
     FrobeniusAlgebra,
-    WDVVResidual,
     algebra_from_potential,
     find_idempotents_rank2,
     frobenius_axioms,
@@ -105,7 +102,6 @@ from .poisson import (
     StructureConstants,
     bracket_property_residuals,
     canonical_bracket,
-    evolution_derivative,
     extended_bracket,
     lattice_hydro_bracket,
     lattice_jacobi_residual,

@@ -40,7 +40,6 @@ from .poisson import (
     LatticeBracket,
     bracket_property_residuals,
     canonical_bracket,
-    evolution_derivative,
     extended_bracket,
     lattice_hydro_bracket,
     lattice_jacobi_residual,
@@ -265,11 +264,12 @@ def _validate_payload(kind: str, payload: dict, checks: list):
     elif kind == "explicit_metric":
         mid = _require(payload, "metric", str, kind)
         registry.lookup(registry.METRICS, mid, "metric")
-        if "scalar" in payload and payload["scalar"] not in SCALAR_FIELDS:
+        if "scalar" in payload and _require(payload, "scalar", str, kind) not in SCALAR_FIELDS:
             raise SchemaError(f"unknown scalar field {payload['scalar']!r}",
                               field="payload.scalar")
         if "spins" in payload:
-            registry.lookup(registry.SPIN_CONSTANTS, payload["spins"], "spin constants")
+            registry.lookup(registry.SPIN_CONSTANTS, _require(payload, "spins", str, kind),
+                            "spin constants")
     elif kind == "algebra":
         aid = _require(payload, "constants", str, kind)
         registry.lookup(registry.ALGEBRAS, aid, "algebra")
@@ -378,7 +378,7 @@ def _cumulant_match(ctx: CheckContext, orders) -> float:
     beta = ctx.beta()
     gaps = []
     for k in orders:
-        analytic = cumulant_tensor(fam, beta, k).values
+        analytic = cumulant_tensor(fam, beta, k)
         fd = _fd_cumulant(fam, beta, k, _CUMULANT_STEPS[k])
         scale = max(1.0, float(np.max(np.abs(analytic))))
         gaps.append(float(np.max(np.abs(analytic - fd))) / scale)
@@ -406,7 +406,7 @@ def _check_dual_coordinates(ctx: CheckContext) -> float:
     eta, psi = dual_coordinates(fam, beta)
     legendre = abs(psi + potential_eval(fam, beta) - float(beta @ eta))
     jac = numdiff.jacobian(lambda b: dual_coordinates(fam, b)[0], beta)
-    metric = cumulant_tensor(fam, beta, 2).values
+    metric = cumulant_tensor(fam, beta, 2)
     jacobian_gap = float(np.max(np.abs(jac - metric)))
     back = natural_from_dual(fam, eta, initial=beta + 0.3)
     roundtrip = float(np.max(np.abs(back - beta)))
@@ -427,11 +427,9 @@ def _check_flatness(ctx: CheckContext) -> float:
     if ctx.spec.kind == "cone_potential":
         # a log-Hessian metric: R in closed form from Gamma, no second difference level
         structure = hessian_structure(hessian_log_metric(ctx.potential()), ctx.cone_points())
-        report = structure.curvature()
-    else:
-        metric = ctx.metric()
-        report = curvature_flatness(metric, ctx.rng.normal(0.5, 0.4, (3, metric.dim)))
-    return report.max_riemann
+        return structure.curvature()
+    metric = ctx.metric()
+    return curvature_flatness(metric, ctx.rng.normal(0.5, 0.4, (3, metric.dim)))
 
 
 def _check_cone_unit(ctx: CheckContext) -> float:
@@ -477,7 +475,7 @@ def _check_wdvv(ctx: CheckContext) -> float:
     phi = ctx.potential()
     point = np.asarray(ctx.spec.payload.get("point", [0.0] * phi.dim), dtype=float)
     g = ctx.pairing_matrix()
-    return wdvv_residual(phi, g, point).residual
+    return wdvv_residual(phi, g, point)
 
 
 def _check_form_closedness(ctx: CheckContext) -> float:
@@ -554,7 +552,7 @@ def _check_evolution_consistency(ctx: CheckContext) -> float:
     dim = ctx.metric().dim
     y0 = PhasePoint(ctx.rng.normal(0.8, 0.3, dim), ctx.rng.normal(0.0, 0.5, dim))
     Q = Observable(lambda y: y.z[..., 0])
-    alg = evolution_derivative(H, Q, y0)
+    alg = canonical_bracket(H, Q, y0)
     dt = 1e-4
     forward = integrate(H, y0, dt, 1).z[-1, 0]
     backward = integrate(H, y0, -dt, 1).z[-1, 0]
@@ -628,7 +626,7 @@ def _check_idempotent_closure(ctx: CheckContext) -> float:
 def _check_lattice_constant_skew(ctx: CheckContext) -> float:
     lb = ctx.lattice()
     u = np.full((lb.field_dim, lb.sites), 1.5)
-    return lattice_hydro_bracket(lb, u).antisymmetry_residual
+    return lattice_hydro_bracket(lb, u)
 
 
 def _check_lattice_jacobi_refinement(ctx: CheckContext) -> float:
@@ -709,6 +707,8 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
     so the report is deterministic for a given spec and seed.
     """
     seed = spec.seed if options.seed is None else options.seed
+    if seed < 0:
+        raise SchemaError("seed must be a nonnegative integer", field="seed")
     tols = [spec.tolerances.get(name, CHECKS[name].default_tol) * options.tol_scale
             for name in spec.checks]
     for name, tol in zip(spec.checks, tols):

@@ -63,14 +63,7 @@ def algebra_from_potential(third_tensor, g) -> FrobeniusAlgebra:
     return FrobeniusAlgebra(c, g)
 
 
-@dataclass(frozen=True)
-class WDVVResidual:
-    """Associativity obstruction of a potential at a point."""
-
-    residual: float
-
-
-def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
+def wdvv_residual(potential: PotentialField, g, x) -> float:
     """Max |sum_ef T_abe g^ef T_fcd - sum_ef T_bce g^ef T_fad| over (a,b,c,d).
 
     ``g`` may be a constant matrix or a MetricField; the even (commutative)
@@ -85,7 +78,7 @@ def wdvv_residual(potential: PotentialField, g, x) -> WDVVResidual:
     t = potential.third_tensor(x)
     # a huge T overflows quad to inf, where quad - quad^T would be inf - inf
     quad = require_finite(np.einsum("abe,ef,fcd->abcd", t, ginv, t), "WDVV products", x)
-    return WDVVResidual(float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3))))))
+    return float(np.max(np.abs(quad - np.transpose(quad, (2, 0, 1, 3)))))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ from .errors import (
 )
 from .statmanifold import ExponentialFamily, cumulant_tensor
 
-DEFAULT_CURVATURE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class MetricField:
@@ -44,7 +42,6 @@ class MetricField:
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def value(self, x) -> np.ndarray:
         x = _points(self.dim, x)
@@ -80,7 +77,6 @@ class PotentialField:
     third: Callable[[np.ndarray], np.ndarray] | None = None
     log_hess: Callable[[np.ndarray], np.ndarray] | None = None
     log_third: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def value(self, x) -> np.ndarray:
         x = _points(self.dim, x)
@@ -106,11 +102,6 @@ def _points(dim: int, x) -> np.ndarray:
     if x.shape[-1] != dim or x.size == 0:
         raise DimensionMismatch(f"expected a point or a stack of points with {dim} coordinates")
     return x
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    max_riemann: float
 
 
 def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -145,7 +136,7 @@ def riemann_tensor(connection: Callable[[np.ndarray], np.ndarray], x, gamma) -> 
     return term1 - term2 + term3 - term4
 
 
-def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
+def curvature_flatness(metric: MetricField, points) -> float:
     """Max Riemann residual over a stack of sample points, scaled by
     max(1, |g|) at each point; the connection is torsion-free by construction."""
     points = np.atleast_2d(_points(metric.dim, points))
@@ -153,7 +144,7 @@ def curvature_flatness(metric: MetricField, points) -> CurvatureReport:
     ginv = np.linalg.inv(require_invertible(g, DegenerateMetric, "metric", points))
     gamma = _levi_civita(ginv, metric.derivative(points))
     riemann = riemann_tensor(lambda y: christoffel(metric, y), points, gamma)
-    return CurvatureReport(_scaled_max(riemann, g))
+    return _scaled_max(riemann, g)
 
 
 def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
@@ -190,9 +181,9 @@ class HessianStructure:
         return (np.einsum("pilm,pmkj->pijkl", self.gamma, self.gamma)
                 - np.einsum("pikm,pmlj->pijkl", self.gamma, self.gamma))
 
-    def curvature(self) -> CurvatureReport:
+    def curvature(self) -> float:
         """Max Riemann residual scaled by max(1, |g|) per point."""
-        return CurvatureReport(_scaled_max(self.riemann, self.metric))
+        return _scaled_max(self.riemann, self.metric)
 
     def multiply(self, a, b) -> np.ndarray:
         """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
@@ -241,8 +232,7 @@ def hessian_log_metric(phi: PotentialField) -> MetricField:
         return value(x)
 
     # d_k g_ij is the fully symmetric third-derivative tensor of log(phi)
-    return MetricField(phi.dim, guarded, deriv=phi.log_third,
-                       name=f"hesslog({phi.name})" if phi.name else "")
+    return MetricField(phi.dim, guarded, deriv=phi.log_third)
 
 
 def cone_multiply(phi: PotentialField, x, a, b) -> np.ndarray:
@@ -299,10 +289,10 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
     skewness tensor at beta.  A singular metric there raises DegenerateMetric.
     """
     beta = np.asarray(beta, dtype=float)
-    metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2).values)
+    metric = MetricField(fam.n, lambda b: cumulant_tensor(fam, b, 2))
 
     def plus_minus(b, lc, ginv):
-        half = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, cumulant_tensor(fam, b, 3).values)
+        half = 0.5 * np.einsum("...il,...ljk->...ijk", ginv, cumulant_tensor(fam, b, 3))
         return np.stack([lc - half, lc + half], axis=-4)
 
     g = metric.value(beta)
@@ -325,13 +315,6 @@ class PencilReport:
     residual_base: float
     residual_derived: float
     residual_combinations: dict
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        worst = max([self.residual_base, self.residual_derived,
-                     *self.residual_combinations.values()])
-        return worst <= self.tolerance
 
 
 def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
@@ -341,15 +324,13 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
     ``metric_contravariant`` evaluates the upper-index matrix g^ij; each
     candidate is inverted pointwise before the curvature residual is taken.
     The derivative coordinate defaults to the first one; pass ``direction``
-    for metrics that vary along another axis.  Raises DegeneratePencil when
-    g2 is singular at a sample point.
+    for metrics that vary along another axis.  Raises DimensionMismatch
+    unless ``points`` is one point or a non-empty stack, and
+    DegeneratePencil when g2 is singular at a sample point.
     """
     n = metric_contravariant.dim
     if points is None:
         points = [np.ones(n) + 0.1 * np.arange(n), 1.5 * np.ones(n)]
-    if len(points) == 0:
-        return PencilReport(0.0, 0.0, {float(lam): 0.0 for lam in lambdas},
-                            DEFAULT_CURVATURE_TOL)
     points = np.atleast_2d(_points(n, points))
     upper = metric_contravariant.value
 
@@ -360,7 +341,7 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
 
     def flatness_of_upper(fn) -> float:
         lower = MetricField(n, lambda x: np.linalg.inv(fn(x)))
-        return curvature_flatness(lower, points).max_riemann
+        return curvature_flatness(lower, points)
 
     base = flatness_of_upper(upper)
     derived = flatness_of_upper(derived_upper)
@@ -369,4 +350,4 @@ def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
         combos[float(lam)] = flatness_of_upper(
             lambda x, lam=lam: upper(x) + lam * derived_upper(x)
         )
-    return PencilReport(base, derived, combos, DEFAULT_CURVATURE_TOL)
+    return PencilReport(base, derived, combos)

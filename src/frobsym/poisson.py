@@ -103,11 +103,6 @@ def paracomplex_bracket(g, xi: ParaVector, eta: ParaVector) -> float:
     return 0.5 * para_hermitian_product(g, xi, eta).im
 
 
-def evolution_derivative(H: Observable, Q: Observable, y: PhasePoint) -> float:
-    """Qdot = {H, Q} at y."""
-    return canonical_bracket(H, Q, y)
-
-
 @dataclass(frozen=True)
 class BracketResiduals:
     antisymmetry: float
@@ -248,14 +243,7 @@ class LatticeBracket:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class LatticeOperatorReport:
-    """The skew residual of :func:`lattice_hydro_bracket` at one field state."""
-
-    antisymmetry_residual: float
-
-
-def lattice_hydro_bracket(lb: LatticeBracket, u) -> LatticeOperatorReport:
+def lattice_hydro_bracket(lb: LatticeBracket, u) -> float:
     """B[(i,n),(j,m)] = g^ij(u_n) D_nm + b^ij_k (Du^k)_n delta_nm and max|B + B^T|.
 
     Flat index is i * N + n (field-major).  B + B^T vanishes outside the
@@ -270,8 +258,7 @@ def lattice_hydro_bracket(lb: LatticeBracket, u) -> LatticeOperatorReport:
     ahead, behind = periodic_derivative_matrix(4, lb.spacing)[[0, 1], [1, 0]]
     pair = g_site * ahead + np.roll(g_site, -1, axis=0).swapaxes(1, 2) * behind
     diagonal = flux + flux.swapaxes(1, 2)
-    residual = np.maximum(abs(pair).max(), abs(diagonal).max())
-    return LatticeOperatorReport(float(residual))
+    return float(np.maximum(abs(pair).max(), abs(diagonal).max()))
 
 
 def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng) -> np.ndarray:

@@ -77,7 +77,6 @@ def orthant_potential(n: int) -> PotentialField:
         domain=lambda x: np.all(x > 0.0, axis=-1),
         log_hess=log_hess,
         log_third=log_third,
-        name=f"orthant{n}",
     )
 
 
@@ -95,7 +94,7 @@ def _cubic3_third(x):
 
 def cubic_potential3() -> PotentialField:
     """The associativity-exact cubic (1/2)(x1^2 x3 + x1 x2^2)."""
-    return PotentialField(3, _cubic3, third=_cubic3_third, name="wdvv_cubic3")
+    return PotentialField(3, _cubic3, third=_cubic3_third)
 
 
 def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
@@ -112,7 +111,7 @@ def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
         t[..., [1, 2, 2], [2, 1, 2], [2, 2, 1]] += (4.0 * strength * x[..., 1])[..., None]
         return t
 
-    return PotentialField(3, func, third=third, name="wdvv_cubic3_perturbed")
+    return PotentialField(3, func, third=third)
 
 
 def _symmetric2(a, b, c):
@@ -127,8 +126,7 @@ def adapted_quartic1() -> PotentialField:
         x, y = w[..., 0], w[..., 1]
         return _symmetric2(2.0 * y * y, 4.0 * x * y, 2.0 * x * x)
 
-    return PotentialField(2, lambda w: np.float_power(w[..., 0] * w[..., 1], 2), hess=hess,
-                          name="adapted_quartic1")
+    return PotentialField(2, lambda w: np.float_power(w[..., 0] * w[..., 1], 2), hess=hess)
 
 
 def adapted_mixed2() -> PotentialField:
@@ -149,7 +147,6 @@ def adapted_mixed2() -> PotentialField:
         4,
         lambda w: np.float_power(w[..., 0] * w[..., 2], 2) + np.sin(w[..., 1] * w[..., 3]),
         hess=hess,
-        name="adapted_mixed2",
     )
 
 
@@ -168,8 +165,7 @@ POTENTIALS = {
 
 
 def euclidean_metric(n: int) -> MetricField:
-    return MetricField(n, _constant(np.eye(n)), deriv=_constant(np.zeros((n, n, n))),
-                       name=f"euclidean{n}")
+    return MetricField(n, _constant(np.eye(n)), deriv=_constant(np.zeros((n, n, n))))
 
 
 def round_sphere_metric() -> MetricField:
@@ -182,7 +178,7 @@ def round_sphere_metric() -> MetricField:
         d[..., 0, 1, 1] = 2.0 * np.sin(u[..., 0]) * np.cos(u[..., 0])
         return d
 
-    return MetricField(2, value, deriv=deriv, name="round_sphere2")
+    return MetricField(2, value, deriv=deriv)
 
 
 def offdiagonal_linear_metric() -> MetricField:
@@ -194,7 +190,7 @@ def offdiagonal_linear_metric() -> MetricField:
         zero = np.zeros(np.shape(u)[:-1])
         return _symmetric2(zero, u[..., 0], zero)
 
-    return MetricField(2, value, deriv=_constant(d), name="offdiag_linear2")
+    return MetricField(2, value, deriv=_constant(d))
 
 
 def antidiagonal_pairing(n: int = 3) -> np.ndarray:

@@ -18,7 +18,7 @@ stack the doubles it gives that point alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -57,13 +57,6 @@ class ExponentialFamily:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-
-@dataclass(frozen=True)
-class CumulantTensor:
-    """Fully symmetric order-k derivative tensor of the potential, point axes first."""
-
-    values: np.ndarray = field(repr=False)
 
 
 def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
@@ -126,7 +119,7 @@ def gibbs_density(fam: ExponentialFamily, beta) -> np.ndarray:
 
 # inf - inf from overflowing moments is reported below as NonFiniteValue
 @np.errstate(over="ignore", invalid="ignore")
-def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
+def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> np.ndarray:
     """Order-k derivative tensor of the potential, from exact moments.
 
     k=1 is minus the mean of X, k=2 the covariance, k=3 minus the third
@@ -159,7 +152,7 @@ def cumulant_tensor(fam: ExponentialFamily, beta, order: int) -> CumulantTensor:
             - np.einsum("...il,...jk->...ijkl", cov, cov)
         )
         values = _symmetrize(k4, 4)
-    return CumulantTensor(require_finite(values, f"order-{order} moments", beta))
+    return require_finite(values, f"order-{order} moments", beta)
 
 
 def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
@@ -172,7 +165,7 @@ def _symmetrize(t: np.ndarray, k: int) -> np.ndarray:
 def checked_metric(fam: ExponentialFamily, beta) -> np.ndarray:
     """Fisher metric, the covariance of the statistics at beta (the order-2
     tensor); DegenerateMetric, naming the worst point, when one is singular."""
-    return require_invertible(cumulant_tensor(fam, beta, 2).values,
+    return require_invertible(cumulant_tensor(fam, beta, 2),
                               DegenerateMetric, "Fisher metric", beta)
 
 
@@ -200,7 +193,7 @@ def natural_from_dual(fam: ExponentialFamily, eta, initial=None) -> np.ndarray:
     require_finite(eta, "dual point eta")
     for _ in range(100):
         g = checked_metric(fam, beta)
-        resid = cumulant_tensor(fam, beta, 1).values - eta
+        resid = cumulant_tensor(fam, beta, 1) - eta
         base = np.max(np.abs(resid))
         if base < 1e-12:
             return beta

@@ -104,23 +104,23 @@ def test_c02_cumulants_match_finite_differences():
              (categorical_family(3), np.array([0.3, -0.2]))]
     for fam, beta in cases:
         for order, rtol in ((1, 1e-6), (2, 1e-6), (3, 1e-6), (4, 1e-4)):
-            analytic = cumulant_tensor(fam, beta, order).values
+            analytic = cumulant_tensor(fam, beta, order)
             fd = derivative_tensor(lambda b: potential_eval(fam, b),
                                    beta, order, steps[order])
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - fd)) <= rtol * scale
     fam = bernoulli_family()
-    assert cumulant_tensor(fam, [0.0], 2).values.item() == pytest.approx(0.25)
-    assert cumulant_tensor(fam, [0.0], 3).values.item() == pytest.approx(0.0, abs=1e-15)
-    assert cumulant_tensor(fam, [0.0], 4).values.item() == pytest.approx(-0.125)
+    assert cumulant_tensor(fam, [0.0], 2).item() == pytest.approx(0.25)
+    assert cumulant_tensor(fam, [0.0], 3).item() == pytest.approx(0.0, abs=1e-15)
+    assert cumulant_tensor(fam, [0.0], 4).item() == pytest.approx(-0.125)
     note(2, "cumulant tensors match the finite-difference oracle (orders 1-4)")
 
 
 def test_c03_wdvv_residuals():
     g = antidiagonal_pairing()
-    trivial = wdvv_residual(cubic_potential3(), g, [0.7, -0.3, 1.2]).residual
+    trivial = wdvv_residual(cubic_potential3(), g, [0.7, -0.3, 1.2])
     assert trivial < 1e-8
-    perturbed = wdvv_residual(perturbed_cubic_potential3(), g, [0.0, 1.0, 1.0]).residual
+    perturbed = wdvv_residual(perturbed_cubic_potential3(), g, [0.0, 1.0, 1.0])
     assert perturbed > 1e-2
     # 2-d: with the unit-direction pairing g_ab = T_1ab the product has a
     # unit, and 2-d commutative unital algebras are associative outright
@@ -134,7 +134,7 @@ def test_c03_wdvv_residuals():
             continue
         pot = PotentialField(2, lambda x: np.zeros(x.shape[:-1]),
                              third=lambda x, t=t: np.broadcast_to(t, x.shape[:-1] + t.shape))
-        assert wdvv_residual(pot, t[0], [0.0, 0.0]).residual < 1e-12
+        assert wdvv_residual(pot, t[0], [0.0, 0.0]) < 1e-12
         checked += 1
     note(3, f"trivial {trivial:.1e} < 1e-8, perturbed {perturbed:.2f} > 1e-2, 2-d flat")
 
@@ -147,7 +147,7 @@ def test_c04_orthant_cone(n):
     points = [np.exp(rng.normal(0.0, 0.3, n)) + 0.2 for _ in range(3)]
     for x in points:
         assert np.min(np.linalg.eigvalsh(metric.value(x))) > 0.0
-    assert curvature_flatness(metric, points).max_riemann < 1e-6
+    assert curvature_flatness(metric, points) < 1e-6
     x0 = points[0]
     for _ in range(5):
         a, b, c = (rng.normal(size=n) for _ in range(3))
@@ -267,8 +267,7 @@ def test_c10_lattice_bracket():
     metric, metric_deriv, b = linear_diagonal_lattice(1)
     const = LatticeBracket(16, 1, lambda u: np.full(u.shape[:-1] + (1, 1), 2.0),
                            np.zeros((1, 1, 1)), spacing=2 * np.pi / 16)
-    rep = lattice_hydro_bracket(const, np.full((1, 16), 1.0))
-    assert rep.antisymmetry_residual == 0.0
+    assert lattice_hydro_bracket(const, np.full((1, 16), 1.0)) == 0.0
 
     def state(lb):
         x = lb.spacing * np.arange(lb.sites)

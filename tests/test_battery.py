@@ -186,6 +186,21 @@ class TestSpecLoading:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # a list or an object ended in a TypeError traceback with exit 1
+    @pytest.mark.parametrize("field, valid", [("scalar", "half_square"), ("spins", "so3")])
+    @pytest.mark.parametrize("shape", ["list", "object", "number"])
+    def test_non_string_field_id_exits_two(self, field, valid, shape, tmp_path, capsys):
+        value = {"list": [valid], "object": {"a": 1}, "number": 3}[shape]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": "explicit_metric",
+                                    "payload": {"metric": "euclidean1", field: value},
+                                    "checks": ["energy_drift"]}))
+        with pytest.raises(SchemaError) as err:
+            load_manifold_spec(str(path))
+        assert err.value.field == f"payload.{field}"
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_wdvv_routing(self):
         spec = spec_from_dict({
             "kind": "cone_potential",
@@ -641,7 +656,7 @@ def reference_dual_coordinates(ctx):
     legendre = abs(psi + frobsym.potential_eval(fam, beta) - float(beta @ eta))
     jac = numdiff.jacobian(lambda b: np.reshape(
         [frobsym.dual_coordinates(fam, row)[0] for row in b.reshape(-1, fam.n)], b.shape), beta)
-    gap = float(np.max(np.abs(jac - frobsym.cumulant_tensor(fam, beta, 2).values)))
+    gap = float(np.max(np.abs(jac - frobsym.cumulant_tensor(fam, beta, 2))))
     back = frobsym.natural_from_dual(fam, eta, initial=beta + 0.3)
     return max(legendre, gap, float(np.max(np.abs(back - beta))))
 
@@ -939,6 +954,20 @@ class TestCli:
         assert main(["check", str(path), f"--tol-scale={scale}"]) == 2
         assert main(["catalog", "bernoulli", f"--tol-scale={scale}"]) == 2
         assert "--tol-scale" in capsys.readouterr().err
+
+    # numpy's ValueError escaped as a traceback with exit 1
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(BERNOULLI_TEXT)
+        assert main(["check", str(path), "--seed=-1"]) == 2
+        assert main(["catalog", "bernoulli", "--seed=-1"]) == 2
+        assert main(["catalog", "all", "--seed=-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("error: seed must be a nonnegative integer") == 3
+        with pytest.raises(SchemaError) as err:
+            run_battery(load_manifold_spec(BERNOULLI_TEXT), RunOptions(seed=-1))
+        assert err.value.field == "seed"
 
     def test_overflowing_tolerance_product_rejected(self, tmp_path, capsys):
         # both factors are finite; their product is not

@@ -17,7 +17,6 @@ Oracles:
 import pathlib
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,7 +155,7 @@ class TestConditioningSites:
         # the family's own guards keep NaN out of its cumulants, so one is
         # handed straight to the conditioning guard
         monkeypatch.setattr(statmanifold, "cumulant_tensor",
-                            lambda fam, beta, order: SimpleNamespace(values=NAN_METRIC))
+                            lambda fam, beta, order: NAN_METRIC)
         with pytest.raises(NonFiniteValue, match="Fisher metric has a non-finite entry"):
             checked_metric(singular_fisher_family(), [0.0, 0.0])
 

@@ -83,7 +83,7 @@ def lorentz_potential():
 
     return PotentialField(3, lambda x: q(x) ** -1.5,
                           domain=lambda x: x[..., 0] > np.hypot(x[..., 1], x[..., 2]),
-                          log_hess=log_hess, log_third=log_third, name="lorentz3")
+                          log_hess=log_hess, log_third=log_third)
 
 
 def lorentz_points(rng, count):
@@ -181,7 +181,7 @@ class TestStackedCalls:
         calls = []
         counted = MetricField(2, lambda x: calls.append(x.shape) or metric.value(x),
                               deriv=metric.deriv)
-        stacked = curvature_flatness(counted, points).max_riemann
+        stacked = curvature_flatness(counted, points)
         # g once on the stack, for Gamma there and for the scale, once on its
         # shifted points, and twice more where dg is differenced from g
         assert len(calls) == (2 if metric.deriv is not None else 4)
@@ -216,17 +216,14 @@ class TestStackedCalls:
 
 class TestCurvature:
     def test_euclidean_flat(self):
-        report = curvature_flatness(euclidean_metric(2), [[0.1, 0.2], [1.5, -0.7]])
-        assert report.max_riemann == 0.0
+        assert curvature_flatness(euclidean_metric(2), [[0.1, 0.2], [1.5, -0.7]]) == 0.0
 
     def test_orthant_flat(self):
-        report = curvature_flatness(orthant_metric_closed_form(2),
-                                    [[1.0, 2.0], [0.4, 1.7]])
-        assert report.max_riemann < 1e-6
+        assert curvature_flatness(orthant_metric_closed_form(2),
+                                  [[1.0, 2.0], [0.4, 1.7]]) < 1e-6
 
     def test_sphere_not_flat(self):
-        report = curvature_flatness(round_sphere_metric(), [[1.0, 0.5]])
-        assert report.max_riemann > 0.5
+        assert curvature_flatness(round_sphere_metric(), [[1.0, 0.5]]) > 0.5
 
     def test_classification_survives_coordinate_change(self):
         """Flat stays flat and curved stays curved under x -> (exp, affine)
@@ -245,10 +242,10 @@ class TestCurvature:
                                @ metric.value(diffeo(x)) @ jac(x))
 
         flat = pullback(orthant_metric_closed_form(2))
-        assert curvature_flatness(flat, [[0.1, 1.0]]).max_riemann <= 1e-5
+        assert curvature_flatness(flat, [[0.1, 1.0]]) <= 1e-5
 
         curved = pullback(round_sphere_metric())
-        assert not curvature_flatness(curved, [[0.1, 0.4]]).max_riemann <= 1e-5
+        assert not curvature_flatness(curved, [[0.1, 0.4]]) <= 1e-5
 
 
 class TestHessianLogMetric:
@@ -358,12 +355,14 @@ class TestConeMultiplication:
 
 
 class TestHessianStructure:
-    @pytest.mark.parametrize("phi", [orthant_potential(2), orthant_potential(3),
-                                     fd_orthant_potential(2), lorentz_potential()],
+    @pytest.mark.parametrize("phi, lorentz", [(orthant_potential(2), False),
+                                              (orthant_potential(3), False),
+                                              (fd_orthant_potential(2), False),
+                                              (lorentz_potential(), True)],
                              ids=["orthant2", "orthant3", "fd_orthant2", "lorentz3"])
-    def test_stacked_gamma_is_christoffel_at_each_point(self, phi):
+    def test_stacked_gamma_is_christoffel_at_each_point(self, phi, lorentz):
         rng = np.random.default_rng(4)
-        points = (lorentz_points(rng, 6) if phi.name == "lorentz3"
+        points = (lorentz_points(rng, 6) if lorentz
                   else np.exp(rng.normal(0.0, 0.3, size=(6, phi.dim))) + 0.2)
         metric = hessian_log_metric(phi)
         structure = hessian_structure(metric, points)
@@ -412,8 +411,7 @@ class TestHessianStructure:
         points = np.exp(np.random.default_rng(n).normal(0.0, 0.3, size=(8, n))) + 0.2
         structure = hessian_structure(hessian_log_metric(orthant_potential(n)), points)
         assert np.max(np.abs(structure.riemann)) == 0.0
-        report = structure.curvature()
-        assert report.max_riemann == 0.0
+        assert structure.curvature() == 0.0
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fd_orthant_is_flat_within_one_difference_level(self, n):
@@ -422,7 +420,7 @@ class TestHessianStructure:
         through riemann_tensor at n = 2 and 3)."""
         points = np.exp(np.random.default_rng(0).normal(0.0, 0.3, size=(3, n))) + 0.2
         metric = hessian_log_metric(fd_orthant_potential(n))
-        assert hessian_structure(metric, points).curvature().max_riemann <= 1e-3
+        assert hessian_structure(metric, points).curvature() <= 1e-3
 
     def test_singular_metric_names_the_worst_point(self):
         metric = MetricField(2, lambda x: diagonal(np.stack([np.ones(x.shape[:-1]), x[..., 1]],
@@ -548,7 +546,7 @@ def one_curvature_per_connection(fam, beta):
     from frobsym import cumulant_tensor
 
     def kappa(b, order):
-        return cumulant_tensor(fam, b, order).values
+        return cumulant_tensor(fam, b, order)
 
     def point_loop(f):
         """``f`` of one point, mapped over a stack row by row."""
@@ -581,7 +579,7 @@ def one_curvature_per_connection(fam, beta):
 def _binary_metrics(betas):
     from frobsym import cumulant_tensor
 
-    return np.array([cumulant_tensor(bernoulli_family(), b, 2).values
+    return np.array([cumulant_tensor(bernoulli_family(), b, 2)
                      for b in betas.reshape(-1, 1)]).reshape(betas.shape[:-1] + (1, 1))
 
 
@@ -589,7 +587,8 @@ class TestFlatPencil:
     def test_one_dimensional_always_passes(self):
         metric = MetricField(1, lambda u: u[..., None])
         report = flat_pencil_check(metric, 0, [0.5, 1.5], [[1.0], [2.0]])
-        assert report.passed
+        assert max(report.residual_base, report.residual_derived,
+                   *report.residual_combinations.values()) <= 1e-6
 
     def test_offdiagonal_linear_metric_passes(self):
         report = flat_pencil_check(offdiagonal_linear_metric(), 0,
@@ -598,14 +597,13 @@ class TestFlatPencil:
         assert report.residual_base < 1e-6
         assert report.residual_derived < 1e-6
         assert max(report.residual_combinations.values()) < 1e-6
-        assert report.passed
 
     def test_small_but_well_conditioned_derivative_has_a_pencil(self):
         """g^ij = (1 + 1e-7 x0) I: g2 = 1e-7 I has determinant 1e-14 but
         condition number 1."""
         metric = MetricField(2, lambda x: (1.0 + 1e-7 * x[..., 0, None, None]) * np.eye(2))
         report = flat_pencil_check(metric)
-        assert report.residual_base <= report.tolerance
+        assert report.residual_base <= 1e-6
 
     def test_ill_conditioned_derivative_of_unit_determinant_has_no_pencil(self):
         """g2 = diag(1e7, 1e-7): determinant 1, condition number 1e14."""
@@ -613,10 +611,9 @@ class TestFlatPencil:
         with pytest.raises(DegeneratePencil, match="condition number"):
             flat_pencil_check(metric)
 
-    def test_no_points_gives_an_empty_report(self):
-        report = flat_pencil_check(offdiagonal_linear_metric(), points=[])
-        assert report.residual_base == report.residual_derived == 0.0
-        assert report.passed
+    def test_no_points_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            flat_pencil_check(offdiagonal_linear_metric(), points=[])
 
     def test_constant_metric_has_no_pencil(self):
         with pytest.raises(DegeneratePencil):
