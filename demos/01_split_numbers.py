@@ -1,5 +1,5 @@
-"""Tour of the rank-2 split algebra: zero divisors, idempotents, the
-Peirce mirror, and the Hermitian pairing that seeds the bracket geometry.
+"""Tour of the rank-2 split algebra: zero divisors, idempotents,
+conjugation, and the Hermitian pairing that seeds the bracket geometry.
 """
 
 import numpy as np
@@ -7,14 +7,12 @@ import numpy as np
 from frobsym import (
     ParaNumber,
     ParaStructure,
-    ParaVector,
     ZeroDivisor,
     idempotent_decompose,
     para_conj,
     para_hermitian_product,
     para_inverse,
     para_mul,
-    peirce_reflect,
 )
 from frobsym.paracomplex import E, E_MINUS, E_PLUS, ONE
 
@@ -42,21 +40,27 @@ ca, cb = idempotent_decompose(a), idempotent_decompose(b)
 cab = idempotent_decompose(para_mul(a, b))
 print(f"  ({ca.plus}*{cb.plus}, {ca.minus}*{cb.minus}) = ({cab.plus}, {cab.minus})")
 
-print("\n== the Peirce mirror is conjugation ==")
-print(f"mirror(e+)       = {peirce_reflect(E_PLUS)}  (= e-)")
-print(f"mirror(2+e)      = {peirce_reflect(a)}  (= conj: {para_conj(a)})")
+print("\n== conjugation swaps the idempotents (the Peirce mirror) ==")
+print(f"conj(e+)         = {para_conj(E_PLUS)}  (= e-)")
+print(f"conj(2+e)        = {para_conj(a)}")
 
 print("\n== Hermitian pairing <xi, eta> = g_jk xi^j conj(eta^k) ==")
 g = np.array([[1.0, 0.2], [0.2, 2.0]])
-xi = ParaVector.from_arrays([1.0, 0.5], [0.3, -0.2])
-eta = ParaVector.from_arrays([0.4, -1.0], [1.1, 0.6])
+# a split vector is a ParaNumber with its entries on the last axis
+xi = ParaNumber([1.0, 0.5], [0.3, -0.2])
+eta = ParaNumber([0.4, -1.0], [1.1, 0.6])
 fwd = para_hermitian_product(g, xi, eta)
 bwd = para_hermitian_product(g, eta, xi)
 print(f"<xi, eta>        = {fwd}")
 print(f"conj(<eta, xi>)  = {para_conj(bwd)}   (Hermitian symmetry)")
 print(f"<xi, xi>         = {para_hermitian_product(g, xi, xi)}  (split part exactly 0)")
+# a (..., n) stack pairs row by row: one value per vector
+stack = ParaNumber(np.stack([xi.re, eta.re]), np.stack([xi.im, eta.im]))
+rows = para_hermitian_product(g, stack, stack)
+print(f"<v, v> per row   = re {rows.re}, im {rows.im}")
 
 print("\n== product structures K with K^2 = I and balanced eigenspaces ==")
 ps = ParaStructure.standard(2)
 print(f"K =\n{ps.matrix}")
-print(f"K^2 - I max entry = {ps.square_residual():.1e}, trace = {ps.trace()}")
+print(f"K^2 = I: {np.array_equal(ps.matrix @ ps.matrix, np.eye(ps.dim))}, "
+      f"trace = {np.trace(ps.matrix)}")

@@ -7,7 +7,7 @@ import numpy as np
 from frobsym import (
     LatticeBracket,
     Observable,
-    ParaVector,
+    ParaNumber,
     PhasePoint,
     bracket_property_residuals,
     canonical_bracket,
@@ -46,8 +46,8 @@ print(f"non-Lie constants are caught: Jacobi residual = {broken.jacobi:.3f}")
 
 print("\n== split-number bracket = half the Im-part of the pairing ==")
 g = np.array([[1.0]])
-one = ParaVector.from_arrays([1.0], [0.0])
-e = ParaVector.from_arrays([0.0], [1.0])
+one = ParaNumber([1.0], [0.0])
+e = ParaNumber([0.0], [1.0])
 print(f"{{1, e}} = {paracomplex_bracket(g, one, e):+.2f},  {{e, e}} = "
       f"{paracomplex_bracket(g, e, e):+.2f}")
 

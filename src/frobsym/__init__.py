@@ -40,14 +40,12 @@ from .paracomplex import (
     IdempotentCoords,
     ParaNumber,
     ParaStructure,
-    ParaVector,
     idempotent_decompose,
     idempotent_recompose,
     para_conj,
     para_hermitian_product,
     para_inverse,
     para_mul,
-    peirce_reflect,
 )
 from .statmanifold import (
     ExponentialFamily,

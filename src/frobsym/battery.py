@@ -79,7 +79,6 @@ ANCHORS = {
     "S2.2": "Hamiltonian and split-coordinate recollections",
     "S2.3": "Lorentz-signature Lagrangian and Legendre transform",
     "S3": "bracket definitions and their derivation laws",
-    "E:1": "discrete dual pairing",
     "E:3": "log-sum-exp potential of a finite family",
     "E:p": "hydrodynamic-type bracket",
     "E:b": "flux/metric symmetrization condition",
@@ -200,9 +199,7 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
         if not (_real(value) and value > 0):
             raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise SchemaError("seed must be a nonnegative integer", field="seed")
+    seed = _require_seed(data.get("seed", 0))
     name = data.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("name must be a string", field="name")
@@ -217,6 +214,12 @@ def _require(payload: dict, key: str, kinds, what: str):
         raise SchemaError(f"payload field {key!r} has the wrong type",
                           field=f"payload.{key}")
     return payload[key]
+
+
+def _require_seed(seed) -> int:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError("seed must be a nonnegative integer", field="seed")
+    return seed
 
 
 def _real(value) -> bool:
@@ -269,10 +272,10 @@ def _validate_payload(kind: str, payload: dict, checks: list):
                               field="payload.scalar")
         if "spins" in payload:
             registry.lookup(registry.SPIN_CONSTANTS, _require(payload, "spins", str, kind),
-                            "spin constants")
+                            "spins")
     elif kind == "algebra":
         aid = _require(payload, "constants", str, kind)
-        registry.lookup(registry.ALGEBRAS, aid, "algebra")
+        registry.lookup(registry.ALGEBRAS, aid, "constants")
     elif kind == "lattice":
         sites = _require(payload, "sites", int, kind)
         if sites < 4:
@@ -281,7 +284,7 @@ def _validate_payload(kind: str, payload: dict, checks: list):
         if not isinstance(field_dim, int) or isinstance(field_dim, bool) or field_dim < 1:
             raise SchemaError("field_dim must be a positive integer", field="payload.field_dim")
         cid = _require(payload, "coefficients", str, kind)
-        registry.lookup(registry.LATTICE_COEFFICIENTS, cid, "lattice coefficients")
+        registry.lookup(registry.LATTICE_COEFFICIENTS, cid, "coefficients")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ class CheckContext:
 
     def spin_constants(self):
         sid = self.spec.payload.get("spins")
-        return registry.lookup(registry.SPIN_CONSTANTS, sid, "spin constants") if sid else None
+        return registry.lookup(registry.SPIN_CONSTANTS, sid, "spins") if sid else None
 
     def cone_points(self, count: int = 3) -> np.ndarray:
         """The payload's points, or ``count`` drawn ones, as a (P, dim) stack."""
@@ -350,7 +353,7 @@ class CheckContext:
         n = int(sites if sites is not None else p["sites"])
         r = p.get("field_dim", 1)
         metric, metric_deriv, b = registry.lookup(
-            registry.LATTICE_COEFFICIENTS, p["coefficients"], "lattice coefficients", r)
+            registry.LATTICE_COEFFICIENTS, p["coefficients"], "coefficients", r)
         return LatticeBracket(n, r, metric, b, spacing=2.0 * np.pi / n,
                               metric_deriv=metric_deriv)
 
@@ -453,7 +456,7 @@ def _check_cone_algebra(ctx: CheckContext) -> float:
 def _check_frobenius_axioms(ctx: CheckContext) -> float:
     if ctx.spec.kind == "algebra":
         c, pairing = registry.lookup(registry.ALGEBRAS,
-                                     ctx.spec.payload["constants"], "algebra")
+                                     ctx.spec.payload["constants"], "constants")
         alg = FrobeniusAlgebra(c, pairing)
     else:
         # tangent algebra of the cone at a base point, paired by the metric
@@ -615,7 +618,7 @@ def _check_split_algebra_laws(ctx: CheckContext, cases: int = 2000) -> float:
 
 def _check_idempotent_closure(ctx: CheckContext) -> float:
     c, pairing = registry.lookup(registry.ALGEBRAS,
-                                 ctx.spec.payload["constants"], "algebra")
+                                 ctx.spec.payload["constants"], "constants")
     alg = FrobeniusAlgebra(c, pairing)
     worst = 0.0
     for a in find_idempotents_rank2(alg):
@@ -706,9 +709,9 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
     Each check draws randomness from a generator seeded by (seed, position),
     so the report is deterministic for a given spec and seed.
     """
-    seed = spec.seed if options.seed is None else options.seed
-    if seed < 0:
-        raise SchemaError("seed must be a nonnegative integer", field="seed")
+    seed = _require_seed(spec.seed if options.seed is None else options.seed)
+    if not (_real(options.tol_scale) and options.tol_scale > 0):
+        raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
     tols = [spec.tolerances.get(name, CHECKS[name].default_tol) * options.tol_scale
             for name in spec.checks]
     for name, tol in zip(spec.checks, tols):

@@ -25,7 +25,7 @@ from .battery import (
     load_manifold_spec,
     run_battery,
 )
-from .errors import FrobsymError, SchemaError
+from .errors import FrobsymError
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
@@ -38,8 +38,6 @@ def _add_run_flags(parser: argparse.ArgumentParser):
 
 
 def _options(args) -> RunOptions:
-    if not 0 < args.tol_scale <= sys.float_info.max:
-        raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
     return RunOptions(tol_scale=args.tol_scale, seed=args.seed)
 
 

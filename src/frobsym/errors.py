@@ -36,7 +36,7 @@ class InvalidStructure(FrobsymError, ValueError):
     constants or form coefficients, a metric or pairing that is not
     symmetric, a product structure with K^2 != I or an unequal eigen-split,
     a map that does not preserve orientation, a signature entry that is not
-    +-1, an unknown block of a splitting."""
+    +-1."""
 
 
 class NonFiniteValue(FrobsymError, ValueError):

@@ -11,8 +11,8 @@ Poisson bracket in :mod:`frobsym.poisson` come out consistent with the
 Hermitian product below.
 
 A :class:`ParaNumber` may also hold two equal-shape float arrays, one split
-number per element.  The arithmetic below is then elementwise and rounds
-exactly as it does on scalars.
+number per element; a split vector has its entries on the last axis.  The
+arithmetic below is then elementwise and rounds exactly as on scalars.
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ SQUARE_TOL = 1e-12
 class ParaNumber:
     """Split number re + e*im with e*e = +1, or an array of them.
 
-    ``==`` and ``hash`` are defined for scalar components only; compare
-    array-valued instances component by component.
+    Sequence components are stored as float arrays.  ``==`` and ``hash``
+    are defined for scalar components only; compare array-valued instances
+    component by component.
     """
 
     re: float | np.ndarray = 0.0
     im: float | np.ndarray = 0.0
 
     def __post_init__(self):
+        if np.ndim(self.re) or np.ndim(self.im):  # so + adds lists, not concatenates
+            object.__setattr__(self, "re", np.asarray(self.re, dtype=float))
+            object.__setattr__(self, "im", np.asarray(self.im, dtype=float))
         if np.shape(self.re) != np.shape(self.im):
             raise DimensionMismatch("split number components must have equal shapes")
         if not (np.all(np.isfinite(self.re)) and np.all(np.isfinite(self.im))):
@@ -130,64 +134,28 @@ def idempotent_recompose(c: IdempotentCoords) -> ParaNumber:
     return ParaNumber(0.5 * (c.plus + c.minus), 0.5 * (c.plus - c.minus))
 
 
-def peirce_reflect(a: ParaNumber) -> ParaNumber:
-    """Swap the e_plus and e_minus components.
-
-    In the {1, e} basis the swap is exactly conjugation, so this is an
-    involutive algebra automorphism (the mirror fixing the real axis).
-    """
-    return para_conj(a)
-
-
-class ParaVector:
-    """Fixed-length vector of split numbers."""
-
-    def __init__(self, components):
-        comps = tuple(_coerce(c) for c in components)
-        if len(comps) < 1:
-            raise DimensionMismatch("a split vector needs at least one component")
-        self.components = comps
-
-    @classmethod
-    def from_arrays(cls, re, im) -> "ParaVector":
-        re = np.asarray(re, dtype=float)
-        im = np.asarray(im, dtype=float)
-        if re.shape != im.shape or re.ndim != 1:
-            raise DimensionMismatch("component arrays must be equal-length 1-d")
-        return cls([ParaNumber(a, b) for a, b in zip(re, im)])
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, k) -> ParaNumber:
-        return self.components[k]
-
-    def __iter__(self):
-        return iter(self.components)
-
-
-def para_hermitian_product(g, xi: ParaVector, eta: ParaVector) -> ParaNumber:
+def para_hermitian_product(g, xi: ParaNumber, eta: ParaNumber) -> ParaNumber:
     """Hermitian pairing sum_jk g_jk xi^j conj(eta^k) for a real symmetric g.
 
-    Satisfies <xi, eta> = conj(<eta, xi>).  Off-diagonal terms are summed
-    as (j,k)+(k,j) pairs, which makes the split part of <xi, xi> cancel
-    exactly, not merely to roundoff.
+    ``xi`` and ``eta`` hold one split vector, or a stack of them, with the n
+    entries on the last axis; the result holds floats for one vector and one
+    value per vector for a stack.  Satisfies <xi, eta> = conj(<eta, xi>).
+    Off-diagonal terms are summed as (j,k)+(k,j) pairs, which makes the
+    split part of <xi, xi> cancel exactly, not merely to roundoff.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
-    n = len(xi)
-    if len(eta) != n or g.shape != (n, n):
-        raise DimensionMismatch(
-            f"pairing needs matching sizes, got g{g.shape}, xi[{n}], eta[{len(eta)}]"
-        )
+    shape = np.shape(xi.re)
+    if np.shape(eta.re) != shape or not shape or g.shape != shape[-1:] * 2 or not g.size:
+        raise DimensionMismatch(f"pairing needs one or more matching entries, got g{g.shape}, "
+                                f"xi{shape}, eta{np.shape(eta.re)}")
     g = symmetric_part(g, "pairing matrix")
-    total = ParaNumber()
-    for j in range(n):
-        total = total + g[j, j] * (xi[j] * para_conj(eta[j]))
-        for k in range(j + 1, n):
-            paired = (g[j, k] * (xi[j] * para_conj(eta[k]))
-                      + g[k, j] * (xi[k] * para_conj(eta[j])))
-            total = total + paired
-    return total
+    t = para_mul(ParaNumber(xi.re[..., :, None], xi.im[..., :, None]),
+                 para_conj(ParaNumber(eta.re[..., None, :], eta.im[..., None, :])))
+    j, k = np.triu_indices(shape[-1])
+    # the diagonal terms and (j,k)+(k,j) pairs, added to 0.0 in the order of a loop over j, k >= j
+    re, im = (0.0 + np.add.accumulate(np.where(j == k, c[..., j, k], c[..., j, k] + c[..., k, j]),
+                                      axis=-1)[..., -1] for c in (g * t.re, g * t.im))
+    return ParaNumber(re, im) if re.ndim else ParaNumber(float(re), float(im))
 
 
 class ParaStructure:
@@ -222,9 +190,3 @@ class ParaStructure:
         z = np.zeros((m, m))
         i = np.eye(m)
         return cls(np.block([[z, i], [i, 0 * i]]))
-
-    def square_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix - np.eye(self.dim))))
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import DimensionMismatch, require_antisymmetric
-from .paracomplex import ParaVector, para_hermitian_product
+from .paracomplex import ParaNumber, para_hermitian_product
 from .symplectic import Observable, PhasePoint
 
 DEFAULT_NESTED_STEP = 6e-4
@@ -98,8 +98,8 @@ def _per_point(y: PhasePoint, values):
     return values if y.z.ndim > 1 else float(values)
 
 
-def paracomplex_bracket(g, xi: ParaVector, eta: ParaVector) -> float:
-    """Half the Im-part of the Hermitian pairing: (1/2) Im <xi, eta>."""
+def paracomplex_bracket(g, xi: ParaNumber, eta: ParaNumber) -> float | np.ndarray:
+    """(1/2) Im <xi, eta>: a float for one split vector, one value per vector for a stack."""
     return 0.5 * para_hermitian_product(g, xi, eta).im
 
 

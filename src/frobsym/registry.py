@@ -308,11 +308,12 @@ LATTICE_COEFFICIENTS = {
 }
 
 
-def lookup(table: dict, key: str, what: str, *args):
-    """Build the entry ``key`` of ``table``; ``args`` go to its factory."""
+def lookup(table: dict, key: str, field: str, *args):
+    """Build ``table[key]``, the id a spec gives as ``payload.<field>``, from ``args``."""
     try:
         factory = table[key]
     except KeyError:
         known = ", ".join(sorted(table))
-        raise SchemaError(f"unknown {what} id {key!r} (known: {known})", field=what)
+        raise SchemaError(f"unknown {field} id {key!r} (known: {known})",
+                          field=f"payload.{field}")
     return factory(*args)

@@ -279,19 +279,17 @@ def _antisymmetrize(t: np.ndarray, k: int) -> np.ndarray:
     return acc / count
 
 
-def split_exterior_derivative(coeffs: Callable, degree: int, point,
-                              block: str = "both") -> np.ndarray:
-    """d, d' or d'' of a degree-``degree`` form at one point or a stack of them.
+def split_differentials(coeffs: Callable, degree: int, point) -> tuple[np.ndarray, np.ndarray]:
+    """(d'w, d''w) of a degree-``degree`` form at one point or a stack of them.
 
-    ``block`` selects which derivative directions survive: "plus" gives d',
-    "minus" gives d'', "both" the full differential.  The result carries
-    degree+1 antisymmetric axes after the point axes; for a 0-form and block
-    "plus" it is the plus-part of the gradient (zeros on the minus slots).
+    Both come from one central-difference Jacobian: d' keeps its
+    plus-direction components and d'' its minus-direction ones.  Each carries
+    degree+1 antisymmetric axes after the point axes; for a 0-form, d' is the
+    plus-part of the gradient (zeros on the minus slots).
     """
     point = np.asarray(point, dtype=float)
     if point.shape[-1] % 2 != 0:
         raise DimensionMismatch("adapted points come in (plus, minus) pairs")
-    m = point.shape[-1] // 2
 
     def wrapped(x):
         arr = np.asarray(coeffs(x), dtype=float)
@@ -299,15 +297,19 @@ def split_exterior_derivative(coeffs: Callable, degree: int, point,
             raise DimensionMismatch(f"expected a degree-{degree} coefficient array")
         return arr
 
-    # full[..., direction, (form indices)]
-    full = np.moveaxis(numdiff.jacobian(wrapped, point, h=1e-4), point.ndim - 1, 0)
-    if block == "plus":
-        full[m:] = 0.0
-    elif block == "minus":
-        full[:m] = 0.0
-    elif block != "both":
-        raise InvalidStructure(f"unknown block {block!r}")
-    return (degree + 1) * _antisymmetrize(np.moveaxis(full, 0, point.ndim - 1), degree + 1)
+    return _split_pair(wrapped, degree, point)
+
+
+def _split_pair(field: Callable, degree: int, point: np.ndarray):
+    """(d', d'') of ``field``, whose values may carry extra axes between the
+    point axes and the ``degree`` form axes."""
+    m = point.shape[-1] // 2
+    # [..., direction, (form indices)], then copies with one half of the directions zeroed
+    plus = np.moveaxis(numdiff.jacobian(field, point, h=1e-4), point.ndim - 1, -degree - 1)
+    minus = plus.copy()
+    np.moveaxis(plus, -degree - 1, 0)[m:] = 0.0
+    np.moveaxis(minus, -degree - 1, 0)[:m] = 0.0
+    return tuple((degree + 1) * _antisymmetrize(part, degree + 1) for part in (plus, minus))
 
 
 def dbar_split_residuals(zero_forms, points, one_forms=()) -> dict:
@@ -315,20 +317,20 @@ def dbar_split_residuals(zero_forms, points, one_forms=()) -> dict:
 
     Applied to the supplied 0-forms and optional 1-forms (callables giving
     one value or one length-2m coefficient vector per adapted point) over the
-    stack of sample points at once, with nested :func:`split_exterior_derivative`.
+    stack of sample points at once.  The pair (d'w, d''w) is differenced
+    once more, as one stacked field, for all four second differentials.
     """
     points = np.asarray(points, dtype=float)
     worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
     suite = [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]
     for f, degree in suite:
 
-        def once(block):
-            return lambda x: split_exterior_derivative(f, degree, x, block=block)
+        def pair(x):
+            return np.stack(split_differentials(f, degree, x), axis=x.ndim - 1)
 
-        pp = split_exterior_derivative(once("plus"), degree + 1, points, "plus")
-        mm = split_exterior_derivative(once("minus"), degree + 1, points, "minus")
-        pm = split_exterior_derivative(once("minus"), degree + 1, points, "plus")
-        mp = split_exterior_derivative(once("plus"), degree + 1, points, "minus")
+        plus, minus = _split_pair(pair, degree + 1, points)
+        pp, pm = np.moveaxis(plus, points.ndim - 1, 0)
+        mp, mm = np.moveaxis(minus, points.ndim - 1, 0)
         worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
         worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
         worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))

@@ -17,7 +17,6 @@ from frobsym import (
     MetricField,
     Observable,
     ParaNumber,
-    ParaVector,
     PhasePoint,
     PotentialField,
     SeparableHamiltonian,
@@ -258,7 +257,7 @@ def test_c09_bracket_suite():
     rng = np.random.default_rng(8)
     g = rng.normal(size=(3, 3))
     g = g + g.T
-    xi = ParaVector.from_arrays(rng.normal(size=3), rng.normal(size=3))
+    xi = ParaNumber(rng.normal(size=3), rng.normal(size=3))
     assert paracomplex_bracket(g, xi, xi) == 0.0
     note(9, f"bracket laws < 1e-6, broken constants flagged at {jac:.2f}")
 

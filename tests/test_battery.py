@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import frobsym
 from frobsym import PhasePoint, integrate, numdiff
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
+    KINDS,
     SCALAR_FIELDS,
     CheckContext,
     CheckDef,
@@ -123,10 +126,19 @@ class TestSpecLoading:
         with pytest.raises(SchemaError):
             spec_from_dict(data)
 
-    def test_unknown_registry_id_rejected(self):
-        with pytest.raises(SchemaError):
-            spec_from_dict({"kind": "cone_potential",
-                            "payload": {"potential": "missing"}, "checks": []})
+    @pytest.mark.parametrize("kind, payload, key, table", [
+        ("cone_potential", {}, "potential", registry.POTENTIALS),
+        ("cone_potential", {"potential": "orthant2"}, "pairing", registry.CONSTANT_MATRICES),
+        ("explicit_metric", {}, "metric", registry.METRICS),
+        ("explicit_metric", {"metric": "euclidean1"}, "spins", registry.SPIN_CONSTANTS),
+        ("algebra", {}, "constants", registry.ALGEBRAS),
+        ("lattice", {"sites": 16}, "coefficients", registry.LATTICE_COEFFICIENTS),
+    ], ids=["potential", "pairing", "metric", "spins", "constants", "coefficients"])
+    def test_unknown_registry_id_names_the_payload_key(self, kind, payload, key, table):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": kind, "payload": {**payload, key: "nope"}, "checks": []})
+        assert err.value.field == f"payload.{key}"
+        assert f"(known: {', '.join(sorted(table))})" in str(err.value)
 
     @pytest.mark.parametrize("field_dim", [0, -1, "2", 2.5, True])
     def test_lattice_field_dim_must_be_positive_integer(self, field_dim):
@@ -245,8 +257,37 @@ class TestRunBattery:
         assert report.seed == 99
 
     def test_anchor_vocabulary(self):
-        for name, definition in CHECKS.items():
-            assert definition.anchor in ANCHORS, name
+        # every check cites a listed anchor, and every listed anchor is cited
+        assert {definition.anchor for definition in CHECKS.values()} == set(ANCHORS)
+
+    @pytest.mark.parametrize("options, field", [
+        (RunOptions(seed=True), "seed"),
+        (RunOptions(seed=1.5), "seed"),
+        (RunOptions(seed=-1), "seed"),
+        (RunOptions(seed="3"), "seed"),
+        (RunOptions(tol_scale=-1.0), "tol_scale"),
+        (RunOptions(tol_scale=0), "tol_scale"),
+        (RunOptions(tol_scale=True), "tol_scale"),
+        (RunOptions(tol_scale=math.inf), "tol_scale"),
+        (RunOptions(tol_scale=math.nan), "tol_scale"),
+        (RunOptions(tol_scale="2"), "tol_scale"),
+    ], ids=["bool_seed", "float_seed", "negative_seed", "text_seed", "negative_scale",
+            "zero_scale", "bool_scale", "infinite_scale", "nan_scale", "text_scale"])
+    def test_run_options_are_checked(self, options, field):
+        with pytest.raises(SchemaError) as err:
+            run_battery(load_manifold_spec(BERNOULLI_TEXT), options)
+        assert err.value.field == field
+        expected = {"seed": "seed must be a nonnegative integer",
+                    "tol_scale": "--tol-scale must be positive and finite"}[field]
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("options", [RunOptions(seed=0, tol_scale=2),
+                                         RunOptions(seed=2**40, tol_scale=1e-300)])
+    def test_integer_seed_and_positive_scale_run(self, options):
+        report = run_battery(load_manifold_spec(BERNOULLI_TEXT), options)
+        assert report.seed == options.seed
+        assert [row.tolerance for row in report.rows] == [1e-13 * options.tol_scale,
+                                                          1e-12 * options.tol_scale]
 
     def test_algebra_kind_checks(self):
         spec = spec_from_dict({
@@ -1044,3 +1085,113 @@ class TestCli:
             assert main(["check", str(path), "--report", "machine"]) == 0
             outputs.append(capsys.readouterr().out)
         assert strip_runtime(outputs[0]) == strip_runtime(outputs[1])
+
+
+# ---------------------------------------------------------------------------
+# the error contract over drawn specs and run options
+
+# ordinary values, the ends of the float range and subnormals
+NUMBERS = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3),
+                    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+                    st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 1e-310, 2.2e-308]))
+JUNK = st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=3),
+                 st.lists(NUMBERS, max_size=2))
+TOP_LEVEL = ("kind", "payload", "checks", "tolerances", "seed", "name")
+PAYLOAD_KEYS = {"statistics", "beta", "base_weights", "potential", "point", "points",
+                "pairing", "metric", "scalar", "spins", "constants", "sites", "field_dim",
+                "coefficients"}
+
+
+@st.composite
+def drawn_specs(draw):
+    """A spec of any kind with registry ids and unknown ones, mostly well formed."""
+    kind = draw(st.sampled_from(KINDS))
+
+    def ident(table):
+        return draw(st.sampled_from(sorted(table) + ["nope"]))
+
+    def vector(n):
+        return [draw(NUMBERS) for _ in range(n)]
+
+    def maybe(key, value_of):
+        if draw(st.booleans()):
+            payload[key] = value_of()
+
+    if kind == "exponential_family":
+        rows, outcomes = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        payload = {"statistics": [vector(outcomes) for _ in range(rows)], "beta": vector(rows)}
+        maybe("base_weights", lambda: vector(outcomes))
+    elif kind == "cone_potential":
+        payload = {"potential": ident(registry.POTENTIALS)}
+        dim = (registry.POTENTIALS[payload["potential"]]().dim
+               if payload["potential"] in registry.POTENTIALS else 2)
+        maybe("point", lambda: vector(dim))
+        maybe("points", lambda: [vector(dim) for _ in range(draw(st.integers(1, 2)))])
+        maybe("pairing", lambda: ident(registry.CONSTANT_MATRICES))
+    elif kind == "explicit_metric":
+        payload = {"metric": ident(registry.METRICS)}
+        maybe("scalar", lambda: ident(SCALAR_FIELDS))
+        maybe("spins", lambda: ident(registry.SPIN_CONSTANTS))
+    elif kind == "algebra":
+        payload = {"constants": ident(registry.ALGEBRAS)}
+    else:
+        payload = {"sites": draw(st.integers(2, 40)),
+                   "coefficients": ident(registry.LATTICE_COEFFICIENTS)}
+        maybe("field_dim", lambda: draw(st.one_of(st.integers(-1, 2), NUMBERS)))
+
+    # drift_scaling, and energy_drift on a curved metric, take seconds per row
+    slow = {"drift_scaling"}
+    if not payload.get("metric", "euclidean").startswith("euclidean"):
+        slow.add("energy_drift")
+    applicable = sorted(c for c, d in CHECKS.items() if kind in d.kinds and c not in slow)
+    spec = {"kind": kind, "payload": payload,
+            "checks": draw(st.lists(st.sampled_from(applicable), unique=True, max_size=4)),
+            "tolerances": draw(st.dictionaries(st.sampled_from(sorted(CHECKS)), NUMBERS,
+                                               max_size=1)),
+            "seed": draw(st.integers(0, 2**40)),
+            "name": "fuzz"}
+    corrupt = draw(st.sampled_from((None,) * 14 + TOP_LEVEL + ("$",)))
+    if corrupt == "$":
+        return draw(JUNK)
+    if corrupt is not None:
+        spec[corrupt] = draw(JUNK)
+    return spec
+
+
+run_options = st.one_of(st.just(RunOptions()), st.builds(
+    RunOptions,
+    tol_scale=st.one_of(NUMBERS, st.booleans(), st.integers(-2, 3)),
+    seed=st.one_of(st.none(), st.integers(-2, 2**40), st.booleans(), NUMBERS)))
+
+
+def reject_constant(name):
+    raise AssertionError(f"{name} in a machine report")
+
+
+class TestErrorContract:
+    """Malformed input is a SchemaError or ParseError naming a field of the
+    spec, and every battery that runs gives strict JSON pass/fail rows."""
+
+    @given(drawn_specs(), run_options)
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_specs_and_options_keep_the_contract(self, data, options):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                spec = spec_from_dict(data)
+            except (SchemaError, ParseError) as err:
+                head, _, key = str(err.field).partition(".")
+                assert err.field == "$" or (head in TOP_LEVEL and (
+                    not key or key in (PAYLOAD_KEYS if head == "payload"
+                                       else data["tolerances"]))), err.field
+                return
+            try:
+                report = run_battery(spec, options)
+            except SchemaError as err:
+                assert err.field in ("seed", "tol_scale", *(f"tolerances.{name}"
+                                                            for name in spec.checks)), err.field
+                return
+        for line in emit_report(report, "machine").splitlines():
+            record = json.loads(line, parse_constant=reject_constant)
+            if record["record"] == "check":
+                assert record["status"] in ("pass", "fail")

@@ -24,10 +24,9 @@ from frobsym import (
     find_idempotents_rank2,
     frobenius_axioms,
     novikov_residuals,
-    peirce_reflect,
     wdvv_residual,
 )
-from frobsym.paracomplex import ParaNumber
+from frobsym.paracomplex import ParaNumber, para_conj
 from frobsym.registry import (
     antidiagonal_pairing,
     cubic_potential3,
@@ -230,7 +229,7 @@ class TestIdempotents:
         alg = FrobeniusAlgebra(*paracomplex_structure_constants())
         found = {tuple(np.round(v, 9)) for v in find_idempotents_rank2(alg)}
         for re, im in found:
-            mirrored = peirce_reflect(ParaNumber(re, im))
+            mirrored = para_conj(ParaNumber(re, im))
             assert (round(mirrored.re, 9), round(mirrored.im, 9)) in found
 
     def test_verified_residuals(self):

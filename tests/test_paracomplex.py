@@ -18,7 +18,6 @@ from frobsym import (
     NonFiniteValue,
     ParaNumber,
     ParaStructure,
-    ParaVector,
     ZeroDivisor,
     idempotent_decompose,
     idempotent_recompose,
@@ -26,7 +25,6 @@ from frobsym import (
     para_hermitian_product,
     para_inverse,
     para_mul,
-    peirce_reflect,
 )
 from frobsym.paracomplex import E, E_MINUS, E_PLUS, ONE
 
@@ -85,6 +83,10 @@ class TestConjugation:
     def test_multiplicative(self, a, b):
         # bitwise equal: both sides perform the same float operations
         assert para_conj(para_mul(a, b)) == para_mul(para_conj(a), para_conj(b))
+
+    def test_swaps_idempotents(self):
+        assert para_conj(E_PLUS) == E_MINUS
+        assert para_conj(ONE) == ONE
 
     @given(numbers())
     def test_involutive_and_norm_form(self, a):
@@ -146,6 +148,11 @@ class TestArrays:
         with pytest.raises(ZeroDivisor):
             para_inverse(a)
 
+    def test_sequences_are_stored_as_float_arrays(self):
+        total = ParaNumber([1, 2], [3, 4]) + ParaNumber([5.0, 6.0], [7.0, 8.0])
+        assert total.re.dtype == float and total.re.tolist() == [6.0, 8.0]
+        assert total.im.tolist() == [10.0, 12.0]
+
     def test_unequal_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
             ParaNumber(np.zeros(3), np.zeros(2))
@@ -192,39 +199,50 @@ class TestIdempotentCoordinates:
         assert abs(dp.minus - da.minus * db.minus) <= 1e-12 * scale
 
 
-class TestPeirceReflection:
-    def test_swaps_idempotents(self):
-        assert peirce_reflect(E_PLUS) == E_MINUS
-        assert peirce_reflect(ONE) == ONE
+def vector(pairs) -> ParaNumber:
+    """The split vector with entries re + e*im for the (re, im) pairs."""
+    re, im = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return ParaNumber(re, im)
 
-    def test_automorphism_on_example(self):
-        a, b = ParaNumber(2, 1), ParaNumber(1, -3)
-        assert peirce_reflect(para_mul(a, b)) == para_mul(peirce_reflect(a),
-                                                          peirce_reflect(b))
 
-    @given(numbers())
-    def test_involutive(self, a):
-        assert peirce_reflect(peirce_reflect(a)) == a
+def loop_hermitian_product(g, xi: ParaNumber, eta: ParaNumber) -> ParaNumber:
+    """The pairing summed one scalar split number at a time, (j,k)+(k,j)
+    pairs first: the oracle of the array version."""
+    g = 0.5 * (g + g.T)
+    x = [ParaNumber(a, b) for a, b in zip(xi.re, xi.im)]
+    y = [ParaNumber(a, b) for a, b in zip(eta.re, eta.im)]
+    total = ParaNumber()
+    for j in range(len(x)):
+        total = total + g[j, j] * (x[j] * para_conj(y[j]))
+        for k in range(j + 1, len(x)):
+            total = total + (g[j, k] * (x[j] * para_conj(y[k]))
+                             + g[k, j] * (x[k] * para_conj(y[j])))
+    return total
 
 
 class TestHermitianProduct:
     def test_unit_vectors(self):
         g = np.array([[1.0]])
-        one = ParaVector([ONE])
+        one = vector([(1.0, 0.0)])
         assert para_hermitian_product(g, one, one) == ONE
 
     def test_e_against_itself(self):
         g = np.array([[1.0]])
-        ev = ParaVector([E])
+        ev = vector([(0.0, 1.0)])
         assert para_hermitian_product(g, ev, ev) == ParaNumber(-1, 0)
 
     def test_hermitian_symmetry_mixed(self):
         g = np.array([[1.0]])
-        one, ev = ParaVector([ONE]), ParaVector([E])
+        one, ev = vector([(1.0, 0.0)]), vector([(0.0, 1.0)])
         forward = para_hermitian_product(g, one, ev)
         backward = para_hermitian_product(g, ev, one)
         assert forward == ParaNumber(0, -1)
         assert forward == para_conj(backward)
+
+    def test_one_vector_gives_floats(self):
+        xi, eta = vector([(1, 2), (3, 4)]), vector([(5, 6), (7, 8)])
+        value = para_hermitian_product(np.eye(2), xi, eta)
+        assert type(value.re) is float and type(value.im) is float
 
     @given(st.lists(st.tuples(finite, finite), min_size=2, max_size=4),
            st.lists(st.tuples(finite, finite), min_size=2, max_size=4))
@@ -234,17 +252,57 @@ class TestHermitianProduct:
         rng = np.random.default_rng(n)
         g = rng.normal(size=(n, n))
         g = g + g.T
-        xi = ParaVector([ParaNumber(*t) for t in xs[:n]])
-        eta = ParaVector([ParaNumber(*t) for t in ys[:n]])
+        xi, eta = vector(xs[:n]), vector(ys[:n])
         lhs = para_hermitian_product(g, xi, eta)
         rhs = para_conj(para_hermitian_product(g, eta, xi))
         scale = max(1.0, abs(lhs.re), abs(lhs.im))
         assert abs(lhs.re - rhs.re) <= 1e-9 * scale
         assert abs(lhs.im - rhs.im) <= 1e-9 * scale
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_component_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 5
+        g = rng.normal(size=(n, n))
+        g = g + g.T
+        scales = 10.0 ** rng.integers(-3, 4, size=(4, 1))
+        xr, xm, yr, ym = scales * rng.normal(size=(4, n))
+        xi, eta = ParaNumber(xr, xm), ParaNumber(yr, ym)
+        value, oracle = para_hermitian_product(g, xi, eta), loop_hermitian_product(g, xi, eta)
+        bound = 1e-12 * np.sum(np.abs(g) * np.outer(np.abs(xr) + np.abs(xm),
+                                                     np.abs(yr) + np.abs(ym)))
+        assert abs(value.re - oracle.re) <= bound
+        assert abs(value.im - oracle.im) <= bound
+        assert para_hermitian_product(g, xi, xi).im == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 3), (5, 2), (2, 3, 4)])
+    def test_stack_rows_equal_their_lone_values(self, shape):
+        rng = np.random.default_rng(len(shape))
+        n = shape[-1]
+        g = rng.normal(size=(n, n))
+        g = g + g.T
+        xi = ParaNumber(*rng.normal(size=(2,) + shape))
+        eta = ParaNumber(*rng.normal(size=(2,) + shape))
+        stacked = para_hermitian_product(g, xi, eta)
+        selfs = para_hermitian_product(g, xi, xi)
+        assert stacked.re.shape == shape[:-1] and np.all(selfs.im == 0.0)
+        for i in np.ndindex(shape[:-1]):
+            lone = para_hermitian_product(g, ParaNumber(xi.re[i], xi.im[i]),
+                                          ParaNumber(eta.re[i], eta.im[i]))
+            assert np.array_equal([stacked.re[i], stacked.im[i]], [lone.re, lone.im])
+
+    @pytest.mark.parametrize("g, xi, eta", [
+        (np.eye(2), vector([(1, 0)]), vector([(1, 0)])),
+        (np.eye(2), vector([(1, 0), (0, 1)]), vector([(1, 0)])),
+        (np.eye(2), ParaNumber(np.ones((3, 2)), np.ones((3, 2))), vector([(1, 0), (0, 1)])),
+        (np.ones((2, 3)), vector([(1, 0), (0, 1)]), vector([(1, 0), (0, 1)])),
+        (np.eye(1), ONE, ONE),
+        (np.zeros((0, 0)), vector([]), vector([])),
+    ], ids=["g_too_large", "unequal_lengths", "stack_against_vector", "g_not_square",
+            "scalar_operands", "no_entries"])
+    def test_dimension_mismatch(self, g, xi, eta):
         with pytest.raises(DimensionMismatch):
-            para_hermitian_product(np.eye(2), ParaVector([ONE]), ParaVector([ONE]))
+            para_hermitian_product(g, xi, eta)
 
 
 class TestErrorContract:
@@ -253,7 +311,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("build, error", [
         (lambda: para_hermitian_product(np.array([[1.0, 0.5], [0.0, 1.0]]),
-                                        ParaVector([ONE, E]), ParaVector([E, ONE])),
+                                        vector([(1, 0), (0, 1)]), vector([(0, 1), (1, 0)])),
          InvalidStructure),
         (lambda: ParaStructure(np.eye(3)), DimensionMismatch),
         (lambda: ParaStructure(np.array([[0.0, 2.0], [0.5, 0.0]]) + 1e-3), InvalidStructure),
@@ -270,8 +328,8 @@ class TestParaStructure:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_standard_structure(self, m):
         ps = ParaStructure.standard(m)
-        assert ps.square_residual() <= 1e-12
-        assert ps.trace() == 0.0
+        assert np.array_equal(ps.matrix @ ps.matrix, np.eye(2 * m))
+        assert ps.dim == 2 * m
 
     def test_unbalanced_eigenspaces_rejected(self):
         with pytest.raises(ValueError):
@@ -287,4 +345,4 @@ class TestParaStructure:
         base = ParaStructure.standard(m).matrix
         q = rng.normal(size=(2 * m, 2 * m))
         ps = ParaStructure(q @ base @ np.linalg.inv(q))
-        assert ps.trace() == pytest.approx(0.0, abs=1e-9)
+        assert np.trace(ps.matrix) == pytest.approx(0.0, abs=1e-9)

@@ -19,7 +19,6 @@ from frobsym import (
     LatticeBracket,
     Observable,
     ParaNumber,
-    ParaVector,
     PhasePoint,
     StructureConstants,
     bracket_property_residuals,
@@ -380,8 +379,8 @@ class TestStructureConstants:
 class TestParacomplexBracket:
     def test_one_against_e(self):
         g = np.array([[1.0]])
-        one = ParaVector([ParaNumber(1, 0)])
-        e = ParaVector([ParaNumber(0, 1)])
+        one = ParaNumber(np.array([1.0]), np.array([0.0]))
+        e = ParaNumber(np.array([0.0]), np.array([1.0]))
         assert paracomplex_bracket(g, one, e) == pytest.approx(-0.5)
 
     def test_diagonal_vanishes_exactly(self):
@@ -390,19 +389,31 @@ class TestParacomplexBracket:
             n = int(rng.integers(1, 5))
             g = rng.normal(size=(n, n))
             g = g + g.T
-            xi = ParaVector.from_arrays(rng.normal(size=n), rng.normal(size=n))
+            xi = ParaNumber(rng.normal(size=n), rng.normal(size=n))
             assert paracomplex_bracket(g, xi, xi) == 0.0
 
     def test_bilinear_in_first_slot(self):
         g = np.array([[2.0, 0.5], [0.5, 1.0]])
         rng = np.random.default_rng(3)
-        xi1 = ParaVector.from_arrays(rng.normal(size=2), rng.normal(size=2))
-        xi2 = ParaVector.from_arrays(rng.normal(size=2), rng.normal(size=2))
-        eta = ParaVector.from_arrays(rng.normal(size=2), rng.normal(size=2))
-        summed = ParaVector([a + b for a, b in zip(xi1, xi2)])
-        lhs = paracomplex_bracket(g, summed, eta)
+        xi1 = ParaNumber(rng.normal(size=2), rng.normal(size=2))
+        xi2 = ParaNumber(rng.normal(size=2), rng.normal(size=2))
+        eta = ParaNumber(rng.normal(size=2), rng.normal(size=2))
+        lhs = paracomplex_bracket(g, xi1 + xi2, eta)
         rhs = paracomplex_bracket(g, xi1, eta) + paracomplex_bracket(g, xi2, eta)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_stack_gives_each_vector_its_lone_value(self):
+        rng = np.random.default_rng(21)
+        g = rng.normal(size=(3, 3))
+        g = g + g.T
+        xi = ParaNumber(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        eta = ParaNumber(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        stacked = paracomplex_bracket(g, xi, eta)
+        lone = [paracomplex_bracket(g, ParaNumber(xi.re[i], xi.im[i]),
+                                    ParaNumber(eta.re[i], eta.im[i])) for i in range(4)]
+        assert all(type(v) is float for v in lone)
+        assert np.array_equal(stacked, lone)
+        assert np.array_equal(paracomplex_bracket(g, xi, xi), np.zeros(4))
 
 
 class TestEvolutionDerivative:

@@ -32,7 +32,40 @@ from frobsym import (
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
 from frobsym.registry import adapted_mixed2, adapted_quartic1
-from frobsym.symplectic import split_exterior_derivative
+from frobsym import numdiff
+from frobsym.symplectic import _antisymmetrize, split_differentials
+
+
+def block_exterior_derivative(coeffs, degree, point, block):
+    """d' (block "plus") or d'' ("minus") from a Jacobian of its own: the
+    one-block-per-call splitting, kept as the oracle of the paired one."""
+    point = np.asarray(point, dtype=float)
+    m = point.shape[-1] // 2
+    full = np.moveaxis(numdiff.jacobian(lambda x: np.asarray(coeffs(x), dtype=float),
+                                        point, h=1e-4), point.ndim - 1, 0)
+    if block == "plus":
+        full[m:] = 0.0
+    else:
+        full[:m] = 0.0
+    return (degree + 1) * _antisymmetrize(np.moveaxis(full, 0, point.ndim - 1), degree + 1)
+
+
+def four_pass_dbar_residuals(zero_forms, points, one_forms=()) -> dict:
+    """The splitting residuals from one nested pass per pair of blocks."""
+    points = np.asarray(points, dtype=float)
+    worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
+    for f, degree in [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]:
+
+        def second(inner, outer):
+            once = lambda x: block_exterior_derivative(f, degree, x, inner)
+            return block_exterior_derivative(once, degree + 1, points, outer)
+
+        pp, mm = second("plus", "plus"), second("minus", "minus")
+        pm, mp = second("minus", "plus"), second("plus", "minus")
+        worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
+        worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
+        worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
+    return worst
 
 
 def constant(m):
@@ -89,10 +122,8 @@ class TestErrorContract:
     @pytest.mark.parametrize("build, error", [
         (lambda: TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]]))).matrix([0.0, 0.0]),
          InvalidStructure),
-        (lambda: split_exterior_derivative(lambda x: x[..., 0], 0, [0.1, 0.2], block="up"),
-         InvalidStructure),
         (lambda: LorentzLagrangian(signature=[1.0, 0.5]), InvalidStructure),
-    ], ids=["antisymmetry", "block", "signature"])
+    ], ids=["antisymmetry", "signature"])
     def test_symplectic_constructions(self, build, error):
         with pytest.raises(error) as info:
             build()
@@ -402,10 +433,23 @@ class TestStackedForms:
             for key, value in dbar_split_residuals(zero_forms, [x], one_forms=one_forms).items():
                 loop[key] = max(loop[key], value)
         assert stacked == loop
-        for block in ("plus", "minus", "both"):
-            d = split_exterior_derivative(one_forms[0], 1, pts, block)
-            assert np.array_equal(d, [split_exterior_derivative(one_forms[0], 1, x, block)
-                                      for x in pts])
+        pair = split_differentials(one_forms[0], 1, pts)
+        for d, loop_d in zip(pair, zip(*[split_differentials(one_forms[0], 1, x) for x in pts])):
+            assert np.array_equal(d, loop_d)
+
+    @pytest.mark.parametrize("potential", [adapted_quartic1, adapted_mixed2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_splitting_residuals_equal_the_four_pass_oracle(self, potential, seed):
+        phi = potential()
+        zero_forms = [phi.value, lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
+        one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
+        pts = np.random.default_rng(seed).normal(0.0, 0.5, (1 + seed % 3, phi.dim))
+        assert (dbar_split_residuals(zero_forms, pts, one_forms)
+                == four_pass_dbar_residuals(zero_forms, pts, one_forms))
+        for f, degree in [(zero_forms[1], 0), (one_forms[0], 1)]:
+            plus, minus = split_differentials(f, degree, pts)
+            assert np.array_equal(plus, block_exterior_derivative(f, degree, pts, "plus"))
+            assert np.array_equal(minus, block_exterior_derivative(f, degree, pts, "minus"))
 
     def test_form_of_the_wrong_shape_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
