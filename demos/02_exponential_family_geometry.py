@@ -10,7 +10,6 @@ from frobsym import (
     dual_coordinates,
     gibbs_density,
     natural_from_dual,
-    pairing,
     potential_eval,
 )
 from frobsym.numdiff import derivative_tensor
@@ -43,9 +42,6 @@ print(f"psi  = <beta,eta> - potential = {psi:.10f}")
 print(f"Legendre identity residual    = {abs(psi + potential_eval(fam, beta) - float(beta @ eta)):.1e}")
 back = natural_from_dual(fam, eta, initial=beta + 0.7)
 print(f"double transform returns beta: {back} (started from beta+0.7)")
-
-print("\n== the discrete dual pairing ==")
-print(f"<(0.2, 0.8), (1, 2)> = {pairing([0.2, 0.8], [1.0, 2.0])}")
 
 print("\n== dual connection pair (metric -+ half skewness) ==")
 rep = dual_connections(fam, [0.5])

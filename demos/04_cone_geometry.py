@@ -1,20 +1,17 @@
 """Hessian geometry of the positive orthant: the log-Hessian metric is
-flat, the tangent multiplication has the base point as unit, linear
-automorphisms leave the log-potential invariant, and a coordinate-linear
-contravariant metric generates a flat pencil.
+flat, the tangent multiplication has the base point as unit, and linear
+automorphisms leave the log-potential invariant.
 """
 
 import numpy as np
 
 from frobsym import (
-    DegeneratePencil,
     automorphism_invariance_residual,
     cone_multiply,
     curvature_flatness,
-    flat_pencil_check,
     hessian_log_metric,
 )
-from frobsym.registry import euclidean_metric, offdiagonal_linear_metric, orthant_potential
+from frobsym.registry import orthant_potential
 
 phi = orthant_potential(2)
 metric = hessian_log_metric(phi)
@@ -42,13 +39,3 @@ shear = np.array([[1.0, 1.0], [0.0, 1.0]])
 print(f"shear residual at (1,1)   = "
       f"{automorphism_invariance_residual(phi, shear, [[1.0, 1.0]]):.3f}  (= log 2, not an automorphism)")
 
-print("\n== flat pencil from a coordinate-linear contravariant metric ==")
-report = flat_pencil_check(offdiagonal_linear_metric(), direction=0,
-                           lambdas=[0.5, -0.3, 1.2, 2.0, -1.1],
-                           points=[[1.0, 0.4], [2.0, -0.3]])
-print(f"base flat to {report.residual_base:.1e}, derivative to {report.residual_derived:.1e}")
-print(f"five pencil combinations flat to {max(report.residual_combinations.values()):.1e}")
-try:
-    flat_pencil_check(euclidean_metric(2), direction=0, points=[[1.0, 0.4]])
-except DegeneratePencil as exc:
-    print(f"constant metric -> DegeneratePencil: {exc}")

@@ -11,7 +11,7 @@ Submodules
 ----------
 paracomplex   rank-2 split algebra, idempotents, Hermitian pairing
 statmanifold  finite exponential families and cumulant tensors
-geometry      metric fields, curvature, Hessian-cone structures, pencils
+geometry      metric fields, curvature, Hessian cones, dual connections
 frobenius     algebra construction and axiom residuals
 symplectic    forms, Legendre transform, Hamiltonian flows
 poisson       bracket variants and the lattice hydrodynamic operator
@@ -23,7 +23,6 @@ from .errors import (
     DegenerateAlgebra,
     DegenerateForm,
     DegenerateMetric,
-    DegeneratePencil,
     DimensionMismatch,
     DomainViolation,
     FrobsymError,
@@ -53,7 +52,6 @@ from .statmanifold import (
     dual_coordinates,
     gibbs_density,
     natural_from_dual,
-    pairing,
     potential_eval,
 )
 from .geometry import (
@@ -65,7 +63,6 @@ from .geometry import (
     cone_multiply,
     curvature_flatness,
     dual_connections,
-    flat_pencil_check,
     hessian_log_metric,
     hessian_structure,
 )

@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,10 @@ from . import numdiff
 
 KINDS = ("exponential_family", "cone_potential", "explicit_metric", "algebra", "lattice")
 
+# bound on sites * field_dim**3: the refinement row's largest array, the metric
+# derivative on its 4x finer grid, holds 4 * sites * field_dim**3 doubles
+LATTICE_SIZE_LIMIT = 2**16
+
 # Anchor tags: each check cites the identity it certifies by one of these.
 ANCHORS = {
     "Asso": "triple-product / pairing-invariance identity",
@@ -97,18 +102,14 @@ class ManifoldSpec:
     seed: int = 0
     name: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "payload": self.payload,
-            "checks": list(self.checks),
-            "tolerances": dict(self.tolerances),
-            "seed": self.seed,
-            "name": self.name,
-        }
-
     def canonical_text(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return self._canonical_text
+
+    @cached_property
+    def _canonical_text(self) -> str:
+        return json.dumps({"kind": self.kind, "payload": self.payload, "checks": self.checks,
+                           "tolerances": self.tolerances, "seed": self.seed, "name": self.name},
+                          sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
@@ -150,8 +151,9 @@ def load_manifold_spec(source) -> ManifoldSpec:
     """Parse a spec from JSON text, a path string, or a path-like object.
 
     A string that starts (after whitespace) with '{' is treated as JSON
-    text, anything else as a file path.  A file that is not UTF-8 text
-    raises ParseError; one that cannot be read raises its OSError.
+    text, anything else as a file path.  Text that is not UTF-8 or JSON, or
+    too deeply nested or long-numbered to parse, raises ParseError; a file
+    that cannot be read raises its OSError.
     """
     if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
@@ -167,6 +169,9 @@ def load_manifold_spec(source) -> ManifoldSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid spec text: {exc.msg}", line=exc.lineno,
                          column=exc.colno) from exc
+    except (RecursionError, ValueError) as exc:
+        # nested past the recursion limit, or an int longer than int() converts
+        raise ParseError(f"invalid spec text: {exc}") from exc
     return spec_from_dict(data)
 
 
@@ -201,10 +206,16 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
                               field=f"tolerances.{key}")
     seed = _require_seed(data.get("seed", 0))
     name = data.get("name", "")
-    if not isinstance(name, str):
-        raise SchemaError("name must be a string", field="name")
+    # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
+    if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
+        raise SchemaError("name must be a string of valid Unicode text", field="name")
     _validate_payload(kind, payload, checks)
-    return ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
+    spec = ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
+    try:
+        spec.canonical_text()  # the payload's unchecked keys may hold anything
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"payload is not JSON data: {exc}", field="payload") from exc
+    return spec
 
 
 def _require(payload: dict, key: str, kinds, what: str):
@@ -283,6 +294,10 @@ def _validate_payload(kind: str, payload: dict, checks: list):
         field_dim = payload.get("field_dim", 1)
         if not isinstance(field_dim, int) or isinstance(field_dim, bool) or field_dim < 1:
             raise SchemaError("field_dim must be a positive integer", field="payload.field_dim")
+        if sites * field_dim**3 > LATTICE_SIZE_LIMIT:
+            raise SchemaError(f"sites * field_dim**3 must be at most {LATTICE_SIZE_LIMIT}",
+                              field="payload.sites" if sites > LATTICE_SIZE_LIMIT
+                              else "payload.field_dim")
         cid = _require(payload, "coefficients", str, kind)
         registry.lookup(registry.LATTICE_COEFFICIENTS, cid, "coefficients")
 

@@ -59,10 +59,6 @@ class DegenerateForm(FrobsymError):
     """Two-form singular at the probed point."""
 
 
-class DegeneratePencil(FrobsymError):
-    """Coordinate derivative of the metric is singular, no pencil exists."""
-
-
 class NonPositivePotential(FrobsymError):
     """Potential evaluated to a non-positive value where a log is needed."""
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import numdiff
 from .errors import (
     DegenerateMetric,
-    DegeneratePencil,
     DimensionMismatch,
     DomainViolation,
     InvalidStructure,
@@ -308,46 +307,3 @@ def dual_connections(fam: ExponentialFamily, beta) -> DualConnectionReport:
         beta, gamma)
     curv_p, curv_m = abs(riemann).reshape(2, -1).max(axis=1).tolist()
     return DualConnectionReport(gp, gm, duality, curv_p, curv_m)
-
-
-@dataclass(frozen=True)
-class PencilReport:
-    residual_base: float
-    residual_derived: float
-    residual_combinations: dict
-
-
-def flat_pencil_check(metric_contravariant: MetricField, direction: int = 0,
-                      lambdas=(0.5, -0.3, 1.2, 2.0, -1.1), points=None) -> PencilReport:
-    """Flatness of g, of g2 = d(g)/dx^direction, and of g + lambda*g2.
-
-    ``metric_contravariant`` evaluates the upper-index matrix g^ij; each
-    candidate is inverted pointwise before the curvature residual is taken.
-    The derivative coordinate defaults to the first one; pass ``direction``
-    for metrics that vary along another axis.  Raises DimensionMismatch
-    unless ``points`` is one point or a non-empty stack, and
-    DegeneratePencil when g2 is singular at a sample point.
-    """
-    n = metric_contravariant.dim
-    if points is None:
-        points = [np.ones(n) + 0.1 * np.arange(n), 1.5 * np.ones(n)]
-    points = np.atleast_2d(_points(n, points))
-    upper = metric_contravariant.value
-
-    def derived_upper(x):
-        return metric_contravariant.derivative(x)[..., direction, :, :]
-
-    require_invertible(derived_upper(points), DegeneratePencil, "derivative metric", points)
-
-    def flatness_of_upper(fn) -> float:
-        lower = MetricField(n, lambda x: np.linalg.inv(fn(x)))
-        return curvature_flatness(lower, points)
-
-    base = flatness_of_upper(upper)
-    derived = flatness_of_upper(derived_upper)
-    combos = {}
-    for lam in lambdas:
-        combos[float(lam)] = flatness_of_upper(
-            lambda x, lam=lam: upper(x) + lam * derived_upper(x)
-        )
-    return PencilReport(base, derived, combos)

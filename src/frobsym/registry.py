@@ -182,7 +182,7 @@ def round_sphere_metric() -> MetricField:
 
 
 def offdiagonal_linear_metric() -> MetricField:
-    """Contravariant g^ij with u^1 on the off-diagonal; a pencil seed."""
+    """Indefinite g_ij with u^1 off the diagonal: flat, but not Hessian in u."""
     d = np.zeros((2, 2, 2))
     d[0, 0, 1] = d[0, 1, 0] = 1.0
 

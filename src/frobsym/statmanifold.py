@@ -98,15 +98,6 @@ def _logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out if finite.all() else np.where(finite, out, np.log(np.sum(b * np.exp(a), axis=-1)))
 
 
-def pairing(mu, f) -> float:
-    """Discrete dual pairing sum_j f^j mu_j."""
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if mu.shape != f.shape or mu.ndim != 1:
-        raise DimensionMismatch(f"length mismatch: {mu.shape} vs {f.shape}")
-    return float(mu @ f)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def gibbs_density(fam: ExponentialFamily, beta) -> np.ndarray:
     """Normalized weights p_w = mu0_w exp(-<beta, X(w)>) / Z; sums to 1 per point."""

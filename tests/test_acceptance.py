@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from frobsym import (
-    DegeneratePencil,
     LatticeBracket,
     LorentzLagrangian,
     MetricField,
@@ -31,7 +30,6 @@ from frobsym import (
     dbar_split_residuals,
     dual_connections,
     extended_bracket,
-    flat_pencil_check,
     frobenius_axioms,
     hessian_log_metric,
     idempotent_decompose,
@@ -57,9 +55,7 @@ from frobsym.registry import (
     categorical_family,
     cubic_potential3,
     cyclic_nonjacobi_constants,
-    euclidean_metric,
     linear_diagonal_lattice,
-    offdiagonal_linear_metric,
     orthant_potential,
     perturbed_cubic_potential3,
 )
@@ -280,19 +276,6 @@ def test_c10_lattice_bracket():
                                              rng=np.random.default_rng(12))
     assert jac[16] / jac[64] >= 4.0
     note(10, f"constant operator exactly skew; refinement factor {jac[16]/jac[64]:.1f}")
-
-
-def test_c11_flat_pencil():
-    report = flat_pencil_check(offdiagonal_linear_metric(), 0,
-                               [0.5, -0.3, 1.2, 2.0, -1.1],
-                               [[1.0, 0.4], [2.0, -0.3]])
-    assert report.residual_base < 1e-6
-    assert report.residual_derived < 1e-6
-    assert len(report.residual_combinations) == 5
-    assert max(report.residual_combinations.values()) < 1e-6
-    with pytest.raises(DegeneratePencil):
-        flat_pencil_check(euclidean_metric(2), 0, [0.5], [[1.0, 0.4]])
-    note(11, "off-diagonal linear pencil flat; constant metric rejected")
 
 
 def test_c12_dual_connections():

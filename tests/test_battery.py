@@ -1,17 +1,20 @@
 """Spec parsing, check routing, report formats and CLI exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frobsym
@@ -20,6 +23,7 @@ from frobsym.battery import (
     ANCHORS,
     CHECKS,
     KINDS,
+    LATTICE_SIZE_LIMIT,
     SCALAR_FIELDS,
     CheckContext,
     CheckDef,
@@ -223,6 +227,76 @@ class TestSpecLoading:
         report = run_battery(spec)
         assert report.rows[0].name == "wdvv"
         assert report.rows[0].status == "pass"
+
+    # each escaped as a RecursionError or ValueError traceback with exit 1
+    @pytest.mark.parametrize("text", [
+        '{"kind": "algebra", "payload": {"x": %s}}' % ("[" * 50_000 + "]" * 50_000),
+        '{"kind": "algebra", "seed": %s}' % ("1" * 5000),
+    ], ids=["nested_50000_deep", "integer_of_5000_digits"])
+    def test_text_the_parser_cannot_convert_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid spec text"):
+            load_manifold_spec(text)
+
+    # run_battery raised TypeError, RecursionError or ValueError from spec.digest()
+    @pytest.mark.parametrize("extra", ["array", "nested_5000_deep", "cycle"])
+    def test_payload_that_cannot_be_serialised_is_a_schema_error(self, extra):
+        payload = {"constants": "paracomplex2"}
+        if extra == "array":
+            payload["extra"] = np.arange(3.0)
+        elif extra == "cycle":
+            payload["extra"] = payload
+        else:
+            nested = []
+            for _ in range(5000):
+                nested = [nested]
+            payload["extra"] = nested
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": "algebra", "payload": payload,
+                            "checks": ["split_algebra_laws"]})
+        assert err.value.field == "payload"
+
+    def test_a_battery_serialises_its_spec_once(self, monkeypatch):
+        spec = load_manifold_spec(BERNOULLI_TEXT)
+        digest = spec.digest()
+        monkeypatch.setattr(json, "dumps", lambda *args, **kw: pytest.fail("serialised"))
+        assert run_battery(spec).spec_hash == digest
+
+    # "bad\ud800" ran, and its human report raised UnicodeEncodeError
+    @pytest.mark.parametrize("name", ["bad\ud800", "\udfff"])
+    def test_name_must_encode_as_utf8(self, name):
+        with pytest.raises(SchemaError) as err:
+            load_manifold_spec(json.dumps({"kind": "algebra", "name": name}))
+        assert err.value.field == "name"
+
+    def test_non_ascii_name_is_kept(self):
+        spec = load_manifold_spec(json.dumps({"kind": "algebra", "name": "∂ψ é \U0001d4ae",
+                                              "payload": {"constants": "paracomplex2"}}))
+        assert spec.name == "∂ψ é \U0001d4ae"
+
+    # OverflowError, numpy's "maximum allowed dimension" ValueError and a
+    # 6.94 EiB ArrayMemoryError, each a traceback with exit 1; every case is
+    # rejected before anything is allocated
+    @pytest.mark.parametrize("sites, field_dim, field", [
+        (10**400, 1, "sites"), (16, 10**400, "field_dim"), (16, 10**6, "field_dim"),
+        (10**400, 10**400, "sites"), (2**16 + 1, 1, "sites"), (4, 26, "field_dim"),
+        (1024, 5, "field_dim"),
+    ], ids=["sites_1e400", "field_dim_1e400", "field_dim_1e6", "both_1e400",
+            "sites_over", "field_dim_over", "product_over"])
+    def test_lattice_size_is_bounded(self, sites, field_dim, field):
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict({"kind": "lattice", "checks": ["lattice_jacobi_refinement"],
+                            "payload": {"sites": sites, "field_dim": field_dim,
+                                        "coefficients": "linear_diagonal"}})
+        assert err.value.field == f"payload.{field}"
+
+    @pytest.mark.parametrize("sites, field_dim", [(2**16, 1), (1024, 4), (1024, 3)])
+    def test_lattice_size_bound_admits_lattices_up_to_it(self, sites, field_dim):
+        # built only: a battery this size is never run here
+        assert sites * field_dim**3 <= LATTICE_SIZE_LIMIT
+        spec = spec_from_dict({"kind": "lattice", "checks": ["lattice_jacobi_refinement"],
+                               "payload": {"sites": sites, "field_dim": field_dim,
+                                           "coefficients": "linear_diagonal"}})
+        assert spec.payload["sites"] == sites
 
 
 class TestRunBattery:
@@ -924,6 +998,23 @@ class TestCatalog:
                 assert CHECKS[name].anchor in ANCHORS
 
 
+def _lattice_text(**payload):
+    return json.dumps({"kind": "lattice", "checks": ["lattice_constant_skew"],
+                       "payload": {"sites": 16, "coefficients": "constant", **payload}})
+
+
+UNREADABLE_SPECS = {
+    "nested_50000_deep": _lattice_text(extra=[]).replace("[]", "[" * 50_000 + "]" * 50_000),
+    "lone_surrogate_name": json.dumps({"kind": "algebra", "name": "bad\ud800",
+                                       "payload": {"constants": "paracomplex2"},
+                                       "checks": ["split_algebra_laws"]}),
+    "sites_1e400": _lattice_text(sites=10**400),
+    "field_dim_1e400": _lattice_text(field_dim=10**400),
+    "field_dim_1e6": _lattice_text(field_dim=10**6),
+    "integer_of_5000_digits": _lattice_text(sites=0).replace('"sites": 0', '"sites": ' + "1" * 5000),
+}
+
+
 class TestCli:
     def test_import_leaves_scipy_unloaded(self):
         # numpy is the only runtime dependency; a fresh interpreter shows it
@@ -1086,6 +1177,19 @@ class TestCli:
             outputs.append(capsys.readouterr().out)
         assert strip_runtime(outputs[0]) == strip_runtime(outputs[1])
 
+    # each ended in a traceback with exit 1, the name only in a human report
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_SPECS))
+    @pytest.mark.parametrize("flags", [[], ["--report=machine"], ["--out", "report.txt"]],
+                             ids=["human", "machine", "out"])
+    def test_spec_that_cannot_be_read_or_printed_exits_two(self, case, flags, tmp_path,
+                                                            capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("spec.json").write_text(UNREADABLE_SPECS[case])
+        assert main(["check", "spec.json", *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and not Path("report.txt").exists()
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # the error contract over drawn specs and run options
@@ -1168,6 +1272,63 @@ def reject_constant(name):
     raise AssertionError(f"{name} in a machine report")
 
 
+DEEP = "\0deep\0"
+
+
+@st.composite
+def cli_spec_texts(draw):
+    """Spec file text from drawn_specs, where the name may hold a lone
+    surrogate, an extra payload key may nest lists up to 50,000 deep, and a
+    lattice may take sites or field_dim from huge ints, each too large to run."""
+    spec = draw(drawn_specs())
+    depth = 0
+    if isinstance(spec, dict) and draw(st.booleans()):
+        spec["name"] = draw(st.text(max_size=2)) + draw(st.sampled_from(["\ud800", "\udfff"]))
+    if isinstance(spec, dict) and isinstance(spec["payload"], dict):
+        depth = draw(st.sampled_from([0, 0, 0, 1, 50, 5000, 50_000]))
+        if depth:
+            spec["payload"]["deep"] = DEEP
+        if spec["kind"] == "lattice" and draw(st.booleans()):
+            huge = draw(st.sampled_from([("sites", 2**16 + 1), ("field_dim", 26)]))
+            spec["payload"][huge[0]] = draw(st.integers(huge[1], 10**400))
+    return json.dumps(spec).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+# flag values as the shell passes them: absent, valid for both flags, numbers,
+# words and junk
+FLAG_VALUES = st.one_of(st.none(), st.sampled_from(["0", "1", "2", "7"]),
+                        st.integers(-2, 2**40).map(str), NUMBERS.map(repr), st.text(max_size=3),
+                        st.sampled_from(["inf", "-inf", "nan", "1e999", " 3 ", "0x10", "1_0"]))
+
+
+def api_outcome(path, seed, tol_scale):
+    """The exit code the API gives for a spec file and flag strings, and the
+    report when a battery runs."""
+    try:
+        options = RunOptions(1.0 if tol_scale is None else float(tol_scale),
+                             None if seed is None else int(seed))
+    except ValueError:
+        return 2, None  # argparse rejects what int() and float() reject
+    try:
+        report = run_battery(load_manifold_spec(path), options)
+    except (ParseError, SchemaError):
+        return 2, None
+    return (0 if report.all_passed() else 1), report
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of an in-process run, on UTF-8 streams
+    as strict as a terminal's; argparse's SystemExit counts as its code."""
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n",
+                                 write_through=True) for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
+
+
 class TestErrorContract:
     """Malformed input is a SchemaError or ParseError naming a field of the
     spec, and every battery that runs gives strict JSON pass/fail rows."""
@@ -1195,3 +1356,39 @@ class TestErrorContract:
             record = json.loads(line, parse_constant=reject_constant)
             if record["record"] == "check":
                 assert record["status"] in ("pass", "fail")
+
+    @given(cli_spec_texts(), FLAG_VALUES, FLAG_VALUES, st.sampled_from(["human", "machine"]),
+           st.booleans())
+    @example(UNREADABLE_SPECS["nested_50000_deep"], None, None, "machine", False)
+    @example(UNREADABLE_SPECS["lone_surrogate_name"], "1", None, "human", False)
+    @example(UNREADABLE_SPECS["lone_surrogate_name"], None, "2", "human", True)
+    @example(UNREADABLE_SPECS["sites_1e400"], None, None, "human", False)
+    @example(UNREADABLE_SPECS["field_dim_1e400"], None, None, "machine", True)
+    @example(UNREADABLE_SPECS["field_dim_1e6"], None, None, "machine", False)
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_specs_and_flags_keep_the_contract_through_the_cli(self, text, seed,
+                                                                      tol_scale, fmt, to_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out_path = Path(tmp, "spec.json"), Path(tmp, "report.txt")
+            path.write_text(text, encoding="utf-8")
+            expected, report = api_outcome(str(path), seed, tol_scale)
+            argv = ["check", str(path), f"--report={fmt}"]
+            argv += [f"--seed={seed}"] * (seed is not None)
+            argv += [f"--tol-scale={tol_scale}"] * (tol_scale is not None)
+            argv += [f"--out={out_path}"] * to_file
+            code, out, err = run_cli(argv)
+            assert code == expected, err
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == "" and not out_path.exists()
+                assert sum("error:" in line for line in err.splitlines()) == 1, err
+                return
+            assert err == ""
+            if to_file:
+                assert out == ""
+                out = out_path.read_text(encoding="utf-8")
+        if fmt == "machine":
+            records = [json.loads(line, parse_constant=reject_constant)
+                       for line in out.splitlines()]
+            assert [r["record"] for r in records] == ["meta"] + ["check"] * len(report.rows)
+            assert strip_runtime(out) == strip_runtime(emit_report(report, "machine"))

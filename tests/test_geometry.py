@@ -1,4 +1,4 @@
-"""Connection, curvature, cone and pencil checks.
+"""Connection, curvature and cone checks.
 
 Closed forms used as oracles:
 
@@ -18,7 +18,6 @@ import pytest
 
 from frobsym import (
     DegenerateMetric,
-    DegeneratePencil,
     DimensionMismatch,
     DomainViolation,
     ExponentialFamily,
@@ -32,7 +31,6 @@ from frobsym import (
     cone_multiply,
     curvature_flatness,
     dual_connections,
-    flat_pencil_check,
     hessian_log_metric,
     hessian_structure,
 )
@@ -43,7 +41,6 @@ from frobsym.registry import (
     POTENTIALS,
     bernoulli_family,
     euclidean_metric,
-    offdiagonal_linear_metric,
     orthant_potential,
     round_sphere_metric,
 )
@@ -581,40 +578,3 @@ def _binary_metrics(betas):
 
     return np.array([cumulant_tensor(bernoulli_family(), b, 2)
                      for b in betas.reshape(-1, 1)]).reshape(betas.shape[:-1] + (1, 1))
-
-
-class TestFlatPencil:
-    def test_one_dimensional_always_passes(self):
-        metric = MetricField(1, lambda u: u[..., None])
-        report = flat_pencil_check(metric, 0, [0.5, 1.5], [[1.0], [2.0]])
-        assert max(report.residual_base, report.residual_derived,
-                   *report.residual_combinations.values()) <= 1e-6
-
-    def test_offdiagonal_linear_metric_passes(self):
-        report = flat_pencil_check(offdiagonal_linear_metric(), 0,
-                                   [0.5, -0.3, 1.2, 2.0, -1.1],
-                                   [[1.0, 0.4], [2.0, -0.3]])
-        assert report.residual_base < 1e-6
-        assert report.residual_derived < 1e-6
-        assert max(report.residual_combinations.values()) < 1e-6
-
-    def test_small_but_well_conditioned_derivative_has_a_pencil(self):
-        """g^ij = (1 + 1e-7 x0) I: g2 = 1e-7 I has determinant 1e-14 but
-        condition number 1."""
-        metric = MetricField(2, lambda x: (1.0 + 1e-7 * x[..., 0, None, None]) * np.eye(2))
-        report = flat_pencil_check(metric)
-        assert report.residual_base <= 1e-6
-
-    def test_ill_conditioned_derivative_of_unit_determinant_has_no_pencil(self):
-        """g2 = diag(1e7, 1e-7): determinant 1, condition number 1e14."""
-        metric = MetricField(2, lambda x: np.eye(2) + x[..., 0, None, None] * np.diag([1e7, 1e-7]))
-        with pytest.raises(DegeneratePencil, match="condition number"):
-            flat_pencil_check(metric)
-
-    def test_no_points_is_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            flat_pencil_check(offdiagonal_linear_metric(), points=[])
-
-    def test_constant_metric_has_no_pencil(self):
-        with pytest.raises(DegeneratePencil):
-            flat_pencil_check(euclidean_metric(2), 0, [0.5], [[1.0, 0.4]])

@@ -30,7 +30,6 @@ from frobsym import (
     dual_coordinates,
     gibbs_density,
     natural_from_dual,
-    pairing,
     potential_eval,
 )
 import frobsym.statmanifold as statmanifold
@@ -133,21 +132,6 @@ class TestPotential:
                 call()
             assert isinstance(err.value, FrobsymError)
             assert isinstance(err.value, ValueError)
-
-
-class TestPairing:
-    def test_indicator(self):
-        assert pairing([1.0, 0.0], [3.0, 7.0]) == 3.0
-
-    def test_normalized_constant(self):
-        assert pairing(np.full(4, 0.25), np.full(4, 5.0)) == pytest.approx(5.0)
-
-    def test_hand_sum(self):
-        assert pairing([0.2, 0.8], [1.0, 2.0]) == pytest.approx(1.8)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            pairing([1.0], [1.0, 2.0])
 
 
 class TestGibbsDensity:
