@@ -230,6 +230,11 @@ def _require(payload: dict, key: str, kinds, what: str):
 def _require_seed(seed) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError("seed must be a nonnegative integer", field="seed")
+    try:
+        str(seed)  # every report prints the seed
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
+                          field="seed") from exc
     return seed
 
 

@@ -182,9 +182,16 @@ def _product_grad(B: Observable, C: Observable):
 # first-order local Lie bracket on a periodic grid
 
 
-def _ddx(f, spacing: float) -> np.ndarray:
+def _ddx(f: np.ndarray, spacing: float) -> np.ndarray:
     """Central difference (f[n+1] - f[n-1]) / 2h, periodic along the last axis."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * spacing)
+    if f.shape[-1] < 2:  # a lone site is both of its own neighbours
+        return (f - f) / (2.0 * spacing)
+    d = np.empty_like(f)
+    np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
+    d[..., 0] = f[..., 1] - f[..., -1]
+    d[..., -1] = f[..., 0] - f[..., -2]
+    d /= 2.0 * spacing
+    return d
 
 
 def periodic_derivative_matrix(n: int, spacing: float) -> np.ndarray:
@@ -261,21 +268,24 @@ def lattice_hydro_bracket(lb: LatticeBracket, u) -> float:
     return float(np.maximum(abs(pair).max(), abs(diagonal).max()))
 
 
-def smooth_test_profile(field_dim: int, sites: int, spacing: float, rng) -> np.ndarray:
-    """Fourier profile of the two lowest modes, sampled on the grid.
+def smooth_test_profile(shape, sites: int, spacing: float, rng) -> np.ndarray:
+    """Fourier profiles of the two lowest modes sampled on the grid, an
+    ``(*shape, sites)`` array, or ``(shape, sites)`` for an int ``shape``.
 
-    The number of random draws is independent of the grid size, so the same
-    rng state produces samples of one fixed continuum function at every
-    resolution; grid-refinement studies rely on this.
+    The coefficients are one ``rng.normal`` draw, which fills in C order, so
+    one call gives the doubles of as many one-profile calls in turn.  The
+    draw does not depend on the grid, so the same rng state samples one
+    fixed continuum function at every resolution; refinement studies rely
+    on this.
     """
-    coeffs = rng.normal(size=(field_dim, 2, 2))
+    coeffs = rng.normal(size=(*np.atleast_1d(shape), 2, 2))
     x = spacing * np.arange(sites)
     length = spacing * sites
-    out = np.zeros((field_dim, sites))
+    out = np.zeros(coeffs.shape[:-2] + (sites,))
     for k in range(2):
         angle = 2.0 * np.pi * (k + 1) * x / length
-        out += coeffs[:, k, 0][:, None] * np.cos(angle)
-        out += coeffs[:, k, 1][:, None] * np.sin(angle)
+        out += coeffs[..., k, 0, None] * np.cos(angle)
+        out += coeffs[..., k, 1, None] * np.sin(angle)
     return out
 
 
@@ -300,8 +310,9 @@ def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None) -> float:
     differences otherwise.  The cyclic sum is reported relative to the
     magnitude of its three terms, which makes the defect O(h^2) for
     coefficient data satisfying the continuum compatibility conditions.
-    B is applied through the periodic stencil and never formed, so time and
-    memory grow as O(N) in the sites.
+    The nine test profiles are one :func:`smooth_test_profile` draw from
+    ``rng``.  B is applied through the periodic stencil and never formed,
+    so time and memory grow as O(N) in the sites.
     """
     r, N, h = lb.field_dim, lb.sites, lb.spacing
     u = np.asarray(u, dtype=float)
@@ -313,8 +324,7 @@ def lattice_jacobi_residual(lb: LatticeBracket, u, rng=None) -> float:
     # phi[t, c] is the c-th profile of triple t; the cyclic terms pair
     # phi_a with the inner bracket {phi_b, phi_c} for (a, b, c) in
     # (0, 1, 2), (1, 2, 0), (2, 0, 1)
-    phi = np.array([[smooth_test_profile(r, N, h, rng) for _ in range(3)]
-                   for _ in range(3)])
+    phi = smooth_test_profile((3, 3, r), N, h, rng)
     first, second = phi[:, [1, 2, 0]], phi[:, [2, 0, 1]]
     # d/du^k_s of phi^T B(u) psi; the flux part uses D^T = -D
     inner = (np.einsum("tcin,nijk,tcjn->tckn", first, dC, _ddx(second, h))

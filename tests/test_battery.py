@@ -56,6 +56,8 @@ BERNOULLI_TEXT = json.dumps({
     "tolerances": {"gibbs_normalization": 1e-13},
     "seed": 3,
 })
+# every report prints the seed, and str() prints no int with more digits
+LONGEST_SEED = 10 ** sys.get_int_max_str_digits() - 1
 
 
 class TestSpecLoading:
@@ -110,6 +112,16 @@ class TestSpecLoading:
         with pytest.raises(SchemaError) as err:
             spec_from_dict(data)
         assert err.value.field == "seed"
+
+    @pytest.mark.parametrize("seed", [LONGEST_SEED + 1, 10 ** 5000],
+                             ids=["one_digit_too_long", "5001_digits"])
+    def test_seed_too_long_to_print_rejected(self, seed):
+        data = json.loads(BERNOULLI_TEXT)
+        data["seed"] = seed
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict(data)
+        assert err.value.field == "seed"
+        assert str(err.value) == f"seed must have at most {sys.get_int_max_str_digits()} digits"
 
     def test_boolean_tolerance_rejected(self):
         data = json.loads(BERNOULLI_TEXT)
@@ -362,6 +374,22 @@ class TestRunBattery:
         assert report.seed == options.seed
         assert [row.tolerance for row in report.rows] == [1e-13 * options.tol_scale,
                                                           1e-12 * options.tol_scale]
+
+    @pytest.mark.parametrize("fmt", ["machine", "human"])
+    def test_every_printable_seed_runs_and_prints(self, fmt):
+        """The longest seed runs from the spec and as an override, and both
+        reports print it; a seed one digit longer is a SchemaError."""
+        data = json.loads(BERNOULLI_TEXT)
+        data["seed"] = LONGEST_SEED
+        spec = load_manifold_spec(BERNOULLI_TEXT)
+        for report in (run_battery(spec_from_dict(data)),
+                       run_battery(spec, RunOptions(seed=LONGEST_SEED))):
+            assert report.seed == LONGEST_SEED
+            assert str(LONGEST_SEED) in emit_report(report, fmt)
+        for seed in (LONGEST_SEED + 1, 10 ** 5000):
+            with pytest.raises(SchemaError) as err:
+                run_battery(spec, RunOptions(seed=seed))
+            assert err.value.field == "seed"
 
     def test_algebra_kind_checks(self):
         spec = spec_from_dict({
@@ -1265,7 +1293,8 @@ def drawn_specs(draw):
 run_options = st.one_of(st.just(RunOptions()), st.builds(
     RunOptions,
     tol_scale=st.one_of(NUMBERS, st.booleans(), st.integers(-2, 3)),
-    seed=st.one_of(st.none(), st.integers(-2, 2**40), st.booleans(), NUMBERS)))
+    seed=st.one_of(st.none(), st.integers(-2, 2**40), st.booleans(), NUMBERS,
+                   st.sampled_from([LONGEST_SEED, LONGEST_SEED + 1]))))
 
 
 def reject_constant(name):

@@ -75,9 +75,12 @@ def loop_jacobian(field, x, h=None):
 
 
 def loop_tensor(f, x, order, h):
+    """Each sorted index by the point loop, copied to its permutations, which
+    come after it in product order."""
     out = np.zeros((x.size,) * order)
     for index in product(range(x.size), repeat=order):
-        out[index] = loop_partial(f, x, tuple(sorted(index)), h)
+        key = tuple(sorted(index))
+        out[index] = out[key] if index != key else loop_partial(f, x, key, h)
     return out
 
 

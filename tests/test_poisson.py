@@ -32,7 +32,7 @@ from frobsym import (
     so3_constants,
 )
 from frobsym import numdiff
-from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _product_grad,
+from frobsym.poisson import (BracketResiduals, DEFAULT_NESTED_STEP, _ddx, _product_grad,
                              _site_coefficients, _sin_grad, _square_grad,
                              periodic_derivative_matrix, smooth_test_profile)
 from frobsym.registry import (LATTICE_COEFFICIENTS, SPIN_CONSTANTS, constant_lattice,
@@ -665,6 +665,7 @@ def registry_lattices():
             metric, metric_deriv, b = make(r)
             yield f"{name}{r}", LatticeBracket(16, r, metric, b, spacing=2 * np.pi / 16,
                                                metric_deriv=metric_deriv)
+            yield f"{name}{r}_fd", LatticeBracket(16, r, metric, b, spacing=2 * np.pi / 16)
     for r in (1, 2, 3):
         yield f"coupled{r}", coupled_lattice(16, r, True)
         yield f"coupled{r}_fd", coupled_lattice(16, r, False)
@@ -690,3 +691,94 @@ def test_lattice_metric_of_the_wrong_shape_is_dimension_mismatch():
     lb = LatticeBracket(8, 2, lambda u: metric(u)[0], b, metric_deriv=metric_deriv)
     with pytest.raises(DimensionMismatch, match="for 8 sites"):
         lattice_hydro_bracket(lb, np.ones((2, 8)))
+
+
+# ---------------------------------------------------------------------------
+# the per-profile, shifted-copy formulation, kept as the bitwise oracle
+
+
+def roll_ddx(f, spacing):
+    """The periodic central difference through two shifted copies of ``f``."""
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * spacing)
+
+
+def one_profile(field_dim, sites, spacing, rng):
+    """One (field_dim, sites) Fourier profile from its own (field_dim, 2, 2) draw."""
+    coeffs = rng.normal(size=(field_dim, 2, 2))
+    x = spacing * np.arange(sites)
+    length = spacing * sites
+    out = np.zeros((field_dim, sites))
+    for k in range(2):
+        angle = 2.0 * np.pi * (k + 1) * x / length
+        out += coeffs[:, k, 0][:, None] * np.cos(angle)
+        out += coeffs[:, k, 1][:, None] * np.sin(angle)
+    return out
+
+
+def per_profile_jacobi_residual(lb, u, rng):
+    """The matrix-free Jacobi defect with each of the nine test profiles
+    drawn on its own and every difference taken through shifted copies."""
+    r, N, h = lb.field_dim, lb.sites, lb.spacing
+    g_site = np.asarray(lb.metric(u.T), dtype=float)
+    flux = np.einsum("ijk,kn->nij", lb.b, roll_ddx(u, h))
+    deriv = lb.metric_deriv or (lambda w: np.moveaxis(numdiff.jacobian(lb.metric, w), -3, -1))
+    dC = np.asarray(deriv(u.T), dtype=float)
+    phi = np.array([[one_profile(r, N, h, rng) for _ in range(3)] for _ in range(3)])
+    first, second = phi[:, [1, 2, 0]], phi[:, [2, 0, 1]]
+    inner = (np.einsum("tcin,nijk,tcjn->tckn", first, dC, roll_ddx(second, h))
+             - roll_ddx(np.einsum("tcin,ijk,tcjn->tckn", first, lb.b, second), h))
+    b_inner = (np.einsum("nij,tcjn->tcin", g_site, roll_ddx(inner, h))
+               + np.einsum("nij,tcjn->tcin", flux, inner))
+    terms = np.einsum("tcin,tcin->tc", phi, b_inner)
+    scale = np.maximum(1.0, np.max(np.abs(terms), axis=1, initial=0.0))
+    return float(np.max(np.abs(terms.sum(axis=1)) / scale, initial=0.0))
+
+
+def same_doubles(a, b):
+    """Equal shape, dtype and bytes: bit for bit, signed zeros and NaNs included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.3, 2 * np.pi / 7])
+@pytest.mark.parametrize("lead", [(), (3,), (3, 3, 2)], ids=["1d", "stack", "nested"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 4096])
+def test_sliced_difference_matches_the_shifted_copies(n, lead, spacing):
+    rng = np.random.default_rng(n + len(lead))
+    f = rng.normal(size=lead + (n,))
+    every_fifth = f.reshape(-1)[::5]
+    specials = [-0.0, np.inf, np.nan, 1e308, -np.inf]
+    every_fifth[:len(specials)] = specials[:every_fifth.size]
+    with np.errstate(invalid="ignore"):  # inf - inf on one site
+        assert same_doubles(_ddx(f, spacing), roll_ddx(f, spacing))
+
+
+@pytest.mark.parametrize("n", [*range(9), 16, 64])
+def test_stencil_matrix_matches_the_shifted_copies_at_every_length(n):
+    """Lengths below 3, where a site's two neighbours coincide, included."""
+    for spacing in (1.0, 0.3):
+        assert same_doubles(periodic_derivative_matrix(n, spacing),
+                            roll_ddx(np.eye(n), spacing).T)
+
+
+@pytest.mark.parametrize("sites", [4, 64, 4096])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_profile_draw_matches_draws_made_in_turn(r, sites):
+    h = 2 * np.pi / sites
+    for seed in range(3):
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.array([[one_profile(r, sites, h, looped) for _ in range(3)]
+                         for _ in range(3)])
+        assert same_doubles(smooth_test_profile((3, 3, r), sites, h, batched), want)
+        assert same_doubles(smooth_test_profile(r, sites, h, batched),
+                            one_profile(r, sites, h, looped))
+        # both generators are left in the same state
+        assert batched.random() == looped.random()
+
+
+@pytest.mark.parametrize("name", dict(registry_lattices()))
+def test_jacobi_residual_matches_the_per_profile_oracle(name):
+    lb = dict(registry_lattices())[name]
+    u = smooth_state(lb)
+    for seed in (0, 7):
+        assert (lattice_jacobi_residual(lb, u, rng=np.random.default_rng(seed))
+                == per_profile_jacobi_residual(lb, u, np.random.default_rng(seed)))
