@@ -4,7 +4,8 @@ A :class:`ManifoldSpec` names one input object (a family, a potential, a
 metric, an algebra, or a lattice), the checks to run against it, and the
 tolerances.  Specs travel as JSON text; fields, payload schemas and the
 machine report format are documented in the README.  Residual checks are
-pure and seeded, so a battery run is deterministic for a given spec+seed.
+pure and seeded by the spec, so a battery run is deterministic for a given
+spec.
 
 Check rows carry a ``paper_anchor`` tag tying each residual to the identity
 it certifies; the legal tags are the keys of :data:`ANCHORS`.
@@ -116,12 +117,6 @@ class ManifoldSpec:
 
 
 @dataclass(frozen=True)
-class RunOptions:
-    tol_scale: float = 1.0
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class CheckRow:
     name: str
     status: str  # pass | fail
@@ -204,7 +199,14 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
         if not (_real(value) and value > 0):
             raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
-    seed = _require_seed(data.get("seed", 0))
+    seed = data.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError("seed must be a nonnegative integer", field="seed")
+    try:
+        str(seed)  # every report prints the seed
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
+                          field="seed") from exc
     name = data.get("name", "")
     # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
     if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
@@ -225,17 +227,6 @@ def _require(payload: dict, key: str, kinds, what: str):
         raise SchemaError(f"payload field {key!r} has the wrong type",
                           field=f"payload.{key}")
     return payload[key]
-
-
-def _require_seed(seed) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise SchemaError("seed must be a nonnegative integer", field="seed")
-    try:
-        str(seed)  # every report prints the seed
-    except ValueError as exc:  # past sys.get_int_max_str_digits()
-        raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
-                          field="seed") from exc
-    return seed
 
 
 def _real(value) -> bool:
@@ -283,9 +274,8 @@ def _validate_payload(kind: str, payload: dict, checks: list):
     elif kind == "explicit_metric":
         mid = _require(payload, "metric", str, kind)
         registry.lookup(registry.METRICS, mid, "metric")
-        if "scalar" in payload and _require(payload, "scalar", str, kind) not in SCALAR_FIELDS:
-            raise SchemaError(f"unknown scalar field {payload['scalar']!r}",
-                              field="payload.scalar")
+        if "scalar" in payload:
+            registry.lookup(registry.SCALARS, _require(payload, "scalar", str, kind), "scalar")
         if "spins" in payload:
             registry.lookup(registry.SPIN_CONSTANTS, _require(payload, "spins", str, kind),
                             "spins")
@@ -305,20 +295,6 @@ def _validate_payload(kind: str, payload: dict, checks: list):
                               else "payload.field_dim")
         cid = _require(payload, "coefficients", str, kind)
         registry.lookup(registry.LATTICE_COEFFICIENTS, cid, "coefficients")
-
-
-# ---------------------------------------------------------------------------
-# scalar fields available to explicit_metric specs
-
-
-# (value, gradient) pairs; values reduce over the last axis, so they take
-# one point or a stack of points
-SCALAR_FIELDS = {
-    "half_square": (lambda z: 0.5 * np.sum(np.square(z), axis=-1),
-                    lambda z: np.asarray(z, dtype=float)),
-    "zero": (lambda z: np.zeros(np.shape(z)[:-1]),
-             lambda z: np.zeros_like(np.asarray(z, dtype=float))),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +330,8 @@ class CheckContext:
         return registry.lookup(registry.METRICS, self.spec.payload["metric"], "metric")
 
     def scalar(self):
-        sid = self.spec.payload.get("scalar")
-        return SCALAR_FIELDS[sid] if sid else None
+        sid = self.spec.payload.get("scalar", "zero")
+        return registry.lookup(registry.SCALARS, sid, "scalar")
 
     def spin_constants(self):
         sid = self.spec.payload.get("spins")
@@ -518,8 +494,7 @@ def _check_dbar_splitting(ctx: CheckContext) -> float:
 
 def _hamiltonian_observable(ctx: CheckContext) -> Observable:
     metric = ctx.metric()
-    scalar = ctx.scalar()
-    u_func, u_grad = scalar if scalar else SCALAR_FIELDS["zero"]
+    u_func, u_grad = ctx.scalar()
     if ctx.spec.payload.get("metric", "").startswith("euclidean"):
         # unit inverse metric: H = |p|^2 / 2 + U(z) separates, so the 1e4+
         # step integrations run on flat arrays
@@ -723,25 +698,18 @@ CHECKS = {
 # the runner
 
 
-def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Report:
+def run_battery(spec: ManifoldSpec) -> Report:
     """Execute the spec's checks in spec order and collect one row per check.
 
-    Each check draws randomness from a generator seeded by (seed, position),
-    so the report is deterministic for a given spec and seed.
+    Each check draws randomness from a generator seeded by (spec seed,
+    position) and is held to the spec's tolerance for it, else the check's
+    default, so the report is deterministic for a given spec.
     """
-    seed = _require_seed(spec.seed if options.seed is None else options.seed)
-    if not (_real(options.tol_scale) and options.tol_scale > 0):
-        raise SchemaError("--tol-scale must be positive and finite", field="tol_scale")
-    tols = [spec.tolerances.get(name, CHECKS[name].default_tol) * options.tol_scale
-            for name in spec.checks]
-    for name, tol in zip(spec.checks, tols):
-        if not math.isfinite(tol):
-            raise SchemaError(f"tolerance for {name!r} times tol_scale is not finite",
-                              field=f"tolerances.{name}")
     rows = []
-    for index, (name, tol) in enumerate(zip(spec.checks, tols)):
+    for index, name in enumerate(spec.checks):
         definition = CHECKS[name]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+        tol = spec.tolerances.get(name, definition.default_tol)
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
         ctx = CheckContext(spec, rng)
         start = time.perf_counter()
         try:
@@ -758,7 +726,7 @@ def run_battery(spec: ManifoldSpec, options: RunOptions = RunOptions()) -> Repor
         rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
     versions = {"frobsym": _pkg_version, "numpy": np.__version__}
-    return Report(spec.name, spec.digest(), seed, versions, tuple(rows))
+    return Report(spec.name, spec.digest(), spec.seed, versions, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Command line front end.
 
-    frobsym check <spec-file> [--tol-scale F] [--seed N]
-                              [--report human|machine] [--out PATH]
+    frobsym check <spec-file> [--report human|machine] [--out PATH]
     frobsym catalog                 list the built-in entries
     frobsym catalog <name> [...]    run one entry (same flags as check)
+    frobsym catalog <name> --dump-spec    print the entry as a spec file
     frobsym catalog all   [...]     run every entry as a self-test
 
-Exit status: 0 iff all checks pass, 1 if one fails, and 2 for a malformed
-or unreadable spec or an ``--out`` path that cannot be written.  ``catalog
+A run takes its seed and tolerances from the spec alone; to rerun an entry
+with others, edit its dumped spec and ``check`` the file.  Exit status: 0
+iff all checks pass, 1 if one fails, and 2 for a usage error, a malformed
+or unreadable spec, or an ``--out`` path that cannot be written.  ``catalog
 all`` instead compares each row against the entry's documented outcome, so
 the deliberately-broken fixtures count as healthy when they fail as
 documented.
@@ -18,27 +20,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .battery import (
-    RunOptions,
-    builtin_catalog,
-    emit_report,
-    load_manifold_spec,
-    run_battery,
-)
+from .battery import builtin_catalog, emit_report, load_manifold_spec, run_battery
 from .errors import FrobsymError
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply every tolerance by this factor")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the spec seed")
     parser.add_argument("--report", choices=("human", "machine"), default="human")
     parser.add_argument("--out", default=None, help="write the report here")
-
-
-def _options(args) -> RunOptions:
-    return RunOptions(tol_scale=args.tol_scale, seed=args.seed)
 
 
 def _deliver(text: str, args) -> None:
@@ -51,13 +39,16 @@ def _deliver(text: str, args) -> None:
 
 def _cmd_check(args) -> int:
     spec = load_manifold_spec(args.spec_file)
-    report = run_battery(spec, _options(args))
+    report = run_battery(spec)
     _deliver(emit_report(report, args.report), args)
     return 0 if report.all_passed() else 1
 
 
 def _cmd_catalog(args) -> int:
     catalog = builtin_catalog()
+    if args.dump_spec and args.name in (None, "all"):
+        print("error: --dump-spec needs the name of one catalog entry", file=sys.stderr)
+        return 2
     if args.name is None:
         width = max(len(n) for n in catalog)
         for name, entry in catalog.items():
@@ -71,21 +62,21 @@ def _cmd_catalog(args) -> int:
         texts = []
         healthy = True
         for name, entry in catalog.items():
-            report = run_battery(entry.spec, _options(args))
+            report = run_battery(entry.spec)
             texts.append(emit_report(report, args.report))
             healthy = healthy and entry.matches_expectation(report)
         _deliver(("" if args.report == "machine" else "\n").join(texts), args)
         return 0 if healthy else 1
 
     if args.name not in catalog:
-        print(f"unknown catalog entry {args.name!r}; run 'frobsym catalog' to list",
+        print(f"error: unknown catalog entry {args.name!r}; run 'frobsym catalog' to list",
               file=sys.stderr)
         return 2
     entry = catalog[args.name]
     if args.dump_spec:
         _deliver(entry.spec.canonical_text() + "\n", args)
         return 0
-    report = run_battery(entry.spec, _options(args))
+    report = run_battery(entry.spec)
     _deliver(emit_report(report, args.report), args)
     return 0 if report.all_passed() else 1
 

@@ -66,14 +66,14 @@ def algebra_from_potential(third_tensor, g) -> FrobeniusAlgebra:
 def wdvv_residual(potential: PotentialField, g, x) -> float:
     """Max |sum_ef T_abe g^ef T_fcd - sum_ef T_bce g^ef T_fad| over (a,b,c,d).
 
-    ``g`` may be a constant matrix or a MetricField; the even (commutative)
-    sign convention is used throughout.
+    ``g`` is a constant matrix, the pairing at every point; the even
+    (commutative) sign convention is used throughout.
     """
     x = np.asarray(x, dtype=float)
-    gm = g.value(x) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
+    gm = np.asarray(g, dtype=float)
     if gm.shape != (potential.dim, potential.dim):
         raise DimensionMismatch(f"pairing of shape {gm.shape} for a {potential.dim}-d potential")
-    require_invertible(gm, DegenerateMetric, "metric", x)
+    require_invertible(gm, DegenerateMetric, "pairing", x)
     ginv = np.linalg.inv(gm)
     t = potential.third_tensor(x)
     # a huge T overflows quad to inf, where quad - quad^T would be inf - inf
@@ -86,7 +86,6 @@ class AlgebraAxiomReport:
     commutativity: float
     associativity: float
     pairing_invariance: float
-    pairing_min_abs_eigenvalue: float
     unit_residual: float | None
     unit: np.ndarray | None
 
@@ -111,7 +110,6 @@ def frobenius_axioms(alg: FrobeniusAlgebra) -> AlgebraAxiomReport:
     assoc = float(np.max(np.abs(left - right)))
     inv = np.einsum("mij,mk->ijk", c, p) - np.einsum("mjk,im->ijk", c, p)
     invariance = float(np.max(np.abs(inv)))
-    min_eig = float(np.min(np.abs(np.linalg.eigvalsh(p))))
 
     unit = alg.unit
     if unit is None:
@@ -126,7 +124,7 @@ def frobenius_axioms(alg: FrobeniusAlgebra) -> AlgebraAxiomReport:
     if unit is not None:
         products = np.einsum("kij,i->kj", c, unit)
         unit_residual = float(np.max(np.abs(products - np.eye(alg.dim))))
-    return AlgebraAxiomReport(comm, assoc, invariance, min_eig, unit_residual, unit)
+    return AlgebraAxiomReport(comm, assoc, invariance, unit_residual, unit)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,15 @@ def offdiagonal_linear_metric() -> MetricField:
     return MetricField(2, value, deriv=_constant(d))
 
 
+# (value, gradient) of the potential U(z) that an explicit_metric Hamiltonian adds
+SCALARS = {
+    "half_square": lambda: (lambda z: 0.5 * np.sum(np.square(z), axis=-1),
+                            lambda z: np.asarray(z, dtype=float)),
+    "zero": lambda: (lambda z: np.zeros(np.shape(z)[:-1]),
+                     lambda z: np.zeros_like(np.asarray(z, dtype=float))),
+}
+
+
 def antidiagonal_pairing(n: int = 3) -> np.ndarray:
     return np.fliplr(np.eye(n))
 

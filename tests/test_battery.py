@@ -24,11 +24,9 @@ from frobsym.battery import (
     CHECKS,
     KINDS,
     LATTICE_SIZE_LIMIT,
-    SCALAR_FIELDS,
     CheckContext,
     CheckDef,
     ManifoldSpec,
-    RunOptions,
     builtin_catalog,
     emit_report,
     load_manifold_spec,
@@ -113,6 +111,16 @@ class TestSpecLoading:
             spec_from_dict(data)
         assert err.value.field == "seed"
 
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None],
+                             ids=["float", "negative", "text", "null"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        data = json.loads(BERNOULLI_TEXT)
+        data["seed"] = seed
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict(data)
+        assert err.value.field == "seed"
+        assert str(err.value) == "seed must be a nonnegative integer"
+
     @pytest.mark.parametrize("seed", [LONGEST_SEED + 1, 10 ** 5000],
                              ids=["one_digit_too_long", "5001_digits"])
     def test_seed_too_long_to_print_rejected(self, seed):
@@ -147,9 +155,11 @@ class TestSpecLoading:
         ("cone_potential", {"potential": "orthant2"}, "pairing", registry.CONSTANT_MATRICES),
         ("explicit_metric", {}, "metric", registry.METRICS),
         ("explicit_metric", {"metric": "euclidean1"}, "spins", registry.SPIN_CONSTANTS),
+        ("explicit_metric", {"metric": "euclidean1"}, "scalar", registry.SCALARS),
         ("algebra", {}, "constants", registry.ALGEBRAS),
         ("lattice", {"sites": 16}, "coefficients", registry.LATTICE_COEFFICIENTS),
-    ], ids=["potential", "pairing", "metric", "spins", "constants", "coefficients"])
+    ], ids=["potential", "pairing", "metric", "spins", "scalar", "constants",
+            "coefficients"])
     def test_unknown_registry_id_names_the_payload_key(self, kind, payload, key, table):
         with pytest.raises(SchemaError) as err:
             spec_from_dict({"kind": kind, "payload": {**payload, key: "nope"}, "checks": []})
@@ -326,70 +336,57 @@ class TestRunBattery:
         assert [r.name for r in report.rows] == [
             "gibbs_normalization", "metric_positive_definite"]
 
-    def test_tolerance_scale_can_force_failure(self):
-        spec = spec_from_dict({
+    def test_spec_tolerance_can_force_failure(self):
+        data = {
             "kind": "exponential_family",
             "payload": {"statistics": [[0.0, 1.0]], "beta": [0.5]},
             "checks": ["cumulants_low_order"],
-        })
-        strict = run_battery(spec, RunOptions(tol_scale=1e-12))
-        assert strict.rows[0].status == "fail"
-        normal = run_battery(spec)
-        assert normal.rows[0].status == "pass"
+        }
+        assert run_battery(spec_from_dict(data)).rows[0].status == "pass"
+        data["tolerances"] = {"cumulants_low_order": 1e-18}
+        assert run_battery(spec_from_dict(data)).rows[0].status == "fail"
 
-    def test_seed_override_changes_hash_only_in_meta(self):
-        spec = load_manifold_spec(BERNOULLI_TEXT)
-        report = run_battery(spec, RunOptions(seed=99))
+    def test_spec_seed_is_the_report_seed_and_part_of_the_hash(self):
+        data = json.loads(BERNOULLI_TEXT)
+        data["seed"] = 99
+        report = run_battery(spec_from_dict(data))
         assert report.seed == 99
+        assert report.spec_hash != run_battery(load_manifold_spec(BERNOULLI_TEXT)).spec_hash
 
     def test_anchor_vocabulary(self):
         # every check cites a listed anchor, and every listed anchor is cited
         assert {definition.anchor for definition in CHECKS.values()} == set(ANCHORS)
 
-    @pytest.mark.parametrize("options, field", [
-        (RunOptions(seed=True), "seed"),
-        (RunOptions(seed=1.5), "seed"),
-        (RunOptions(seed=-1), "seed"),
-        (RunOptions(seed="3"), "seed"),
-        (RunOptions(tol_scale=-1.0), "tol_scale"),
-        (RunOptions(tol_scale=0), "tol_scale"),
-        (RunOptions(tol_scale=True), "tol_scale"),
-        (RunOptions(tol_scale=math.inf), "tol_scale"),
-        (RunOptions(tol_scale=math.nan), "tol_scale"),
-        (RunOptions(tol_scale="2"), "tol_scale"),
-    ], ids=["bool_seed", "float_seed", "negative_seed", "text_seed", "negative_scale",
-            "zero_scale", "bool_scale", "infinite_scale", "nan_scale", "text_scale"])
-    def test_run_options_are_checked(self, options, field):
-        with pytest.raises(SchemaError) as err:
-            run_battery(load_manifold_spec(BERNOULLI_TEXT), options)
-        assert err.value.field == field
-        expected = {"seed": "seed must be a nonnegative integer",
-                    "tol_scale": "--tol-scale must be positive and finite"}[field]
-        assert str(err.value) == expected
+    def test_default_tolerances_are_positive_finite_floats(self):
+        # the runner holds rows to these as they are, so none may be 0, inf or NaN
+        for definition in CHECKS.values():
+            assert type(definition.default_tol) is float
+            assert 0.0 < definition.default_tol < math.inf
 
-    @pytest.mark.parametrize("options", [RunOptions(seed=0, tol_scale=2),
-                                         RunOptions(seed=2**40, tol_scale=1e-300)])
-    def test_integer_seed_and_positive_scale_run(self, options):
-        report = run_battery(load_manifold_spec(BERNOULLI_TEXT), options)
-        assert report.seed == options.seed
-        assert [row.tolerance for row in report.rows] == [1e-13 * options.tol_scale,
-                                                          1e-12 * options.tol_scale]
+    @pytest.mark.parametrize("seed, tolerances", [
+        (0, {"gibbs_normalization": 2e-13, "metric_positive_definite": 1e300}),
+        (2**40, {"gibbs_normalization": 5e-324, "metric_positive_definite": 3}),
+    ], ids=["large", "subnormal_and_int"])
+    def test_spec_seed_and_tolerances_reach_the_report_unchanged(self, seed, tolerances):
+        data = json.loads(BERNOULLI_TEXT)
+        data.update(seed=seed, tolerances=tolerances)
+        report = run_battery(spec_from_dict(data))
+        assert report.seed == seed
+        assert [row.tolerance for row in report.rows] == list(tolerances.values())
+        # a check the spec sets no tolerance for is held to its default
+        del data["tolerances"]["metric_positive_definite"]
+        row = run_battery(spec_from_dict(data)).rows[1]
+        assert row.tolerance == CHECKS["metric_positive_definite"].default_tol
 
     @pytest.mark.parametrize("fmt", ["machine", "human"])
     def test_every_printable_seed_runs_and_prints(self, fmt):
-        """The longest seed runs from the spec and as an override, and both
-        reports print it; a seed one digit longer is a SchemaError."""
+        """The longest seed runs and its report prints it; a seed one digit
+        longer is a SchemaError (test_seed_too_long_to_print_rejected)."""
         data = json.loads(BERNOULLI_TEXT)
         data["seed"] = LONGEST_SEED
-        spec = load_manifold_spec(BERNOULLI_TEXT)
-        for report in (run_battery(spec_from_dict(data)),
-                       run_battery(spec, RunOptions(seed=LONGEST_SEED))):
-            assert report.seed == LONGEST_SEED
-            assert str(LONGEST_SEED) in emit_report(report, fmt)
-        for seed in (LONGEST_SEED + 1, 10 ** 5000):
-            with pytest.raises(SchemaError) as err:
-                run_battery(spec, RunOptions(seed=seed))
-            assert err.value.field == "seed"
+        report = run_battery(spec_from_dict(data))
+        assert report.seed == LONGEST_SEED
+        assert str(LONGEST_SEED) in emit_report(report, fmt)
 
     def test_algebra_kind_checks(self):
         spec = spec_from_dict({
@@ -832,10 +829,10 @@ class TestDriftScaling:
     def test_steps_all_sizes_in_one_run(self, monkeypatch):
         # four step sizes over the same time: 6.5k + 13k + 32.5k + 65k steps
         # one at a time, but one force per step of the longest run stacked
-        value, grad = SCALAR_FIELDS["half_square"]
+        value, grad = registry.SCALARS["half_square"]()
         calls = []
-        monkeypatch.setitem(SCALAR_FIELDS, "half_square",
-                            (value, lambda z: calls.append(1) or grad(z)))
+        monkeypatch.setitem(registry.SCALARS, "half_square",
+                            lambda: (value, lambda z: calls.append(1) or grad(z)))
         spec = spec_from_dict({"kind": "explicit_metric",
                                "payload": {"metric": "euclidean1", "scalar": "half_square"},
                                "checks": ["drift_scaling"]})
@@ -878,14 +875,14 @@ def one_point_energy(metric, y):
     """p^T g^-1 p / 2 + U at one point, with 1-D products: the oracle of the
     stacked energy."""
     ginv = metric.inverse(y.z)
-    return 0.5 * float(y.p @ ginv @ y.p) + float(SCALAR_FIELDS["half_square"][0](y.z))
+    return 0.5 * float(y.p @ ginv @ y.p) + float(registry.SCALARS["half_square"]()[0](y.z))
 
 
 def one_point_gradient(metric, y):
     """The analytic gradient at one point, with 1-D products."""
     v = metric.inverse(y.z) @ y.p
     dz = -0.5 * np.einsum("kij,i,j->k", metric.derivative(y.z), v, v)
-    return np.concatenate([dz + SCALAR_FIELDS["half_square"][1](y.z), v])
+    return np.concatenate([dz + registry.SCALARS["half_square"]()[1](y.z), v])
 
 
 def reference_midpoint_step(H, z, p, dt, tol=1e-12, max_iter=50):
@@ -1107,48 +1104,20 @@ class TestCli:
         assert main(["catalog", "perturbed_wdvv3"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
-    def test_tol_scale_must_be_positive_and_finite(self, scale, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(BERNOULLI_TEXT)
-        assert main(["check", str(path), f"--tol-scale={scale}"]) == 2
-        assert main(["catalog", "bernoulli", f"--tol-scale={scale}"]) == 2
-        assert "--tol-scale" in capsys.readouterr().err
-
-    # numpy's ValueError escaped as a traceback with exit 1
-    def test_negative_seed_override_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(BERNOULLI_TEXT)
-        assert main(["check", str(path), "--seed=-1"]) == 2
-        assert main(["catalog", "bernoulli", "--seed=-1"]) == 2
-        assert main(["catalog", "all", "--seed=-1"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.count("error: seed must be a nonnegative integer") == 3
-        with pytest.raises(SchemaError) as err:
-            run_battery(load_manifold_spec(BERNOULLI_TEXT), RunOptions(seed=-1))
-        assert err.value.field == "seed"
-
-    def test_overflowing_tolerance_product_rejected(self, tmp_path, capsys):
-        # both factors are finite; their product is not
-        path = tmp_path / "spec.json"
-        path.write_text(BERNOULLI_TEXT.replace("1e-13", "1e300"))
-        assert main(["check", str(path), "--tol-scale=1e10", "--report=machine"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "gibbs_normalization" in out.err
-
+    # the seed and the tolerances are the spec's, so no flag changes them
+    @pytest.mark.parametrize("flag", [["--fd-step", "1e-3"], ["--seed=3"], ["--tol-scale=2"]],
+                             ids=["fd_step", "seed", "tol_scale"])
     @pytest.mark.parametrize("command", ["check", "catalog"])
-    def test_fd_step_is_not_an_option(self, command, tmp_path):
+    def test_run_knobs_are_not_options(self, command, flag, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(BERNOULLI_TEXT)
         target = str(path) if command == "check" else "bernoulli"
         env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-m", "frobsym.cli", command, target,
-                               "--fd-step", "1e-3"], env=env, capture_output=True, text=True)
+        done = subprocess.run([sys.executable, "-m", "frobsym.cli", command, target, *flag],
+                              env=env, capture_output=True, text=True)
         assert done.returncode == 2
-        assert "unrecognized arguments: --fd-step 1e-3" in done.stderr
-        assert "Traceback" not in done.stderr
+        assert f"unrecognized arguments: {' '.join(flag)}" in done.stderr
+        assert "Traceback" not in done.stderr and done.stdout == ""
 
     @pytest.mark.parametrize("payload, checks", [
         ({"potential": "orthant2", "point": [1.0, 2.0]}, ["wdvv"]),
@@ -1178,12 +1147,45 @@ class TestCli:
 
     def test_catalog_unknown_entry(self, capsys):
         assert main(["catalog", "does_not_exist"]) == 2
-        capsys.readouterr()
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_dump_spec_round_trips(self, capsys):
         assert main(["catalog", "trivial_wdvv3", "--dump-spec"]) == 0
         text = capsys.readouterr().out
         assert load_manifold_spec(text) == builtin_catalog()["trivial_wdvv3"].spec
+
+    # each was ignored: "all" ran the self-test and no name printed the listing
+    @pytest.mark.parametrize("name", [["all"], []], ids=["all", "no_name"])
+    def test_dump_spec_needs_one_entry_name(self, name, capsys):
+        assert main(["catalog", *name, "--dump-spec"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "--dump-spec" in out.err
+
+    @pytest.mark.parametrize("name", sorted(builtin_catalog()))
+    def test_dumped_spec_edited_and_checked_reruns_the_entry(self, name, tmp_path, capsys):
+        """The way to run an entry at another seed or tolerance: dump its
+        spec, edit the seed and tolerances, and check the file."""
+        path = tmp_path / "spec.json"
+        assert main(["catalog", name, "--dump-spec", "--out", str(path)]) == 0
+        runs = {}
+        for command in (["catalog", name], ["check", str(path)]):
+            code = main([*command, "--report=machine"])
+            runs[command[0]] = code, strip_runtime(capsys.readouterr().out)
+        assert runs["check"] == runs["catalog"]
+
+        data = json.loads(path.read_text())
+        data["seed"] += 7
+        data["tolerances"] = {check: 1e-300 for check in data["checks"][::2]}
+        path.write_text(json.dumps(data))
+        code = main(["check", str(path), "--report=machine"])
+        report = run_battery(spec_from_dict(data))
+        assert code == (0 if report.all_passed() else 1)
+        assert strip_runtime(capsys.readouterr().out) == strip_runtime(
+            emit_report(report, "machine"))
+        assert report.seed == builtin_catalog()[name].spec.seed + 7
 
     def test_report_written_to_file(self, tmp_path, capsys):
         entry = builtin_catalog()["trivial_wdvv3"]
@@ -1220,7 +1222,7 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# the error contract over drawn specs and run options
+# the error contract over drawn specs and command lines
 
 # ordinary values, the ends of the float range and subnormals
 NUMBERS = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3),
@@ -1262,7 +1264,7 @@ def drawn_specs(draw):
         maybe("pairing", lambda: ident(registry.CONSTANT_MATRICES))
     elif kind == "explicit_metric":
         payload = {"metric": ident(registry.METRICS)}
-        maybe("scalar", lambda: ident(SCALAR_FIELDS))
+        maybe("scalar", lambda: ident(registry.SCALARS))
         maybe("spins", lambda: ident(registry.SPIN_CONSTANTS))
     elif kind == "algebra":
         payload = {"constants": ident(registry.ALGEBRAS)}
@@ -1280,7 +1282,7 @@ def drawn_specs(draw):
             "checks": draw(st.lists(st.sampled_from(applicable), unique=True, max_size=4)),
             "tolerances": draw(st.dictionaries(st.sampled_from(sorted(CHECKS)), NUMBERS,
                                                max_size=1)),
-            "seed": draw(st.integers(0, 2**40)),
+            "seed": draw(st.one_of(st.integers(0, 2**40), st.just(LONGEST_SEED))),
             "name": "fuzz"}
     corrupt = draw(st.sampled_from((None,) * 14 + TOP_LEVEL + ("$",)))
     if corrupt == "$":
@@ -1288,13 +1290,6 @@ def drawn_specs(draw):
     if corrupt is not None:
         spec[corrupt] = draw(JUNK)
     return spec
-
-
-run_options = st.one_of(st.just(RunOptions()), st.builds(
-    RunOptions,
-    tol_scale=st.one_of(NUMBERS, st.booleans(), st.integers(-2, 3)),
-    seed=st.one_of(st.none(), st.integers(-2, 2**40), st.booleans(), NUMBERS,
-                   st.sampled_from([LONGEST_SEED, LONGEST_SEED + 1]))))
 
 
 def reject_constant(name):
@@ -1323,23 +1318,21 @@ def cli_spec_texts(draw):
     return json.dumps(spec).replace(json.dumps(DEEP), "[" * depth + "]" * depth)
 
 
-# flag values as the shell passes them: absent, valid for both flags, numbers,
-# words and junk
-FLAG_VALUES = st.one_of(st.none(), st.sampled_from(["0", "1", "2", "7"]),
-                        st.integers(-2, 2**40).map(str), NUMBERS.map(repr), st.text(max_size=3),
-                        st.sampled_from(["inf", "-inf", "nan", "1e999", " 3 ", "0x10", "1_0"]))
+# values of the removed --seed and --tol-scale flags as the shell passes them:
+# absent three times in four, else numbers, words or junk
+FLAG_VALUES = st.integers(0, 3).flatmap(lambda absent: st.none() if absent else st.one_of(
+    st.sampled_from(["0", "1", "2", "7"]), st.integers(-2, 2**40).map(str),
+    NUMBERS.map(repr), st.text(max_size=3),
+    st.sampled_from(["inf", "-inf", "nan", "1e999", " 3 ", "0x10", "1_0"])))
 
 
 def api_outcome(path, seed, tol_scale):
     """The exit code the API gives for a spec file and flag strings, and the
     report when a battery runs."""
+    if seed is not None or tol_scale is not None:
+        return 2, None  # argparse rejects a flag the CLI does not have
     try:
-        options = RunOptions(1.0 if tol_scale is None else float(tol_scale),
-                             None if seed is None else int(seed))
-    except ValueError:
-        return 2, None  # argparse rejects what int() and float() reject
-    try:
-        report = run_battery(load_manifold_spec(path), options)
+        report = run_battery(load_manifold_spec(path))
     except (ParseError, SchemaError):
         return 2, None
     return (0 if report.all_passed() else 1), report
@@ -1362,9 +1355,9 @@ class TestErrorContract:
     """Malformed input is a SchemaError or ParseError naming a field of the
     spec, and every battery that runs gives strict JSON pass/fail rows."""
 
-    @given(drawn_specs(), run_options)
+    @given(drawn_specs())
     @settings(max_examples=200, deadline=None)
-    def test_drawn_specs_and_options_keep_the_contract(self, data, options):
+    def test_drawn_specs_keep_the_contract(self, data):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -1375,12 +1368,8 @@ class TestErrorContract:
                     not key or key in (PAYLOAD_KEYS if head == "payload"
                                        else data["tolerances"]))), err.field
                 return
-            try:
-                report = run_battery(spec, options)
-            except SchemaError as err:
-                assert err.field in ("seed", "tol_scale", *(f"tolerances.{name}"
-                                                            for name in spec.checks)), err.field
-                return
+            # spec_from_dict is the one validation site: a spec it returns runs
+            report = run_battery(spec)
         for line in emit_report(report, "machine").splitlines():
             record = json.loads(line, parse_constant=reject_constant)
             if record["record"] == "check":
@@ -1389,8 +1378,9 @@ class TestErrorContract:
     @given(cli_spec_texts(), FLAG_VALUES, FLAG_VALUES, st.sampled_from(["human", "machine"]),
            st.booleans())
     @example(UNREADABLE_SPECS["nested_50000_deep"], None, None, "machine", False)
-    @example(UNREADABLE_SPECS["lone_surrogate_name"], "1", None, "human", False)
-    @example(UNREADABLE_SPECS["lone_surrogate_name"], None, "2", "human", True)
+    @example(UNREADABLE_SPECS["lone_surrogate_name"], None, None, "human", True)
+    @example(BERNOULLI_TEXT, "3", None, "human", False)
+    @example(BERNOULLI_TEXT, None, "2", "machine", True)
     @example(UNREADABLE_SPECS["sites_1e400"], None, None, "human", False)
     @example(UNREADABLE_SPECS["field_dim_1e400"], None, None, "machine", True)
     @example(UNREADABLE_SPECS["field_dim_1e6"], None, None, "machine", False)

@@ -24,6 +24,10 @@ def callbacks():
         for attr in POTENTIAL_CALLBACKS:
             if getattr(phi, attr) is not None:
                 yield f"potential-{name}-{attr}", phi.dim, getattr(phi, attr)
+    for name, make in registry.SCALARS.items():
+        value, gradient = make()
+        yield f"scalar-{name}-value", 3, value
+        yield f"scalar-{name}-gradient", 3, gradient
     for name, make in registry.LATTICE_COEFFICIENTS.items():
         for r in (1, 2, 3):
             metric, metric_deriv, _ = make(r)
@@ -49,9 +53,10 @@ def test_stacked_call_equals_the_row_by_row_calls(key, shape):
 
 
 def test_every_entry_is_covered():
-    # six potentials with 16 callbacks, five metrics with two each, and two
-    # lattice coefficient sets at three field sizes with two each
-    assert len(CALLBACKS) == 16 + 10 + 12
+    # six potentials with 16 callbacks, five metrics with two each, two
+    # scalars with two each, and two lattice coefficient sets at three field
+    # sizes with two each
+    assert len(CALLBACKS) == 16 + 10 + 4 + 12
 
 
 def test_powers_round_as_the_one_point_formulas():
