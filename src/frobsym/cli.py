@@ -1,15 +1,16 @@
 """Command line front end.
 
     frobsym check <spec-file> [--report human|machine] [--out PATH]
-    frobsym catalog                 list the built-in entries
+    frobsym catalog [--out PATH]    list the built-in entries
     frobsym catalog <name> [...]    run one entry (same flags as check)
-    frobsym catalog <name> --dump-spec    print the entry as a spec file
+    frobsym catalog <name> --dump-spec [--out PATH]    print the entry as a spec file
     frobsym catalog all   [...]     run every entry as a self-test
 
 A run takes its seed and tolerances from the spec alone; to rerun an entry
 with others, edit its dumped spec and ``check`` the file.  Exit status: 0
-iff all checks pass, 1 if one fails, and 2 for a usage error, a malformed
-or unreadable spec, or an ``--out`` path that cannot be written.  ``catalog
+iff all checks pass, 1 if one fails, and 2 for a usage error (such as
+``--report`` on a listing or a dump, which print no report), a malformed or
+unreadable spec, or an ``--out`` path that cannot be written.  ``catalog
 all`` instead compares each row against the entry's documented outcome, so
 the deliberately-broken fixtures count as healthy when they fail as
 documented.
@@ -25,8 +26,8 @@ from .errors import FrobsymError
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--report", choices=("human", "machine"), default="human")
-    parser.add_argument("--out", default=None, help="write the report here")
+    parser.add_argument("--report", choices=("human", "machine"), help="default: human")
+    parser.add_argument("--out", default=None, help="write the output here")
 
 
 def _deliver(text: str, args) -> None:
@@ -40,7 +41,7 @@ def _deliver(text: str, args) -> None:
 def _cmd_check(args) -> int:
     spec = load_manifold_spec(args.spec_file)
     report = run_battery(spec)
-    _deliver(emit_report(report, args.report), args)
+    _deliver(emit_report(report, args.report or "human"), args)
     return 0 if report.all_passed() else 1
 
 
@@ -49,13 +50,19 @@ def _cmd_catalog(args) -> int:
     if args.dump_spec and args.name in (None, "all"):
         print("error: --dump-spec needs the name of one catalog entry", file=sys.stderr)
         return 2
+    if args.report and (args.dump_spec or args.name is None):
+        print("error: --report needs an entry to run; a listing or --dump-spec prints "
+              "no report", file=sys.stderr)
+        return 2
     if args.name is None:
         width = max(len(n) for n in catalog)
+        lines = []
         for name, entry in catalog.items():
             expected = ("fails: " + ", ".join(sorted(entry.expect_fail))
                         if entry.expect_fail else "all pass")
-            print(f"{name:<{width}}  kind={entry.spec.kind:<19} "
-                  f"checks={len(entry.spec.checks)}  expected: {expected}")
+            lines.append(f"{name:<{width}}  kind={entry.spec.kind:<19} "
+                         f"checks={len(entry.spec.checks)}  expected: {expected}\n")
+        _deliver("".join(lines), args)
         return 0
 
     if args.name == "all":
@@ -63,7 +70,7 @@ def _cmd_catalog(args) -> int:
         healthy = True
         for name, entry in catalog.items():
             report = run_battery(entry.spec)
-            texts.append(emit_report(report, args.report))
+            texts.append(emit_report(report, args.report or "human"))
             healthy = healthy and entry.matches_expectation(report)
         _deliver(("" if args.report == "machine" else "\n").join(texts), args)
         return 0 if healthy else 1
@@ -77,7 +84,7 @@ def _cmd_catalog(args) -> int:
         _deliver(entry.spec.canonical_text() + "\n", args)
         return 0
     report = run_battery(entry.spec)
-    _deliver(emit_report(report, args.report), args)
+    _deliver(emit_report(report, args.report or "human"), args)
     return 0 if report.all_passed() else 1
 
 

@@ -86,22 +86,20 @@ class AlgebraAxiomReport:
     commutativity: float
     associativity: float
     pairing_invariance: float
-    unit_residual: float | None
-    unit: np.ndarray | None
+    unit_residual: float
+    unit: np.ndarray
 
     def worst_identity_residual(self) -> float:
-        worst = max(self.commutativity, self.associativity, self.pairing_invariance)
-        if self.unit_residual is not None:
-            worst = max(worst, self.unit_residual)
-        return worst
+        return max(self.commutativity, self.associativity, self.pairing_invariance,
+                   self.unit_residual)
 
 
 def frobenius_axioms(alg: FrobeniusAlgebra) -> AlgebraAxiomReport:
     """Residuals of commutativity, associativity, invariance and the unit.
 
     The unit is the declared one if present, otherwise the least-squares
-    solution of u o e_j = e_j; it is reported only when that solve leaves
-    a residual below 1e-8.
+    solution of u o e_j = e_j, which is scored as any other: an algebra
+    with no unit leaves its residual there.
     """
     c, p = alg.c, alg.pairing
     comm = float(np.max(np.abs(c - np.swapaxes(c, 1, 2))))
@@ -117,13 +115,9 @@ def frobenius_axioms(alg: FrobeniusAlgebra) -> AlgebraAxiomReport:
         n = alg.dim
         lhs = np.swapaxes(c, 0, 1).reshape(n, n * n).T  # rows (k, j), cols i
         rhs = np.eye(n).reshape(n * n)
-        candidate, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-        if np.max(np.abs(lhs @ candidate - rhs)) < 1e-8:
-            unit = candidate
-    unit_residual = None
-    if unit is not None:
-        products = np.einsum("kij,i->kj", c, unit)
-        unit_residual = float(np.max(np.abs(products - np.eye(alg.dim))))
+        unit, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    products = np.einsum("kij,i->kj", c, unit)
+    unit_residual = float(np.max(np.abs(products - np.eye(alg.dim))))
     return AlgebraAxiomReport(comm, assoc, invariance, unit_residual, unit)
 
 

@@ -38,7 +38,7 @@ from frobsym.battery import (
 )
 from frobsym.cli import main
 from frobsym import registry
-from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms
+from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms, wdvv_residual
 from frobsym.geometry import MetricField, christoffel, hessian_log_metric
 from frobsym.registry import METRICS
 from frobsym.statmanifold import checked_metric
@@ -397,6 +397,13 @@ class TestRunBattery:
         report = run_battery(spec)
         assert report.all_passed()
 
+    # passed with 0.0: the unit was scored only when the least-squares unit was one
+    def test_algebra_without_a_unit_fails_frobenius_axioms(self):
+        spec = spec_from_dict({"kind": "algebra", "payload": {"constants": "zero2"},
+                               "checks": ["frobenius_axioms"]})
+        (row,) = run_battery(spec).rows
+        assert (row.status, row.residual) == ("fail", 1.0)
+
     def test_adapted_potential_checks(self):
         spec = spec_from_dict({
             "kind": "cone_potential",
@@ -508,6 +515,36 @@ class TestRunBattery:
         assert run_battery(spec).rows[0].residual == 0.0
 
 
+class TestDecodedInputs:
+    """spec_from_dict decodes the payload once, and every check reads what
+    the decoder built."""
+
+    # one battery of each kind that has a registry input, with every check of the kind
+    @pytest.mark.parametrize("kind, payload", [
+        ("cone_potential", {"potential": "orthant2", "pairing": "identity2",
+                            "point": [1.0, 2.0]}),
+        ("explicit_metric", {"metric": "euclidean2", "scalar": "half_square", "spins": "so3"}),
+        ("algebra", {"constants": "paracomplex2"}),
+        ("lattice", {"sites": 16, "field_dim": 2, "coefficients": "linear_diagonal"}),
+    ], ids=["cone_potential", "explicit_metric", "algebra", "lattice"])
+    def test_each_registry_factory_runs_once_per_spec(self, kind, payload, monkeypatch):
+        """Two runs of one spec build nothing more and give one report;
+        each check rebuilt its registry objects before."""
+        calls = []
+        for table in (registry.POTENTIALS, registry.CONSTANT_MATRICES, registry.METRICS,
+                      registry.SCALARS, registry.SPIN_CONSTANTS, registry.ALGEBRAS,
+                      registry.LATTICE_COEFFICIENTS):
+            for key, factory in table.items():
+                monkeypatch.setitem(table, key, lambda *args, key=key, factory=factory:
+                                    calls.append(key) or factory(*args))
+        checks = [name for name, check in CHECKS.items() if kind in check.kinds]
+        spec = spec_from_dict({"kind": kind, "payload": payload, "checks": checks})
+        first, second = (emit_report(run_battery(spec), "machine") for _ in range(2))
+        assert sorted(calls) == sorted(v for v in payload.values() if isinstance(v, str))
+        assert strip_runtime(first) == strip_runtime(second)
+        assert len(first.splitlines()) == 1 + len(checks)
+
+
 def split_laws_loop(vals) -> float:
     """Scalar reference for ``_check_split_algebra_laws``: one case at a time."""
     worst = 0.0
@@ -580,9 +617,9 @@ class TestPinnedResiduals:
 
 def reference_cone_points(ctx, count=3):
     """Cone probe points drawn one at a time, as a list."""
-    if "points" in ctx.spec.payload:
-        return [np.asarray(p, dtype=float) for p in ctx.spec.payload["points"]]
-    dim = ctx.potential().dim
+    if ctx.inputs.points is not None:
+        return list(ctx.inputs.points)
+    dim = ctx.inputs.potential.dim
     return [np.exp(ctx.rng.normal(0.0, 0.3, size=dim)) + 0.2 for _ in range(count)]
 
 
@@ -592,7 +629,7 @@ def reference_product(phi, x, a, b):
 
 def reference_cone_unit(ctx):
     """Per-point loop: metric and Christoffel symbols rebuilt for each product."""
-    phi = ctx.potential()
+    phi = ctx.inputs.potential
     worst = 0.0
     for x in reference_cone_points(ctx):
         a = ctx.rng.normal(0.0, 1.0, phi.dim)
@@ -601,7 +638,7 @@ def reference_cone_unit(ctx):
 
 
 def reference_cone_algebra(ctx):
-    phi = ctx.potential()
+    phi = ctx.inputs.potential
     worst = 0.0
     for x in reference_cone_points(ctx):
         a, b, c = (ctx.rng.normal(0.0, 1.0, phi.dim) for _ in range(3))
@@ -614,7 +651,7 @@ def reference_cone_algebra(ctx):
 
 
 def reference_cone_frobenius(ctx):
-    phi = ctx.potential()
+    phi = ctx.inputs.potential
     x0 = reference_cone_points(ctx, 1)[0]
     metric = hessian_log_metric(phi)
     alg = FrobeniusAlgebra(-christoffel(metric, x0), metric.value(x0), unit=x0)
@@ -776,22 +813,22 @@ class TestConeRows:
 
 
 def reference_gibbs_normalization(ctx):
-    fam, worst = ctx.family(), 0.0
-    for beta in [ctx.beta()] + [ctx.rng.normal(0.0, 1.0, fam.n) for _ in range(8)]:
+    fam, worst = ctx.inputs.family, 0.0
+    for beta in [ctx.inputs.beta] + [ctx.rng.normal(0.0, 1.0, fam.n) for _ in range(8)]:
         worst = max(worst, abs(float(np.sum(frobsym.gibbs_density(fam, beta))) - 1.0))
     return worst
 
 
 def reference_metric_positive_definite(ctx):
-    fam, worst = ctx.family(), 0.0
-    for beta in [ctx.beta()] + [ctx.rng.normal(0.0, 0.7, fam.n) for _ in range(4)]:
+    fam, worst = ctx.inputs.family, 0.0
+    for beta in [ctx.inputs.beta] + [ctx.rng.normal(0.0, 0.7, fam.n) for _ in range(4)]:
         eig = np.linalg.eigvalsh(checked_metric(fam, beta))
         worst = max(worst, max(0.0, -float(eig[0])))
     return worst
 
 
 def reference_dual_coordinates(ctx):
-    fam, beta = ctx.family(), ctx.beta()
+    fam, beta = ctx.inputs.family, ctx.inputs.beta
     eta, psi = frobsym.dual_coordinates(fam, beta)
     legendre = abs(psi + frobsym.potential_eval(fam, beta) - float(beta @ eta))
     jac = numdiff.jacobian(lambda b: np.reshape(
@@ -867,8 +904,8 @@ class TestDriftScaling:
 
 def metric_hamiltonian(metric, scalar="half_square"):
     payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
-    spec = spec_from_dict({"kind": "explicit_metric", "payload": payload})
-    return _hamiltonian_observable(CheckContext(spec, np.random.default_rng(0)))
+    return _hamiltonian_observable(spec_from_dict({"kind": "explicit_metric",
+                                                   "payload": payload}).inputs)
 
 
 def one_point_energy(metric, y):
@@ -1120,12 +1157,9 @@ class TestCli:
         assert "Traceback" not in done.stderr and done.stdout == ""
 
     @pytest.mark.parametrize("payload, checks", [
-        ({"potential": "orthant2", "point": [1.0, 2.0]}, ["wdvv"]),
-        ({"potential": "adapted_quartic1"}, ["wdvv"]),
-        ({"potential": "adapted_mixed2", "point": [0.1, 0.2, 0.3, 0.4]}, ["wdvv"]),
         ({"potential": "orthant2", "pairing": "identity3"}, ["flatness"]),
         ({"potential": "wdvv_cubic3", "pairing": "identity2"}, ["wdvv"]),
-    ], ids=["orthant2", "adapted_quartic1", "adapted_mixed2", "explicit_3x3", "explicit_2x2"])
+    ], ids=["explicit_3x3", "explicit_2x2"])
     def test_pairing_of_the_wrong_size_is_a_schema_error(self, payload, checks, tmp_path,
                                                           capsys):
         path = tmp_path / "spec.json"
@@ -1138,7 +1172,20 @@ class TestCli:
             load_manifold_spec(path.read_text())
         assert info.value.field == "payload.pairing"
 
-    def test_default_pairing_is_checked_only_for_wdvv(self):
+    # each was a SchemaError naming identity3, a pairing the spec never wrote
+    @pytest.mark.parametrize("potential, point", [
+        ("orthant2", [1.0, 2.0]), ("adapted_quartic1", None),
+        ("adapted_mixed2", [0.1, 0.2, 0.3, 0.4])],
+        ids=["orthant2", "adapted_quartic1", "adapted_mixed2"])
+    def test_wdvv_without_a_pairing_pairs_by_the_identity(self, potential, point):
+        phi = registry.POTENTIALS[potential]()
+        payload = {"potential": potential, **({"point": point} if point else {})}
+        spec = spec_from_dict({"kind": "cone_potential", "payload": payload,
+                               "checks": ["wdvv"]})
+        (row,) = run_battery(spec).rows
+        assert row.residual == wdvv_residual(phi, np.eye(phi.dim), point or [0.0] * phi.dim)
+
+    def test_default_pairing_is_not_written_into_the_payload(self):
         spec = load_manifold_spec(json.dumps({
             "name": "x", "kind": "cone_potential", "payload": {"potential": "orthant2"},
             "checks": ["hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
@@ -1149,6 +1196,28 @@ class TestCli:
         assert main(["catalog", "does_not_exist"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    # each exited 0, the flag ignored; the listing also ignored --out
+    @pytest.mark.parametrize("argv", [
+        ["trivial_wdvv3", "--dump-spec", "--report", "human"],
+        ["trivial_wdvv3", "--dump-spec", "--report=machine"],
+        ["--report", "machine"],
+    ], ids=["dump_spec_human", "dump_spec_machine", "listing"])
+    def test_report_flag_without_a_run_exits_two(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "out.txt"
+        assert main(["catalog", *argv, "--out", str(out_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and not out_path.exists()
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "--report" in out.err
+
+    # the listing went to standard output and the file was never written
+    def test_catalog_listing_written_to_file(self, tmp_path, capsys):
+        path = tmp_path / "listing.txt"
+        assert main(["catalog", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["catalog"]) == 0
+        assert path.read_text() == capsys.readouterr().out
 
     def test_dump_spec_round_trips(self, capsys):
         assert main(["catalog", "trivial_wdvv3", "--dump-spec"]) == 0

@@ -81,10 +81,8 @@ def public_surface() -> dict:
 
 
 def entered_code(tmp_path) -> set:
-    """Code objects entered by ``catalog all`` and the UNCATALOGUED batteries."""
-    specs = [spec_from_dict({"name": f"reach-{check}", "kind": kind, "payload": payload,
-                             "checks": [check]})
-             for check, (kind, payload) in UNCATALOGUED.items()]
+    """Code objects entered by ``catalog all`` and the UNCATALOGUED batteries,
+    whose specs are built inside the profile because decoding builds inputs."""
     entered = set()
 
     def record(frame, event, arg):
@@ -96,6 +94,9 @@ def entered_code(tmp_path) -> set:
     try:
         assert main(["catalog", "all", "--report", "machine",
                      "--out", str(tmp_path / "catalog.jsonl")]) == 0
+        specs = [spec_from_dict({"name": f"reach-{check}", "kind": kind, "payload": payload,
+                                 "checks": [check]})
+                 for check, (kind, payload) in UNCATALOGUED.items()]
         reports = [run_battery(spec) for spec in specs]
     finally:
         sys.setprofile(previous)
