@@ -36,7 +36,7 @@ print(f"potential-derived form closedness residual  = {closed:.1e}")
 print("\n== Lorentz-signature Legendre transform ==")
 lag = LorentzLagrangian(signature=[1.0, 1.0, 1.0, -1.0])
 for xi in ([1.0, 0, 0, 0], [0.0, 0, 0, 1.0]):
-    p, f, h = legendre_hamiltonian(lag, np.array(xi), np.zeros(4))
+    p, h = legendre_hamiltonian(lag, np.array(xi))
     print(f"velocity {xi} -> momentum {p}, energy {h:+.1f}")
 
 print("\n== oscillator flow and energy conservation ==")

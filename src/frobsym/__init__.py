@@ -82,7 +82,6 @@ from .symplectic import (
     Trajectory,
     TwoForm,
     closedness_residual,
-    dbar_split_residuals,
     dolbeault_form,
     exterior_derivative,
     integrate,

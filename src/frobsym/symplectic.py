@@ -1,5 +1,5 @@
-"""Phase-space forms, the Lorentz-signature Legendre transform and two
-conservative integrators.
+"""Phase-space forms, the Legendre transform of the free Lorentz-signature
+Lagrangian, and two conservative integrators.
 
 Sign conventions (fixed once, used everywhere):
 
@@ -254,107 +254,18 @@ def closedness_residual(form: TwoForm, points) -> float:
 
 
 # ---------------------------------------------------------------------------
-# splitting of the differential on adapted coordinates
-
-# On adapted coordinates (z+^1..z+^m, z-^1..z-^m) the differential splits as
-# d = d' + d'' with d' collecting the plus-direction derivative components
-# and d'' the minus-direction ones.  Forms of degree k are represented by a
-# callable mapping a stack of points to fully antisymmetric coefficients,
-# with k axes over the 2m coordinates after the point axes (none for k = 0).
-
-
-def _antisymmetrize(t: np.ndarray, k: int) -> np.ndarray:
-    """The antisymmetric part of ``t`` in its last ``k`` axes."""
-    from itertools import permutations
-
-    if k <= 1:
-        return t
-    lead = tuple(range(t.ndim - k))
-    acc = np.zeros_like(t)
-    count = 0
-    for perm in permutations(range(k)):
-        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-        acc += (-1.0) ** inversions * np.transpose(t, lead + tuple(len(lead) + p for p in perm))
-        count += 1
-    return acc / count
-
-
-def split_differentials(coeffs: Callable, degree: int, point) -> tuple[np.ndarray, np.ndarray]:
-    """(d'w, d''w) of a degree-``degree`` form at one point or a stack of them.
-
-    Both come from one central-difference Jacobian: d' keeps its
-    plus-direction components and d'' its minus-direction ones.  Each carries
-    degree+1 antisymmetric axes after the point axes; for a 0-form, d' is the
-    plus-part of the gradient (zeros on the minus slots).
-    """
-    point = np.asarray(point, dtype=float)
-    if point.shape[-1] % 2 != 0:
-        raise DimensionMismatch("adapted points come in (plus, minus) pairs")
-
-    def wrapped(x):
-        arr = np.asarray(coeffs(x), dtype=float)
-        if arr.ndim != x.ndim - 1 + degree:
-            raise DimensionMismatch(f"expected a degree-{degree} coefficient array")
-        return arr
-
-    return _split_pair(wrapped, degree, point)
-
-
-def _split_pair(field: Callable, degree: int, point: np.ndarray):
-    """(d', d'') of ``field``, whose values may carry extra axes between the
-    point axes and the ``degree`` form axes."""
-    m = point.shape[-1] // 2
-    # [..., direction, (form indices)], then copies with one half of the directions zeroed
-    plus = np.moveaxis(numdiff.jacobian(field, point, h=1e-4), point.ndim - 1, -degree - 1)
-    minus = plus.copy()
-    np.moveaxis(plus, -degree - 1, 0)[m:] = 0.0
-    np.moveaxis(minus, -degree - 1, 0)[:m] = 0.0
-    return tuple((degree + 1) * _antisymmetrize(part, degree + 1) for part in (plus, minus))
-
-
-def dbar_split_residuals(zero_forms, points, one_forms=()) -> dict:
-    """Max residuals of (d')^2 = 0, (d'')^2 = 0 and d'd'' = -d''d'.
-
-    Applied to the supplied 0-forms and optional 1-forms (callables giving
-    one value or one length-2m coefficient vector per adapted point) over the
-    stack of sample points at once.  The pair (d'w, d''w) is differenced
-    once more, as one stacked field, for all four second differentials.
-    """
-    points = np.asarray(points, dtype=float)
-    worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
-    suite = [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]
-    for f, degree in suite:
-
-        def pair(x):
-            return np.stack(split_differentials(f, degree, x), axis=x.ndim - 1)
-
-        plus, minus = _split_pair(pair, degree + 1, points)
-        pp, pm = np.moveaxis(plus, points.ndim - 1, 0)
-        mp, mm = np.moveaxis(minus, points.ndim - 1, 0)
-        worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
-        worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
-        worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # Lagrangian mechanics with a fixed diagonal signature
 
 
 @dataclass(frozen=True)
 class LorentzLagrangian:
-    """L = (C/2)(xi^mu xi_mu - 1) + kappa2 xi^mu A_mu - U.
+    """L = (xi^mu xi_mu - 1) / 2.
 
     ``signature`` holds the +-1 diagonal used to lower indices,
-    xi_mu = signature[mu] * xi^mu.  ``gauge`` maps a ``(..., n)`` stack of
-    base points to the potentials A_mu, and ``scalar`` to the values of U.
+    xi_mu = signature[mu] * xi^mu.
     """
 
     signature: np.ndarray
-    mass_const: float = 1.0
-    kappa2: float = 0.0
-    gauge: Callable[[np.ndarray], np.ndarray] | None = None
-    scalar: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
         sig = np.asarray(self.signature, dtype=float)
@@ -362,37 +273,18 @@ class LorentzLagrangian:
             raise InvalidStructure("signature entries must be +1 or -1")
         object.__setattr__(self, "signature", sig)
 
-    def lagrangian(self, xi, z) -> float:
+    def lagrangian(self, xi) -> float:
         xi = np.asarray(xi, dtype=float)
-        value = 0.5 * self.mass_const * (float(xi @ (self.signature * xi)) - 1.0)
-        if self.kappa2 != 0.0 and self.gauge is not None:
-            value += self.kappa2 * float(xi @ np.asarray(self.gauge(np.asarray(z, float))))
-        if self.scalar is not None:
-            value -= float(self.scalar(np.asarray(z, float)))
-        return value
+        return 0.5 * (float(xi @ (self.signature * xi)) - 1.0)
 
 
-def legendre_hamiltonian(lag: LorentzLagrangian, xi, z) -> tuple[np.ndarray, np.ndarray, float]:
-    """Momentum, force and energy of the velocity xi at base point z.
-
-    p_mu = C xi_mu + kappa2 A_mu, f_mu = kappa2 xi^nu dA_nu/dz^mu, and
-    H = xi^mu p_mu - L.  The mass constant C multiplies the kinetic
-    momentum; C = 1 recovers the bare lowered velocity.
-    """
+def legendre_hamiltonian(lag: LorentzLagrangian, xi) -> tuple[np.ndarray, float]:
+    """Momentum p_mu = xi_mu and energy H = xi^mu p_mu - L of the velocity xi."""
     xi = np.asarray(xi, dtype=float)
-    z = np.asarray(z, dtype=float)
     if xi.shape != lag.signature.shape:
         raise DimensionMismatch("velocity and signature sizes disagree")
-    lowered = lag.signature * xi
-    p = lag.mass_const * lowered
-    if lag.kappa2 != 0.0 and lag.gauge is not None:
-        p = p + lag.kappa2 * np.asarray(lag.gauge(z), dtype=float)
-        dA = numdiff.jacobian(lag.gauge, z)  # dA[mu, nu]
-        force = lag.kappa2 * dA @ xi
-    else:
-        force = np.zeros_like(xi)
-    energy = float(xi @ p) - lag.lagrangian(xi, z)
-    return p, force, energy
+    p = lag.signature * xi
+    return p, float(xi @ p) - lag.lagrangian(xi)
 
 
 # ---------------------------------------------------------------------------

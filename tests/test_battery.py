@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -357,6 +358,12 @@ class TestRunBattery:
         # every check cites a listed anchor, and every listed anchor is cited
         assert {definition.anchor for definition in CHECKS.values()} == set(ANCHORS)
 
+    def test_readme_lists_the_registered_names_in_order(self):
+        # a row added or deleted without the docs would leave this list stale
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"The registered\s+names:(.*?)\.\n", readme, re.DOTALL).group(1)
+        assert re.findall(r"`(\w+)`", listed) == list(CHECKS)
+
     def test_default_tolerances_are_positive_finite_floats(self):
         # the runner holds rows to these as they are, so none may be 0, inf or NaN
         for definition in CHECKS.values():
@@ -408,7 +415,7 @@ class TestRunBattery:
         spec = spec_from_dict({
             "kind": "cone_potential",
             "payload": {"potential": "adapted_mixed2"},
-            "checks": ["form_closedness", "dbar_splitting"],
+            "checks": ["form_closedness"],
         })
         report = run_battery(spec)
         assert report.all_passed()
@@ -444,6 +451,25 @@ class TestRunBattery:
                             ("gibbs_normalization", "cumulants_low_order"), {})
         report = run_battery(spec)
         assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 2
+
+    # each raised AttributeError: the check read a field of another kind's inputs
+    @pytest.mark.parametrize("kind, payload, checks", [
+        ("algebra", {"constants": "zero2"}, ("gibbs_normalization",)),
+        ("lattice", {"sites": 8, "coefficients": "linear_diagonal"}, ("wdvv",)),
+        ("exponential_family", {"statistics": [[0.0, 1.0]], "beta": [0.5]},
+         ("bracket_suite", "gibbs_normalization")),
+    ])
+    def test_check_of_another_kind_gives_a_null_row(self, kind, payload, checks):
+        rows = run_battery(ManifoldSpec(kind, payload, checks, {})).rows
+        assert (rows[0].name, rows[0].status, rows[0].residual) == (checks[0], "fail", None)
+        assert all(row.status == "pass" for row in rows[1:])
+
+    # raised KeyError
+    def test_unknown_check_of_a_built_spec_is_a_schema_error(self):
+        spec = ManifoldSpec("algebra", {"constants": "zero2"}, ("frobenius_axioms", "nope"), {})
+        with pytest.raises(SchemaError) as info:
+            run_battery(spec)
+        assert info.value.field == "checks"
 
     def test_overflowing_moments_give_null_rows(self):
         # the order-2 and order-4 moments overflow; their residuals were 0.0
@@ -1306,8 +1332,11 @@ PAYLOAD_KEYS = {"statistics", "beta", "base_weights", "potential", "point", "poi
 
 
 @st.composite
-def drawn_specs(draw):
-    """A spec of any kind with registry ids and unknown ones, mostly well formed."""
+def drawn_specs(draw, direct=False):
+    """A spec of any kind with registry ids and unknown ones, mostly well formed.
+
+    With ``direct``, a ``ManifoldSpec`` built without validation: its checks
+    may belong to any kind, or be unknown, and its fields are not corrupted."""
     kind = draw(st.sampled_from(KINDS))
 
     def ident(table):
@@ -1346,13 +1375,16 @@ def drawn_specs(draw):
     slow = {"drift_scaling"}
     if not payload.get("metric", "euclidean").startswith("euclidean"):
         slow.add("energy_drift")
-    applicable = sorted(c for c, d in CHECKS.items() if kind in d.kinds and c not in slow)
+    applicable = sorted(c for c, d in CHECKS.items()
+                        if (direct or kind in d.kinds) and c not in slow) + ["nope"] * direct
     spec = {"kind": kind, "payload": payload,
             "checks": draw(st.lists(st.sampled_from(applicable), unique=True, max_size=4)),
             "tolerances": draw(st.dictionaries(st.sampled_from(sorted(CHECKS)), NUMBERS,
                                                max_size=1)),
             "seed": draw(st.one_of(st.integers(0, 2**40), st.just(LONGEST_SEED))),
             "name": "fuzz"}
+    if direct:
+        return ManifoldSpec(**{**spec, "checks": tuple(spec["checks"])})
     corrupt = draw(st.sampled_from((None,) * 14 + TOP_LEVEL + ("$",)))
     if corrupt == "$":
         return draw(JUNK)
@@ -1424,21 +1456,33 @@ class TestErrorContract:
     """Malformed input is a SchemaError or ParseError naming a field of the
     spec, and every battery that runs gives strict JSON pass/fail rows."""
 
-    @given(drawn_specs())
+    @given(st.one_of(drawn_specs(), drawn_specs(direct=True)))
     @settings(max_examples=200, deadline=None)
     def test_drawn_specs_keep_the_contract(self, data):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            try:
-                spec = spec_from_dict(data)
-            except (SchemaError, ParseError) as err:
-                head, _, key = str(err.field).partition(".")
-                assert err.field == "$" or (head in TOP_LEVEL and (
-                    not key or key in (PAYLOAD_KEYS if head == "payload"
-                                       else data["tolerances"]))), err.field
-                return
-            # spec_from_dict is the one validation site: a spec it returns runs
-            report = run_battery(spec)
+            if isinstance(data, ManifoldSpec):
+                # a built spec is checked by the runner alone: an unknown check
+                # is a SchemaError, and a check of another kind a null row
+                try:
+                    report = run_battery(data)
+                except SchemaError as err:
+                    assert err.field == "checks" and "nope" in data.checks
+                    return
+                for row in report.rows:
+                    if data.kind not in CHECKS[row.name].kinds:
+                        assert (row.status, row.residual) == ("fail", None)
+            else:
+                try:
+                    spec = spec_from_dict(data)
+                except (SchemaError, ParseError) as err:
+                    head, _, key = str(err.field).partition(".")
+                    assert err.field == "$" or (head in TOP_LEVEL and (
+                        not key or key in (PAYLOAD_KEYS if head == "payload"
+                                           else data["tolerances"]))), err.field
+                    return
+                # spec_from_dict is the one validation site: a spec it returns runs
+                report = run_battery(spec)
         for line in emit_report(report, "machine").splitlines():
             record = json.loads(line, parse_constant=reject_constant)
             if record["record"] == "check":

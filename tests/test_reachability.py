@@ -28,7 +28,6 @@ SOURCE = str(Path(frobsym.__file__).parent)
 # block an exported function builds
 UNCATALOGUED = {
     "form_closedness": ("cone_potential", {"potential": "adapted_mixed2"}),
-    "dbar_splitting": ("cone_potential", {"potential": "adapted_mixed2"}),
     "split_algebra_laws": ("algebra", {"constants": "paracomplex2"}),
     "idempotent_closure": ("algebra", {"constants": "paracomplex2"}),
     "frobenius_axioms": ("algebra", {"constants": "paracomplex2"}),

@@ -1,4 +1,4 @@
-"""Forms, the split-coordinate calculus, the Legendre transform, and flows.
+"""Forms, the free Lorentz Legendre transform, and flows.
 
 Sign oracles, worked by hand:
 
@@ -20,7 +20,6 @@ from frobsym import (
     SeparableHamiltonian,
     TwoForm,
     closedness_residual,
-    dbar_split_residuals,
     dolbeault_form,
     exterior_derivative,
     integrate,
@@ -32,40 +31,6 @@ from frobsym import (
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
 from frobsym.registry import adapted_mixed2, adapted_quartic1
-from frobsym import numdiff
-from frobsym.symplectic import _antisymmetrize, split_differentials
-
-
-def block_exterior_derivative(coeffs, degree, point, block):
-    """d' (block "plus") or d'' ("minus") from a Jacobian of its own: the
-    one-block-per-call splitting, kept as the oracle of the paired one."""
-    point = np.asarray(point, dtype=float)
-    m = point.shape[-1] // 2
-    full = np.moveaxis(numdiff.jacobian(lambda x: np.asarray(coeffs(x), dtype=float),
-                                        point, h=1e-4), point.ndim - 1, 0)
-    if block == "plus":
-        full[m:] = 0.0
-    else:
-        full[:m] = 0.0
-    return (degree + 1) * _antisymmetrize(np.moveaxis(full, 0, point.ndim - 1), degree + 1)
-
-
-def four_pass_dbar_residuals(zero_forms, points, one_forms=()) -> dict:
-    """The splitting residuals from one nested pass per pair of blocks."""
-    points = np.asarray(points, dtype=float)
-    worst = {"dp_dp": 0.0, "dm_dm": 0.0, "anticommute": 0.0}
-    for f, degree in [(f, 0) for f in zero_forms] + [(f, 1) for f in one_forms]:
-
-        def second(inner, outer):
-            once = lambda x: block_exterior_derivative(f, degree, x, inner)
-            return block_exterior_derivative(once, degree + 1, points, outer)
-
-        pp, mm = second("plus", "plus"), second("minus", "minus")
-        pm, mp = second("minus", "plus"), second("plus", "minus")
-        worst["dp_dp"] = max(worst["dp_dp"], float(np.max(np.abs(pp))))
-        worst["dm_dm"] = max(worst["dm_dm"], float(np.max(np.abs(mm))))
-        worst["anticommute"] = max(worst["anticommute"], float(np.max(np.abs(pm + mp))))
-    return worst
 
 
 def constant(m):
@@ -123,7 +88,9 @@ class TestErrorContract:
         (lambda: TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]]))).matrix([0.0, 0.0]),
          InvalidStructure),
         (lambda: LorentzLagrangian(signature=[1.0, 0.5]), InvalidStructure),
-    ], ids=["antisymmetry", "signature"])
+        (lambda: legendre_hamiltonian(LorentzLagrangian(signature=[1.0, -1.0]), [1.0, 0.0, 0.0]),
+         DimensionMismatch),
+    ], ids=["antisymmetry", "signature", "legendre_velocity"])
     def test_symplectic_constructions(self, build, error):
         with pytest.raises(error) as info:
             build()
@@ -385,30 +352,6 @@ class TestExteriorDerivative:
         assert resid > 0.1
 
 
-class TestSplittingLaws:
-    def test_polynomial_zero_form(self):
-        res = dbar_split_residuals([lambda w: w[..., 0] * w[..., 1]], [[0.3, 0.7]])
-        assert max(res.values()) < 1e-6
-
-    def test_constant_function_exact(self):
-        res = dbar_split_residuals([lambda w: np.full(w.shape[:-1], 4.0)], [[0.3, 0.7]])
-        assert max(res.values()) == 0.0
-
-    def test_trigonometric_zero_form(self):
-        res = dbar_split_residuals([lambda w: np.sin(w[..., 0]) * np.cos(w[..., 1])],
-                                   [[0.5, -0.2], [1.1, 0.8]])
-        assert max(res.values()) < 1e-5
-
-    def test_two_pair_functions_and_one_forms(self):
-        zero_forms = [lambda w: w[..., 0] * w[..., 2] + np.sin(w[..., 1] * w[..., 3])]
-        one_forms = [lambda w: np.asarray(w, dtype=float) ** 2,
-                     lambda w: np.stack([w[..., 1], w[..., 0] * w[..., 2], w[..., 3],
-                                         np.cos(w[..., 0])], axis=-1)]
-        res = dbar_split_residuals(zero_forms, [[0.3, -0.5, 0.9, 0.1]],
-                                   one_forms=one_forms)
-        assert max(res.values()) < 1e-5
-
-
 class TestStackedForms:
     """A stack of sample points is differenced in one call and gives the
     per-point loop's doubles."""
@@ -423,34 +366,6 @@ class TestStackedForms:
             assert closedness_residual(form, pts) == loop
             assert np.array_equal(form.matrix(pts), [form.matrix(x) for x in pts])
 
-    def test_splitting_residuals_equal_the_per_point_loop(self):
-        zero_forms = [adapted_mixed2().value, lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
-        one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
-        pts = np.random.default_rng(2).normal(0.0, 0.5, size=(2, 4))
-        stacked = dbar_split_residuals(zero_forms, pts, one_forms=one_forms)
-        loop = {key: 0.0 for key in stacked}
-        for x in pts:
-            for key, value in dbar_split_residuals(zero_forms, [x], one_forms=one_forms).items():
-                loop[key] = max(loop[key], value)
-        assert stacked == loop
-        pair = split_differentials(one_forms[0], 1, pts)
-        for d, loop_d in zip(pair, zip(*[split_differentials(one_forms[0], 1, x) for x in pts])):
-            assert np.array_equal(d, loop_d)
-
-    @pytest.mark.parametrize("potential", [adapted_quartic1, adapted_mixed2])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_splitting_residuals_equal_the_four_pass_oracle(self, potential, seed):
-        phi = potential()
-        zero_forms = [phi.value, lambda w: np.sin(w[..., 0]) * np.cos(w[..., -1])]
-        one_forms = [lambda w: np.asarray(w, dtype=float) ** 2]
-        pts = np.random.default_rng(seed).normal(0.0, 0.5, (1 + seed % 3, phi.dim))
-        assert (dbar_split_residuals(zero_forms, pts, one_forms)
-                == four_pass_dbar_residuals(zero_forms, pts, one_forms))
-        for f, degree in [(zero_forms[1], 0), (one_forms[0], 1)]:
-            plus, minus = split_differentials(f, degree, pts)
-            assert np.array_equal(plus, block_exterior_derivative(f, degree, pts, "plus"))
-            assert np.array_equal(minus, block_exterior_derivative(f, degree, pts, "minus"))
-
     def test_form_of_the_wrong_shape_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
             TwoForm(2, lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])).matrix(np.zeros((3, 2)))
@@ -459,38 +374,22 @@ class TestStackedForms:
 class TestLegendreTransform:
     def test_spacelike_unit_velocity(self):
         lag = LorentzLagrangian(signature=[1, 1, 1, -1])
-        p, f, h = legendre_hamiltonian(lag, [1.0, 0, 0, 0], np.zeros(4))
+        p, h = legendre_hamiltonian(lag, [1.0, 0, 0, 0])
         assert np.allclose(p, [1.0, 0, 0, 0])
-        assert np.max(np.abs(f)) == 0.0
         assert h == pytest.approx(1.0, abs=1e-12)
 
     def test_timelike_unit_velocity(self):
         lag = LorentzLagrangian(signature=[1, 1, 1, -1])
-        p, _, h = legendre_hamiltonian(lag, [0.0, 0, 0, 1.0], np.zeros(4))
+        p, h = legendre_hamiltonian(lag, [0.0, 0, 0, 1.0])
         assert np.allclose(p, [0, 0, 0, -1.0])
         assert h == pytest.approx(0.0, abs=1e-12)
 
-    def test_gauge_field_force(self):
-        lag = LorentzLagrangian(signature=[1, -1], kappa2=0.5,
-                                gauge=lambda z: np.stack([z[..., 1], z[..., 0] ** 2], axis=-1))
-        xi = np.array([1.0, 2.0])
-        z = np.array([0.5, 1.0])
-        p, f, _ = legendre_hamiltonian(lag, xi, z)
-        # p = C xi_lowered + kappa2 A, f_mu = kappa2 xi^nu dA_nu/dz^mu
-        assert np.allclose(p, [1.0 + 0.5 * 1.0, -2.0 + 0.5 * 0.25])
-        assert np.allclose(f, [0.5 * (2.0 * 2.0 * 0.5), 0.5 * 1.0], atol=1e-8)
-
-    def test_momentum_map_inverts_for_unit_mass(self):
+    def test_momentum_map_inverts(self):
         lag = LorentzLagrangian(signature=[1, 1, -1, -1])
         rng = np.random.default_rng(21)
         xi = rng.normal(size=4)
-        p, _, _ = legendre_hamiltonian(lag, xi, np.zeros(4))
+        p, _ = legendre_hamiltonian(lag, xi)
         assert np.allclose(lag.signature * p, xi, atol=1e-12)
-
-    def test_mass_constant_scales_momentum(self):
-        lag = LorentzLagrangian(signature=[1, -1], mass_const=3.0)
-        p, _, _ = legendre_hamiltonian(lag, [1.0, 1.0], np.zeros(2))
-        assert np.allclose(p, [3.0, -3.0])
 
 
 def half_square(x):
