@@ -30,7 +30,28 @@ from frobsym import (
 )
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
+from frobsym.numdiff import FIRST_ORDER_STEP, step_sizes
 from frobsym.registry import adapted_mixed2, adapted_quartic1
+
+
+def per_axis_exterior_derivative(form, point):
+    """(dW)_ijk of one point, each partial d_i J from its own pair of
+    matrices at x +- h_i e_i: the oracle of the one-call stacked Jacobian."""
+    point = np.asarray(point, dtype=float)
+    n = point.size
+    hs = step_sizes(point, FIRST_ORDER_STEP)
+    dj = np.empty((n, n, n))
+    for i in range(n):
+        plus, minus = point.copy(), point.copy()
+        plus[i] += hs[i]
+        minus[i] -= hs[i]
+        dj[i] = (form.matrix(plus) - form.matrix(minus)) / (2.0 * hs[i])
+    out = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i, j, k] = dj[i, j, k] + dj[k, i, j] + dj[j, k, i]
+    return out
 
 
 def constant(m):
@@ -366,6 +387,15 @@ class TestStackedForms:
             assert closedness_residual(form, pts) == loop
             assert np.array_equal(form.matrix(pts), [form.matrix(x) for x in pts])
 
+    @pytest.mark.parametrize("potential", [adapted_quartic1, adapted_mixed2])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_exterior_derivative_equals_the_per_axis_oracle(self, potential, seed):
+        phi = potential()
+        form = realified_dolbeault_two_form(phi)
+        pts = np.random.default_rng(seed).normal(0.0, 0.5, (1 + seed % 3, phi.dim))
+        assert np.array_equal(exterior_derivative(form, pts),
+                              [per_axis_exterior_derivative(form, x) for x in pts])
+
     def test_form_of_the_wrong_shape_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
             TwoForm(2, lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]])).matrix(np.zeros((3, 2)))
@@ -390,6 +420,15 @@ class TestLegendreTransform:
         xi = rng.normal(size=4)
         p, _ = legendre_hamiltonian(lag, xi)
         assert np.allclose(lag.signature * p, xi, atol=1e-12)
+
+    @pytest.mark.parametrize("signature", [[1, -1], [1, 1, 1, -1], [-1, -1, 1]])
+    def test_energy_is_half_the_norm_plus_one(self, signature):
+        # H = xi.p - L = xi.eta.xi - (xi.eta.xi - 1)/2 = (xi.eta.xi + 1)/2
+        lag = LorentzLagrangian(signature=signature)
+        xi = np.random.default_rng(len(signature)).normal(size=len(signature))
+        _, h = legendre_hamiltonian(lag, xi)
+        assert h == pytest.approx(0.5 * (xi @ (lag.signature * xi) + 1.0), abs=1e-12)
+        assert lag.lagrangian(xi) == pytest.approx(h - 1.0, abs=1e-12)
 
 
 def half_square(x):
