@@ -183,21 +183,35 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     kind = data.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
-    payload = data.get("payload", {})
+    payload, checks = data.get("payload", {}), data.get("checks", [])
+    tolerances, seed, name = data.get("tolerances", {}), data.get("seed", 0), data.get("name", "")
+    _check_fields(payload, checks, tolerances, seed, name)
+    for c in checks:
+        if kind not in CHECKS[c].kinds:
+            raise SchemaError(f"check {c!r} does not apply to kind {kind!r}",
+                              field="checks")
+    spec = ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
+    spec.inputs  # decoded here, so a malformed payload is a SchemaError before any run
+    _digest(spec)
+    return spec
+
+
+def _check_fields(payload, checks, tolerances, seed, name) -> None:
+    """SchemaError naming the first malformed field of a spec.
+
+    :func:`spec_from_dict` and :func:`run_battery` share these checks; the
+    kind, which kinds a check applies to and the payload's own fields are
+    left to their callers.
+    """
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object", field="payload")
-    checks = data.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
         raise SchemaError("checks must be a list of names", field="checks")
     if len(set(checks)) != len(checks):
         raise SchemaError("duplicate check names", field="checks")
     for c in checks:
         if c not in CHECKS:
             raise SchemaError(f"unknown check {c!r}", field="checks")
-        if kind not in CHECKS[c].kinds:
-            raise SchemaError(f"check {c!r} does not apply to kind {kind!r}",
-                              field="checks")
-    tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SchemaError("tolerances must be a map", field="tolerances")
     for key, value in tolerances.items():
@@ -206,7 +220,6 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
         if not (_real(value) and value > 0):
             raise SchemaError(f"tolerance for {key!r} must be positive and finite",
                               field=f"tolerances.{key}")
-    seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError("seed must be a nonnegative integer", field="seed")
     try:
@@ -214,17 +227,18 @@ def spec_from_dict(data: dict) -> ManifoldSpec:
     except ValueError as exc:  # past sys.get_int_max_str_digits()
         raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
                           field="seed") from exc
-    name = data.get("name", "")
     # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
     if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
         raise SchemaError("name must be a string of valid Unicode text", field="name")
-    spec = ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
-    spec.inputs  # decoded here, so a malformed payload is a SchemaError before any run
+
+
+def _digest(spec: ManifoldSpec) -> str:
+    """The spec hash; SchemaError if the payload's unchecked keys hold
+    anything that is not JSON data."""
     try:
-        spec.canonical_text()  # the payload's unchecked keys may hold anything
+        return spec.digest()
     except (TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"payload is not JSON data: {exc}", field="payload") from exc
-    return spec
 
 
 def _require(payload: dict, key: str, kinds, what: str):
@@ -688,12 +702,13 @@ def run_battery(spec: ManifoldSpec) -> Report:
     Each check draws randomness from a generator seeded by (spec seed,
     position) and is held to the spec's tolerance for it, else the check's
     default, so the report is deterministic for a given spec.  A spec built
-    without :func:`spec_from_dict` may name a check of another kind, which
-    gives a ``null`` row, or an unknown check, a SchemaError on ``checks``.
+    without :func:`spec_from_dict` gets its SchemaError for a malformed
+    payload, checks, tolerances, seed or name before any row runs; a check
+    of another kind gives a ``null`` row, and so does a payload that does
+    not decode.
     """
-    for name in spec.checks:
-        if name not in CHECKS:
-            raise SchemaError(f"unknown check {name!r}", field="checks")
+    _check_fields(spec.payload, spec.checks, spec.tolerances, spec.seed, spec.name)
+    spec_hash = _digest(spec)
     rows = []
     for index, name in enumerate(spec.checks):
         definition = CHECKS[name]
@@ -716,7 +731,7 @@ def run_battery(spec: ManifoldSpec) -> Report:
         rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
     versions = {"frobsym": _pkg_version, "numpy": np.__version__}
-    return Report(spec.name, spec.digest(), spec.seed, versions, tuple(rows))
+    return Report(spec.name, spec_hash, spec.seed, versions, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

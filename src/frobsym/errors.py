@@ -146,11 +146,24 @@ def require_finite(m: np.ndarray, what: str, at=None) -> np.ndarray:
     the first point whose block has an infinite or NaN entry."""
     finite = np.isfinite(m)
     if not finite.all():
-        lead = 0 if at is None else np.ndim(at) - 1
-        finite = finite.reshape(np.shape(m)[:lead] + (-1,)).all(axis=-1)
-        worst = np.unravel_index(np.argmin(finite), finite.shape)
-        raise NonFiniteValue(f"{what} has a non-finite entry{_at_worst(at, worst)}")
+        raise NonFiniteValue(f"{what} has a non-finite entry{_at_first_false(finite, at)}")
     return m
+
+
+def require_inside(inside: np.ndarray, what: str, at) -> None:
+    """DomainViolation naming the first point of ``at`` whose entry of
+    ``inside``, one per point, is false."""
+    if not inside.all():
+        raise DomainViolation(f"point outside the declared domain of the {what}"
+                              f"{_at_first_false(inside, at)}")
+
+
+def _at_first_false(ok: np.ndarray, at) -> str:
+    """' at <point>' for the first point of ``at`` whose block of ``ok`` is
+    not all true; '' when ``at`` is None."""
+    lead = 0 if at is None else np.ndim(at) - 1
+    ok = ok.reshape(ok.shape[:lead] + (-1,)).all(axis=-1)
+    return _at_worst(at, np.unravel_index(np.argmin(ok), ok.shape))
 
 
 def _at_worst(at, worst) -> str:

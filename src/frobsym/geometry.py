@@ -24,6 +24,7 @@ from .errors import (
     InvalidStructure,
     NonPositivePotential,
     require_finite,
+    require_inside,
     require_invertible,
     symmetric_part,
 )
@@ -79,8 +80,8 @@ class PotentialField:
 
     def value(self, x) -> np.ndarray:
         x = _points(self.dim, x)
-        if self.domain is not None and not np.all(self.domain(x)):
-            raise DomainViolation(f"{x} outside the declared domain")
+        if self.domain is not None:
+            require_inside(np.asarray(self.domain(x)), "potential", x)
         # far out or near a face a closed form overflows; the guard below rejects it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = np.asarray(self.func(x), dtype=float)

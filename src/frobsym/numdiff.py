@@ -11,18 +11,20 @@ operators, so every routine here only ever needs the field itself. The
 fourth-order stencil (f(x-2h) - 8f(x-h) + 8f(x+h) - f(x+2h)) / 12h is used
 where third/fourth derivatives have to come out at ~1e-6 relative accuracy.
 
-Every routine hands its field all shifted points of one stencil as one
-stack: a field maps a ``(..., n)`` stack of points to ``(..., *out)``, one
-value per point.  :func:`gradient`, :func:`jacobian` and :func:`hessian`
-take a stack of base points too.  Each shifted row is the sum x + (+-h_i e_i)
-with exact zeros off the diagonal, so it holds the same doubles a one-point
-loop would build, and every result equals that loop's bit for bit.
+Every routine calls its field once, on all the shifted points it needs as
+one stack: a field maps a ``(..., n)`` stack of points to ``(..., *out)``,
+one value per point.  :func:`gradient`, :func:`jacobian` and :func:`hessian`
+take a stack of base points too.  :func:`central_partial` and
+:func:`derivative_tensor` hand over only the byte-distinct points of all
+their stencils, since composed stencils revisit many points.  Each shifted
+row is built with the additions a one-point loop makes, so it holds the same
+doubles, and every result equals that loop's bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Callable
 
 import numpy as np
@@ -107,44 +109,84 @@ def _picks(k: int) -> np.ndarray:
     return np.array(list(product(range(4), repeat=k)), dtype=int).reshape(4**k, k)
 
 
-def central_partial(f: Callable, x, index: tuple[int, ...], h: float) -> float:
+def central_partial(f: Callable, x, index: tuple[int, ...] | np.ndarray,
+                    h: float) -> float | np.ndarray:
     """Mixed partial d^k f / dx_{i1}..dx_{ik} by composed 4th-order stencils.
 
-    ``index`` lists one coordinate per differentiation (repeats allowed).
-    The 4^k shifted points go to ``f`` as one ``(4^k, n)`` stack, which must
-    come back as 4^k values; intended for k <= 4 at desk scale. Shifts,
-    weights and the weighted sum accumulate in stencil order, so the result
-    does not depend on how ``f`` batches its rows.
+    ``index`` lists one coordinate per differentiation (repeats allowed),
+    and the partial is a float; a ``(C, k)`` stack of such indices gives the
+    ``(C,)`` partials.  The 4^k shifted points of every index form one
+    stack, and ``f`` is called once, on its byte-distinct rows in order of
+    first occurrence, as a ``(D, n)`` stack that must come back as D values;
+    intended for k <= 4 at desk scale.  Shifts, weights and each weighted
+    sum accumulate in stencil order, so a partial does not depend on how
+    ``f`` batches its rows or on the other indices of the stack.
     """
-    x = np.asarray(x, dtype=float)
-    hs = step_sizes(x, h)
-    picks = _picks(len(index))
-    shifts = np.zeros((picks.shape[0], x.size))
-    weights = np.ones(picks.shape[0])
-    for column, coord in enumerate(index):
-        shifts[:, coord] += _OFFSETS[picks[:, column]] * hs[coord]
-        weights *= _WEIGHTS[picks[:, column]] / hs[coord]
-    values = np.asarray(f(x + shifts), dtype=float)
-    if values.shape != weights.shape:
+    indices = np.atleast_2d(np.asarray(index, dtype=int))
+    weights, points = _stencils(np.asarray(x, dtype=float), indices, h)
+    points, where = _distinct_rows(points)  # the full stack is freed here
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != points.shape[:1]:
         raise DimensionMismatch(
-            f"field returned shape {values.shape} for {weights.size} stacked points")
+            f"field returned shape {values.shape} for {len(points)} stacked points")
     # 0.0 + w0 v0 + w1 v1 + ... in stencil order, as a Python loop adds it (-0.0 terms give 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.add.accumulate(np.concatenate(([0.0], weights * values)))[-1])
+        terms = weights * values[where].reshape(weights.shape)
+        sums = np.add.accumulate(np.concatenate((np.zeros((len(terms), 1)), terms), axis=1),
+                                 axis=1)[:, -1]
+    return sums if np.ndim(index) == 2 else float(sums[0])
+
+
+def _stencils(x: np.ndarray, indices: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(C, 4^k)`` weights of a ``(C, k)`` stack of indices and their
+    ``(C * 4^k, n)`` shifted points, each built column by column as one
+    index's own stencil builds it."""
+    hs = step_sizes(x, h)
+    picks = _picks(indices.shape[1])
+    stack = np.arange(len(indices))
+    points = np.zeros((len(indices), picks.shape[0], x.size))
+    weights = np.ones((len(indices), picks.shape[0]))
+    for column, coords in enumerate(indices.T):
+        points[stack, :, coords] += _OFFSETS[picks[:, column]] * hs[coords, None]
+        weights *= _WEIGHTS[picks[:, column]] / hs[coords, None]
+    points += x  # shift + x rounds as x + shift
+    return weights, points.reshape(weights.size, x.size)
+
+
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte-distinct rows of a C-contiguous ``(R, n)`` stack in order of first
+    occurrence, and for each row the position of its own among them;
+    -0.0 and 0.0 differ, as a field may tell them apart."""
+    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return points[first[order]], rank[inverse]
+
+
+@cache
+def _sorted_indices(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted indices of an order-``order`` tensor on ``n`` coordinates,
+    as a ``(C, order)`` stack in product order, and the ``(n,) * order``
+    array of each index's position in that stack once sorted."""
+    keys = list(combinations_with_replacement(range(n), order))
+    position = {key: p for p, key in enumerate(keys)}
+    slots = [position[tuple(sorted(index))] for index in product(range(n), repeat=order)]
+    return (np.array(keys, dtype=int).reshape(len(keys), order),
+            np.array(slots, dtype=int).reshape((n,) * order))
 
 
 def derivative_tensor(f: Callable, x, order: int, h: float) -> np.ndarray:
-    """Full symmetric tensor of order-``order`` partials via central stencils."""
+    """Full symmetric tensor of order-``order`` partials via central stencils.
+
+    One :func:`central_partial` call takes the stack of sorted indices, so
+    ``f`` is evaluated once, on the distinct points of all their stencils;
+    each permutation of an index copies its partial.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    out = np.zeros((n,) * order)
-    for index in product(range(n), repeat=order):
-        key = tuple(sorted(index))
-        if index != key:
-            out[index] = out[key]
-        else:
-            out[index] = central_partial(f, x, index, h)
-    return out
+    keys, slots = _sorted_indices(x.size, order)
+    return central_partial(f, x, keys, h)[slots]
 
 
 def jacobian(field: Callable, x, h: float | None = None) -> np.ndarray:

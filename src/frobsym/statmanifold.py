@@ -69,16 +69,23 @@ def _as_beta(fam: ExponentialFamily, beta) -> np.ndarray:
     return beta
 
 
+_BLOCK_ROWS = 256
+
 # an overflowing -beta.X gives a non-finite value here and NaN weights below, silently
 @np.errstate(over="ignore", invalid="ignore")
 def potential_eval(fam: ExponentialFamily, beta):
     """Log-partition value; computed with a max shift so |beta| ~ 50 is safe."""
     beta = _as_beta(fam, beta)
-    # a stack of 1 x n products rounds each row exactly as the one-point
-    # product does; a plain (rows, n) @ (n, m) product may not
-    exponent = -(beta[..., None, :] @ fam.X)[..., 0, :]
-    value = _logsumexp(exponent, fam.mu0)
-    return float(value) if beta.ndim == 1 else value
+    rows = beta.reshape(-1, fam.n)
+    value = np.empty(len(rows))
+    # each row is its own: a block of 1 x n products rounds each row exactly
+    # as the one-point product does (a plain (rows, n) @ (n, m) product may
+    # not), and a block keeps the (rows, m) temporaries to one 4^4 stencil's
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        value[start:start + _BLOCK_ROWS] = _logsumexp(-(block[:, None, :] @ fam.X)[:, 0, :],
+                                                      fam.mu0)
+    return float(value[0]) if beta.ndim == 1 else value.reshape(beta.shape[:-1])
 
 
 def _logsumexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Spec parsing, check routing, report formats and CLI exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -470,6 +471,25 @@ class TestRunBattery:
         with pytest.raises(SchemaError) as info:
             run_battery(spec)
         assert info.value.field == "checks"
+
+    # each raised AttributeError or TypeError out of the runner
+    @pytest.mark.parametrize("field, value", [
+        ("tolerances", None), ("payload", 5), ("seed", 1.5),
+        ("checks", [["gibbs_normalization"]]),
+        ("payload", {"statistics": [[0.0, 1.0]], "beta": [0.5], "note": {1, 2}}),
+    ], ids=["tolerances_none", "payload_int", "seed_float", "check_name_list",
+            "payload_not_json"])
+    def test_malformed_field_of_a_built_spec_is_the_schema_error_of_spec_from_dict(
+            self, field, value):
+        fields = {"kind": "exponential_family",
+                  "payload": {"statistics": [[0.0, 1.0]], "beta": [0.5]},
+                  "checks": ["gibbs_normalization"], "tolerances": {}, "seed": 0, "name": ""}
+        with pytest.raises(SchemaError) as want:
+            spec_from_dict({**fields, field: value})
+        with pytest.raises(SchemaError) as got:
+            run_battery(ManifoldSpec(**{**fields, field: value}))
+        assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
+        assert got.value.field == field
 
     def test_overflowing_moments_give_null_rows(self):
         # the order-2 and order-4 moments overflow; their residuals were 0.0
@@ -1336,7 +1356,7 @@ def drawn_specs(draw, direct=False):
     """A spec of any kind with registry ids and unknown ones, mostly well formed.
 
     With ``direct``, a ``ManifoldSpec`` built without validation: its checks
-    may belong to any kind, or be unknown, and its fields are not corrupted."""
+    may belong to any kind, or be unknown, and a field may be corrupted."""
     kind = draw(st.sampled_from(KINDS))
 
     def ident(table):
@@ -1383,13 +1403,15 @@ def drawn_specs(draw, direct=False):
                                                max_size=1)),
             "seed": draw(st.one_of(st.integers(0, 2**40), st.just(LONGEST_SEED))),
             "name": "fuzz"}
-    if direct:
-        return ManifoldSpec(**{**spec, "checks": tuple(spec["checks"])})
-    corrupt = draw(st.sampled_from((None,) * 14 + TOP_LEVEL + ("$",)))
+    corrupt = draw(st.sampled_from((None,) * 14 + TOP_LEVEL + ("$",) * (not direct)))
     if corrupt == "$":
         return draw(JUNK)
     if corrupt is not None:
         spec[corrupt] = draw(JUNK)
+    if direct:
+        checks = spec["checks"]
+        return ManifoldSpec(**{**spec, "checks": tuple(checks) if isinstance(checks, list)
+                               else checks})
     return spec
 
 
@@ -1462,12 +1484,15 @@ class TestErrorContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if isinstance(data, ManifoldSpec):
-                # a built spec is checked by the runner alone: an unknown check
-                # is a SchemaError, and a check of another kind a null row
+                # a built spec is checked by the runner alone: a malformed field
+                # is spec_from_dict's SchemaError, a check of another kind a null row
                 try:
                     report = run_battery(data)
                 except SchemaError as err:
-                    assert err.field == "checks" and "nope" in data.checks
+                    if data.kind in KINDS:  # else spec_from_dict names the kind first
+                        with pytest.raises(SchemaError) as want:
+                            spec_from_dict(dataclasses.asdict(data))
+                        assert (err.field, str(err)) == (want.value.field, str(want.value))
                     return
                 for row in report.rows:
                     if data.kind not in CHECKS[row.name].kinds:

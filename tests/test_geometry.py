@@ -469,6 +469,27 @@ class TestErrorContract:
         assert isinstance(info.value, ValueError)
 
 
+    def test_domain_violation_names_the_first_point_outside(self):
+        stack = np.array([[1.0, 1.0], [0.5, -0.25], [-3.0, 2.0]])
+        with pytest.raises(DomainViolation) as info:
+            orthant_potential(2).value(stack)
+        # the whole stack was printed, with no point named
+        assert str(info.value) == f"point outside the declared domain of the potential at {stack[1]}"
+
+    def test_third_tensor_fallback_names_one_stencil_point_outside(self):
+        phi = orthant_potential(2)
+        bare = PotentialField(2, phi.func, phi.domain)
+        x = np.array([0.004, 1.0])
+        with pytest.raises(DomainViolation) as info:
+            bare.third_tensor(x)
+        # the first stencil point: index (0, 0, 0), each offset -2 h
+        shift = 0.0
+        for _ in range(3):
+            shift += -2.0 * 5e-3
+        first = np.array([x[0] + shift, x[1]])
+        assert str(info.value) == f"point outside the declared domain of the potential at {first}"
+
+
 class TestDualConnections:
     def test_binary_family_residuals(self):
         rep = dual_connections(bernoulli_family(), [0.5])

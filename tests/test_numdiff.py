@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import frobsym
-from frobsym import DimensionMismatch, ExponentialFamily, potential_eval
+from frobsym import (DimensionMismatch, ExponentialFamily, NonFiniteValue, PotentialField,
+                     potential_eval)
 from frobsym.numdiff import central_partial, derivative_tensor, gradient, hessian, jacobian
 
 STENCIL = ((-2.0, 1.0 / 12.0), (-1.0, -8.0 / 12.0), (1.0, 8.0 / 12.0), (2.0, -1.0 / 12.0))
@@ -147,6 +148,10 @@ def test_central_partial_adds_negative_zero_terms_as_the_loop_does(index):
     # 0.0 + -0.0 + ... is +0.0, where a plain sum of the -0.0 terms is -0.0
     assert got == want == 0.0
     assert not np.signbit(got) and not np.signbit(want)
+    # and in a stack with the reversed index, whose stencil visits the same points
+    both = central_partial(stacked(f), x, np.array([index, index[::-1]]), 1e-2)
+    assert np.array_equal(both, [want, loop_partial(f, x, index[::-1], 1e-2)])
+    assert not np.signbit(both).any()
 
 
 @pytest.mark.parametrize("bad", ["inf_at_one_point", "inf_on_both_sides", "nan_at_one_point",
@@ -167,9 +172,13 @@ def test_central_partial_propagates_non_finite_terms_as_the_loop_does(index, bad
         return 1e308 if shifted > 0.0 else -1e308
 
     got = central_partial(stacked(f), x, index, h)
+    # in a stack, after an index whose stencil never moves x_0
+    both = central_partial(stacked(f), x, np.array([(3,) * len(index), index]), h)
     with np.errstate(over="ignore", invalid="ignore"):  # the oracle's numpy scalars warn
         want = loop_partial(f, x, index, h)
+        first = loop_partial(f, x, (3,) * len(index), h)
     assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(both, [first, want], equal_nan=True)
     assert not np.isfinite(got)
 
 
@@ -182,6 +191,66 @@ def test_potential_stencils_match_point_loop(n):
         assert np.array_equal(
             derivative_tensor(lambda b: potential_eval(fam, b), beta, order, h),
             loop_tensor(lambda b: potential_eval(fam, b), beta, order, h))
+
+
+@pytest.mark.parametrize("indices", [[(0,), (3,), (0,)], [(1, 0), (2, 3), (1, 1), (3, 0)],
+                                     [(2, 0, 2), (0, 0, 0), (1, 2, 3)],
+                                     [(1, 2, 1, 0), (3, 3, 3, 3), (0, 1, 2, 3)]])
+def test_stacked_indices_match_the_point_loop_index_by_index(indices):
+    x = np.array([0.4, -1.7, 2.5, 0.1])
+    for h in (5e-3, 1e-2):
+        got = central_partial(stacked(point_field), x, np.array(indices), h)
+        assert got.shape == (len(indices),)
+        assert np.array_equal(got, [loop_partial(point_field, x, i, h) for i in indices])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_derivative_tensor_evaluates_each_distinct_point_once_in_loop_order(n, order):
+    x = np.linspace(-0.8, 1.3, n)
+    calls, seen = [], []
+    field = stacked(point_field)
+    derivative_tensor(lambda zs: calls.append(zs.copy()) or field(zs), x, order, 1e-2)
+    loop_tensor(recording(point_field, seen), x, order, 1e-2)
+    assert len(calls) == 1
+    # the loop's points, each once, where the loop first reaches it
+    assert [z.tobytes() for z in calls[0]] == list(dict.fromkeys(seen))
+    assert len(calls[0]) < len(seen) or order == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_signed_zero_coordinates_give_the_loop_bits(order):
+    x = np.array([-0.0, 0.7, -0.0])
+
+    def f(z):
+        # tells -0.0 from 0.0 in every coordinate
+        return point_field(z) + 0.25 * np.copysign(1.0, z).sum()
+
+    got = derivative_tensor(stacked(f), x, order, 1e-2)
+    assert got.tobytes() == loop_tensor(f, x, order, 1e-2).tobytes()
+
+
+def bare_cube():
+    """x_0^3 + x_1^3 + x_2^3 with no analytic third derivative: infinite
+    wherever x_1 > 0.751."""
+    return PotentialField(3, lambda z: np.where(z[..., 1] > 0.751, np.inf, np.sum(z**3, axis=-1)))
+
+
+def test_third_tensor_fallback_matches_the_loop():
+    x = np.array([0.3, -0.45, 1.2])
+    phi = bare_cube()
+    assert np.array_equal(phi.third_tensor(x), loop_tensor(phi.value, x, 3, 5e-3))
+
+
+def test_third_tensor_fallback_names_the_loops_first_non_finite_point():
+    x = np.array([0.3, 0.75, -0.2])
+    phi = bare_cube()
+    with pytest.raises(NonFiniteValue) as got:
+        phi.third_tensor(x)
+    with pytest.raises(NonFiniteValue) as want:
+        loop_tensor(phi.value, x, 3, 5e-3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("potential has a non-finite entry at [")
 
 
 def test_one_value_per_stacked_point_is_required():
