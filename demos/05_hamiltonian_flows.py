@@ -1,4 +1,4 @@
-"""Symplectic side: canonical and split-coordinate 2-forms, the
+"""Symplectic side: canonical, split-coordinate and tangent-bundle 2-forms, the
 Lorentz-signature Legendre transform, and the conservative integrators:
 leapfrog with its dt^2 drift law on a separable H, implicit midpoint on a
 generic one.
@@ -10,16 +10,15 @@ from frobsym import (
     LorentzLagrangian,
     Observable,
     PhasePoint,
-    PotentialField,
     SeparableHamiltonian,
     closedness_residual,
-    dolbeault_form,
+    hessian_log_metric,
     integrate,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
-    realified_dolbeault_two_form,
 )
+from frobsym.registry import orthant_potential, round_sphere_metric
 
 print("== canonical coefficients and pairing ==")
 form = paracomplex_two_form(np.eye(1), 1)  # J = [[0, I], [-I, 0]]
@@ -28,10 +27,15 @@ print(f"J = {form.matrix([0, 0]).tolist()}, pairing((1,0),(0,1)) = {form.pair([0
 print("\n== realified split form: [[0, G], [-G, 0]] ==")
 split = paracomplex_two_form(np.array([[1.0]]), 1)
 print(f"m=1, g=1: {split.matrix([0.0, 0.0]).tolist()}  (+dx^dy)")
-phi = PotentialField(2, lambda w: (w[..., 0] * w[..., 1]) ** 2)
-print(f"mixed second partial of (z+ z-)^2 at (3, 5) = {dolbeault_form(phi, [3.0, 5.0]).item():.3f}")
-closed = closedness_residual(realified_dolbeault_two_form(phi), [[0.3, 0.2]])
-print(f"potential-derived form closedness residual  = {closed:.1e}")
+
+print("\n== omega = g_ab dx^a ^ dy^b on TM is closed iff g is Hessian ==")
+x = np.array([[0.8, 1.3], [1.1, 0.6]])
+points = np.concatenate([x, np.zeros_like(x)], axis=-1)  # the points (x, 0)
+for name, metric in (("orthant2", hessian_log_metric(orthant_potential(2))),
+                     ("round_sphere2", round_sphere_metric())):
+    omega = paracomplex_two_form(lambda pt: metric.value(pt[..., :2]), 2)
+    closed = closedness_residual(omega, points) / max(1.0, np.max(np.abs(metric.value(x))))
+    print(f"{name:>13}: closedness residual {closed:.2e}")
 
 print("\n== Lorentz-signature Legendre transform ==")
 lag = LorentzLagrangian(signature=[1.0, 1.0, 1.0, -1.0])

@@ -82,13 +82,11 @@ from .symplectic import (
     Trajectory,
     TwoForm,
     closedness_residual,
-    dolbeault_form,
     exterior_derivative,
     integrate,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
-    realified_dolbeault_two_form,
 )
 from .poisson import (
     BracketResiduals,

@@ -73,7 +73,6 @@ class PotentialField:
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], np.ndarray] | None = None
-    hess: Callable[[np.ndarray], np.ndarray] | None = None
     third: Callable[[np.ndarray], np.ndarray] | None = None
     log_hess: Callable[[np.ndarray], np.ndarray] | None = None
     log_third: Callable[[np.ndarray], np.ndarray] | None = None

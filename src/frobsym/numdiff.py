@@ -61,12 +61,12 @@ def gradient(f: Callable, x, h: float | None = None) -> np.ndarray:
     return (values[..., :n] - values[..., n:]) / (2.0 * hs)
 
 
-def hessian(f: Callable, x, h: float | None = None) -> np.ndarray:
+def hessian(f: Callable, x) -> np.ndarray:
     """Symmetric central-difference Hessian of a scalar field, ``(..., n, n)``;
     all 1 + 2n^2 shifted points of each base point go to ``f`` in one stack."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    hs = step_sizes(x, SECOND_ORDER_STEP if h is None else h)
+    hs = step_sizes(x, SECOND_ORDER_STEP)
     e = _scaled_units(hs)
     i, j = np.triu_indices(n, 1)
     ei, ej = e[..., i, :], e[..., j, :]

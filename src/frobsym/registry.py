@@ -114,49 +114,11 @@ def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
     return PotentialField(3, func, third=third)
 
 
-def _symmetric2(a, b, c):
-    """The stack of symmetric 2 x 2 matrices [[a, b], [b, c]]."""
-    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
-
-
-def adapted_quartic1() -> PotentialField:
-    """phi(z+, z-) = (z+ z-)^2 on one adapted pair."""
-
-    def hess(w):
-        x, y = w[..., 0], w[..., 1]
-        return _symmetric2(2.0 * y * y, 4.0 * x * y, 2.0 * x * x)
-
-    return PotentialField(2, lambda w: np.float_power(w[..., 0] * w[..., 1], 2), hess=hess)
-
-
-def adapted_mixed2() -> PotentialField:
-    """Two adapted pairs, one polynomial and one trigonometric block."""
-
-    def hess(w):
-        a, b, c, d = np.moveaxis(w, -1, 0)
-        out = np.zeros(np.shape(w)[:-1] + (4, 4))
-        out[..., 0, 0] = 2.0 * c * c
-        out[..., 0, 2] = out[..., 2, 0] = 4.0 * a * c
-        out[..., 2, 2] = 2.0 * a * a
-        out[..., 1, 1] = -d * d * np.sin(b * d)
-        out[..., 1, 3] = out[..., 3, 1] = np.cos(b * d) - b * d * np.sin(b * d)
-        out[..., 3, 3] = -b * b * np.sin(b * d)
-        return out
-
-    return PotentialField(
-        4,
-        lambda w: np.float_power(w[..., 0] * w[..., 2], 2) + np.sin(w[..., 1] * w[..., 3]),
-        hess=hess,
-    )
-
-
 POTENTIALS = {
     "orthant2": lambda: orthant_potential(2),
     "orthant3": lambda: orthant_potential(3),
     "wdvv_cubic3": cubic_potential3,
     "wdvv_cubic3_perturbed": perturbed_cubic_potential3,
-    "adapted_quartic1": adapted_quartic1,
-    "adapted_mixed2": adapted_mixed2,
 }
 
 
@@ -179,6 +141,11 @@ def round_sphere_metric() -> MetricField:
         return d
 
     return MetricField(2, value, deriv=deriv)
+
+
+def _symmetric2(a, b, c):
+    """The stack of symmetric 2 x 2 matrices [[a, b], [b, c]]."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
 
 
 def offdiagonal_linear_metric() -> MetricField:

@@ -22,9 +22,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonConvergence,
-                     NonFiniteValue, require_antisymmetric, require_finite, require_invertible,
-                     symmetric_part)
-from .geometry import PotentialField
+                     NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
 
 _EMPTY = np.zeros(0)
 
@@ -176,6 +174,11 @@ def paracomplex_two_form(g, m: int) -> TwoForm:
     exactly +dx^dy.  A G that is not symmetric raises InvalidStructure; its
     symmetric part is used, so the coefficients equal their own
     antisymmetrization identically.
+
+    With G = g(x), a metric of the base read off the x half of each point,
+    this is the form omega = g_ab dx^a ^ dy^b on the tangent bundle, which
+    is closed iff d_c g_ab = d_a g_cb, i.e. iff g is a Hessian metric in x
+    (Dombrowski 1962; Shima 2007, ch. 2).
     """
     def coeffs(point):
         point = np.asarray(point, dtype=float)
@@ -188,55 +191,6 @@ def paracomplex_two_form(g, m: int) -> TwoForm:
         G = symmetric_part(G, "metric block", point)
         z = np.zeros_like(G)
         return np.block([[z, G], [-G, z]])
-
-    return TwoForm(2 * m, coeffs)
-
-
-def dolbeault_form(phi: PotentialField, point) -> np.ndarray:
-    """Mixed-partial coefficients w[a, b] = d2 phi / dz+^a dz-^b.
-
-    ``phi`` lives on adapted coordinates ordered (z+^1..z+^m, z-^1..z-^m).
-    An analytic ``hess`` is called with floating-point warnings off, as
-    :meth:`PotentialField.value` calls ``func``, and one that is not finite
-    raises NonFiniteValue.
-    """
-    if phi.dim % 2 != 0:
-        raise DimensionMismatch("adapted coordinates come in (plus, minus) pairs")
-    m = phi.dim // 2
-    point = np.asarray(point, dtype=float)
-    if phi.hess is not None:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            full = np.asarray(phi.hess(point), dtype=float)
-        require_finite(full, "potential Hessian", point)
-    else:
-        full = numdiff.hessian(phi.value, point)
-    return full[..., :m, m:]
-
-
-def realified_dolbeault_two_form(phi: PotentialField) -> TwoForm:
-    """The (1,1)-form of ``phi`` as a real 2-form in (x, y) coordinates.
-
-    Adapted coordinates are z+ = x + y, z- = x - y; the wedge basis
-    dz+^a ^ dz-^b expands to (dx+dy)^a ^ (dx-dy)^b.  Because the
-    coefficients are mixed second partials the resulting form is exact,
-    hence closed, for any twice-differentiable potential.
-    """
-    if phi.dim % 2 != 0:
-        raise DimensionMismatch("adapted coordinates come in (plus, minus) pairs")
-    m = phi.dim // 2
-
-    def coeffs(point):
-        point = np.asarray(point, dtype=float)
-        x, y = point[..., :m], point[..., m:]
-        adapted = np.concatenate([x + y, x - y], axis=-1)
-        w = dolbeault_form(phi, adapted)
-        wt = w.swapaxes(-1, -2)
-        # dz+^a ^ dz-^b = (dx^a + dy^a) ^ (dx^b - dy^b); each wedge term
-        # c * du ^ dv contributes J[u, v] += c, J[v, u] -= c.  Summed over
-        # (a, b), w[a, b] dx^a ^ dx^b gives the dx-dx block w - w^T,
-        # -w[a, b] dy^a ^ dy^b the dy-dy block -(w - w^T), and the two
-        # cross terms the blocks -(w + w^T) and w + w^T.
-        return np.block([[w - wt, -(w + wt)], [w + wt, -(w - wt)]])
 
     return TwoForm(2 * m, coeffs)
 

@@ -41,14 +41,13 @@ from frobsym import (
     para_inverse,
     para_mul,
     paracomplex_bracket,
+    paracomplex_two_form,
     potential_eval,
-    realified_dolbeault_two_form,
     wdvv_residual,
 )
 from frobsym.cli import main
 from frobsym.numdiff import derivative_tensor
 from frobsym.registry import (
-    adapted_mixed2,
     antidiagonal_pairing,
     bernoulli_family,
     categorical_family,
@@ -57,6 +56,7 @@ from frobsym.registry import (
     linear_diagonal_lattice,
     orthant_potential,
     perturbed_cubic_potential3,
+    round_sphere_metric,
 )
 from frobsym.poisson import so3_constants
 
@@ -183,13 +183,22 @@ def test_c05_pairing_invariance_and_novikov():
     note(5, "pairing invariance < 1e-10; first-order identities hold")
 
 
-def test_c06_split_form_closedness():
-    phi = adapted_mixed2()
+def test_c06_tangent_bundle_of_a_hessian_metric_is_symplectic():
+    """omega = g_ab dx^a ^ dy^b on TM is closed iff g is Hessian: the
+    orthant's log-Hessian metric passes, the round sphere's fails."""
     rng = np.random.default_rng(5)
-    points = [rng.normal(0.0, 0.6, phi.dim) for _ in range(3)]
-    closed = closedness_residual(realified_dolbeault_two_form(phi), points)
+    x = np.exp(rng.normal(0.0, 0.3, (3, 2))) + 0.2
+    points = np.concatenate([x, np.zeros_like(x)], axis=-1)
+
+    def closedness(metric):
+        form = paracomplex_two_form(lambda pt: metric.value(pt[..., :2]), 2)
+        return closedness_residual(form, points) / max(1.0, np.max(np.abs(metric.value(x))))
+
+    closed = closedness(hessian_log_metric(orthant_potential(2)))
+    curved = closedness(round_sphere_metric())
     assert closed < 1e-5
-    note(6, f"closedness {closed:.1e} < 1e-5")
+    assert curved > 0.5
+    note(6, f"closedness on TM {closed:.1e} < 1e-5 (orthant), {curved:.2f} (sphere)")
 
 
 def test_c07_legendre_energies():

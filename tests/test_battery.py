@@ -168,6 +168,22 @@ class TestSpecLoading:
         assert err.value.field == f"payload.{key}"
         assert f"(known: {', '.join(sorted(table))})" in str(err.value)
 
+    @pytest.mark.parametrize("payload, checks, field", [
+        ({"potential": "orthant2"}, ["form_closedness"], "checks"),
+        ({"potential": "adapted_mixed2"}, ["tangent_symplectic"], "payload.potential"),
+        ({"potential": "adapted_quartic1"}, ["wdvv"], "payload.potential"),
+    ], ids=["form_closedness", "adapted_mixed2", "adapted_quartic1"])
+    def test_deleted_names_are_schema_errors(self, payload, checks, field, tmp_path, capsys):
+        data = {"name": "x", "kind": "cone_potential", "payload": payload, "checks": checks}
+        with pytest.raises(SchemaError) as err:
+            spec_from_dict(data)
+        assert err.value.field == field
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+
     @pytest.mark.parametrize("field_dim", [0, -1, "2", 2.5, True])
     def test_lattice_field_dim_must_be_positive_integer(self, field_dim):
         with pytest.raises(SchemaError) as err:
@@ -411,15 +427,6 @@ class TestRunBattery:
                                "checks": ["frobenius_axioms"]})
         (row,) = run_battery(spec).rows
         assert (row.status, row.residual) == ("fail", 1.0)
-
-    def test_adapted_potential_checks(self):
-        spec = spec_from_dict({
-            "kind": "cone_potential",
-            "payload": {"potential": "adapted_mixed2"},
-            "checks": ["form_closedness"],
-        })
-        report = run_battery(spec)
-        assert report.all_passed()
 
     def test_unevaluable_check_fails_instead_of_crashing(self):
         # the two statistics are affinely dependent on two outcomes, so the
@@ -704,8 +711,28 @@ def reference_cone_frobenius(ctx):
     return frobenius_axioms(alg).worst_identity_residual()
 
 
+def reference_tangent_symplectic(ctx):
+    """One point at a time, each partial of omega from its own pair of
+    matrices, and max(1, |g|) over all the points."""
+    from test_symplectic import per_axis_exterior_derivative, tangent_form
+
+    if ctx.spec.kind == "cone_potential":
+        metric, points = hessian_log_metric(ctx.inputs.potential), reference_cone_points(ctx)
+    else:
+        metric = ctx.inputs.metric
+        points = ctx.rng.normal(0.5, 0.4, (3, metric.dim))
+    form = tangent_form(metric)
+    worst, scale = 0.0, 1.0
+    for x in points:
+        d_omega = per_axis_exterior_derivative(form, np.concatenate([x, np.zeros_like(x)]))
+        worst = max(worst, float(np.max(np.abs(d_omega))))
+        scale = max(scale, float(np.max(np.abs(metric.value(x)))))
+    return worst / scale
+
+
 REFERENCE_CONE_ROWS = {"cone_unit": reference_cone_unit, "cone_algebra": reference_cone_algebra,
-                       "frobenius_axioms": reference_cone_frobenius}
+                       "frobenius_axioms": reference_cone_frobenius,
+                       "tangent_symplectic": reference_tangent_symplectic}
 
 
 @pytest.fixture
@@ -720,7 +747,7 @@ LORENTZ_POINTS = [[1.5, 0.2, -0.4], [2.0, 0.5, 0.7], [1.1, -0.3, 0.1]]
 
 
 CONE_EDGE_CHECKS = ["hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
-                    "frobenius_axioms", "automorphism_invariance"]
+                    "frobenius_axioms", "automorphism_invariance", "tangent_symplectic"]
 
 
 def cone_spec(potential, checks, points=None, seed=0):
@@ -783,20 +810,21 @@ class TestConeRows:
         every row that needs it is null, and no floating-point warning
         escapes the battery, even when warnings are errors."""
         spec = cone_spec("orthant2", ["hessian_metric_pd", "flatness", "cone_unit",
-                                      "cone_algebra", "frobenius_axioms",
+                                      "cone_algebra", "frobenius_axioms", "tangent_symplectic",
                                       "automorphism_invariance"], [[1e-200, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = run_battery(spec)
         *needs_metric, invariance = report.rows
-        assert [row.residual for row in needs_metric] == [None] * 5
+        assert [row.residual for row in needs_metric] == [None] * 6
         assert invariance.status == "pass"
 
     # rows whose construction is undefined there; the others are defined:
-    # at 1e-120 phi, g and R stay finite, at 1e-310 phi overflows
+    # at 1e-120 phi, g and R stay finite, but the first-order steps of
+    # tangent_symplectic leave the orthant; at 1e-310 phi overflows
     EDGE_NULL_ROWS = {
         "tiny_pair": ([[1e-120, 1e-120]], ["flatness", "cone_unit", "cone_algebra",
-                                           "frobenius_axioms"]),
+                                           "frobenius_axioms", "tangent_symplectic"]),
         "huge_pair": ([[1e200, 1e200]], CONE_EDGE_CHECKS),
         "subnormal_coordinate": ([[1e-310, 1.0]], CONE_EDGE_CHECKS),
     }
@@ -827,8 +855,7 @@ class TestConeRows:
             [row.residual is None for row in report.rows]
 
     @pytest.mark.parametrize("check", CONE_EDGE_CHECKS)
-    @pytest.mark.parametrize("potential", ["adapted_quartic1", "adapted_mixed2", "wdvv_cubic3",
-                                           "wdvv_cubic3_perturbed"])
+    @pytest.mark.parametrize("potential", ["wdvv_cubic3", "wdvv_cubic3_perturbed"])
     def test_huge_points_of_the_polynomial_potentials_give_null_rows(self, potential, check):
         """phi overflows at 1e103 and beyond: its closed forms give inf or
         NaN without a warning, and the potential guard makes the row null."""
@@ -856,6 +883,73 @@ class TestConeRows:
         assert flatness.status == "fail" and flatness.residual > 1e-2
         assert unit.status == "pass"
         assert algebra.status == "fail" and algebra.residual > 1e-2
+
+
+def tangent_spec(kind, ident, seed=0):
+    key = "potential" if kind == "cone_potential" else "metric"
+    return spec_from_dict({"kind": kind, "payload": {key: ident},
+                           "checks": ["tangent_symplectic"], "seed": seed})
+
+
+class TestTangentSymplectic:
+    """omega = g_ab dx^a ^ dy^b on TM is closed iff g is Hessian in x."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind, ident", [
+        ("cone_potential", "orthant2"), ("cone_potential", "orthant3"),
+        ("explicit_metric", "euclidean1"), ("explicit_metric", "euclidean2"),
+        ("explicit_metric", "euclidean3")])
+    def test_hessian_metrics_pass(self, kind, ident, seed):
+        (row,) = run_battery(tangent_spec(kind, ident, seed)).rows
+        assert (row.status, row.residual, row.tolerance) == ("pass", 0.0, 1e-5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ident", ["round_sphere2", "offdiag_linear2"])
+    def test_metrics_that_are_not_hessian_fail(self, ident, seed):
+        (row,) = run_battery(tangent_spec("explicit_metric", ident, seed)).rows
+        assert row.status == "fail" and row.residual >= 0.5
+
+    @pytest.mark.parametrize("ident", ["euclidean2", "round_sphere2", "offdiag_linear2"])
+    def test_explicit_metric_rows_match_the_per_point_oracle(self, ident):
+        spec = tangent_spec("explicit_metric", ident, 7)
+        ctx = CheckContext(spec, np.random.default_rng(np.random.SeedSequence([7, 0])))
+        assert run_battery(spec).rows[0].residual == reference_tangent_symplectic(ctx)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_off_diagonal_entry_in_x0_is_a_negative_control(self, seed, monkeypatch):
+        """g_01 = x^0 / 2 gives d_0 g_01 = 1/2 against d_1 g_00 = 0; the
+        same metric with x^0 moved to the diagonal is Hessian and passes."""
+        def metric(off_diagonal):
+            def value(u):
+                g = np.broadcast_to(np.eye(2), u.shape[:-1] + (2, 2)).copy()
+                if off_diagonal:
+                    g[..., 0, 1] = g[..., 1, 0] = 0.5 * u[..., 0]
+                else:
+                    g[..., 0, 0] = np.exp(u[..., 0])
+                return g
+            return MetricField(2, value)
+
+        monkeypatch.setitem(registry.METRICS, "mixed_in_x0", lambda: metric(True))
+        monkeypatch.setitem(registry.METRICS, "hessian_in_x0", lambda: metric(False))
+        (row,) = run_battery(tangent_spec("explicit_metric", "mixed_in_x0", seed)).rows
+        assert row.status == "fail" and row.residual > 0.1
+        (row,) = run_battery(tangent_spec("explicit_metric", "hessian_in_x0", seed)).rows
+        assert (row.status, row.residual) == ("pass", 0.0)
+
+    def test_the_row_differences_g_and_not_its_derivative(self, monkeypatch):
+        """A deriv that claims the round sphere is constant changes nothing."""
+        sphere = registry.round_sphere_metric()
+        monkeypatch.setitem(registry.METRICS, "sphere_flat_deriv", lambda: MetricField(
+            2, sphere.func, deriv=lambda u: np.zeros(u.shape[:-1] + (2, 2, 2))))
+        rows = [run_battery(tangent_spec("explicit_metric", ident)).rows[0]
+                for ident in ("round_sphere2", "sphere_flat_deriv")]
+        assert rows[0].residual == rows[1].residual > 0.5
+
+    def test_degenerate_form_gives_a_null_row(self, monkeypatch):
+        monkeypatch.setitem(registry.METRICS, "zero2", lambda: MetricField(
+            2, lambda u: np.zeros(u.shape[:-1] + (2, 2))))
+        (row,) = run_battery(tangent_spec("explicit_metric", "zero2")).rows
+        assert (row.status, row.residual) == ("fail", None)
 
 
 def reference_gibbs_normalization(ctx):
@@ -1220,9 +1314,7 @@ class TestCli:
 
     # each was a SchemaError naming identity3, a pairing the spec never wrote
     @pytest.mark.parametrize("potential, point", [
-        ("orthant2", [1.0, 2.0]), ("adapted_quartic1", None),
-        ("adapted_mixed2", [0.1, 0.2, 0.3, 0.4])],
-        ids=["orthant2", "adapted_quartic1", "adapted_mixed2"])
+        ("orthant2", [1.0, 2.0]), ("wdvv_cubic3", None)], ids=["orthant2", "wdvv_cubic3"])
     def test_wdvv_without_a_pairing_pairs_by_the_identity(self, potential, point):
         phi = registry.POTENTIALS[potential]()
         payload = {"potential": potential, **({"point": point} if point else {})}

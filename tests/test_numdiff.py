@@ -46,9 +46,9 @@ def loop_gradient(f, x, h=None):
     return g
 
 
-def loop_hessian(f, x, h=None):
+def loop_hessian(f, x):
     """The central second difference one entry and one point at a time."""
-    hs = (6e-4 if h is None else h) * np.maximum(1.0, np.abs(x))
+    hs = 6e-4 * np.maximum(1.0, np.abs(x))
     n = x.size
     out = np.empty((n, n))
     f0 = f(x)
@@ -359,21 +359,20 @@ def test_gradient_on_a_stack_of_base_points_matches_point_loop(shape, n, h):
                                            for x in points.reshape(-1, n)], shape + (n,)))
 
 
-@pytest.mark.parametrize("h", [None, 5e-3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_hessian_matches_point_loop(n, h):
+def test_hessian_matches_point_loop(n):
     points = base_points(n)
     for x in points:
         rows, seen = [], []
-        got = hessian(any_stack(recording(point_field, rows)), x, h)
-        assert np.array_equal(got, loop_hessian(recording(point_field, seen), x, h))
+        got = hessian(any_stack(recording(point_field, rows)), x)
+        assert np.array_equal(got, loop_hessian(recording(point_field, seen), x))
         # the same shifted points, each evaluated once
         assert sorted(rows) == sorted(set(seen))
     calls = []
     field = any_stack(point_field)
-    got = hessian(lambda zs: calls.append(zs.shape) or field(zs), points.reshape(3, 1, n), h)
+    got = hessian(lambda zs: calls.append(zs.shape) or field(zs), points.reshape(3, 1, n))
     assert calls == [(3, 1, 1 + 2 * n * n, n)]
-    assert np.array_equal(got[:, 0], np.stack([loop_hessian(point_field, x, h) for x in points]))
+    assert np.array_equal(got[:, 0], np.stack([loop_hessian(point_field, x) for x in points]))
 
 
 @pytest.mark.parametrize("routine", [jacobian, hessian])

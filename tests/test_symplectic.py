@@ -16,22 +16,19 @@ from frobsym import (
     LorentzLagrangian,
     Observable,
     PhasePoint,
-    PotentialField,
     SeparableHamiltonian,
     TwoForm,
     closedness_residual,
-    dolbeault_form,
     exterior_derivative,
     integrate,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
-    realified_dolbeault_two_form,
 )
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
 from frobsym.numdiff import FIRST_ORDER_STEP, step_sizes
-from frobsym.registry import adapted_mixed2, adapted_quartic1
+from frobsym.registry import offdiagonal_linear_metric, round_sphere_metric
 
 
 def per_axis_exterior_derivative(form, point):
@@ -52,6 +49,12 @@ def per_axis_exterior_derivative(form, point):
             for k in range(n):
                 out[i, j, k] = dj[i, j, k] + dj[k, i, j] + dj[j, k, i]
     return out
+
+
+def tangent_form(metric):
+    """omega = g_ab dx^a ^ dy^b on TM, g read off the x half of each point."""
+    m = metric.dim
+    return paracomplex_two_form(lambda pt: metric.value(pt[..., :m]), m)
 
 
 def constant(m):
@@ -286,77 +289,6 @@ class TestRealifiedSplitForm:
         assert np.array_equal(J, 0.5 * (J - J.T))
 
 
-class TestDolbeault:
-    def test_bilinear_potential(self):
-        phi = PotentialField(2, lambda w: w[..., 0] * w[..., 1])
-        assert dolbeault_form(phi, [0.4, -1.2]).item() == pytest.approx(1.0, abs=1e-9)
-
-    def test_plus_only_potential_vanishes(self):
-        phi = PotentialField(2, lambda w: w[..., 0] ** 2)
-        assert dolbeault_form(phi, [3.0, 1.0]).item() == pytest.approx(0.0, abs=1e-9)
-
-    def test_mixed_cubic(self):
-        phi = PotentialField(2, lambda w: w[..., 0] ** 2 * w[..., 1])
-        assert dolbeault_form(phi, [3.0, 5.0]).item() == pytest.approx(6.0, rel=1e-7)
-
-    def test_overflowing_analytic_hessian_is_non_finite_without_a_warning(self):
-        with pytest.raises(NonFiniteValue, match="potential Hessian"):
-            dolbeault_form(adapted_quartic1(), [1e200, 1e200])
-
-    def test_realified_form_closed_for_any_potential(self):
-        rng = np.random.default_rng(9)
-        for phi in (adapted_quartic1(), adapted_mixed2()):
-            form = realified_dolbeault_two_form(phi)
-            pts = [rng.normal(0.0, 0.6, phi.dim) for _ in range(3)]
-            assert closedness_residual(form, pts) < 1e-5
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_realified_blocks_equal_the_wedge_expansion(self, m):
-        """The block coefficients equal, bit for bit, the term-by-term
-        expansion of sum w[a, b] (dx^a + dy^a) ^ (dx^b - dy^b)."""
-
-        def wedge_expansion(w):
-            J = np.zeros((2 * m, 2 * m))
-            for a in range(m):
-                for b in range(m):
-                    c = w[a, b]
-                    J[a, b] += c            # dx^a ^ dx^b
-                    J[b, a] -= c
-                    J[m + a, m + b] -= c    # dy^a ^ dy^b
-                    J[m + b, m + a] += c
-                    J[a, m + b] -= c        # dx^a ^ dy^b
-                    J[m + b, a] += c
-                    J[m + a, b] += c        # dy^a ^ dx^b
-                    J[b, m + a] -= c
-            return J
-
-        rng = np.random.default_rng(40 + m)
-        for scale in (1e-8, 1.0, 1e8):
-            w = scale * rng.normal(size=(m, m))
-            full = np.zeros((2 * m, 2 * m))
-            full[:m, m:] = w  # dolbeault_form reads only this block
-            phi = PotentialField(2 * m, lambda x: np.zeros(x.shape[:-1]), hess=constant(full))
-            J = realified_dolbeault_two_form(phi).matrix(rng.normal(size=2 * m))
-            assert np.array_equal(J, wedge_expansion(w))
-
-    def test_block_form_with_potential_derived_metric_closed(self):
-        """Feeding the mixed-partial matrix of a pairwise potential into the
-        [[0, G], [-G, 0]] block form keeps it closed: each diagonal entry
-        only depends on its own (x^a, y^a) pair."""
-        phi = PotentialField(4, lambda w: (w[..., 0] * w[..., 2]) ** 2
-                             + (w[..., 1] * w[..., 3]) ** 4)
-
-        def g(point):
-            x, y = point[..., :2], point[..., 2:]
-            adapted = np.concatenate([x + y, x - y], axis=-1)
-            return dolbeault_form(phi, adapted)
-
-        form = paracomplex_two_form(g, 2)
-        rng = np.random.default_rng(13)
-        pts = [rng.normal(0.0, 0.5, 4) for _ in range(3)]
-        assert closedness_residual(form, pts) < 1e-5
-
-
 class TestExteriorDerivative:
     def test_constant_form_closed(self):
         form = canonical(2)
@@ -379,22 +311,22 @@ class TestStackedForms:
 
     def test_closedness_equals_the_per_point_loop(self):
         rng = np.random.default_rng(9)
-        for phi in (adapted_quartic1(), adapted_mixed2(),
-                    PotentialField(2, lambda w: np.exp(w[..., 0]) * np.sin(w[..., 1]))):
-            form = realified_dolbeault_two_form(phi)
-            pts = rng.normal(0.0, 0.6, size=(3, phi.dim))
+        for metric in (round_sphere_metric(), offdiagonal_linear_metric()):
+            form = tangent_form(metric)
+            pts = rng.normal(0.5, 0.4, size=(3, form.dim))
             loop = max(float(np.max(np.abs(exterior_derivative(form, x)))) for x in pts)
+            assert loop > 0.5
             assert closedness_residual(form, pts) == loop
             assert np.array_equal(form.matrix(pts), [form.matrix(x) for x in pts])
 
-    @pytest.mark.parametrize("potential", [adapted_quartic1, adapted_mixed2])
+    @pytest.mark.parametrize("metric", [round_sphere_metric, offdiagonal_linear_metric])
     @pytest.mark.parametrize("seed", range(10))
-    def test_exterior_derivative_equals_the_per_axis_oracle(self, potential, seed):
-        phi = potential()
-        form = realified_dolbeault_two_form(phi)
-        pts = np.random.default_rng(seed).normal(0.0, 0.5, (1 + seed % 3, phi.dim))
-        assert np.array_equal(exterior_derivative(form, pts),
-                              [per_axis_exterior_derivative(form, x) for x in pts])
+    def test_exterior_derivative_equals_the_per_axis_oracle(self, metric, seed):
+        form = tangent_form(metric())
+        pts = np.random.default_rng(seed).normal(0.5, 0.4, (1 + seed % 3, form.dim))
+        got = exterior_derivative(form, pts)
+        assert np.max(np.abs(got)) > 0.0
+        assert np.array_equal(got, [per_axis_exterior_derivative(form, x) for x in pts])
 
     def test_form_of_the_wrong_shape_is_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(2, 2\) for points \(3, 2\)"):
