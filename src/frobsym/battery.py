@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -64,6 +64,7 @@ from .symplectic import (
     Observable,
     PhasePoint,
     SeparableHamiltonian,
+    Trajectory,
     closedness_residual,
     integrate,
     integrate_many,
@@ -353,10 +354,13 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
 
 @dataclass
 class CheckContext:
-    """A check's view of the run: the spec, its decoded inputs and its rng."""
+    """A check's view of the run: the spec, its decoded inputs and its rng,
+    and ``shared``, the store of its battery, which every check of the
+    battery sees and which ends with it."""
 
     spec: ManifoldSpec
     rng: np.random.Generator
+    shared: dict = field(default_factory=dict)
 
     @property
     def inputs(self) -> SimpleNamespace:
@@ -572,27 +576,65 @@ def _check_evolution_consistency(ctx: CheckContext) -> float:
     return abs(alg - fd)
 
 
-def _check_energy_drift(ctx: CheckContext) -> float:
+# the (dt, steps) pairs of the drift rows, each run from (z, p) = (1, 0);
+# drift_scaling's span one orbital period, which captures the full
+# oscillation of the leapfrog energy error, with no secular part for
+# quadratic H
+_DRIFT_PAIRS = {
+    "energy_drift": ((1e-3, 10_000),),
+    "drift_scaling": tuple((dt, int(round(6.5 / dt))) for dt in (1e-3, 5e-4, 2e-4, 1e-4)),
+}
+
+
+def _drift_runs(ctx: CheckContext, name: str) -> list[Trajectory]:
+    """The trajectories of the drift row ``name``'s pairs, in order.
+
+    The battery's first drift row integrates every step size that the
+    spec's drift rows list, each as long as its longest pair, in one
+    :func:`integrate_many` call, and keeps the runs in ``ctx.shared``.  A
+    row then reads the first ``steps + 1`` states of its step size's run,
+    which are bit for bit those of its own pair, so it gives the residual it
+    gives alone.  If that call raises, each row integrates its own pairs.
+    """
     H = _hamiltonian_observable(ctx.inputs)
     dim = ctx.inputs.metric.dim
     y0 = PhasePoint(np.ones(dim), np.zeros(dim))
+    pairs = _DRIFT_PAIRS[name]
+    if "drift" not in ctx.shared:
+        longest = {}
+        for check in ctx.spec.checks:
+            for dt, steps in _DRIFT_PAIRS.get(check, ()):
+                longest[dt] = max(steps, longest.get(dt, 0))
+        try:
+            runs = integrate_many(H, y0, list(longest), list(longest.values()))
+            ctx.shared["drift"] = dict(zip(longest, runs))
+        except FrobsymError:
+            if longest == dict(pairs):
+                raise
+            ctx.shared["drift"] = None
+    if ctx.shared["drift"] is None:
+        return integrate_many(H, y0, [dt for dt, _ in pairs], [steps for _, steps in pairs])
+    return [_head(ctx.shared["drift"][dt], steps) for dt, steps in pairs]
+
+
+def _head(traj: Trajectory, steps: int) -> Trajectory:
+    """The trajectory's first ``steps`` steps."""
+    return Trajectory(traj.times[:steps + 1], traj.z[:steps + 1], traj.p[:steps + 1],
+                      traj.energies[:steps + 1])
+
+
+def _check_energy_drift(ctx: CheckContext) -> float:
+    (run,) = _drift_runs(ctx, "energy_drift")
     # read the drift off the trajectory dump records rather than the
     # trajectory internals; the record format is part of the interface
-    records = integrate(H, y0, 1e-3, 10_000).records()
+    records = run.records()
     first = records[0]["H"]
     return max(abs(rec["H"] - first) for rec in records)
 
 
 def _check_drift_scaling(ctx: CheckContext) -> float:
-    H = _hamiltonian_observable(ctx.inputs)
-    dim = ctx.inputs.metric.dim
-    y0 = PhasePoint(np.ones(dim), np.zeros(dim))
-    # one orbital period captures the full oscillation of the leapfrog
-    # energy error, which has no secular part for quadratic H
-    total_time = 6.5
-    dts = np.array([1e-3, 5e-4, 2e-4, 1e-4])
-    steps = [int(round(total_time / dt)) for dt in dts]
-    drifts = [traj.max_energy_drift for traj in integrate_many(H, y0, dts, steps)]
+    dts = np.array([dt for dt, _ in _DRIFT_PAIRS["drift_scaling"]])
+    drifts = [traj.max_energy_drift for traj in _drift_runs(ctx, "drift_scaling")]
     if 0.0 in drifts:
         # leapfrog steps a free particle exactly, and a zero drift has no log
         raise NonFiniteValue(f"energy drift is zero at dt = {dts[drifts.index(0.0)]:g}, "
@@ -713,7 +755,9 @@ def run_battery(spec: ManifoldSpec) -> Report:
 
     Each check draws randomness from a generator seeded by (spec seed,
     position) and is held to the spec's tolerance for it, else the check's
-    default, so the report is deterministic for a given spec.  A spec built
+    default, so the report is deterministic for a given spec.  The checks
+    share one store, made afresh for each battery, in which the drift rows
+    keep their one stacked integration.  A spec built
     without :func:`spec_from_dict` gets its SchemaError for a malformed
     payload, checks, tolerances, seed or name before any row runs; a check
     of another kind gives a ``null`` row, and so does a payload that does
@@ -722,11 +766,12 @@ def run_battery(spec: ManifoldSpec) -> Report:
     _check_fields(spec.payload, spec.checks, spec.tolerances, spec.seed, spec.name)
     spec_hash = _digest(spec)
     rows = []
+    shared = {}
     for index, name in enumerate(spec.checks):
         definition = CHECKS[name]
         tol = spec.tolerances.get(name, definition.default_tol)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-        ctx = CheckContext(spec, rng)
+        ctx = CheckContext(spec, rng, shared)
         start = time.perf_counter()
         try:
             residual = (float(definition.func(ctx)) if spec.kind in definition.kinds

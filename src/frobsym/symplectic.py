@@ -118,7 +118,8 @@ class SeparableHamiltonian(Observable):
 
     ``T`` and ``V`` reduce over the last axis, so each takes one point or a
     stack of points; ``dT`` and ``dV`` return dT/dp and dV/dz, and must map
-    a ``(rows, n)`` stack row by row, because the leapfrog integrator steps
+    a ``(rows, n)`` stack row by row to a ``(rows, n)`` stack (another shape
+    is DimensionMismatch), because the leapfrog integrator steps
     every trajectory of an :func:`integrate_many` call as one row of such a
     stack.  ``func`` and ``grad`` are derived from the parts, so the object
     works wherever an Observable does; the integrator calls the parts
@@ -283,8 +284,12 @@ def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory
     A :class:`SeparableHamiltonian` is stepped by kick-drift-kick leapfrog
     (Stormer-Verlet) on its split derivatives without building any
     PhasePoint.  All pairs advance together as the rows of one stack, so
-    ``dT`` and ``dV`` see ``(rows, n)`` arrays; elementwise arithmetic
-    rounds each row exactly as a lone run would.  Any other Observable is
+    ``dT`` and ``dV`` see ``(rows, n)`` arrays and must return that shape,
+    else DimensionMismatch; elementwise arithmetic rounds each row exactly
+    as a lone run would, so each trajectory is bit-identical to its lone
+    :func:`integrate` call, and a run's first ``k + 1`` states are those of
+    the same pair with ``k`` steps.  The stack makes one ``dV`` call per
+    step of the longest pair, plus one to start.  Any other Observable is
     stepped by the implicit midpoint rule (fixed-point iteration, tolerance
     1e-12, at most 50 sweeps), one pair at a time, which stays symplectic
     and second order when H does not separate.  Either way a pair's states
@@ -329,7 +334,12 @@ def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
     The pairs are sorted by descending step count, so the rows still
     running are always a prefix of the stack.  Between two retirements the
     steps go into one segment buffer, copied at the segment's end into each
-    row's own state array.
+    row's own state array.  ``dT`` and ``dV`` are called once on the full
+    stack before the step loop, and a result whose shape is not its
+    input's is DimensionMismatch: broadcast, it would mix the rows.  The
+    loop itself checks nothing; each step is the same five ufuncs on the
+    same operands and ``out`` buffers, with the callbacks and ufuncs bound
+    to locals.
     """
     n = y0.z.size
     order = sorted(range(len(counts)), key=lambda j: -counts[j])
@@ -339,9 +349,16 @@ def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
     dt = dts[order, None]
     half = 0.5 * dt
     z, p = np.tile(y0.z, (len(order), 1)), np.tile(y0.p, (len(order), 1))
+    dT, dV = H.dT, H.dV
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    force = dV(z)
+    for name, stack, result in (("dV", z, force), ("dT", p, dT(p))):
+        if np.shape(result) != stack.shape:
+            raise DimensionMismatch(f"{name} maps a stack of shape {stack.shape} "
+                                    f"to shape {np.shape(result)}; it must keep the shape")
     # the end-of-step kick half * dV(z) also starts the next step; the
     # temporaries live in buffers of their own, never in what dT or dV return
-    kick, p_half, drift = np.multiply(half, H.dV(z)), np.empty_like(p), np.empty_like(z)
+    kick, p_half, drift = multiply(half, force), np.empty_like(p), np.empty_like(z)
     done = 0
     for live in range(len(order), 0, -1):
         end = counts[order[live - 1]]
@@ -357,11 +374,11 @@ def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
         else:
             z_buf = np.empty((end - done, live, n))
             p_buf = np.empty((end - done, live, y0.p.size))
-        for i in range(end - done):
-            np.subtract(p, kick, out=p_half)
-            z = np.add(z, np.multiply(dt, H.dT(p_half), out=drift), out=z_buf[i])
-            np.multiply(half, H.dV(z), out=kick)
-            p = np.subtract(p_half, kick, out=p_buf[i])
+        for z_out, p_out in zip(z_buf, p_buf):
+            subtract(p, kick, p_half)
+            z = add(z, multiply(dt, dT(p_half), drift), z_out)
+            multiply(half, dV(z), kick)
+            p = subtract(p_half, kick, p_out)
         if live > 1:
             for row, j in enumerate(order[:live]):
                 states[j][segment, :n], states[j][segment, n:] = z_buf[:, row], p_buf[:, row]

@@ -1042,6 +1042,136 @@ class TestDriftScaling:
         assert "Traceback" not in done.stderr
 
 
+DRIFT_ROWS = ["energy_drift", "drift_scaling"]
+
+
+def drift_spec(checks, metric="euclidean1", scalar="half_square"):
+    payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
+    return spec_from_dict({"kind": "explicit_metric", "payload": payload, "checks": checks})
+
+
+def counting_forces(spec) -> list:
+    """Wrap the decoded scalar's gradient, the leapfrog's force, to count
+    its calls."""
+    value, grad = spec.inputs.scalar
+    calls = []
+    spec.inputs.scalar = (value, lambda z: calls.append(1) or grad(z))
+    return calls
+
+
+def explicit_euler(H, y0, dts, counts):
+    """The state arrays of explicit Euler, which is not symplectic, in the
+    layout of ``symplectic._leapfrog``."""
+    states = []
+    for dt, steps in zip(dts, counts):
+        z, p = y0.z, y0.p
+        rows = [np.concatenate([z, p])]
+        for _ in range(steps):
+            z, p = z + dt * H.dT(p), p - dt * H.dV(z)
+            rows.append(np.concatenate([z, p]))
+        states.append(np.array(rows))
+    return states
+
+
+class TestSharedDriftIntegration:
+    """energy_drift and drift_scaling take their runs from one stacked
+    integration per battery, and each row reads what it reads alone."""
+
+    @pytest.mark.parametrize("metric", ["euclidean1", "euclidean2", "euclidean3"])
+    def test_rows_are_bit_identical_alone_together_and_reversed(self, metric):
+        """Each battery also takes one force per step of its longest run:
+        10,001 for energy_drift alone, 65,001 for drift_scaling, alone or
+        with energy_drift, whose 10,000 steps at dt = 1e-3 extend its
+        6,500."""
+        alone, forces = {}, []
+        for name in DRIFT_ROWS:
+            spec = drift_spec([name], metric)
+            calls = counting_forces(spec)
+            (alone[name],) = run_battery(spec).rows
+            forces.append(len(calls))
+        for checks in (DRIFT_ROWS, DRIFT_ROWS[::-1]):
+            spec = drift_spec(checks, metric)
+            calls = counting_forces(spec)
+            for row in run_battery(spec).rows:
+                assert (row.status, row.residual) == (alone[row.name].status,
+                                                      alone[row.name].residual)
+                assert row.residual is not None
+            forces.append(len(calls))
+        assert forces == [10_001, 65_001, 65_001, 65_001]
+
+    @pytest.mark.parametrize("checks", [["energy_drift"], DRIFT_ROWS, DRIFT_ROWS[::-1]])
+    def test_free_particle_passes_energy_drift_and_nulls_drift_scaling(self, checks):
+        # drift_scaling alone is TestDriftScaling's free-particle case
+        rows = {row.name: row for row in run_battery(drift_spec(checks, "euclidean2",
+                                                               None)).rows}
+        assert (rows["energy_drift"].status, rows["energy_drift"].residual) == ("pass", 0.0)
+        if "drift_scaling" in rows:
+            assert (rows["drift_scaling"].status,
+                    rows["drift_scaling"].residual) == ("fail", None)
+
+    def test_catalog_battery_force_count(self):
+        # 65,001 for the drift rows, 2 x 2 for evolution_consistency's
+        # one-step runs and 1 for its bracket; apart, the rows took 75,007
+        spec = builtin_catalog()["harmonic_oscillator"].spec
+        calls = counting_forces(spec)
+        assert all(row.status == "pass" for row in run_battery(spec).rows)
+        assert len(calls) == 65_006
+
+    def test_each_battery_integrates_afresh(self):
+        spec = drift_spec(DRIFT_ROWS)
+        calls = counting_forces(spec)
+        first, second = run_battery(spec), run_battery(spec)
+        assert len(calls) == 2 * 65_001
+        assert [r.residual for r in first.rows] == [r.residual for r in second.rows]
+        assert set(vars(spec.inputs)) == {"metric", "scalar", "spins", "separable"}
+
+    @pytest.mark.parametrize("failing", ["shared", "every"])
+    def test_a_raising_shared_call_leaves_each_row_to_its_own_pairs(self, failing,
+                                                                     monkeypatch):
+        alone = {name: run_battery(drift_spec([name])).rows[0] for name in DRIFT_ROWS}
+        schedules = []
+
+        def integrate_many(H, y0, dts, steps):
+            schedules.append(list(steps))
+            if failing == "every" or len(schedules) == 1:
+                raise NonConvergence("refused")
+            return frobsym.integrate_many(H, y0, dts, steps)
+
+        monkeypatch.setattr("frobsym.battery.integrate_many", integrate_many)
+        rows = run_battery(drift_spec(DRIFT_ROWS)).rows
+        assert schedules == [[10_000, 13_000, 32_500, 65_000], [10_000],
+                             [6_500, 13_000, 32_500, 65_000]]
+        if failing == "shared":
+            assert [(r.status, r.residual) for r in rows] == [
+                (alone[r.name].status, alone[r.name].residual) for r in rows]
+        else:
+            assert [(r.status, r.residual) for r in rows] == [("fail", None)] * 2
+
+    def test_a_lone_row_whose_run_raises_integrates_once(self, monkeypatch):
+        schedules = []
+
+        def integrate_many(H, y0, dts, steps):
+            schedules.append(list(steps))
+            raise NonConvergence("refused")
+
+        monkeypatch.setattr("frobsym.battery.integrate_many", integrate_many)
+        (row,) = run_battery(drift_spec(["drift_scaling"])).rows
+        assert (row.status, row.residual) == ("fail", None)
+        assert schedules == [[6_500, 13_000, 32_500, 65_000]]
+
+    def test_explicit_euler_fails_both_rows(self, monkeypatch):
+        """Negative control: a stepper that is not symplectic gains energy by
+        a factor 1 + dt^2 per step, so the drift over t = 10 at dt = 1e-3 is
+        (e^0.01 - 1) / 2, and it drifts as dt, not dt^2."""
+        monkeypatch.setattr("frobsym.symplectic._leapfrog", explicit_euler)
+        rows = {row.name: row
+                for row in run_battery(builtin_catalog()["harmonic_oscillator"].spec).rows}
+        assert rows["energy_drift"].status == rows["drift_scaling"].status == "fail"
+        assert rows["energy_drift"].residual == pytest.approx(0.5 * math.expm1(0.01),
+                                                              rel=1e-6)
+        assert rows["drift_scaling"].residual == pytest.approx(1.0, abs=0.01)
+
+
 def metric_hamiltonian(metric, scalar="half_square"):
     payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
     return _hamiltonian_observable(spec_from_dict({"kind": "explicit_metric",

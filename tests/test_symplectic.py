@@ -581,6 +581,44 @@ class TestIntegrateMany:
         with pytest.raises(NonFiniteValue):
             integrate_many(H, PhasePoint([1.0], [0.0]), [1e-2, dt], [3, 3])
 
+    @pytest.mark.parametrize("part", ["dT", "dV"])
+    @pytest.mark.parametrize("misshapen", [
+        lambda x: np.sum(x, axis=-1),
+        lambda x: x[..., :1],
+        lambda x: x[0],
+    ], ids=["reduced", "one_column", "first_row"])
+    def test_derivative_of_another_shape_is_dimension_mismatch(self, part, misshapen):
+        """Broadcast into the (rows, n) stack, a misshapen result would mix
+        the rows: a (rows,) dV stepped a stacked pair off its lone run."""
+        parts = {"T": half_square, "dT": lambda p: p, "V": half_square, "dV": lambda z: z}
+        H = SeparableHamiltonian(**{**parts, part: misshapen})
+        y0 = PhasePoint([1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match=part):
+            integrate(H, y0, 1e-2, 3)
+        with pytest.raises(DimensionMismatch, match=part):
+            integrate_many(H, y0, [1e-2, 5e-3], [3, 6])
+
+    def test_derivative_shapes_are_checked_before_the_step_loop(self):
+        calls = []
+
+        def dT(p):
+            calls.append(np.shape(p))
+            return p
+
+        H = SeparableHamiltonian(half_square, dT, half_square, lambda z: z)
+        integrate_many(H, PhasePoint([1.0, 2.0], [0.0, 0.0]), [1e-2, 2e-2], [4, 2])
+        # one call on the full stack to check its shape, then one per step
+        assert calls == [(2, 2)] * 3 + [(1, 2)] * 2
+
+    @pytest.mark.parametrize("H", [separable_oscillator(), quartic_well()],
+                             ids=["oscillator", "quartic"])
+    def test_a_longer_run_begins_with_the_shorter_one(self, H):
+        y0 = PhasePoint([1.0], [0.0])
+        long, = integrate_many(H, y0, [1e-3], [1_000])
+        short = integrate(H, y0, 1e-3, 650)
+        for name in ("times", "z", "p", "energies"):
+            assert np.array_equal(getattr(long, name)[:651], getattr(short, name)), name
+
     def test_step_counts_may_be_numpy_integers(self):
         y0 = PhasePoint([1.0], [0.0])
         a, b = integrate_many(separable_oscillator(), y0, np.array([1e-2, 2e-2]),
