@@ -20,9 +20,9 @@ from frobsym import (
 )
 from frobsym.registry import orthant_potential, round_sphere_metric
 
-print("== canonical coefficients and pairing ==")
+print("== canonical coefficients ==")
 form = paracomplex_two_form(np.eye(1), 1)  # J = [[0, I], [-I, 0]]
-print(f"J = {form.matrix([0, 0]).tolist()}, pairing((1,0),(0,1)) = {form.pair([0,0],[1,0],[0,1])}")
+print(f"J = {form.matrix([0, 0]).tolist()}")
 
 print("\n== realified split form: [[0, G], [-G, 0]] ==")
 split = paracomplex_two_form(np.array([[1.0]]), 1)

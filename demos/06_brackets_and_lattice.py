@@ -7,7 +7,6 @@ import numpy as np
 from frobsym import (
     LatticeBracket,
     Observable,
-    ParaNumber,
     PhasePoint,
     bracket_property_residuals,
     canonical_bracket,
@@ -15,7 +14,6 @@ from frobsym import (
     lattice_hydro_bracket,
     lattice_jacobi_residual,
     local_lie_bracket,
-    paracomplex_bracket,
     so3_constants,
 )
 from frobsym.registry import cyclic_nonjacobi_constants, linear_diagonal_lattice
@@ -43,13 +41,6 @@ broken = bracket_property_residuals(
     lambda a, b, yy: extended_bracket(a, b, yy, cyclic_nonjacobi_constants()),
     tuple(spins), [ys])
 print(f"non-Lie constants are caught: Jacobi residual = {broken.jacobi:.3f}")
-
-print("\n== split-number bracket = half the Im-part of the pairing ==")
-g = np.array([[1.0]])
-one = ParaNumber([1.0], [0.0])
-e = ParaNumber([0.0], [1.0])
-print(f"{{1, e}} = {paracomplex_bracket(g, one, e):+.2f},  {{e, e}} = "
-      f"{paracomplex_bracket(g, e, e):+.2f}")
 
 print("\n== first-order local Lie bracket on a periodic grid ==")
 n, h = 64, 2 * np.pi / 64

@@ -9,7 +9,7 @@ against explicit tolerances.
 
 Submodules
 ----------
-paracomplex   rank-2 split algebra, idempotents, Hermitian pairing
+paracomplex   rank-2 split algebra, inversion, idempotent coordinates
 statmanifold  finite exponential families and cumulant tensors
 geometry      metric fields, curvature, Hessian cones, dual connections
 frobenius     algebra construction and axiom residuals
@@ -38,11 +38,9 @@ from .errors import (
 from .paracomplex import (
     IdempotentCoords,
     ParaNumber,
-    ParaStructure,
     idempotent_decompose,
     idempotent_recompose,
     para_conj,
-    para_hermitian_product,
     para_inverse,
     para_mul,
 )
@@ -98,7 +96,6 @@ from .poisson import (
     lattice_hydro_bracket,
     lattice_jacobi_residual,
     local_lie_bracket,
-    paracomplex_bracket,
     so3_constants,
 )
 

@@ -828,25 +828,38 @@ def emit_report(report: Report, fmt: str = "human") -> str:
 
 
 def parse_machine_report(text: str) -> Report:
-    """Inverse of ``emit_report(..., 'machine')``."""
+    """Inverse of ``emit_report(..., 'machine')``.
+
+    A malformed report is a :class:`ParseError`; one in a record names its
+    1-based line.
+    """
+    fields = {"meta": ("entry", "spec_hash", "seed", "versions"),
+              "check": ("name", "status", "residual", "tolerance", "runtime_ms", "paper_anchor")}
     meta = None
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        if data.get("record") == "meta":
-            meta = data
-        elif data.get("record") == "check":
-            rows.append(CheckRow(data["name"], data["status"], data["residual"],
-                                 data["tolerance"], data["runtime_ms"],
-                                 data["paper_anchor"]))
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"line {number}: invalid JSON: {err.msg}", number, err.colno) from None
+        if not isinstance(data, dict):
+            raise ParseError(f"line {number}: a record must be a JSON object", number)
+        record = data.get("record")
+        if not isinstance(record, str) or record not in fields:
+            raise ParseError(f"line {number}: unknown record type {record!r}", number)
+        missing = [name for name in fields[record] if name not in data]
+        if missing:
+            raise ParseError(f"line {number}: {record} record lacks {', '.join(missing)}", number)
+        values = [data[name] for name in fields[record]]
+        if record == "meta":
+            meta = values
         else:
-            raise ParseError(f"unknown record type {data.get('record')!r}")
+            rows.append(CheckRow(*values))
     if meta is None:
         raise ParseError("machine report is missing its meta record")
-    return Report(meta["entry"], meta["spec_hash"], meta["seed"], meta["versions"],
-                  tuple(rows))
+    return Report(*meta, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,8 @@ class InvalidFamily(FrobsymError, ValueError):
 class InvalidStructure(FrobsymError, ValueError):
     """Structure data that breaks a requirement of its definition: asymmetric
     constants or form coefficients, a metric or pairing that is not
-    symmetric, a product structure with K^2 != I or an unequal eigen-split,
-    a map that does not preserve orientation, a signature entry that is not
-    +-1."""
+    symmetric, a map that does not preserve orientation, a signature entry
+    that is not +-1."""
 
 
 class NonFiniteValue(FrobsymError, ValueError):

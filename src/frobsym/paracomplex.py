@@ -6,13 +6,12 @@ has zero divisors: z * conj(z) = x^2 - y^2 vanishes on the null cone
 of orthogonal idempotents and multiplication is componentwise in the basis
 they span, which is what most structural checks here reduce to.
 
-Convention: Im(x + e*y) = y.  This is the choice that makes the half-Im
-Poisson bracket in :mod:`frobsym.poisson` come out consistent with the
-Hermitian product below.
+Convention: Im(x + e*y) = y, so ``ParaNumber(x, y).im`` is y and
+conjugation negates it.
 
 A :class:`ParaNumber` may also hold two equal-shape float arrays, one split
-number per element; a split vector has its entries on the last axis.  The
-arithmetic below is then elementwise and rounds exactly as on scalars.
+number per element.  The arithmetic below is then elementwise and rounds
+exactly as on scalars.
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidStructure, NonFiniteValue, ZeroDivisor, symmetric_part
+from .errors import DimensionMismatch, NonFiniteValue, ZeroDivisor
 
 # Scale-relative guard for the null cone |re^2 - im^2| = 0.
 ZERO_DIVISOR_RTOL = 1e-12
-# Largest max|K^2 - I| a product structure may have.
-SQUARE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,61 +129,3 @@ def idempotent_decompose(a: ParaNumber) -> IdempotentCoords:
 def idempotent_recompose(c: IdempotentCoords) -> ParaNumber:
     """Inverse of :func:`idempotent_decompose`."""
     return ParaNumber(0.5 * (c.plus + c.minus), 0.5 * (c.plus - c.minus))
-
-
-def para_hermitian_product(g, xi: ParaNumber, eta: ParaNumber) -> ParaNumber:
-    """Hermitian pairing sum_jk g_jk xi^j conj(eta^k) for a real symmetric g.
-
-    ``xi`` and ``eta`` hold one split vector, or a stack of them, with the n
-    entries on the last axis; the result holds floats for one vector and one
-    value per vector for a stack.  Satisfies <xi, eta> = conj(<eta, xi>).
-    Off-diagonal terms are summed as (j,k)+(k,j) pairs, which makes the
-    split part of <xi, xi> cancel exactly, not merely to roundoff.
-    """
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    shape = np.shape(xi.re)
-    if np.shape(eta.re) != shape or not shape or g.shape != shape[-1:] * 2 or not g.size:
-        raise DimensionMismatch(f"pairing needs one or more matching entries, got g{g.shape}, "
-                                f"xi{shape}, eta{np.shape(eta.re)}")
-    g = symmetric_part(g, "pairing matrix")
-    t = para_mul(ParaNumber(xi.re[..., :, None], xi.im[..., :, None]),
-                 para_conj(ParaNumber(eta.re[..., None, :], eta.im[..., None, :])))
-    j, k = np.triu_indices(shape[-1])
-    # the diagonal terms and (j,k)+(k,j) pairs, added to 0.0 in the order of a loop over j, k >= j
-    re, im = (0.0 + np.add.accumulate(np.where(j == k, c[..., j, k], c[..., j, k] + c[..., k, j]),
-                                      axis=-1)[..., -1] for c in (g * t.re, g * t.im))
-    return ParaNumber(re, im) if re.ndim else ParaNumber(float(re), float(im))
-
-
-class ParaStructure:
-    """Product structure on a 2m-dimensional real space: K with K^2 = I.
-
-    The +1 and -1 eigenspaces of K must have equal dimension m; instances
-    validate both conditions at construction.
-    """
-
-    def __init__(self, matrix):
-        K = np.asarray(matrix, dtype=float)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise DimensionMismatch("K must be square")
-        d = K.shape[0]
-        if d % 2 != 0:
-            raise DimensionMismatch("K acts on an even-dimensional space")
-        resid = np.max(np.abs(K @ K - np.eye(d)))
-        if resid > SQUARE_TOL:
-            raise InvalidStructure(f"K^2 differs from the identity by {resid:.3e}")
-        eigvals = np.linalg.eigvals(K)
-        plus = int(np.sum(np.real(eigvals) > 0.0))
-        if plus != d // 2:
-            raise InvalidStructure(
-                f"eigenvalue split is {plus}/{d - plus}, expected {d // 2}/{d // 2}"
-            )
-        self.matrix = K
-        self.dim = d
-
-    @classmethod
-    def standard(cls, m: int) -> "ParaStructure":
-        """Multiplication by e on (x, y) blocks: K = [[0, I], [I, 0]]."""
-        z = np.zeros((m, m))
-        i = np.eye(m)
-        return cls(np.block([[z, i], [i, 0 * i]]))

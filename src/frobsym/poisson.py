@@ -1,6 +1,6 @@
-"""Poisson brackets: canonical, spin-extended, split-number, first-order
-local Lie brackets, and a periodic lattice discretization of the
-hydrodynamic-type bracket.
+"""Poisson brackets: canonical, spin-extended, first-order local Lie
+brackets, and a periodic lattice discretization of the hydrodynamic-type
+bracket.
 
 The canonical bracket is
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import numdiff
 from .errors import DimensionMismatch, require_antisymmetric
-from .paracomplex import ParaNumber, para_hermitian_product
 from .symplectic import Observable, PhasePoint
 
 DEFAULT_NESTED_STEP = 6e-4
@@ -96,11 +95,6 @@ def extended_bracket(A: Observable, B: Observable, y: PhasePoint,
 def _per_point(y: PhasePoint, values):
     """``values`` at a stacked point, the float at one point."""
     return values if y.z.ndim > 1 else float(values)
-
-
-def paracomplex_bracket(g, xi: ParaNumber, eta: ParaNumber) -> float | np.ndarray:
-    """(1/2) Im <xi, eta>: a float for one split vector, one value per vector for a stack."""
-    return 0.5 * para_hermitian_product(g, xi, eta).im
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,49 @@ def orthant_potential(n: int) -> PotentialField:
     )
 
 
+def _log_forms(func, grad, hess, third):
+    """``log_hess`` and ``log_third`` of log phi from phi's derivatives.
+
+    With u = grad phi / phi and h = hess phi / phi, the log-Hessian is
+    h - u u^T and its derivative T / phi - (h_ij u_k + h_ik u_j + h_jk u_i)
+    + 2 u_i u_j u_k, so no power of phi is taken.  Far out, phi overflows
+    and these forms read 0 or NaN without a warning; the potential probe of
+    :func:`hessian_log_metric` rejects such a point.
+    """
+
+    def ratios(x):
+        phi = func(x)[..., None]
+        return phi, grad(x) / phi, hess(x) / phi[..., None]
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def log_hess(x):
+        _, u, h = ratios(x)
+        return h - u[..., :, None] * u[..., None, :]
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def log_third(x):
+        phi, u, h = ratios(x)
+        ui, uj, uk = u[..., :, None, None], u[..., None, :, None], u[..., None, None, :]
+        spread = h[..., :, :, None] * uk + h[..., :, None, :] * uj + h[..., None, :, :] * ui
+        return third(x) / phi[..., None, None] - spread + 2.0 * ui * uj * uk
+
+    return log_hess, log_third
+
+
 def _cubic3(x):
     x1, x2, x3 = np.moveaxis(x, -1, 0)
     return 0.5 * np.float_power(x1, 2) * x3 + 0.5 * x1 * np.float_power(x2, 2)
+
+
+def _cubic3_grad(x):
+    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    return np.stack([x1 * x3 + 0.5 * (x2 * x2), x1 * x2, 0.5 * (x1 * x1)], axis=-1)
+
+
+def _cubic3_hess(x):
+    x1, x2, x3 = np.moveaxis(x, -1, 0)
+    zero = np.zeros_like(x1)
+    return np.stack([x3, x2, x1, x2, x1, zero, x1, zero, zero], axis=-1).reshape(x.shape + (3,))
 
 
 def _cubic3_third(x):
@@ -94,7 +134,9 @@ def _cubic3_third(x):
 
 def cubic_potential3() -> PotentialField:
     """The associativity-exact cubic (1/2)(x1^2 x3 + x1 x2^2)."""
-    return PotentialField(3, _cubic3, third=_cubic3_third)
+    log_hess, log_third = _log_forms(_cubic3, _cubic3_grad, _cubic3_hess, _cubic3_third)
+    return PotentialField(3, _cubic3, third=_cubic3_third, log_hess=log_hess,
+                          log_third=log_third)
 
 
 def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
@@ -104,6 +146,21 @@ def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
         return (_cubic3(x)
                 + strength * np.float_power(x[..., 1], 2) * np.float_power(x[..., 2], 2))
 
+    def grad(x):
+        x2, x3 = x[..., 1], x[..., 2]
+        g = _cubic3_grad(x)
+        g[..., 1] += 2.0 * strength * x2 * (x3 * x3)
+        g[..., 2] += 2.0 * strength * (x2 * x2) * x3
+        return g
+
+    def hess(x):
+        x2, x3 = x[..., 1], x[..., 2]
+        h = _cubic3_hess(x)
+        h[..., 1, 1] += 2.0 * strength * (x3 * x3)
+        h[..., 2, 2] += 2.0 * strength * (x2 * x2)
+        h[..., [1, 2], [2, 1]] += (4.0 * strength * x2 * x3)[..., None]
+        return h
+
     def third(x):
         t = _cubic3_third(x)
         # d^3 of x2^2 x3^2: 4 x3 at the permutations of (1, 1, 2), 4 x2 at those of (1, 2, 2)
@@ -111,7 +168,8 @@ def perturbed_cubic_potential3(strength: float = 0.1) -> PotentialField:
         t[..., [1, 2, 2], [2, 1, 2], [2, 2, 1]] += (4.0 * strength * x[..., 1])[..., None]
         return t
 
-    return PotentialField(3, func, third=third)
+    log_hess, log_third = _log_forms(func, grad, hess, third)
+    return PotentialField(3, func, third=third, log_hess=log_hess, log_third=log_third)
 
 
 POTENTIALS = {

@@ -4,8 +4,8 @@ Lagrangian, and two conservative integrators.
 Sign conventions (fixed once, used everywhere):
 
 * canonical coefficients J = [[0, I], [-I, 0]] in (x, p) ordering, which is
-  ``paracomplex_two_form(np.eye(n), n)``, so the pairing of (1,0) with
-  (0,1) on a 1-dof phase space is +1;
+  ``paracomplex_two_form(np.eye(n), n)``, so J_xp = +1 on a 1-dof phase
+  space;
 * the Hamiltonian flow X solves J(X, .) = dH, so the integrators step
   xdot = dH/dp, pdot = -dH/dx;
 * realified split-coordinate forms are ordered (x^1..x^m, y^1..y^m) and the
@@ -159,10 +159,6 @@ class TwoForm:
         J = self.matrix(point)
         require_invertible(J, DegenerateForm, "form", point)
         return np.linalg.inv(J)
-
-    def pair(self, point, xi, eta) -> float:
-        J = self.matrix(point)
-        return float(np.asarray(xi, float) @ J @ np.asarray(eta, float))
 
 
 def paracomplex_two_form(g, m: int) -> TwoForm:

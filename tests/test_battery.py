@@ -904,6 +904,14 @@ class TestTangentSymplectic:
         assert (row.status, row.residual, row.tolerance) == ("pass", 0.0, 1e-5)
 
     @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("ident", ["wdvv_cubic3", "wdvv_cubic3_perturbed"])
+    def test_log_hessians_of_the_cubics_pass(self, ident, seed):
+        """The cubics' closed-form log-Hessians leave only the roundoff of
+        one difference level in d omega."""
+        (row,) = run_battery(tangent_spec("cone_potential", ident, seed)).rows
+        assert row.status == "pass" and 0.0 <= row.residual <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("ident", ["round_sphere2", "offdiag_linear2"])
     def test_metrics_that_are_not_hessian_fail(self, ident, seed):
         (row,) = run_battery(tangent_spec("explicit_metric", ident, seed)).rows
@@ -1292,6 +1300,34 @@ class TestReports:
         text = emit_report(report, "machine")
         again = parse_machine_report(text)
         assert again == report
+
+    @pytest.mark.parametrize("text, line, message", [
+        ('{"record":"check"}', 1, "check record lacks name, status"),
+        ("[1,2]", 1, "a record must be a JSON object"),
+        ('\n\n{"record":"meta"}', 3,
+         "meta record lacks entry, spec_hash, seed, versions"),
+        ("not json", 1, "invalid JSON"),
+        ('{"record":"meta","entry":"e","spec_hash":"h","seed":0,"versions":{}}\n{}', 2,
+         "unknown record type None"),
+        ("3", 1, "a record must be a JSON object"),
+        ("null", 1, "a record must be a JSON object"),
+        ('"meta"', 1, "a record must be a JSON object"),
+        ('{"record":["check"]}', 1, r"unknown record type \['check'\]"),
+        ('{"record":"check","name":"n","status":"pass","residual":0.0}', 1,
+         "check record lacks tolerance, runtime_ms, paper_anchor"),
+        ('{"record":"meta"', 1, "invalid JSON"),
+    ], ids=["check_without_fields", "json_array", "meta_without_fields", "not_json",
+            "no_record_type", "json_number", "json_null", "json_string",
+            "unhashable_record_type", "check_lacking_some_fields", "truncated_json"])
+    def test_malformed_report_is_a_parse_error_naming_the_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
+            parse_machine_report(text)
+        assert err.value.line == line
+
+    def test_report_without_meta_is_a_parse_error(self):
+        text = emit_report(run_battery(load_manifold_spec(BERNOULLI_TEXT)), "machine")
+        with pytest.raises(ParseError, match="missing its meta record"):
+            parse_machine_report("\n".join(text.splitlines()[1:]))
 
     def test_machine_deterministic_modulo_runtime(self):
         spec = load_manifold_spec(BERNOULLI_TEXT)

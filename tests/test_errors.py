@@ -36,12 +36,10 @@ from frobsym import (
     TwoForm,
     algebra_from_potential,
     dual_connections,
-    para_hermitian_product,
     paracomplex_two_form,
     wdvv_residual,
 )
 from frobsym.errors import require_invertible, symmetric_part
-from frobsym.paracomplex import ParaNumber
 from frobsym import statmanifold
 from frobsym.statmanifold import checked_metric
 
@@ -70,10 +68,8 @@ class TestSymmetrySites:
     @pytest.mark.parametrize("build", [
         lambda: MetricField(2, constant(ASYMMETRIC)).value([0.0, 0.0]),
         lambda: FrobeniusAlgebra(np.zeros((2, 2, 2)), ASYMMETRIC),
-        lambda: para_hermitian_product(ASYMMETRIC, ParaNumber([1.0, 0.0], [0.0, 1.0]),
-                                       ParaNumber([0.0, 1.0], [1.0, 0.0])),
         lambda: paracomplex_two_form(ASYMMETRIC, 2).matrix(np.zeros(4)),
-    ], ids=["metric_value", "frobenius_pairing", "para_hermitian_pairing", "paracomplex_form"])
+    ], ids=["metric_value", "frobenius_pairing", "paracomplex_form"])
     def test_asymmetric_matrix_is_invalid_structure(self, build):
         with pytest.raises(InvalidStructure) as info:
             build()

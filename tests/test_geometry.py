@@ -289,6 +289,15 @@ class TestHessianLogMetric:
             fd = numdiff.jacobian(phi.log_hess, x)
             assert np.max(np.abs(fd - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
 
+    @pytest.mark.parametrize("name", [k for k, make in POTENTIALS.items()
+                                      if make().log_hess is not None])
+    def test_registry_log_hess_matches_the_finite_difference_path(self, name):
+        phi = POTENTIALS[name]()
+        fd = hessian_log_metric(PotentialField(phi.dim, phi.func, domain=phi.domain))
+        for x in np.random.default_rng(5).uniform(0.3, 3.0, size=(4, phi.dim)):
+            exact = hessian_log_metric(phi).value(x)
+            assert np.max(np.abs(fd.value(x) - exact)) <= 1e-4 * max(1.0, np.max(np.abs(exact)))
+
     def test_nonpositive_potential_rejected(self):
         phi = PotentialField(1, lambda x: x[..., 0])
         with pytest.raises(NonPositivePotential):

@@ -53,10 +53,10 @@ def test_stacked_call_equals_the_row_by_row_calls(key, shape):
 
 
 def test_every_entry_is_covered():
-    # four potentials with 12 callbacks, five metrics with two each, two
+    # four potentials with 16 callbacks, five metrics with two each, two
     # scalars with two each, and two lattice coefficient sets at three field
     # sizes with two each
-    assert len(CALLBACKS) == 12 + 10 + 4 + 12
+    assert len(CALLBACKS) == 16 + 10 + 4 + 12
 
 
 def test_powers_round_as_the_one_point_formulas():

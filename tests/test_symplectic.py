@@ -92,12 +92,6 @@ class TestCanonicalForm:
         J = form.matrix(np.zeros(6))
         assert np.allclose(J @ form.inverse(np.zeros(6)), np.eye(6), atol=1e-12)
 
-    def test_pairing_antisymmetric(self):
-        form = canonical(1)
-        xi, eta = [1.0, 0.0], [0.0, 1.0]
-        assert form.pair([0, 0], xi, eta) == 1.0
-        assert form.pair([0, 0], eta, xi) == -1.0
-
     def test_nonantisymmetric_coefficients_rejected(self):
         bad = TwoForm(2, constant(np.array([[0.0, 1.0], [-0.5, 0.0]])))
         with pytest.raises(ValueError):
