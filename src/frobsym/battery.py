@@ -3,9 +3,8 @@
 A :class:`ManifoldSpec` names one input object (a family, a potential, a
 metric, an algebra, or a lattice), the checks to run against it, and the
 tolerances.  Specs travel as JSON text; fields, payload schemas and the
-machine report format are documented in the README.  The payload is
-decoded once per spec, by :func:`_decode_payload`: every payload default
-is set and every registry object built there, and each check reads the
+machine report format are documented in the README.  A spec is validated
+and its payload decoded once, when it is built; each check reads the
 result, ``spec.inputs``.  Residual checks are pure and seeded by the spec,
 so a battery run is deterministic for a given spec.
 
@@ -20,9 +19,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -99,12 +99,59 @@ ANCHORS = {
 
 @dataclass(frozen=True)
 class ManifoldSpec:
+    """A spec whose constructor validates it: the first malformed field is a
+    SchemaError naming it.  The payload is decoded into ``inputs``, ``checks``
+    kept as a tuple and ``tolerances`` as a read-only mapping."""
+
     kind: str
     payload: dict
     checks: tuple
-    tolerances: dict
+    tolerances: Mapping
     seed: int = 0
     name: str = ""
+    inputs: SimpleNamespace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind, checks, tolerances, seed = self.kind, self.checks, self.tolerances, self.seed
+        if kind not in KINDS:
+            raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
+        if not isinstance(self.payload, dict):
+            raise SchemaError("payload must be an object", field="payload")
+        if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
+            raise SchemaError("checks must be a list of names", field="checks")
+        if len(set(checks)) != len(checks):
+            raise SchemaError("duplicate check names", field="checks")
+        for c in checks:
+            if c not in CHECKS:
+                raise SchemaError(f"unknown check {c!r}", field="checks")
+        if not isinstance(tolerances, Mapping):
+            raise SchemaError("tolerances must be a map", field="tolerances")
+        for key, value in tolerances.items():
+            if key not in CHECKS:
+                raise SchemaError(f"tolerance for unknown check {key!r}", field="tolerances")
+            if not (_real(value) and value > 0):
+                raise SchemaError(f"tolerance for {key!r} must be positive and finite",
+                                  field=f"tolerances.{key}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise SchemaError("seed must be a nonnegative integer", field="seed")
+        try:
+            str(seed)  # every report prints the seed
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
+                              field="seed") from exc
+        # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
+        if not isinstance(self.name, str) or any("\ud800" <= c <= "\udfff" for c in self.name):
+            raise SchemaError("name must be a string of valid Unicode text", field="name")
+        for c in checks:
+            if kind not in CHECKS[c].kinds:
+                raise SchemaError(f"check {c!r} does not apply to kind {kind!r}", field="checks")
+        object.__setattr__(self, "checks", tuple(checks))
+        object.__setattr__(self, "tolerances", MappingProxyType(dict(tolerances)))
+        object.__setattr__(self, "inputs", _decode_payload(kind, self.payload))
+        try:
+            self.digest()
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise SchemaError(f"payload is not JSON data: {exc}", field="payload") from exc
 
     def canonical_text(self) -> str:
         return self._canonical_text
@@ -112,16 +159,12 @@ class ManifoldSpec:
     @cached_property
     def _canonical_text(self) -> str:
         return json.dumps({"kind": self.kind, "payload": self.payload, "checks": self.checks,
-                           "tolerances": self.tolerances, "seed": self.seed, "name": self.name},
+                           "tolerances": dict(self.tolerances), "seed": self.seed,
+                           "name": self.name},
                           sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    @cached_property
-    def inputs(self) -> SimpleNamespace:
-        """The payload's inputs, decoded on first use by :func:`_decode_payload`."""
-        return _decode_payload(self.kind, self.payload)
 
 
 @dataclass(frozen=True)
@@ -179,67 +222,11 @@ def load_manifold_spec(source) -> ManifoldSpec:
 
 
 def spec_from_dict(data: dict) -> ManifoldSpec:
+    """The :class:`ManifoldSpec` of a JSON object's fields, defaults filled in."""
     if not isinstance(data, dict):
         raise SchemaError("spec must be a JSON object", field="$")
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
-    payload, checks = data.get("payload", {}), data.get("checks", [])
-    tolerances, seed, name = data.get("tolerances", {}), data.get("seed", 0), data.get("name", "")
-    _check_fields(payload, checks, tolerances, seed, name)
-    for c in checks:
-        if kind not in CHECKS[c].kinds:
-            raise SchemaError(f"check {c!r} does not apply to kind {kind!r}",
-                              field="checks")
-    spec = ManifoldSpec(kind, payload, tuple(checks), dict(tolerances), seed, name)
-    spec.inputs  # decoded here, so a malformed payload is a SchemaError before any run
-    _digest(spec)
-    return spec
-
-
-def _check_fields(payload, checks, tolerances, seed, name) -> None:
-    """SchemaError naming the first malformed field of a spec.
-
-    :func:`spec_from_dict` and :func:`run_battery` share these checks; the
-    kind, which kinds a check applies to and the payload's own fields are
-    left to their callers.
-    """
-    if not isinstance(payload, dict):
-        raise SchemaError("payload must be an object", field="payload")
-    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
-        raise SchemaError("checks must be a list of names", field="checks")
-    if len(set(checks)) != len(checks):
-        raise SchemaError("duplicate check names", field="checks")
-    for c in checks:
-        if c not in CHECKS:
-            raise SchemaError(f"unknown check {c!r}", field="checks")
-    if not isinstance(tolerances, dict):
-        raise SchemaError("tolerances must be a map", field="tolerances")
-    for key, value in tolerances.items():
-        if key not in CHECKS:
-            raise SchemaError(f"tolerance for unknown check {key!r}", field="tolerances")
-        if not (_real(value) and value > 0):
-            raise SchemaError(f"tolerance for {key!r} must be positive and finite",
-                              field=f"tolerances.{key}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise SchemaError("seed must be a nonnegative integer", field="seed")
-    try:
-        str(seed)  # every report prints the seed
-    except ValueError as exc:  # past sys.get_int_max_str_digits()
-        raise SchemaError(f"seed must have at most {sys.get_int_max_str_digits()} digits",
-                          field="seed") from exc
-    # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
-    if not isinstance(name, str) or any("\ud800" <= c <= "\udfff" for c in name):
-        raise SchemaError("name must be a string of valid Unicode text", field="name")
-
-
-def _digest(spec: ManifoldSpec) -> str:
-    """The spec hash; SchemaError if the payload's unchecked keys hold
-    anything that is not JSON data."""
-    try:
-        return spec.digest()
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise SchemaError(f"payload is not JSON data: {exc}", field="payload") from exc
+    return ManifoldSpec(data.get("kind"), data.get("payload", {}), data.get("checks", []),
+                        data.get("tolerances", {}), data.get("seed", 0), data.get("name", ""))
 
 
 def _require(payload: dict, key: str, kinds, what: str):
@@ -262,13 +249,10 @@ def _is_point(value, dim: int) -> bool:
 
 
 def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
-    """Validate a payload and build what its checks read, once per spec.
-
-    Every payload default is set here and every registry object is built
-    here: ``family`` and ``beta``; ``potential``, ``pairing``, ``points``
-    and ``point``; ``metric``, ``scalar``, ``spins`` and ``separable``;
-    ``algebra``; ``lattice``.
-    """
+    """Validate a payload and build what its checks read: every payload
+    default and registry object (``family`` and ``beta``; ``potential``,
+    ``pairing``, ``points`` and ``point``; ``metric``, ``scalar``, ``spins``
+    and ``separable``; ``algebra``; ``lattice``)."""
     if kind == "exponential_family":
         stats = _require(payload, "statistics", list, kind)
         # one flat row is a family with a single statistic
@@ -354,9 +338,9 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
 
 @dataclass
 class CheckContext:
-    """A check's view of the run: the spec, its decoded inputs and its rng,
-    and ``shared``, the store of its battery, which every check of the
-    battery sees and which ends with it."""
+    """A check's view of the run: the spec, valid and of a kind the check
+    applies to, its decoded inputs and its rng, and ``shared``, the store of
+    its battery, which every check of the battery sees and which ends with it."""
 
     spec: ManifoldSpec
     rng: np.random.Generator
@@ -364,8 +348,6 @@ class CheckContext:
 
     @property
     def inputs(self) -> SimpleNamespace:
-        # a spec built without spec_from_dict decodes here, inside its first
-        # check, so a payload it cannot decode gives null rows
         return self.spec.inputs
 
 
@@ -534,13 +516,9 @@ def _hamiltonian_observable(inputs: SimpleNamespace) -> Observable:
     return Observable(func, grad)
 
 
-def _phase_points(ctx: CheckContext, dim: int, spins: int, count: int = 2) -> list:
-    pts = []
-    for _ in range(count):
-        pts.append(PhasePoint(ctx.rng.normal(0.5, 0.5, dim),
-                              ctx.rng.normal(0.0, 0.7, dim),
-                              ctx.rng.normal(0.0, 0.8, spins)))
-    return pts
+def _phase_points(ctx: CheckContext, dim: int, spins: int) -> list:
+    return [PhasePoint(ctx.rng.normal(0.5, 0.5, dim), ctx.rng.normal(0.0, 0.7, dim),
+                       ctx.rng.normal(0.0, 0.8, spins)) for _ in range(2)]
 
 
 def _check_bracket_suite(ctx: CheckContext) -> float:
@@ -650,10 +628,10 @@ def _check_legendre_energy(ctx: CheckContext) -> float:
     return max(abs(h_space - 1.0), abs(h_time))
 
 
-def _check_split_algebra_laws(ctx: CheckContext, cases: int = 2000) -> float:
-    # all cases at once as array-valued split numbers; elementwise IEEE
+def _check_split_algebra_laws(ctx: CheckContext) -> float:
+    # 2000 cases at once as array-valued split numbers; elementwise IEEE
     # arithmetic rounds exactly as the scalar operations do
-    vals = ctx.rng.uniform(-3.0, 3.0, size=(cases, 4))
+    vals = ctx.rng.uniform(-3.0, 3.0, size=(2000, 4))
     a, b = ParaNumber(vals[:, 0], vals[:, 1]), ParaNumber(vals[:, 2], vals[:, 3])
     prod = para_mul(a, b)
     da, db, dp = (idempotent_decompose(v) for v in (a, b, prod))
@@ -757,14 +735,8 @@ def run_battery(spec: ManifoldSpec) -> Report:
     position) and is held to the spec's tolerance for it, else the check's
     default, so the report is deterministic for a given spec.  The checks
     share one store, made afresh for each battery, in which the drift rows
-    keep their one stacked integration.  A spec built
-    without :func:`spec_from_dict` gets its SchemaError for a malformed
-    payload, checks, tolerances, seed or name before any row runs; a check
-    of another kind gives a ``null`` row, and so does a payload that does
-    not decode.
+    keep their one stacked integration.
     """
-    _check_fields(spec.payload, spec.checks, spec.tolerances, spec.seed, spec.name)
-    spec_hash = _digest(spec)
     rows = []
     shared = {}
     for index, name in enumerate(spec.checks):
@@ -774,8 +746,7 @@ def run_battery(spec: ManifoldSpec) -> Report:
         ctx = CheckContext(spec, rng, shared)
         start = time.perf_counter()
         try:
-            residual = (float(definition.func(ctx)) if spec.kind in definition.kinds
-                        else math.nan)
+            residual = float(definition.func(ctx))
         except FrobsymError:
             residual = math.nan
         elapsed = 1000.0 * (time.perf_counter() - start)
@@ -788,7 +759,7 @@ def run_battery(spec: ManifoldSpec) -> Report:
         rows.append(CheckRow(name, status, residual, tol, elapsed, definition.anchor))
 
     versions = {"frobsym": _pkg_version, "numpy": np.__version__}
-    return Report(spec.name, spec_hash, spec.seed, versions, tuple(rows))
+    return Report(spec.name, spec.digest(), spec.seed, versions, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -827,14 +798,28 @@ def emit_report(report: Report, fmt: str = "human") -> str:
     return "\n".join(lines) + "\n"
 
 
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_NUMBER = ("a finite number", _real)
+_REPORT_FIELDS = {
+    "meta": {"entry": _TEXT, "spec_hash": _TEXT,
+             "seed": ("a nonnegative integer",
+                      lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0),
+             "versions": ("a map of strings", lambda v: isinstance(v, dict)
+                          and all(isinstance(x, str) for x in v.values()))},
+    "check": {"name": _TEXT, "status": ('"pass" or "fail"', lambda v: v in ("pass", "fail")),
+              "residual": ("a finite number or null", lambda v: v is None or _real(v)),
+              "tolerance": _NUMBER, "runtime_ms": _NUMBER, "paper_anchor": _TEXT},
+}
+
+
 def parse_machine_report(text: str) -> Report:
     """Inverse of ``emit_report(..., 'machine')``.
 
     A malformed report is a :class:`ParseError`; one in a record names its
-    1-based line.
+    1-based line.  The report must hold one meta record, before every check
+    record, and each record exactly its emitted fields, in emitted order,
+    each of the type that :func:`emit_report` writes.
     """
-    fields = {"meta": ("entry", "spec_hash", "seed", "versions"),
-              "check": ("name", "status", "residual", "tolerance", "runtime_ms", "paper_anchor")}
     meta = None
     rows = []
     for number, line in enumerate(text.splitlines(), 1):
@@ -844,15 +829,29 @@ def parse_machine_report(text: str) -> Report:
             data = json.loads(line)
         except json.JSONDecodeError as err:
             raise ParseError(f"line {number}: invalid JSON: {err.msg}", number, err.colno) from None
+        except (RecursionError, ValueError) as err:
+            # nested past the recursion limit, or an int longer than int() converts
+            raise ParseError(f"line {number}: invalid JSON: {err}", number) from None
         if not isinstance(data, dict):
             raise ParseError(f"line {number}: a record must be a JSON object", number)
         record = data.get("record")
-        if not isinstance(record, str) or record not in fields:
+        if not isinstance(record, str) or record not in _REPORT_FIELDS:
             raise ParseError(f"line {number}: unknown record type {record!r}", number)
-        missing = [name for name in fields[record] if name not in data]
+        fields = _REPORT_FIELDS[record]
+        missing = [name for name in fields if name not in data]
         if missing:
             raise ParseError(f"line {number}: {record} record lacks {', '.join(missing)}", number)
-        values = [data[name] for name in fields[record]]
+        if list(data) != ["record", *fields]:
+            raise ParseError(f"line {number}: {record} record must hold record, "
+                             f"{', '.join(fields)} and nothing else, in that order", number)
+        for name, (what, holds) in fields.items():
+            if not holds(data[name]):
+                raise ParseError(f"line {number}: {record} field {name!r} must be {what}", number)
+        if record == "meta" and meta is not None:
+            raise ParseError(f"line {number}: a second meta record", number)
+        if record == "check" and meta is None:
+            raise ParseError(f"line {number}: machine report is missing its meta record", number)
+        values = [data[name] for name in fields]
         if record == "meta":
             meta = values
         else:
@@ -879,11 +878,8 @@ class CatalogEntry:
         return True
 
 
-def _spec(name, kind, payload, checks, tolerances=None, seed=0):
-    return spec_from_dict({
-        "name": name, "kind": kind, "payload": payload,
-        "checks": checks, "tolerances": tolerances or {}, "seed": seed,
-    })
+def _spec(name, kind, payload, checks):
+    return ManifoldSpec(kind, payload, checks, {}, name=name)
 
 
 def builtin_catalog() -> dict:

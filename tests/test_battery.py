@@ -60,6 +60,18 @@ BERNOULLI_TEXT = json.dumps({
 LONGEST_SEED = 10 ** sys.get_int_max_str_digits() - 1
 
 
+def one_contract(fields):
+    """The SchemaError that ``ManifoldSpec(**fields)`` raises, after checking
+    that ``spec_from_dict(fields)`` raises the same one: same field, same
+    message."""
+    with pytest.raises(SchemaError) as want:
+        spec_from_dict(fields)
+    with pytest.raises(SchemaError) as got:
+        ManifoldSpec(**fields)
+    assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
+    return got.value
+
+
 class TestSpecLoading:
     def test_round_trip_from_text(self):
         spec = load_manifold_spec(BERNOULLI_TEXT)
@@ -452,34 +464,31 @@ class TestRunBattery:
         rows = run_battery(spec).rows
         assert [(r.status, r.residual) for r in rows] == [("fail", None), ("fail", None)]
 
-    def test_non_finite_point_gives_null_rows(self):
-        # built without validation, as a drawn point can reach the checks
-        spec = ManifoldSpec("exponential_family",
-                            {"statistics": [[0.0, 1.0]], "beta": [math.inf]},
-                            ("gibbs_normalization", "cumulants_low_order"), {})
-        report = run_battery(spec)
-        assert [(row.status, row.residual) for row in report.rows] == [("fail", None)] * 2
+    def test_non_finite_point_is_the_schema_error_of_spec_from_dict(self):
+        # a spec built directly is validated as spec_from_dict validates it
+        fields = {"kind": "exponential_family",
+                  "payload": {"statistics": [[0.0, 1.0]], "beta": [math.inf]},
+                  "checks": ["gibbs_normalization", "cumulants_low_order"], "tolerances": {}}
+        assert one_contract(fields).field == "payload.beta"
 
-    # each raised AttributeError: the check read a field of another kind's inputs
+    # each gave a null row, where the check read a field of another kind's inputs
     @pytest.mark.parametrize("kind, payload, checks", [
-        ("algebra", {"constants": "zero2"}, ("gibbs_normalization",)),
-        ("lattice", {"sites": 8, "coefficients": "linear_diagonal"}, ("wdvv",)),
+        ("algebra", {"constants": "zero2"}, ["gibbs_normalization"]),
+        ("lattice", {"sites": 8, "coefficients": "linear_diagonal"}, ["wdvv"]),
         ("exponential_family", {"statistics": [[0.0, 1.0]], "beta": [0.5]},
-         ("bracket_suite", "gibbs_normalization")),
+         ["bracket_suite", "gibbs_normalization"]),
     ])
-    def test_check_of_another_kind_gives_a_null_row(self, kind, payload, checks):
-        rows = run_battery(ManifoldSpec(kind, payload, checks, {})).rows
-        assert (rows[0].name, rows[0].status, rows[0].residual) == (checks[0], "fail", None)
-        assert all(row.status == "pass" for row in rows[1:])
+    def test_check_of_another_kind_is_a_schema_error(self, kind, payload, checks):
+        err = one_contract({"kind": kind, "payload": payload, "checks": checks,
+                            "tolerances": {}})
+        assert err.field == "checks"
+        assert str(err) == f"check {checks[0]!r} does not apply to kind {kind!r}"
 
-    # raised KeyError
     def test_unknown_check_of_a_built_spec_is_a_schema_error(self):
-        spec = ManifoldSpec("algebra", {"constants": "zero2"}, ("frobenius_axioms", "nope"), {})
-        with pytest.raises(SchemaError) as info:
-            run_battery(spec)
-        assert info.value.field == "checks"
+        err = one_contract({"kind": "algebra", "payload": {"constants": "zero2"},
+                            "checks": ["frobenius_axioms", "nope"], "tolerances": {}})
+        assert (err.field, str(err)) == ("checks", "unknown check 'nope'")
 
-    # each raised AttributeError or TypeError out of the runner
     @pytest.mark.parametrize("field, value", [
         ("tolerances", None), ("payload", 5), ("seed", 1.5),
         ("checks", [["gibbs_normalization"]]),
@@ -491,12 +500,25 @@ class TestRunBattery:
         fields = {"kind": "exponential_family",
                   "payload": {"statistics": [[0.0, 1.0]], "beta": [0.5]},
                   "checks": ["gibbs_normalization"], "tolerances": {}, "seed": 0, "name": ""}
-        with pytest.raises(SchemaError) as want:
-            spec_from_dict({**fields, field: value})
-        with pytest.raises(SchemaError) as got:
-            run_battery(ManifoldSpec(**{**fields, field: value}))
-        assert (got.value.field, str(got.value)) == (want.value.field, str(want.value))
-        assert got.value.field == field
+        assert one_contract({**fields, field: value}).field == field
+
+    def test_a_built_spec_stays_valid(self):
+        spec = ManifoldSpec("algebra", {"constants": "paracomplex2"}, ["frobenius_axioms"],
+                            {"frobenius_axioms": 1e-9})
+        assert spec.checks == ("frobenius_axioms",)
+        with pytest.raises(TypeError):
+            spec.tolerances["frobenius_axioms"] = 1.0
+        with pytest.raises(TypeError):
+            spec.tolerances["idempotent_closure"] = -1.0
+        assert dict(spec.tolerances) == {"frobenius_axioms": 1e-9}
+        with pytest.raises(SchemaError) as err:
+            dataclasses.replace(spec, seed=-1)
+        assert (err.value.field, str(err.value)) == ("seed", "seed must be a nonnegative integer")
+        # a valid replacement is validated too, and runs
+        again = dataclasses.replace(spec, seed=3)
+        assert again.digest() == spec_from_dict({**json.loads(spec.canonical_text()),
+                                                 "seed": 3}).digest()
+        assert run_battery(again).all_passed()
 
     def test_overflowing_moments_give_null_rows(self):
         # the order-2 and order-4 moments overflow; their residuals were 0.0
@@ -636,14 +658,14 @@ class TestSplitAlgebraLaws:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_loop_on_and_near_the_null_cone(self, seed):
         rng = np.random.default_rng(seed)
-        vals = rng.uniform(-3.0, 3.0, size=(400, 4))
-        sign = rng.choice([-1.0, 1.0], size=400)
+        vals = rng.uniform(-3.0, 3.0, size=(2000, 4))
+        sign = rng.choice([-1.0, 1.0], size=2000)
         # exactly on the cone, then 1e-15 to 1e-9 off it in relative terms
-        nudge = np.where(np.arange(400) < 100, 0.0, 10.0 ** rng.uniform(-15, -9, 400))
+        nudge = np.where(np.arange(2000) < 500, 0.0, 10.0 ** rng.uniform(-15, -9, 2000))
         vals[:, 1] = sign * vals[:, 0] * (1.0 + nudge)
         vals[:4, :2] = [[0.0, 0.0], [0.0, -0.0], [1e-8, 1e-8], [3.0, -3.0]]
         ctx = CheckContext(None, DrawnCases(vals))
-        assert _check_split_algebra_laws(ctx, cases=400) == split_laws_loop(vals)
+        assert _check_split_algebra_laws(ctx) == split_laws_loop(vals)
 
 
 class TestPinnedResiduals:
@@ -1324,6 +1346,69 @@ class TestReports:
             parse_machine_report(text)
         assert err.value.line == line
 
+    META = '{"record":"meta","entry":"e","spec_hash":"h","seed":0,"versions":{"numpy":"2"}}'
+    CHECK = ('{"record":"check","name":"wdvv","status":"pass","residual":0.0,"tolerance":1e-8,'
+             '"runtime_ms":0.5,"paper_anchor":"WDVV"}')
+
+    # each parsed as is: no field's type or value was checked, and a second
+    # meta record replaced the first
+    @pytest.mark.parametrize("text, line, message", [
+        ('{"record":"meta","entry":1,"spec_hash":2,"seed":"x","versions":3}', 1,
+         "meta field 'entry' must be a string"),
+        (META.replace('"h"', "2"), 1, "meta field 'spec_hash' must be a string"),
+        (META.replace('"seed":0', '"seed":"x"'), 1, "meta field 'seed' must be a nonnegative"),
+        (META.replace('"seed":0', '"seed":true'), 1, "meta field 'seed' must be a nonnegative"),
+        (META.replace('"seed":0', '"seed":-1'), 1, "meta field 'seed' must be a nonnegative"),
+        (META.replace('"seed":0', '"seed":1.0'), 1, "meta field 'seed' must be a nonnegative"),
+        (META.replace('{"numpy":"2"}', "3"), 1, "meta field 'versions' must be a map of strings"),
+        (META.replace('"2"', "2"), 1, "meta field 'versions' must be a map of strings"),
+        (META + "\n" + CHECK.replace('"pass"', '"maybe"'), 2,
+         "check field 'status' must be \"pass\" or \"fail\""),
+        (META + "\n" + CHECK.replace("0.0", '"big"'), 2,
+         "check field 'residual' must be a finite number or null"),
+        (META + "\n" + CHECK.replace("0.0", "NaN"), 2, "check field 'residual' must be a finite"),
+        (META + "\n" + CHECK.replace("0.0", "true"), 2, "check field 'residual' must be a finite"),
+        (META + "\n" + CHECK.replace("1e-8", "null"), 2, "check field 'tolerance' must be a finite"),
+        (META + "\n" + CHECK.replace("1e-8", "1e999"), 2, "check field 'tolerance' must be a finite"),
+        (META + "\n" + CHECK.replace("0.5", "-Infinity"), 2,
+         "check field 'runtime_ms' must be a finite"),
+        (META + "\n" + CHECK.replace('"wdvv"', "[]"), 2, "check field 'name' must be a string"),
+        (META + "\n" + CHECK.replace('"WDVV"', "{}"), 2,
+         "check field 'paper_anchor' must be a string"),
+        (META + "\n" + CHECK + "\n" + META.replace('"e"', '"f"'), 3, "a second meta record"),
+        (CHECK + "\n" + META, 1, "machine report is missing its meta record"),
+        (META.replace("}}", '},"extra":1}'), 1,
+         "meta record must hold record, entry, spec_hash, seed, versions and nothing else"),
+        ('{"entry":"e","record":"meta","spec_hash":"h","seed":0,"versions":{}}', 1,
+         "meta record must hold record, entry, spec_hash, seed, versions and nothing else, "
+         "in that order"),
+        (META + "\n" + "[" * 100_000 + "]" * 100_000, 2, "invalid JSON"),
+        (META.replace('"seed":0', '"seed":' + "9" * 5000), 1, "invalid JSON"),
+    ], ids=["meta_of_wrong_types", "hash_number", "seed_string", "seed_bool", "seed_negative",
+            "seed_float", "versions_number", "version_number", "status_maybe", "residual_big",
+            "residual_nan", "residual_bool", "tolerance_null", "tolerance_infinite",
+            "runtime_infinite", "name_list", "anchor_map", "second_meta", "check_before_meta",
+            "extra_field", "fields_out_of_order", "nested_too_deep", "seed_too_long"])
+    def test_malformed_record_is_a_parse_error_naming_the_line(self, text, line, message):
+        with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}") as err:
+            parse_machine_report(text)
+        assert err.value.line == line
+
+    def test_catalog_all_text_is_a_parse_error_at_its_second_meta(self, tmp_path, capsys):
+        """It parsed as one report named after the last entry, with the rows
+        of every entry."""
+        assert main(["catalog", "all", "--report", "machine",
+                     "--out", str(tmp_path / "all.jsonl")]) == 0
+        text = (tmp_path / "all.jsonl").read_text()
+        with pytest.raises(ParseError, match="^line 8: a second meta record") as err:
+            parse_machine_report(text)
+        assert err.value.line == 8
+
+    def test_every_catalog_report_round_trips(self):
+        for entry in builtin_catalog().values():
+            report = run_battery(entry.spec)
+            assert parse_machine_report(emit_report(report, "machine")) == report
+
     def test_report_without_meta_is_a_parse_error(self):
         text = emit_report(run_battery(load_manifold_spec(BERNOULLI_TEXT)), "machine")
         with pytest.raises(ParseError, match="missing its meta record"):
@@ -1613,8 +1698,8 @@ PAYLOAD_KEYS = {"statistics", "beta", "base_weights", "potential", "point", "poi
 def drawn_specs(draw, direct=False):
     """A spec of any kind with registry ids and unknown ones, mostly well formed.
 
-    With ``direct``, a ``ManifoldSpec`` built without validation: its checks
-    may belong to any kind, or be unknown, and a field may be corrupted."""
+    With ``direct``, the six fields of a ``ManifoldSpec``: its checks may
+    belong to any kind, or be unknown, and a field may be corrupted."""
     kind = draw(st.sampled_from(KINDS))
 
     def ident(table):
@@ -1666,10 +1751,6 @@ def drawn_specs(draw, direct=False):
         return draw(JUNK)
     if corrupt is not None:
         spec[corrupt] = draw(JUNK)
-    if direct:
-        checks = spec["checks"]
-        return ManifoldSpec(**{**spec, "checks": tuple(checks) if isinstance(checks, list)
-                               else checks})
     return spec
 
 
@@ -1736,25 +1817,24 @@ class TestErrorContract:
     """Malformed input is a SchemaError or ParseError naming a field of the
     spec, and every battery that runs gives strict JSON pass/fail rows."""
 
-    @given(st.one_of(drawn_specs(), drawn_specs(direct=True)))
+    @given(st.one_of(drawn_specs().map(lambda data: (False, data)),
+                     drawn_specs(direct=True).map(lambda fields: (True, fields))))
     @settings(max_examples=200, deadline=None)
-    def test_drawn_specs_keep_the_contract(self, data):
+    def test_drawn_specs_keep_the_contract(self, case):
+        direct, data = case
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            if isinstance(data, ManifoldSpec):
-                # a built spec is checked by the runner alone: a malformed field
-                # is spec_from_dict's SchemaError, a check of another kind a null row
+            if direct:
+                # the constructor is the one validation site: it raises the
+                # SchemaError of spec_from_dict, or builds the spec it builds
                 try:
-                    report = run_battery(data)
+                    spec = ManifoldSpec(**data)
                 except SchemaError as err:
-                    if data.kind in KINDS:  # else spec_from_dict names the kind first
-                        with pytest.raises(SchemaError) as want:
-                            spec_from_dict(dataclasses.asdict(data))
-                        assert (err.field, str(err)) == (want.value.field, str(want.value))
+                    with pytest.raises(SchemaError) as want:
+                        spec_from_dict(data)
+                    assert (err.field, str(err)) == (want.value.field, str(want.value))
                     return
-                for row in report.rows:
-                    if data.kind not in CHECKS[row.name].kinds:
-                        assert (row.status, row.residual) == ("fail", None)
+                assert spec.digest() == spec_from_dict(data).digest()
             else:
                 try:
                     spec = spec_from_dict(data)
@@ -1764,12 +1844,14 @@ class TestErrorContract:
                         not key or key in (PAYLOAD_KEYS if head == "payload"
                                            else data["tolerances"]))), err.field
                     return
-                # spec_from_dict is the one validation site: a spec it returns runs
-                report = run_battery(spec)
-        for line in emit_report(report, "machine").splitlines():
+            # a spec that was built runs
+            report = run_battery(spec)
+        text = emit_report(report, "machine")
+        for line in text.splitlines():
             record = json.loads(line, parse_constant=reject_constant)
             if record["record"] == "check":
                 assert record["status"] in ("pass", "fail")
+        assert parse_machine_report(text) == report
 
     @given(cli_spec_texts(), FLAG_VALUES, FLAG_VALUES, st.sampled_from(["human", "machine"]),
            st.booleans())

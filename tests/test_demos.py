@@ -1,5 +1,6 @@
 """Each script under demos/ runs to completion in a fresh interpreter, with
-floating-point RuntimeWarnings as errors, as the test suite treats them."""
+RuntimeWarnings and (pending) deprecation warnings as errors, as the test
+suite treats them."""
 
 import os
 import subprocess
@@ -16,6 +17,8 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(Path(frobsym.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env,
+    flags = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-W", "error::PendingDeprecationWarning"]
+    result = subprocess.run([sys.executable, *flags, str(demo)], env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
