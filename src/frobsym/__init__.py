@@ -53,7 +53,6 @@ from .statmanifold import (
     potential_eval,
 )
 from .geometry import (
-    HessianStructure,
     MetricField,
     PotentialField,
     automorphism_invariance_residual,

@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__ as _pkg_version
 from . import registry
 from .errors import FrobsymError, NonFiniteValue, ParseError, SchemaError
-from .frobenius import find_idempotents_rank2, frobenius_axioms, wdvv_residual
+from .frobenius import (FrobeniusAlgebra, find_idempotents_rank2, frobenius_axioms,
+                        novikov_residuals, wdvv_residual)
 from .geometry import (
     MetricField,
     automorphism_invariance_residual,
@@ -39,7 +40,6 @@ from .geometry import (
     hessian_log_metric,
     hessian_structure,
 )
-from .frobenius import FrobeniusAlgebra, novikov_residuals
 from .paracomplex import ParaNumber, idempotent_decompose, para_conj, para_inverse, para_mul
 from .poisson import (
     LatticeBracket,
@@ -100,11 +100,11 @@ ANCHORS = {
 @dataclass(frozen=True)
 class ManifoldSpec:
     """A spec whose constructor validates it: the first malformed field is a
-    SchemaError naming it.  The payload is decoded into ``inputs``, ``checks``
-    kept as a tuple and ``tolerances`` as a read-only mapping."""
+    SchemaError naming it.  The payload is decoded into ``inputs`` and frozen,
+    ``checks`` kept as a tuple and ``tolerances`` as a read-only mapping."""
 
     kind: str
-    payload: dict
+    payload: Mapping
     checks: tuple
     tolerances: Mapping
     seed: int = 0
@@ -113,6 +113,8 @@ class ManifoldSpec:
 
     def __post_init__(self):
         kind, checks, tolerances, seed = self.kind, self.checks, self.tolerances, self.seed
+        if isinstance(self.payload, MappingProxyType):  # frozen, as dataclasses.replace passes it
+            object.__setattr__(self, "payload", json.loads(json.dumps(self.payload, default=dict)))
         if kind not in KINDS:
             raise SchemaError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
         if not isinstance(self.payload, dict):
@@ -149,7 +151,8 @@ class ManifoldSpec:
         object.__setattr__(self, "tolerances", MappingProxyType(dict(tolerances)))
         object.__setattr__(self, "inputs", _decode_payload(kind, self.payload))
         try:
-            self.digest()
+            self.digest()  # caches the canonical text of the JSON payload
+            object.__setattr__(self, "payload", _frozen(self.payload))
         except (TypeError, ValueError, RecursionError) as exc:
             raise SchemaError(f"payload is not JSON data: {exc}", field="payload") from exc
 
@@ -165,6 +168,13 @@ class ManifoldSpec:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
+
+
+def _frozen(value):
+    """A JSON value with its objects as read-only mappings and its arrays as tuples."""
+    if isinstance(value, dict):
+        return MappingProxyType(dict(zip(value, map(_frozen, value.values()))))
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
 @dataclass(frozen=True)
@@ -459,10 +469,8 @@ def _check_frobenius_axioms(ctx: CheckContext) -> float:
     else:
         # tangent algebra of the cone at a base point, paired by the metric
         x0 = _cone_points(ctx, 1)[0]
-        structure = hessian_structure(hessian_log_metric(ctx.inputs.potential), x0)
-        alg = FrobeniusAlgebra(-structure.gamma[0], structure.metric[0], unit=x0)
-    rep = frobenius_axioms(alg)
-    return rep.worst_identity_residual()
+        alg = replace(hessian_structure(hessian_log_metric(ctx.inputs.potential), x0), unit=x0)
+    return frobenius_axioms(alg).worst_identity_residual()
 
 
 def _check_automorphism_invariance(ctx: CheckContext) -> float:
@@ -646,10 +654,8 @@ def _check_split_algebra_laws(ctx: CheckContext) -> float:
 
 def _check_idempotent_closure(ctx: CheckContext) -> float:
     alg = ctx.inputs.algebra
-    worst = 0.0
-    for a in find_idempotents_rank2(alg):
-        worst = max(worst, float(np.max(np.abs(alg.multiply(a, a) - a))))
-    return worst
+    idempotents = np.array(find_idempotents_rank2(alg))
+    return float(np.max(np.abs(alg.multiply(idempotents, idempotents) - idempotents)))
 
 
 def _check_lattice_constant_skew(ctx: CheckContext) -> float:

@@ -1,21 +1,23 @@
 """Frobenius and Novikov algebra checks.
 
-Structure constants are stored as c[k, i, j] = (e_i o e_j)^k, i.e. the
-first index is the output component; upper-index constants b^{ij}_k from
-first-order bracket theory are stored as b[i, j, k].  Raising/lowering
-goes through the pairing.  Residuals are reported, never raised: a failed
-axiom is data for the caller.
+Structure constants are stored as c[..., k, i, j] = (e_i o e_j)^k, over any
+stack axes; upper-index constants b^{ij}_k from first-order bracket theory
+are stored as b[i, j, k].  Raising/lowering goes through the pairing.
+Residuals are reported, never raised: a failed axiom is data for the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (DegenerateAlgebra, DegenerateMetric, DimensionMismatch, require_finite,
                      require_invertible, symmetric_part)
-from .geometry import MetricField, PotentialField
+
+if TYPE_CHECKING:
+    from .geometry import MetricField, PotentialField
 
 IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
 IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
@@ -24,7 +26,8 @@ DOUBLE_ROOT_RTOL = 1e-12  # bound on |cubic(r)| / roundoff scale at a double roo
 
 @dataclass(frozen=True)
 class FrobeniusAlgebra:
-    """Commutative-algebra candidate: constants c[k, i, j] and a pairing."""
+    """Commutative-algebra candidates, one or a stack sharing leading axes:
+    constants c[..., k, i, j], pairings [..., i, j], optional units [..., i]."""
 
     c: np.ndarray
     pairing: np.ndarray
@@ -33,8 +36,8 @@ class FrobeniusAlgebra:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         p = np.asarray(self.pairing, dtype=float)
-        n = p.shape[0]
-        if p.shape != (n, n) or c.shape != (n, n, n):
+        n = p.shape[-1]
+        if p.shape[-2:] != (n, n) or c.shape != p.shape[:-2] + (n, n, n):
             raise DimensionMismatch("constants and pairing sizes disagree")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "pairing", symmetric_part(p, "pairing"))
@@ -43,10 +46,29 @@ class FrobeniusAlgebra:
 
     @property
     def dim(self) -> int:
-        return self.pairing.shape[0]
+        return self.pairing.shape[-1]
 
     def multiply(self, a, b) -> np.ndarray:
-        return np.einsum("kij,i,j->k", self.c, np.asarray(a, float), np.asarray(b, float))
+        return np.einsum("...kij,...i,...j->...k", self.c, a, b)
+
+    @property
+    def riemann(self) -> np.ndarray:
+        """R[..., i, j, k, l] = c^i_lm c^m_kj - c^i_km c^m_lj.  For c = -Gamma of a
+        Hessian metric it is R^i_jkl, since the fourth derivatives of psi cancel
+        (Totaro 2004; Shima 2007, ch. 2): the metric is flat iff c is associative."""
+        return (np.einsum("...ilm,...mkj->...ijkl", self.c, self.c)
+                - np.einsum("...ikm,...mlj->...ijkl", self.c, self.c))
+
+    def curvature(self) -> float:
+        """Max |R| scaled by max(1, |pairing|) per algebra."""
+        return _scaled_max(self.riemann, self.pairing)
+
+
+def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
+    """max over points p of max|R_p| / max(1, max|g_p|)."""
+    riem = abs(riemann).max(axis=(-4, -3, -2, -1))
+    scale = np.maximum(1.0, abs(metric).max(axis=(-2, -1)))
+    return float((riem / scale).max())
 
 
 def algebra_from_potential(third_tensor, g) -> FrobeniusAlgebra:
@@ -95,28 +117,30 @@ class AlgebraAxiomReport:
 
 
 def frobenius_axioms(alg: FrobeniusAlgebra) -> AlgebraAxiomReport:
-    """Residuals of commutativity, associativity, invariance and the unit.
+    """Residuals of commutativity, associativity, invariance and the unit, max over a stack.
 
-    The unit is the declared one if present, otherwise the least-squares
-    solution of u o e_j = e_j, which is scored as any other: an algebra
-    with no unit leaves its residual there.
+    The unit is the declared one if present, otherwise, for one algebra, the
+    least-squares solution of u o e_j = e_j, which is scored as any other: an
+    algebra with no unit leaves its residual there.
     """
     c, p = alg.c, alg.pairing
-    comm = float(np.max(np.abs(c - np.swapaxes(c, 1, 2))))
-    left = np.einsum("mij,lmk->lijk", c, c)   # (e_i o e_j) o e_k
-    right = np.einsum("mjk,lim->lijk", c, c)  # e_i o (e_j o e_k)
+    comm = float(np.max(np.abs(c - np.swapaxes(c, -2, -1))))
+    left = np.einsum("...mij,...lmk->...lijk", c, c)   # (e_i o e_j) o e_k
+    right = np.einsum("...mjk,...lim->...lijk", c, c)  # e_i o (e_j o e_k)
     assoc = float(np.max(np.abs(left - right)))
-    inv = np.einsum("mij,mk->ijk", c, p) - np.einsum("mjk,im->ijk", c, p)
+    inv = np.einsum("...mij,...mk->...ijk", c, p) - np.einsum("...mjk,...im->...ijk", c, p)
     invariance = float(np.max(np.abs(inv)))
 
     unit = alg.unit
     if unit is None:
+        if c.ndim > 3:
+            raise DimensionMismatch("a stack of algebras needs declared units")
         # u^i c^k_ij = delta^k_j, solved as a least-squares problem in u
         n = alg.dim
         lhs = np.swapaxes(c, 0, 1).reshape(n, n * n).T  # rows (k, j), cols i
         rhs = np.eye(n).reshape(n * n)
         unit, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    products = np.einsum("kij,i->kj", c, unit)
+    products = np.einsum("...kij,...i->...kj", c, unit)
     unit_residual = float(np.max(np.abs(products - np.eye(alg.dim))))
     return AlgebraAxiomReport(comm, assoc, invariance, unit_residual, unit)
 
@@ -171,8 +195,8 @@ def find_idempotents_rank2(alg: FrobeniusAlgebra) -> list[np.ndarray]:
     |a|^2 would also keep the spurious roots at |a| ~ 1/sqrt(eps) that a
     double root next to a nilpotent direction leaves.
     """
-    if alg.dim != 2:
-        raise DimensionMismatch("idempotent search is implemented for dim 2")
+    if alg.c.shape != (2, 2, 2):
+        raise DimensionMismatch("idempotent search is implemented for one algebra of dim 2")
     c = alg.c
     cubic = np.array([c[0, 1, 1], c[0, 0, 1] + c[0, 1, 0] - c[1, 1, 1],
                       c[0, 0, 0] - c[1, 0, 1] - c[1, 1, 0], -c[1, 0, 0]])

@@ -2,9 +2,10 @@
 
 Everything is a residual computation on evaluable fields: every callback
 maps a ``(..., n)`` stack of points to one value per point, and each
-consumer calls it once per stack.  Analytic derivative callbacks are used
-when supplied; otherwise central finite differences at the step fixed for
-that use (see :mod:`frobsym.numdiff`).
+consumer calls it once per stack.  A Hessian metric at P points is the
+stack of its tangent algebras (:func:`hessian_structure`).  Analytic
+derivative callbacks are used when supplied; otherwise central finite
+differences at the step fixed for that use (see :mod:`frobsym.numdiff`).
 User-supplied callables must be re-entrant (they are probed from property
 tests and from the battery runner).
 """
@@ -28,6 +29,7 @@ from .errors import (
     require_invertible,
     symmetric_part,
 )
+from .frobenius import FrobeniusAlgebra, _scaled_max
 from .statmanifold import ExponentialFamily, cumulant_tensor
 
 
@@ -146,61 +148,15 @@ def curvature_flatness(metric: MetricField, points) -> float:
     return _scaled_max(riemann, g)
 
 
-def _scaled_max(riemann: np.ndarray, metric: np.ndarray) -> float:
-    """max over points p of max|R_p| / max(1, max|g_p|)."""
-    riem = abs(riemann).max(axis=(-4, -3, -2, -1))
-    scale = np.maximum(1.0, abs(metric).max(axis=(-2, -1)))
-    return float((riem / scale).max())
-
-
-@dataclass(frozen=True)
-class HessianStructure:
-    """A Hessian metric and its Levi-Civita geometry, stacked over P points.
-
-    ``metric[p, i, j]`` is g_ij and ``gamma[p, i, j, k]`` is Gamma^i_jk, in
-    the index conventions of :func:`christoffel`.
-    """
-
-    metric: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def riemann(self) -> np.ndarray:
-        """R[p, i, j, k, l] = R^i_jkl as :func:`riemann_tensor` orders it,
-        computed from Gamma on each access.
-
-        The fourth derivatives of psi cancel from R, which is the commutator
-        of the tangent algebra operators (Totaro 2004; Shima 2007, ch. 2):
-
-            R^i_jkl = Gamma^i_lm Gamma^m_kj - Gamma^i_km Gamma^m_lj.
-
-        So the metric is flat iff its tangent algebra a o b = -Gamma(a, b)
-        is associative, and no second difference level is needed.
-        """
-        return (np.einsum("pilm,pmkj->pijkl", self.gamma, self.gamma)
-                - np.einsum("pikm,pmlj->pijkl", self.gamma, self.gamma))
-
-    def curvature(self) -> float:
-        """Max Riemann residual scaled by max(1, |g|) per point."""
-        return _scaled_max(self.riemann, self.metric)
-
-    def multiply(self, a, b) -> np.ndarray:
-        """Tangent product (a o b)^i = -Gamma^i_jk a^j b^k at every point.
-
-        ``a`` and ``b`` are one vector each or one per point; the result
-        has one vector per point.
-        """
-        return -np.einsum("...ijk,...j,...k->...i", self.gamma, a, b)
-
-
-def hessian_structure(metric: MetricField, points) -> HessianStructure:
-    """Metric and Christoffel symbols of a Hessian metric at P points.
+def hessian_structure(metric: MetricField, points) -> FrobeniusAlgebra:
+    """The tangent algebras a o b = -Gamma(a, b) of a Hessian metric at P
+    points, paired by g, as one stack.
 
     g = d^2 psi in the affine coordinates, so d_k g_ij = T_ijk is totally
     symmetric and Gamma^i_jk = 1/2 g^il T_ljk.  The stack costs one
-    ``metric.value`` and one ``metric.derivative`` call; Gamma is
+    ``metric.value`` and one ``metric.derivative`` call; -c is
     bit-identical to :func:`christoffel` at each point, and the curvature
-    follows from it (see :attr:`HessianStructure.riemann`).  Raises
+    follows from c (see :attr:`FrobeniusAlgebra.riemann`).  Raises
     DimensionMismatch unless ``points`` is one point or a non-empty (P, dim)
     stack, and DegenerateMetric, naming the worst point, if any g is singular.
     """
@@ -209,7 +165,7 @@ def hessian_structure(metric: MetricField, points) -> HessianStructure:
         raise DimensionMismatch(f"expected a point or a (P, {metric.dim}) stack of points")
     g = require_invertible(metric.value(points), DegenerateMetric, "metric", points)
     dg = metric.derivative(points)
-    return HessianStructure(g, _levi_civita(np.linalg.inv(g), dg))
+    return FrobeniusAlgebra(-_levi_civita(np.linalg.inv(g), dg), g)
 
 
 def hessian_log_metric(phi: PotentialField) -> MetricField:

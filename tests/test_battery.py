@@ -520,6 +520,23 @@ class TestRunBattery:
                                                  "seed": 3}).digest()
         assert run_battery(again).all_passed()
 
+    def test_a_built_spec_has_a_frozen_payload(self):
+        payload = {"statistics": [[0.0, 1.0]], "beta": [0.5]}
+        spec = ManifoldSpec("exponential_family", payload, ["gibbs_normalization"], {})
+        text = spec.canonical_text()
+        with pytest.raises(TypeError):
+            spec.payload["beta"] = "nope"
+        with pytest.raises(TypeError):
+            spec.payload["statistics"][0][0] = 2.0
+        payload["beta"][0] = 9.0  # the caller's payload is not the spec's
+        assert spec.payload == {"statistics": ((0.0, 1.0),), "beta": (0.5,)}
+        assert spec.canonical_text() == text and spec.inputs.beta.tolist() == [0.5]
+        # dataclasses.replace hands the frozen payload back to the constructor
+        again = dataclasses.replace(spec, seed=2)
+        assert again.payload == spec.payload
+        assert again.digest() == spec_from_dict({**json.loads(text), "seed": 2}).digest()
+        assert run_battery(again).all_passed()
+
     def test_overflowing_moments_give_null_rows(self):
         # the order-2 and order-4 moments overflow; their residuals were 0.0
         spec = spec_from_dict({

@@ -8,6 +8,8 @@ perturbation c x2^2 x3^2 injects 4c x3 and 4c x2 into the third-derivative
 tensor and produces an obstruction of size 16 c^2 x3^2.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,11 +25,14 @@ from frobsym import (
     algebra_from_potential,
     find_idempotents_rank2,
     frobenius_axioms,
+    hessian_log_metric,
+    hessian_structure,
     novikov_residuals,
     wdvv_residual,
 )
 from frobsym.paracomplex import ParaNumber, para_conj
 from frobsym.registry import (
+    POTENTIALS,
     antidiagonal_pairing,
     cubic_potential3,
     diagonal_constants,
@@ -179,6 +184,47 @@ class TestFrobeniusAxioms:
         c[0, 0, 1] += 0.1
         report = frobenius_axioms(FrobeniusAlgebra(c, pairing))
         assert report.associativity >= 0.01
+
+
+class TestStackedAlgebras:
+    """A stack of P algebras gives what its P algebras give alone: the tangent
+    algebras of each registry cone, and random algebras, which fail every axiom."""
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    @pytest.mark.parametrize("name", sorted(POTENTIALS) + ["random3"])
+    def test_stack_equals_its_one_point_algebras(self, name, count):
+        rng = np.random.default_rng(count)
+        if name == "random3":
+            x, a, b = rng.normal(size=(3, count, 3))
+            pairing = np.eye(3) + np.einsum("pi,pj->pij", a, a)
+            stack = FrobeniusAlgebra(rng.normal(size=(count, 3, 3, 3)), pairing, unit=x)
+        else:
+            phi = POTENTIALS[name]()
+            x = np.exp(rng.normal(0.0, 0.3, size=(count, phi.dim))) + 0.2
+            a, b = rng.normal(size=(2, count, phi.dim))
+            stack = replace(hessian_structure(hessian_log_metric(phi), x), unit=x)
+        ones = [FrobeniusAlgebra(stack.c[p], stack.pairing[p], unit=x[p]) for p in range(count)]
+        report = frobenius_axioms(stack)
+        singles = [frobenius_axioms(alg) for alg in ones]
+        for field in ("commutativity", "associativity", "pairing_invariance", "unit_residual"):
+            assert getattr(report, field) == max(getattr(r, field) for r in singles)
+        products = stack.multiply(a, b)
+        riemann = stack.riemann
+        for p, alg in enumerate(ones):
+            assert np.array_equal(products[p], alg.multiply(a[p], b[p]))
+            assert np.array_equal(riemann[p], alg.riemann)
+        assert stack.curvature() == max(alg.curvature() for alg in ones)
+
+    def test_a_stack_needs_declared_units_and_one_algebra_for_idempotents(self):
+        c, pairing = diagonal_constants(2)
+        stack = FrobeniusAlgebra(np.stack([c, c]), np.stack([pairing, pairing]))
+        assert stack.dim == 2
+        with pytest.raises(DimensionMismatch):
+            frobenius_axioms(stack)
+        with pytest.raises(DimensionMismatch):
+            find_idempotents_rank2(stack)
+        with pytest.raises(DimensionMismatch):
+            FrobeniusAlgebra(np.stack([c, c]), pairing)
 
 
 class TestNovikov:

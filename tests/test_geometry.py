@@ -158,7 +158,7 @@ class TestTorsionFree:
     def test_orthant_hessian_structure_is_exactly_symmetric(self, n):
         points = np.exp(np.random.default_rng(n).normal(0.0, 0.3, size=(8, n))) + 0.2
         for phi in (orthant_potential(n), fd_orthant_potential(n)):
-            gamma = hessian_structure(hessian_log_metric(phi), points).gamma
+            gamma = -hessian_structure(hessian_log_metric(phi), points).c
             assert np.array_equal(gamma, gamma.swapaxes(-2, -1))
 
 
@@ -372,17 +372,17 @@ class TestHessianStructure:
                   else np.exp(rng.normal(0.0, 0.3, size=(6, phi.dim))) + 0.2)
         metric = hessian_log_metric(phi)
         structure = hessian_structure(metric, points)
-        assert structure.gamma.shape == (6,) + (phi.dim,) * 3
+        assert structure.c.shape == (6,) + (phi.dim,) * 3
         assert structure.riemann.shape == (6,) + (phi.dim,) * 4
-        for x, g, gamma in zip(points, structure.metric, structure.gamma):
+        for x, g, gamma in zip(points, structure.pairing, -structure.c):
             assert np.array_equal(g, metric.value(x))
             assert np.array_equal(gamma, christoffel(metric, x))
 
     def test_one_point_is_a_stack_of_one(self):
         metric = hessian_log_metric(orthant_potential(2))
         one = hessian_structure(metric, [1.0, 2.0])
-        assert one.gamma.shape == (1, 2, 2, 2)
-        assert np.array_equal(one.gamma, hessian_structure(metric, [[1.0, 2.0]]).gamma)
+        assert one.c.shape == (1, 2, 2, 2)
+        assert np.array_equal(one.c, hessian_structure(metric, [[1.0, 2.0]]).c)
 
     @pytest.mark.parametrize("points", [[], np.ones((0, 2)), [[1.0, 2.0, 3.0]]],
                              ids=["empty_list", "empty_stack", "wrong_dim"])

@@ -163,4 +163,4 @@ def test_surface_counts_hand_written_members_only():
     assert not {"MetricField", "ParaNumber.__add__", "SchemaError"} & set(surface)
     # np.errstate-wrapped functions count by their own code
     assert frobsym.potential_eval.__wrapped__.__code__ in surface["potential_eval"]
-    assert "HessianStructure.riemann" in surface and "TwoForm.inverse" in surface
+    assert "FrobeniusAlgebra.riemann" in surface and "TwoForm.inverse" in surface
