@@ -51,7 +51,7 @@ flow = np.linalg.solve(form.matrix(y0.flat()).T, H.gradient(y0))
 print(f"flow vector at (1, 0), from J(X, .) = dH: {flow}  (xdot=p, pdot=-x)")
 traj = integrate(H, y0, 1e-3, 10_000)
 print(f"leapfrog energy drift over 10^4 steps at dt=1e-3: {traj.max_energy_drift:.2e}")
-print(f"first dump record: {traj.records()[0]}")
+print(f"first dump record: {next(traj.records())}")
 
 print("\nleapfrog drift scales as dt^2 (fixed total time, one stacked run):")
 dts = (1e-3, 5e-4, 2.5e-4)

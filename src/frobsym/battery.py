@@ -19,9 +19,10 @@ import json
 import math
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -614,8 +615,9 @@ def _check_energy_drift(ctx: CheckContext) -> float:
     # read the drift off the trajectory dump records rather than the
     # trajectory internals; the record format is part of the interface
     records = run.records()
-    first = records[0]["H"]
-    return max(abs(rec["H"] - first) for rec in records)
+    head = next(records)
+    first = head["H"]
+    return max(abs(rec["H"] - first) for rec in chain([head], records))
 
 
 def _check_drift_scaling(ctx: CheckContext) -> float:
@@ -826,8 +828,36 @@ def parse_machine_report(text: str) -> Report:
     record, and each record exactly its emitted fields, in emitted order,
     each of the type that :func:`emit_report` writes.
     """
-    meta = None
-    rows = []
+    reports = _parse_reports(text)
+    first = next(reports, None)
+    if first is None:
+        raise ParseError("machine report is missing its meta record")
+    second = next(reports, None)
+    if second is not None:
+        number = second[0]
+        raise ParseError(f"line {number}: a second meta record", number)
+    return Report(*first[1], tuple(first[2]))
+
+
+def parse_machine_reports(text: str) -> list[Report]:
+    """One :class:`Report` per meta record, in order: the inverse of
+    machine reports written one after another, as ``frobsym catalog all
+    --report machine`` writes them.
+
+    Each record is held to the rules of :func:`parse_machine_report`, with
+    the same line-numbered :class:`ParseError`s; a check record belongs to
+    the last meta record above it, and one above every meta record is an
+    error.  Text without records gives no reports.
+    """
+    # each report's rows fill in only as the lines after its meta are read
+    reports = list(_parse_reports(text))
+    return [Report(*meta, tuple(rows)) for _, meta, rows in reports]
+
+
+def _parse_reports(text: str) -> Iterator[tuple[int, list, list[CheckRow]]]:
+    """Yield ``(line, meta values, check rows)`` at each meta record of a
+    machine report; the rows list fills in while the next lines are read."""
+    rows = None
     for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -853,18 +883,14 @@ def parse_machine_report(text: str) -> Report:
         for name, (what, holds) in fields.items():
             if not holds(data[name]):
                 raise ParseError(f"line {number}: {record} field {name!r} must be {what}", number)
-        if record == "meta" and meta is not None:
-            raise ParseError(f"line {number}: a second meta record", number)
-        if record == "check" and meta is None:
-            raise ParseError(f"line {number}: machine report is missing its meta record", number)
         values = [data[name] for name in fields]
         if record == "meta":
-            meta = values
+            rows = []
+            yield number, values, rows
+        elif rows is None:
+            raise ParseError(f"line {number}: machine report is missing its meta record", number)
         else:
             rows.append(CheckRow(*values))
-    if meta is None:
-        raise ParseError("machine report is missing its meta record")
-    return Report(*meta, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

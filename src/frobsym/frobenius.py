@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 IDEMPOTENT_TOL = 1e-10    # bound on |a o a - a| / max(1, |a|) for a returned idempotent
 IDEMPOTENT_DEDUP = 1e-7   # candidates closer than this (max norm) are one root
 DOUBLE_ROOT_RTOL = 1e-12  # bound on |cubic(r)| / roundoff scale at a double root r
+_SUM_LIMIT = 2.0 ** 1023  # entries below it add to a finite double
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,15 @@ class FrobeniusAlgebra:
         if p.shape[-2:] != (n, n) or c.shape != p.shape[:-2] + (n, n, n):
             raise DimensionMismatch("constants and pairing sizes disagree")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "pairing", symmetric_part(p, "pairing"))
+        # MetricField.value and replace() hand over a pairing that is already
+        # its own symmetric part: bit-for-bit symmetric, with finite entries
+        # below 2^1023, so (p + p^T) / 2 rounds back to p.  An inf or NaN
+        # entry fails the first test and raises in symmetric_part.
+        if (abs(p).max(initial=0.0) < _SUM_LIMIT
+                and (p.view(np.int64) == p.swapaxes(-1, -2).view(np.int64)).all()):
+            object.__setattr__(self, "pairing", p)
+        else:
+            object.__setattr__(self, "pairing", symmetric_part(p, "pairing"))
         if self.unit is not None:
             object.__setattr__(self, "unit", np.asarray(self.unit, dtype=float))
 

@@ -157,12 +157,20 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The byte-distinct rows of a C-contiguous ``(R, n)`` stack in order of first
     occurrence, and for each row the position of its own among them;
     -0.0 and 0.0 differ, as a field may tell them apart."""
-    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
-    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return points[first[order]], rank[inverse]
+    bits = points.view(np.int64)
+    # a stable sort keeps equal rows in stack order, so each run of equal
+    # rows starts at its first occurrence
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(seen.size)
+    where = np.empty_like(order)
+    where[order] = rank[np.cumsum(starts) - 1]
+    return points[first[seen]], where
 
 
 @cache

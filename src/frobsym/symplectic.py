@@ -15,6 +15,7 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +26,8 @@ from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonCon
                      NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
 
 _EMPTY = np.zeros(0)
+# steps per block of Trajectory.records
+_RECORD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -256,13 +259,19 @@ class Trajectory:
     def max_energy_drift(self) -> float:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
-    def records(self) -> list[dict]:
-        """One dump record per step: {s, z, p, H}."""
-        return [
-            {"s": t, "z": z, "p": p, "H": e}
-            for t, z, p, e in zip(self.times.tolist(), self.z.tolist(),
-                                  self.p.tolist(), self.energies.tolist())
-        ]
+    def records(self) -> Iterator[dict]:
+        """One dump record per step, {s, z, p, H}, in step order.
+
+        A generator: it converts ``_RECORD_BLOCK`` steps at a time to Python
+        floats and lists, so at most one block of per-step objects is alive
+        at once; ``list(traj.records())`` holds the whole dump.
+        """
+        for start in range(0, len(self.times), _RECORD_BLOCK):
+            block = slice(start, start + _RECORD_BLOCK)
+            yield from ({"s": t, "z": z, "p": p, "H": e}
+                        for t, z, p, e in zip(self.times[block].tolist(), self.z[block].tolist(),
+                                              self.p[block].tolist(),
+                                              self.energies[block].tolist()))
 
 
 def integrate(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Trajectory:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from frobsym.battery import (
     emit_report,
     load_manifold_spec,
     parse_machine_report,
+    parse_machine_reports,
     run_battery,
     _check_split_algebra_laws,
     _hamiltonian_observable,
@@ -1146,6 +1148,18 @@ class TestSharedDriftIntegration:
             forces.append(len(calls))
         assert forces == [10_001, 65_001, 65_001, 65_001]
 
+    def test_catalog_harmonic_battery_peaks_below_6_mb(self):
+        """energy_drift streams its 10,001 dump records instead of holding
+        them as one list; the four shared trajectories hold ~3.9 MB."""
+        spec = builtin_catalog()["harmonic_oscillator"].spec
+        tracemalloc.start()
+        try:
+            run_battery(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
     @pytest.mark.parametrize("checks", [["energy_drift"], DRIFT_ROWS, DRIFT_ROWS[::-1]])
     def test_free_particle_passes_energy_drift_and_nulls_drift_scaling(self, checks):
         # drift_scaling alone is TestDriftScaling's free-particle case
@@ -1324,6 +1338,11 @@ class TestMetricHamiltonian:
                               [one_point_energy(g, PhasePoint(a, b)) for a, b in zip(z, p)])
 
 
+def without_runtime(report):
+    return dataclasses.replace(report, rows=tuple(dataclasses.replace(row, runtime_ms=0.0)
+                                                  for row in report.rows))
+
+
 def strip_runtime(text):
     lines = []
     for line in text.splitlines():
@@ -1340,7 +1359,7 @@ class TestReports:
         again = parse_machine_report(text)
         assert again == report
 
-    @pytest.mark.parametrize("text, line, message", [
+    MALFORMED_REPORTS = [
         ('{"record":"check"}', 1, "check record lacks name, status"),
         ("[1,2]", 1, "a record must be a JSON object"),
         ('\n\n{"record":"meta"}', 3,
@@ -1355,9 +1374,13 @@ class TestReports:
         ('{"record":"check","name":"n","status":"pass","residual":0.0}', 1,
          "check record lacks tolerance, runtime_ms, paper_anchor"),
         ('{"record":"meta"', 1, "invalid JSON"),
-    ], ids=["check_without_fields", "json_array", "meta_without_fields", "not_json",
-            "no_record_type", "json_number", "json_null", "json_string",
-            "unhashable_record_type", "check_lacking_some_fields", "truncated_json"])
+    ]
+    MALFORMED_REPORT_IDS = ["check_without_fields", "json_array", "meta_without_fields",
+                            "not_json", "no_record_type", "json_number", "json_null",
+                            "json_string", "unhashable_record_type",
+                            "check_lacking_some_fields", "truncated_json"]
+
+    @pytest.mark.parametrize("text, line, message", MALFORMED_REPORTS, ids=MALFORMED_REPORT_IDS)
     def test_malformed_report_is_a_parse_error_naming_the_line(self, text, line, message):
         with pytest.raises(ParseError, match=f"^line {line}: {message}") as err:
             parse_machine_report(text)
@@ -1369,7 +1392,7 @@ class TestReports:
 
     # each parsed as is: no field's type or value was checked, and a second
     # meta record replaced the first
-    @pytest.mark.parametrize("text, line, message", [
+    MALFORMED_RECORDS = [
         ('{"record":"meta","entry":1,"spec_hash":2,"seed":"x","versions":3}', 1,
          "meta field 'entry' must be a string"),
         (META.replace('"h"', "2"), 1, "meta field 'spec_hash' must be a string"),
@@ -1401,11 +1424,16 @@ class TestReports:
          "in that order"),
         (META + "\n" + "[" * 100_000 + "]" * 100_000, 2, "invalid JSON"),
         (META.replace('"seed":0', '"seed":' + "9" * 5000), 1, "invalid JSON"),
-    ], ids=["meta_of_wrong_types", "hash_number", "seed_string", "seed_bool", "seed_negative",
-            "seed_float", "versions_number", "version_number", "status_maybe", "residual_big",
-            "residual_nan", "residual_bool", "tolerance_null", "tolerance_infinite",
-            "runtime_infinite", "name_list", "anchor_map", "second_meta", "check_before_meta",
-            "extra_field", "fields_out_of_order", "nested_too_deep", "seed_too_long"])
+    ]
+    MALFORMED_RECORD_IDS = ["meta_of_wrong_types", "hash_number", "seed_string", "seed_bool",
+                            "seed_negative", "seed_float", "versions_number", "version_number",
+                            "status_maybe", "residual_big", "residual_nan", "residual_bool",
+                            "tolerance_null", "tolerance_infinite", "runtime_infinite",
+                            "name_list", "anchor_map", "second_meta", "check_before_meta",
+                            "extra_field", "fields_out_of_order", "nested_too_deep",
+                            "seed_too_long"]
+
+    @pytest.mark.parametrize("text, line, message", MALFORMED_RECORDS, ids=MALFORMED_RECORD_IDS)
     def test_malformed_record_is_a_parse_error_naming_the_line(self, text, line, message):
         with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}") as err:
             parse_machine_report(text)
@@ -1425,6 +1453,39 @@ class TestReports:
         for entry in builtin_catalog().values():
             report = run_battery(entry.spec)
             assert parse_machine_report(emit_report(report, "machine")) == report
+
+    # every rule of one record holds in a text of many reports; a second meta
+    # record there starts the next report
+    @pytest.mark.parametrize("text, line, message", [
+        case for case, name in zip(MALFORMED_REPORTS + MALFORMED_RECORDS,
+                                   MALFORMED_REPORT_IDS + MALFORMED_RECORD_IDS)
+        if name not in ("second_meta", "check_before_meta")])
+    def test_malformed_record_in_many_reports_is_the_same_parse_error(self, text, line, message):
+        with pytest.raises(ParseError) as many:
+            parse_machine_reports(self.META + "\n" + self.CHECK + "\n" + text)
+        with pytest.raises(ParseError) as one:
+            parse_machine_report(text)
+        assert many.value.line == one.value.line + 2
+        assert str(many.value) == str(one.value).replace(f"line {line}:", f"line {line + 2}:")
+
+    def test_many_reports_parse_to_one_report_per_meta_record(self):
+        reports = [run_battery(entry.spec) for entry in builtin_catalog().values()]
+        text = "".join(emit_report(report, "machine") for report in reports)
+        assert parse_machine_reports(text) == reports
+        assert parse_machine_reports(self.META + "\n" + self.META) == [
+            parse_machine_report(self.META)] * 2
+        assert parse_machine_reports("\n \n") == []
+        with pytest.raises(ParseError, match="^line 1: machine report is missing its meta"):
+            parse_machine_reports(self.CHECK + "\n" + self.META)
+
+    def test_catalog_all_text_reads_back_one_report_per_entry(self, tmp_path):
+        assert main(["catalog", "all", "--report", "machine",
+                     "--out", str(tmp_path / "all.jsonl")]) == 0
+        reports = parse_machine_reports((tmp_path / "all.jsonl").read_text())
+        catalog = builtin_catalog()
+        assert [report.entry for report in reports] == list(catalog)
+        for report, entry in zip(reports, catalog.values()):
+            assert without_runtime(report) == without_runtime(run_battery(entry.spec))
 
     def test_report_without_meta_is_a_parse_error(self):
         text = emit_report(run_battery(load_manifold_spec(BERNOULLI_TEXT)), "machine")

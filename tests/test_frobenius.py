@@ -21,6 +21,7 @@ from frobsym import (
     FrobeniusAlgebra,
     InvalidStructure,
     MetricField,
+    NonFiniteValue,
     PotentialField,
     algebra_from_potential,
     find_idempotents_rank2,
@@ -30,6 +31,8 @@ from frobsym import (
     novikov_residuals,
     wdvv_residual,
 )
+from frobsym import frobenius
+from frobsym.errors import symmetric_part
 from frobsym.paracomplex import ParaNumber, para_conj
 from frobsym.registry import (
     POTENTIALS,
@@ -364,3 +367,32 @@ class TestErrorContract:
             FrobeniusAlgebra(np.zeros((2, 2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]))
         assert isinstance(info.value, FrobsymError)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_symmetric_pairing_with_a_non_finite_entry_is_non_finite_value(self, bad, where):
+        pairing = np.eye(2)
+        pairing[where] = pairing[where[::-1]] = bad
+        with pytest.raises(NonFiniteValue):
+            FrobeniusAlgebra(np.zeros((2, 2, 2)), pairing)
+
+    def test_pairing_is_its_symmetric_part_and_is_checked_once(self, monkeypatch):
+        """A pairing symmetric to the last bit is its own symmetric part;
+        the one hessian_structure takes from MetricField.value is not
+        checked again, by its FrobeniusAlgebra or by a replace()."""
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 3, 3))
+        near = m.swapaxes(-1, -2) + m
+        near[:, 0, 1] = np.nextafter(near[:, 1, 0], np.inf)
+        for pairing in (m.swapaxes(-1, -2) + m, near, np.array([[-0.0, 0.0], [0.0, 1.0]])):
+            dim = pairing.shape[-1]
+            got = FrobeniusAlgebra(np.zeros(pairing.shape[:-2] + (dim,) * 3), pairing).pairing
+            assert got.tobytes() == (0.5 * (pairing + pairing.swapaxes(-1, -2))).tobytes()
+        checked = []
+        monkeypatch.setattr(frobenius, "symmetric_part",
+                            lambda *args: checked.append(args) or symmetric_part(*args))
+        x = np.array([[0.4, 0.7, 1.3], [1.1, 0.5, 0.9]])
+        stack = replace(hessian_structure(hessian_log_metric(POTENTIALS["orthant3"]()), x),
+                        unit=x)
+        assert checked == []
+        assert stack.pairing.shape == (2, 3, 3)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import frobsym
+from frobsym import numdiff
 from frobsym import (DimensionMismatch, ExponentialFamily, NonFiniteValue, PotentialField,
                      potential_eval)
 from frobsym.numdiff import central_partial, derivative_tensor, gradient, hessian, jacobian
@@ -216,6 +217,39 @@ def test_derivative_tensor_evaluates_each_distinct_point_once_in_loop_order(n, o
     # the loop's points, each once, where the loop first reaches it
     assert [z.tobytes() for z in calls[0]] == list(dict.fromkeys(seen))
     assert len(calls[0]) < len(seen) or order == 1
+
+
+def unique_rows(points):
+    """The byte-distinct rows by a void-view ``np.unique``, in order of first
+    occurrence, and each row's position among them."""
+    rows = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return points[first[order]], rank[inverse]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_distinct_rows_match_the_void_view_unique(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    # rows drawn with repeats from a pool whose entries include both signed zeros
+    values = np.array([0.0, -0.0, 1.0, -1.0, 2.5e-3, np.pi])[:int(rng.integers(2, 7))]
+    pool = rng.choice(values, size=(int(rng.integers(1, 40)), n))
+    points = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 400)))]
+    got, where = numdiff._distinct_rows(points)
+    want, want_where = unique_rows(points)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(where, want_where)
+    assert got[where].tobytes() == points.tobytes()
+    assert len(got) <= len(pool)
+
+
+def test_distinct_rows_tell_signed_zeros_apart():
+    got, where = numdiff._distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    assert got.tobytes() == np.array([[0.0, 1.0], [-0.0, 1.0]]).tobytes()
+    assert where.tolist() == [0, 1, 0]
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

@@ -9,6 +9,9 @@ Sign oracles, worked by hand:
   velocity (0,0,0,1):                  L = -1, p = (0,0,0,-1), H = 0
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from frobsym import (
 )
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
+from frobsym import symplectic
 from frobsym.numdiff import FIRST_ORDER_STEP, step_sizes
 from frobsym.registry import offdiagonal_linear_metric, round_sphere_metric
 
@@ -424,7 +428,7 @@ class TestIntegrator:
 
     def test_records_format(self):
         traj = integrate(oscillator(), PhasePoint([1.0], [0.0]), 1e-2, 3)
-        records = traj.records()
+        records = list(traj.records())
         assert len(records) == 4
         assert set(records[0]) == {"s", "z", "p", "H"}
         assert records[0]["H"] == pytest.approx(0.5)
@@ -466,8 +470,8 @@ class TestSeparableHamiltonian:
     def test_zero_steps_keeps_the_start(self):
         y0 = PhasePoint([1.0, -0.5], [0.5, 0.25])
         traj = integrate(separable_oscillator(), y0, 1e-2, 0)
-        assert traj.records() == [{"s": 0.0, "z": [1.0, -0.5], "p": [0.5, 0.25],
-                                   "H": 0.78125}]
+        assert list(traj.records()) == [{"s": 0.0, "z": [1.0, -0.5], "p": [0.5, 0.25],
+                                         "H": 0.78125}]
         assert np.array_equal(traj.z[0], y0.z)
         assert traj.max_energy_drift == 0.0
 
@@ -480,6 +484,44 @@ class TestSeparableHamiltonian:
         b = integrate(oscillator(), y, 1e-3, 200)
         assert np.allclose(a.z, b.z, atol=1e-14)
         assert np.allclose(a.energies, b.energies, atol=1e-14)
+
+
+def listed_records(traj):
+    """The whole dump as one list comprehension builds it."""
+    return [{"s": t, "z": z, "p": p, "H": e}
+            for t, z, p, e in zip(traj.times.tolist(), traj.z.tolist(),
+                                  traj.p.tolist(), traj.energies.tolist())]
+
+
+def traced_peak(action):
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecords:
+    BLOCK = symplectic._RECORD_BLOCK
+
+    @pytest.mark.parametrize("steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("dof", [1, 3])
+    def test_stream_equals_the_whole_list(self, dof, steps):
+        rng = np.random.default_rng(10 * steps + dof)
+        y0 = PhasePoint(rng.normal(size=dof), rng.normal(size=dof))
+        traj = integrate(separable_oscillator(), y0, 1e-2, steps)
+        records = traj.records()
+        assert iter(records) is records
+        assert list(records) == listed_records(traj)
+
+    def test_first_record_converts_one_block(self):
+        traj = integrate(separable_oscillator(), PhasePoint([1.0], [0.0]), 1e-3, 100_000)
+        records = traj.records()
+        peak = traced_peak(lambda: next(records))
+        # the whole list would hold 100,001 dicts, and at least their own size
+        whole = len(traj.times) * sys.getsizeof(next(records))
+        assert peak * 20 < whole
 
 
 def quartic_well():
