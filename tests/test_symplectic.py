@@ -28,9 +28,9 @@ from frobsym import (
     legendre_hamiltonian,
     paracomplex_two_form,
 )
+from frobsym import symplectic
 from frobsym.errors import (DimensionMismatch, FrobsymError, InvalidStructure,
                             NonConvergence, NonFiniteValue)
-from frobsym import symplectic
 from frobsym.numdiff import FIRST_ORDER_STEP, step_sizes
 from frobsym.registry import offdiagonal_linear_metric, round_sphere_metric
 
@@ -493,15 +493,6 @@ def listed_records(traj):
                                   traj.p.tolist(), traj.energies.tolist())]
 
 
-def traced_peak(action):
-    tracemalloc.start()
-    try:
-        action()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestRecords:
     BLOCK = symplectic._RECORD_BLOCK
 
@@ -518,7 +509,12 @@ class TestRecords:
     def test_first_record_converts_one_block(self):
         traj = integrate(separable_oscillator(), PhasePoint([1.0], [0.0]), 1e-3, 100_000)
         records = traj.records()
-        peak = traced_peak(lambda: next(records))
+        tracemalloc.start()
+        try:
+            next(records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         # the whole list would hold 100,001 dicts, and at least their own size
         whole = len(traj.times) * sys.getsizeof(next(records))
         assert peak * 20 < whole
