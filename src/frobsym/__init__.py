@@ -81,6 +81,7 @@ from .symplectic import (
     closedness_residual,
     exterior_derivative,
     integrate,
+    integrate_blocks,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,

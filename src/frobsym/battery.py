@@ -68,7 +68,7 @@ from .symplectic import (
     Trajectory,
     closedness_residual,
     integrate,
-    integrate_many,
+    integrate_blocks,
     legendre_hamiltonian,
     paracomplex_two_form,
 )
@@ -175,7 +175,16 @@ def _frozen(value):
     """A JSON value with its objects as read-only mappings and its arrays as tuples."""
     if isinstance(value, dict):
         return MappingProxyType(dict(zip(value, map(_frozen, value.values()))))
-    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+    if not isinstance(value, (list, tuple)):
+        return value
+    # an array of plain numbers, the bulk of a payload, freezes in one call
+    if _PLAIN.issuperset(map(type, value)):
+        return tuple(value)
+    return tuple(map(_frozen, value))
+
+
+# the JSON scalars, which _frozen keeps as they are
+_PLAIN = frozenset({int, float, bool, str, type(None)})
 
 
 @dataclass(frozen=True)
@@ -573,48 +582,70 @@ _DRIFT_PAIRS = {
 }
 
 
-def _drift_runs(ctx: CheckContext, name: str) -> list[Trajectory]:
-    """The trajectories of the drift row ``name``'s pairs, in order.
+def _drift_runs(ctx: CheckContext, name: str) -> tuple[list[float], list[Trajectory]]:
+    """The energy drift of each of the drift row ``name``'s pairs, in order,
+    and the pieces of energy_drift's own pair, which only that row keeps.
 
-    The battery's first drift row integrates every step size that the
-    spec's drift rows list, each as long as its longest pair, in one
-    :func:`integrate_many` call, and keeps the runs in ``ctx.shared``.  A
-    row then reads the first ``steps + 1`` states of its step size's run,
-    which are bit for bit those of its own pair, so it gives the residual it
-    gives alone.  If that call raises, each row integrates its own pairs.
+    The battery's first drift row takes one :func:`_drift_pass` over every
+    pair that the spec's drift rows list, and keeps its result in
+    ``ctx.shared``; a pair's drift and pieces are bit for bit those of its
+    own pass, so each row gives the residual it gives alone.  If that pass
+    raises, each row takes a pass over its own pairs.
     """
     H = _hamiltonian_observable(ctx.inputs)
     dim = ctx.inputs.metric.dim
     y0 = PhasePoint(np.ones(dim), np.zeros(dim))
     pairs = _DRIFT_PAIRS[name]
     if "drift" not in ctx.shared:
-        longest = {}
-        for check in ctx.spec.checks:
-            for dt, steps in _DRIFT_PAIRS.get(check, ()):
-                longest[dt] = max(steps, longest.get(dt, 0))
+        listed = [pair for check in ctx.spec.checks for pair in _DRIFT_PAIRS.get(check, ())]
         try:
-            runs = integrate_many(H, y0, list(longest), list(longest.values()))
-            ctx.shared["drift"] = dict(zip(longest, runs))
+            ctx.shared["drift"] = _drift_pass(H, y0, listed)
         except FrobsymError:
-            if longest == dict(pairs):
+            if set(listed) == set(pairs):
                 raise
             ctx.shared["drift"] = None
-    if ctx.shared["drift"] is None:
-        return integrate_many(H, y0, [dt for dt, _ in pairs], [steps for _, steps in pairs])
-    return [_head(ctx.shared["drift"][dt], steps) for dt, steps in pairs]
+    drifts, pieces = ctx.shared["drift"] or _drift_pass(H, y0, pairs)
+    return [drifts[pair] for pair in pairs], pieces
 
 
-def _head(traj: Trajectory, steps: int) -> Trajectory:
-    """The trajectory's first ``steps`` steps."""
-    return Trajectory(traj.times[:steps + 1], traj.z[:steps + 1], traj.p[:steps + 1],
-                      traj.energies[:steps + 1])
+def _drift_pass(H: Observable, y0: PhasePoint, pairs) -> tuple[dict, list[Trajectory]]:
+    """Max |E_k - E_0| over k <= steps for each ``(dt, steps)`` pair, and the
+    pieces of energy_drift's pair when it is one of them.
+
+    One :func:`integrate_blocks` call runs each step size as long as its
+    longest pair; a run's first ``steps + 1`` states are those of its
+    shorter pairs.  Its pieces are read as they come and dropped, apart
+    from those that are kept, so no run is held whole.
+    """
+    longest = {}
+    for dt, steps in pairs:
+        longest[dt] = max(steps, longest.get(dt, 0))
+    drifts, kept, origin = dict.fromkeys(pairs, 0.0), [], {}
+    first = dict.fromkeys(longest, 0)
+    for block in integrate_blocks(H, y0, list(longest), list(longest.values())):
+        for dt, piece in zip(longest, block):
+            start, first[dt] = first[dt], first[dt] + len(piece.times)
+            if start == 0:
+                origin[dt] = piece.energies[0]
+            for pair in drifts:
+                if pair[0] != dt or pair[1] < start:
+                    continue
+                head = Trajectory(*(part[:pair[1] + 1 - start] for part in (
+                    piece.times, piece.z, piece.p, piece.energies)))
+                # the first piece holds E_0, and the later ones extend its drift
+                drift = (head.max_energy_drift if start == 0
+                         else np.max(np.abs(head.energies - origin[dt])))
+                drifts[pair] = float(np.maximum(drifts[pair], drift))
+                if pair == _DRIFT_PAIRS["energy_drift"][0]:
+                    kept.append(head)
+    return drifts, kept
 
 
 def _check_energy_drift(ctx: CheckContext) -> float:
-    (run,) = _drift_runs(ctx, "energy_drift")
+    _, pieces = _drift_runs(ctx, "energy_drift")
     # read the drift off the trajectory dump records rather than the
     # trajectory internals; the record format is part of the interface
-    records = run.records()
+    records = chain.from_iterable(piece.records() for piece in pieces)
     head = next(records)
     first = head["H"]
     return max(abs(rec["H"] - first) for rec in chain([head], records))
@@ -622,7 +653,7 @@ def _check_energy_drift(ctx: CheckContext) -> float:
 
 def _check_drift_scaling(ctx: CheckContext) -> float:
     dts = np.array([dt for dt, _ in _DRIFT_PAIRS["drift_scaling"]])
-    drifts = [traj.max_energy_drift for traj in _drift_runs(ctx, "drift_scaling")]
+    drifts, _ = _drift_runs(ctx, "drift_scaling")
     if 0.0 in drifts:
         # leapfrog steps a free particle exactly, and a zero drift has no log
         raise NonFiniteValue(f"energy drift is zero at dt = {dts[drifts.index(0.0)]:g}, "

@@ -17,6 +17,8 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-12
 CONDITION_LIMIT = 1e12
+# from this max|m| on, m + m^T or m - m^T can overflow
+_HALVING_SCALE = 2.0 ** 1023
 
 
 class FrobsymError(Exception):
@@ -91,24 +93,41 @@ def _at(at) -> str:
     return "" if at is None else f" at {np.asarray(at)}"
 
 
-def _require_small(combine, m: np.ndarray, mt: np.ndarray, kind: str, what: str, at) -> None:
+def _require_small(combine, m: np.ndarray, mt: np.ndarray, kind: str, what: str, at):
+    """None, or where a matrix has an entry of magnitude 2^1023 or more, so
+    that combine(m, m^T) could overflow, the factor that keeps it finite:
+    1/2 for such a matrix and 1 for the others, on the matrix axes."""
     # array methods, not np.max/np.abs: this runs on every metric evaluation
     scale = abs(m).max(axis=(-2, -1))
-    # an inf or NaN entry (max() propagates a NaN) is caught before
-    # combine(m, m^T) can compute inf - inf, which would warn
-    require_finite(scale, what, at)
+    factor = None
+    # false for an inf or NaN entry too (max() propagates a NaN)
+    if not scale.max(initial=0.0) < _HALVING_SCALE:
+        # an inf or NaN entry is caught before combine(m, m^T) can compute
+        # inf - inf, which would warn
+        require_finite(scale, what, at)
+        # halving is exact above the subnormals, and the test below is
+        # homogeneous, since max(1, scale) is scale for such a matrix
+        factor = np.where(scale >= _HALVING_SCALE, 0.5, 1.0)[..., None, None]
+        m, mt, scale = factor * m, factor * mt, factor[..., 0, 0] * scale
     over = abs(combine(m, mt)).max(axis=(-2, -1)) > SYMMETRY_RTOL * np.maximum(1.0, scale)
     if over.any():
         worst = np.unravel_index(np.argmax(over), over.shape)
         raise InvalidStructure(f"{what} not {kind}{_at_worst(at, worst)}")
+    return factor
 
 
 def symmetric_part(m: np.ndarray, what: str, at=None) -> np.ndarray:
     """(m + m^T) / 2 over the last two axes; NonFiniteValue if a matrix has
-    an infinite or NaN entry, InvalidStructure if one is not symmetric."""
+    an infinite or NaN entry, InvalidStructure if one is not symmetric.
+
+    A matrix with an entry of magnitude 2^1023 or more, whose m + m^T
+    would overflow, is halved before the sum: m / 2 + m^T / 2 is finite.
+    """
     mt = m.swapaxes(-1, -2)
-    _require_small(np.subtract, m, mt, "symmetric", what, at)
-    return 0.5 * (m + mt)
+    factor = _require_small(np.subtract, m, mt, "symmetric", what, at)
+    if factor is None:
+        return 0.5 * (m + mt)
+    return (factor * m + factor * mt) * (0.5 / factor)
 
 
 def require_antisymmetric(m: np.ndarray, what: str, at=None) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import (DegenerateForm, DimensionMismatch, InvalidStructure, NonCon
                      NonFiniteValue, require_antisymmetric, require_invertible, symmetric_part)
 
 _EMPTY = np.zeros(0)
-# steps per block of Trajectory.records
-_RECORD_BLOCK = 1024
+# steps per block of the integrators and of Trajectory.records
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,17 @@ class PhasePoint:
         if values.ndim == 0 or values.shape[-1] != nz + npp + nl:
             raise DimensionMismatch(
                 f"flat values of shape {values.shape} do not match the layout {self.layout}")
-        point = object.__new__(PhasePoint)
-        object.__setattr__(point, "z", values[..., :nz])
-        object.__setattr__(point, "p", values[..., nz:nz + npp])
-        object.__setattr__(point, "lam", values[..., nz + npp:])
-        return point
+        return _stacked_point(values[..., :nz], values[..., nz:nz + npp], values[..., nz + npp:])
+
+
+def _stacked_point(z: np.ndarray, p: np.ndarray, lam: np.ndarray) -> PhasePoint:
+    """A point whose blocks are ``z``, ``p`` and ``lam`` themselves: float
+    arrays with the block on the last axis, which ``__post_init__`` would
+    reject once stacked, so the point is assembled without it."""
+    point = object.__new__(PhasePoint)
+    for name, block in (("z", z), ("p", p), ("lam", lam)):
+        object.__setattr__(point, name, block)
+    return point
 
 
 @dataclass(frozen=True)
@@ -262,12 +269,12 @@ class Trajectory:
     def records(self) -> Iterator[dict]:
         """One dump record per step, {s, z, p, H}, in step order.
 
-        A generator: it converts ``_RECORD_BLOCK`` steps at a time to Python
+        A generator: it converts ``_BLOCK`` steps at a time to Python
         floats and lists, so at most one block of per-step objects is alive
         at once; ``list(traj.records())`` holds the whole dump.
         """
-        for start in range(0, len(self.times), _RECORD_BLOCK):
-            block = slice(start, start + _RECORD_BLOCK)
+        for start in range(0, len(self.times), _BLOCK):
+            block = slice(start, start + _BLOCK)
             yield from ({"s": t, "z": z, "p": p, "H": e}
                         for t, z, p, e in zip(self.times[block].tolist(), self.z[block].tolist(),
                                               self.p[block].tolist(),
@@ -286,40 +293,67 @@ def integrate(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Trajector
 def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory]:
     """One trajectory from y0 per ``(dt, steps)`` pair, in the given order.
 
+    The collector of :func:`integrate_blocks`, with its schemes and its
+    input checks: it copies each pair's pieces into one ``(steps + 1, 2n)``
+    state array, of which ``z`` and ``p`` are views, and one energy array.
+    When every run fits in one block, its pieces are the trajectories.
+    Each trajectory is bit-identical to its lone :func:`integrate` call,
+    and a run's first ``k + 1`` states are those of the same pair with
+    ``k`` steps.
+    """
+    dts, counts = _schedule(y0, dts, steps)
+    blocks = _blocks(H, y0, dts, counts)
+    if max(counts) <= _BLOCK:
+        return next(blocks)
+    n = y0.z.size
+    states = [np.empty((k + 1, n + y0.p.size)) for k in counts]
+    energies = [np.empty(k + 1) for k in counts]
+    filled = [0] * len(counts)
+    for pieces in blocks:
+        for j, piece in enumerate(pieces):
+            rows = slice(filled[j], filled[j] + len(piece.times))
+            states[j][rows, :n], states[j][rows, n:] = piece.z, piece.p
+            energies[j][rows] = piece.energies
+            filled[j] = rows.stop
+    return [Trajectory(dt * np.arange(k + 1), rows[:, :n], rows[:, n:], energy)
+            for dt, k, rows, energy in zip(dts, counts, states, energies)]
+
+
+def integrate_blocks(H: Observable, y0: PhasePoint, dts, steps) -> Iterator[list[Trajectory]]:
+    """The trajectories of :func:`integrate_many`, ``_BLOCK`` steps at a time.
+
+    The input is checked when this is called, and a bad input raises here
+    as in :func:`integrate_many`; the steps are taken as the returned
+    iterator is read.  Its item ``b`` holds one piece per ``(dt, steps)``
+    pair, in the given order: the pair's steps ``b * _BLOCK + 1`` to
+    ``(b + 1) * _BLOCK``, the first piece with step 0 before them, and a
+    pair that has ended gives an empty piece.  Joining a pair's pieces
+    gives its :func:`integrate_many` trajectory bit for bit.  Each piece
+    owns its compact arrays, shared with no other piece and with no
+    buffer of the stepper.
+
     A :class:`SeparableHamiltonian` is stepped by kick-drift-kick leapfrog
     (Stormer-Verlet) on its split derivatives without building any
     PhasePoint.  All pairs advance together as the rows of one stack, so
     ``dT`` and ``dV`` see ``(rows, n)`` arrays and must return that shape,
     else DimensionMismatch; elementwise arithmetic rounds each row exactly
-    as a lone run would, so each trajectory is bit-identical to its lone
-    :func:`integrate` call, and a run's first ``k + 1`` states are those of
-    the same pair with ``k`` steps.  The stack makes one ``dV`` call per
-    step of the longest pair, plus one to start.  Any other Observable is
-    stepped by the implicit midpoint rule (fixed-point iteration, tolerance
-    1e-12, at most 50 sweeps), one pair at a time, which stays symplectic
-    and second order when H does not separate.  Either way a pair's states
-    fill one ``(steps + 1, 2n)`` array, ``z`` and ``p`` are views of it, and
-    its energies are one ``H.func`` call on it as a stacked point.
+    as a lone run would.  The stack makes one ``dV`` call per step of the
+    longest pair, plus one to start.  Any other Observable is stepped by
+    the implicit midpoint rule (fixed-point iteration, tolerance 1e-12, at
+    most 50 sweeps) for each pair on its own, which stays symplectic and
+    second order when H does not separate.  Either way the energies come
+    from one ``H.func`` call per block, on its states as a stacked point.
 
     ``dts`` and ``steps`` are equal-length, non-empty sequences, else
     DimensionMismatch; a step count that is not a non-negative integer is a
     DimensionMismatch too, and a non-finite step size a NonFiniteValue.
     """
-    dts, counts = _schedule(dts, steps)
-    if y0.lam.size:
-        raise DimensionMismatch("time stepping expects a plain (z, p) point")
-    if isinstance(H, SeparableHamiltonian):
-        runs = _leapfrog(H, y0, dts, counts)
-    else:
-        runs = [_midpoint(H, y0, dt, n) for dt, n in zip(dts, counts)]
-    n = y0.z.size
-    return [Trajectory(dt * np.arange(k + 1), states[:, :n], states[:, n:],
-                       np.asarray(H.func(y0.replace_flat(states)), dtype=float))
-            for dt, k, states in zip(dts, counts, runs)]
+    dts, counts = _schedule(y0, dts, steps)
+    return _blocks(H, y0, dts, counts)
 
 
-def _schedule(dts, steps) -> tuple[np.ndarray, list[int]]:
-    """Checked step sizes and step counts of an integrate_many call."""
+def _schedule(y0: PhasePoint, dts, steps) -> tuple[np.ndarray, list[int]]:
+    """Checked step sizes and step counts of an integrate_many call from y0."""
     dts = np.asarray(dts, dtype=float)
     if dts.ndim != 1 or np.ndim(steps) != 1 or dts.size == 0 or len(steps) != dts.size:
         raise DimensionMismatch("dts and steps must be equal-length, non-empty sequences")
@@ -328,89 +362,147 @@ def _schedule(dts, steps) -> tuple[np.ndarray, list[int]]:
     for n in steps:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise DimensionMismatch(f"step counts must be non-negative integers, got {n!r}")
+    if y0.lam.size:
+        raise DimensionMismatch("time stepping expects a plain (z, p) point")
     return dts, [int(n) for n in steps]
 
 
-def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
-              counts: list[int]) -> list[np.ndarray]:
-    """Kick-drift-kick for every pair at once from y0; one ``(steps + 1,
-    2n)`` state array per pair, in order.
+def _blocks(H: Observable, y0: PhasePoint, dts: np.ndarray,
+            counts: list[int]) -> Iterator[list[Trajectory]]:
+    """The block iterator of :func:`integrate_blocks` on a checked schedule."""
+    if isinstance(H, SeparableHamiltonian):
+        return _leapfrog(H, y0, dts, counts)
+    runs = [_midpoint(H, y0, dt, k) for dt, k in zip(dts, counts)]
+    return ([_empty_piece(y0, dt) if piece is None else piece for dt, piece in zip(dts, pieces)]
+            for pieces in zip_longest(*runs))
 
-    The pairs are sorted by descending step count, so the rows still
-    running are always a prefix of the stack.  Between two retirements the
-    steps go into one segment buffer, copied at the segment's end into each
-    row's own state array.  ``dT`` and ``dV`` are called once on the full
-    stack before the step loop, and a result whose shape is not its
-    input's is DimensionMismatch: broadcast, it would mix the rows.  The
-    loop itself checks nothing; each step is the same five ufuncs on the
-    same operands and ``out`` buffers, with the callbacks and ufuncs bound
-    to locals.
+
+def _piece(dt: float, first: int, z: np.ndarray, p: np.ndarray,
+           energies: np.ndarray) -> Trajectory:
+    """The piece of a run with step size dt whose states begin at step ``first``."""
+    return Trajectory(dt * np.arange(first, first + len(energies)), z, p, energies)
+
+
+def _empty_piece(y0: PhasePoint, dt: float) -> Trajectory:
+    """The piece of a run from y0 that has ended."""
+    return _piece(dt, 0, np.empty((0, y0.z.size)), np.empty((0, y0.p.size)), np.empty(0))
+
+
+def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
+              counts: list[int]) -> Iterator[list[Trajectory]]:
+    """Kick-drift-kick for every pair at once from y0; the block iterator
+    of :func:`integrate_blocks`.
+
+    ``dT`` and ``dV`` are called once on the full stack here, before any
+    step, and a result whose shape is not its input's is DimensionMismatch:
+    broadcast, it would mix the rows.  The steps are then taken as the
+    iterator is read, by :func:`_leapfrog_steps`.
     """
-    n = y0.z.size
-    order = sorted(range(len(counts)), key=lambda j: -counts[j])
-    states = [np.empty((k + 1, n + y0.p.size)) for k in counts]
-    for rows in states:
-        rows[0] = y0.flat()
-    dt = dts[order, None]
-    half = 0.5 * dt
-    z, p = np.tile(y0.z, (len(order), 1)), np.tile(y0.p, (len(order), 1))
-    dT, dV = H.dT, H.dV
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    force = dV(z)
-    for name, stack, result in (("dV", z, force), ("dT", p, dT(p))):
+    z, p = np.tile(y0.z, (len(counts), 1)), np.tile(y0.p, (len(counts), 1))
+    force = H.dV(z)
+    for name, stack, result in (("dV", z, force), ("dT", p, H.dT(p))):
         if np.shape(result) != stack.shape:
             raise DimensionMismatch(f"{name} maps a stack of shape {stack.shape} "
                                     f"to shape {np.shape(result)}; it must keep the shape")
-    # the end-of-step kick half * dV(z) also starts the next step; the
-    # temporaries live in buffers of their own, never in what dT or dV return
+    return _leapfrog_steps(H, y0, dts, counts, z, p, force)
+
+
+def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray, counts: list[int],
+                    z: np.ndarray, p: np.ndarray, force: np.ndarray) -> Iterator[list[Trajectory]]:
+    """The steps of :func:`_leapfrog` from the stack ``(z, p)``, one row
+    at y0 per pair, on which dV is ``force``.
+
+    The pairs are sorted by descending step count, so the rows still
+    running are always a prefix of the stack.  The steps go into one block
+    buffer per stack size, of ``min(_BLOCK, steps run at that size)``
+    steps after a row for step 0; each step holds its ``z`` rows, then its
+    ``p`` rows, and its ``out`` views are built with the buffer.  A buffer
+    is reused from block to block and dropped when a row retires.  At a
+    block's end or a retirement, one ``H.func`` call on the stacked states
+    just written gives their energies; at a block's end each pair's piece
+    is copied out of them, so the buffers never escape.  The loop itself
+    checks nothing; each step is the same five ufuncs on the same operands
+    and ``out`` buffers, with the callbacks and ufuncs bound to locals.
+    """
+    n = y0.z.size
+    order = sorted(range(len(counts)), key=lambda j: -counts[j])
+    dt = dts[order, None]
+    half = 0.5 * dt
+    dT, dV = H.dT, H.dV
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    # the rows are equal, so the stack needs no sorting; the end-of-step
+    # kick half * dV(z) also starts the next step; the temporaries live in
+    # buffers of their own, never in what dT or dV return
     kick, p_half, drift = multiply(half, force), np.empty_like(p), np.empty_like(z)
-    done = 0
-    for live in range(len(order), 0, -1):
-        end = counts[order[live - 1]]
-        if end == done:
-            continue
-        z, p, dt, half = z[:live], p[:live], dt[:live], half[:live]
-        kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
-        segment = slice(done + 1, end + 1)
-        if live == 1:
-            # the last row writes straight into its own state array
-            z_buf = states[order[0]][segment, None, :n]
-            p_buf = states[order[0]][segment, None, n:]
-        else:
-            z_buf = np.empty((end - done, live, n))
-            p_buf = np.empty((end - done, live, y0.p.size))
-        for z_out, p_out in zip(z_buf, p_buf):
-            subtract(p, kick, p_half)
-            z = add(z, multiply(dt, dT(p_half), drift), z_out)
-            multiply(half, dV(z), kick)
-            p = subtract(p_half, kick, p_out)
-        if live > 1:
+    # each pair's parts of z, p and energies since its last piece; a pair
+    # of no steps retires before the first step, with y0 alone
+    start = (z[:1], p[:1], np.asarray(H.func(_stacked_point(z[:1], p[:1], z[:1, :0])),
+                                      dtype=float)) if 0 in counts else None
+    parts = [[] if k else [start] for k in counts]
+    first = [0] * len(counts)
+    live, size, done, longest = len(order), 0, 0, counts[order[0]]
+    while True:
+        block_end = min(done + _BLOCK, longest)
+        while done < block_end:
+            while counts[order[live - 1]] <= done:
+                live -= 1
+            if live != size:
+                # the last stack size's views go before this one's are built
+                size, z_outs, p_outs = live, None, None
+                buffer = np.empty((1 + min(_BLOCK, counts[order[live - 1]] - done), 2, live, n))
+                z_outs, p_outs = list(buffer[1:, 0]), list(buffer[1:, 1])
+                z, p, dt, half = z[:live], p[:live], dt[:live], half[:live]
+                kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
+            if done == 0:
+                buffer[0, 0], buffer[0, 1] = z, p
+            end = min(block_end, counts[order[live - 1]])
+            for z_out, p_out in zip(z_outs[:end - done], p_outs[:end - done]):
+                subtract(p, kick, p_half)
+                z = add(z, multiply(dt, dT(p_half), drift), z_out)
+                multiply(half, dV(z), kick)
+                p = subtract(p_half, kick, p_out)
+            written = buffer[(done > 0):end - done + 1]
+            zs, ps = written[:, 0], written[:, 1]
+            energy = np.asarray(H.func(_stacked_point(zs, ps, zs[..., :0])), dtype=float)
             for row, j in enumerate(order[:live]):
-                states[j][segment, :n], states[j][segment, n:] = z_buf[:, row], p_buf[:, row]
-        done = end
-    return states
+                parts[j].append((zs[:, row], ps[:, row], energy[:, row]))
+            done = end
+        pieces = [_piece(dt_j, first[j], *map(np.concatenate, zip(*parts[j]))) if parts[j]
+                  else _empty_piece(y0, dt_j) for j, dt_j in enumerate(dts)]
+        for j, piece in enumerate(pieces):
+            first[j] += len(piece.times)
+        yield pieces
+        if done == longest:
+            return
+        parts = [[] for _ in counts]
 
 
-def _midpoint(H: Observable, y0: PhasePoint, dt: float, steps: int) -> np.ndarray:
+def _midpoint(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Iterator[Trajectory]:
     """``steps`` implicit midpoint steps of zdot = dH/dp, pdot = -dH/dz from
-    y0; the ``(steps + 1, 2n)`` state array.
+    y0, as the pieces of one pair of :func:`integrate_blocks`.
 
     Each step iterates to 1e-12 in at most 50 sweeps, else NonConvergence.
     Each sweep takes the gradient at its midpoint as a point of views
     (:meth:`PhasePoint.replace_flat`), so H's own checks run on every sweep.
     """
     n = y0.z.size
-    states = np.empty((steps + 1, n + y0.p.size))
-    states[0] = y0.flat()
-    for i in range(1, steps + 1):
-        current = guess = states[i - 1]
-        for _ in range(50):
-            grad = H.gradient(y0.replace_flat(0.5 * (current + guess)))
-            updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
-            if np.max(np.abs(updated - guess)) < 1e-12:
-                break
-            guess = updated
-        else:
-            raise NonConvergence("implicit midpoint iteration stalled")
-        states[i] = updated
-    return states
+    current = y0.flat()
+    for block in range(0, max(steps, 1), _BLOCK):
+        first = block + (block > 0)
+        states = np.empty((min(block + _BLOCK, steps) + 1 - first, current.size))
+        rows = iter(states)
+        if block == 0:
+            next(rows)[...] = current  # step 0
+        for row in rows:
+            guess = current
+            for _ in range(50):
+                grad = H.gradient(y0.replace_flat(0.5 * (current + guess)))
+                updated = current + dt * np.concatenate([grad[n:], -grad[:n]])
+                if np.max(np.abs(updated - guess)) < 1e-12:
+                    break
+                guess = updated
+            else:
+                raise NonConvergence("implicit midpoint iteration stalled")
+            row[...] = current = updated
+        yield _piece(dt, first, states[:, :n], states[:, n:],
+                     np.asarray(H.func(y0.replace_flat(states)), dtype=float))

@@ -11,9 +11,9 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import tracemalloc
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frobsym
-from frobsym import PhasePoint, integrate, numdiff
+from frobsym import PhasePoint, Trajectory, integrate, numdiff, symplectic
 from frobsym.battery import (
     ANCHORS,
     CHECKS,
@@ -37,6 +37,7 @@ from frobsym.battery import (
     parse_machine_reports,
     run_battery,
     _check_split_algebra_laws,
+    _frozen,
     _hamiltonian_observable,
     spec_from_dict,
 )
@@ -538,6 +539,24 @@ class TestRunBattery:
         assert again.payload == spec.payload
         assert again.digest() == spec_from_dict({**json.loads(text), "seed": 2}).digest()
         assert run_battery(again).all_passed()
+
+    @pytest.mark.parametrize("payload", [
+        {"statistics": [[0.0, 1.0, 2.5], [1, -3, 0]], "beta": [0.5, -1e300]},
+        {"metric": "euclidean2", "points": [[1.0, 2.0], [3, 4.5]], "flag": [True, None, "x"]},
+        {"nested": [[[1.0, [2, {"a": [3.0]}]], []], ({"b": (1, 2)},), np.float64(0.25)]},
+        {"empty": [], "subclass": type("Row", (list,), {})([1.0, 2.0])},
+    ], ids=["numbers", "mixed_scalars", "nested", "empty_and_subclass"])
+    def test_frozen_payload_equals_the_recursive_freeze(self, payload):
+        assert same_typed(_frozen(payload), recursive_frozen(payload))
+
+    @settings(max_examples=100)
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                        | st.text(max_size=2),
+                        lambda children: st.lists(children, max_size=6)
+                        | st.dictionaries(st.text(max_size=2), children, max_size=3),
+                        max_leaves=20))
+    def test_drawn_payload_freezes_as_the_recursive_freeze(self, payload):
+        assert same_typed(_frozen(payload), recursive_frozen(payload))
 
     def test_overflowing_moments_give_null_rows(self):
         # the order-2 and order-4 moments overflow; their residuals were 0.0
@@ -1094,6 +1113,24 @@ class TestDriftScaling:
 DRIFT_ROWS = ["energy_drift", "drift_scaling"]
 
 
+def recursive_frozen(value):
+    """The payload freeze with one call per value, the oracle of ``_frozen``."""
+    if isinstance(value, dict):
+        return MappingProxyType(dict(zip(value, map(recursive_frozen, value.values()))))
+    return tuple(map(recursive_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
+def same_typed(a, b) -> bool:
+    """Equal values of the same types all the way down; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, MappingProxyType):
+        return list(a) == list(b) and all(same_typed(a[key], b[key]) for key in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_typed, a, b))
+    return a == b or (a != a and b != b)
+
+
 def drift_spec(checks, metric="euclidean1", scalar="half_square"):
     payload = {"metric": metric, **({"scalar": scalar} if scalar else {})}
     return spec_from_dict({"kind": "explicit_metric", "payload": payload, "checks": checks})
@@ -1109,17 +1146,26 @@ def counting_forces(spec) -> list:
 
 
 def explicit_euler(H, y0, dts, counts):
-    """The state arrays of explicit Euler, which is not symplectic, in the
-    layout of ``symplectic._leapfrog``."""
-    states = []
+    """The blocks of explicit Euler, which is not symplectic, in the layout
+    of ``symplectic._leapfrog``: per block of ``symplectic._BLOCK`` steps,
+    one piece per pair, the first with step 0."""
+    runs = []
     for dt, steps in zip(dts, counts):
         z, p = y0.z, y0.p
         rows = [np.concatenate([z, p])]
         for _ in range(steps):
             z, p = z + dt * H.dT(p), p - dt * H.dV(z)
             rows.append(np.concatenate([z, p]))
-        states.append(np.array(rows))
-    return states
+        runs.append(np.array(rows))
+    n, block = y0.z.size, symplectic._BLOCK
+    for start in range(0, max(max(counts), 1), block):
+        first = start + (start > 0)
+        pieces = []
+        for dt, states in zip(dts, runs):
+            rows = states[first:start + block + 1].copy()
+            pieces.append(Trajectory(dt * np.arange(first, first + len(rows)), rows[:, :n],
+                                     rows[:, n:], H.func(y0.replace_flat(rows))))
+        yield pieces
 
 
 class TestSharedDriftIntegration:
@@ -1148,9 +1194,10 @@ class TestSharedDriftIntegration:
             forces.append(len(calls))
         assert forces == [10_001, 65_001, 65_001, 65_001]
 
-    def test_catalog_harmonic_battery_peaks_below_6_mb(self):
-        """energy_drift streams its 10,001 dump records instead of holding
-        them as one list; the four shared trajectories hold ~3.9 MB."""
+    def test_catalog_harmonic_battery_peaks_below_1_5_mb(self):
+        """The drift rows' shared pass reads its runs block by block and
+        keeps only energy_drift's 10,001 states (~0.3 MB); held whole, the
+        four runs took ~3.9 MB, and the parent's peak was 4.91 MB."""
         spec = builtin_catalog()["harmonic_oscillator"].spec
         tracemalloc.start()
         try:
@@ -1158,7 +1205,7 @@ class TestSharedDriftIntegration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 1.5e6
 
     @pytest.mark.parametrize("checks", [["energy_drift"], DRIFT_ROWS, DRIFT_ROWS[::-1]])
     def test_free_particle_passes_energy_drift_and_nulls_drift_scaling(self, checks):
@@ -1192,13 +1239,13 @@ class TestSharedDriftIntegration:
         alone = {name: run_battery(drift_spec([name])).rows[0] for name in DRIFT_ROWS}
         schedules = []
 
-        def integrate_many(H, y0, dts, steps):
+        def integrate_blocks(H, y0, dts, steps):
             schedules.append(list(steps))
             if failing == "every" or len(schedules) == 1:
                 raise NonConvergence("refused")
-            return frobsym.integrate_many(H, y0, dts, steps)
+            return frobsym.integrate_blocks(H, y0, dts, steps)
 
-        monkeypatch.setattr("frobsym.battery.integrate_many", integrate_many)
+        monkeypatch.setattr("frobsym.battery.integrate_blocks", integrate_blocks)
         rows = run_battery(drift_spec(DRIFT_ROWS)).rows
         assert schedules == [[10_000, 13_000, 32_500, 65_000], [10_000],
                              [6_500, 13_000, 32_500, 65_000]]
@@ -1211,11 +1258,11 @@ class TestSharedDriftIntegration:
     def test_a_lone_row_whose_run_raises_integrates_once(self, monkeypatch):
         schedules = []
 
-        def integrate_many(H, y0, dts, steps):
+        def integrate_blocks(H, y0, dts, steps):
             schedules.append(list(steps))
             raise NonConvergence("refused")
 
-        monkeypatch.setattr("frobsym.battery.integrate_many", integrate_many)
+        monkeypatch.setattr("frobsym.battery.integrate_blocks", integrate_blocks)
         (row,) = run_battery(drift_spec(["drift_scaling"])).rows
         assert (row.status, row.residual) == ("fail", None)
         assert schedules == [[6_500, 13_000, 32_500, 65_000]]

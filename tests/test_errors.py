@@ -112,6 +112,48 @@ class TestSymmetrySites:
         assert np.array_equal(sym, sym.T)
         assert np.max(np.abs(sym - g)) <= 1e-14
 
+    # max|m| >= 2^1023: (m + m^T) / 2 overflows in the sum, m / 2 + m^T / 2 does not
+    HUGE = np.array([[1e308, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("build", [
+        lambda m: symmetric_part(m, "metric"),
+        lambda m: MetricField(2, constant(m)).value([0.0, 0.0]),
+        lambda m: FrobeniusAlgebra(np.zeros((2, 2, 2)), m).pairing,
+        lambda m: paracomplex_two_form(m, 2).matrix(np.zeros(4))[:2, 2:],
+    ], ids=["symmetric_part", "metric_value", "frobenius_pairing", "paracomplex_form"])
+    def test_symmetric_part_of_a_huge_finite_matrix_is_finite(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(build(self.HUGE), self.HUGE)
+            off = np.array([[1.0, -1.7e308], [-1.7e308 * (1 - 1e-15), 2.0]])
+            assert np.array_equal(build(off), symmetric_part(off, "metric"))
+            assert np.isfinite(build(off)).all() and build(off)[0, 1] == build(off)[1, 0]
+
+    def test_only_huge_matrices_are_halved(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(50, 3, 3)) * 10.0 ** rng.integers(-300, 300, size=(50, 1, 1))
+        m = m + m.swapaxes(-1, -2) * (1 + 1e-15)
+        stack = np.concatenate([m, self.HUGE[None, :1, :1] * np.ones((1, 3, 3))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym = symmetric_part(stack, "metric")
+        # every other matrix keeps the bits of (m + m^T) / 2
+        assert np.array_equal(sym[:50], 0.5 * (m + m.swapaxes(-1, -2)))
+        assert np.array_equal(sym[50], np.full((3, 3), 1e308))
+
+    @pytest.mark.parametrize("build, m", [
+        (lambda m: symmetric_part(m, "metric"), [[1.0, 1.7e308], [-1.7e308, 1.0]]),
+        (lambda m: TwoForm(2, constant(m)).matrix([0.0, 0.0]), [[1.7e308, 1.0], [-1.0, 0.0]]),
+    ], ids=["not_symmetric", "not_skew"])
+    def test_a_huge_defect_is_invalid_structure_without_a_warning(self, build, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStructure):
+                build(np.array(m))
+            # antisymmetric and huge passes unchanged
+            skew = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
+            assert np.array_equal(TwoForm(2, constant(skew)).matrix([0.0, 0.0]), skew)
+
 
 class TestConditioningSites:
     @pytest.mark.parametrize("build, error", [

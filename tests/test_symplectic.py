@@ -24,6 +24,7 @@ from frobsym import (
     closedness_residual,
     exterior_derivative,
     integrate,
+    integrate_blocks,
     integrate_many,
     legendre_hamiltonian,
     paracomplex_two_form,
@@ -494,7 +495,7 @@ def listed_records(traj):
 
 
 class TestRecords:
-    BLOCK = symplectic._RECORD_BLOCK
+    BLOCK = symplectic._BLOCK
 
     @pytest.mark.parametrize("steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("dof", [1, 3])
@@ -657,3 +658,117 @@ class TestIntegrateMany:
                               np.array([20, 10]))
         assert_same_trajectory(a, integrate(separable_oscillator(), y0, 1e-2, 20))
         assert_same_trajectory(b, integrate(separable_oscillator(), y0, 2e-2, 10))
+
+
+def joined(pieces):
+    """A pair's pieces joined end to end into one trajectory."""
+    return symplectic.Trajectory(*(np.concatenate([getattr(piece, name) for piece in pieces])
+                                   for name in ("times", "z", "p", "energies")))
+
+
+def piece_arrays(piece):
+    return [piece.times, piece.z, piece.p, piece.energies]
+
+
+class TestIntegrateBlocks:
+    """integrate_blocks yields integrate_many's trajectories _BLOCK steps at
+    a time, in pieces that own their memory."""
+
+    BLOCK = symplectic._BLOCK
+    SCHEDULES = {
+        "block_edges": ([1e-2, 5e-3, 2e-3, 1e-3, 4e-3, 3e-3],
+                        [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        "unsorted_repeated": ([2e-3, 1e-3, 2e-3, 1e-3, 2e-3],
+                              [BLOCK + 1, 2 * BLOCK + 1, 1, BLOCK - 1, 0]),
+    }
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("dof", [1, 3])
+    @pytest.mark.parametrize("scheme", ["leapfrog", "midpoint"])
+    def test_joined_pieces_equal_integrate_many_and_lone_runs(self, scheme, dof, schedule):
+        H = separable_oscillator() if scheme == "leapfrog" else oscillator()
+        dts, steps = self.SCHEDULES[schedule]
+        rng = np.random.default_rng(dof)
+        y0 = PhasePoint(rng.normal(size=dof), rng.normal(size=dof))
+        blocks = list(integrate_blocks(H, y0, dts, steps))
+        assert len(blocks) == -(-max(steps) // self.BLOCK)
+        runs = integrate_many(H, y0, dts, steps)
+        for j, (dt, n) in enumerate(zip(dts, steps)):
+            pieces = [block[j] for block in blocks]
+            # step 0, then at most BLOCK steps per piece; an ended pair's are empty
+            assert [len(piece.times) for piece in pieces] == [
+                min(n, self.BLOCK) + 1] + [min(self.BLOCK, max(0, n - b * self.BLOCK))
+                                           for b in range(1, len(blocks))]
+            assert all(piece.z.shape == piece.p.shape == (len(piece.times), dof)
+                       for piece in pieces)
+            assert_same_trajectory(joined(pieces), runs[j])
+            assert_same_trajectory(joined(pieces), integrate(H, y0, dt, n))
+
+    def test_leapfrog_pieces_match_a_scalar_loop_across_block_edges(self):
+        y0 = PhasePoint([0.7], [-0.4])
+        dts, steps = [1e-2, 3e-3, 1e-2], [2 * self.BLOCK + 1, self.BLOCK, self.BLOCK + 1]
+        blocks = list(integrate_blocks(quartic_well(), y0, dts, steps))
+        for j, (dt, n) in enumerate(zip(dts, steps)):
+            traj = joined([block[j] for block in blocks])
+            z, p = y0.z, y0.p
+            for i in range(1, n + 1):
+                p_half = p - 0.5 * dt * z ** 3
+                z = z + dt * p_half
+                p = p_half - 0.5 * dt * z ** 3
+                assert np.array_equal(traj.z[i], z) and np.array_equal(traj.p[i], p)
+            assert np.array_equal(traj.energies,
+                                  half_square(traj.p) + 0.25 * np.sum(traj.z ** 4, axis=-1))
+            assert np.array_equal(traj.times, dt * np.arange(n + 1))
+
+    @pytest.mark.parametrize("scheme", ["leapfrog", "midpoint"])
+    def test_pieces_share_no_memory_with_each_other_or_the_stepper(self, scheme):
+        H = separable_oscillator() if scheme == "leapfrog" else oscillator()
+        y0 = PhasePoint([1.0, -0.5], [0.25, 0.5])
+        blocks = integrate_blocks(H, y0, [1e-2, 2e-2, 5e-3, 1e-2],
+                                  [2 * self.BLOCK + 1, self.BLOCK + 1, 10, 2 * self.BLOCK + 1])
+        pieces, copies, buffers = [], [], []
+        for block in blocks:
+            # the leapfrog's current block buffer, a local of its generator
+            buffer = blocks.gi_frame.f_locals.get("buffer") if scheme == "leapfrog" else None
+            for piece in block:
+                assert not any(np.shares_memory(array, buffer) for array in piece_arrays(piece))
+            pieces += block
+            copies += [[array.copy() for array in piece_arrays(piece)] for piece in block]
+            buffers.append(buffer)
+        assert len(pieces) == 3 * 4
+        if scheme == "leapfrog":
+            assert sum(buffer is not None for buffer in buffers) == 3
+        for i, piece in enumerate(pieces):
+            for other in pieces[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in piece_arrays(piece)
+                               for b in piece_arrays(other))
+        # stepping on wrote nothing into a piece already handed out
+        for piece, saved in zip(pieces, copies):
+            assert all(np.array_equal(a, b) for a, b in zip(piece_arrays(piece), saved))
+
+    @pytest.mark.parametrize("H, y0, dts, steps, error", [
+        (separable_oscillator(), PhasePoint([1.0], [0.0]), [1e-2, 1e-3], [10], DimensionMismatch),
+        (oscillator(), PhasePoint([1.0], [0.0]), [], [], DimensionMismatch),
+        (separable_oscillator(), PhasePoint([1.0], [0.0]), [np.nan], [3], NonFiniteValue),
+        (oscillator(), PhasePoint([1.0], [0.0]), [1e-2], [-1], DimensionMismatch),
+        (oscillator(), PhasePoint([1.0], [0.0], [0.5]), [1e-2], [3], DimensionMismatch),
+        (SeparableHamiltonian(half_square, lambda p: p, half_square,
+                              lambda z: np.sum(z, axis=-1)),
+         PhasePoint([1.0, 2.0], [0.0, 0.0]), [1e-2, 5e-3], [3, 6], DimensionMismatch),
+    ], ids=["mismatched", "empty", "nan_step", "negative_count", "spins", "misshapen_dV"])
+    def test_bad_input_raises_at_the_call(self, H, y0, dts, steps, error):
+        with pytest.raises(error):
+            integrate_blocks(H, y0, dts, steps)
+
+    def test_a_one_step_run_allocates_no_block_of_steps(self):
+        H = separable_oscillator()
+        y0 = PhasePoint([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        integrate(H, y0, 1e-2, 1)
+        tracemalloc.start()
+        try:
+            integrate(H, y0, 1e-2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a buffer of BLOCK steps for this point alone holds 6 doubles a step
+        assert peak < (self.BLOCK + 1) * 6 * 8 / 3
