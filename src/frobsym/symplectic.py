@@ -131,9 +131,12 @@ class SeparableHamiltonian(Observable):
     a ``(rows, n)`` stack row by row to a ``(rows, n)`` stack (another shape
     is DimensionMismatch), because the leapfrog integrator steps
     every trajectory of an :func:`integrate_many` call as one row of such a
-    stack.  ``func`` and ``grad`` are derived from the parts, so the object
-    works wherever an Observable does; the integrator calls the parts
-    directly.
+    stack.  A stack of one value, a lone 1-dof row, is stepped in Python
+    floats with the same bits and one ``dV`` call per step; the array that
+    ``dT`` or ``dV`` is given is reused for the next step, so they must not
+    write into it.  ``func`` and ``grad`` are derived from the parts, so the
+    object works wherever an Observable does; the integrator calls the
+    parts directly.
     """
 
     T: Callable[[np.ndarray], np.ndarray]
@@ -337,8 +340,10 @@ def integrate_blocks(H: Observable, y0: PhasePoint, dts, steps) -> Iterator[list
     PhasePoint.  All pairs advance together as the rows of one stack, so
     ``dT`` and ``dV`` see ``(rows, n)`` arrays and must return that shape,
     else DimensionMismatch; elementwise arithmetic rounds each row exactly
-    as a lone run would.  The stack makes one ``dV`` call per step of the
-    longest pair, plus one to start.  Any other Observable is stepped by
+    as a lone run would.  Once the rows still running hold one value in
+    all, that value is stepped in Python floats, whose operations round
+    exactly as the ufuncs do.  The stack makes one ``dV`` call per step of
+    the longest pair, plus one to start.  Any other Observable is stepped by
     the implicit midpoint rule (fixed-point iteration, tolerance 1e-12, at
     most 50 sweeps) for each pair on its own, which stays symplectic and
     second order when H does not separate.  Either way the energies come
@@ -416,13 +421,17 @@ def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray, co
     running are always a prefix of the stack.  The steps go into one block
     buffer per stack size, of ``min(_BLOCK, steps run at that size)``
     steps after a row for step 0; each step holds its ``z`` rows, then its
-    ``p`` rows, and its ``out`` views are built with the buffer.  A buffer
-    is reused from block to block and dropped when a row retires.  At a
-    block's end or a retirement, one ``H.func`` call on the stacked states
-    just written gives their energies; at a block's end each pair's piece
-    is copied out of them, so the buffers never escape.  The loop itself
-    checks nothing; each step is the same five ufuncs on the same operands
-    and ``out`` buffers, with the callbacks and ufuncs bound to locals.
+    ``p`` rows.  A buffer is reused from block to block and dropped when a
+    row retires.  At a block's end or a retirement, one ``H.func`` call on
+    the stacked states just written gives their energies; at a block's end
+    each pair's piece is copied out of them, so the buffers never escape.
+    The loop itself checks nothing.  A stack of more than one value takes
+    each step as the same five ufuncs on the same operands and ``out``
+    views of the buffer, built with it, with the callbacks and ufuncs bound
+    to locals.  A stack of one value, which only the last row can be,
+    builds no views: :func:`_lone_steps` takes its steps in Python floats,
+    since on one value the five ufunc calls cost far more than the
+    arithmetic they do.
     """
     n = y0.z.size
     order = sorted(range(len(counts)), key=lambda j: -counts[j])
@@ -450,17 +459,21 @@ def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray, co
                 # the last stack size's views go before this one's are built
                 size, z_outs, p_outs = live, None, None
                 buffer = np.empty((1 + min(_BLOCK, counts[order[live - 1]] - done), 2, live, n))
-                z_outs, p_outs = list(buffer[1:, 0]), list(buffer[1:, 1])
+                if live * n > 1:
+                    z_outs, p_outs = list(buffer[1:, 0]), list(buffer[1:, 1])
                 z, p, dt, half = z[:live], p[:live], dt[:live], half[:live]
                 kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
             if done == 0:
                 buffer[0, 0], buffer[0, 1] = z, p
             end = min(block_end, counts[order[live - 1]])
-            for z_out, p_out in zip(z_outs[:end - done], p_outs[:end - done]):
-                subtract(p, kick, p_half)
-                z = add(z, multiply(dt, dT(p_half), drift), z_out)
-                multiply(half, dV(z), kick)
-                p = subtract(p_half, kick, p_out)
+            if z_outs is None:
+                z, p = _lone_steps(dT, dV, buffer[1:end - done + 1], z, p, kick, dt, half, p_half)
+            else:
+                for z_out, p_out in zip(z_outs[:end - done], p_outs[:end - done]):
+                    subtract(p, kick, p_half)
+                    z = add(z, multiply(dt, dT(p_half), drift), z_out)
+                    multiply(half, dV(z), kick)
+                    p = subtract(p_half, kick, p_out)
             written = buffer[(done > 0):end - done + 1]
             zs, ps = written[:, 0], written[:, 1]
             energy = np.asarray(H.func(_stacked_point(zs, ps, zs[..., :0])), dtype=float)
@@ -475,6 +488,35 @@ def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray, co
         if done == longest:
             return
         parts = [[] for _ in counts]
+
+
+def _lone_steps(dT: Callable, dV: Callable, out: np.ndarray, z: np.ndarray, p: np.ndarray,
+                kick: np.ndarray, dt: np.ndarray, half: np.ndarray,
+                p_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of :func:`_leapfrog_steps` on a stack of one value, in
+    Python floats, into the ``(steps, 2, 1, 1)`` rows ``out`` of its block
+    buffer; ``z``, ``p``, ``kick``, ``dt`` and ``half`` are ``(1, 1)``.
+
+    Each step calls ``dT`` on the stepper's ``p_half`` and ``dV`` on an
+    array of this function's own, both ``(1, 1)`` and holding the float
+    just computed, and reads the result's first entry through
+    ``np.asarray``: an integer or float32 result converts as the ufunc's
+    cast would, and a complex one raises TypeError when it is written.
+    Float ``+``, ``-`` and ``*`` round as the float64 ufuncs do, each
+    operation on its own, so every state is the ufunc loop's bit for bit.
+    The last kick is written back into ``kick``, and the views of the
+    last state are returned as the new ``z`` and ``p``.
+    """
+    z_arg, asarray = np.empty((1, 1)), np.asarray
+    states, p_half_data, z_arg_data = (a.reshape(-1).data for a in (out, p_half, z_arg))
+    z_f, p_f, kick_f, dt_f, half_f = z.item(0), p.item(0), kick.item(0), dt.item(0), half.item(0)
+    for i in range(0, len(states), 2):
+        p_half_data[0] = p_mid = p_f - kick_f
+        states[i] = z_arg_data[0] = z_f = z_f + dt_f * asarray(dT(p_half)).item(0)
+        kick_f = half_f * asarray(dV(z_arg)).item(0)
+        states[i + 1] = p_f = p_mid - kick_f
+    kick[0, 0] = kick_f
+    return out[-1, 0], out[-1, 1]
 
 
 def _midpoint(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Iterator[Trajectory]:

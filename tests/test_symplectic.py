@@ -772,3 +772,116 @@ class TestIntegrateBlocks:
             tracemalloc.stop()
         # a buffer of BLOCK steps for this point alone holds 6 doubles a step
         assert peak < (self.BLOCK + 1) * 6 * 8 / 3
+
+
+def ufunc_leapfrog(H, y0, dt, steps):
+    """Kick-drift-kick with numpy's float64 ufuncs on ``(1, n)`` arrays,
+    one step at a time, as the stepper runs a stack of more than one value:
+    the reference of its lone-value path.  Returns z, p and energies."""
+    dt = np.full((1, 1), dt)
+    half = 0.5 * dt
+    z, p = y0.z[None], y0.p[None]
+    kick = half * H.dV(z)
+    zs, ps = [z], [p]
+    for _ in range(steps):
+        p_half = p - kick
+        z = z + dt * H.dT(p_half)
+        kick = half * H.dV(z)
+        p = p_half - kick
+        zs.append(z)
+        ps.append(p)
+    zs, ps = np.concatenate(zs), np.concatenate(ps)
+    return zs, ps, np.asarray(H.T(ps) + H.V(zs), dtype=float)
+
+
+def assert_same_bits(traj, reference):
+    """A trajectory's z, p and energies equal the reference's bit for bit,
+    NaN payloads and signed zeros included."""
+    for name, expected in zip(("z", "p", "energies"), reference):
+        actual = getattr(traj, name)
+        assert actual.shape == expected.shape, name
+        assert np.array_equal(actual.view(np.int64), expected.view(np.int64)), name
+
+
+class TestLoneValue:
+    """A stack of one value is stepped in Python floats, bit for bit as the
+    ufunc loop steps it."""
+
+    BLOCK = symplectic._BLOCK
+
+    @pytest.mark.parametrize("dt, steps", [
+        (3e-3, 0), (3e-3, 1), (3e-3, BLOCK - 1), (3e-3, BLOCK), (3e-3, BLOCK + 1),
+        (3e-3, 2 * BLOCK + 1), (-7e-3, BLOCK + 1),
+    ])
+    def test_lone_run_matches_the_ufunc_loop(self, dt, steps):
+        H, y0 = quartic_well(), PhasePoint([0.7], [-0.4])
+        traj = integrate(H, y0, dt, steps)
+        assert_same_bits(traj, ufunc_leapfrog(H, y0, dt, steps))
+        assert np.array_equal(traj.times, dt * np.arange(steps + 1))
+
+    @pytest.mark.parametrize("dts, steps", [
+        ([1e-2, 3e-3], [3, 2 * BLOCK + 2]),
+        ([1e-2, 3e-3], [BLOCK, BLOCK + 1]),
+        ([2e-3, 1e-3, 2e-3, 5e-3, 1e-3], [BLOCK + 1, 2 * BLOCK + 1, 3, BLOCK + 1, 0]),
+    ], ids=["from_inside_a_block", "from_a_block_edge", "unsorted_repeated"])
+    def test_last_row_running_alone_matches_the_ufunc_loop(self, dts, steps):
+        H, y0 = quartic_well(), PhasePoint([0.7], [-0.4])
+        blocks = list(integrate_blocks(H, y0, dts, steps))
+        for j, (traj, dt, n) in enumerate(zip(integrate_many(H, y0, dts, steps), dts, steps)):
+            reference = ufunc_leapfrog(H, y0, dt, n)
+            assert_same_bits(traj, reference)
+            assert_same_bits(joined([block[j] for block in blocks]), reference)
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x.tolist(),
+        lambda x: np.rint(1e3 * x).astype(np.int64),
+        lambda x: x.astype(np.float32),
+        lambda x: np.array(x),
+    ], ids=["list", "int64", "float32", "fresh_array"])
+    @pytest.mark.parametrize("part", ["dT", "dV"])
+    def test_callback_results_convert_as_the_ufuncs_cast(self, part, convert):
+        parts = {"T": half_square, "dT": lambda p: p,
+                 "V": lambda z: 0.25 * np.sum(z ** 4, axis=-1), "dV": lambda z: z ** 3}
+        H = SeparableHamiltonian(**{**parts, part: lambda x: convert(parts[part](x))})
+        y0 = PhasePoint([0.7], [-0.4])
+        assert_same_bits(integrate(H, y0, 3e-3, self.BLOCK + 1),
+                         ufunc_leapfrog(H, y0, 3e-3, self.BLOCK + 1))
+
+    @pytest.mark.parametrize("part", ["dT", "dV"])
+    def test_a_complex_derivative_is_a_type_error(self, part):
+        parts = {"T": half_square, "dT": lambda p: p, "V": half_square, "dV": lambda z: z}
+        H = SeparableHamiltonian(**{**parts, part: lambda x: x + 0.5j})
+        with pytest.raises(TypeError):
+            integrate(H, PhasePoint([1.0], [0.0]), 1e-2, 3)
+
+    def test_an_overflowing_run_gives_the_ufunc_loops_inf_and_nan_bits(self):
+        H, y0 = quartic_well(), PhasePoint([3.0], [0.0])
+        with np.errstate(all="ignore"):
+            traj = integrate(H, y0, 0.5, 40)
+            reference = ufunc_leapfrog(H, y0, 0.5, 40)
+        assert np.isnan(reference[0][-1, 0]) and np.isinf(reference[2]).any()
+        assert_same_bits(traj, reference)
+
+    def test_each_step_calls_each_derivative_once(self):
+        calls = {"dT": [], "dV": []}
+
+        def counted(name):
+            return lambda x: calls[name].append(x.shape) or x
+
+        H = SeparableHamiltonian(half_square, counted("dT"), half_square, counted("dV"))
+        integrate(H, PhasePoint([1.0], [0.0]), 1e-2, self.BLOCK + 1)
+        # the shape check on the stack, then one call per step
+        assert calls == {"dT": [(1, 1)] * (self.BLOCK + 2), "dV": [(1, 1)] * (self.BLOCK + 2)}
+
+    def test_a_lone_run_allocates_no_per_step_views(self):
+        H, y0 = separable_oscillator(), PhasePoint([1.0], [0.0])
+        integrate(H, y0, 1e-2, self.BLOCK)
+        tracemalloc.start()
+        try:
+            integrate(H, y0, 1e-2, self.BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the states, times and energies take ~50 KB; two views per step
+        # would add ~280 KB
+        assert peak < 100_000
