@@ -53,7 +53,7 @@ traj = integrate(H, y0, 1e-3, 10_000)
 print(f"leapfrog energy drift over 10^4 steps at dt=1e-3: {traj.max_energy_drift:.2e}")
 print(f"first dump record: {next(traj.records())}")
 
-print("\nleapfrog drift scales as dt^2 (fixed total time, one stacked run):")
+print("\nleapfrog drift scales as dt^2 (fixed total time, one integrate_many call):")
 dts = (1e-3, 5e-4, 2.5e-4)
 for dt, traj in zip(dts, integrate_many(H, y0, dts, [int(round(10.0 / dt)) for dt in dts])):
     print(f"  dt = {dt:.2e}  drift = {traj.max_energy_drift:.3e}")

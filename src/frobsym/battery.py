@@ -359,12 +359,10 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
 @dataclass
 class CheckContext:
     """A check's view of the run: the spec, valid and of a kind the check
-    applies to, its decoded inputs and its rng, and ``shared``, the store of
-    its battery, which every check of the battery sees and which ends with it."""
+    applies to, its decoded inputs and its rng."""
 
     spec: ManifoldSpec
     rng: np.random.Generator
-    shared: dict = field(default_factory=dict)
 
     @property
     def inputs(self) -> SimpleNamespace:
@@ -582,70 +580,20 @@ _DRIFT_PAIRS = {
 }
 
 
-def _drift_runs(ctx: CheckContext, name: str) -> tuple[list[float], list[Trajectory]]:
-    """The energy drift of each of the drift row ``name``'s pairs, in order,
-    and the pieces of energy_drift's own pair, which only that row keeps.
-
-    The battery's first drift row takes one :func:`_drift_pass` over every
-    pair that the spec's drift rows list, and keeps its result in
-    ``ctx.shared``; a pair's drift and pieces are bit for bit those of its
-    own pass, so each row gives the residual it gives alone.  If that pass
-    raises, each row takes a pass over its own pairs.
-    """
+def _drift_blocks(ctx: CheckContext, name: str) -> Iterator[list[Trajectory]]:
+    """The blocks of one :func:`integrate_blocks` call over the drift row
+    ``name``'s own pairs, each run from (z, p) = (1, 0)."""
     H = _hamiltonian_observable(ctx.inputs)
     dim = ctx.inputs.metric.dim
-    y0 = PhasePoint(np.ones(dim), np.zeros(dim))
-    pairs = _DRIFT_PAIRS[name]
-    if "drift" not in ctx.shared:
-        listed = [pair for check in ctx.spec.checks for pair in _DRIFT_PAIRS.get(check, ())]
-        try:
-            ctx.shared["drift"] = _drift_pass(H, y0, listed)
-        except FrobsymError:
-            if set(listed) == set(pairs):
-                raise
-            ctx.shared["drift"] = None
-    drifts, pieces = ctx.shared["drift"] or _drift_pass(H, y0, pairs)
-    return [drifts[pair] for pair in pairs], pieces
-
-
-def _drift_pass(H: Observable, y0: PhasePoint, pairs) -> tuple[dict, list[Trajectory]]:
-    """Max |E_k - E_0| over k <= steps for each ``(dt, steps)`` pair, and the
-    pieces of energy_drift's pair when it is one of them.
-
-    One :func:`integrate_blocks` call runs each step size as long as its
-    longest pair; a run's first ``steps + 1`` states are those of its
-    shorter pairs.  Its pieces are read as they come and dropped, apart
-    from those that are kept, so no run is held whole.
-    """
-    longest = {}
-    for dt, steps in pairs:
-        longest[dt] = max(steps, longest.get(dt, 0))
-    drifts, kept, origin = dict.fromkeys(pairs, 0.0), [], {}
-    first = dict.fromkeys(longest, 0)
-    for block in integrate_blocks(H, y0, list(longest), list(longest.values())):
-        for dt, piece in zip(longest, block):
-            start, first[dt] = first[dt], first[dt] + len(piece.times)
-            if start == 0:
-                origin[dt] = piece.energies[0]
-            for pair in drifts:
-                if pair[0] != dt or pair[1] < start:
-                    continue
-                head = Trajectory(*(part[:pair[1] + 1 - start] for part in (
-                    piece.times, piece.z, piece.p, piece.energies)))
-                # the first piece holds E_0, and the later ones extend its drift
-                drift = (head.max_energy_drift if start == 0
-                         else np.max(np.abs(head.energies - origin[dt])))
-                drifts[pair] = float(np.maximum(drifts[pair], drift))
-                if pair == _DRIFT_PAIRS["energy_drift"][0]:
-                    kept.append(head)
-    return drifts, kept
+    dts, steps = zip(*_DRIFT_PAIRS[name])
+    return integrate_blocks(H, PhasePoint(np.ones(dim), np.zeros(dim)), dts, steps)
 
 
 def _check_energy_drift(ctx: CheckContext) -> float:
-    _, pieces = _drift_runs(ctx, "energy_drift")
     # read the drift off the trajectory dump records rather than the
     # trajectory internals; the record format is part of the interface
-    records = chain.from_iterable(piece.records() for piece in pieces)
+    records = chain.from_iterable(piece.records()
+                                  for (piece,) in _drift_blocks(ctx, "energy_drift"))
     head = next(records)
     first = head["H"]
     return max(abs(rec["H"] - first) for rec in chain([head], records))
@@ -653,7 +601,15 @@ def _check_energy_drift(ctx: CheckContext) -> float:
 
 def _check_drift_scaling(ctx: CheckContext) -> float:
     dts = np.array([dt for dt, _ in _DRIFT_PAIRS["drift_scaling"]])
-    drifts, _ = _drift_runs(ctx, "drift_scaling")
+    blocks = _drift_blocks(ctx, "drift_scaling")
+    # the first pieces hold E_0, and the later ones extend their drift; an
+    # ended pair's empty piece leaves its drift as it is
+    origins, drifts = zip(*((piece.energies[0], piece.max_energy_drift)
+                            for piece in next(blocks)))
+    for block in blocks:
+        drifts = [np.maximum(drift, np.max(np.abs(piece.energies - origin), initial=0.0))
+                  for drift, origin, piece in zip(drifts, origins, block)]
+    drifts = [float(drift) for drift in drifts]
     if 0.0 in drifts:
         # leapfrog steps a free particle exactly, and a zero drift has no log
         raise NonFiniteValue(f"energy drift is zero at dt = {dts[drifts.index(0.0)]:g}, "
@@ -772,17 +728,14 @@ def run_battery(spec: ManifoldSpec) -> Report:
 
     Each check draws randomness from a generator seeded by (spec seed,
     position) and is held to the spec's tolerance for it, else the check's
-    default, so the report is deterministic for a given spec.  The checks
-    share one store, made afresh for each battery, in which the drift rows
-    keep their one stacked integration.
+    default, so the report is deterministic for a given spec.
     """
     rows = []
-    shared = {}
     for index, name in enumerate(spec.checks):
         definition = CHECKS[name]
         tol = spec.tolerances.get(name, definition.default_tol)
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, index]))
-        ctx = CheckContext(spec, rng, shared)
+        ctx = CheckContext(spec, rng)
         start = time.perf_counter()
         try:
             residual = float(definition.func(ctx))

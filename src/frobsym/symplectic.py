@@ -127,12 +127,11 @@ class SeparableHamiltonian(Observable):
     """H(z, p) = T(p) + V(z) given by its four parts on flat arrays.
 
     ``T`` and ``V`` reduce over the last axis, so each takes one point or a
-    stack of points; ``dT`` and ``dV`` return dT/dp and dV/dz, and must map
-    a ``(rows, n)`` stack row by row to a ``(rows, n)`` stack (another shape
-    is DimensionMismatch), because the leapfrog integrator steps
-    every trajectory of an :func:`integrate_many` call as one row of such a
-    stack.  A stack of one value, a lone 1-dof row, is stepped in Python
-    floats with the same bits and one ``dV`` call per step; the array that
+    stack of points; ``dT`` and ``dV`` return dT/dp and dV/dz, and map a
+    ``(rows, n)`` stack row by row to a ``(rows, n)`` stack.  The leapfrog
+    integrator steps each trajectory on its own ``(1, n)`` row, and a result
+    of another shape is DimensionMismatch; a 1-dof row is stepped in Python
+    floats with the same bits and one ``dV`` call per step.  The array that
     ``dT`` or ``dV`` is given is reused for the next step, so they must not
     write into it.  ``func`` and ``grad`` are derived from the parts, so the
     object works wherever an Observable does; the integrator calls the
@@ -300,9 +299,9 @@ def integrate_many(H: Observable, y0: PhasePoint, dts, steps) -> list[Trajectory
     input checks: it copies each pair's pieces into one ``(steps + 1, 2n)``
     state array, of which ``z`` and ``p`` are views, and one energy array.
     When every run fits in one block, its pieces are the trajectories.
-    Each trajectory is bit-identical to its lone :func:`integrate` call,
-    and a run's first ``k + 1`` states are those of the same pair with
-    ``k`` steps.
+    Each pair is stepped on its own, so its trajectory is bit-identical to
+    its lone :func:`integrate` call, and a run's first ``k + 1`` states are
+    those of the same pair with ``k`` steps.
     """
     dts, counts = _schedule(y0, dts, steps)
     blocks = _blocks(H, y0, dts, counts)
@@ -331,23 +330,22 @@ def integrate_blocks(H: Observable, y0: PhasePoint, dts, steps) -> Iterator[list
     pair, in the given order: the pair's steps ``b * _BLOCK + 1`` to
     ``(b + 1) * _BLOCK``, the first piece with step 0 before them, and a
     pair that has ended gives an empty piece.  Joining a pair's pieces
-    gives its :func:`integrate_many` trajectory bit for bit.  Each piece
-    owns its compact arrays, shared with no other piece and with no
-    buffer of the stepper.
+    gives its :func:`integrate_many` trajectory bit for bit.  A piece's
+    arrays are views of a state array made for its block alone, so they
+    share memory with no other piece, and stepping on never writes into
+    them.
 
-    A :class:`SeparableHamiltonian` is stepped by kick-drift-kick leapfrog
-    (Stormer-Verlet) on its split derivatives without building any
-    PhasePoint.  All pairs advance together as the rows of one stack, so
-    ``dT`` and ``dV`` see ``(rows, n)`` arrays and must return that shape,
-    else DimensionMismatch; elementwise arithmetic rounds each row exactly
-    as a lone run would.  Once the rows still running hold one value in
-    all, that value is stepped in Python floats, whose operations round
-    exactly as the ufuncs do.  The stack makes one ``dV`` call per step of
-    the longest pair, plus one to start.  Any other Observable is stepped by
-    the implicit midpoint rule (fixed-point iteration, tolerance 1e-12, at
-    most 50 sweeps) for each pair on its own, which stays symplectic and
-    second order when H does not separate.  Either way the energies come
-    from one ``H.func`` call per block, on its states as a stacked point.
+    Each pair is stepped on its own.  A :class:`SeparableHamiltonian` is
+    stepped by kick-drift-kick leapfrog (Stormer-Verlet) on its split
+    derivatives without building any PhasePoint: ``dT`` and ``dV`` see
+    ``(1, n)`` arrays and must return that shape, else DimensionMismatch,
+    and a pair makes one ``dV`` call to start, at the call, and one per
+    step.  A 1-dof pair is stepped in Python floats, whose operations round
+    exactly as the ufuncs do.  Any other Observable is stepped by the
+    implicit midpoint rule (fixed-point iteration, tolerance 1e-12, at most
+    50 sweeps), which stays symplectic and second order when H does not
+    separate.  Either way a pair's energies come from one ``H.func`` call
+    per block, on its states as a stacked point.
 
     ``dts`` and ``steps`` are equal-length, non-empty sequences, else
     DimensionMismatch; a step count that is not a non-negative integer is a
@@ -375,9 +373,8 @@ def _schedule(y0: PhasePoint, dts, steps) -> tuple[np.ndarray, list[int]]:
 def _blocks(H: Observable, y0: PhasePoint, dts: np.ndarray,
             counts: list[int]) -> Iterator[list[Trajectory]]:
     """The block iterator of :func:`integrate_blocks` on a checked schedule."""
-    if isinstance(H, SeparableHamiltonian):
-        return _leapfrog(H, y0, dts, counts)
-    runs = [_midpoint(H, y0, dt, k) for dt, k in zip(dts, counts)]
+    scheme = _leapfrog if isinstance(H, SeparableHamiltonian) else _midpoint
+    runs = [scheme(H, y0, dt, k) for dt, k in zip(dts, counts)]
     return ([_empty_piece(y0, dt) if piece is None else piece for dt, piece in zip(dts, pieces)]
             for pieces in zip_longest(*runs))
 
@@ -393,109 +390,74 @@ def _empty_piece(y0: PhasePoint, dt: float) -> Trajectory:
     return _piece(dt, 0, np.empty((0, y0.z.size)), np.empty((0, y0.p.size)), np.empty(0))
 
 
-def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray,
-              counts: list[int]) -> Iterator[list[Trajectory]]:
-    """Kick-drift-kick for every pair at once from y0; the block iterator
-    of :func:`integrate_blocks`.
+def _leapfrog(H: SeparableHamiltonian, y0: PhasePoint, dt: float,
+              steps: int) -> Iterator[Trajectory]:
+    """``steps`` kick-drift-kick steps from y0, as the pieces of one pair of
+    :func:`integrate_blocks`.
 
-    ``dT`` and ``dV`` are called once on the full stack here, before any
-    step, and a result whose shape is not its input's is DimensionMismatch:
-    broadcast, it would mix the rows.  The steps are then taken as the
-    iterator is read, by :func:`_leapfrog_steps`.
+    ``dT`` and ``dV`` are called once on y0's ``(1, n)`` rows here, before
+    any step, and a result whose shape is not its input's is
+    DimensionMismatch; the steps are then taken as the returned generator
+    is read, by :func:`_leapfrog_steps`.
     """
-    z, p = np.tile(y0.z, (len(counts), 1)), np.tile(y0.p, (len(counts), 1))
+    z, p = y0.z[None], y0.p[None]
     force = H.dV(z)
     for name, stack, result in (("dV", z, force), ("dT", p, H.dT(p))):
         if np.shape(result) != stack.shape:
             raise DimensionMismatch(f"{name} maps a stack of shape {stack.shape} "
                                     f"to shape {np.shape(result)}; it must keep the shape")
-    return _leapfrog_steps(H, y0, dts, counts, z, p, force)
+    return _leapfrog_steps(H, y0, dt, steps, force)
 
 
-def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dts: np.ndarray, counts: list[int],
-                    z: np.ndarray, p: np.ndarray, force: np.ndarray) -> Iterator[list[Trajectory]]:
-    """The steps of :func:`_leapfrog` from the stack ``(z, p)``, one row
-    at y0 per pair, on which dV is ``force``.
+def _leapfrog_steps(H: SeparableHamiltonian, y0: PhasePoint, dt: float, steps: int,
+                    force: np.ndarray) -> Iterator[Trajectory]:
+    """The steps of :func:`_leapfrog` from y0, on whose ``(1, n)`` rows dV
+    is ``force``.
 
-    The pairs are sorted by descending step count, so the rows still
-    running are always a prefix of the stack.  The steps go into one block
-    buffer per stack size, of ``min(_BLOCK, steps run at that size)``
-    steps after a row for step 0; each step holds its ``z`` rows, then its
-    ``p`` rows.  A buffer is reused from block to block and dropped when a
-    row retires.  At a block's end or a retirement, one ``H.func`` call on
-    the stacked states just written gives their energies; at a block's end
-    each pair's piece is copied out of them, so the buffers never escape.
-    The loop itself checks nothing.  A stack of more than one value takes
-    each step as the same five ufuncs on the same operands and ``out``
-    views of the buffer, built with it, with the callbacks and ufuncs bound
-    to locals.  A stack of one value, which only the last row can be,
-    builds no views: :func:`_lone_steps` takes its steps in Python floats,
-    since on one value the five ufunc calls cost far more than the
-    arithmetic they do.
+    Each block's states go into a fresh ``(rows, 2, 1, n)`` array, a step's
+    ``z`` row, then its ``p`` row; the block's piece is a view of it, and
+    one ``H.func`` call on it gives the piece's energies.  With n > 1, each step is
+    the same five ufuncs on ``(1, n)`` operands, ``dt`` and ``dt / 2``
+    among them at that full shape, written into ``out`` views of the
+    block's rows, taken one step at a time.  With n = 1, :func:`_lone_steps`
+    takes the steps in Python floats, since on one value the five ufunc
+    calls cost far more than the arithmetic they do.
     """
     n = y0.z.size
-    order = sorted(range(len(counts)), key=lambda j: -counts[j])
-    dt = dts[order, None]
-    half = 0.5 * dt
+    z, p = y0.z[None], y0.p[None]
+    dt_row = np.full((1, n), dt)
+    half = 0.5 * dt_row
     dT, dV = H.dT, H.dV
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    # the rows are equal, so the stack needs no sorting; the end-of-step
-    # kick half * dV(z) also starts the next step; the temporaries live in
-    # buffers of their own, never in what dT or dV return
-    kick, p_half, drift = multiply(half, force), np.empty_like(p), np.empty_like(z)
-    # each pair's parts of z, p and energies since its last piece; a pair
-    # of no steps retires before the first step, with y0 alone
-    start = (z[:1], p[:1], np.asarray(H.func(_stacked_point(z[:1], p[:1], z[:1, :0])),
-                                      dtype=float)) if 0 in counts else None
-    parts = [[] if k else [start] for k in counts]
-    first = [0] * len(counts)
-    live, size, done, longest = len(order), 0, 0, counts[order[0]]
-    while True:
-        block_end = min(done + _BLOCK, longest)
-        while done < block_end:
-            while counts[order[live - 1]] <= done:
-                live -= 1
-            if live != size:
-                # the last stack size's views go before this one's are built
-                size, z_outs, p_outs = live, None, None
-                buffer = np.empty((1 + min(_BLOCK, counts[order[live - 1]] - done), 2, live, n))
-                if live * n > 1:
-                    z_outs, p_outs = list(buffer[1:, 0]), list(buffer[1:, 1])
-                z, p, dt, half = z[:live], p[:live], dt[:live], half[:live]
-                kick, p_half, drift = kick[:live], p_half[:live], drift[:live]
-            if done == 0:
-                buffer[0, 0], buffer[0, 1] = z, p
-            end = min(block_end, counts[order[live - 1]])
-            if z_outs is None:
-                z, p = _lone_steps(dT, dV, buffer[1:end - done + 1], z, p, kick, dt, half, p_half)
-            else:
-                for z_out, p_out in zip(z_outs[:end - done], p_outs[:end - done]):
-                    subtract(p, kick, p_half)
-                    z = add(z, multiply(dt, dT(p_half), drift), z_out)
-                    multiply(half, dV(z), kick)
-                    p = subtract(p_half, kick, p_out)
-            written = buffer[(done > 0):end - done + 1]
-            zs, ps = written[:, 0], written[:, 1]
-            energy = np.asarray(H.func(_stacked_point(zs, ps, zs[..., :0])), dtype=float)
-            for row, j in enumerate(order[:live]):
-                parts[j].append((zs[:, row], ps[:, row], energy[:, row]))
-            done = end
-        pieces = [_piece(dt_j, first[j], *map(np.concatenate, zip(*parts[j]))) if parts[j]
-                  else _empty_piece(y0, dt_j) for j, dt_j in enumerate(dts)]
-        for j, piece in enumerate(pieces):
-            first[j] += len(piece.times)
-        yield pieces
-        if done == longest:
-            return
-        parts = [[] for _ in counts]
+    # the end-of-step kick half * dV(z) also starts the next step; the
+    # temporaries live in arrays of their own, never in what dT or dV return
+    kick, p_half, drift = multiply(half, force), np.empty((1, n)), np.empty((1, n))
+    for block in range(0, max(steps, 1), _BLOCK):
+        first = block + (block > 0)
+        states = np.empty((min(block + _BLOCK, steps) + 1 - first, 2, 1, n))
+        out = states
+        if block == 0:
+            states[0, 0], states[0, 1] = z, p  # step 0
+            out = states[1:]
+        if n == 1:
+            _lone_steps(dT, dV, out, z, p, kick, dt_row, half, p_half)
+            z, p = states[-1, 0], states[-1, 1]
+        else:
+            for z_out, p_out in zip(out[:, 0], out[:, 1]):
+                subtract(p, kick, p_half)
+                z = add(z, multiply(dt_row, dT(p_half), drift), z_out)
+                multiply(half, dV(z), kick)
+                p = subtract(p_half, kick, p_out)
+        zs, ps = states[:, 0, 0], states[:, 1, 0]
+        yield _piece(dt, first, zs, ps,
+                     np.asarray(H.func(_stacked_point(zs, ps, zs[..., :0])), dtype=float))
 
 
 def _lone_steps(dT: Callable, dV: Callable, out: np.ndarray, z: np.ndarray, p: np.ndarray,
-                kick: np.ndarray, dt: np.ndarray, half: np.ndarray,
-                p_half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The steps of :func:`_leapfrog_steps` on a stack of one value, in
-    Python floats, into the ``(steps, 2, 1, 1)`` rows ``out`` of its block
-    buffer; ``z``, ``p``, ``kick``, ``dt`` and ``half`` are ``(1, 1)``.
+                kick: np.ndarray, dt: np.ndarray, half: np.ndarray, p_half: np.ndarray) -> None:
+    """The steps of :func:`_leapfrog_steps` on one value, in Python floats,
+    into the ``(steps, 2, 1, 1)`` rows ``out`` of its block; ``z``, ``p``,
+    ``kick``, ``dt`` and ``half`` are ``(1, 1)``.
 
     Each step calls ``dT`` on the stepper's ``p_half`` and ``dV`` on an
     array of this function's own, both ``(1, 1)`` and holding the float
@@ -504,8 +466,7 @@ def _lone_steps(dT: Callable, dV: Callable, out: np.ndarray, z: np.ndarray, p: n
     cast would, and a complex one raises TypeError when it is written.
     Float ``+``, ``-`` and ``*`` round as the float64 ufuncs do, each
     operation on its own, so every state is the ufunc loop's bit for bit.
-    The last kick is written back into ``kick``, and the views of the
-    last state are returned as the new ``z`` and ``p``.
+    The last kick is written back into ``kick``.
     """
     z_arg, asarray = np.empty((1, 1)), np.asarray
     states, p_half_data, z_arg_data = (a.reshape(-1).data for a in (out, p_half, z_arg))
@@ -516,7 +477,6 @@ def _lone_steps(dT: Callable, dV: Callable, out: np.ndarray, z: np.ndarray, p: n
         kick_f = half_f * asarray(dV(z_arg)).item(0)
         states[i + 1] = p_f = p_mid - kick_f
     kick[0, 0] = kick_f
-    return out[-1, 0], out[-1, 1]
 
 
 def _midpoint(H: Observable, y0: PhasePoint, dt: float, steps: int) -> Iterator[Trajectory]:

@@ -1072,8 +1072,8 @@ class TestFamilyRows:
 
 class TestDriftScaling:
     def test_steps_all_sizes_in_one_run(self, monkeypatch):
-        # four step sizes over the same time: 6.5k + 13k + 32.5k + 65k steps
-        # one at a time, but one force per step of the longest run stacked
+        # four step sizes over the same time, each pair on its own: one
+        # force to start each and one per step, 6.5k + 13k + 32.5k + 65k
         value, grad = registry.SCALARS["half_square"]()
         calls = []
         monkeypatch.setitem(registry.SCALARS, "half_square",
@@ -1082,7 +1082,7 @@ class TestDriftScaling:
                                "payload": {"metric": "euclidean1", "scalar": "half_square"},
                                "checks": ["drift_scaling"]})
         assert run_battery(spec).rows[0].status == "pass"
-        assert len(calls) == 65_001
+        assert len(calls) == 117_004
 
     @pytest.mark.parametrize("scalar", [None, "zero"])
     @pytest.mark.parametrize("metric", ["euclidean1", "euclidean2", "euclidean3"])
@@ -1145,39 +1145,33 @@ def counting_forces(spec) -> list:
     return calls
 
 
-def explicit_euler(H, y0, dts, counts):
-    """The blocks of explicit Euler, which is not symplectic, in the layout
-    of ``symplectic._leapfrog``: per block of ``symplectic._BLOCK`` steps,
-    one piece per pair, the first with step 0."""
-    runs = []
-    for dt, steps in zip(dts, counts):
-        z, p = y0.z, y0.p
-        rows = [np.concatenate([z, p])]
-        for _ in range(steps):
-            z, p = z + dt * H.dT(p), p - dt * H.dV(z)
-            rows.append(np.concatenate([z, p]))
-        runs.append(np.array(rows))
+def explicit_euler(H, y0, dt, steps):
+    """The pieces of one pair's explicit Euler run, which is not symplectic,
+    in the layout of ``symplectic._leapfrog``: one per block of
+    ``symplectic._BLOCK`` steps, the first with step 0."""
+    z, p = y0.z, y0.p
+    rows = [np.concatenate([z, p])]
+    for _ in range(steps):
+        z, p = z + dt * H.dT(p), p - dt * H.dV(z)
+        rows.append(np.concatenate([z, p]))
+    states = np.array(rows)
     n, block = y0.z.size, symplectic._BLOCK
-    for start in range(0, max(max(counts), 1), block):
+    for start in range(0, max(steps, 1), block):
         first = start + (start > 0)
-        pieces = []
-        for dt, states in zip(dts, runs):
-            rows = states[first:start + block + 1].copy()
-            pieces.append(Trajectory(dt * np.arange(first, first + len(rows)), rows[:, :n],
-                                     rows[:, n:], H.func(y0.replace_flat(rows))))
-        yield pieces
+        rows = states[first:start + block + 1].copy()
+        yield Trajectory(dt * np.arange(first, first + len(rows)), rows[:, :n], rows[:, n:],
+                         H.func(y0.replace_flat(rows)))
 
 
-class TestSharedDriftIntegration:
-    """energy_drift and drift_scaling take their runs from one stacked
-    integration per battery, and each row reads what it reads alone."""
+class TestDriftRows:
+    """energy_drift and drift_scaling each make one integrate_blocks call
+    over their own pairs, and each row reads what it reads alone."""
 
     @pytest.mark.parametrize("metric", ["euclidean1", "euclidean2", "euclidean3"])
     def test_rows_are_bit_identical_alone_together_and_reversed(self, metric):
-        """Each battery also takes one force per step of its longest run:
-        10,001 for energy_drift alone, 65,001 for drift_scaling, alone or
-        with energy_drift, whose 10,000 steps at dt = 1e-3 extend its
-        6,500."""
+        """Each pair takes one force to start and one per step: 10,001 for
+        energy_drift, 117,004 for drift_scaling's four pairs, and their sum
+        together."""
         alone, forces = {}, []
         for name in DRIFT_ROWS:
             spec = drift_spec([name], metric)
@@ -1192,12 +1186,13 @@ class TestSharedDriftIntegration:
                                                       alone[row.name].residual)
                 assert row.residual is not None
             forces.append(len(calls))
-        assert forces == [10_001, 65_001, 65_001, 65_001]
+        assert forces == [10_001, 117_004, 127_005, 127_005]
 
-    def test_catalog_harmonic_battery_peaks_below_1_5_mb(self):
-        """The drift rows' shared pass reads its runs block by block and
-        keeps only energy_drift's 10,001 states (~0.3 MB); held whole, the
-        four runs took ~3.9 MB, and the parent's peak was 4.91 MB."""
+    def test_catalog_harmonic_battery_peaks_below_0_5_mb(self):
+        """Each drift row reads its runs block by block and keeps no states:
+        energy_drift's records and drift_scaling's running maxima hold about
+        two blocks per pair (~0.34 MB).  Keeping energy_drift's 10,001
+        states took ~1 MB; held whole, the runs took ~3.9 MB."""
         spec = builtin_catalog()["harmonic_oscillator"].spec
         tracemalloc.start()
         try:
@@ -1205,7 +1200,7 @@ class TestSharedDriftIntegration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5e6
+        assert peak < 0.5e6
 
     @pytest.mark.parametrize("checks", [["energy_drift"], DRIFT_ROWS, DRIFT_ROWS[::-1]])
     def test_free_particle_passes_energy_drift_and_nulls_drift_scaling(self, checks):
@@ -1218,42 +1213,39 @@ class TestSharedDriftIntegration:
                     rows["drift_scaling"].residual) == ("fail", None)
 
     def test_catalog_battery_force_count(self):
-        # 65,001 for the drift rows, 2 x 2 for evolution_consistency's
-        # one-step runs and 1 for its bracket; apart, the rows took 75,007
+        # 127,005 for the drift rows, 2 x 2 for evolution_consistency's
+        # one-step runs and 1 for its bracket
         spec = builtin_catalog()["harmonic_oscillator"].spec
         calls = counting_forces(spec)
         assert all(row.status == "pass" for row in run_battery(spec).rows)
-        assert len(calls) == 65_006
+        assert len(calls) == 127_010
 
     def test_each_battery_integrates_afresh(self):
         spec = drift_spec(DRIFT_ROWS)
         calls = counting_forces(spec)
         first, second = run_battery(spec), run_battery(spec)
-        assert len(calls) == 2 * 65_001
+        assert len(calls) == 2 * 127_005
         assert [r.residual for r in first.rows] == [r.residual for r in second.rows]
         assert set(vars(spec.inputs)) == {"metric", "scalar", "spins", "separable"}
 
-    @pytest.mark.parametrize("failing", ["shared", "every"])
-    def test_a_raising_shared_call_leaves_each_row_to_its_own_pairs(self, failing,
-                                                                     monkeypatch):
-        alone = {name: run_battery(drift_spec([name])).rows[0] for name in DRIFT_ROWS}
+    @pytest.mark.parametrize("checks", [DRIFT_ROWS, DRIFT_ROWS[::-1]])
+    def test_a_row_whose_run_raises_leaves_the_other_row_alone(self, checks, monkeypatch):
+        alone = run_battery(drift_spec(checks[1:])).rows[0]
         schedules = []
 
         def integrate_blocks(H, y0, dts, steps):
             schedules.append(list(steps))
-            if failing == "every" or len(schedules) == 1:
+            if len(schedules) == 1:
                 raise NonConvergence("refused")
             return frobsym.integrate_blocks(H, y0, dts, steps)
 
         monkeypatch.setattr("frobsym.battery.integrate_blocks", integrate_blocks)
-        rows = run_battery(drift_spec(DRIFT_ROWS)).rows
-        assert schedules == [[10_000, 13_000, 32_500, 65_000], [10_000],
-                             [6_500, 13_000, 32_500, 65_000]]
-        if failing == "shared":
-            assert [(r.status, r.residual) for r in rows] == [
-                (alone[r.name].status, alone[r.name].residual) for r in rows]
-        else:
-            assert [(r.status, r.residual) for r in rows] == [("fail", None)] * 2
+        first, second = run_battery(drift_spec(checks)).rows
+        assert (first.name, first.status, first.residual) == (checks[0], "fail", None)
+        assert (second.name, second.status, second.residual) == (alone.name, alone.status,
+                                                                 alone.residual)
+        assert second.residual is not None
+        assert len(schedules) == 2
 
     def test_a_lone_row_whose_run_raises_integrates_once(self, monkeypatch):
         schedules = []

@@ -533,7 +533,7 @@ def assert_same_trajectory(a, b):
 
 
 class TestIntegrateMany:
-    """Each stacked row equals the lone run of its pair, bit for bit."""
+    """Each trajectory equals the lone run of its pair, bit for bit."""
 
     @pytest.mark.parametrize("dof", [1, 3])
     @pytest.mark.parametrize("dts, steps", [
@@ -571,7 +571,8 @@ class TestIntegrateMany:
         for traj, dt, n in zip(integrate_many(oscillator(), y0, dts, steps), dts, steps):
             assert_same_trajectory(traj, integrate(oscillator(), y0, dt, n))
 
-    def test_force_is_taken_once_per_step_of_the_longest_row(self):
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_force_is_taken_once_per_step_of_each_pair(self, dof):
         calls = []
 
         def dV(z):
@@ -579,10 +580,11 @@ class TestIntegrateMany:
             return z
 
         H = SeparableHamiltonian(half_square, lambda p: p, half_square, dV)
-        integrate_many(H, PhasePoint([1.0], [0.0]), [1e-2, 2e-2, 5e-3], [30, 15, 60])
-        # one call for the start, then one per step of the longest row; the
-        # rows still running form the stack and retired rows drop out
-        assert calls == [(3, 1)] * 16 + [(2, 1)] * 15 + [(1, 1)] * 30
+        integrate_many(H, PhasePoint(np.ones(dof), np.zeros(dof)), [1e-2, 2e-2, 5e-3],
+                       [30, 15, 60])
+        # each pair steps on its own (1, n) row: one call to start, at the
+        # call, then one per step
+        assert calls == [(1, dof)] * (3 + 30 + 15 + 60)
 
     @pytest.mark.parametrize("dts, steps", [
         ([1e-2, 1e-3], [10]),
@@ -621,8 +623,8 @@ class TestIntegrateMany:
         lambda x: x[0],
     ], ids=["reduced", "one_column", "first_row"])
     def test_derivative_of_another_shape_is_dimension_mismatch(self, part, misshapen):
-        """Broadcast into the (rows, n) stack, a misshapen result would mix
-        the rows: a (rows,) dV stepped a stacked pair off its lone run."""
+        """Broadcast into a pair's (1, n) row, a misshapen result would step
+        the pair off its kick-drift-kick values."""
         parts = {"T": half_square, "dT": lambda p: p, "V": half_square, "dV": lambda z: z}
         H = SeparableHamiltonian(**{**parts, part: misshapen})
         y0 = PhasePoint([1.0, 2.0], [0.0, 0.0])
@@ -639,9 +641,12 @@ class TestIntegrateMany:
             return p
 
         H = SeparableHamiltonian(half_square, dT, half_square, lambda z: z)
-        integrate_many(H, PhasePoint([1.0, 2.0], [0.0, 0.0]), [1e-2, 2e-2], [4, 2])
-        # one call on the full stack to check its shape, then one per step
-        assert calls == [(2, 2)] * 3 + [(1, 2)] * 2
+        blocks = integrate_blocks(H, PhasePoint([1.0, 2.0], [0.0, 0.0]), [1e-2, 2e-2], [4, 2])
+        # one call per pair at the call, to check its shape
+        assert calls == [(1, 2)] * 2
+        list(blocks)
+        # then one per step of each pair
+        assert calls == [(1, 2)] * (2 + 4 + 2)
 
     @pytest.mark.parametrize("H", [separable_oscillator(), quartic_well()],
                              ids=["oscillator", "quartic"])
@@ -726,18 +731,11 @@ class TestIntegrateBlocks:
         y0 = PhasePoint([1.0, -0.5], [0.25, 0.5])
         blocks = integrate_blocks(H, y0, [1e-2, 2e-2, 5e-3, 1e-2],
                                   [2 * self.BLOCK + 1, self.BLOCK + 1, 10, 2 * self.BLOCK + 1])
-        pieces, copies, buffers = [], [], []
+        pieces, copies = [], []
         for block in blocks:
-            # the leapfrog's current block buffer, a local of its generator
-            buffer = blocks.gi_frame.f_locals.get("buffer") if scheme == "leapfrog" else None
-            for piece in block:
-                assert not any(np.shares_memory(array, buffer) for array in piece_arrays(piece))
             pieces += block
             copies += [[array.copy() for array in piece_arrays(piece)] for piece in block]
-            buffers.append(buffer)
         assert len(pieces) == 3 * 4
-        if scheme == "leapfrog":
-            assert sum(buffer is not None for buffer in buffers) == 3
         for i, piece in enumerate(pieces):
             for other in pieces[i + 1:]:
                 assert not any(np.shares_memory(a, b) for a in piece_arrays(piece)
@@ -773,11 +771,25 @@ class TestIntegrateBlocks:
         # a buffer of BLOCK steps for this point alone holds 6 doubles a step
         assert peak < (self.BLOCK + 1) * 6 * 8 / 3
 
+    def test_a_block_of_steps_allocates_no_per_step_views(self):
+        H = separable_oscillator()
+        y0 = PhasePoint([1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        integrate(H, y0, 1e-2, self.BLOCK)
+        tracemalloc.start()
+        try:
+            integrate(H, y0, 1e-2, self.BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the states, times, energies and their temporaries take ~110 KB;
+        # two views held per step would add ~280 KB
+        assert peak < 200_000
+
 
 def ufunc_leapfrog(H, y0, dt, steps):
     """Kick-drift-kick with numpy's float64 ufuncs on ``(1, n)`` arrays,
-    one step at a time, as the stepper runs a stack of more than one value:
-    the reference of its lone-value path.  Returns z, p and energies."""
+    one step at a time, as the stepper runs a pair of more than one dof:
+    the reference of its 1-dof path.  Returns z, p and energies."""
     dt = np.full((1, 1), dt)
     half = 0.5 * dt
     z, p = y0.z[None], y0.p[None]
@@ -804,8 +816,8 @@ def assert_same_bits(traj, reference):
 
 
 class TestLoneValue:
-    """A stack of one value is stepped in Python floats, bit for bit as the
-    ufunc loop steps it."""
+    """A 1-dof pair is stepped in Python floats, bit for bit as the ufunc
+    loop steps it."""
 
     BLOCK = symplectic._BLOCK
 
@@ -870,7 +882,7 @@ class TestLoneValue:
 
         H = SeparableHamiltonian(half_square, counted("dT"), half_square, counted("dV"))
         integrate(H, PhasePoint([1.0], [0.0]), 1e-2, self.BLOCK + 1)
-        # the shape check on the stack, then one call per step
+        # the shape check on y0's row, then one call per step
         assert calls == {"dT": [(1, 1)] * (self.BLOCK + 2), "dV": [(1, 1)] * (self.BLOCK + 2)}
 
     def test_a_lone_run_allocates_no_per_step_views(self):
