@@ -75,6 +75,54 @@ def one_contract(fields):
     return got.value
 
 
+# one valid payload of each kind, and the checks that apply to it, in CHECKS order
+SAMPLE_PAYLOADS = {
+    "exponential_family": {"statistics": [[0.0, 1.0]], "beta": [0.5]},
+    "cone_potential": {"potential": "orthant2"},
+    "explicit_metric": {"metric": "euclidean2"},
+    "algebra": {"constants": "paracomplex2"},
+    "lattice": {"sites": 16, "coefficients": "linear_diagonal"},
+}
+APPLICABLE = {
+    "exponential_family": ("gibbs_normalization", "cumulants_low_order", "cumulants_order4",
+                           "metric_positive_definite", "dual_coordinates",
+                           "dual_connections"),
+    "cone_potential": ("hessian_metric_pd", "flatness", "cone_unit", "cone_algebra",
+                       "frobenius_axioms", "automorphism_invariance", "wdvv",
+                       "tangent_symplectic"),
+    "explicit_metric": ("flatness", "tangent_symplectic", "bracket_suite",
+                        "evolution_consistency", "energy_drift", "drift_scaling",
+                        "legendre_energy"),
+    "algebra": ("frobenius_axioms", "split_algebra_laws", "idempotent_closure"),
+    "lattice": ("lattice_constant_skew", "lattice_jacobi_refinement", "novikov_identities",
+                "local_bracket_antisymmetry"),
+}
+
+
+class TestApplicability:
+    """Which checks apply to which kinds, as literal data."""
+
+    def test_the_table_holds_28_pairs_in_checks_order(self):
+        assert {kind: len(checks) for kind, checks in APPLICABLE.items()} == {
+            "exponential_family": 6, "cone_potential": 8, "explicit_metric": 7,
+            "algebra": 3, "lattice": 4}
+        for checks in APPLICABLE.values():
+            assert list(checks) == [name for name in CHECKS if name in checks]
+        assert set(APPLICABLE) == set(KINDS) == set(SAMPLE_PAYLOADS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_a_check_applies_to_the_kinds_the_table_lists(self, check, kind):
+        fields = {"kind": kind, "payload": SAMPLE_PAYLOADS[kind], "checks": [check],
+                  "tolerances": {}}
+        if check in APPLICABLE[kind]:
+            assert ManifoldSpec(**fields).checks == (check,)
+        else:
+            err = one_contract(fields)
+            assert (err.field, str(err)) == (
+                "checks", f"check {check!r} does not apply to kind {kind!r}")
+
+
 class TestSpecLoading:
     def test_round_trip_from_text(self):
         spec = load_manifold_spec(BERNOULLI_TEXT)
