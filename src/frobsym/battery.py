@@ -145,12 +145,12 @@ class ManifoldSpec:
         # a lone surrogate ("\ud800" in JSON) has no UTF-8 encoding, so no report could print it
         if not isinstance(self.name, str) or any("\ud800" <= c <= "\udfff" for c in self.name):
             raise SchemaError("name must be a string of valid Unicode text", field="name")
+        object.__setattr__(self, "inputs", _decode_payload(kind, self.payload))
         for c in checks:
-            if kind not in CHECKS[c].kinds:
+            if not any(vars(self.inputs).keys() >= set(names.split()) for names in CHECKS[c].needs):
                 raise SchemaError(f"check {c!r} does not apply to kind {kind!r}", field="checks")
         object.__setattr__(self, "checks", tuple(checks))
         object.__setattr__(self, "tolerances", MappingProxyType(dict(tolerances)))
-        object.__setattr__(self, "inputs", _decode_payload(kind, self.payload))
         try:
             self.digest()  # caches the canonical text of the JSON payload
             object.__setattr__(self, "payload", _frozen(self.payload))
@@ -269,10 +269,9 @@ def _is_point(value, dim: int) -> bool:
 
 
 def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
-    """Validate a payload and build what its checks read: every payload
-    default and registry object (``family`` and ``beta``; ``potential``,
-    ``pairing``, ``points`` and ``point``; ``metric``, ``scalar``, ``spins``
-    and ``separable``; ``algebra``; ``lattice``)."""
+    """Validate a payload and build every default and registry object its checks
+    read, under names all kinds share: ``metric`` (explicit, or a cone's
+    log-Hessian metric), ``potential``, ``algebra``, ``family``, ``lattice``."""
     if kind == "exponential_family":
         stats = _require(payload, "statistics", list, kind)
         # one flat row is a family with a single statistic
@@ -314,8 +313,8 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
             if pairing.shape != (dim, dim):
                 raise SchemaError(f"pairing {pid!r} is not {dim} x {dim}",
                                   field="payload.pairing")
-        return SimpleNamespace(potential=potential, pairing=pairing,
-                               point=np.asarray(point, dtype=float),
+        return SimpleNamespace(potential=potential, metric=hessian_log_metric(potential),
+                               pairing=pairing, point=np.asarray(point, dtype=float),
                                points=None if points is None else np.asarray(points, dtype=float))
     if kind == "explicit_metric":
         mid = _require(payload, "metric", str, kind)
@@ -324,9 +323,7 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
         scalar = registry.lookup(registry.SCALARS, sid, "scalar")
         spins = (registry.lookup(registry.SPIN_CONSTANTS, _require(payload, "spins", str, kind),
                                  "spins") if "spins" in payload else None)
-        # a unit metric: H = |p|^2 / 2 + U(z) separates
-        return SimpleNamespace(metric=metric, scalar=scalar, spins=spins,
-                               separable=mid.startswith("euclidean"))
+        return SimpleNamespace(metric=metric, scalar=scalar, spins=spins)
     if kind == "algebra":
         aid = _require(payload, "constants", str, kind)
         constants = registry.lookup(registry.ALGEBRAS, aid, "constants")
@@ -358,8 +355,8 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
 
 @dataclass
 class CheckContext:
-    """A check's view of the run: the spec, valid and of a kind the check
-    applies to, its decoded inputs and its rng."""
+    """A check's view of the run: the spec, valid and with decoded inputs
+    that hold what the check needs, those inputs and its rng."""
 
     spec: ManifoldSpec
     rng: np.random.Generator
@@ -369,8 +366,11 @@ class CheckContext:
         return self.spec.inputs
 
 
-def _cone_points(ctx: CheckContext, count: int = 3) -> np.ndarray:
-    """The payload's points, or ``count`` drawn ones, as a (P, dim) stack."""
+def _probe_points(ctx: CheckContext, count: int = 3) -> np.ndarray:
+    """A cone's payload points, or ``count`` drawn inside it; else ``count``
+    drawn around 0.5: a (P, dim) stack."""
+    if not hasattr(ctx.inputs, "potential"):
+        return ctx.rng.normal(0.5, 0.4, (count, ctx.inputs.metric.dim))
     if ctx.inputs.points is not None:
         return ctx.inputs.points
     return np.exp(ctx.rng.normal(0.0, 0.3, size=(count, ctx.inputs.potential.dim))) + 0.2
@@ -439,30 +439,28 @@ def _check_dual_connections(ctx: CheckContext) -> float:
 
 
 def _check_hessian_metric_pd(ctx: CheckContext) -> float:
-    lowest = np.linalg.eigvalsh(hessian_log_metric(ctx.inputs.potential).value(
-        _cone_points(ctx, 5)))
+    lowest = np.linalg.eigvalsh(ctx.inputs.metric.value(_probe_points(ctx, 5)))
     return max(0.0, -float(lowest[:, 0].min()))
 
 
 def _check_flatness(ctx: CheckContext) -> float:
-    if ctx.spec.kind == "cone_potential":
+    metric, x = ctx.inputs.metric, _probe_points(ctx)
+    if hasattr(ctx.inputs, "potential"):
         # a log-Hessian metric: R in closed form from Gamma, no second difference level
-        structure = hessian_structure(hessian_log_metric(ctx.inputs.potential), _cone_points(ctx))
-        return structure.curvature()
-    metric = ctx.inputs.metric
-    return curvature_flatness(metric, ctx.rng.normal(0.5, 0.4, (3, metric.dim)))
+        return hessian_structure(metric, x).curvature()
+    return curvature_flatness(metric, x)
 
 
 def _check_cone_unit(ctx: CheckContext) -> float:
     phi = ctx.inputs.potential
-    x = _cone_points(ctx)
+    x = _probe_points(ctx)
     a = ctx.rng.normal(0.0, 1.0, x.shape)
     return float(np.max(np.abs(cone_multiply(phi, x, x, a) - a)))
 
 
 def _check_cone_algebra(ctx: CheckContext) -> float:
-    x = _cone_points(ctx)
-    mul = hessian_structure(hessian_log_metric(ctx.inputs.potential), x).multiply
+    x = _probe_points(ctx)
+    mul = hessian_structure(ctx.inputs.metric, x).multiply
     # per point a, b, c in turn: the stream of one draw per vector
     a, b, c = ctx.rng.normal(0.0, 1.0, (len(x), 3, x.shape[1])).swapaxes(0, 1)
     ab = mul(a, b)
@@ -472,19 +470,18 @@ def _check_cone_algebra(ctx: CheckContext) -> float:
 
 
 def _check_frobenius_axioms(ctx: CheckContext) -> float:
-    if ctx.spec.kind == "algebra":
-        alg = ctx.inputs.algebra
-    else:
+    alg = getattr(ctx.inputs, "algebra", None)
+    if alg is None:
         # tangent algebra of the cone at a base point, paired by the metric
-        x0 = _cone_points(ctx, 1)[0]
-        alg = replace(hessian_structure(hessian_log_metric(ctx.inputs.potential), x0), unit=x0)
+        x0 = _probe_points(ctx, 1)[0]
+        alg = replace(hessian_structure(ctx.inputs.metric, x0), unit=x0)
     return frobenius_axioms(alg).worst_identity_residual()
 
 
 def _check_automorphism_invariance(ctx: CheckContext) -> float:
     phi = ctx.inputs.potential
     scale = np.exp(ctx.rng.normal(0.0, 0.3, phi.dim))
-    return automorphism_invariance_residual(phi, np.diag(scale), _cone_points(ctx))
+    return automorphism_invariance_residual(phi, np.diag(scale), _probe_points(ctx))
 
 
 def _check_wdvv(ctx: CheckContext) -> float:
@@ -496,11 +493,7 @@ def _check_tangent_symplectic(ctx: CheckContext) -> float:
     scaled by max(1, |g|): zero iff g is Hessian in x.  It differences g
     itself, not ``deriv`` or ``log_third``, which are symmetric by
     construction."""
-    if ctx.spec.kind == "cone_potential":
-        metric, x = hessian_log_metric(ctx.inputs.potential), _cone_points(ctx)
-    else:
-        metric = ctx.inputs.metric
-        x = ctx.rng.normal(0.5, 0.4, (3, metric.dim))
+    metric, x = ctx.inputs.metric, _probe_points(ctx)
     m = metric.dim
     form = paracomplex_two_form(lambda pt: metric.value(pt[..., :m]), m)
     points = np.concatenate([x, np.zeros_like(x)], axis=-1)
@@ -512,8 +505,8 @@ def _check_tangent_symplectic(ctx: CheckContext) -> float:
 def _hamiltonian_observable(inputs: SimpleNamespace) -> Observable:
     metric = inputs.metric
     u_func, u_grad = inputs.scalar
-    if inputs.separable:
-        # the 1e4+ step integrations run on flat arrays
+    if metric.constant is not None and np.array_equal(metric.constant, np.eye(metric.dim)):
+        # H = |p|^2 / 2 + U(z) separates; the 1e4+ step integrations run on flat arrays
         return SeparableHamiltonian(lambda p: 0.5 * np.sum(np.square(p), axis=-1),
                                     lambda p: p, u_func, u_grad)
 
@@ -684,32 +677,36 @@ def _check_local_bracket_antisymmetry(ctx: CheckContext) -> float:
 
 @dataclass(frozen=True)
 class CheckDef:
+    """A check; ``needs`` holds alternatives, each the space-separated names
+    of the decoded inputs the check reads (a check that reads none names its
+    kind's inputs), and the check applies where one of them is held."""
+
     func: object
-    kinds: tuple
+    needs: tuple
     anchor: str
     default_tol: float
 
 
 CHECKS = {
-    "gibbs_normalization": CheckDef(_check_gibbs_normalization, ("exponential_family",), "E:3", 1e-14),
-    "cumulants_low_order": CheckDef(_check_cumulants_low_order, ("exponential_family",), "Pot", 1e-6),
-    "cumulants_order4": CheckDef(_check_cumulants_order4, ("exponential_family",), "GWS", 1e-4),
-    "metric_positive_definite": CheckDef(_check_metric_positive_definite, ("exponential_family",), "draft-dual", 1e-12),
-    "dual_coordinates": CheckDef(_check_dual_coordinates, ("exponential_family",), "draft-dual", 1e-6),
-    "dual_connections": CheckDef(_check_dual_connections, ("exponential_family",), "draft-dual", 1e-6),
-    "hessian_metric_pd": CheckDef(_check_hessian_metric_pd, ("cone_potential",), "draft-cone", 1e-12),
-    "flatness": CheckDef(_check_flatness, ("cone_potential", "explicit_metric"), "S2.1", 1e-6),
-    "cone_unit": CheckDef(_check_cone_unit, ("cone_potential",), "draft-cone", 1e-10),
-    "cone_algebra": CheckDef(_check_cone_algebra, ("cone_potential",), "draft-cone", 1e-10),
-    "frobenius_axioms": CheckDef(_check_frobenius_axioms, ("cone_potential", "algebra"), "Asso", 1e-10),
-    "automorphism_invariance": CheckDef(_check_automorphism_invariance, ("cone_potential",), "draft-cone", 1e-10),
-    "wdvv": CheckDef(_check_wdvv, ("cone_potential",), "WDVV", 1e-8),
-    "tangent_symplectic": CheckDef(_check_tangent_symplectic, ("cone_potential", "explicit_metric"), "S2.2", 1e-5),
-    "bracket_suite": CheckDef(_check_bracket_suite, ("explicit_metric",), "S3", 1e-6),
-    "evolution_consistency": CheckDef(_check_evolution_consistency, ("explicit_metric",), "S3", 1e-6),
-    "energy_drift": CheckDef(_check_energy_drift, ("explicit_metric",), "S2.2", 1e-6),
-    "drift_scaling": CheckDef(_check_drift_scaling, ("explicit_metric",), "S2.2", 0.35),
-    "legendre_energy": CheckDef(_check_legendre_energy, ("explicit_metric",), "S2.3", 1e-12),
+    "gibbs_normalization": CheckDef(_check_gibbs_normalization, ("family beta",), "E:3", 1e-14),
+    "cumulants_low_order": CheckDef(_check_cumulants_low_order, ("family beta",), "Pot", 1e-6),
+    "cumulants_order4": CheckDef(_check_cumulants_order4, ("family beta",), "GWS", 1e-4),
+    "metric_positive_definite": CheckDef(_check_metric_positive_definite, ("family beta",), "draft-dual", 1e-12),
+    "dual_coordinates": CheckDef(_check_dual_coordinates, ("family beta",), "draft-dual", 1e-6),
+    "dual_connections": CheckDef(_check_dual_connections, ("family beta",), "draft-dual", 1e-6),
+    "hessian_metric_pd": CheckDef(_check_hessian_metric_pd, ("potential metric points",), "draft-cone", 1e-12),
+    "flatness": CheckDef(_check_flatness, ("metric",), "S2.1", 1e-6),
+    "cone_unit": CheckDef(_check_cone_unit, ("potential points",), "draft-cone", 1e-10),
+    "cone_algebra": CheckDef(_check_cone_algebra, ("potential metric points",), "draft-cone", 1e-10),
+    "frobenius_axioms": CheckDef(_check_frobenius_axioms, ("algebra", "potential metric points"), "Asso", 1e-10),
+    "automorphism_invariance": CheckDef(_check_automorphism_invariance, ("potential points",), "draft-cone", 1e-10),
+    "wdvv": CheckDef(_check_wdvv, ("potential pairing point",), "WDVV", 1e-8),
+    "tangent_symplectic": CheckDef(_check_tangent_symplectic, ("metric",), "S2.2", 1e-5),
+    "bracket_suite": CheckDef(_check_bracket_suite, ("metric spins",), "S3", 1e-6),
+    "evolution_consistency": CheckDef(_check_evolution_consistency, ("metric scalar",), "S3", 1e-6),
+    "energy_drift": CheckDef(_check_energy_drift, ("metric scalar",), "S2.2", 1e-6),
+    "drift_scaling": CheckDef(_check_drift_scaling, ("metric scalar",), "S2.2", 0.35),
+    "legendre_energy": CheckDef(_check_legendre_energy, ("metric scalar",), "S2.3", 1e-12),
     "split_algebra_laws": CheckDef(_check_split_algebra_laws, ("algebra",), "S2.2", 1e-12),
     "idempotent_closure": CheckDef(_check_idempotent_closure, ("algebra",), "S2.2", 1e-10),
     "lattice_constant_skew": CheckDef(_check_lattice_constant_skew, ("lattice",), "E:p", 1e-14),

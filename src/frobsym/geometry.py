@@ -12,7 +12,7 @@ tests and from the battery runner).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,12 +38,14 @@ class MetricField:
     """Evaluable metric: ``func`` maps a ``(..., dim)`` stack of points to
     ``(..., dim, dim)`` symmetric matrices.
 
-    ``deriv``, when given, must return d[..., k, i, j] = d(g_ij)/dx_k.
+    ``deriv``, when given, must return d[..., k, i, j] = d(g_ij)/dx_k, and
+    ``constant`` g itself where g is the same at every point (not in ``==``).
     """
 
     dim: int
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray] | None = None
+    constant: np.ndarray | None = field(default=None, compare=False)
 
     def value(self, x) -> np.ndarray:
         x = _points(self.dim, x)

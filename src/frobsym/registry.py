@@ -185,7 +185,8 @@ POTENTIALS = {
 
 
 def euclidean_metric(n: int) -> MetricField:
-    return MetricField(n, _constant(np.eye(n)), deriv=_constant(np.zeros((n, n, n))))
+    eye = np.eye(n)
+    return MetricField(n, _constant(eye), deriv=_constant(np.zeros((n, n, n))), constant=eye)
 
 
 def round_sphere_metric() -> MetricField:

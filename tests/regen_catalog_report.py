@@ -8,6 +8,13 @@ the file.  A change that moves a catalog row reruns this script and
 lists the moved rows in CHANGES.md:
 
     PYTHONPATH=src python tests/regen_catalog_report.py
+
+The bytes hold on the host the file was recorded on: Python 3.11.7 and
+numpy 2.4.6 dispatching to AVX-512 (X86_V3, X86_V4, AVX512_ICL and
+AVX512_SPR found), with OpenBLAS 0.3.31 on its SkylakeX kernel.  Without
+AVX-512 dispatch three cumulant rows move, and on another OpenBLAS kernel
+``drift_scaling`` moves in its 10th digit; ``catalog_host_settings.py``
+lists the rows that move under each such setting.
 """
 
 import contextlib

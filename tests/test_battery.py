@@ -28,7 +28,6 @@ from frobsym.battery import (
     KINDS,
     LATTICE_SIZE_LIMIT,
     CheckContext,
-    CheckDef,
     ManifoldSpec,
     builtin_catalog,
     emit_report,
@@ -44,9 +43,10 @@ from frobsym.battery import (
 from frobsym.cli import main
 from frobsym import registry
 from frobsym.frobenius import FrobeniusAlgebra, frobenius_axioms, wdvv_residual
-from frobsym.geometry import MetricField, christoffel, hessian_log_metric
+from frobsym.geometry import MetricField, christoffel, cone_multiply, hessian_log_metric
 from frobsym.registry import METRICS
 from frobsym.statmanifold import checked_metric
+from frobsym.symplectic import SeparableHamiltonian
 from frobsym.errors import NonConvergence, ParseError, SchemaError
 from frobsym.paracomplex import (ParaNumber, idempotent_decompose, para_conj,
                                  para_inverse, para_mul)
@@ -535,6 +535,12 @@ class TestRunBattery:
         assert err.field == "checks"
         assert str(err) == f"check {checks[0]!r} does not apply to kind {kind!r}"
 
+    def test_a_payload_that_does_not_decode_is_named_before_a_check_of_another_kind(self):
+        # a check applies by the names of the decoded inputs, so the payload decodes first
+        err = one_contract({"kind": "algebra", "payload": {"constants": "nope"},
+                            "checks": ["wdvv"], "tolerances": {}})
+        assert err.field == "payload.constants"
+
     def test_unknown_check_of_a_built_spec_is_a_schema_error(self):
         err = one_contract({"kind": "algebra", "payload": {"constants": "zero2"},
                             "checks": ["frobenius_axioms", "nope"], "tolerances": {}})
@@ -619,7 +625,7 @@ class TestRunBattery:
     def test_overflowing_exponent_gives_null_rows(self):
         # -beta.X overflows to -inf and +inf, so the Gibbs weights are NaN;
         # no floating-point warning escapes, although warnings are errors
-        checks = [name for name, check in CHECKS.items() if "exponential_family" in check.kinds]
+        checks = list(APPLICABLE["exponential_family"])
         spec = spec_from_dict({"kind": "exponential_family", "checks": checks,
                                "payload": {"statistics": [[1e308, -1e308]], "beta": [10.0]}})
         report = run_battery(spec)
@@ -628,7 +634,8 @@ class TestRunBattery:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_residual_is_null_row(self, value, monkeypatch):
         monkeypatch.setitem(CHECKS, "gibbs_normalization",
-                            CheckDef(lambda ctx: value, ("exponential_family",), "E:3", 1e-14))
+                            dataclasses.replace(CHECKS["gibbs_normalization"],
+                                                func=lambda ctx: value))
         report = run_battery(load_manifold_spec(BERNOULLI_TEXT))
         assert (report.rows[0].status, report.rows[0].residual) == ("fail", None)
         text = emit_report(report, "machine")
@@ -698,12 +705,26 @@ class TestDecodedInputs:
             for key, factory in table.items():
                 monkeypatch.setitem(table, key, lambda *args, key=key, factory=factory:
                                     calls.append(key) or factory(*args))
-        checks = [name for name, check in CHECKS.items() if kind in check.kinds]
+        checks = list(APPLICABLE[kind])
         spec = spec_from_dict({"kind": kind, "payload": payload, "checks": checks})
         first, second = (emit_report(run_battery(spec), "machine") for _ in range(2))
         assert sorted(calls) == sorted(v for v in payload.values() if isinstance(v, str))
         assert strip_runtime(first) == strip_runtime(second)
         assert len(first.splitlines()) == 1 + len(checks)
+
+    def test_a_cone_battery_builds_its_metric_once(self, monkeypatch):
+        """Every cone row reads the decoded log-Hessian metric, where five
+        rows built their own; cone_unit still multiplies by cone_multiply."""
+        built, multiplied = [], []
+        monkeypatch.setattr("frobsym.battery.hessian_log_metric",
+                            lambda phi: built.append(phi) or hessian_log_metric(phi))
+        monkeypatch.setattr("frobsym.battery.cone_multiply",
+                            lambda *args: multiplied.append(args) or cone_multiply(*args))
+        checks = list(APPLICABLE["cone_potential"])
+        report = run_battery(spec_from_dict({"kind": "cone_potential", "checks": checks,
+                                             "payload": {"potential": "orthant3"}}))
+        assert [row.name for row in report.rows] == checks
+        assert (len(built), len(multiplied)) == (1, 1)
 
 
 def split_laws_loop(vals) -> float:
@@ -1274,7 +1295,7 @@ class TestDriftRows:
         first, second = run_battery(spec), run_battery(spec)
         assert len(calls) == 2 * 127_005
         assert [r.residual for r in first.rows] == [r.residual for r in second.rows]
-        assert set(vars(spec.inputs)) == {"metric", "scalar", "spins", "separable"}
+        assert set(vars(spec.inputs)) == {"metric", "scalar", "spins"}
 
     @pytest.mark.parametrize("checks", [DRIFT_ROWS, DRIFT_ROWS[::-1]])
     def test_a_row_whose_run_raises_leaves_the_other_row_alone(self, checks, monkeypatch):
@@ -1361,6 +1382,22 @@ def unit_metric(n):
 
 class TestMetricHamiltonian:
     """H = p^T g^-1(z) p / 2 + U(z) on a non-euclidean metric does not separate."""
+
+    def test_separability_follows_the_metric_not_its_id(self, monkeypatch):
+        """The identity metric under another id steps by leapfrog, so its
+        evolution_consistency row equals euclidean2's bit for bit (1.35e-12);
+        by the midpoint rule it read 7.99e-10."""
+        monkeypatch.setitem(METRICS, "flat2", lambda: registry.euclidean_metric(2))
+        # a constant metric other than the identity takes the midpoint rule
+        double = 2.0 * np.eye(2)
+        monkeypatch.setitem(METRICS, "double2", lambda: MetricField(
+            2, lambda x: np.broadcast_to(double, x.shape + (2,)), constant=double))
+        assert isinstance(metric_hamiltonian("flat2"), SeparableHamiltonian)
+        for metric in ("round_sphere2", "double2"):
+            assert not isinstance(metric_hamiltonian(metric), SeparableHamiltonian)
+        flat, euclidean = (run_battery(drift_spec(["evolution_consistency"], metric)).rows[0]
+                           for metric in ("flat2", "euclidean2"))
+        assert (flat.status, flat.residual) == (euclidean.status, euclidean.residual)
 
     def test_sphere_energy_does_not_drift(self):
         traj = integrate(metric_hamiltonian("round_sphere2"),
@@ -1899,12 +1936,15 @@ def drawn_specs(draw, direct=False):
                    "coefficients": ident(registry.LATTICE_COEFFICIENTS)}
         maybe("field_dim", lambda: draw(st.one_of(st.integers(-1, 2), NUMBERS)))
 
-    # drift_scaling, and energy_drift on a curved metric, take seconds per row
+    # drift_scaling, and energy_drift on a metric that is not constant (the
+    # midpoint rule), take seconds per row; no registry metric is constant
+    # but for the identity
     slow = {"drift_scaling"}
-    if not payload.get("metric", "euclidean").startswith("euclidean"):
+    metric = registry.METRICS.get(payload.get("metric"))
+    if metric is not None and metric().constant is None:
         slow.add("energy_drift")
-    applicable = sorted(c for c, d in CHECKS.items()
-                        if (direct or kind in d.kinds) and c not in slow) + ["nope"] * direct
+    applicable = sorted(c for c in CHECKS
+                        if (direct or c in APPLICABLE[kind]) and c not in slow) + ["nope"] * direct
     spec = {"kind": kind, "payload": payload,
             "checks": draw(st.lists(st.sampled_from(applicable), unique=True, max_size=4)),
             "tolerances": draw(st.dictionaries(st.sampled_from(sorted(CHECKS)), NUMBERS,

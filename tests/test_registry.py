@@ -5,6 +5,8 @@ stacked call must return the same doubles in the stack's shape, so an entry
 written for one point at a time fails here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,20 @@ def test_powers_round_as_the_one_point_formulas():
         assert [third[p, i, i, i] for i in range(3)] == [-2.0 / v ** 3 for v in (a, b, c)]
         assert sphere[p, 1, 1] == np.sin(a) ** 2
         assert cubic[p] == 0.5 * a ** 2 * c + 0.5 * a * b ** 2 + 0.1 * b ** 2 * c ** 2
+
+
+@pytest.mark.parametrize("name", sorted(registry.METRICS))
+def test_a_metric_is_constant_exactly_when_its_value_is(name):
+    """The euclidean metrics carry g itself as ``constant``, which equals
+    their value at every point; a constant matrix takes no part in ``==``,
+    so two fields that differ only in its copy compare equal."""
+    metric = registry.METRICS[name]()
+    x = np.random.default_rng(0).uniform(0.3, 3.0, size=(4, metric.dim))
+    if name in ("euclidean1", "euclidean2", "euclidean3"):
+        assert np.array_equal(metric.constant, np.eye(metric.dim))
+        assert np.array_equal(metric.value(x), np.broadcast_to(metric.constant,
+                                                               (4,) + metric.constant.shape))
+        assert metric == dataclasses.replace(metric, constant=metric.constant.copy())
+    else:
+        assert metric.constant is None
+        assert not np.array_equal(metric.value(x[:1]), metric.value(x[1:2]))
