@@ -317,8 +317,7 @@ def _decode_payload(kind: str, payload: dict) -> SimpleNamespace:
                                pairing=pairing, point=np.asarray(point, dtype=float),
                                points=None if points is None else np.asarray(points, dtype=float))
     if kind == "explicit_metric":
-        mid = _require(payload, "metric", str, kind)
-        metric = registry.lookup(registry.METRICS, mid, "metric")
+        metric = registry.lookup(registry.METRICS, _require(payload, "metric", str, kind), "metric")
         sid = _require(payload, "scalar", str, kind) if "scalar" in payload else "zero"
         scalar = registry.lookup(registry.SCALARS, sid, "scalar")
         spins = (registry.lookup(registry.SPIN_CONSTANTS, _require(payload, "spins", str, kind),

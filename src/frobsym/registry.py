@@ -186,6 +186,7 @@ POTENTIALS = {
 
 def euclidean_metric(n: int) -> MetricField:
     eye = np.eye(n)
+    eye.flags.writeable = False  # g itself, which the value field broadcasts
     return MetricField(n, _constant(eye), deriv=_constant(np.zeros((n, n, n))), constant=eye)
 
 

@@ -85,6 +85,7 @@ def test_a_metric_is_constant_exactly_when_its_value_is(name):
     x = np.random.default_rng(0).uniform(0.3, 3.0, size=(4, metric.dim))
     if name in ("euclidean1", "euclidean2", "euclidean3"):
         assert np.array_equal(metric.constant, np.eye(metric.dim))
+        assert not metric.constant.flags.writeable
         assert np.array_equal(metric.value(x), np.broadcast_to(metric.constant,
                                                                (4,) + metric.constant.shape))
         assert metric == dataclasses.replace(metric, constant=metric.constant.copy())
